@@ -13,7 +13,6 @@ import (
 	"sfcacd/internal/experiments"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/keynav"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/serve"
 	"sfcacd/internal/topology"
 )
@@ -244,7 +243,7 @@ func BenchmarkThreeDValidation(b *testing.B) {
 	p.Order = 5
 	p.ANNSOrder = 3
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunThreeD(context.Background(), p, 0, keynav.EngineTree); err != nil {
+		if _, err := experiments.RunThreeD(context.Background(), p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,9 +270,9 @@ func BenchmarkTorusDistance(b *testing.B) {
 
 // --- Communication-matrix path (PR: topology-independent matrices) ---
 
-// commMatFixture builds one scaled assignment, its representative tree,
+// commMatFixture builds one scaled assignment, its key-space index,
 // and the four processor-order tori the tables sweep.
-func commMatFixture(b *testing.B) (*acd.Assignment, *quadtree.RankTree, []topology.Topology) {
+func commMatFixture(b *testing.B) (*acd.Assignment, *keynav.Index, []topology.Topology) {
 	b.Helper()
 	r := sfcacd.NewRand(7)
 	pts, err := sfcacd.SampleUnique(sfcacd.Uniform, r, benchParams.Order, benchParams.Particles)
@@ -284,32 +283,31 @@ func commMatFixture(b *testing.B) (*acd.Assignment, *quadtree.RankTree, []topolo
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 	var topos []topology.Topology
 	for _, c := range sfcacd.Curves() {
 		topos = append(topos, topology.NewTorus(benchParams.ProcOrder, c))
 	}
-	return a, tree, topos
+	return a, a.KeyIndex(), topos
 }
 
 // BenchmarkCommMatBuild measures aggregating the near- and far-field
 // event streams into communication matrices — the one-traversal side of
 // the contraction split.
 func BenchmarkCommMatBuild(b *testing.B) {
-	a, tree, _ := commMatFixture(b)
+	a, ix, _ := commMatFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: benchParams.Radius})
-		fmmmodel.FFIMatricesFromTree(tree, a.P, 0)
+		fmmmodel.FFIMatricesFromIndex(ix, a.P, 0)
 	}
 }
 
 // BenchmarkCommMatContract measures the per-topology side: contracting
 // prebuilt matrices against the four tori through distance tables.
 func BenchmarkCommMatContract(b *testing.B) {
-	a, tree, topos := commMatFixture(b)
+	a, ix, topos := commMatFixture(b)
 	nfi := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: benchParams.Radius})
-	ffi := fmmmodel.FFIMatricesFromTree(tree, a.P, 0)
+	ffi := fmmmodel.FFIMatricesFromIndex(ix, a.P, 0)
 	tables := make([]*topology.DistanceTable, len(topos))
 	for i, topo := range topos {
 		tables[i] = topology.NewDistanceTable(topo)
@@ -329,11 +327,11 @@ func BenchmarkCommMatContract(b *testing.B) {
 // at the heart of Tables I/II: one shared traversal contracted against
 // all four processor-order tori.
 func BenchmarkTable12MatrixPath(b *testing.B) {
-	a, tree, topos := commMatFixture(b)
+	a, _, topos := commMatFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{Radius: benchParams.Radius})
-		fmmmodel.FFIMultiFromTree(tree, topos, fmmmodel.FFIOptions{})
+		fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{})
 	}
 }
 

@@ -111,7 +111,6 @@ func run() int {
 		trials    = flag.Int("trials", 0, "override trial count")
 		seed      = flag.Uint64("seed", 0, "override random seed")
 		workers   = flag.Int("workers", 0, "cap sweep-cell and inner accumulation worker goroutines (0 = GOMAXPROCS)")
-		nfiEngine = flag.String("nfi-engine", "", "neighbor engine for the accumulation passes: tree (default; rank table + quadtree oracle), keys (key-space index), or auto (keys once the dense rank table would exceed its budget); results are bit-identical")
 		distrib   = flag.String("dist", "", "override the particle distribution (uniform, normal, exponential)")
 		incrMode  = flag.String("incr-mode", "", "maintenance mechanism for incremental experiments: incr (default; delta repair) or rebuild (from scratch each tick); results are bit-identical")
 		cacheDir  = flag.String("cache", "", "read/write results in this content-addressed cache directory (shared with acdserverd -cachedir)")
@@ -199,39 +198,41 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// An override applies whenever its flag was given, so out-of-range
+	// values reach Params.Validate instead of silently running the
+	// preset.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	params := func(paper experiments.Params) experiments.Params {
 		p := paper
 		if !*full {
 			p = paper.Scale(*scale)
 		}
-		if *particles > 0 {
+		if set["particles"] {
 			p.Particles = *particles
 		}
-		if *order > 0 {
+		if set["order"] {
 			p.Order = *order
 		}
-		if *procOrder > 0 {
+		if set["procorder"] {
 			p.ProcOrder = *procOrder
 		}
-		if *radius > 0 {
+		if set["radius"] {
 			p.Radius = *radius
 		}
-		if *trials > 0 {
+		if set["trials"] {
 			p.Trials = *trials
 		}
-		if *seed > 0 {
+		if set["seed"] {
 			p.Seed = *seed
 		}
-		if *workers > 0 {
+		if set["workers"] {
 			p.Workers = *workers
 		}
-		if *nfiEngine != "" {
-			p.NFIEngine = *nfiEngine
-		}
-		if *distrib != "" {
+		if set["dist"] {
 			p.Distribution = *distrib
 		}
-		if *incrMode != "" {
+		if set["incr-mode"] {
 			p.IncrMode = *incrMode
 		}
 		return p
@@ -251,7 +252,12 @@ func run() int {
 		logger.Debug("starting experiment", "experiment", name)
 		obs.TakeSpans() // drop any stale phases from a failed predecessor
 		start := time.Now()
-		effParams, err := runOne(ctx, spec, params(spec.Paper), store)
+		p := params(spec.Paper)
+		if err := p.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
+			return 2
+		}
+		effParams, err := runOne(ctx, spec, p, store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
 			return 1

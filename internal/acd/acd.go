@@ -123,8 +123,8 @@ type Assignment struct {
 	side uint32
 	// The cell->rank table maps an occupied cell to the rank owning its
 	// particle: dense array when the grid is small enough, sparse map
-	// otherwise. It is built lazily on the first RankAt — the key-space
-	// engine (keynav) resolves ranks on the sorted key array and never
+	// otherwise. It is built lazily on the first RankAt — the matrix
+	// path resolves ranks on the sorted key array (keynav) and never
 	// pays for it. tableReady publishes the build; tableMu serializes
 	// it.
 	tableMu    sync.Mutex
@@ -132,7 +132,7 @@ type Assignment struct {
 	denseRank  []int32
 	sparseRank map[uint64]int32
 	// keyIx caches the key-space occupancy index shared by the NFI and
-	// FFI passes of the keys engine; built on first KeyIndex call.
+	// FFI matrix passes; built on first KeyIndex call.
 	ixMu  sync.Mutex
 	keyIx *keynav.Index
 	// released marks the assignment dead: lazy structures are no longer
@@ -144,20 +144,12 @@ type Assignment struct {
 // uses a dense array (4096x4096 = 64 MiB of int32). The cutover is a
 // memory bound, not a speed one: BenchmarkRankAt has the dense load at
 // ~3.7 ns/op against ~21 ns/op for the sparse map on random probes, so
-// the array wins wherever it fits. (keynav's key search is ~34 ns/op
-// on the same random probes — its advantage is elsewhere: sequential
-// sweeps hit the rankNear fast path and the table build is skipped
-// entirely.) It is a var so tests can force the sparse path at small
-// orders.
+// the array wins wherever it fits. The table serves RankAt callers
+// (the direct per-event fmmmodel.NFI and VisitNFIPairs, loadbalance)
+// and FromOwners' duplicate check; the matrix path resolves ranks
+// through the key-space index and never builds it. It is a var so
+// tests can force the sparse path at small orders.
 var denseLimit = uint64(1) << 24
-
-// DenseRankTableFits reports whether an order-k grid's cell->rank
-// lookup fits the dense-array budget (denseLimit cells). It is the
-// occupancy heuristic behind keynav.EngineAuto: where the dense table
-// fits, the tree engine's probes are cheapest; past the budget the
-// tree path degrades to sparse map probes and the key-space engine
-// wins.
-func DenseRankTableFits(order uint) bool { return geom.Cells(order) <= denseLimit }
 
 // denseRankPool recycles dense rank tables between assignments.
 // Parallel sweep cells each build a full 4^order table; without
@@ -241,8 +233,8 @@ func (a *Assignment) ensureTable() {
 
 // KeyIndex returns the assignment's key-space occupancy index
 // (internal/keynav), building it on first call. The index is shared:
-// the keys engine's near- and far-field passes over one assignment use
-// the same build. Returns nil after Release.
+// the near- and far-field matrix passes over one assignment use the
+// same build. Returns nil after Release.
 func (a *Assignment) KeyIndex() *keynav.Index {
 	a.ixMu.Lock()
 	defer a.ixMu.Unlock()
@@ -279,7 +271,7 @@ func Assign(particles []geom.Point, curve sfc.Curve, order uint, p int) (*Assign
 	}
 	n := len(particles)
 	// The cell->rank table is NOT built here: duplicate detection rides
-	// on the sorted keys, and the keys engine never consults the table,
+	// on the sorted keys, and the matrix path never consults the table,
 	// so it is deferred to the first RankAt (see ensureTable).
 	prevIdx := uint64(0)
 	for i, src := range perm {
@@ -370,8 +362,8 @@ func (a *Assignment) RankAt(p geom.Point) int32 {
 }
 
 // TableBuilt reports whether the cell->rank table has been
-// materialized. Diagnostic: the keys engine is expected to leave it
-// unbuilt.
+// materialized. Diagnostic: the matrix path (NFIMulti, FFIMulti) is
+// expected to leave it unbuilt.
 func (a *Assignment) TableBuilt() bool { return a.tableReady.Load() }
 
 // ChunkBounds returns the half-open range of ordered particle indices

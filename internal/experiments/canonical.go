@@ -20,14 +20,14 @@ const ResultSchemaVersion = "sfcacd/results/v1"
 // TestCanonicalKeyCoversParams fails when Params gains a field this
 // encoding does not account for.
 //
-// Workers, NFIEngine, and IncrMode are deliberately excluded: results
-// are identical for any worker count, either neighbor engine, and
-// either incremental-maintenance mechanism (documented invariants,
-// enforced by the differential tests), so runs that differ only in
-// those knobs share one cache entry. Distribution is included — it
-// changes the sampled particles — but only when non-uniform, so every
-// key minted before the knob existed stays valid; aliases normalize
-// through dist.ByName first, so "exp" and "exponential" share a key.
+// Workers and IncrMode are deliberately excluded: results are
+// identical for any worker count and either incremental-maintenance
+// mechanism (documented invariants, enforced by the differential
+// tests), so runs that differ only in those knobs share one cache
+// entry. Distribution is included — it changes the sampled particles —
+// but only when non-uniform, so every key minted before the knob
+// existed stays valid; aliases normalize through dist.ByName first, so
+// "exp" and "exponential" share a key.
 func (p Params) CanonicalKey() string {
 	key := fmt.Sprintf("params/v1:n=%d,k=%d,po=%d,r=%d,t=%d,s=%d",
 		p.Particles, p.Order, p.ProcOrder, p.Radius, p.Trials, p.Seed)

@@ -47,23 +47,6 @@ func TestCanonicalKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyIgnoresEngine asserts the same invariant for the
-// neighbor engine: every engine produces bit-identical results (pinned
-// by TestDifferentialKeysEngine; auto only picks between them
-// per-regime), so a keys- or auto-engine run must hit cache entries
-// written by tree-engine runs and vice versa.
-func TestCanonicalKeyIgnoresEngine(t *testing.T) {
-	a := Table12Paper
-	for _, engine := range []string{"keys", "auto"} {
-		b := Table12Paper
-		b.NFIEngine = engine
-		if a.CanonicalKey() != b.CanonicalKey() {
-			t.Errorf("NFIEngine=%q changed the canonical key: %q vs %q",
-				engine, a.CanonicalKey(), b.CanonicalKey())
-		}
-	}
-}
-
 // TestCanonicalKeyIgnoresIncrMode asserts the same invariant for the
 // incremental-maintenance mechanism: delta and rebuild maintenance are
 // bit-identical (the cross-mechanism differential oracle), so runs
@@ -83,11 +66,11 @@ func TestCanonicalKeyIgnoresIncrMode(t *testing.T) {
 // invalidating old cache entries) or be excluded deliberately like
 // Workers — then bump the expected count here with a comment.
 func TestCanonicalKeyCoversParams(t *testing.T) {
-	// 10 = Particles, Order, ProcOrder, Radius, Trials, Seed,
-	// Distribution (non-uniform only) in the key, plus Workers,
-	// NFIEngine, and IncrMode (excluded: results are invariant to
-	// worker count, neighbor engine, and maintenance mechanism).
-	const known = 10
+	// 9 = Particles, Order, ProcOrder, Radius, Trials, Seed,
+	// Distribution (non-uniform only) in the key, plus Workers and
+	// IncrMode (excluded: results are invariant to worker count and
+	// maintenance mechanism).
+	const known = 9
 	if got := reflect.TypeOf(Params{}).NumField(); got != known {
 		t.Fatalf("Params has %d fields, CanonicalKey audited %d; "+
 			"decide whether the new field is result-affecting and update CanonicalKey", got, known)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sfcacd/internal/keynav"
 	"strings"
 	"testing"
 )
@@ -195,7 +194,7 @@ func TestRemainingCSVEmitters(t *testing.T) {
 	td.Particles = 500
 	td.Order = 4
 	td.ANNSOrder = 2
-	t3, err := RunThreeD(context.Background(), td, 0, keynav.EngineTree)
+	t3, err := RunThreeD(context.Background(), td, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

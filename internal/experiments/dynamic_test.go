@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sfcacd/internal/keynav"
 	"strings"
 	"testing"
 )
@@ -86,7 +85,7 @@ func TestRunThreeD(t *testing.T) {
 	p.Particles = 3000
 	p.Order = 5
 	p.ANNSOrder = 3
-	res, err := RunThreeD(context.Background(), p, 0, keynav.EngineTree)
+	res, err := RunThreeD(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +118,12 @@ func TestRunThreeD(t *testing.T) {
 	}
 	bad := p
 	bad.Particles = 0
-	if _, err := RunThreeD(context.Background(), bad, 0, keynav.EngineTree); err == nil {
+	if _, err := RunThreeD(context.Background(), bad, 0); err == nil {
 		t.Error("bad 3D params accepted")
 	}
 	bad = p
 	bad.Particles = 1 << 30
-	if _, err := RunThreeD(context.Background(), bad, 0, keynav.EngineTree); err == nil {
+	if _, err := RunThreeD(context.Background(), bad, 0); err == nil {
 		t.Error("overfull 3D grid accepted")
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -40,14 +39,6 @@ type Params struct {
 	// for any worker count; the knob exists to pin parallelism for
 	// benchmarking and is recorded in run manifests.
 	Workers int
-	// NFIEngine selects the neighbor-resolution engine of the
-	// accumulation passes: "tree" (or empty, the default — rank table +
-	// quadtree, the differential oracle), "keys" (key-space occupancy
-	// index, internal/keynav), or "auto" (per-regime: keys once the
-	// dense rank table would exceed its budget, tree otherwise).
-	// Results are bit-identical across engines; like Workers, the knob
-	// only moves cost, so it is excluded from CanonicalKey.
-	NFIEngine string
 	// Distribution selects the particle sampling distribution by name
 	// (dist.ByName); empty means uniform. Unlike the cost-only knobs it
 	// changes results, so non-uniform values join CanonicalKey (the
@@ -58,24 +49,13 @@ type Params struct {
 	// time-stepped experiments: "" or "incr" (delta maintenance with
 	// policy-driven rebuild fallback) or "rebuild" (full rebuild every
 	// tick). The two mechanisms are bit-identical by construction (the
-	// cross-mechanism differential oracle CI enforces), so like
-	// NFIEngine the knob only moves cost and is excluded from
-	// CanonicalKey.
+	// cross-mechanism differential oracle CI enforces), so like Workers
+	// the knob only moves cost and is excluded from CanonicalKey.
 	IncrMode string
 }
 
 // incrModes lists the accepted IncrMode values.
 var incrModes = map[string]bool{"": true, "incr": true, "rebuild": true}
-
-// engine resolves the NFIEngine name, panicking on values Validate
-// would have rejected.
-func (p Params) engine() keynav.Engine {
-	e, err := keynav.ParseEngine(p.NFIEngine)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
 
 // sampler resolves the Distribution name, panicking on values Validate
 // would have rejected. Aliases normalize to the canonical singletons,
@@ -102,6 +82,9 @@ func (p Params) Validate() error {
 	if p.Order > 15 {
 		return fmt.Errorf("experiments: order %d too large", p.Order)
 	}
+	if p.ProcOrder > topology.MaxProcOrder {
+		return fmt.Errorf("experiments: processor order %d exceeds %d", p.ProcOrder, topology.MaxProcOrder)
+	}
 	if uint64(p.Particles) > geom.Cells(p.Order) {
 		return fmt.Errorf("experiments: %d particles exceed %d cells", p.Particles, geom.Cells(p.Order))
 	}
@@ -113,9 +96,6 @@ func (p Params) Validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count")
-	}
-	if _, err := keynav.ParseEngine(p.NFIEngine); err != nil {
-		return fmt.Errorf("experiments: %w", err)
 	}
 	if p.Distribution != "" {
 		if _, err := dist.ByName(p.Distribution); err != nil {

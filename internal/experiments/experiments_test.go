@@ -8,6 +8,7 @@ import (
 
 	"sfcacd/internal/anns"
 	"sfcacd/internal/sfc"
+	"sfcacd/internal/topology"
 )
 
 // testParams is the scaled-down configuration the test suite uses:
@@ -49,6 +50,11 @@ func TestParamsValidate(t *testing.T) {
 	bad.Order = 30
 	if bad.Validate() == nil {
 		t.Error("huge order accepted")
+	}
+	bad = testParams
+	bad.ProcOrder = topology.MaxProcOrder + 1
+	if bad.Validate() == nil {
+		t.Error("processor order past topology.MaxProcOrder accepted")
 	}
 }
 

@@ -91,11 +91,10 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 			}
 			topos[t] = topo
 		}
-		engine := p.engine()
 		nfiAccs := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		o := cellOut{nfi: make([]float64, nt), ffi: make([]float64, nt)}
 		for t := range topos {
 			o.nfi[t] = nfiAccs[t].ACD()

@@ -91,11 +91,10 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		// the event stream collapses to its distinct rank pairs before
 		// any distance is computed.
 		topos := []topology.Topology{topology.NewTorus(po, curve)}
-		engine := p.engine()
 		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		a.Release()
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil

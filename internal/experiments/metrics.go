@@ -116,11 +116,10 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 		// direct NFI/FFI oracles (PR 2's exactness pin), routed through
 		// the same fused contraction as the other experiment runners.
 		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
-		engine := cfg.Params.engine()
 		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: cfg.Params.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: cfg.Params.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		o := cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		a.Release()
 		outs[cell] = o

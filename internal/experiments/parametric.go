@@ -73,12 +73,12 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		// builds one matrix per radius and contracts it against the
 		// torus via the shared matrix path.
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		// On the keys engine the radii share one occupancy index
-		// (a.KeyIndex is cached), so only the enumeration repeats.
+		// The radii share one occupancy index (a.KeyIndex is cached),
+		// so only the enumeration repeats.
 		o := make([]float64, len(radii))
 		for i, radius := range radii {
 			acc := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-				Radius: radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: p.engine(),
+				Radius: radius, Metric: geom.MetricChebyshev, Workers: inner,
 			})
 			o[i] = acc[0].ACD()
 		}
@@ -171,11 +171,10 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(q.ProcOrder, curve)}
-		engine := q.engine()
 		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: q.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: q.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		a.Release()
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
@@ -253,11 +252,10 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 			topology.NewMesh(p.ProcOrder, curve),
 			topology.NewTorus(p.ProcOrder, curve),
 		}
-		engine := p.engine()
 		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		a.Release()
 		outs[cell] = cellOut{
 			meshNFI:  nfi[0].ACD(),

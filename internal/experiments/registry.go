@@ -219,7 +219,7 @@ var registry = []Spec{
 		Paper: Table12Paper,
 		Run: func(ctx context.Context, p Params) (*Output, error) {
 			tp := ThreeDFromParams(p)
-			res, err := RunThreeD(ctx, tp, p.Workers, p.engine())
+			res, err := RunThreeD(ctx, tp, p.Workers)
 			if err != nil {
 				return nil, err
 			}

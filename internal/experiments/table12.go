@@ -81,11 +81,10 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 		if err != nil {
 			return err
 		}
-		engine := p.engine()
 		nfiAccs := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Engine: engine,
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 		})
-		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Engine: engine})
+		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 		o := cellOut{nfi: make([]float64, nc), ffi: make([]float64, nc)}
 		for proc := range curves {
 			o.nfi[proc] = nfiAccs[proc].ACD()

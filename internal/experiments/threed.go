@@ -6,7 +6,6 @@ import (
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom3"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/model3d"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
@@ -75,11 +74,10 @@ var ThreeDDefault = ThreeDParams{
 
 // RunThreeD runs the 3D validation: uniform particles ordered by each
 // 3D curve, distributed over a 3D torus placed with the same curve.
-// workers caps the sweep pool (0 means GOMAXPROCS) and engine selects
-// the neighbor-resolution machinery; both are separate arguments so
-// ThreeDParams' JSON encoding (recorded in run manifests and cache
-// keys) stays purely scientific — neither knob changes results.
-func RunThreeD(ctx context.Context, p ThreeDParams, workers int, engine keynav.Engine) (ThreeDResult, error) {
+// workers caps the sweep pool (0 means GOMAXPROCS); it is a separate
+// argument so ThreeDParams' JSON encoding (recorded in run manifests
+// and cache keys) stays purely scientific — it never changes results.
+func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, error) {
 	if p.Particles < 1 || p.Trials < 1 {
 		return ThreeDResult{}, fmt.Errorf("experiments: bad 3D params %+v", p)
 	}
@@ -120,7 +118,7 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int, engine keynav.E
 			return err
 		}
 		torus := topology.NewTorus3D(p.ProcOrder, curve)
-		nfi := model3d.NFI(a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner, Engine: engine})
+		nfi := model3d.NFI(a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner})
 		ffi := model3d.FFI(a, torus, inner)
 		outs[cell] = cellOut{nfi: nfi.ACD(), ffi: ffi.Total().ACD()}
 		return nil

@@ -32,9 +32,10 @@ func allTopologies() []topology.Topology {
 	}
 }
 
-// TestDifferentialMatrixVsDirect sweeps seeds x particle orders x radii
-// and checks the matrix path against the direct oracle on all six
-// topologies, for both interaction families.
+// TestDifferentialMatrixVsDirect sweeps seeds x particle orders and
+// checks the matrix path against the direct oracle on curve-sorted
+// Assign inputs (see checkMatrixVsDirect for the radii, metrics and
+// topologies covered).
 func TestDifferentialMatrixVsDirect(t *testing.T) {
 	const order = 6
 	topos := allTopologies()
@@ -49,27 +50,37 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("seed%d/%s", seed, curve.Name())
+			checkMatrixVsDirect(t, fmt.Sprintf("seed%d/%s", seed, curve.Name()), a, topos)
+		}
+	}
+}
 
-			for _, radius := range []int{1, 2} {
-				opts := NFIOptions{Radius: radius, Metric: geom.MetricChebyshev}
-				multi := NFIMulti(a, topos, opts)
-				for i, topo := range topos {
-					if single := NFI(a, topo, opts); multi[i] != single {
-						t.Errorf("%s r=%d %s: NFI matrix %+v != direct %+v", name, radius, topo.Name(), multi[i], single)
-					}
-				}
-			}
-
-			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-			multi := FFIMultiFromTree(tree, topos, FFIOptions{})
+// checkMatrixVsDirect holds NFIMulti (radii 1 and 2, both metrics) to
+// direct NFI and FFIMulti to direct FFIFromTree on every topology in
+// topos, for one assignment.
+func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology) {
+	t.Helper()
+	for _, radius := range []int{1, 2} {
+		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+			opts := NFIOptions{Radius: radius, Metric: metric}
+			multi := NFIMulti(a, topos, opts)
 			for i, topo := range topos {
-				if single := FFIFromTree(tree, topo, FFIOptions{}); multi[i] != single {
-					t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], single)
+				if single := NFI(a, topo, opts); multi[i] != single {
+					t.Errorf("%s r=%d %s %s: NFI matrix %+v != direct %+v",
+						name, radius, metric, topo.Name(), multi[i], single)
 				}
 			}
 		}
 	}
+
+	multi := FFIMulti(a, topos, FFIOptions{})
+	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	for i, topo := range topos {
+		if single := FFIFromTree(tree, topo, FFIOptions{}); multi[i] != single {
+			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], single)
+		}
+	}
+	tree.Release()
 }
 
 // TestNFIMatrixContractsExactly pins the symmetric-canonical

@@ -22,7 +22,6 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/quadtree"
 	"sfcacd/internal/topology"
@@ -38,13 +37,6 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the neighbor-resolution machinery on the matrix
-	// path (NFIMatrix/NFIMulti): the assignment's rank table (tree,
-	// the default and oracle) or the key-space index (keys). Results
-	// are bit-identical; only the cost differs. The direct NFI path
-	// always uses the rank table — it is the oracle the engines are
-	// tested against.
-	Engine keynav.Engine
 }
 
 func (o *NFIOptions) normalize() {
@@ -57,22 +49,6 @@ func (o *NFIOptions) normalize() {
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// resolveEngine pins keynav.EngineAuto to a concrete engine for a grid
-// of the given order: the tree path (rank table + quadtree) where the
-// dense rank table fits its memory budget, the key-space engine where
-// the table would have to fall back to sparse probing. Concrete
-// engines pass through unchanged, and results are bit-identical either
-// way — the heuristic only moves cost.
-func resolveEngine(e keynav.Engine, order uint) keynav.Engine {
-	if e != keynav.EngineAuto {
-		return e
-	}
-	if acd.DenseRankTableFits(order) {
-		return keynav.EngineTree
-	}
-	return keynav.EngineKeys
-}
 
 // NFI computes the ACD accumulator for all near-field interactions of
 // the assignment on the given topology: §IV steps 5–7. Every ordered
@@ -167,11 +143,6 @@ func (r FFIResult) recordMatrixPath() {
 type FFIOptions struct {
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects the far-field structure on the matrix path
-	// (FFIMulti): the dense representative quadtree (tree, the default
-	// and oracle) or the key-space level slabs (keys). See
-	// NFIOptions.Engine.
-	Engine keynav.Engine
 }
 
 // FFI computes the far-field ACD of the assignment on the given

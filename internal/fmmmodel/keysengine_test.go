@@ -6,64 +6,42 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/geom"
-	"sfcacd/internal/keynav"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
 
-// TestDifferentialKeysEngine pins the key-space engine to the direct
-// per-event oracle with the same discipline as the matrix-path
-// differential: exact Sum/Count/Zeros equality on all six topologies,
-// across seeds x curves x radii, for both interaction families. Any
-// divergence is a lost, duplicated, or misrouted communication event.
+// TestDifferentialKeysEngine feeds the key-space engine the input
+// shape loadbalance and dynamic build: an acd.FromOwners assignment
+// with particles in sampling order and ranks shuffled so they are not
+// monotone along any curve. The index must sort the keys itself and
+// carry each particle's own rank; checkMatrixVsDirect holds the result
+// to the direct per-event oracle on all six topologies.
 func TestDifferentialKeysEngine(t *testing.T) {
-	const order = 6
+	const order, p = 6, 64
 	topos := allTopologies()
-	curves := []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
 	for seed := int64(1); seed <= 2; seed++ {
 		pts, err := dist.SampleUnique(dist.Uniform, rng.New(uint64(seed)), order, 400)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, curve := range curves {
-			a, err := acd.Assign(pts, curve, order, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("seed%d/%s", seed, curve.Name())
-
-			for _, radius := range []int{1, 2} {
-				for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
-					opts := NFIOptions{Radius: radius, Metric: metric, Engine: keynav.EngineKeys}
-					multi := NFIMulti(a, topos, opts)
-					direct := NFIOptions{Radius: radius, Metric: metric}
-					for i, topo := range topos {
-						if single := NFI(a, topo, direct); multi[i] != single {
-							t.Errorf("%s r=%d %s %s: keys NFI %+v != direct %+v",
-								name, radius, metric, topo.Name(), multi[i], single)
-						}
-					}
-				}
-			}
-
-			multi := FFIMulti(a, topos, FFIOptions{Engine: keynav.EngineKeys})
-			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-			for i, topo := range topos {
-				if single := FFIFromTree(tree, topo, FFIOptions{}); multi[i] != single {
-					t.Errorf("%s %s: keys FFI %+v != direct %+v", name, topo.Name(), multi[i], single)
-				}
-			}
-			tree.Release()
+		perm := make([]int, len(pts))
+		rng.New(uint64(seed) + 100).Perm(perm)
+		ranks := make([]int32, len(pts))
+		for i, j := range perm {
+			ranks[i] = int32(j * p / len(pts))
 		}
+		a, err := acd.FromOwners(pts, ranks, order, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatrixVsDirect(t, fmt.Sprintf("seed%d/owners", seed), a, topos)
 	}
 }
 
 // TestKeysEngineWorkerInvariance requires byte-identical results at
-// every worker count — the keys engine must preserve the sweep
-// scheduler's determinism guarantee.
+// every worker count on all six topologies — the key-space matrix path
+// must preserve the sweep scheduler's determinism guarantee.
 func TestKeysEngineWorkerInvariance(t *testing.T) {
 	const order = 6
 	topos := allTopologies()
@@ -75,11 +53,11 @@ func TestKeysEngineWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nfiBase := NFIMulti(a, topos, NFIOptions{Workers: 1, Engine: keynav.EngineKeys})
-	ffiBase := FFIMulti(a, topos, FFIOptions{Workers: 1, Engine: keynav.EngineKeys})
+	nfiBase := NFIMulti(a, topos, NFIOptions{Workers: 1})
+	ffiBase := FFIMulti(a, topos, FFIOptions{Workers: 1})
 	for _, workers := range []int{2, 3, 8} {
-		nfi := NFIMulti(a, topos, NFIOptions{Workers: workers, Engine: keynav.EngineKeys})
-		ffi := FFIMulti(a, topos, FFIOptions{Workers: workers, Engine: keynav.EngineKeys})
+		nfi := NFIMulti(a, topos, NFIOptions{Workers: workers})
+		ffi := FFIMulti(a, topos, FFIOptions{Workers: workers})
 		for i := range topos {
 			if nfi[i] != nfiBase[i] {
 				t.Errorf("workers=%d %s: NFI %+v != single-worker %+v", workers, topos[i].Name(), nfi[i], nfiBase[i])
@@ -91,9 +69,8 @@ func TestKeysEngineWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestKeysEngineSkipsRankTable pins the point of the lazy table: a
-// keys-engine evaluation must never build the assignment's cell->rank
-// table.
+// TestKeysEngineSkipsRankTable pins the point of the lazy table: the
+// matrix path must never build the assignment's cell->rank table.
 func TestKeysEngineSkipsRankTable(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(43), order, 300)
@@ -105,14 +82,9 @@ func TestKeysEngineSkipsRankTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	topos := []topology.Topology{topology.NewRing(16)}
-	NFIMulti(a, topos, NFIOptions{Engine: keynav.EngineKeys})
-	FFIMulti(a, topos, FFIOptions{Engine: keynav.EngineKeys})
-	if a.TableBuilt() {
-		t.Fatal("keys engine built the rank table")
-	}
-	// The tree engine does need it.
 	NFIMulti(a, topos, NFIOptions{})
-	if !a.TableBuilt() {
-		t.Fatal("tree engine did not build the rank table")
+	FFIMulti(a, topos, FFIOptions{})
+	if a.TableBuilt() {
+		t.Fatal("matrix path built the rank table")
 	}
 }

@@ -5,10 +5,8 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
-	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/topology"
 )
 
@@ -37,75 +35,32 @@ import (
 // rank delta well under 256. The hint only sizes the aggregation grid;
 // curve discontinuities that jump further (Morton or Gray boundaries)
 // land in the exact overflow path. Interaction-list partners sit whole
-// cells apart and need the default, wider band.
+// cells apart and need the wider ilBand.
 const tightBand = 256
 
-// ilBand is the scratch-band hint for the key-space engine's
-// interaction-list builder. IL partners sit whole cells apart, so the
-// near-field band is too tight, but the delta profile is still heavily
-// concentrated: at table12 scale (order 8, p = 4096) 95-99% of IL
-// events across the four curves land under delta 512. Banding there
-// shrinks the aggregation grid from 32 MiB (the p = 4096 default) to 8
-// MiB, keeping the count-increment hot path close to cache-resident;
-// the coarse-level pairs whose representative deltas exceed the band
-// stay exact through the overflow log.
+// ilBand is the scratch-band hint for the interaction-list builder. IL
+// partners sit whole cells apart, so the near-field band is too tight,
+// but the delta profile is still heavily concentrated: at table12
+// scale (order 8, p = 4096) 95-99% of IL events across the four curves
+// land under delta 512. Banding there shrinks the aggregation grid
+// from 32 MiB (the p = 4096 default) to 8 MiB, keeping the
+// count-increment hot path close to cache-resident; the coarse-level
+// pairs whose representative deltas exceed the band stay exact through
+// the overflow log.
 const ilBand = 512
 
 // NFIMatrix aggregates the assignment's near-field event stream in one
 // parallel traversal into a symmetric-canonical matrix: every unordered
 // particle pair within opts.Radius contributes one event between the
-// owning ranks, keyed with the smaller rank as source. Contract with
-// the Sym variants; each pair then counts once per direction, exactly
+// owning ranks, keyed with the smaller rank as source. Neighbor cells
+// are reached by dilated-integer arithmetic on the particle's Morton
+// key and ranks resolved by key search on the assignment's shared
+// occupancy index, so the rank table is never built. Contract with the
+// Sym variants; each pair then counts once per direction, exactly
 // reproducing NFI's ordered stream.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	defer obs.StartSpan("commmat.build.nfi").End()
 	opts.normalize()
-	opts.Engine = resolveEngine(opts.Engine, a.Order)
-	if opts.Engine == keynav.EngineKeys {
-		return nfiMatrixKeys(a, opts)
-	}
-	n := a.N()
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := b.Shard(w)
-			for i := lo; i < hi; i++ {
-				p := a.Particles[i]
-				mine := a.Ranks[i]
-				geom.VisitUpperNeighborhood(p, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
-					if r := a.RankAt(q); r >= 0 {
-						if r < mine {
-							s.Add(r, mine)
-						} else {
-							s.Add(mine, r)
-						}
-					}
-				})
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return b.Finalize()
-}
-
-// nfiMatrixKeys is NFIMatrix on the key-space engine: the same event
-// stream, with neighbor cells reached by dilated-integer arithmetic on
-// the particle's Morton key and ranks resolved by key search on the
-// assignment's shared occupancy index — no rank table.
-func nfiMatrixKeys(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	ix := a.KeyIndex()
 	n := ix.N()
 	workers := opts.Workers
@@ -154,84 +109,15 @@ type FFIMatrices struct {
 	InteractionList *commmat.Matrix
 }
 
-// FFIMatricesFromTree aggregates the far-field event streams of a
-// representative tree over p ranks. Both the parent-child pass and the
-// interaction-list pass are parallelized: levels are cut into row
-// stripes and fed to a fixed worker pool, one builder shard per worker.
-func FFIMatricesFromTree(tree *quadtree.RankTree, p, workers int) FFIMatrices {
-	defer obs.StartSpan("commmat.build.ffi").End()
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
-	bl := commmat.NewBuilder(p, workers)
-	type task struct {
-		level       uint
-		yLo, yHi    uint32
-		interaction bool
-	}
-	var tasks []task
-	stripeTasks := func(level uint, interaction bool) {
-		side := geom.Side(level)
-		stripe := side / uint32(4*workers)
-		if stripe == 0 {
-			stripe = 1
-		}
-		for yLo := uint32(0); yLo < side; yLo += stripe {
-			yHi := yLo + stripe
-			if yHi > side {
-				yHi = side
-			}
-			tasks = append(tasks, task{level: level, yLo: yLo, yHi: yHi, interaction: interaction})
-		}
-	}
-	for l := tree.Order; l >= 1; l-- {
-		stripeTasks(l, false)
-	}
-	for l := uint(2); l <= tree.Order; l++ {
-		stripeTasks(l, true)
-	}
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			si, sl := bi.Shard(w), bl.Shard(w)
-			for t := range ch {
-				if t.interaction {
-					tree.VisitUpperInteractionPairs(t.level, t.yLo, t.yHi, func(rep, other int32) {
-						if other < rep {
-							sl.Add(other, rep)
-						} else {
-							sl.Add(rep, other)
-						}
-					})
-				} else {
-					tree.VisitRowCells(t.level, t.yLo, t.yHi, func(x, y uint32, rep int32) {
-						// The parent representative is the minimum over
-						// its children's cells, so (parent, child) is the
-						// canonical src <= dst orientation of the link.
-						si.Add(tree.Rep(t.level-1, x/2, y/2), rep)
-					})
-				}
-			}
-		}(w)
-	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	wg.Wait()
-	return FFIMatrices{Interpolation: bi.Finalize(), InteractionList: bl.Finalize()}
-}
-
-// FFIMatricesFromIndex is FFIMatricesFromTree on the key-space engine:
-// it aggregates the identical far-field event streams from the index's
-// per-level occupied-cell slabs. Work is chunked over slab positions
-// instead of grid rows, so task cost tracks occupancy — there are no
-// empty-cell scans — and the interaction lists are enumerated from
-// adjacent parent pairs rather than per-cell candidate windows.
+// FFIMatricesFromIndex aggregates the far-field event streams of an
+// assignment over p ranks from its key-space index's per-level
+// occupied-cell slabs: the same streams FFIFromTree walks on the
+// representative quadtree. Both the parent-child pass and the
+// interaction-list pass run on a fixed worker pool, one builder shard
+// per worker. Work is chunked over slab positions, so task cost tracks
+// occupancy — there are no empty-cell scans — and the interaction
+// lists are enumerated from adjacent parent pairs rather than per-cell
+// candidate windows.
 func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 	defer obs.StartSpan("commmat.build.ffi").End()
 	if workers <= 0 {

@@ -2,9 +2,7 @@ package fmmmodel
 
 import (
 	"sfcacd/internal/acd"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/topology"
 )
 
@@ -37,33 +35,11 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 
 // FFIMulti computes the far-field breakdown of the assignment under
 // each of the given topologies, sharing one aggregation of the
-// interaction structure. opts.Engine picks the structure: the dense
-// representative quadtree (built and released here) or the
-// assignment's key-space occupancy index.
+// interaction structure built from the assignment's key-space
+// occupancy index. The far-field matrices are kept separate per
+// communication type, so the per-type breakdown of FFIResult matches
+// the direct FFIFromTree path exactly.
 func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []FFIResult {
-	opts.Engine = resolveEngine(opts.Engine, a.Order)
-	if opts.Engine == keynav.EngineKeys {
-		defer obs.StartSpan("accumulation.ffi").End()
-		if opts.Workers <= 0 {
-			opts.Workers = defaultWorkers()
-		}
-		if len(topos) == 0 {
-			return nil
-		}
-		ms := FFIMatricesFromIndex(a.KeyIndex(), topos[0].P(), opts.Workers)
-		return ms.ContractAll(topos, opts.Workers)
-	}
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	defer tree.Release()
-	return FFIMultiFromTree(tree, topos, opts)
-}
-
-// FFIMultiFromTree is FFIMulti over a prebuilt representative tree. The
-// far-field matrices are kept separate per communication type, so the
-// per-type breakdown of FFIResult matches the direct FFIFromTree path
-// exactly; the anterpolation accumulator reuses the interpolation
-// contraction because hop distance is symmetric.
-func FFIMultiFromTree(tree *quadtree.RankTree, topos []topology.Topology, opts FFIOptions) []FFIResult {
 	defer obs.StartSpan("accumulation.ffi").End()
 	if opts.Workers <= 0 {
 		opts.Workers = defaultWorkers()
@@ -71,7 +47,7 @@ func FFIMultiFromTree(tree *quadtree.RankTree, topos []topology.Topology, opts F
 	if len(topos) == 0 {
 		return make([]FFIResult, 0)
 	}
-	ms := FFIMatricesFromTree(tree, topos[0].P(), opts.Workers)
+	ms := FFIMatricesFromIndex(a.KeyIndex(), topos[0].P(), opts.Workers)
 	return ms.ContractAll(topos, opts.Workers)
 }
 

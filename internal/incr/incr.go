@@ -212,7 +212,7 @@ func (s *State) occClear(q geom.Point) {
 }
 
 // refill rebuilds the near-field matrix from the key-space index (one
-// upper-pair traversal, as fmmmodel's keys engine does).
+// upper-pair traversal, as fmmmodel.NFIMatrix does).
 func (s *State) refill() {
 	s.counts.Reset()
 	s.ix.VisitUpperNeighborPairs(0, s.n, s.cfg.Radius, s.cfg.Metric, func(mine, r int32) {

@@ -15,9 +15,11 @@
 // quadtree.RankTree's dense 4^l arrays: memory is proportional to the
 // number of occupied cells, not to the grid.
 //
-// The quadtree/rank-table path remains the differential oracle: for
-// every query family here there is a test pinning exact equality of
-// the produced event multisets against the tree enumeration.
+// The index is the only neighbor engine of the matrix path. The
+// quadtree.RankTree and the assignment's rank table remain as the
+// differential oracle: for every query family here there is a test
+// pinning exact equality of the produced event multisets against the
+// tree enumeration.
 package keynav
 
 import (
@@ -31,50 +33,6 @@ import (
 )
 
 var buildCounter = obs.GetCounter("keynav.builds")
-
-// Engine selects how the accumulation passes resolve neighbor cells
-// and enumerate the far-field interaction structure.
-type Engine uint8
-
-const (
-	// EngineTree is the original path: the assignment's rank table for
-	// near-field probes and the dense per-level quadtree.RankTree for
-	// the far field. It doubles as the differential oracle.
-	EngineTree Engine = iota
-	// EngineKeys resolves everything on the sorted Morton key array:
-	// no rank table, no tree arenas.
-	EngineKeys
-	// EngineAuto defers the choice to the accumulation pass, which
-	// picks per regime: the tree path where the dense rank table fits
-	// its memory budget, the key-space engine where it would not
-	// (large orders, 3D grids). Results are bit-identical either way —
-	// auto only moves cost.
-	EngineAuto
-)
-
-// ParseEngine resolves an engine name; "" means EngineTree.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "tree":
-		return EngineTree, nil
-	case "keys":
-		return EngineKeys, nil
-	case "auto":
-		return EngineAuto, nil
-	}
-	return EngineTree, fmt.Errorf("keynav: unknown engine %q (want tree, keys, or auto)", s)
-}
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineKeys:
-		return "keys"
-	case EngineAuto:
-		return "auto"
-	}
-	return "tree"
-}
 
 // level is one resolution level of the index: occupied cells as sorted
 // level keys, their representative ranks, the start of each cell's

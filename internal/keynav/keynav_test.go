@@ -164,6 +164,21 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 	}
 }
 
+// upperILPairs is the interaction-list oracle: the quadtree's per-cell
+// InteractionList enumeration at one level, keeping each unordered cell
+// pair once, with the row-major-lower cell as source.
+func upperILPairs(tree *quadtree.RankTree, level uint) map[uint64]int {
+	pairs := map[uint64]int{}
+	tree.VisitCells(level, func(x, y uint32, rep int32) {
+		tree.InteractionList(level, x, y, func(nx, ny uint32, other int32) {
+			if ny > y || (ny == y && nx > x) {
+				pairs[pairKey(rep, other)]++
+			}
+		})
+	})
+	return pairs
+}
+
 // TestVisitUpperILPairsMatchesTree compares the interaction-list pair
 // multiset per level against the quadtree enumeration, both full-range
 // and chunked over parent positions.
@@ -178,10 +193,7 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 			for l := uint(2); l <= order; l++ {
-				want := map[uint64]int{}
-				tree.VisitUpperInteractionPairs(l, 0, geom.Side(l), func(rep, other int32) {
-					want[pairKey(rep, other)]++
-				})
+				want := upperILPairs(tree, l)
 				plen := ix.LevelLen(l - 1)
 				for _, chunk := range []int{plen, 1, 3} {
 					got := map[uint64]int{}
@@ -221,10 +233,7 @@ func TestDenseGridAllLevels(t *testing.T) {
 	ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 	for l := uint(2); l <= order; l++ {
-		want := map[uint64]int{}
-		tree.VisitUpperInteractionPairs(l, 0, geom.Side(l), func(rep, other int32) {
-			want[pairKey(rep, other)]++
-		})
+		want := upperILPairs(tree, l)
 		got := map[uint64]int{}
 		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
 			got[pairKey(rep, other)]++
@@ -300,28 +309,6 @@ func TestFlatMatchesMap(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the flag vocabulary.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want keynav.Engine
-		err  bool
-	}{
-		{"", keynav.EngineTree, false},
-		{"tree", keynav.EngineTree, false},
-		{"keys", keynav.EngineKeys, false},
-		{"quadtree", 0, true},
-	} {
-		got, err := keynav.ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if keynav.EngineKeys.String() != "keys" || keynav.EngineTree.String() != "tree" {
-		t.Fatal("Engine.String vocabulary changed")
-	}
-}
-
 func mapsEqual(a, b map[uint64]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -390,9 +377,9 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyNavILPairs is the keynav counterpart of quadtree's
-// BenchmarkInteractionList: one full interaction-list sweep over every
-// level, enumerated from adjacent occupied parent pairs.
+// BenchmarkKeyNavILPairs measures one full interaction-list sweep over
+// every level, enumerated from adjacent occupied parent pairs — the
+// commmat.build.ffi hot loop.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint

@@ -33,11 +33,9 @@ type Assignment struct {
 	// Ranks[i] owns Particles[i]; monotone non-decreasing.
 	Ranks []int32
 	side  uint32
-	// cellRank maps occupied cells to ranks (sparse: 3D grids are
-	// large).
-	cellRank map[uint64]int32
-	// keyIx is the flat Morton3-key index of the keys engine, built on
-	// first use.
+	// keyIx is the flat Morton3-key index that resolves cells to ranks,
+	// built on first use: memory is proportional to the particle count,
+	// not to the 8^Order cube.
 	ixOnce sync.Once
 	keyIx  *keynav.Flat
 }
@@ -87,7 +85,6 @@ func Assign(particles []geom3.Point3, curve sfc.NDCurve, order uint, p int) (*As
 		Particles: make([]geom3.Point3, n),
 		Ranks:     make([]int32, n),
 		side:      geom3.Side(order),
-		cellRank:  make(map[uint64]int32, n),
 	}
 	var prev uint64
 	for i, src := range perm {
@@ -95,10 +92,8 @@ func Assign(particles []geom3.Point3, curve sfc.NDCurve, order uint, p int) (*As
 			return nil, fmt.Errorf("model3d: duplicate particle cell %v", particles[src])
 		}
 		prev = keys[src]
-		rank := int32(partition.ChunkOf(i, n, p))
 		a.Particles[i] = particles[src]
-		a.Ranks[i] = rank
-		a.cellRank[geom3.CellID(particles[src], a.side)] = rank
+		a.Ranks[i] = int32(partition.ChunkOf(i, n, p))
 	}
 	return a, nil
 }
@@ -109,12 +104,13 @@ func (a *Assignment) Side() uint32 { return a.side }
 // N returns the particle count.
 func (a *Assignment) N() int { return len(a.Particles) }
 
-// RankAt returns the rank owning the particle in a cell, or -1.
+// RankAt returns the rank owning the particle in a cell, or -1 for an
+// empty cell or one outside the cube.
 func (a *Assignment) RankAt(p geom3.Point3) int32 {
-	if r, ok := a.cellRank[geom3.CellID(p, a.side)]; ok {
-		return r
+	if p.X >= a.side || p.Y >= a.side || p.Z >= a.side {
+		return -1
 	}
-	return -1
+	return a.keyIndex().Rank(sfc.Morton3Key(p.X, p.Y, p.Z))
 }
 
 // NFIOptions configures the 3D near-field model.
@@ -126,12 +122,6 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Engine selects neighbor resolution: the assignment's sparse cell
-	// map (tree, the default and oracle) or a flat key-space index over
-	// 3D Morton keys (keys). Results are identical; the 3D grid is
-	// always too large for a dense table, so the keys engine replaces
-	// every map probe with a directory-narrowed key search.
-	Engine keynav.Engine
 }
 
 // NFI computes the 3D near-field ACD.
@@ -143,16 +133,10 @@ func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	// rank resolves a neighbor cell to its owning rank under the
-	// selected engine.
-	rank := a.RankAt
-	// EngineAuto resolves to keys here: the 3D grid (8^order cells) is
-	// always past the dense-table budget, so the occupancy heuristic
-	// never picks the map-probing tree path.
-	if opts.Engine == keynav.EngineKeys || opts.Engine == keynav.EngineAuto {
-		flat := a.keyIndex()
-		rank = func(q geom3.Point3) int32 { return flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)) }
-	}
+	// Neighbor cells resolve to ranks by directory-narrowed key search
+	// on the flat index; the 3D grid is always too large for a dense
+	// table.
+	flat := a.keyIndex()
 	n := a.N()
 	workers := opts.Workers
 	if workers > n {
@@ -172,7 +156,7 @@ func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator
 				p := a.Particles[i]
 				mine := int(a.Ranks[i])
 				geom3.VisitNeighborhood(p, opts.Radius, opts.Metric, a.side, func(q geom3.Point3) {
-					if r := rank(q); r >= 0 {
+					if r := flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)); r >= 0 {
 						local.Add(topo.Distance(mine, int(r)))
 					}
 				})

@@ -8,7 +8,6 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/geom3"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -62,6 +61,9 @@ func TestAssignBasics(t *testing.T) {
 		if !occupied {
 			t.Error("empty cell did not return -1")
 		}
+	}
+	if a.RankAt(geom3.Pt3(a.Side(), 0, 0)) != -1 {
+		t.Error("cell outside the cube did not return -1")
 	}
 }
 
@@ -262,9 +264,27 @@ func TestANNS3DPanicsOn2DCurve(t *testing.T) {
 	ANNS3D(sfc.HilbertND{N: 2}, 2, 1)
 }
 
-// TestNFIKeysEngineMatchesTree pins the 3D keys engine (flat Morton3
-// index) to the sparse-map oracle: identical accumulators across
-// curves and radii.
+// mapNFI3 is the per-event near-field oracle with neighbor ranks
+// resolved through a plain cell map instead of the flat key index.
+func mapNFI3(a *Assignment, topo topology.Topology, radius int, m geom.Metric) acd.Accumulator {
+	cellRank := make(map[uint64]int32, a.N())
+	for i, p := range a.Particles {
+		cellRank[geom3.CellID(p, a.Side())] = a.Ranks[i]
+	}
+	var res acd.Accumulator
+	for i, p := range a.Particles {
+		geom3.VisitNeighborhood(p, radius, m, a.Side(), func(q geom3.Point3) {
+			if r, ok := cellRank[geom3.CellID(q, a.Side())]; ok {
+				res.Add(topo.Distance(int(a.Ranks[i]), int(r)))
+			}
+		})
+	}
+	return res
+}
+
+// TestNFIKeysEngineMatchesTree pins the 3D near field, which resolves
+// ranks on the flat Morton3 key index, to the map-probing oracle:
+// identical accumulators across curves, radii and metrics.
 func TestNFIKeysEngineMatchesTree(t *testing.T) {
 	const order = 4
 	pts := sample3(t, dist.Normal3, 7, order, 250)
@@ -276,10 +296,10 @@ func TestNFIKeysEngineMatchesTree(t *testing.T) {
 		}
 		for _, radius := range []int{1, 2} {
 			for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
-				want := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
-				got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m, Engine: keynav.EngineKeys})
+				want := mapNFI3(a, topo, radius, m)
+				got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
 				if got != want {
-					t.Fatalf("%s r=%d %s: keys %+v != tree %+v", curve.Name(), radius, m, got, want)
+					t.Fatalf("%s r=%d %s: NFI %+v != map oracle %+v", curve.Name(), radius, m, got, want)
 				}
 			}
 		}

@@ -113,6 +113,8 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown field", "/v1/experiments/table12", `{"Particle":1}`, http.StatusBadRequest, "bad params body"},
 		{"malformed json", "/v1/experiments/table12", `{"Particles":`, http.StatusBadRequest, "bad params body"},
 		{"invalid params", "/v1/experiments/table12", `{"Trials":-1}`, http.StatusBadRequest, "invalid parameters"},
+		{"proc order too large", "/v1/experiments/table12", `{"ProcOrder":16}`, http.StatusBadRequest, "invalid parameters"},
+		{"removed engine knob", "/v1/experiments/table12", `{"NFIEngine":"keys"}`, http.StatusBadRequest, "bad params body"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -205,6 +205,11 @@ func (r *Ring) Neighbors(p int, buf []int) []int {
 
 // --- Mesh and Torus ---
 
+// MaxProcOrder is the largest processor order the square-grid networks
+// (mesh, torus) and the quadtree network accept: p = 4^MaxProcOrder =
+// 2^30 ranks, the largest power of four whose ranks fit an int32.
+const MaxProcOrder = 15
+
 // gridNet carries the shared state of the mesh and torus: a square
 // 2^procOrder grid with an SFC-driven rank placement.
 type gridNet struct {
@@ -216,7 +221,7 @@ type gridNet struct {
 }
 
 func newGridNet(procOrder uint, placement sfc.Curve) gridNet {
-	if procOrder > 15 {
+	if procOrder > MaxProcOrder {
 		panic("topology: grid order too large")
 	}
 	side := geom.Side(procOrder)
@@ -432,7 +437,7 @@ type QuadtreeNet struct {
 
 // NewQuadtreeNet returns a quadtree network with 4^levels processors.
 func NewQuadtreeNet(levels uint) *QuadtreeNet {
-	if levels > 15 {
+	if levels > MaxProcOrder {
 		panic("topology: quadtree levels too large")
 	}
 	return &QuadtreeNet{levels: levels}
