@@ -174,4 +174,11 @@ func TestPublicFromOwners(t *testing.T) {
 	if a.RankAt(sfcacd.Pt(0, 0)) != 1 {
 		t.Fatal("owner lookup failed")
 	}
+	// Cells outside the 8x8 grid are empty: (13,4) must not alias onto
+	// the occupied (5,5), and (0,8) must not index past the grid.
+	for _, q := range []sfcacd.Point{sfcacd.Pt(13, 4), sfcacd.Pt(0, 8)} {
+		if r := a.RankAt(q); r != -1 {
+			t.Fatalf("RankAt(%v) outside the grid = %d, want -1", q, r)
+		}
+	}
 }

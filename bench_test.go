@@ -303,7 +303,8 @@ func BenchmarkCommMatBuild(b *testing.B) {
 }
 
 // BenchmarkCommMatContract measures the per-topology side: contracting
-// prebuilt matrices against the four tori through distance tables.
+// prebuilt matrices against the four tori through distance tables, one
+// fused single-goroutine pass per matrix.
 func BenchmarkCommMatContract(b *testing.B) {
 	a, ix, topos := commMatFixture(b)
 	nfi := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: benchParams.Radius})
@@ -312,14 +313,18 @@ func BenchmarkCommMatContract(b *testing.B) {
 	for i, topo := range topos {
 		tables[i] = topology.NewDistanceTable(topo)
 	}
+	accs := func() []*acd.Accumulator {
+		out := make([]*acd.Accumulator, len(tables))
+		for i := range out {
+			out[i] = new(acd.Accumulator)
+		}
+		return out
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, dt := range tables {
-			var n, interp, il acd.Accumulator
-			nfi.ContractTableSym(dt, &n)
-			ffi.Interpolation.ContractTable(dt, &interp)
-			ffi.InteractionList.ContractTableSym(dt, &il)
-		}
+		nfi.ContractTableMultiSym(tables, accs(), 1)
+		ffi.Interpolation.ContractTableMulti(tables, accs(), 1)
+		ffi.InteractionList.ContractTableMultiSym(tables, accs(), 1)
 	}
 }
 

@@ -14,7 +14,6 @@ package acd
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
@@ -113,132 +112,51 @@ type Assignment struct {
 	Order uint
 	// P is the number of processors.
 	P int
-	// Particles holds the particle cells in particle-order SFC order
-	// (i.e. already sorted along the curve).
+	// Particles holds the particle cells. Assign and FromSorted keep
+	// them in particle-order SFC order (sorted along the curve);
+	// FromOwners keeps the caller's order.
 	Particles []geom.Point
-	// Ranks[i] is the processor rank owning Particles[i]. Ranks are
-	// monotonically non-decreasing.
+	// Ranks[i] is the processor rank owning Particles[i]. Assign and
+	// FromSorted produce the balanced consecutive chunks, so their
+	// ranks are non-decreasing; FromOwners takes any ownership.
 	Ranks []int32
 	// side caches the grid side.
 	side uint32
-	// The cell->rank table maps an occupied cell to the rank owning its
-	// particle: dense array when the grid is small enough, sparse map
-	// otherwise. It is built lazily on the first RankAt — the matrix
-	// path resolves ranks on the sorted key array (keynav) and never
-	// pays for it. tableReady publishes the build; tableMu serializes
-	// it.
-	tableMu    sync.Mutex
-	tableReady atomic.Bool
-	denseRank  []int32
-	sparseRank map[uint64]int32
-	// keyIx caches the key-space occupancy index shared by the NFI and
-	// FFI matrix passes; built on first KeyIndex call.
-	ixMu  sync.Mutex
-	keyIx *keynav.Index
-	// released marks the assignment dead: lazy structures are no longer
-	// built and RankAt reports every cell empty.
-	released atomic.Bool
+	// keyIx caches the key-space occupancy index behind RankAt and the
+	// NFI and FFI matrix passes; it is built on the first KeyIndex
+	// call. released marks the assignment dead: the index is no longer
+	// built and RankAt reports every cell empty. ixMu guards both.
+	ixMu     sync.Mutex
+	keyIx    *keynav.Index
+	released bool
 }
 
-// denseLimit is the largest cell count for which the cell->rank lookup
-// uses a dense array (4096x4096 = 64 MiB of int32). The cutover is a
-// memory bound, not a speed one: BenchmarkRankAt has the dense load at
-// ~3.7 ns/op against ~21 ns/op for the sparse map on random probes, so
-// the array wins wherever it fits. The table serves RankAt callers
-// (the direct per-event fmmmodel.NFI and VisitNFIPairs, loadbalance)
-// and FromOwners' duplicate check; the matrix path resolves ranks
-// through the key-space index and never builds it. It is a var so
-// tests can force the sparse path at small orders.
-var denseLimit = uint64(1) << 24
-
-// denseRankPool recycles dense rank tables between assignments.
-// Parallel sweep cells each build a full 4^order table; without
-// pooling, the allocator (and the -1 refill) dominates small-trial
-// sweeps. Tables are returned by Assignment.Release.
-var denseRankPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// newDenseRank returns a cells-long table filled with -1, reusing a
-// pooled allocation when one fits.
-func newDenseRank(cells uint64) []int32 {
-	p := denseRankPool.Get().(*[]int32)
-	t := *p
-	*p = nil
-	denseRankPool.Put(p)
-	if uint64(cap(t)) < cells {
-		t = make([]int32, cells)
-	}
-	t = t[:cells]
-	// Doubling copy fills with -1 in O(n) copies of geometric size.
-	t[0] = -1
-	for i := 1; i < len(t); i *= 2 {
-		copy(t[i:], t[:i])
-	}
-	return t
-}
-
-// Release returns the assignment's pooled scratch (the dense rank
-// table and the key-space index) for reuse. The assignment must not be
-// used afterwards: RankAt reports every cell empty. Only call it from
-// owners that know the assignment is dead — the sweep scheduler's
-// cells do; ordinary callers can rely on the garbage collector
-// instead.
+// Release returns the assignment's pooled key-space index for reuse.
+// The assignment must not be used afterwards: RankAt reports every
+// cell empty. Only call it from owners that know the assignment is
+// dead — the sweep scheduler's cells do; ordinary callers can rely on
+// the garbage collector instead.
 func (a *Assignment) Release() {
 	if a == nil {
 		return
 	}
-	a.released.Store(true)
-	a.tableMu.Lock()
-	if t := a.denseRank; t != nil {
-		a.denseRank = nil
-		p := denseRankPool.Get().(*[]int32)
-		*p = t
-		denseRankPool.Put(p)
-	}
-	a.sparseRank = nil
-	a.tableReady.Store(true)
-	a.tableMu.Unlock()
 	a.ixMu.Lock()
-	if a.keyIx != nil {
-		a.keyIx.Release()
-		a.keyIx = nil
-	}
+	a.released = true
+	a.keyIx.Release()
+	a.keyIx = nil
 	a.ixMu.Unlock()
-}
-
-// ensureTable builds the cell->rank table from the particle arrays on
-// first use.
-func (a *Assignment) ensureTable() {
-	a.tableMu.Lock()
-	defer a.tableMu.Unlock()
-	if a.tableReady.Load() {
-		return
-	}
-	if a.released.Load() {
-		a.tableReady.Store(true)
-		return
-	}
-	if geom.Cells(a.Order) <= denseLimit {
-		a.denseRank = newDenseRank(geom.Cells(a.Order))
-		for i, pt := range a.Particles {
-			a.denseRank[geom.CellID(pt, a.side)] = a.Ranks[i]
-		}
-	} else {
-		a.sparseRank = make(map[uint64]int32, len(a.Particles))
-		for i, pt := range a.Particles {
-			a.sparseRank[geom.CellID(pt, a.side)] = a.Ranks[i]
-		}
-	}
-	a.tableReady.Store(true)
 }
 
 // KeyIndex returns the assignment's key-space occupancy index
 // (internal/keynav), building it on first call. The index is shared:
-// the near- and far-field matrix passes over one assignment use the
-// same build. Returns nil after Release.
+// RankAt and the near- and far-field matrix passes over one assignment
+// use the same build. Returns nil after Release. Hot loops should hold
+// the returned index rather than call RankAt, which takes the lock on
+// every probe.
 func (a *Assignment) KeyIndex() *keynav.Index {
 	a.ixMu.Lock()
 	defer a.ixMu.Unlock()
-	if a.keyIx == nil && !a.released.Load() {
+	if a.keyIx == nil && !a.released {
 		a.keyIx = keynav.Build(a.Order, a.Particles, a.Ranks)
 	}
 	return a.keyIx
@@ -270,9 +188,8 @@ func Assign(particles []geom.Point, curve sfc.Curve, order uint, p int) (*Assign
 		side:      geom.Side(order),
 	}
 	n := len(particles)
-	// The cell->rank table is NOT built here: duplicate detection rides
-	// on the sorted keys, and the matrix path never consults the table,
-	// so it is deferred to the first RankAt (see ensureTable).
+	// Duplicate detection rides on the sorted keys: equal cells have
+	// equal curve keys and sort next to each other.
 	prevIdx := uint64(0)
 	for i, src := range perm {
 		pt := particles[src]
@@ -306,37 +223,30 @@ func FromOwners(particles []geom.Point, ranks []int32, order uint, p int) (*Assi
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
 	defer obs.StartSpan("partitioning").End()
-	a := &Assignment{
-		Order:     order,
-		P:         p,
-		Particles: append([]geom.Point(nil), particles...),
-		Ranks:     append([]int32(nil), ranks...),
-		side:      geom.Side(order),
-	}
-	// Unlike Assign, the table is built eagerly: duplicate detection
-	// here has no sorted key stream to lean on, so it probes the table
-	// as it fills.
-	if geom.Cells(order) <= denseLimit {
-		a.denseRank = newDenseRank(geom.Cells(order))
-	} else {
-		a.sparseRank = make(map[uint64]int32, len(particles))
-	}
-	a.tableReady.Store(true)
+	side := geom.Side(order)
 	for i, pt := range particles {
 		if ranks[i] < 0 || int(ranks[i]) >= p {
 			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", ranks[i], p)
 		}
-		id := geom.CellID(pt, a.side)
-		if a.RankAt(pt) != -1 {
-			return nil, fmt.Errorf("acd: duplicate particle cell %v", pt)
-		}
-		if a.denseRank != nil {
-			a.denseRank[id] = ranks[i]
-		} else {
-			a.sparseRank[id] = ranks[i]
+		if pt.X >= side || pt.Y >= side {
+			return nil, fmt.Errorf("acd: particle cell %v outside the %dx%d grid", pt, side, side)
 		}
 	}
-	return a, nil
+	// Duplicate cells have equal Morton keys, so they sort next to each
+	// other; one scan over the sorted keys finds them, as in Assign.
+	perm, keys := sfc.SortPointsKeys(sfc.Morton, order, particles)
+	for i := 1; i < len(perm); i++ {
+		if keys[perm[i]] == keys[perm[i-1]] {
+			return nil, fmt.Errorf("acd: duplicate particle cell %v", particles[perm[i]])
+		}
+	}
+	return &Assignment{
+		Order:     order,
+		P:         p,
+		Particles: append([]geom.Point(nil), particles...),
+		Ranks:     append([]int32(nil), ranks...),
+		side:      side,
+	}, nil
 }
 
 // Side returns the grid side 2^Order.
@@ -346,25 +256,15 @@ func (a *Assignment) Side() uint32 { return a.side }
 func (a *Assignment) N() int { return len(a.Particles) }
 
 // RankAt returns the rank owning the particle in the given cell, or -1
-// if the cell is empty. The first call builds the lookup table.
+// if the cell is empty or outside the grid. It answers through the
+// key-space index (KeyIndex), building it on the first call.
 func (a *Assignment) RankAt(p geom.Point) int32 {
-	if !a.tableReady.Load() {
-		a.ensureTable()
+	ix := a.KeyIndex()
+	if ix == nil {
+		return -1
 	}
-	id := geom.CellID(p, a.side)
-	if a.denseRank != nil {
-		return a.denseRank[id]
-	}
-	if r, ok := a.sparseRank[id]; ok {
-		return r
-	}
-	return -1
+	return ix.RankAt(p)
 }
-
-// TableBuilt reports whether the cell->rank table has been
-// materialized. Diagnostic: the matrix path (NFIMulti, FFIMulti) is
-// expected to leave it unbuilt.
-func (a *Assignment) TableBuilt() bool { return a.tableReady.Load() }
 
 // ChunkBounds returns the half-open range of ordered particle indices
 // owned by rank r.

@@ -127,11 +127,28 @@ func TestAssignRankAt(t *testing.T) {
 			}
 		}
 	}
+	// Cells outside the grid are empty: x >= side must not alias onto
+	// the next row, and y >= side must not index past the grid.
+	for _, p := range []geom.Point{geom.Pt(side, 0), geom.Pt(0, side), geom.Pt(side, side), geom.Pt(1<<31, 1<<31)} {
+		if got := a.RankAt(p); got != -1 {
+			t.Fatalf("RankAt(%v) outside the %dx%d grid = %d, want -1", p, side, side, got)
+		}
+	}
+	b, err := Assign([]geom.Point{geom.Pt(0, 1), geom.Pt(3, 3)}, sfc.Morton, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.RankAt(geom.Pt(4, 0)); got != -1 {
+		t.Fatalf("RankAt(4,0) on a 4x4 grid = %d, want -1 (not the rank of (0,1))", got)
+	}
+	if got := b.RankAt(geom.Pt(0, 4)); got != -1 {
+		t.Fatalf("RankAt(0,4) on a 4x4 grid = %d, want -1", got)
+	}
 }
 
 func TestAssignSparseFallback(t *testing.T) {
-	// Order 13 (8192x8192 = 64M cells) exceeds the dense limit; the
-	// sparse map path must behave identically.
+	// Order 13 (8192x8192 = 64M cells): the lookup's memory follows the
+	// 50 occupied cells, not the grid, and answers as at small orders.
 	const order = 13
 	r := rng.New(3)
 	pts, err := dist.SampleUnique(dist.Uniform, r, order, 50)
@@ -141,9 +158,6 @@ func TestAssignSparseFallback(t *testing.T) {
 	a, err := Assign(pts, sfc.Hilbert, order, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.denseRank != nil {
-		t.Fatal("expected sparse representation at order 13")
 	}
 	for i, p := range a.Particles {
 		if got := a.RankAt(p); got != a.Ranks[i] {
@@ -232,6 +246,9 @@ func TestFromOwners(t *testing.T) {
 	}
 	if _, err := FromOwners(pts, []int32{0, 0, 4}, 2, 4); err == nil {
 		t.Error("rank out of range accepted")
+	}
+	if _, err := FromOwners([]geom.Point{geom.Pt(4, 0)}, []int32{0}, 2, 4); err == nil {
+		t.Error("cell outside the grid accepted")
 	}
 	if _, err := FromOwners(nil, nil, 2, 4); err == nil {
 		t.Error("empty accepted")

@@ -91,7 +91,7 @@ func (rp *RepartitionPolicy) Decide(gauge float64) bool {
 // caller guarantees ordering and distinctness (the maintainer's sorted
 // permutation plus the one-particle-per-cell invariant); they are not
 // re-verified here. Ranks are the balanced consecutive chunks, and the
-// cell->rank table stays lazy exactly as in Assign.
+// key-space index behind RankAt stays lazy exactly as in Assign.
 func FromSorted(particles []geom.Point, order uint, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)

@@ -1,67 +1,19 @@
 package acd
 
 import (
+	"sync"
 	"testing"
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 )
 
-// setDenseLimit overrides the dense/sparse cutover for the duration of
-// a test, restoring it on cleanup. Tests normally run at orders small
-// enough that only the dense path is exercised; forcing the limit to
-// zero routes the same assignment through the sparse map.
-func setDenseLimit(t testing.TB, v uint64) {
-	t.Helper()
-	old := denseLimit
-	denseLimit = v
-	t.Cleanup(func() { denseLimit = old })
-}
-
-// TestRankTableDenseSparseEquality runs the same assignment through
-// both rank-table representations and requires identical answers on
-// every cell of the grid.
-func TestRankTableDenseSparseEquality(t *testing.T) {
-	const order, n, p = 6, 500, 16
-	pts, err := dist.SampleUnique(dist.Uniform, rng.New(3), order, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := Assign(pts, sfc.Hilbert, order, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The table is lazy, so force the dense build before lowering the
-	// cutover.
-	dense.RankAt(pts[0])
-	setDenseLimit(t, 0)
-	sparse, err := Assign(pts, sfc.Hilbert, order, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	side := geom.Side(order)
-	for y := uint32(0); y < side; y++ {
-		for x := uint32(0); x < side; x++ {
-			q := geom.Pt(x, y)
-			d, s := dense.RankAt(q), sparse.RankAt(q)
-			if d != s {
-				t.Fatalf("RankAt%v: dense %d != sparse %d", q, d, s)
-			}
-		}
-	}
-	if dense.denseRank == nil {
-		t.Fatal("dense assignment did not take the dense path")
-	}
-	if sparse.sparseRank == nil {
-		t.Fatal("sparse assignment did not take the sparse path")
-	}
-}
-
-// TestRankTableLazyBuild pins the lazy protocol: Assign leaves the
-// table unbuilt, the first RankAt builds it, and Release retires the
-// assignment (every cell reads empty, no rebuild).
+// TestRankTableLazyBuild pins the lazy lookup protocol: Assign leaves
+// the key-space index unbuilt, the first RankAt builds it, and Release
+// retires the assignment (every cell reads empty, no rebuild).
 func TestRankTableLazyBuild(t *testing.T) {
 	const order, n, p = 5, 100, 8
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(5), order, n)
@@ -72,17 +24,17 @@ func TestRankTableLazyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.tableReady.Load() {
-		t.Fatal("Assign built the rank table eagerly")
+	if a.keyIx != nil {
+		t.Fatal("Assign built the key-space index eagerly")
 	}
 	if got := a.RankAt(a.Particles[0]); got != a.Ranks[0] {
 		t.Fatalf("first RankAt = %d, want %d", got, a.Ranks[0])
 	}
-	if !a.tableReady.Load() {
-		t.Fatal("RankAt did not build the rank table")
+	if a.keyIx == nil {
+		t.Fatal("RankAt did not build the key-space index")
 	}
-	if a.KeyIndex() == nil {
-		t.Fatal("KeyIndex returned nil on a live assignment")
+	if a.KeyIndex() != a.keyIx {
+		t.Fatal("KeyIndex did not return the index RankAt built")
 	}
 	a.Release()
 	if got := a.RankAt(a.Particles[0]); got != -1 {
@@ -93,63 +45,94 @@ func TestRankTableLazyBuild(t *testing.T) {
 	}
 }
 
-// TestFromOwnersEagerTable pins that the explicit-ownership
-// constructor still detects duplicates (it probes the table while
-// filling, so the table must be eager).
-func TestFromOwnersEagerTable(t *testing.T) {
-	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(1, 1)}
-	if _, err := FromOwners(pts, []int32{0, 1, 0}, 4, 2); err == nil {
-		t.Fatal("FromOwners accepted a duplicate cell")
-	}
-	a, err := FromOwners(pts[:2], []int32{0, 1}, 4, 2)
+// TestRankAtConcurrentFirstUse probes a fresh assignment from several
+// goroutines at once: the lazily built index must be built once and
+// answer every probe correctly (run under -race in CI).
+func TestRankAtConcurrentFirstUse(t *testing.T) {
+	const order, n, p, goroutines = 5, 200, 8, 4
+	pts, err := dist.SampleUnique(dist.Uniform, rng.New(6), order, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.tableReady.Load() {
-		t.Fatal("FromOwners left the table lazy")
+	ranks := make([]int32, n)
+	for i := range ranks {
+		ranks[i] = int32(i * 7 % p)
+	}
+	a, err := FromOwners(pts, ranks, order, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.GetCounter("keynav.builds")
+	before := builds.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < a.N(); i += goroutines {
+				if got := a.RankAt(a.Particles[i]); got != a.Ranks[i] {
+					t.Errorf("RankAt(%v) = %d, want %d", a.Particles[i], got, a.Ranks[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := builds.Value() - before; got != 1 {
+		t.Fatalf("concurrent first probes built the index %d times, want 1", got)
+	}
+}
+
+// TestFromOwnersEagerTable pins that the explicit-ownership
+// constructor checks its cells eagerly: duplicates are rejected at
+// construction (wherever they sit in the input, by the sorted-key
+// scan), while the rank lookup itself stays lazy.
+func TestFromOwnersEagerTable(t *testing.T) {
+	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 0), geom.Pt(1, 1)}
+	if _, err := FromOwners(pts, []int32{0, 1, 1, 0}, 4, 2); err == nil {
+		t.Fatal("FromOwners accepted a duplicate cell")
+	}
+	a, err := FromOwners(pts[:3], []int32{0, 1, 1}, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.keyIx != nil {
+		t.Fatal("FromOwners built the key-space index eagerly")
 	}
 	if got := a.RankAt(geom.Pt(2, 2)); got != 1 {
 		t.Fatalf("RankAt = %d, want 1", got)
 	}
 }
 
-// BenchmarkRankAt measures the per-probe cost of the two rank-table
-// representations; BenchmarkKeyNavLookup in internal/keynav is the
-// key-search figure these compare against. The probe pattern matches
-// the near-field inner loop: a particle's immediate neighbor cell.
+// BenchmarkRankAt measures the per-probe cost of Assignment.RankAt,
+// which answers through the key-space index (its lock included);
+// BenchmarkKeyNavLookup in internal/keynav is the figure for probing
+// the index directly. The probe pattern matches the near-field inner
+// loop: a particle's immediate neighbor cell.
 func BenchmarkRankAt(b *testing.B) {
 	const order, n, p = 8, 15625, 64
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		limit uint64
-	}{{"dense", uint64(1) << 24}, {"sparse", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			setDenseLimit(b, mode.limit)
-			a, err := Assign(pts, sfc.Hilbert, order, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.RankAt(pts[0]) // build the table outside the loop
-			b.ResetTimer()
-			hits := 0
-			for i := 0; i < b.N; i++ {
-				q := a.Particles[i%n]
-				if a.RankAt(geom.Pt(q.X^1, q.Y)) >= 0 {
-					hits++
-				}
-			}
-			_ = hits
-		})
+	a, err := Assign(pts, sfc.Hilbert, order, p)
+	if err != nil {
+		b.Fatal(err)
 	}
+	a.RankAt(pts[0]) // build the index outside the loop
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		q := a.Particles[i%n]
+		if a.RankAt(geom.Pt(q.X^1, q.Y)) >= 0 {
+			hits++
+		}
+	}
+	_ = hits
 }
 
-// BenchmarkAssign isolates construction cost now that the table is
+// BenchmarkAssign isolates construction cost now that the lookup is
 // lazy: the "untouched" case never probes, the "probed" case pays one
-// table build.
+// index build.
 func BenchmarkAssign(b *testing.B) {
 	const order, n, p = 8, 15625, 64
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)

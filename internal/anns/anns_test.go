@@ -156,7 +156,7 @@ func TestANNSEqualsNFIOnBus(t *testing.T) {
 			t.Fatal(err)
 		}
 		bus := topology.NewBus(len(pts))
-		nfi := fmmmodel.NFI(a, bus, fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricManhattan})
+		nfi := fmmmodel.NFIMulti(a, []topology.Topology{bus}, fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricManhattan})[0]
 		anns := Stretch(c, order, Options{Radius: 1})
 		if math.Abs(nfi.ACD()-anns.Mean) > 1e-9 {
 			t.Errorf("%s: NFI-on-bus ACD %f != ANNS %f", c.Name(), nfi.ACD(), anns.Mean)

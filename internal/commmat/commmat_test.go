@@ -151,25 +151,9 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildSerialMatchesBuilder: the convenience path is the builder.
-func TestBuildSerialMatchesBuilder(t *testing.T) {
-	const p, n = 600, 8000
-	events := randomEvents(13, p, n)
-	ref := refMatrix{}
-	for _, e := range events {
-		ref.add(e[0], e[1])
-	}
-	m := BuildSerial(p, func(emit func(src, dst int32)) {
-		for _, e := range events {
-			emit(e[0], e[1])
-		}
-	})
-	checkAgainstRef(t, m, ref)
-}
-
-// TestContractEquivalence: Contract == per-event accumulation,
-// ContractTable == Contract, and the Sym variants weight each pair
-// exactly twice.
+// TestContractEquivalence: the fused contraction against one table
+// equals per-event accumulation, as does the sequential oracle, and
+// the Sym variant weights each pair exactly twice.
 func TestContractEquivalence(t *testing.T) {
 	for _, p := range []int{64, 600, 4096} {
 		events := randomEvents(int64(p)+1, p, 20000)
@@ -180,22 +164,20 @@ func TestContractEquivalence(t *testing.T) {
 		for _, e := range events {
 			direct.Add(topo.Distance(int(e[0]), int(e[1])))
 		}
-		var viaMatrix, viaTable, sym, symTable acd.Accumulator
-		m.Contract(topo, &viaMatrix)
-		dt := topology.NewDistanceTable(topo)
-		m.ContractTable(dt, &viaTable)
-		m.ContractSym(topo, &sym)
-		m.ContractTableSym(dt, &symTable)
+		var viaOracle, viaFused, sym acd.Accumulator
+		seqContract(m, topology.NewDistanceTable(topo), &viaOracle, 1)
+		m.ContractTableMulti([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&viaFused}, 2)
+		m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&sym}, 2)
 
-		if viaMatrix != direct {
-			t.Fatalf("p=%d: Contract %+v != direct %+v", p, viaMatrix, direct)
+		if viaOracle != direct {
+			t.Fatalf("p=%d: sequential oracle %+v != direct %+v", p, viaOracle, direct)
 		}
-		if viaTable != direct {
-			t.Fatalf("p=%d: ContractTable %+v != direct %+v", p, viaTable, direct)
+		if viaFused != direct {
+			t.Fatalf("p=%d: ContractTableMulti %+v != direct %+v", p, viaFused, direct)
 		}
 		want := acd.Accumulator{Sum: 2 * direct.Sum, Count: 2 * direct.Count, Zeros: 2 * direct.Zeros}
-		if sym != want || symTable != want {
-			t.Fatalf("p=%d: Sym contraction %+v / %+v != doubled %+v", p, sym, symTable, want)
+		if sym != want {
+			t.Fatalf("p=%d: Sym contraction %+v != doubled %+v", p, sym, want)
 		}
 	}
 }

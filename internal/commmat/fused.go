@@ -1,10 +1,11 @@
-// Fused multi-topology contraction: one pass over the distinct rank
-// pairs evaluates K distance tables at once. The per-topology
-// ContractTable loop reads every pair K times and re-derives the
-// topology-independent tallies (event count, zero-hop count) K times;
-// the fused pass streams each pair exactly once, gathers its row
-// neighbors into registers, and runs one tight sum loop per table
-// while the K distance rows for that source stay cache-hot.
+// Fused multi-topology contraction, the package's only contraction:
+// one pass over the distinct rank pairs evaluates K >= 1 distance
+// tables at once. A per-topology loop would read every pair K times
+// and re-derive the topology-independent tallies (event count,
+// zero-hop count) K times; the fused pass streams each pair exactly
+// once, gathers its row neighbors into registers, and runs one tight
+// sum loop per table while the K distance rows for that source stay
+// cache-hot. One table (K = 1) runs the same loop.
 //
 // Two invariants make the fusion both exact and deterministic:
 //
@@ -18,17 +19,17 @@
 //     rows into worker-count-independent ranges (cut purely by the
 //     matrix's pair counts), contracts each range into a pooled
 //     accumulator slab, and merges the slabs in fixed range order — so
-//     the result is byte-identical to the sequential per-topology loop
-//     at any worker count.
+//     the result is byte-identical to a sequential per-table row loop
+//     (kept as the oracle in the tests) at any worker count.
 //
-// Distance-table state stays pinned to the sequential path by a serial
-// plan step: before any parallel work, RowFor is replayed per table in
-// exactly the order (and with exactly the pair volumes) the sequential
-// contraction would issue, so which rows materialize — and therefore
-// the topology.distance.analytic accounting — cannot depend on
-// scheduling. Direct Distance calls for unmaterialized rows are
+// Distance-table state stays pinned to that sequential loop by a
+// serial plan step: before any parallel work, RowFor is replayed per
+// table in exactly the order (and with exactly the pair volumes) the
+// sequential loop would issue, so which rows materialize — and
+// therefore the topology.distance.analytic accounting — cannot depend
+// on scheduling. Direct Distance calls for unmaterialized rows are
 // tallied per table and flushed once per table, like the sequential
-// path.
+// loop.
 package commmat
 
 import (
@@ -142,17 +143,19 @@ func putPlan(pl *fusedPlan) {
 }
 
 // ContractTableMulti contracts the matrix against every distance table
-// in one fused pass, adding table k's contraction into accs[k]. The
-// result of each accumulator is exactly (Sum/Count/Zeros equality)
-// what ContractTable against the same table would produce, at any
-// worker count; workers <= 1 runs on the calling goroutine.
+// in one fused pass, adding table k's contraction into accs[k]: for
+// every (src, dst) pair with n events, n events of hop distance
+// dts[k].Distance(src, dst). The result is exactly (Sum/Count/Zeros
+// equality) that of accumulating the events one by one, at any worker
+// count; workers <= 1 runs on the calling goroutine.
 func (m *Matrix) ContractTableMulti(dts []*topology.DistanceTable, accs []*acd.Accumulator, workers int) {
 	m.contractTableMulti(dts, accs, 1, workers)
 }
 
 // ContractTableMultiSym is ContractTableMulti for a symmetric-canonical
-// matrix: every pair's events count once per direction, matching
-// ContractTableSym.
+// matrix (unordered pair counts with src <= dst): every pair's events
+// count once per direction, which is exact because hop distance is
+// symmetric.
 func (m *Matrix) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator, workers int) {
 	m.contractTableMulti(dts, accs, 2, workers)
 }
@@ -165,20 +168,12 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 	if k == 0 {
 		return
 	}
-	if k == 1 {
-		// A single table gains nothing from fusion — the sequential
-		// contraction is the same work without the plan pass — so
-		// single-topology call sites (the metrics sweep, per-tick
-		// incremental contractions) delegate and never regress.
-		m.contractTable(dts[0], accs[0], weight)
-		return
-	}
 	fusedCounter.Inc()
 
-	// Plan (serial): replay the sequential contraction's exact RowFor
+	// Plan (serial): replay the sequential row loop's exact RowFor
 	// sequence per table, each table's batch under one lock. This both
 	// fixes which rows materialize — pinning the distance-query
-	// accounting to the sequential path — and captures the row pointers
+	// accounting to the sequential loop — and captures the row pointers
 	// the parallel phase reads. The per-row pair counts double as the
 	// range-cutting weights.
 	numRows := len(m.rowSrc)
@@ -285,7 +280,7 @@ func (m *Matrix) contractTableMulti(dts []*topology.DistanceTable, accs []*acd.A
 	}
 
 	// Merge in fixed range order and flush each table's direct-call
-	// volume once, like its sequential contraction would. The ranges
+	// volume once, like the sequential row loop would. The ranges
 	// only tally Sum; Count and Zeros are topology-independent matrix
 	// constants (hop distance is zero iff the ranks are equal), applied
 	// here once per table.
@@ -398,22 +393,17 @@ func fuseDirect(pl *fusedPlan, t, src int, rd []int32, rn []uint32) uint64 {
 
 // ContractTableMultiSym contracts the maintained matrix against every
 // distance table in one fused pass with symmetric-canonical weighting,
-// adding table k's contraction into accs[k] — exactly what K calls of
-// ContractTableSym would produce. The maintainer is single-goroutine,
-// so the pass is serial: rows are buffered once from Visit and the K
-// distance rows for each source are looked up back to back, in the
-// same per-table RowFor order as the sequential path.
+// adding table k's contraction into accs[k] — exactly what
+// Matrix().ContractTableMultiSym would produce, without materializing
+// the Matrix. The maintainer is single-goroutine, so the pass is
+// serial: rows are buffered once from Visit and the K distance rows
+// for each source are looked up back to back, in the same per-table
+// RowFor order as the sequential row loop.
 func (m *Mutable) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
 	if len(dts) != len(accs) {
 		panic("commmat: ContractTableMultiSym needs one accumulator per table")
 	}
 	if len(dts) == 0 {
-		return
-	}
-	if len(dts) == 1 {
-		// See Matrix.contractTableMulti: one table contracts cheaper
-		// without the fusion scaffolding.
-		m.ContractTableSym(dts[0], accs[0])
 		return
 	}
 	fusedCounter.Inc()

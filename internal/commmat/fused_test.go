@@ -38,11 +38,22 @@ func freshTables(topos []topology.Topology) []*topology.DistanceTable {
 	return dts
 }
 
+// contractEach runs the fused pass once per topology (K = 1), each on
+// a fresh table, and returns the accumulators.
+func contractEach(topos []topology.Topology, contract func(dts []*topology.DistanceTable, accs []*acd.Accumulator)) []acd.Accumulator {
+	got := make([]acd.Accumulator, len(topos))
+	for i := range topos {
+		contract(freshTables(topos[i:i+1]), []*acd.Accumulator{&got[i]})
+	}
+	return got
+}
+
 // TestFusedContractMultiEquivalence is the fused-vs-sequential
 // property test: across matrix forms (dense, full-grid CSR, banded
 // CSR), seeds, placement curves, all six topology kinds, Sym and
-// non-Sym weighting, and worker counts, the fused pass must produce
-// exactly (Sum/Count/Zeros) the per-topology ContractTable results.
+// non-Sym weighting, worker counts, and table counts (all six in one
+// pass, or one at a time), the fused pass must produce exactly
+// (Sum/Count/Zeros) the sequential oracle's per-table results.
 func TestFusedContractMultiEquivalence(t *testing.T) {
 	curves := sfc.All()
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
@@ -65,10 +76,10 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 				seq := make([]acd.Accumulator, len(topos))
 				seqSym := make([]acd.Accumulator, len(topos))
 				for i, dt := range freshTables(topos) {
-					m.ContractTable(dt, &seq[i])
+					seqContract(m, dt, &seq[i], 1)
 				}
 				for i, dt := range freshTables(topos) {
-					m.ContractTableSym(dt, &seqSym[i])
+					seqContract(m, dt, &seqSym[i], 2)
 				}
 
 				for _, workers := range workerCounts {
@@ -92,6 +103,18 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 								workers, topos[i].Name(), got[i], seqSym[i])
 						}
 					}
+					one := contractEach(topos, func(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
+						m.ContractTableMulti(dts, accs, workers)
+					})
+					oneSym := contractEach(topos, func(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
+						m.ContractTableMultiSym(dts, accs, workers)
+					})
+					for i := range topos {
+						if one[i] != seq[i] || oneSym[i] != seqSym[i] {
+							t.Fatalf("workers=%d topo=%s: one-table fused %+v / Sym %+v != sequential %+v / %+v",
+								workers, topos[i].Name(), one[i], oneSym[i], seq[i], seqSym[i])
+						}
+					}
 				}
 			})
 		}
@@ -99,10 +122,11 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 }
 
 // TestFusedDistanceQueryAccounting pins the fused pass's
-// topology.distance.analytic accounting against the sequential path:
+// topology.distance.analytic accounting against the sequential oracle:
 // the serial plan step replays the sequential RowFor sequence per
 // table, so the same rows materialize and the same per-table direct
-// Distance calls are tallied — at any worker count.
+// Distance calls are tallied — at any worker count, whether the tables
+// share one pass or each runs alone.
 func TestFusedDistanceQueryAccounting(t *testing.T) {
 	counter := obs.GetCounter("topology.distance.analytic")
 	curves := sfc.All()
@@ -120,7 +144,7 @@ func TestFusedDistanceQueryAccounting(t *testing.T) {
 			before := counter.Value()
 			for _, dt := range freshTables(topos) {
 				var acc acd.Accumulator
-				m.ContractTableSym(dt, &acc)
+				seqContract(m, dt, &acc, 2)
 			}
 			seqDelta := counter.Value() - before
 
@@ -136,14 +160,22 @@ func TestFusedDistanceQueryAccounting(t *testing.T) {
 					t.Fatalf("workers=%d: fused pass recorded %d distance queries, sequential %d",
 						workers, delta, seqDelta)
 				}
+				before = counter.Value()
+				contractEach(topos, func(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
+					m.ContractTableMultiSym(dts, accs, workers)
+				})
+				if delta := counter.Value() - before; delta != seqDelta {
+					t.Fatalf("workers=%d: one-table passes recorded %d distance queries, sequential %d",
+						workers, delta, seqDelta)
+				}
 			}
 		})
 	}
 }
 
-// TestMutableContractTableMultiEquivalence: the Mutable fused pass must
-// equal per-table ContractTableSym exactly, including its distance-
-// query accounting.
+// TestMutableContractTableMultiEquivalence: the Mutable fused pass,
+// over all tables at once or one table at a time, must equal the
+// sequential oracle exactly, including its distance-query accounting.
 func TestMutableContractTableMultiEquivalence(t *testing.T) {
 	const p, n = 1024, 20000
 	counter := obs.GetCounter("topology.distance.analytic")
@@ -160,7 +192,7 @@ func TestMutableContractTableMultiEquivalence(t *testing.T) {
 	before := counter.Value()
 	seq := make([]acd.Accumulator, len(topos))
 	for i, dt := range freshTables(topos) {
-		mm.ContractTableSym(dt, &seq[i])
+		seqContractMutableSym(mm, dt, &seq[i])
 	}
 	seqDelta := counter.Value() - before
 
@@ -180,10 +212,21 @@ func TestMutableContractTableMultiEquivalence(t *testing.T) {
 	if fusedDelta != seqDelta {
 		t.Fatalf("fused pass recorded %d distance queries, sequential %d", fusedDelta, seqDelta)
 	}
+
+	before = counter.Value()
+	one := contractEach(topos, mm.ContractTableMultiSym)
+	if delta := counter.Value() - before; delta != seqDelta {
+		t.Fatalf("one-table passes recorded %d distance queries, sequential %d", delta, seqDelta)
+	}
+	for i := range topos {
+		if one[i] != seq[i] {
+			t.Fatalf("topo=%s: one-table fused %+v != sequential %+v", topos[i].Name(), one[i], seq[i])
+		}
+	}
 }
 
 // BenchmarkContractMulti measures the fused pass against the
-// sequential per-topology loop at 1 and 6 topologies on both matrix
+// sequential per-table oracle at 1 and 6 topologies on both matrix
 // forms. The 6-topology fused case is the headline: one pair stream
 // instead of six, and the topology-independent tallies computed once.
 func BenchmarkContractMulti(b *testing.B) {
@@ -211,13 +254,13 @@ func BenchmarkContractMulti(b *testing.B) {
 			// materialized rows; the benchmark isolates contraction.
 			warm := make([]acd.Accumulator, k)
 			for i, dt := range dts {
-				m.ContractTableSym(dt, &warm[i])
+				seqContract(m, dt, &warm[i], 2)
 			}
 			b.Run(fmt.Sprintf("%s/topos=%d/seq", form.name, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					accs := make([]acd.Accumulator, k)
 					for j, dt := range dts {
-						m.ContractTableSym(dt, &accs[j])
+						seqContract(m, dt, &accs[j], 2)
 					}
 				}
 			})

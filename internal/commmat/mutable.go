@@ -3,9 +3,6 @@ package commmat
 import (
 	"math/bits"
 	"sort"
-
-	"sfcacd/internal/acd"
-	"sfcacd/internal/topology"
 )
 
 // Mutable is a long-lived, retractable aggregation of a
@@ -198,7 +195,7 @@ func (m *Mutable) Visit(fn func(src, dst int32, n uint32)) {
 // Matrix materializes the current state as an immutable Matrix in the
 // exact form Builder.Finalize produces for the same stream (dense or
 // CSR by the same p threshold) — the bridge back to the batch
-// contraction paths and the differential oracle's comparison target.
+// contraction and the differential oracle's comparison target.
 // The commmat build counters are not touched: the incremental layer
 // accounts its maintenance through its own metrics.
 func (m *Mutable) Matrix() *Matrix {
@@ -225,53 +222,6 @@ func (m *Mutable) Matrix() *Matrix {
 	})
 	mat.computeDiag()
 	return mat
-}
-
-// ContractSym contracts the maintained matrix against a topology with
-// symmetric-canonical weighting (each pair counts both directions),
-// without materializing a Matrix.
-func (m *Mutable) ContractSym(t topology.Topology, acc *acd.Accumulator) {
-	m.Visit(func(src, dst int32, n uint32) {
-		acc.AddN(t.Distance(int(src), int(dst)), 2*int(n))
-	})
-	topology.CountDistanceQueries(uint64(m.pairs))
-}
-
-// ContractTableSym is ContractSym against a distance table: rows dense
-// enough for a table row contract with array indexing, the rest with
-// direct Distance calls (same policy as Matrix.ContractTableSym).
-func (m *Mutable) ContractTableSym(dt *topology.DistanceTable, acc *acd.Accumulator) {
-	t := dt.Underlying()
-	direct := uint64(0)
-	curSrc := int32(-1)
-	var dsts []int32
-	var counts []uint32
-	flushRow := func() {
-		if len(dsts) == 0 {
-			return
-		}
-		if row := dt.RowFor(int(curSrc), len(dsts)); row != nil {
-			for i, d := range dsts {
-				acc.AddN(int(row[d]), 2*int(counts[i]))
-			}
-		} else {
-			for i, d := range dsts {
-				acc.AddN(t.Distance(int(curSrc), int(d)), 2*int(counts[i]))
-			}
-			direct += uint64(len(dsts))
-		}
-		dsts, counts = dsts[:0], counts[:0]
-	}
-	m.Visit(func(src, dst int32, n uint32) {
-		if src != curSrc {
-			flushRow()
-			curSrc = src
-		}
-		dsts = append(dsts, dst)
-		counts = append(counts, n)
-	})
-	flushRow()
-	topology.CountDistanceQueries(direct)
 }
 
 // Equal reports whether two matrices hold identical aggregations: the

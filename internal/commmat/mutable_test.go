@@ -118,8 +118,9 @@ func TestMutableResetAndRefill(t *testing.T) {
 	}
 }
 
-// TestMutableContractMatchesMatrix pins the in-place contractions
-// against the materialized Matrix's contraction.
+// TestMutableContractMatchesMatrix pins the in-place contraction
+// against the materialized Matrix's contraction and the sequential
+// oracle.
 func TestMutableContractMatchesMatrix(t *testing.T) {
 	p := 1024
 	curve, err := sfc.ByName("hilbert")
@@ -131,19 +132,17 @@ func TestMutableContractMatchesMatrix(t *testing.T) {
 	for _, pr := range randomCanonicalStream(p, 4000, 11) {
 		m.Add(pr[0], pr[1])
 	}
-	mat := m.Matrix()
 	var want acd.Accumulator
-	mat.ContractSym(torus, &want)
+	m.Matrix().ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(torus)}, []*acd.Accumulator{&want}, 1)
 	var got acd.Accumulator
-	m.ContractSym(torus, &got)
+	m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(torus)}, []*acd.Accumulator{&got})
 	if got != want {
-		t.Fatalf("ContractSym: got %+v, want %+v", got, want)
+		t.Fatalf("Mutable.ContractTableMultiSym: got %+v, want %+v", got, want)
 	}
-	dt := topology.NewDistanceTable(torus)
-	var gotT acd.Accumulator
-	m.ContractTableSym(dt, &gotT)
-	if gotT != want {
-		t.Fatalf("ContractTableSym: got %+v, want %+v", gotT, want)
+	var oracle acd.Accumulator
+	seqContractMutableSym(m, topology.NewDistanceTable(torus), &oracle)
+	if oracle != want {
+		t.Fatalf("sequential oracle: got %+v, want %+v", oracle, want)
 	}
 }
 

@@ -58,9 +58,10 @@ func (t *Tracker) linkIndex(x, y, dir int) int {
 	return (y*t.side+x)*numDirs + dir
 }
 
-// step moves one hop from (x, y) toward target coordinate tc along the
-// given axis, recording the link, and returns the new coordinate.
-func (t *Tracker) stepAxis(x, y, cur, tc int, xAxis bool) int {
+// stepAxis moves one hop from (x, y) toward target coordinate tc along
+// the given axis, adding n messages to the link's load, and returns
+// the new coordinate.
+func (t *Tracker) stepAxis(x, y, cur, tc int, xAxis bool, n uint32) int {
 	delta := tc - cur
 	forward := delta > 0
 	if t.wrap {
@@ -93,26 +94,31 @@ func (t *Tracker) stepAxis(x, y, cur, tc int, xAxis bool) int {
 	if t.wrap {
 		next = (next + t.side) % t.side
 	}
-	t.loads[t.linkIndex(x, y, dir)]++
-	t.Hops++
+	t.loads[t.linkIndex(x, y, dir)] += n
+	t.Hops += uint64(n)
 	return next
 }
 
-// Route sends one message from src to dst using XY dimension-ordered
-// routing (X first, then Y), updating link loads.
-func (t *Tracker) Route(src, dst int32) {
-	t.Messages++
-	if src == dst {
+// Route sends one message from src to dst: RouteN(src, dst, 1).
+func (t *Tracker) Route(src, dst int32) { t.RouteN(src, dst, 1) }
+
+// RouteN sends n messages from src to dst using XY dimension-ordered
+// routing (X first, then Y), adding n to the load of every link on the
+// path — the same loads and totals as n calls of Route(src, dst). It
+// routes a communication matrix one distinct pair at a time.
+func (t *Tracker) RouteN(src, dst int32, n uint32) {
+	t.Messages += uint64(n)
+	if src == dst || n == 0 {
 		return
 	}
 	a := t.topo.Coord(int(src))
 	b := t.topo.Coord(int(dst))
 	x, y := int(a.X), int(a.Y)
 	for x != int(b.X) {
-		x = t.stepAxis(x, y, x, int(b.X), true)
+		x = t.stepAxis(x, y, x, int(b.X), true, n)
 	}
 	for y != int(b.Y) {
-		y = t.stepAxis(x, y, y, int(b.Y), false)
+		y = t.stepAxis(x, y, y, int(b.Y), false, n)
 	}
 }
 

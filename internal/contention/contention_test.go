@@ -1,11 +1,15 @@
 package contention
 
 import (
+	"fmt"
 	"testing"
 
 	"sfcacd/internal/acd"
+	"sfcacd/internal/commmat"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
+	"sfcacd/internal/geom"
+	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -101,6 +105,15 @@ func TestConvergingRoutesContend(t *testing.T) {
 	}
 }
 
+// routeMatrix routes a canonical communication matrix: each pair
+// (s, d, n) stands for n events in each direction.
+func routeMatrix(tr *Tracker, m *commmat.Matrix) {
+	m.Visit(func(src, dst int32, n uint32) {
+		tr.RouteN(src, dst, n)
+		tr.RouteN(dst, src, n)
+	})
+}
+
 func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 	// The headline use of the extension: for the FMM near field on a
 	// mesh, Hilbert particle+processor ordering should yield both lower
@@ -118,7 +131,7 @@ func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 		}
 		m := topology.NewMesh(3, c)
 		tr := NewTracker(m)
-		fmmmodel.VisitNFIPairs(a, fmmmodel.NFIOptions{Radius: 1}, tr.Route)
+		routeMatrix(tr, fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: 1}))
 		return tr.Stats()
 	}
 	h := run(sfc.Hilbert)
@@ -131,48 +144,101 @@ func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 	}
 }
 
-func TestVisitNFIPairsMatchesAccumulator(t *testing.T) {
-	const order = 5
-	r := rng.New(2)
-	pts, err := dist.SampleUnique(dist.Normal, r, order, 150)
-	if err != nil {
-		t.Fatal(err)
+// grids returns a mesh and a torus over 64 ranks.
+func grids() []GridTopology {
+	return []GridTopology{topology.NewMesh(3, sfc.Hilbert), topology.NewTorus(3, sfc.Gray)}
+}
+
+// checkSameLoads requires identical per-link loads and Stats.
+func checkSameLoads(t *testing.T, name string, got, want *Tracker) {
+	t.Helper()
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats %+v, want %+v", name, got.Stats(), want.Stats())
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := topology.NewTorus(2, sfc.Hilbert)
-	var sum, count uint64
-	fmmmodel.VisitNFIPairs(a, fmmmodel.NFIOptions{Radius: 2}, func(src, dst int32) {
-		sum += uint64(topo.Distance(int(src), int(dst)))
-		count++
-	})
-	want := fmmmodel.NFI(a, topo, fmmmodel.NFIOptions{Radius: 2})
-	if sum != want.Sum || count != want.Count {
-		t.Fatalf("visitor sum=%d count=%d, accumulator %+v", sum, count, want)
+	for i := range want.loads {
+		if got.loads[i] != want.loads[i] {
+			t.Fatalf("%s: link %d load %d, want %d", name, i, got.loads[i], want.loads[i])
+		}
 	}
 }
 
-func TestVisitFFIPairsMatchesAccumulator(t *testing.T) {
-	const order = 5
-	r := rng.New(3)
-	pts, err := dist.SampleUnique(dist.Exponential, r, order, 150)
+// TestRouteNMatchesRepeatedRoute: routing n messages at once leaves
+// the same link loads and totals as n single routes, including n = 0
+// and self-messages.
+func TestRouteNMatchesRepeatedRoute(t *testing.T) {
+	for _, grid := range grids() {
+		batched, single := NewTracker(grid), NewTracker(grid)
+		r := rng.New(4)
+		for i := 0; i < 500; i++ {
+			src := int32(r.Uint32n(uint32(grid.P())))
+			dst := int32(r.Uint32n(uint32(grid.P())))
+			if i%50 == 0 {
+				dst = src
+			}
+			n := r.Uint32n(5)
+			batched.RouteN(src, dst, n)
+			for k := uint32(0); k < n; k++ {
+				single.Route(src, dst)
+			}
+		}
+		checkSameLoads(t, grid.Name(), batched, single)
+	}
+}
+
+// TestRouteMatrixMatchesEventStream: routing the near- and far-field
+// matrices in both directions loads every link exactly as routing each
+// ordered event of the per-event streams does. The streams are
+// enumerated here without the production pipeline: neighbor ranks
+// from a cell->rank map built from the assignment's arrays,
+// representatives from quadtree.RankTree.
+func TestRouteMatrixMatchesEventStream(t *testing.T) {
+	const order, n, p = 6, 400, 64
+	pts, err := dist.SampleUnique(dist.Normal, rng.New(2), order, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 16)
+	a, err := acd.Assign(pts, sfc.Morton, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := topology.NewMesh(2, sfc.Morton)
-	var sum, count uint64
-	fmmmodel.VisitFFIPairs(a, func(src, dst int32) {
-		sum += uint64(topo.Distance(int(src), int(dst)))
-		count++
-	})
-	want := fmmmodel.FFI(a, topo, fmmmodel.FFIOptions{}).Total()
-	if sum != want.Sum || count != want.Count {
-		t.Fatalf("visitor sum=%d count=%d, accumulator %+v", sum, count, want)
+	ranks := make(map[geom.Point]int32, a.N())
+	for i, pt := range a.Particles {
+		ranks[pt] = a.Ranks[i]
+	}
+	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	for _, grid := range grids() {
+		for _, radius := range []int{1, 2} {
+			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev}
+			viaMatrix, viaEvents := NewTracker(grid), NewTracker(grid)
+			routeMatrix(viaMatrix, fmmmodel.NFIMatrix(a, opts))
+			for i, pt := range a.Particles {
+				geom.VisitNeighborhood(pt, radius, opts.Metric, a.Side(), func(q geom.Point) {
+					if r, ok := ranks[q]; ok {
+						viaEvents.Route(a.Ranks[i], r)
+					}
+				})
+			}
+			checkSameLoads(t, fmt.Sprintf("%s NFI r=%d", grid.Name(), radius), viaMatrix, viaEvents)
+		}
+
+		viaMatrix, viaEvents := NewTracker(grid), NewTracker(grid)
+		ms := fmmmodel.FFIMatricesFromIndex(a.KeyIndex(), p, 0)
+		routeMatrix(viaMatrix, ms.Interpolation)
+		routeMatrix(viaMatrix, ms.InteractionList)
+		for l := tree.Order; l >= 1; l-- {
+			tree.VisitCells(l, func(x, y uint32, rep int32) {
+				parent := tree.Rep(l-1, x/2, y/2)
+				viaEvents.Route(rep, parent)
+				viaEvents.Route(parent, rep)
+			})
+		}
+		for l := uint(2); l <= tree.Order; l++ {
+			tree.VisitCells(l, func(x, y uint32, rep int32) {
+				tree.InteractionList(l, x, y, func(_, _ uint32, other int32) {
+					viaEvents.Route(rep, other)
+				})
+			})
+		}
+		checkSameLoads(t, grid.Name()+" FFI", viaMatrix, viaEvents)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"sfcacd/internal/acd"
+	"sfcacd/internal/commmat"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/topology"
@@ -99,35 +100,53 @@ func (t *Tally) TotalCost(c CostParams) (float64, error) {
 // CollectNFI tallies one FMM near-field step: every cross-processor
 // pair exchange is a message charged to the sender, and every pair
 // evaluation (including same-processor ones) is a unit of local work
-// at the owner.
+// at the owner. The events come from the near-field communication
+// matrix (fmmmodel.NFIMatrix).
 func CollectNFI(a *acd.Assignment, topo topology.Topology, opts fmmmodel.NFIOptions) *Tally {
 	defer obs.StartSpan("accumulation.nfi").End()
 	t := NewTally(topo.P())
-	var queries uint64
-	fmmmodel.VisitNFIPairs(a, opts, func(src, dst int32) {
-		t.AddWork(src, 1)
-		t.Message(src, topo.Distance(int(src), int(dst)))
-		queries++
-	})
-	topology.CountDistanceQueries(queries)
+	t.addCanonical(fmmmodel.NFIMatrix(a, opts), topo)
 	return t
 }
 
 // CollectFFI tallies one FMM far-field step: interpolation,
 // anterpolation, and interaction-list exchanges as messages from their
 // source representative, with one unit of work per event at the
-// source.
+// source. The events come from the far-field communication matrices
+// (fmmmodel.FFIMatricesFromIndex).
 func CollectFFI(a *acd.Assignment, topo topology.Topology) *Tally {
 	defer obs.StartSpan("accumulation.ffi").End()
 	t := NewTally(topo.P())
-	var queries uint64
-	fmmmodel.VisitFFIPairs(a, func(src, dst int32) {
-		t.AddWork(src, 1)
-		t.Message(src, topo.Distance(int(src), int(dst)))
-		queries++
-	})
-	topology.CountDistanceQueries(queries)
+	ms := fmmmodel.FFIMatricesFromIndex(a.KeyIndex(), topo.P(), 0)
+	t.addCanonical(ms.Interpolation, topo)
+	t.addCanonical(ms.InteractionList, topo)
 	return t
+}
+
+// addCanonical tallies a matrix whose pairs stand for their events in
+// both directions — the symmetric-canonical near-field and
+// interaction-list matrices, and the interpolation matrix, whose
+// (parent, child) links carry the anterpolation events back. A pair
+// (s, d, n) is n events s -> d plus n events d -> s, so a diagonal
+// pair adds 2n units of work at s.
+func (t *Tally) addCanonical(m *commmat.Matrix, topo topology.Topology) {
+	m.Visit(func(s, d int32, n uint32) {
+		hops := topo.Distance(int(s), int(d))
+		t.addEvents(s, hops, n)
+		t.addEvents(d, hops, n)
+	})
+	topology.CountDistanceQueries(uint64(m.Pairs()))
+}
+
+// addEvents records n events sent by src over the given hop distance:
+// n units of work and, unless the events stay on src, n messages.
+func (t *Tally) addEvents(src int32, hops int, n uint32) {
+	t.Work[src] += uint64(n)
+	if hops == 0 {
+		return
+	}
+	t.Sends[src] += uint64(n)
+	t.Hops[src] += uint64(hops) * uint64(n)
 }
 
 // DefaultCost is a representative parameterization: message overhead

@@ -1,6 +1,7 @@
 package execmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -70,7 +72,7 @@ func TestCollectNFIConsistentWithACD(t *testing.T) {
 	topo := topology.NewTorus(3, sfc.Hilbert)
 	opts := fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
 	tally := CollectNFI(a, topo, opts)
-	acc := fmmmodel.NFI(a, topo, opts)
+	acc := fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0]
 	var hops, work uint64
 	for p := range tally.Hops {
 		hops += tally.Hops[p]
@@ -96,13 +98,133 @@ func TestCollectFFIConsistentWithACD(t *testing.T) {
 	}
 	topo := topology.NewTorus(2, sfc.Morton)
 	tally := CollectFFI(a, topo)
-	acc := fmmmodel.FFI(a, topo, fmmmodel.FFIOptions{}).Total()
-	var hops uint64
+	acc := fmmmodel.FFIMulti(a, []topology.Topology{topo}, fmmmodel.FFIOptions{})[0].Total()
+	var hops, work uint64
 	for p := range tally.Hops {
 		hops += tally.Hops[p]
+		work += tally.Work[p]
 	}
 	if hops != acc.Sum {
 		t.Fatalf("tally hops %d != FFI sum %d", hops, acc.Sum)
+	}
+	if work != acc.Count {
+		t.Fatalf("tally work %d != FFI count %d", work, acc.Count)
+	}
+}
+
+// The per-rank checks below hold the matrix-backed tallies to the
+// per-event stream, enumerated here one ordered event at a time and
+// sharing no code with the production pipeline: near-field neighbor
+// ranks come from a cell->rank map built from the assignment's arrays,
+// far-field representatives from quadtree.RankTree.
+
+// nfiEvents calls fn(src, dst) for every ordered near-field event.
+func nfiEvents(a *acd.Assignment, opts fmmmodel.NFIOptions, fn func(src, dst int32)) {
+	ranks := make(map[geom.Point]int32, a.N())
+	for i, pt := range a.Particles {
+		ranks[pt] = a.Ranks[i]
+	}
+	for i, pt := range a.Particles {
+		geom.VisitNeighborhood(pt, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
+			if r, ok := ranks[q]; ok {
+				fn(a.Ranks[i], r)
+			}
+		})
+	}
+}
+
+// ffiEvents calls fn(src, dst) for every far-field event: child to
+// parent (interpolation) and parent to child (anterpolation) per link,
+// and each cell to every member of its interaction list.
+func ffiEvents(a *acd.Assignment, fn func(src, dst int32)) {
+	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	for l := tree.Order; l >= 1; l-- {
+		tree.VisitCells(l, func(x, y uint32, rep int32) {
+			parent := tree.Rep(l-1, x/2, y/2)
+			fn(rep, parent)
+			fn(parent, rep)
+		})
+	}
+	for l := uint(2); l <= tree.Order; l++ {
+		tree.VisitCells(l, func(x, y uint32, rep int32) {
+			tree.InteractionList(l, x, y, func(_, _ uint32, other int32) {
+				fn(rep, other)
+			})
+		})
+	}
+}
+
+// eventTally tallies a per-event stream: one unit of work and one
+// message (if it leaves the rank) per event, at the sender.
+func eventTally(p int, topo topology.Topology, stream func(fn func(src, dst int32))) *Tally {
+	t := NewTally(p)
+	stream(func(src, dst int32) {
+		t.AddWork(src, 1)
+		t.Message(src, topo.Distance(int(src), int(dst)))
+	})
+	return t
+}
+
+// checkTally requires per-rank equality of Sends, Hops and Work.
+func checkTally(t *testing.T, name string, got, want *Tally) {
+	t.Helper()
+	for r := range want.Work {
+		if got.Sends[r] != want.Sends[r] || got.Hops[r] != want.Hops[r] || got.Work[r] != want.Work[r] {
+			t.Fatalf("%s rank %d: sends/hops/work %d/%d/%d, per-event stream %d/%d/%d", name, r,
+				got.Sends[r], got.Hops[r], got.Work[r], want.Sends[r], want.Hops[r], want.Work[r])
+		}
+	}
+}
+
+// tallyInputs returns a curve-sorted Assign input and a FromOwners
+// input with particles in sampling order and shuffled ranks (not
+// monotone along any curve), both over p = 64 ranks.
+func tallyInputs(t *testing.T) map[string]*acd.Assignment {
+	t.Helper()
+	const order, n, p = 6, 400, 64
+	pts, err := dist.SampleUnique(dist.Normal, rng.New(5), order, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assigned, err := acd.Assign(pts, sfc.Hilbert, order, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int, n)
+	rng.New(6).Perm(perm)
+	ranks := make([]int32, n)
+	for i, j := range perm {
+		ranks[i] = int32(j * p / n)
+	}
+	owners, err := acd.FromOwners(pts, ranks, order, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*acd.Assignment{"assign": assigned, "owners": owners}
+}
+
+// TestCollectNFIMatchesEventStream checks CollectNFI rank by rank
+// against the per-event near-field stream.
+func TestCollectNFIMatchesEventStream(t *testing.T) {
+	topo := topology.NewTorus(3, sfc.Gray)
+	for name, a := range tallyInputs(t) {
+		for _, radius := range []int{1, 2} {
+			for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+				opts := fmmmodel.NFIOptions{Radius: radius, Metric: m}
+				want := eventTally(topo.P(), topo, func(fn func(src, dst int32)) { nfiEvents(a, opts, fn) })
+				checkTally(t, fmt.Sprintf("%s r=%d %s", name, radius, m), CollectNFI(a, topo, opts), want)
+			}
+		}
+	}
+}
+
+// TestCollectFFIMatchesEventStream checks CollectFFI rank by rank
+// against the per-event far-field stream.
+func TestCollectFFIMatchesEventStream(t *testing.T) {
+	topo := topology.NewMesh(3, sfc.Hilbert)
+	for name, a := range tallyInputs(t) {
+		want := eventTally(topo.P(), topo, func(fn func(src, dst int32)) { ffiEvents(a, fn) })
+		checkTally(t, name, CollectFFI(a, topo), want)
 	}
 }
 
@@ -128,7 +250,7 @@ func TestACDOrderingPredictsMakespan(t *testing.T) {
 		}
 		topo := topology.NewTorus(procOrder, curve)
 		opts := fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
-		acc := fmmmodel.NFI(a, topo, opts)
+		acc := fmmmodel.NFIMulti(a, []topology.Topology{topo}, opts)[0]
 		tally := CollectNFI(a, topo, opts)
 		ms, err := tally.Makespan(CostParams{Alpha: 1, Beta: 0.5, Gamma: 0})
 		if err != nil {

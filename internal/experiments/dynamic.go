@@ -126,7 +126,7 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 		}
 		if err := runCells(ctx, pool, nc, func(c int) error {
 			curve := curves[c]
-			torus := topology.NewTorus(p.ProcOrder, curve)
+			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 			opts := fmmmodel.NFIOptions{
 				Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
 			}
@@ -135,14 +135,14 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 			if err != nil {
 				return err
 			}
-			res.Static[c][step] = fmmmodel.NFI(static, torus, opts).ACD()
+			res.Static[c][step] = fmmmodel.NFIMulti(static, topos, opts)[0].ACD()
 			static.Release()
 			// Reorder policy: fresh assignment from current positions.
 			fresh, err := acd.Assign(pts, curve, p.Order, p.P())
 			if err != nil {
 				return err
 			}
-			res.Reorder[c][step] = fmmmodel.NFI(fresh, torus, opts).ACD()
+			res.Reorder[c][step] = fmmmodel.NFIMulti(fresh, topos, opts)[0].ACD()
 			fresh.Release()
 			return nil
 		}); err != nil {

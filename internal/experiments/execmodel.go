@@ -83,13 +83,22 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 		if err != nil {
 			return err
 		}
-		var maxSends uint64
-		for _, s := range tally.Sends {
+		// The tally holds the whole near-field stream: every event is
+		// one unit of work and carries its hops, so ΣHops/ΣWork is the
+		// ACD.
+		var maxSends, hops, work uint64
+		for r, s := range tally.Sends {
 			if s > maxSends {
 				maxSends = s
 			}
+			hops += tally.Hops[r]
+			work += tally.Work[r]
 		}
-		o := cellOut{acd: fmmmodel.NFI(a, topo, opts).ACD(), makespan: ms, maxSends: float64(maxSends)}
+		acdVal := 0.0
+		if work > 0 {
+			acdVal = float64(hops) / float64(work)
+		}
+		o := cellOut{acd: acdVal, makespan: ms, maxSends: float64(maxSends)}
 		a.Release()
 		outs[cell] = o
 		return nil

@@ -136,6 +136,7 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 	groups := make([]shared[[]geom.Point], p.Trials)
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
+	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
@@ -150,6 +151,11 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		if err != nil {
 			return err
 		}
+		// Each canonical pair of the near-field matrix stands for its
+		// events in both directions.
+		m := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
+		})
 		grids := []contention.GridTopology{
 			topology.NewMesh(p.ProcOrder, curve),
 			topology.NewTorus(p.ProcOrder, curve),
@@ -157,9 +163,10 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		var o cellOut
 		for g, grid := range grids {
 			tr := contention.NewTracker(grid)
-			fmmmodel.VisitNFIPairs(a, fmmmodel.NFIOptions{
-				Radius: p.Radius, Metric: geom.MetricChebyshev,
-			}, tr.Route)
+			m.Visit(func(src, dst int32, n uint32) {
+				tr.RouteN(src, dst, n)
+				tr.RouteN(dst, src, n)
+			})
 			s := tr.Stats()
 			acdVal := 0.0
 			if s.Messages > 0 {

@@ -81,13 +81,16 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 		if err != nil {
 			return err
 		}
-		// Per-particle work in curve order: near-field neighbor count.
+		// Per-particle work in curve order: near-field neighbor count,
+		// probed on the key-space index directly (Assignment.RankAt
+		// would take its lock on every probe).
+		ix := count.KeyIndex()
 		work := make([]float64, count.N())
 		for i, particle := range count.Particles {
 			deg := 0
 			geom.VisitNeighborhood(particle, p.Radius, geom.MetricChebyshev, count.Side(),
 				func(q geom.Point) {
-					if count.RankAt(q) >= 0 {
+					if ix.RankAt(q) >= 0 {
 						deg++
 					}
 				})
@@ -101,11 +104,11 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 		if err != nil {
 			return err
 		}
-		torus := topology.NewTorus(p.ProcOrder, curve)
+		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
 		o := cellOut{
-			countACD: fmmmodel.NFI(count, torus, opts).ACD(),
-			workACD:  fmmmodel.NFI(weighted, torus, opts).ACD(),
+			countACD: fmmmodel.NFIMulti(count, topos, opts)[0].ACD(),
+			workACD:  fmmmodel.NFIMulti(weighted, topos, opts)[0].ACD(),
 			countImb: partition.Imbalance(partition.ChunkWeights(work, count.Ranks, p.P())),
 			workImb:  partition.Imbalance(partition.ChunkWeights(work, ranks, p.P())),
 		}

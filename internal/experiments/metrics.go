@@ -112,9 +112,8 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 		if err != nil {
 			return err
 		}
-		// One-topology slice of the matrix path: identical results to the
-		// direct NFI/FFI oracles (PR 2's exactness pin), routed through
-		// the same fused contraction as the other experiment runners.
+		// One topology through the same matrix build and fused
+		// contraction as the other experiment runners.
 		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
 		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
 			Radius: cfg.Params.Radius, Metric: geom.MetricChebyshev, Workers: inner,

@@ -225,7 +225,9 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 		}
 		probStr, delayStr, hasDelay := strings.Cut(rest, ":")
 		prob, err := strconv.ParseFloat(probStr, 64)
-		if err != nil || prob < 0 || prob > 1 {
+		// The positive range test also rejects NaN, which every
+		// comparison fails.
+		if err != nil || !(prob >= 0 && prob <= 1) {
 			return nil, fmt.Errorf("faultinject: bad probability in %q (want 0..1)", part)
 		}
 		var f Fault

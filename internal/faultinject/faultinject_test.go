@@ -189,9 +189,37 @@ func TestParse(t *testing.T) {
 	if in, err := Parse("", 9); in != nil || err != nil {
 		t.Errorf("empty spec = (%v, %v), want disabled nil injector", in, err)
 	}
-	for _, bad := range []string{"noequals", "=1", "a=2", "a=-0.5", "a=0.5:nonsense", "a=x"} {
+	for _, bad := range []string{"noequals", "=1", "a=2", "a=-0.5", "a=0.5:nonsense", "a=x", "a=NaN", "serve.compute=nan", "a=+Inf", "a=1:-5ms"} {
 		if _, err := Parse(bad, 9); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParse holds the flag parser to its contract on arbitrary specs:
+// it never panics, and every site of an accepted spec has a
+// probability in [0,1] and a non-negative delay.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"", "a=1", "a=1,b=0.25:150ms", "resultcache.disk.get=0.1,serve.compute=1:250ms",
+		"serve.compute=NaN", "a=0x1p-2", "a=1e-3:1h", "a=2", "=", ",", "a=0.5:-1s",
+	} {
+		f.Add(spec, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		in, err := Parse(spec, seed)
+		if err != nil || in == nil {
+			return
+		}
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		for name, s := range in.sites {
+			if !(s.prob >= 0 && s.prob <= 1) {
+				t.Fatalf("Parse(%q) accepted site %q with probability %v", spec, name, s.prob)
+			}
+			if s.fault.Delay < 0 {
+				t.Fatalf("Parse(%q) accepted site %q with delay %v", spec, name, s.fault.Delay)
+			}
+		}
+	})
 }

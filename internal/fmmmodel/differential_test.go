@@ -7,7 +7,6 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -55,8 +54,8 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 	}
 }
 
-// checkMatrixVsDirect holds NFIMulti (radii 1 and 2, both metrics) to
-// direct NFI and FFIMulti to direct FFIFromTree on every topology in
+// checkMatrixVsDirect holds NFIMulti (radii 1 and 2, both metrics)
+// and FFIMulti to the direct per-event oracle on every topology in
 // topos, for one assignment.
 func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology) {
 	t.Helper()
@@ -65,27 +64,26 @@ func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []t
 			opts := NFIOptions{Radius: radius, Metric: metric}
 			multi := NFIMulti(a, topos, opts)
 			for i, topo := range topos {
-				if single := NFI(a, topo, opts); multi[i] != single {
+				if direct := oracleNFI(a, topo, opts); multi[i] != direct {
 					t.Errorf("%s r=%d %s %s: NFI matrix %+v != direct %+v",
-						name, radius, metric, topo.Name(), multi[i], single)
+						name, radius, metric, topo.Name(), multi[i], direct)
 				}
 			}
 		}
 	}
 
 	multi := FFIMulti(a, topos, FFIOptions{})
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 	for i, topo := range topos {
-		if single := FFIFromTree(tree, topo, FFIOptions{}); multi[i] != single {
-			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], single)
+		if direct := oracleFFI(a, topo); multi[i] != direct {
+			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], direct)
 		}
 	}
-	tree.Release()
 }
 
 // TestNFIMatrixContractsExactly pins the symmetric-canonical
 // convention at the matrix level: contracting the canonical matrix
-// with the Sym variant reproduces the ordered direct stream.
+// with symmetric weighting, one table at a time or all tables in one
+// fused pass, reproduces the ordered direct stream.
 func TestNFIMatrixContractsExactly(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Normal, rng.New(9), order, 500)
@@ -98,14 +96,21 @@ func TestNFIMatrixContractsExactly(t *testing.T) {
 	}
 	opts := NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
 	m := NFIMatrix(a, opts)
-	for _, topo := range allTopologies() {
-		var viaSym acd.Accumulator
-		m.ContractSym(topo, &viaSym)
-		var viaTable acd.Accumulator
-		m.ContractTableSym(topology.NewDistanceTable(topo), &viaTable)
-		direct := NFI(a, topo, opts)
-		if viaSym != direct || viaTable != direct {
-			t.Errorf("%s: ContractSym %+v / table %+v != direct %+v", topo.Name(), viaSym, viaTable, direct)
+	topos := allTopologies()
+	dts := make([]*topology.DistanceTable, len(topos))
+	fused := make([]acd.Accumulator, len(topos))
+	accs := make([]*acd.Accumulator, len(topos))
+	for i, topo := range topos {
+		dts[i] = topology.NewDistanceTable(topo)
+		accs[i] = &fused[i]
+	}
+	m.ContractTableMultiSym(dts, accs, 1)
+	for i, topo := range topos {
+		var one acd.Accumulator
+		m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&one}, 2)
+		direct := oracleNFI(a, topo, opts)
+		if one != direct || fused[i] != direct {
+			t.Errorf("%s: one table %+v / fused %+v != direct %+v", topo.Name(), one, fused[i], direct)
 		}
 	}
 }

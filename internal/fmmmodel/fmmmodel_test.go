@@ -32,7 +32,7 @@ func TestNFIHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := topology.NewBus(4)
-	res := NFI(a, bus, NFIOptions{Radius: 1, Metric: geom.MetricChebyshev})
+	res := nfiOne(a, bus, NFIOptions{Radius: 1, Metric: geom.MetricChebyshev})
 	// All 4 cells are mutually Chebyshev-adjacent: 12 ordered pairs.
 	// Hilbert ranks around the square are 0,1,2,3; bus distances sum
 	// to 2*(1+2+3+1+2+1) = 20.
@@ -54,7 +54,7 @@ func TestFFIHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := topology.NewBus(4)
-	res := FFI(a, bus, FFIOptions{})
+	res := ffiOne(a, bus, FFIOptions{})
 	if res.InteractionList.Count != 0 {
 		t.Fatalf("interaction list events = %d, want 0", res.InteractionList.Count)
 	}
@@ -130,7 +130,7 @@ func TestFFIMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := FFI(a, topo, FFIOptions{})
+				got := ffiOne(a, topo, FFIOptions{})
 				want := bruteFFI(a, topo)
 				if got != want {
 					t.Fatalf("%s/%s/%s: FFI %+v, brute force %+v",
@@ -172,7 +172,7 @@ func TestNFIMatchesBruteForce(t *testing.T) {
 	topo := topology.NewTorus(2, sfc.Hilbert)
 	for _, radius := range []int{1, 2, 4} {
 		for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
-			got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
+			got := nfiOne(a, topo, NFIOptions{Radius: radius, Metric: m})
 			want := bruteNFI(a, topo, radius, m)
 			if got != want {
 				t.Fatalf("r=%d m=%v: NFI %+v, brute force %+v", radius, m, got, want)
@@ -193,9 +193,9 @@ func TestNFIDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.NewMesh(2, sfc.Hilbert)
-	base := NFI(a, topo, NFIOptions{Radius: 2, Workers: 1})
+	base := nfiOne(a, topo, NFIOptions{Radius: 2, Workers: 1})
 	for _, w := range []int{2, 3, 8, 64} {
-		if got := NFI(a, topo, NFIOptions{Radius: 2, Workers: w}); got != base {
+		if got := nfiOne(a, topo, NFIOptions{Radius: 2, Workers: w}); got != base {
 			t.Fatalf("workers=%d: %+v != %+v", w, got, base)
 		}
 	}
@@ -213,9 +213,9 @@ func TestFFIDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.NewTorus(3, sfc.Morton)
-	base := FFI(a, topo, FFIOptions{Workers: 1})
+	base := ffiOne(a, topo, FFIOptions{Workers: 1})
 	for _, w := range []int{2, 7, 32} {
-		if got := FFI(a, topo, FFIOptions{Workers: w}); got != base {
+		if got := ffiOne(a, topo, FFIOptions{Workers: w}); got != base {
 			t.Fatalf("workers=%d: %+v != %+v", w, got, base)
 		}
 	}
@@ -237,7 +237,7 @@ func TestNFIRadiusGrowsACD(t *testing.T) {
 	topo := topology.NewTorus(3, sfc.Hilbert)
 	prev := 0.0
 	for _, radius := range []int{1, 2, 4, 8} {
-		got := NFI(a, topo, NFIOptions{Radius: radius}).ACD()
+		got := nfiOne(a, topo, NFIOptions{Radius: radius}).ACD()
 		if got < prev*0.95 { // allow slight non-monotonicity from averaging
 			t.Fatalf("radius %d ACD %f dropped well below %f", radius, got, prev)
 		}
@@ -258,29 +258,11 @@ func TestSingleProcessorZeroACD(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.NewBus(1)
-	if got := NFI(a, topo, NFIOptions{Radius: 3}); got.Sum != 0 || got.Count == 0 {
+	if got := nfiOne(a, topo, NFIOptions{Radius: 3}); got.Sum != 0 || got.Count == 0 {
 		t.Fatalf("NFI on 1 processor = %+v", got)
 	}
-	if got := FFI(a, topo, FFIOptions{}).Total(); got.Sum != 0 || got.Count == 0 {
+	if got := ffiOne(a, topo, FFIOptions{}).Total(); got.Sum != 0 || got.Count == 0 {
 		t.Fatalf("FFI on 1 processor = %+v", got)
-	}
-}
-
-func TestFFIFromTreeMatchesFFI(t *testing.T) {
-	const order = 4
-	r := rng.New(11)
-	pts, err := dist.SampleUnique(dist.Uniform, r, order, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	topo := topology.NewHypercube(4)
-	if got, want := FFIFromTree(tree, topo, FFIOptions{}), FFI(a, topo, FFIOptions{}); got != want {
-		t.Fatalf("FFIFromTree %+v != FFI %+v", got, want)
 	}
 }
 
@@ -301,7 +283,7 @@ func TestHilbertBeatsRowMajorOnTorus(t *testing.T) {
 			t.Fatal(err)
 		}
 		topo := topology.NewTorus(procOrder, c)
-		return NFI(a, topo, NFIOptions{Radius: 1}).ACD(), FFI(a, topo, FFIOptions{}).Total().ACD()
+		return nfiOne(a, topo, NFIOptions{Radius: 1}).ACD(), ffiOne(a, topo, FFIOptions{}).Total().ACD()
 	}
 	hn, hf := run(sfc.Hilbert)
 	rn, rf := run(sfc.RowMajor)

@@ -8,7 +8,6 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
-	"sfcacd/internal/topology"
 )
 
 // TestDifferentialKeysEngine feeds the key-space engine the input
@@ -66,25 +65,5 @@ func TestKeysEngineWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d %s: FFI %+v != single-worker %+v", workers, topos[i].Name(), ffi[i], ffiBase[i])
 			}
 		}
-	}
-}
-
-// TestKeysEngineSkipsRankTable pins the point of the lazy table: the
-// matrix path must never build the assignment's cell->rank table.
-func TestKeysEngineSkipsRankTable(t *testing.T) {
-	const order = 6
-	pts, err := dist.SampleUnique(dist.Uniform, rng.New(43), order, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topos := []topology.Topology{topology.NewRing(16)}
-	NFIMulti(a, topos, NFIOptions{})
-	FFIMulti(a, topos, FFIOptions{})
-	if a.TableBuilt() {
-		t.Fatal("matrix path built the rank table")
 	}
 }

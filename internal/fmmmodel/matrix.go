@@ -11,11 +11,11 @@ import (
 )
 
 // This file builds topology-independent communication matrices
-// (internal/commmat) from the model's event streams. The streams are
-// exactly those of the direct NFI/FFI accumulators; only the
-// aggregation differs, so contracting a matrix against a topology
-// reproduces the direct accumulator bit for bit (the differential tests
-// pin this). Two symmetries cut the aggregation work in half:
+// (internal/commmat) from the model's event streams. Contracting a
+// matrix against a topology reproduces the accumulator of the ordered
+// per-event stream bit for bit (the differential tests pin this
+// against a direct per-event oracle). Two symmetries cut the
+// aggregation work in half:
 //
 //   - The near-field and interaction-list relations are symmetric, so
 //     both traversals enumerate each unordered pair once (from its
@@ -55,9 +55,8 @@ const ilBand = 512
 // owning ranks, keyed with the smaller rank as source. Neighbor cells
 // are reached by dilated-integer arithmetic on the particle's Morton
 // key and ranks resolved by key search on the assignment's shared
-// occupancy index, so the rank table is never built. Contract with the
-// Sym variants; each pair then counts once per direction, exactly
-// reproducing NFI's ordered stream.
+// occupancy index. Contract with the Sym variant; each pair then
+// counts once per direction, exactly reproducing the ordered stream.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	defer obs.StartSpan("commmat.build.nfi").End()
 	opts.normalize()
@@ -105,14 +104,14 @@ type FFIMatrices struct {
 	Interpolation *commmat.Matrix
 	// InteractionList aggregates the well-separated cell exchanges of
 	// every level in symmetric-canonical form (each unordered cell pair
-	// once, smaller rank as source); contract with the Sym variants.
+	// once, smaller rank as source); contract with the Sym variant.
 	InteractionList *commmat.Matrix
 }
 
 // FFIMatricesFromIndex aggregates the far-field event streams of an
 // assignment over p ranks from its key-space index's per-level
-// occupied-cell slabs: the same streams FFIFromTree walks on the
-// representative quadtree. Both the parent-child pass and the
+// occupied-cell slabs: the same streams a walk over the
+// representative quadtree (quadtree.RankTree) produces. Both the parent-child pass and the
 // interaction-list pass run on a fixed worker pool, one builder shard
 // per worker. Work is chunked over slab positions, so task cost tracks
 // occupancy — there are no empty-cell scans — and the interaction
@@ -224,9 +223,8 @@ func distanceTableFor(t topology.Topology) *topology.DistanceTable {
 // topology in a single fused pass through cached per-topology distance
 // tables: each distinct pair is read once and evaluated against all K
 // tables, with parallelism inside the matrix (bounded by workers)
-// instead of one goroutine per topology. The fused pass is
-// byte-identical to the per-topology ContractTableSym loop at any
-// worker count.
+// instead of one goroutine per topology. The result is byte-identical
+// at any worker count.
 func contractAll(m *commmat.Matrix, topos []topology.Topology, workers int) []acd.Accumulator {
 	defer obs.StartSpan("commmat.contract").End()
 	out := make([]acd.Accumulator, len(topos))

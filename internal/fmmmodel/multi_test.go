@@ -12,7 +12,7 @@ import (
 )
 
 // TestNFIMultiMatchesSingle: evaluating N topologies in one pass gives
-// exactly the same accumulators as N single passes.
+// exactly the same accumulators as N one-topology passes.
 func TestNFIMultiMatchesSingle(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, 500)
@@ -33,7 +33,7 @@ func TestNFIMultiMatchesSingle(t *testing.T) {
 	opts := NFIOptions{Radius: 2, Metric: geom.MetricChebyshev}
 	multi := NFIMulti(a, topos, opts)
 	for i, topo := range topos {
-		single := NFI(a, topo, opts)
+		single := nfiOne(a, topo, opts)
 		if multi[i] != single {
 			t.Fatalf("topology %d (%s): multi %+v != single %+v", i, topo.Name(), multi[i], single)
 		}
@@ -58,7 +58,7 @@ func TestFFIMultiMatchesSingle(t *testing.T) {
 	}
 	multi := FFIMulti(a, topos, FFIOptions{})
 	for i, topo := range topos {
-		single := FFI(a, topo, FFIOptions{})
+		single := ffiOne(a, topo, FFIOptions{})
 		if multi[i] != single {
 			t.Fatalf("topology %d (%s): multi %+v != single %+v", i, topo.Name(), multi[i], single)
 		}

@@ -237,7 +237,7 @@ func TestStateACDMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmmmodel.NFI(a, torus, fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: 1})
+	want := fmmmodel.NFIMulti(a, []topology.Topology{torus}, fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: 1})[0]
 	if got != want {
 		t.Fatalf("ACD accumulator: got %+v, want %+v", got, want)
 	}

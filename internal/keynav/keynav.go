@@ -15,11 +15,12 @@
 // quadtree.RankTree's dense 4^l arrays: memory is proportional to the
 // number of occupied cells, not to the grid.
 //
-// The index is the only neighbor engine of the matrix path. The
-// quadtree.RankTree and the assignment's rank table remain as the
-// differential oracle: for every query family here there is a test
-// pinning exact equality of the produced event multisets against the
-// tree enumeration.
+// The index is the only neighbor engine: acd.Assignment.RankAt and
+// both matrix passes of internal/fmmmodel answer through it. Its
+// oracles live in the tests: quadtree.RankTree for the per-level
+// queries and a cell->rank map built from the assignment's arrays for
+// the finest level. For every query family here a test pins exact
+// equality of the produced event multisets against that enumeration.
 package keynav
 
 import (
@@ -145,7 +146,7 @@ type Index struct {
 
 // indexPool recycles Index slabs between builds: parallel sweep cells
 // each build one per assignment, so pooling keeps the allocator out of
-// the sweep hot path (same discipline as quadtree's slab pool).
+// the sweep hot path.
 var indexPool = sync.Pool{New: func() any { return new(Index) }}
 
 // Build constructs the index from particle cells and their owning
@@ -245,8 +246,12 @@ func (ix *Index) N() int { return len(ix.keys) }
 func (ix *Index) LevelLen(l uint) int { return len(ix.lv[l].keys) }
 
 // RankAt returns the rank owning the particle in the given finest cell,
-// or -1 if the cell is empty.
+// or -1 if the cell is empty or outside the grid (whose Morton key
+// would fall outside the level directory).
 func (ix *Index) RankAt(p geom.Point) int32 {
+	if side := geom.Side(ix.Order); p.X >= side || p.Y >= side {
+		return -1
+	}
 	fin := &ix.lv[ix.Order]
 	if i := fin.find(sfc.MortonKey(p.X, p.Y)); i >= 0 {
 		return fin.reps[i]

@@ -14,8 +14,9 @@ import (
 	"sfcacd/internal/sfc"
 )
 
-// The quadtree/rank-table path is the differential oracle: every query
-// family of the key-space engine is pinned here to exact equality —
+// quadtree.RankTree and a cell->rank map built from the assignment's
+// arrays are the differential oracles: every query family of the
+// key-space engine is pinned here to exact equality —
 // same ranks, same representative per cell, same event multisets —
 // across curves (sorted and unsorted key input), seeds, and radii.
 
@@ -34,20 +35,48 @@ func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed u
 
 var testCurves = []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
 
-// TestIndexRankAtMatchesAssignment probes every grid cell against the
-// assignment's rank table.
+// rankMap is the finest-level oracle: a cell->rank map built from the
+// assignment's parallel arrays. (acd.Assignment.RankAt answers through
+// the index itself, so it cannot serve as the reference.)
+type rankMap map[geom.Point]int32
+
+func newRankMap(a *acd.Assignment) rankMap {
+	m := make(rankMap, a.N())
+	for i, pt := range a.Particles {
+		m[pt] = a.Ranks[i]
+	}
+	return m
+}
+
+// at returns the rank owning cell q, or -1 if it is empty.
+func (m rankMap) at(q geom.Point) int32 {
+	if r, ok := m[q]; ok {
+		return r
+	}
+	return -1
+}
+
+// TestIndexRankAtMatchesAssignment probes every grid cell, and cells
+// just outside the grid, against the assignment's own cell->rank
+// pairs.
 func TestIndexRankAtMatchesAssignment(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 7)
+		ranks := newRankMap(a)
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		side := geom.Side(order)
 		for y := uint32(0); y < side; y++ {
 			for x := uint32(0); x < side; x++ {
 				q := geom.Pt(x, y)
-				if got, want := ix.RankAt(q), a.RankAt(q); got != want {
+				if got, want := ix.RankAt(q), ranks.at(q); got != want {
 					t.Fatalf("%s: RankAt%v = %d, oracle %d", curve.Name(), q, got, want)
 				}
+			}
+		}
+		for _, q := range []geom.Point{geom.Pt(side, 0), geom.Pt(0, side), geom.Pt(side, side)} {
+			if got := ix.RankAt(q); got != -1 {
+				t.Fatalf("%s: RankAt%v outside the grid = %d, want -1", curve.Name(), q, got)
 			}
 		}
 		ix.Release()
@@ -80,7 +109,6 @@ func TestIndexRepMatchesRankTree(t *testing.T) {
 				t.Fatalf("%s: LevelLen(%d) = %d, oracle %d", curve.Name(), l, ix.LevelLen(l), occupied)
 			}
 		}
-		tree.Release()
 		ix.Release()
 	}
 }
@@ -94,7 +122,8 @@ func pairKey(a, b int32) uint64 {
 }
 
 // TestVisitUpperNeighborPairsMatchesOracle compares the near-field
-// upper event multiset against geom.VisitUpperNeighborhood + RankAt,
+// upper event multiset against geom.VisitUpperNeighborhood probing a
+// cell->rank map,
 // across metrics, radii (including radius beyond the grid side), and
 // worker-style chunkings of the particle range.
 func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
@@ -102,6 +131,7 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 	side := geom.Side(order)
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 13)
+		ranks := newRankMap(a)
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			for _, radius := range []int{0, 1, 2, 3, int(side), int(side) + 3} {
@@ -109,7 +139,7 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 				for i, pt := range a.Particles {
 					mine := a.Ranks[i]
 					geom.VisitUpperNeighborhood(pt, radius, m, side, func(q geom.Point) {
-						if r := a.RankAt(q); r >= 0 {
+						if r := ranks.at(q); r >= 0 {
 							want[pairKey(mine, r)]++
 						}
 					})
@@ -159,7 +189,6 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 				}
 			}
 		}
-		tree.Release()
 		ix.Release()
 	}
 }
@@ -209,7 +238,6 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 					}
 				}
 			}
-			tree.Release()
 			ix.Release()
 		}
 	}
@@ -242,10 +270,11 @@ func TestDenseGridAllLevels(t *testing.T) {
 			t.Fatalf("dense l=%d: IL multiset mismatch (got %d pairs, want %d)", l, count(got), count(want))
 		}
 	}
+	ranks := newRankMap(a)
 	want := map[uint64]int{}
 	for i, pt := range a.Particles {
 		geom.VisitUpperNeighborhood(pt, 1, geom.MetricChebyshev, side, func(q geom.Point) {
-			want[pairKey(a.Ranks[i], a.RankAt(q))]++
+			want[pairKey(a.Ranks[i], ranks.at(q))]++
 		})
 	}
 	got := map[uint64]int{}
@@ -255,7 +284,6 @@ func TestDenseGridAllLevels(t *testing.T) {
 	if !mapsEqual(got, want) {
 		t.Fatal("dense: near-field multiset mismatch")
 	}
-	tree.Release()
 	ix.Release()
 }
 
@@ -329,9 +357,9 @@ func count(m map[uint64]int) int {
 	return total
 }
 
-// BenchmarkKeyNavLookup measures the directory-search RankAt against
-// which the rank-table paths are compared (see BenchmarkRankAt in
-// internal/acd).
+// BenchmarkKeyNavLookup measures the directory-search RankAt probed
+// on the index directly; BenchmarkRankAt in internal/acd measures the
+// same lookup through Assignment.RankAt.
 func BenchmarkKeyNavLookup(b *testing.B) {
 	for _, order := range []uint{8, 12} {
 		const n = 15625
@@ -358,8 +386,8 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyNavBuild measures index construction against
-// quadtree.BuildRankTree at the same scale.
+// BenchmarkKeyNavBuild measures index construction at table12 scale
+// (order 8, n = 15,625).
 func BenchmarkKeyNavBuild(b *testing.B) {
 	const order, n = 8, 15625
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)

@@ -1,16 +1,15 @@
 // Package quadtree provides the quadtree machinery behind the FMM
 // communication model: the per-level representative (minimum-rank)
-// tree used to compute far-field ACD, FMM interaction lists, and a
-// linear compressed quadtree in the style of Sundar, Sampath & Biros
-// (the paper's reference [20]).
+// tree with its FMM interaction lists — the dense reference the
+// far-field model is tested against — and a linear compressed quadtree
+// in the style of Sundar, Sampath & Biros (the paper's reference
+// [20]).
 package quadtree
 
 import (
 	"fmt"
-	"sync"
 
 	"sfcacd/internal/geom"
-	"sfcacd/internal/obs"
 )
 
 // RankTree records, for every cell of every resolution level, the
@@ -21,35 +20,16 @@ import (
 // the cell's lowest-ordered particle — the representative convention
 // of §III for both the interpolation log-tree and the interaction
 // list.
+//
+// The tree stores all 4^l cells of every level, so it is the
+// reference implementation rather than a production path: the model
+// answers the same queries from the key-space index (internal/keynav),
+// whose tests and the far-field oracle compare against this tree.
 type RankTree struct {
 	// Order is the finest level (grid side 2^Order).
 	Order uint
-	// levels[l] holds 4^l entries indexed by y*2^l + x. All levels are
-	// windows into slab, one pooled allocation per tree.
+	// levels[l] holds 4^l entries indexed by y*2^l + x.
 	levels [][]int32
-	slab   []int32
-}
-
-// slabPool recycles rank-tree slabs between builds. A tree of order k
-// needs (4^(k+1)-1)/3 cells across all levels; parallel sweep cells
-// each build one, so pooling keeps the allocator out of the sweep's
-// hot path. Slabs come back via RankTree.Release.
-var slabPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// Release returns the tree's level storage to the build pool. The tree
-// must not be used afterwards. Only owners that know the tree is dead
-// (the sweep scheduler's cells) should call it; other callers can
-// leave the slab to the garbage collector.
-func (t *RankTree) Release() {
-	if t == nil || t.slab == nil {
-		return
-	}
-	s := t.slab
-	t.slab = nil
-	t.levels = nil
-	p := slabPool.Get().(*[]int32)
-	*p = s
-	slabPool.Put(p)
 }
 
 // BuildRankTree constructs the representative tree from particle cells
@@ -59,27 +39,13 @@ func BuildRankTree(order uint, pts []geom.Point, ranks []int32) *RankTree {
 	if len(pts) != len(ranks) {
 		panic("quadtree: pts and ranks length mismatch")
 	}
-	defer obs.StartSpan("treebuild").End()
-	// One slab holds every level: 1 + 4 + ... + 4^order cells.
-	total := (geom.Cells(order)*4 - 1) / 3
-	p := slabPool.Get().(*[]int32)
-	slab := *p
-	*p = nil
-	slabPool.Put(p)
-	if uint64(cap(slab)) < total {
-		slab = make([]int32, total)
-	}
-	slab = slab[:total]
-	slab[0] = -1
-	for i := 1; i < len(slab); i *= 2 {
-		copy(slab[i:], slab[:i])
-	}
-	t := &RankTree{Order: order, levels: make([][]int32, order+1), slab: slab}
-	off := uint64(0)
+	t := &RankTree{Order: order, levels: make([][]int32, order+1)}
 	for l := uint(0); l <= order; l++ {
-		sz := geom.Cells(l)
-		t.levels[l] = slab[off : off+sz : off+sz]
-		off += sz
+		lv := make([]int32, geom.Cells(l))
+		for i := range lv {
+			lv[i] = -1
+		}
+		t.levels[l] = lv
 	}
 	// Finest level directly from the particles.
 	finest := t.levels[order]

@@ -43,8 +43,22 @@ func (e Entry) payloadSum() string {
 // Export encodes e for transfer to a peer: the entry JSON plus its
 // payload checksum. Import on the receiving side verifies both the
 // checksum and the key the entry was requested under.
+//
+// The checksum covers the entry as the receiver decodes it: encoding
+// compacts and HTML-escapes raw JSON fields, writes nil ones as null,
+// and replaces invalid UTF-8, so the entry is passed through one
+// encode/decode before it is summed. Entries built by json.Marshal
+// (every computed entry) come out of that pass unchanged.
 func Export(e Entry) ([]byte, error) {
-	return json.Marshal(wireEntry{Entry: e, Sum: e.payloadSum()})
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	var shipped Entry
+	if err := json.Unmarshal(raw, &shipped); err != nil {
+		return nil, err
+	}
+	return json.Marshal(wireEntry{Entry: shipped, Sum: shipped.payloadSum()})
 }
 
 // Import decodes an Export-ed entry and verifies it: the payload

@@ -191,12 +191,12 @@ type FFIResult = fmmmodel.FFIResult
 
 // NFI computes the near-field ACD of an assignment on a topology.
 func NFI(a *Assignment, topo Topology, opts NFIOptions) Accumulator {
-	return fmmmodel.NFI(a, topo, opts)
+	return fmmmodel.NFIMulti(a, []Topology{topo}, opts)[0]
 }
 
 // FFI computes the far-field ACD of an assignment on a topology.
 func FFI(a *Assignment, topo Topology, opts FFIOptions) FFIResult {
-	return fmmmodel.FFI(a, topo, opts)
+	return fmmmodel.FFIMulti(a, []Topology{topo}, opts)[0]
 }
 
 // --- ANNS metric ---
