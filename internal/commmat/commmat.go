@@ -37,6 +37,8 @@ package commmat
 
 import (
 	"math/bits"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,17 +94,32 @@ var (
 	scratchFree []*scratch
 )
 
-const scratchKeep = 3
+// scratchKeep bounds the free list at the grids a sweep's builders
+// hold at once: a sweep runs up to GOMAXPROCS cells, and each holds two
+// grids during its far-field build. The floor of 8 covers two
+// concurrent sweeps (the daemon's compute slots) on small machines.
+func scratchKeep() int { return max(8, 2*runtime.GOMAXPROCS(0)) }
 
+// getScratch hands out the smallest free grid that covers the request
+// (so a large grid stays free for the next large request), or a new
+// one.
 func getScratch(cells int) *scratch {
 	words := (cells + 63) / 64
 	scratchMu.Lock()
+	best := -1
 	for i, s := range scratchFree {
-		if len(s.grid) >= cells && len(s.bm) >= words {
-			scratchFree = append(scratchFree[:i], scratchFree[i+1:]...)
-			scratchMu.Unlock()
-			return s
+		if len(s.grid) >= cells && len(s.bm) >= words && (best < 0 || len(s.grid) < len(scratchFree[best].grid)) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		s := scratchFree[best]
+		last := len(scratchFree) - 1
+		scratchFree[best] = scratchFree[last]
+		scratchFree[last] = nil
+		scratchFree = scratchFree[:last]
+		scratchMu.Unlock()
+		return s
 	}
 	scratchMu.Unlock()
 	return &scratch{grid: make([]uint32, cells), bm: make([]uint64, words)}
@@ -110,7 +127,7 @@ func getScratch(cells int) *scratch {
 
 func putScratch(s *scratch) {
 	scratchMu.Lock()
-	if len(scratchFree) < scratchKeep {
+	if len(scratchFree) < scratchKeep() {
 		scratchFree = append(scratchFree, s)
 	}
 	scratchMu.Unlock()
@@ -331,7 +348,7 @@ func (b *Builder) mergedOverflow() ([]uint64, []uint32) {
 		all = append(all, s.over...)
 		s.over = nil
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	keys := all[:0] // in-place: the write index never passes the read index
 	counts := make([]uint32, 0, 16)
 	for i := 0; i < len(all); {

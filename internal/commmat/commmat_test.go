@@ -209,3 +209,34 @@ func TestConcurrentShards(t *testing.T) {
 	wg.Wait()
 	checkAgainstRef(t, b.Finalize(), ref)
 }
+
+// TestScratchBestFit pins the free list's reuse policy: a request takes
+// the smallest free grid that covers it, so a large grid stays free for
+// the next large request, and the list keeps up to scratchKeep grids.
+func TestScratchBestFit(t *testing.T) {
+	scratchMu.Lock()
+	saved := scratchFree
+	scratchFree = nil
+	scratchMu.Unlock()
+	defer func() {
+		scratchMu.Lock()
+		scratchFree = saved
+		scratchMu.Unlock()
+	}()
+
+	big, small := getScratch(1<<12), getScratch(1<<10)
+	putScratch(big)
+	putScratch(small)
+	if got := getScratch(1 << 9); got != small {
+		t.Errorf("request for %d cells took a %d-cell grid, want the %d-cell one", 1<<9, len(got.grid), len(small.grid))
+	}
+	if got := getScratch(1 << 11); got != big {
+		t.Errorf("request for %d cells took a %d-cell grid, want the %d-cell one", 1<<11, len(got.grid), len(big.grid))
+	}
+	for i := 0; i < scratchKeep()+2; i++ {
+		putScratch(getScratch(64 * (i + 1)))
+	}
+	if n := len(scratchFree); n != scratchKeep() {
+		t.Errorf("free list holds %d grids, want %d", n, scratchKeep())
+	}
+}

@@ -2,7 +2,7 @@ package commmat
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Mutable is a long-lived, retractable aggregation of a
@@ -150,7 +150,7 @@ func (m *Mutable) sortedOverflow() []uint64 {
 	for k := range m.over {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -11,7 +11,9 @@ package experiments
 import (
 	"fmt"
 
+	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
+	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
@@ -160,6 +162,23 @@ func curveNames(curves []sfc.Curve) []string {
 		names[i] = c.Name()
 	}
 	return names
+}
+
+// priceCell prices one sweep cell's assignment on every topology: the
+// radius-p.Radius Chebyshev near field and the far field, replayed from
+// the cell group's shared plan (recorded here by the group's first
+// cell, with the whole p.Workers budget). It then releases the
+// assignment and the cell's hold on the plan.
+func priceCell(p Params, a *acd.Assignment, topos []topology.Topology, g *groupPlan, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
+	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
+	spec := nfiOpts.Spec()
+	spec.Far = true
+	nfiOpts.Plan = g.get(a.KeyIndex(), spec, workerBudget(p.Workers))
+	nfi := fmmmodel.NFIMulti(a, topos, nfiOpts)
+	ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Plan: nfiOpts.Plan})
+	a.Release()
+	g.done()
+	return nfi, ffi
 }
 
 // torusPerCurve builds one torus per processor-order curve at the

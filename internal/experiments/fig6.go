@@ -4,7 +4,6 @@ import (
 	"context"
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -66,6 +65,7 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 		nfi, ffi []float64 // per topology
 	}
 	groups := make([]shared[[]geom.Point], p.Trials)
+	plans := newGroupPlans(len(groups), nc)
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -91,16 +91,12 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 			}
 			topos[t] = topo
 		}
-		nfiAccs := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
+		nfiAccs, ffiAccs := priceCell(p, a, topos, &plans[trial], inner)
 		o := cellOut{nfi: make([]float64, nt), ffi: make([]float64, nt)}
 		for t := range topos {
 			o.nfi[t] = nfiAccs[t].ACD()
 			o.ffi[t] = ffiAccs[t].Total().ACD()
 		}
-		a.Release()
 		outs[cell] = o
 		return nil
 	})

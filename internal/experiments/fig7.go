@@ -6,7 +6,6 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -66,7 +65,10 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	nc := len(curves)
 	no := len(procOrders)
 	type cellOut struct{ nfi, ffi float64 }
+	// A trial's cells share its particle set and its plan, across every
+	// curve and processor count.
 	groups := make([]shared[[]geom.Point], p.Trials)
+	plans := newGroupPlans(len(groups), nc*no)
 	outs := make([]cellOut, p.Trials*nc*no)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -91,11 +93,7 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		// the event stream collapses to its distinct rank pairs before
 		// any distance is computed.
 		topos := []topology.Topology{topology.NewTorus(po, curve)}
-		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
-		a.Release()
+		nfi, ffi := priceCell(p, a, topos, &plans[trial], inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})

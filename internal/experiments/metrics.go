@@ -6,7 +6,6 @@ import (
 	"sfcacd/internal/anns"
 	"sfcacd/internal/clustering"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -95,6 +94,7 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	// Sweep 2: the ACD columns over trial x curve cells.
 	type cellOut struct{ nfi, ffi float64 }
 	groups := make([]shared[[]geom.Point], cfg.Params.Trials)
+	plans := newGroupPlans(len(groups), n)
 	outs := make([]cellOut, cfg.Params.Trials*n)
 	pool := sweepPool(cfg.Params.Workers, len(outs))
 	inner := innerWorkers(cfg.Params.Workers, pool)
@@ -115,13 +115,8 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 		// One topology through the same matrix build and fused
 		// contraction as the other experiment runners.
 		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
-		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: cfg.Params.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
-		o := cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
-		a.Release()
-		outs[cell] = o
+		nfi, ffi := priceCell(cfg.Params, a, topos, &plans[trial], inner)
+		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})
 	if err != nil {

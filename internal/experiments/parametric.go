@@ -52,6 +52,9 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 	}
 	nc := len(curves)
 	groups := make([]shared[[]geom.Point], p.Trials)
+	// Each radius induces its own near-field pairs, so a trial's cells
+	// share one plan per radius: plans[trial*len(radii)+i].
+	plans := newGroupPlans(p.Trials*len(radii), nc)
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -69,18 +72,16 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		if err != nil {
 			return err
 		}
-		// Each radius induces its own event stream, so the sweep
-		// builds one matrix per radius and contracts it against the
-		// torus via the shared matrix path.
+		// The radii share one occupancy index (a.KeyIndex is cached);
+		// each builds its own matrix and contracts it against the torus.
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		// The radii share one occupancy index (a.KeyIndex is cached),
-		// so only the enumeration repeats.
 		o := make([]float64, len(radii))
 		for i, radius := range radii {
-			acc := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-				Radius: radius, Metric: geom.MetricChebyshev, Workers: inner,
-			})
-			o[i] = acc[0].ACD()
+			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner}
+			g := &plans[trial*len(radii)+i]
+			opts.Plan = g.get(a.KeyIndex(), opts.Spec(), workerBudget(p.Workers))
+			o[i] = fmmmodel.NFIMulti(a, topos, opts)[0].ACD()
+			g.done()
 		}
 		a.Release()
 		outs[cell] = o
@@ -150,6 +151,7 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	nc := len(curves)
 	type cellOut struct{ nfi, ffi float64 }
 	groups := make([]shared[[]geom.Point], len(sizes)*p.Trials)
+	plans := newGroupPlans(len(groups), nc)
 	outs := make([]cellOut, len(groups)*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -171,11 +173,7 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(q.ProcOrder, curve)}
-		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: q.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
-		a.Release()
+		nfi, ffi := priceCell(q, a, topos, &plans[g], inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})
@@ -231,6 +229,7 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 	nc := len(curves)
 	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
 	groups := make([]shared[[]geom.Point], p.Trials)
+	plans := newGroupPlans(len(groups), nc)
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -252,11 +251,7 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 			topology.NewMesh(p.ProcOrder, curve),
 			topology.NewTorus(p.ProcOrder, curve),
 		}
-		nfi := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
-		a.Release()
+		nfi, ffi := priceCell(p, a, topos, &plans[trial], inner)
 		outs[cell] = cellOut{
 			meshNFI:  nfi[0].ACD(),
 			torusNFI: nfi[1].ACD(),

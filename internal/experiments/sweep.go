@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 )
 
@@ -37,17 +38,16 @@ var (
 // given cell count: the requested Params.Workers, defaulting to
 // GOMAXPROCS, clamped to the cell count.
 func sweepPool(requested, cells int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	return max(min(workerBudget(requested), cells), 1)
+}
+
+// workerBudget resolves a sweep's total worker budget: the requested
+// Params.Workers, defaulting to GOMAXPROCS.
+func workerBudget(requested int) int {
+	if requested <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w > cells {
-		w = cells
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return requested
 }
 
 // innerWorkers splits the worker budget between the sweep pool and the
@@ -57,11 +57,7 @@ func sweepPool(requested, cells int) int {
 // Inner results are worker-count-invariant, so the split cannot change
 // any output.
 func innerWorkers(requested, pool int) int {
-	total := requested
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	w := total / pool
+	w := workerBudget(requested) / pool
 	if w < 1 {
 		w = 1
 	}
@@ -164,4 +160,44 @@ type shared[T any] struct {
 func (s *shared[T]) get(f func() (T, error)) (T, error) {
 	s.once.Do(func() { s.v, s.err = f() })
 	return s.v, s.err
+}
+
+// groupPlan shares one keynav.Plan among the cells of a sweep group:
+// the cells that price one sampled particle set, under each curve (and,
+// in fig7, each processor count). The plan's cell pairs depend only on
+// which cells are occupied, so the first cell to arrive records it from
+// its own assignment's index with the sweep's whole worker budget — the
+// group's other cells wait on it anyway — and every cell replays it
+// against its own ranks. The group's last cell releases it, so a sweep
+// holds only the plans of the groups it has in flight.
+type groupPlan struct {
+	once sync.Once
+	plan *keynav.Plan
+	left atomic.Int32 // cells yet to call done
+}
+
+// newGroupPlans returns the plans of `groups` groups of `cells` cells.
+func newGroupPlans(groups, cells int) []groupPlan {
+	g := make([]groupPlan, groups)
+	for i := range g {
+		g[i].left.Store(int32(cells))
+	}
+	return g
+}
+
+// get returns the group's plan, recording spec over ix on the first
+// call. Every later caller must assign the same particle set.
+func (g *groupPlan) get(ix *keynav.Index, spec keynav.Spec, workers int) *keynav.Plan {
+	g.once.Do(func() { g.plan = keynav.RecordPlan(ix, spec, workers) })
+	return g.plan
+}
+
+// done marks one of the group's cells finished with the plan; the last
+// one releases it. A cell that fails before done leaves the plan to
+// the garbage collector.
+func (g *groupPlan) done() {
+	if g.left.Add(-1) == 0 {
+		g.plan.Release()
+		g.plan = nil
+	}
 }

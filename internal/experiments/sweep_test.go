@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sfcacd/internal/dist"
+	"sfcacd/internal/obs"
 )
 
 // TestSweepEquality pins the scheduler's determinism guarantee: every
@@ -147,5 +151,44 @@ func TestSweepEmpty(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("empty sweep: %v", err)
+	}
+}
+
+// TestPlanSharedAcrossCells runs sweeps whose cells share one recorded
+// plan per sampled particle set on several workers — concurrent
+// replays, and the release by each group's last cell, which the race
+// detector checks — and requires the one-worker results and exactly
+// one recording per group: a (distribution, trial) pair in table12, a
+// trial across every curve and processor count in fig7.
+func TestPlanSharedAcrossCells(t *testing.T) {
+	plans := obs.GetCounter("keynav.plans")
+	p := Params{Particles: 500, Order: 6, ProcOrder: 2, Radius: 2, Trials: 2, Seed: 5}
+	for name, run := range map[string]func(Params) (any, int, error){
+		"table12": func(p Params) (any, int, error) {
+			res, err := RunTable12(context.Background(), p)
+			return res, len(dist.All()) * p.Trials, err
+		},
+		"fig7": func(p Params) (any, int, error) {
+			res, err := RunFig7(context.Background(), p, []uint{1, 2, 3})
+			return res, p.Trials, err
+		},
+	} {
+		var want any
+		for _, workers := range []int{1, 4} {
+			p.Workers = workers
+			before := plans.Value()
+			got, groups, err := run(p)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if n := plans.Value() - before; n != uint64(groups) {
+				t.Errorf("%s workers=%d: %d plans recorded for %d groups", name, workers, n, groups)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: workers=%d results differ from workers=1", name, workers)
+			}
+		}
 	}
 }

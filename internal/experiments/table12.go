@@ -4,7 +4,6 @@ import (
 	"context"
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -58,11 +57,12 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 	nc := len(curves)
 
 	// Cell (d, trial, pc) -> index (d*Trials+trial)*nc + pc; the trial
-	// group (d, trial) shares one sampled particle set.
+	// group (d, trial) shares one sampled particle set and its plan.
 	type cellOut struct {
 		nfi, ffi []float64 // per processor-order curve
 	}
 	groups := make([]shared[[]geom.Point], len(samplers)*p.Trials)
+	plans := newGroupPlans(len(groups), nc)
 	outs := make([]cellOut, len(groups)*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -81,16 +81,12 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 		if err != nil {
 			return err
 		}
-		nfiAccs := fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-		})
-		ffiAccs := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
+		nfiAccs, ffiAccs := priceCell(p, a, topos, &plans[g], inner)
 		o := cellOut{nfi: make([]float64, nc), ffi: make([]float64, nc)}
 		for proc := range curves {
 			o.nfi[proc] = nfiAccs[proc].ACD()
 			o.ffi[proc] = ffiAccs[proc].Total().ACD()
 		}
-		a.Release()
 		outs[cell] = o
 		return nil
 	})

@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -33,10 +34,12 @@ func allTopologies() []topology.Topology {
 
 // TestDifferentialMatrixVsDirect sweeps seeds x particle orders and
 // checks the matrix path against the direct oracle on curve-sorted
-// Assign inputs (see checkMatrixVsDirect for the radii, metrics and
-// topologies covered).
+// Assign inputs and a shuffled-rank FromOwners input, each also
+// replaying plans recorded on the next assignment of the same particle
+// set (see checkMatrixVsDirect for the radii, metrics and topologies
+// covered).
 func TestDifferentialMatrixVsDirect(t *testing.T) {
-	const order = 6
+	const order, p = 6, 64
 	topos := allTopologies()
 	curves := []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
 	for seed := int64(1); seed <= 2; seed++ {
@@ -44,29 +47,69 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var as []*acd.Assignment
+		var names []string
 		for _, curve := range curves {
-			a, err := acd.Assign(pts, curve, order, 64)
+			a, err := acd.Assign(pts, curve, order, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkMatrixVsDirect(t, fmt.Sprintf("seed%d/%s", seed, curve.Name()), a, topos)
+			as, names = append(as, a), append(names, curve.Name())
+		}
+		as, names = append(as, shuffledOwners(t, pts, order, p, uint64(seed))), append(names, "owners")
+		for i, a := range as {
+			checkMatrixVsDirect(t, fmt.Sprintf("seed%d/%s", seed, names[i]), a, topos, as[(i+1)%len(as)])
 		}
 	}
 }
 
+// shuffledOwners assigns pts in sampling order to ranks shuffled so
+// they are not monotone along any curve: the input shape loadbalance
+// and dynamic build.
+func shuffledOwners(t *testing.T, pts []geom.Point, order uint, p int, seed uint64) *acd.Assignment {
+	t.Helper()
+	perm := make([]int, len(pts))
+	rng.New(seed + 100).Perm(perm)
+	ranks := make([]int32, len(pts))
+	for i, j := range perm {
+		ranks[i] = int32(j * p / len(pts))
+	}
+	a, err := acd.FromOwners(pts, ranks, order, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // checkMatrixVsDirect holds NFIMulti (radii 1 and 2, both metrics)
 // and FFIMulti to the direct per-event oracle on every topology in
-// topos, for one assignment.
-func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology) {
+// topos, for one assignment: once with private plans, and once
+// replaying plans recorded on planFrom, another assignment of the same
+// particle set.
+func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology, planFrom *acd.Assignment) {
 	t.Helper()
+	ffiDirect := make([]FFIResult, len(topos))
+	for i, topo := range topos {
+		ffiDirect[i] = oracleFFI(a, topo)
+	}
 	for _, radius := range []int{1, 2} {
 		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			opts := NFIOptions{Radius: radius, Metric: metric}
-			multi := NFIMulti(a, topos, opts)
+			private := NFIMulti(a, topos, opts)
+			spec := opts.Spec()
+			spec.Far = true
+			opts.Plan = keynav.RecordPlan(planFrom.KeyIndex(), spec, 2)
+			shared := NFIMulti(a, topos, opts)
+			sharedFFI := FFIMulti(a, topos, FFIOptions{Plan: opts.Plan})
+			opts.Plan.Release()
 			for i, topo := range topos {
-				if direct := oracleNFI(a, topo, opts); multi[i] != direct {
-					t.Errorf("%s r=%d %s %s: NFI matrix %+v != direct %+v",
-						name, radius, metric, topo.Name(), multi[i], direct)
+				if direct := oracleNFI(a, topo, opts); private[i] != direct || shared[i] != direct {
+					t.Errorf("%s r=%d %s %s: NFI matrix %+v (shared plan %+v) != direct %+v",
+						name, radius, metric, topo.Name(), private[i], shared[i], direct)
+				}
+				if sharedFFI[i] != ffiDirect[i] {
+					t.Errorf("%s r=%d %s %s: FFI matrix from a shared plan %+v != direct %+v",
+						name, radius, metric, topo.Name(), sharedFFI[i], ffiDirect[i])
 				}
 			}
 		}
@@ -74,8 +117,8 @@ func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []t
 
 	multi := FFIMulti(a, topos, FFIOptions{})
 	for i, topo := range topos {
-		if direct := oracleFFI(a, topo); multi[i] != direct {
-			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], direct)
+		if multi[i] != ffiDirect[i] {
+			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], ffiDirect[i])
 		}
 	}
 }

@@ -13,12 +13,16 @@
 //     representative processors (the minimum rank in the cell).
 //
 // Every consumer prices the event stream through one pipeline: the
-// assignment's key-space index (internal/keynav) enumerates the
-// events, a communication matrix (internal/commmat) aggregates them by
-// rank pair (NFIMatrix, FFIMatricesFromIndex), and one fused pass
-// contracts the matrix against the distance tables of any number of
-// topologies (NFIMulti, FFIMulti). The direct per-event traversal
-// survives only as the oracle in this package's tests.
+// key-space index (internal/keynav) records the event-producing cell
+// pairs of the assignment's particle set as a plan, a communication
+// matrix (internal/commmat) aggregates the plan replayed against the
+// assignment's ranks (NFIMatrix, FFIMatricesFromIndex), and one fused
+// pass contracts the matrix against the distance tables of any number
+// of topologies (NFIMulti, FFIMulti). The plan does not depend on the
+// ranks, so callers pricing one particle set under several curves pass
+// a shared plan (NFIOptions.Plan, FFIOptions.Plan) and enumerate once;
+// without one each build records a private plan. The direct per-event
+// traversal survives only as the oracle in this package's tests.
 //
 // The model is contention-unaware: distances are shortest-path hop
 // counts regardless of concurrent traffic (§IV step 6).
@@ -29,6 +33,7 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 )
 
 // NFIOptions configures the near-field model.
@@ -41,6 +46,12 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
+	// Plan, when set, supplies the near-field pairs of the assignment's
+	// particle set, recorded for this Radius and Metric by
+	// keynav.RecordPlan (it panics otherwise). Nil records a private
+	// plan. The plan is an input shared across assignments of one
+	// particle set, not a tuning knob: the matrix is the same either way.
+	Plan *keynav.Plan
 }
 
 func (o *NFIOptions) normalize() {
@@ -50,6 +61,13 @@ func (o *NFIOptions) normalize() {
 	if o.Workers <= 0 {
 		o.Workers = defaultWorkers()
 	}
+}
+
+// Spec returns the keynav.Spec whose plan serves these options' near
+// field, with NFIMatrix's defaults applied (radius 0 means 1).
+func (o NFIOptions) Spec() keynav.Spec {
+	o.normalize()
+	return keynav.Spec{Radius: o.Radius, Metric: o.Metric}
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -92,4 +110,8 @@ func (r FFIResult) record() {
 type FFIOptions struct {
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
+	// Plan, when set, supplies the interaction-list pairs of the
+	// assignment's particle set (a keynav.Plan recorded with Far). Nil
+	// records a private plan; the matrices are the same either way.
+	Plan *keynav.Plan
 }

@@ -15,7 +15,8 @@ import (
 // with particles in sampling order and ranks shuffled so they are not
 // monotone along any curve. The index must sort the keys itself and
 // carry each particle's own rank; checkMatrixVsDirect holds the result
-// to the direct per-event oracle on all six topologies.
+// to the direct per-event oracle on all six topologies, with private
+// plans and with plans recorded on a Morton assignment of the set.
 func TestDifferentialKeysEngine(t *testing.T) {
 	const order, p = 6, 64
 	topos := allTopologies()
@@ -24,17 +25,11 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perm := make([]int, len(pts))
-		rng.New(uint64(seed) + 100).Perm(perm)
-		ranks := make([]int32, len(pts))
-		for i, j := range perm {
-			ranks[i] = int32(j * p / len(pts))
-		}
-		a, err := acd.FromOwners(pts, ranks, order, p)
+		morton, err := acd.Assign(pts, sfc.Morton, order, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMatrixVsDirect(t, fmt.Sprintf("seed%d/owners", seed), a, topos)
+		checkMatrixVsDirect(t, fmt.Sprintf("seed%d/owners", seed), shuffledOwners(t, pts, order, p, uint64(seed)), topos, morton)
 	}
 }
 

@@ -2,6 +2,7 @@ package fmmmodel
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
@@ -11,7 +12,8 @@ import (
 )
 
 // This file builds topology-independent communication matrices
-// (internal/commmat) from the model's event streams. Contracting a
+// (internal/commmat) from the model's event streams, by replaying a
+// keynav.Plan against one index's representative ranks. Contracting a
 // matrix against a topology reproduces the accumulator of the ordered
 // per-event stream bit for bit (the differential tests pin this
 // against a direct per-event oracle). Two symmetries cut the
@@ -49,47 +51,58 @@ const tightBand = 256
 // the overflow log.
 const ilBand = 512
 
-// NFIMatrix aggregates the assignment's near-field event stream in one
-// parallel traversal into a symmetric-canonical matrix: every unordered
-// particle pair within opts.Radius contributes one event between the
-// owning ranks, keyed with the smaller rank as source. Neighbor cells
-// are reached by dilated-integer arithmetic on the particle's Morton
-// key and ranks resolved by key search on the assignment's shared
-// occupancy index. Contract with the Sym variant; each pair then
-// counts once per direction, exactly reproducing the ordered stream.
+// NFIMatrix aggregates the assignment's near-field event stream into a
+// symmetric-canonical matrix: every unordered particle pair within
+// opts.Radius contributes one event between the owning ranks, keyed
+// with the smaller rank as source. The pairs come from opts.Plan (or a
+// plan recorded here over the assignment's occupancy index) and are
+// replayed against the index's ranks in one parallel pass. Contract
+// with the Sym variant; each pair then counts once per direction,
+// exactly reproducing the ordered stream.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	defer obs.StartSpan("commmat.build.nfi").End()
 	opts.normalize()
 	ix := a.KeyIndex()
-	n := ix.N()
-	workers := opts.Workers
-	if workers > n {
-		workers = n
+	pl := opts.Plan
+	if pl == nil {
+		pl = keynav.RecordPlan(ix, keynav.Spec{Radius: opts.Radius, Metric: opts.Metric}, opts.Workers)
+		defer pl.Release()
+	} else {
+		pl.Check(ix)
 	}
+	chunks := pl.Near(opts.Radius, opts.Metric)
+	reps := ix.Reps(ix.Order)
+	workers := min(opts.Workers, max(len(chunks), 1))
 	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
-	chunk := (n + workers - 1) / workers
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(s *commmat.Shard) {
 			defer wg.Done()
-			s := b.Shard(w)
-			ix.VisitUpperNeighborPairs(lo, hi, opts.Radius, opts.Metric, func(mine, r int32) {
-				if r < mine {
-					s.Add(r, mine)
-				} else {
-					s.Add(mine, r)
+			for {
+				c := int(next.Add(1)) - 1
+				if c >= len(chunks) {
+					return
 				}
-			})
-		}(w, lo, hi)
+				replaySym(s, reps, chunks[c])
+			}
+		}(b.Shard(w))
 	}
 	wg.Wait()
 	return b.Finalize()
+}
+
+// replaySym adds one event per pair between the two cells'
+// representatives, in canonical (smaller rank first) form.
+func replaySym(s *commmat.Shard, reps []int32, pairs []keynav.Pair) {
+	for _, pr := range pairs {
+		r, q := reps[pr.A], reps[pr.B]
+		if q < r {
+			r, q = q, r
+		}
+		s.Add(r, q)
+	}
 }
 
 // FFIMatrices holds the far-field communication matrices by type.
@@ -109,73 +122,78 @@ type FFIMatrices struct {
 }
 
 // FFIMatricesFromIndex aggregates the far-field event streams of an
-// assignment over p ranks from its key-space index's per-level
-// occupied-cell slabs: the same streams a walk over the
-// representative quadtree (quadtree.RankTree) produces. Both the parent-child pass and the
-// interaction-list pass run on a fixed worker pool, one builder shard
-// per worker. Work is chunked over slab positions, so task cost tracks
-// occupancy — there are no empty-cell scans — and the interaction
-// lists are enumerated from adjacent parent pairs rather than per-cell
-// candidate windows.
+// assignment over p ranks from its key-space index: the same streams a
+// walk over the representative quadtree (quadtree.RankTree) produces.
+// It records a private plan of the index's interaction lists and
+// replays it (see ffiMatrices).
 func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
+	return ffiMatrices(ix, nil, p, workers)
+}
+
+// ffiMatrices replays the far-field streams against the index's
+// per-level representatives: the parent-child links straight from the
+// index's child groups, the interaction lists from the plan (recorded
+// here when pl is nil). Both passes run on a fixed worker pool, one
+// builder shard per worker, with work chunked over slab positions and
+// plan pairs, so task cost tracks occupancy.
+func ffiMatrices(ix *keynav.Index, pl *keynav.Plan, p, workers int) FFIMatrices {
 	defer obs.StartSpan("commmat.build.ffi").End()
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
-	bl := commmat.NewBuilderBanded(p, workers, ilBand)
+	if pl == nil {
+		pl = keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
+		defer pl.Release()
+	} else {
+		pl.Check(ix)
+	}
+	// A task replays the links from parent positions [lo, hi) of level
+	// l-1 to their child groups, or one plan chunk of level l's
+	// interaction lists.
 	type task struct {
-		level       uint
-		lo, hi      int
-		interaction bool
+		level  uint
+		lo, hi int
+		il     []keynav.Pair
 	}
 	var tasks []task
-	chunkTasks := func(level uint, m int, interaction bool) {
-		chunk := m / (4 * workers)
-		if chunk == 0 {
-			chunk = 1
-		}
-		for lo := 0; lo < m; lo += chunk {
-			hi := lo + chunk
-			if hi > m {
-				hi = m
-			}
-			tasks = append(tasks, task{level: level, lo: lo, hi: hi, interaction: interaction})
-		}
-	}
 	for l := ix.Order; l >= 1; l-- {
-		chunkTasks(l, ix.LevelLen(l), false)
+		m := ix.LevelLen(l - 1)
+		chunk := max(m/(4*workers), 1)
+		for lo := 0; lo < m; lo += chunk {
+			tasks = append(tasks, task{level: l, lo: lo, hi: min(lo+chunk, m)})
+		}
 	}
-	// Interaction-list work is keyed by the parent level: pairs are
-	// enumerated from their row-major-lower parent.
 	for l := uint(2); l <= ix.Order; l++ {
-		chunkTasks(l, ix.LevelLen(l-1), true)
+		for _, c := range pl.IL(l) {
+			if len(c) > 0 {
+				tasks = append(tasks, task{level: l, il: c})
+			}
+		}
 	}
+	bi := commmat.NewBuilderBanded(p, workers, tightBand)
+	bl := commmat.NewBuilderBanded(p, workers, ilBand)
 	ch := make(chan task)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(si, sl *commmat.Shard) {
 			defer wg.Done()
-			si, sl := bi.Shard(w), bl.Shard(w)
 			for t := range ch {
-				if t.interaction {
-					ix.VisitUpperILPairs(t.level, t.lo, t.hi, func(rep, other int32) {
-						if other < rep {
-							sl.Add(other, rep)
-						} else {
-							sl.Add(rep, other)
-						}
-					})
-				} else {
-					// Parent representatives are minima over children, so
-					// (parent, child) is already canonical.
-					ix.VisitParentLinks(t.level, t.lo, t.hi, func(parent, rep int32) {
-						si.Add(parent, rep)
-					})
+				reps := ix.Reps(t.level)
+				if t.il != nil {
+					replaySym(sl, reps, t.il)
+					continue
+				}
+				// Parent representatives are minima over children, so
+				// (parent, child) is already canonical.
+				parents, start := ix.Reps(t.level-1), ix.ChildStart(t.level-1)
+				for j := t.lo; j < t.hi; j++ {
+					for _, r := range reps[start[j]:start[j+1]] {
+						si.Add(parents[j], r)
+					}
 				}
 			}
-		}(w)
+		}(bi.Shard(w), bl.Shard(w))
 	}
 	for _, t := range tasks {
 		ch <- t

@@ -48,7 +48,7 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	if len(topos) == 0 {
 		return make([]FFIResult, 0)
 	}
-	ms := FFIMatricesFromIndex(a.KeyIndex(), topos[0].P(), opts.Workers)
+	ms := ffiMatrices(a.KeyIndex(), opts.Plan, topos[0].P(), opts.Workers)
 	return ms.ContractAll(topos, opts.Workers)
 }
 

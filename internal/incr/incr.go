@@ -211,17 +211,23 @@ func (s *State) occClear(q geom.Point) {
 	}
 }
 
-// refill rebuilds the near-field matrix from the key-space index (one
-// upper-pair traversal, as fmmmodel.NFIMatrix does).
+// refill rebuilds the near-field matrix from the key-space index: it
+// records the index's near-field plan and replays it against the
+// current owners, as fmmmodel.NFIMatrix does.
 func (s *State) refill() {
 	s.counts.Reset()
-	s.ix.VisitUpperNeighborPairs(0, s.n, s.cfg.Radius, s.cfg.Metric, func(mine, r int32) {
-		if r < mine {
-			s.counts.Add(r, mine)
-		} else {
-			s.counts.Add(mine, r)
+	pl := keynav.RecordPlan(s.ix, keynav.Spec{Radius: s.cfg.Radius, Metric: s.cfg.Metric}, 1)
+	reps := s.ix.Reps(s.ix.Order)
+	for _, chunk := range pl.Near(s.cfg.Radius, s.cfg.Metric) {
+		for _, pr := range chunk {
+			r, q := reps[pr.A], reps[pr.B]
+			if q < r {
+				r, q = q, r
+			}
+			s.counts.Add(r, q)
 		}
-	})
+	}
+	pl.Release()
 }
 
 // forAffectedPairs enumerates, in the state's current configuration,

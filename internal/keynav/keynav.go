@@ -17,10 +17,16 @@
 //
 // The index is the only neighbor engine: acd.Assignment.RankAt and
 // both matrix passes of internal/fmmmodel answer through it. Its
-// oracles live in the tests: quadtree.RankTree for the per-level
-// queries and a cell->rank map built from the assignment's arrays for
-// the finest level. For every query family here a test pins exact
-// equality of the produced event multisets against that enumeration.
+// enumeration records a Plan: the near-field and interaction-list cell
+// pairs as slab positions (a cell's index in its level's sorted key
+// array). Positions depend only on which cells are occupied, so one
+// plan serves every assignment of a particle set, replayed against
+// each index's per-level representatives (Reps); the parent-child
+// links need no plan (ChildStart). The oracles live in the tests:
+// quadtree.RankTree for the per-level queries and a cell->rank map
+// built from the assignment's arrays for the finest level. For every
+// query family here a test pins exact equality of the replayed event
+// multisets against that enumeration.
 package keynav
 
 import (
@@ -169,6 +175,13 @@ func (ix *Index) Rebuild(order uint, pts []geom.Point, ranks []int32) {
 	}
 	defer obs.StartSpan("keybuild").End()
 	buildCounter.Inc()
+	// The previous finest level's slabs alias ix.keys/ix.ranks. At
+	// another order that slot becomes a coarser level, whose appends
+	// would then overwrite the new finest keys: detach it first, so no
+	// level but the finest ever shares the particle arrays.
+	if int(ix.Order) < len(ix.lv) {
+		ix.lv[ix.Order].keys, ix.lv[ix.Order].reps = nil, nil
+	}
 	n := len(pts)
 	ix.Order = order
 	ix.keys = grow(ix.keys, n)
@@ -245,6 +258,18 @@ func (ix *Index) N() int { return len(ix.keys) }
 // LevelLen returns the number of occupied cells at a level.
 func (ix *Index) LevelLen(l uint) int { return len(ix.lv[l].keys) }
 
+// Reps returns the representative ranks of level l's occupied cells in
+// slab order: the ranks a Plan's slab positions index. The slice
+// belongs to the index and must not be modified.
+func (ix *Index) Reps(l uint) []int32 { return ix.lv[l].reps }
+
+// ChildStart returns, for level l < Order, where each occupied cell's
+// child group starts in level l+1's slab (LevelLen(l)+1 entries, the
+// last one LevelLen(l+1)): the parent-child links of the interpolation
+// stream, which no Plan needs to store. The slice belongs to the index
+// and must not be modified.
+func (ix *Index) ChildStart(l uint) []int32 { return ix.lv[l].childStart }
+
 // RankAt returns the rank owning the particle in the given finest cell,
 // or -1 if the cell is empty or outside the grid (whose Morton key
 // would fall outside the level directory).
@@ -276,58 +301,29 @@ func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	return -1
 }
 
-// nearScan bounds the sequential probe of rankNear before it falls
-// back to the directory search: eight keys is one cache line of the
-// sorted array.
+// nearScan bounds the forward scan of a neighbor probe before it
+// falls back to the directory search: eight keys is one cache line of
+// the sorted array.
 const nearScan = 8
 
-// rankNear resolves the rank of the cell with key kt, hinted that the
-// probe originates from sorted position i. Neighbor cells usually sit
-// a handful of positions ahead in key order, so a short forward scan
-// answers most probes (including definite misses, when the scan passes
-// kt) without touching the directory.
-func (ix *Index) rankNear(i int, kt uint64) int32 {
-	fin := &ix.lv[ix.Order]
-	if kt > fin.keys[i] {
-		end := i + nearScan
-		if end > len(fin.keys) {
-			end = len(fin.keys)
-		}
-		for j := i + 1; j < end; j++ {
-			if kj := fin.keys[j]; kj >= kt {
-				if kj == kt {
-					return fin.reps[j]
-				}
-				return -1
-			}
-		}
-		if end == len(fin.keys) {
-			return -1
-		}
-	}
-	if j := fin.find(kt); j >= 0 {
-		return fin.reps[j]
-	}
-	return -1
-}
-
-// VisitUpperNeighborPairs calls fn(rank, neighborRank) for every
-// occupied cell q within metric distance radius of particle i that
-// follows i's cell in row-major order, for every particle i in
-// [lo, hi). The enumeration mirrors geom.VisitUpperNeighborhood
-// exactly (same clamping at the grid edges), so over the full particle
-// range the emitted rank pairs are the near-field upper event stream.
-// Neighbor cells are reached by dilated-integer arithmetic on the key
-// and resolved against the sorted array.
-func (ix *Index) VisitUpperNeighborPairs(lo, hi, radius int, m geom.Metric, fn func(rank, neighbor int32)) {
+// upperNeighborPairs appends to out, for every particle position i in
+// [lo, hi), a Pair{i, j} for every occupied cell j within metric
+// distance radius of i's cell that follows it in row-major order. The
+// enumeration mirrors geom.VisitUpperNeighborhood exactly (same
+// clamping at the grid edges), so over the full particle range the
+// pairs are the near-field upper event stream. Neighbor cells are
+// reached by dilated-integer arithmetic on the key and resolved against
+// the sorted array.
+func (ix *Index) upperNeighborPairs(lo, hi, radius int, m geom.Metric, out []Pair) []Pair {
 	if radius <= 0 {
-		return
+		return out
 	}
 	side := int(geom.Side(ix.Order))
 	fin := &ix.lv[ix.Order]
+	keys := fin.keys
+	n := len(keys)
 	for i := lo; i < hi; i++ {
-		x, y := sfc.MortonCoords(fin.keys[i])
-		mine := fin.reps[i]
+		x, y := sfc.MortonCoords(keys[i])
 		for dy := 0; dy <= radius; dy++ {
 			yq := int(y) + dy
 			if yq >= side {
@@ -350,81 +346,42 @@ func (ix *Index) VisitUpperNeighborPairs(lo, hi, radius int, m geom.Metric, fn f
 			}
 			ypart := sfc.MortonYPart(uint32(yq))
 			xpart := sfc.MortonXPart(uint32(x0))
-			if dy == 0 {
-				// Same-row probes start at x+1, whose key follows the
-				// particle's own sorted position: hint from there.
-				for xq := x0; xq <= x1; xq++ {
-					kt := ypart | xpart
-					xpart = sfc.MortonIncX(xpart)
-					if r := ix.rankNear(i, kt); r >= 0 {
-						fn(mine, r)
-					}
-				}
-				continue
-			}
-			// Rows above the particle sit far from position i in key
-			// order, but the row's own targets ascend, so after one
-			// directory placement a cursor rides the row: each next
-			// target is resolved by a short forward scan from the
-			// previous one, falling back to the directory only when
-			// the gap holds more than a cache line of other-row keys.
-			c := -1
+			// A row's targets ascend in key order, and nearby cells
+			// mostly sit a few positions after the particle's own, so a
+			// cursor c starting at i rides the row: each target's lower
+			// bound is found by a short forward scan from the cursor,
+			// with the directory as the fallback.
+			c := i
 			for xq := x0; xq <= x1; xq++ {
 				kt := ypart | xpart
 				xpart = sfc.MortonIncX(xpart)
-				j := -1
-				if c >= 0 && kt > fin.keys[c] {
-					end := c + 1 + nearScan
-					if end > len(fin.keys) {
-						end = len(fin.keys)
+				j := c + 1
+				if kt <= keys[c] {
+					j = fin.lowerBound(kt)
+				} else {
+					end := min(j+nearScan, n)
+					for j < end && keys[j] < kt {
+						j++
 					}
-					for t := c + 1; t < end; t++ {
-						if fin.keys[t] >= kt {
-							j = t
-							break
-						}
-					}
-					if j < 0 {
-						if end == len(fin.keys) {
-							// Every remaining key is below kt; the rest
-							// of the row is unoccupied.
-							break
-						}
+					if j == end && end < n {
 						j = fin.lowerBound(kt)
 					}
-				} else {
-					j = fin.lowerBound(kt)
 				}
-				if j < len(fin.keys) && fin.keys[j] == kt {
-					fn(mine, fin.reps[j])
+				if j == n {
+					// Every key is below kt: the rest of the row is
+					// unoccupied.
+					break
+				}
+				if keys[j] == kt {
+					out = append(out, Pair{int32(i), int32(j)})
 					c = j
 				} else {
-					c = j - 1
+					c = max(j-1, 0)
 				}
 			}
 		}
 	}
-}
-
-// VisitParentLinks calls fn(parentRep, rep) for every occupied cell in
-// positions [lo, hi) of level l >= 1 — the interpolation link stream.
-// The parent level is walked in lockstep (both levels are sorted by
-// key and children form contiguous groups), so after one search to
-// place the cursor the pass is two linear scans.
-func (ix *Index) VisitParentLinks(l uint, lo, hi int, fn func(parentRep, rep int32)) {
-	if l < 1 || lo >= hi {
-		return
-	}
-	cur := &ix.lv[l]
-	par := &ix.lv[l-1]
-	j := par.find(cur.keys[lo] >> 2)
-	for i := lo; i < hi; i++ {
-		pk := cur.keys[i] >> 2
-		for par.keys[j] != pk {
-			j++
-		}
-		fn(par.reps[j], cur.reps[i])
-	}
+	return out
 }
 
 // parentUpper lists the row-major-upper neighbor offsets of a parent
@@ -474,17 +431,17 @@ func abs(v int) int {
 	return v
 }
 
-// VisitUpperILPairs calls fn(rep, otherRep) once for every unordered
-// interaction-list pair of occupied cells at level l >= 2 whose
-// parents lie in positions [plo, phi) of level l-1 (the pair is
+// upperILPairs appends to out one Pair of level-l positions for every
+// unordered interaction-list pair of occupied cells at level l >= 2
+// whose parents lie in positions [plo, phi) of level l-1 (the pair is
 // attributed to its row-major-lower parent). Instead of scanning the
 // 6x6 candidate window around every cell, the pass enumerates adjacent
 // parent pairs — four upper neighbor probes per occupied parent — and
 // crosses their child groups, which are contiguous runs of the level-l
 // slab, filtering sibling-adjacency by the precomputed ilCross masks.
-func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int32)) {
+func (ix *Index) upperILPairs(l uint, plo, phi int, out []Pair) []Pair {
 	if l < 2 {
-		return
+		return out
 	}
 	par := &ix.lv[l-1]
 	ch := &ix.lv[l]
@@ -524,13 +481,13 @@ func (ix *Index) VisitUpperILPairs(l uint, plo, phi int, fn func(rep, other int3
 			bLo, bHi := par.childStart[jq], par.childStart[jq+1]
 			for ai := aLo; ai < aHi; ai++ {
 				bm := ilCross[o][ch.keys[ai]&3]
-				ra := ch.reps[ai]
 				for bi := bLo; bi < bHi; bi++ {
 					if bm>>(ch.keys[bi]&3)&1 != 0 {
-						fn(ra, ch.reps[bi])
+						out = append(out, Pair{ai, bi})
 					}
 				}
 			}
 		}
 	}
+	return out
 }

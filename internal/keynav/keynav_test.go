@@ -2,6 +2,7 @@ package keynav_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -121,11 +122,37 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
+// recordWorkers are the recording worker counts the enumeration tests
+// cover: a plan must come out the same however its chunks are spread.
+var recordWorkers = []int{1, 2, 7}
+
+// nearRanks replays a plan's near-field pairs against the index's
+// finest-level ranks as a canonical rank-pair multiset.
+func nearRanks(ix *keynav.Index, pl *keynav.Plan, radius int, m geom.Metric) map[uint64]int {
+	reps := ix.Reps(ix.Order)
+	got := map[uint64]int{}
+	for _, pr := range slices.Concat(pl.Near(radius, m)...) {
+		got[pairKey(reps[pr.A], reps[pr.B])]++
+	}
+	return got
+}
+
+// ilRanks replays a plan's level-l interaction-list pairs against the
+// index's level-l representatives.
+func ilRanks(ix *keynav.Index, pl *keynav.Plan, l uint) map[uint64]int {
+	reps := ix.Reps(l)
+	got := map[uint64]int{}
+	for _, pr := range slices.Concat(pl.IL(l)...) {
+		got[pairKey(reps[pr.A], reps[pr.B])]++
+	}
+	return got
+}
+
 // TestVisitUpperNeighborPairsMatchesOracle compares the near-field
-// upper event multiset against geom.VisitUpperNeighborhood probing a
-// cell->rank map,
-// across metrics, radii (including radius beyond the grid side), and
-// worker-style chunkings of the particle range.
+// upper event multiset, recorded as a plan and replayed against the
+// index's ranks, with geom.VisitUpperNeighborhood probing a cell->rank
+// map, across metrics, radii (including radius beyond the grid side),
+// and recording worker counts.
 func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	side := geom.Side(order)
@@ -144,18 +171,13 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 						}
 					})
 				}
-				for _, chunk := range []int{a.N(), 1, 7} {
-					got := map[uint64]int{}
-					for lo := 0; lo < a.N(); lo += chunk {
-						hi := min(lo+chunk, a.N())
-						ix.VisitUpperNeighborPairs(lo, hi, radius, m, func(rank, nb int32) {
-							got[pairKey(rank, nb)]++
-						})
+				for _, workers := range recordWorkers {
+					pl := keynav.RecordPlan(ix, keynav.Spec{Radius: radius, Metric: m}, workers)
+					if got := nearRanks(ix, pl, radius, m); !mapsEqual(got, want) {
+						t.Fatalf("%s %s r=%d workers=%d: near-field multiset mismatch (got %d keys, want %d)",
+							curve.Name(), m, radius, workers, len(got), len(want))
 					}
-					if !mapsEqual(got, want) {
-						t.Fatalf("%s %s r=%d chunk=%d: near-field multiset mismatch (got %d keys, want %d)",
-							curve.Name(), m, radius, chunk, len(got), len(want))
-					}
+					pl.Release()
 				}
 			}
 		}
@@ -164,7 +186,8 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 }
 
 // TestVisitParentLinksMatchesTree compares the interpolation link
-// multiset per level against the quadtree cell walk.
+// multiset per level, replayed from the index's child groups
+// (ChildStart), against the quadtree cell walk.
 func TestVisitParentLinksMatchesTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
@@ -176,17 +199,19 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 			tree.VisitCells(l, func(x, y uint32, rep int32) {
 				want[pairKey(tree.Rep(l-1, x/2, y/2), rep)]++
 			})
-			for _, chunk := range []int{ix.LevelLen(l), 1, 5} {
-				got := map[uint64]int{}
-				for lo := 0; lo < ix.LevelLen(l); lo += chunk {
-					hi := min(lo+chunk, ix.LevelLen(l))
-					ix.VisitParentLinks(l, lo, hi, func(parent, rep int32) {
-						got[pairKey(parent, rep)]++
-					})
+			parents, start, reps := ix.Reps(l-1), ix.ChildStart(l-1), ix.Reps(l)
+			if len(start) != ix.LevelLen(l-1)+1 || int(start[len(start)-1]) != ix.LevelLen(l) {
+				t.Fatalf("%s l=%d: ChildStart has %d entries ending at %d, want %d ending at %d",
+					curve.Name(), l, len(start), start[len(start)-1], ix.LevelLen(l-1)+1, ix.LevelLen(l))
+			}
+			got := map[uint64]int{}
+			for j, pr := range parents {
+				for _, r := range reps[start[j]:start[j+1]] {
+					got[pairKey(pr, r)]++
 				}
-				if !mapsEqual(got, want) {
-					t.Fatalf("%s l=%d chunk=%d: parent-link multiset mismatch", curve.Name(), l, chunk)
-				}
+			}
+			if !mapsEqual(got, want) {
+				t.Fatalf("%s l=%d: parent-link multiset mismatch", curve.Name(), l)
 			}
 		}
 		ix.Release()
@@ -209,8 +234,9 @@ func upperILPairs(tree *quadtree.RankTree, level uint) map[uint64]int {
 }
 
 // TestVisitUpperILPairsMatchesTree compares the interaction-list pair
-// multiset per level against the quadtree enumeration, both full-range
-// and chunked over parent positions.
+// multiset per level, recorded as a plan at several worker counts and
+// replayed against the level's representatives, with the quadtree
+// enumeration.
 func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 	const order = 5
 	for _, curve := range testCurves {
@@ -221,22 +247,16 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			a := buildAssignment(t, curve, order, tc.n, tc.p, tc.seed)
 			ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-			for l := uint(2); l <= order; l++ {
-				want := upperILPairs(tree, l)
-				plen := ix.LevelLen(l - 1)
-				for _, chunk := range []int{plen, 1, 3} {
-					got := map[uint64]int{}
-					for lo := 0; lo < plen; lo += chunk {
-						hi := min(lo+chunk, plen)
-						ix.VisitUpperILPairs(l, lo, hi, func(rep, other int32) {
-							got[pairKey(rep, other)]++
-						})
-					}
-					if !mapsEqual(got, want) {
-						t.Fatalf("%s n=%d l=%d chunk=%d: IL multiset mismatch (got %d pairs, want %d)",
-							curve.Name(), tc.n, l, chunk, count(got), count(want))
+			for _, workers := range recordWorkers {
+				pl := keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
+				for l := uint(2); l <= order; l++ {
+					want := upperILPairs(tree, l)
+					if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
+						t.Fatalf("%s n=%d l=%d workers=%d: IL multiset mismatch (got %d pairs, want %d)",
+							curve.Name(), tc.n, l, workers, count(got), count(want))
 					}
 				}
+				pl.Release()
 			}
 			ix.Release()
 		}
@@ -260,13 +280,10 @@ func TestDenseGridAllLevels(t *testing.T) {
 	}
 	ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	pl := keynav.RecordPlan(ix, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
 	for l := uint(2); l <= order; l++ {
 		want := upperILPairs(tree, l)
-		got := map[uint64]int{}
-		ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-			got[pairKey(rep, other)]++
-		})
-		if !mapsEqual(got, want) {
+		if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
 			t.Fatalf("dense l=%d: IL multiset mismatch (got %d pairs, want %d)", l, count(got), count(want))
 		}
 	}
@@ -277,14 +294,75 @@ func TestDenseGridAllLevels(t *testing.T) {
 			want[pairKey(a.Ranks[i], ranks.at(q))]++
 		})
 	}
-	got := map[uint64]int{}
-	ix.VisitUpperNeighborPairs(0, a.N(), 1, geom.MetricChebyshev, func(rank, nb int32) {
-		got[pairKey(rank, nb)]++
-	})
-	if !mapsEqual(got, want) {
+	if got := nearRanks(ix, pl, 1, geom.MetricChebyshev); !mapsEqual(got, want) {
 		t.Fatal("dense: near-field multiset mismatch")
 	}
+	pl.Release()
 	ix.Release()
+}
+
+// TestPlanWorkerInvariance requires the recorded pair sequences —
+// not just their multisets — to be identical at every worker count
+// (the chunking may differ), on a dense and a sparse particle set.
+func TestPlanWorkerInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		order uint
+		n     int
+	}{{7, 4000}, {12, 3000}} {
+		a := buildAssignment(t, sfc.Hilbert, tc.order, tc.n, 64, 37)
+		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		spec := keynav.Spec{Radius: 2, Metric: geom.MetricManhattan, Far: true}
+		base := keynav.RecordPlan(ix, spec, 1)
+		for _, workers := range []int{2, 3, 8} {
+			pl := keynav.RecordPlan(ix, spec, workers)
+			if !slices.Equal(slices.Concat(pl.Near(2, geom.MetricManhattan)...), slices.Concat(base.Near(2, geom.MetricManhattan)...)) {
+				t.Fatalf("order %d workers=%d: near-field pairs differ from the one-worker plan", tc.order, workers)
+			}
+			for l := uint(2); l <= tc.order; l++ {
+				if !slices.Equal(slices.Concat(pl.IL(l)...), slices.Concat(base.IL(l)...)) {
+					t.Fatalf("order %d workers=%d l=%d: IL pairs differ from the one-worker plan", tc.order, workers, l)
+				}
+			}
+			pl.Release()
+		}
+		base.Release()
+		ix.Release()
+	}
+}
+
+// TestPlanCheckRejectsOtherCells pins the plan's validity guard: a plan
+// serves an index of any ranks over its own occupied cells, and panics
+// on an index over other cells or at another order, or when asked for
+// a family it did not record.
+func TestPlanCheckRejectsOtherCells(t *testing.T) {
+	const order, n, p = 6, 500, 16
+	a := buildAssignment(t, sfc.Morton, order, n, p, 41)
+	b := buildAssignment(t, sfc.RowMajor, order, n, p, 41) // same cells, other ranks
+	c := buildAssignment(t, sfc.Morton, order, n, p, 43)   // other cells
+	ia := keynav.Build(a.Order, a.Particles, a.Ranks)
+	ib := keynav.Build(b.Order, b.Particles, b.Ranks)
+	ic := keynav.Build(c.Order, c.Particles, c.Ranks)
+	id := keynav.Build(order+1, a.Particles, a.Ranks) // same keys, finer grid
+	pl := keynav.RecordPlan(ia, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 2)
+	pl.Check(ib)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("other cells", func() { pl.Check(ic) })
+	mustPanic("other order", func() { pl.Check(id) })
+	mustPanic("other radius", func() { pl.Near(2, geom.MetricChebyshev) })
+	mustPanic("other metric", func() { pl.Near(1, geom.MetricManhattan) })
+	mustPanic("no far field", func() { pl.IL(2) })
+	pl.Release()
+	for _, ix := range []*keynav.Index{ia, ib, ic, id} {
+		ix.Release()
+	}
 }
 
 // TestFlatMatchesMap pins the 3D-facing flat index against a plain map
@@ -405,9 +483,9 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyNavILPairs measures one full interaction-list sweep over
-// every level, enumerated from adjacent occupied parent pairs — the
-// commmat.build.ffi hot loop.
+// BenchmarkKeyNavILPairs measures recording one far-field plan on one
+// worker: the interaction lists of every level, enumerated from
+// adjacent occupied parent pairs.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint
@@ -423,15 +501,9 @@ func BenchmarkKeyNavILPairs(b *testing.B) {
 		}
 		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		b.Run(fmt.Sprintf("order%d_n%d", tc.order, tc.n), func(b *testing.B) {
-			var events int
 			for i := 0; i < b.N; i++ {
-				for l := uint(2); l <= ix.Order; l++ {
-					ix.VisitUpperILPairs(l, 0, ix.LevelLen(l-1), func(rep, other int32) {
-						events++
-					})
-				}
+				keynav.RecordPlan(ix, keynav.Spec{Far: true}, 1).Release()
 			}
-			_ = events
 		})
 		ix.Release()
 	}

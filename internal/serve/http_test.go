@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -61,6 +62,19 @@ func TestHandlerMissThenHitByteIdentical(t *testing.T) {
 	}
 	if p.Particles != 400 || p.Order != 5 {
 		t.Errorf("effective params %+v did not apply the posted overrides", p)
+	}
+}
+
+// TestHandlerMixedOrders posts table12 at order 8 and then at order 12
+// to one handler: the second request builds its key-space indexes from
+// slabs the first one recycled at a lower order. Both must answer 200.
+func TestHandlerMixedOrders(t *testing.T) {
+	h := NewHandler(New(Options{Workers: 2}))
+	for _, order := range []int{8, 12} {
+		body := fmt.Sprintf(`{"Particles":15625,"Order":%d,"ProcOrder":6,"Radius":1,"Trials":1,"Seed":1}`, order)
+		if rec := postExperiment(t, h, "/v1/experiments/table12", body); rec.Code != http.StatusOK {
+			t.Fatalf("order %d: status %d: %s", order, rec.Code, rec.Body)
+		}
 	}
 }
 
