@@ -268,7 +268,7 @@ func BenchmarkTorusDistance(b *testing.B) {
 	}
 }
 
-// --- Communication-matrix path (PR: topology-independent matrices) ---
+// --- Communication matrices and the priced path ---
 
 // commMatFixture builds one scaled assignment, its key-space index,
 // and the four processor-order tori the tables sweep.
@@ -328,10 +328,10 @@ func BenchmarkCommMatContract(b *testing.B) {
 	}
 }
 
-// BenchmarkTable12MatrixPath measures the multi-topology accumulation
-// at the heart of Tables I/II: one shared traversal contracted against
-// all four processor-order tori.
-func BenchmarkTable12MatrixPath(b *testing.B) {
+// BenchmarkTable12Priced measures the multi-topology accumulation at
+// the heart of Tables I/II: one replay of the near- and far-field
+// streams priced on all four processor-order tori.
+func BenchmarkTable12Priced(b *testing.B) {
 	a, _, topos := commMatFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

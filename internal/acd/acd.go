@@ -123,7 +123,7 @@ type Assignment struct {
 	// side caches the grid side.
 	side uint32
 	// keyIx caches the key-space occupancy index behind RankAt and the
-	// NFI and FFI matrix passes; it is built on the first KeyIndex
+	// NFI and FFI replay passes; it is built on the first KeyIndex
 	// call. released marks the assignment dead: the index is no longer
 	// built and RankAt reports every cell empty. ixMu guards both.
 	ixMu     sync.Mutex
@@ -149,7 +149,7 @@ func (a *Assignment) Release() {
 
 // KeyIndex returns the assignment's key-space occupancy index
 // (internal/keynav), building it on first call. The index is shared:
-// RankAt and the near- and far-field matrix passes over one assignment
+// RankAt and the near- and far-field replay passes over one assignment
 // use the same build. Returns nil after Release. Hot loops should hold
 // the returned index rather than call RankAt, which takes the lock on
 // every probe.

@@ -36,10 +36,10 @@ type Params struct {
 	Trials int
 	// Seed drives all sampling; equal seeds replay exactly.
 	Seed uint64
-	// Workers caps the worker goroutines of the accumulation and
-	// matrix-build passes; 0 means GOMAXPROCS. Results are identical
-	// for any worker count; the knob exists to pin parallelism for
-	// benchmarking and is recorded in run manifests.
+	// Workers caps the worker goroutines of the accumulation passes;
+	// 0 means GOMAXPROCS. Results are identical for any worker count;
+	// the knob exists to pin parallelism for benchmarking and is
+	// recorded in run manifests.
 	Workers int
 	// Distribution selects the particle sampling distribution by name
 	// (dist.ByName); empty means uniform. Unlike the cost-only knobs it

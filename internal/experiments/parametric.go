@@ -73,7 +73,7 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 			return err
 		}
 		// The radii share one occupancy index (a.KeyIndex is cached);
-		// each builds its own matrix and contracts it against the torus.
+		// each replays its own plan and prices it on the torus.
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		o := make([]float64, len(radii))
 		for i, radius := range radii {

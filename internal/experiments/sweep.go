@@ -51,9 +51,9 @@ func workerBudget(requested int) int {
 }
 
 // innerWorkers splits the worker budget between the sweep pool and the
-// per-cell accumulation/matrix-build passes: with `pool` cells running
-// at once, each gets total/pool inner workers (at least 1) so a sweep
-// does not oversubscribe the machine by pool x GOMAXPROCS goroutines.
+// per-cell accumulation passes: with `pool` cells running at once,
+// each gets total/pool inner workers (at least 1) so a sweep does not
+// oversubscribe the machine by pool x GOMAXPROCS goroutines.
 // Inner results are worker-count-invariant, so the split cannot change
 // any output.
 func innerWorkers(requested, pool int) int {

@@ -13,11 +13,12 @@ import (
 	"sfcacd/internal/topology"
 )
 
-// The matrix path (aggregate once, contract per topology) must
-// reproduce the direct per-event path bit for bit: identical Sum,
-// Count, and Zeros, not merely close ACD values. Integer accumulation
-// is commutative, so any divergence is a real defect — a lost or
-// double-counted event, a broken symmetry argument, or a wrong distance.
+// The priced path (replay the pair plan through the pricers' memos into
+// the distance kernels) must reproduce the direct per-event path bit
+// for bit: identical Sum, Count, and Zeros, not merely close ACD
+// values. Integer accumulation is commutative, so any divergence is a
+// real defect — a lost or double-counted event, a broken symmetry
+// argument, a mishandled memo eviction, or a wrong distance.
 
 // allTopologies returns one instance of each of the paper's six network
 // types, sized for p = 64.
@@ -33,11 +34,12 @@ func allTopologies() []topology.Topology {
 }
 
 // TestDifferentialMatrixVsDirect sweeps seeds x particle orders and
-// checks the matrix path against the direct oracle on curve-sorted
-// Assign inputs and a shuffled-rank FromOwners input, each also
-// replaying plans recorded on the next assignment of the same particle
-// set (see checkMatrixVsDirect for the radii, metrics and topologies
-// covered).
+// checks the priced path (NFIMulti, FFIMulti) against the direct
+// oracle on curve-sorted Assign inputs and a shuffled-rank FromOwners
+// input, each also replaying plans recorded on the next assignment of
+// the same particle set (see checkPricedVsDirect for the radii,
+// metrics and topologies covered). It keeps its matrix-era name
+// because CI's Differential step selects it by name.
 func TestDifferentialMatrixVsDirect(t *testing.T) {
 	const order, p = 6, 64
 	topos := allTopologies()
@@ -58,7 +60,7 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 		}
 		as, names = append(as, shuffledOwners(t, pts, order, p, uint64(seed))), append(names, "owners")
 		for i, a := range as {
-			checkMatrixVsDirect(t, fmt.Sprintf("seed%d/%s", seed, names[i]), a, topos, as[(i+1)%len(as)])
+			checkPricedVsDirect(t, fmt.Sprintf("seed%d/%s", seed, names[i]), a, topos, as[(i+1)%len(as)])
 		}
 	}
 }
@@ -81,12 +83,12 @@ func shuffledOwners(t *testing.T, pts []geom.Point, order uint, p int, seed uint
 	return a
 }
 
-// checkMatrixVsDirect holds NFIMulti (radii 1 and 2, both metrics)
+// checkPricedVsDirect holds NFIMulti (radii 1 and 2, both metrics)
 // and FFIMulti to the direct per-event oracle on every topology in
 // topos, for one assignment: once with private plans, and once
 // replaying plans recorded on planFrom, another assignment of the same
 // particle set.
-func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology, planFrom *acd.Assignment) {
+func checkPricedVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology, planFrom *acd.Assignment) {
 	t.Helper()
 	ffiDirect := make([]FFIResult, len(topos))
 	for i, topo := range topos {
@@ -104,11 +106,11 @@ func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []t
 			opts.Plan.Release()
 			for i, topo := range topos {
 				if direct := oracleNFI(a, topo, opts); private[i] != direct || shared[i] != direct {
-					t.Errorf("%s r=%d %s %s: NFI matrix %+v (shared plan %+v) != direct %+v",
+					t.Errorf("%s r=%d %s %s: NFI priced %+v (shared plan %+v) != direct %+v",
 						name, radius, metric, topo.Name(), private[i], shared[i], direct)
 				}
 				if sharedFFI[i] != ffiDirect[i] {
-					t.Errorf("%s r=%d %s %s: FFI matrix from a shared plan %+v != direct %+v",
+					t.Errorf("%s r=%d %s %s: FFI priced from a shared plan %+v != direct %+v",
 						name, radius, metric, topo.Name(), sharedFFI[i], ffiDirect[i])
 				}
 			}
@@ -118,7 +120,7 @@ func checkMatrixVsDirect(t *testing.T, name string, a *acd.Assignment, topos []t
 	multi := FFIMulti(a, topos, FFIOptions{})
 	for i, topo := range topos {
 		if multi[i] != ffiDirect[i] {
-			t.Errorf("%s %s: FFI matrix %+v != direct %+v", name, topo.Name(), multi[i], ffiDirect[i])
+			t.Errorf("%s %s: FFI priced %+v != direct %+v", name, topo.Name(), multi[i], ffiDirect[i])
 		}
 	}
 }

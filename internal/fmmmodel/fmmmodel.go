@@ -12,17 +12,22 @@
 //     accumulation), and interaction-list exchanges, between per-cell
 //     representative processors (the minimum rank in the cell).
 //
-// Every consumer prices the event stream through one pipeline: the
-// key-space index (internal/keynav) records the event-producing cell
-// pairs of the assignment's particle set as a plan, a communication
-// matrix (internal/commmat) aggregates the plan replayed against the
-// assignment's ranks (NFIMatrix, FFIMatricesFromIndex), and one fused
-// pass contracts the matrix against the distance tables of any number
-// of topologies (NFIMulti, FFIMulti). The plan does not depend on the
+// Every ACD consumer prices the event stream on replay: the key-space
+// index (internal/keynav) records the event-producing cell pairs of
+// the assignment's particle set as a plan, and NFIMulti and FFIMulti
+// replay the plan against the assignment's ranks straight into the
+// distance kernels of any number of topologies, through small
+// per-worker pair memos (multi.go). The plan does not depend on the
 // ranks, so callers pricing one particle set under several curves pass
 // a shared plan (NFIOptions.Plan, FFIOptions.Plan) and enumerate once;
-// without one each build records a private plan. The direct per-event
-// traversal survives only as the oracle in this package's tests.
+// without one each call records a private plan.
+//
+// Consumers that need the rank pairs themselves rather than their
+// distance sums — per-rank tallies (internal/execmodel), link routing
+// (internal/contention) — aggregate the same replay into a
+// communication matrix (internal/commmat) instead: NFIMatrix and
+// FFIMatricesFromIndex (matrix.go). The direct per-event traversal
+// survives only as the oracle in this package's tests.
 //
 // The model is contention-unaware: distances are shortest-path hop
 // counts regardless of concurrent traffic (§IV step 6).
@@ -50,7 +55,8 @@ type NFIOptions struct {
 	// particle set, recorded for this Radius and Metric by
 	// keynav.RecordPlan (it panics otherwise). Nil records a private
 	// plan. The plan is an input shared across assignments of one
-	// particle set, not a tuning knob: the matrix is the same either way.
+	// particle set, not a tuning knob: the results are the same either
+	// way.
 	Plan *keynav.Plan
 }
 
@@ -64,7 +70,7 @@ func (o *NFIOptions) normalize() {
 }
 
 // Spec returns the keynav.Spec whose plan serves these options' near
-// field, with NFIMatrix's defaults applied (radius 0 means 1).
+// field, with the defaults applied (radius 0 means 1).
 func (o NFIOptions) Spec() keynav.Spec {
 	o.normalize()
 	return keynav.Spec{Radius: o.Radius, Metric: o.Metric}
@@ -98,8 +104,8 @@ func (r FFIResult) Total() acd.Accumulator {
 }
 
 // record publishes the three final accumulators. It leaves the
-// distance-query counter alone: the contraction and the distance-table
-// builds account for their own (far fewer) analytic queries.
+// distance-query counter alone: the pricers and the contractions
+// account for their own (far fewer) analytic queries.
 func (r FFIResult) record() {
 	r.Interpolation.Record()
 	r.Anterpolation.Record()
@@ -112,6 +118,6 @@ type FFIOptions struct {
 	Workers int
 	// Plan, when set, supplies the interaction-list pairs of the
 	// assignment's particle set (a keynav.Plan recorded with Far). Nil
-	// records a private plan; the matrices are the same either way.
+	// records a private plan; the results are the same either way.
 	Plan *keynav.Plan
 }

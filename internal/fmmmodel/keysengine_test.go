@@ -14,7 +14,7 @@ import (
 // shape loadbalance and dynamic build: an acd.FromOwners assignment
 // with particles in sampling order and ranks shuffled so they are not
 // monotone along any curve. The index must sort the keys itself and
-// carry each particle's own rank; checkMatrixVsDirect holds the result
+// carry each particle's own rank; checkPricedVsDirect holds the result
 // to the direct per-event oracle on all six topologies, with private
 // plans and with plans recorded on a Morton assignment of the set.
 func TestDifferentialKeysEngine(t *testing.T) {
@@ -29,12 +29,12 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMatrixVsDirect(t, fmt.Sprintf("seed%d/owners", seed), shuffledOwners(t, pts, order, p, uint64(seed)), topos, morton)
+		checkPricedVsDirect(t, fmt.Sprintf("seed%d/owners", seed), shuffledOwners(t, pts, order, p, uint64(seed)), topos, morton)
 	}
 }
 
 // TestKeysEngineWorkerInvariance requires byte-identical results at
-// every worker count on all six topologies — the key-space matrix path
+// every worker count on all six topologies — the priced path
 // must preserve the sweep scheduler's determinism guarantee.
 func TestKeysEngineWorkerInvariance(t *testing.T) {
 	const order = 6

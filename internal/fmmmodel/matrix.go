@@ -2,7 +2,6 @@ package fmmmodel
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
@@ -13,11 +12,15 @@ import (
 
 // This file builds topology-independent communication matrices
 // (internal/commmat) from the model's event streams, by replaying a
-// keynav.Plan against one index's representative ranks. Contracting a
+// keynav.Plan against one index's representative ranks. The ACD path
+// (multi.go) prices the same replay without a matrix; the matrices
+// serve the consumers that need the rank pairs themselves (per-rank
+// tallies in internal/execmodel, link routing in internal/contention)
+// and the benchmark's matrix-path breakdown (perfbench). Contracting a
 // matrix against a topology reproduces the accumulator of the ordered
 // per-event stream bit for bit (the differential tests pin this
-// against a direct per-event oracle). Two symmetries cut the
-// aggregation work in half:
+// against a direct per-event oracle and against the priced path). Two
+// symmetries cut the aggregation work in half:
 //
 //   - The near-field and interaction-list relations are symmetric, so
 //     both traversals enumerate each unordered pair once (from its
@@ -65,7 +68,7 @@ func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	ix := a.KeyIndex()
 	pl := opts.Plan
 	if pl == nil {
-		pl = keynav.RecordPlan(ix, keynav.Spec{Radius: opts.Radius, Metric: opts.Metric}, opts.Workers)
+		pl = keynav.RecordPlan(ix, opts.Spec(), opts.Workers)
 		defer pl.Release()
 	} else {
 		pl.Check(ix)
@@ -74,22 +77,7 @@ func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	reps := ix.Reps(ix.Order)
 	workers := min(opts.Workers, max(len(chunks), 1))
 	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(s *commmat.Shard) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(chunks) {
-					return
-				}
-				replaySym(s, reps, chunks[c])
-			}
-		}(b.Shard(w))
-	}
-	wg.Wait()
+	parallel(workers, len(chunks), func(w, c int) { replaySym(b.Shard(w), reps, chunks[c]) })
 	return b.Finalize()
 }
 
@@ -125,82 +113,98 @@ type FFIMatrices struct {
 // assignment over p ranks from its key-space index: the same streams a
 // walk over the representative quadtree (quadtree.RankTree) produces.
 // It records a private plan of the index's interaction lists and
-// replays it (see ffiMatrices).
+// replays it against the index's per-level representatives on up to
+// workers workers, one builder shard each.
 func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
-	return ffiMatrices(ix, nil, p, workers)
-}
-
-// ffiMatrices replays the far-field streams against the index's
-// per-level representatives: the parent-child links straight from the
-// index's child groups, the interaction lists from the plan (recorded
-// here when pl is nil). Both passes run on a fixed worker pool, one
-// builder shard per worker, with work chunked over slab positions and
-// plan pairs, so task cost tracks occupancy.
-func ffiMatrices(ix *keynav.Index, pl *keynav.Plan, p, workers int) FFIMatrices {
 	defer obs.StartSpan("commmat.build.ffi").End()
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	if pl == nil {
-		pl = keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
-		defer pl.Release()
-	} else {
-		pl.Check(ix)
-	}
-	// A task replays the links from parent positions [lo, hi) of level
-	// l-1 to their child groups, or one plan chunk of level l's
-	// interaction lists.
-	type task struct {
-		level  uint
-		lo, hi int
-		il     []keynav.Pair
-	}
-	var tasks []task
+	pl := keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
+	defer pl.Release()
+	tasks := ffiTasks(ix, pl, workers)
+	bi := commmat.NewBuilderBanded(p, workers, tightBand)
+	bl := commmat.NewBuilderBanded(p, workers, ilBand)
+	parallel(workers, len(tasks), func(w, i int) {
+		t := tasks[i]
+		reps := ix.Reps(t.level)
+		if t.il != nil {
+			replaySym(bl.Shard(w), reps, t.il)
+			return
+		}
+		// Parent representatives are minima over children, so
+		// (parent, child) is already canonical.
+		si, parents, start := bi.Shard(w), ix.Reps(t.level-1), ix.ChildStart(t.level-1)
+		for j := t.lo; j < t.hi; j++ {
+			for _, r := range reps[start[j]:start[j+1]] {
+				si.Add(parents[j], r)
+			}
+		}
+	})
+	return FFIMatrices{Interpolation: bi.Finalize(), InteractionList: bl.Finalize()}
+}
+
+// ffiTask is one unit of a far-field replay: the links from parent
+// positions [lo, hi) of level-1 to their child groups, or one plan
+// chunk of level's interaction lists.
+type ffiTask struct {
+	level  uint
+	lo, hi int
+	il     []keynav.Pair
+}
+
+// ffiTasks cuts the far-field streams of the index into tasks, with
+// work chunked over slab positions and plan pairs so task cost tracks
+// occupancy. It panics if the plan did not record the far field.
+func ffiTasks(ix *keynav.Index, pl *keynav.Plan, workers int) []ffiTask {
+	var tasks []ffiTask
 	for l := ix.Order; l >= 1; l-- {
 		m := ix.LevelLen(l - 1)
 		chunk := max(m/(4*workers), 1)
 		for lo := 0; lo < m; lo += chunk {
-			tasks = append(tasks, task{level: l, lo: lo, hi: min(lo+chunk, m)})
+			tasks = append(tasks, ffiTask{level: l, lo: lo, hi: min(lo+chunk, m)})
 		}
 	}
 	for l := uint(2); l <= ix.Order; l++ {
 		for _, c := range pl.IL(l) {
 			if len(c) > 0 {
-				tasks = append(tasks, task{level: l, il: c})
+				tasks = append(tasks, ffiTask{level: l, il: c})
 			}
 		}
 	}
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
-	bl := commmat.NewBuilderBanded(p, workers, ilBand)
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(si, sl *commmat.Shard) {
-			defer wg.Done()
-			for t := range ch {
-				reps := ix.Reps(t.level)
-				if t.il != nil {
-					replaySym(sl, reps, t.il)
-					continue
-				}
-				// Parent representatives are minima over children, so
-				// (parent, child) is already canonical.
-				parents, start := ix.Reps(t.level-1), ix.ChildStart(t.level-1)
-				for j := t.lo; j < t.hi; j++ {
-					for _, r := range reps[start[j]:start[j+1]] {
-						si.Add(parents[j], r)
-					}
-				}
-			}
-		}(bi.Shard(w), bl.Shard(w))
+	return tasks
+}
+
+// ContractAll contracts the far-field matrices against every topology
+// in one fused pass per matrix, through the cached per-topology
+// distance tables. Parallelism lives inside each matrix and is bounded
+// by workers; results are byte-identical at any worker count and equal
+// FFIMulti's. The anterpolation accumulator reuses the interpolation
+// contraction because hop distance is symmetric.
+func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIResult {
+	res := make([]FFIResult, len(topos))
+	if len(topos) == 0 {
+		return res
 	}
-	for _, t := range tasks {
-		ch <- t
+	span := obs.StartSpan("commmat.contract")
+	dts := make([]*topology.DistanceTable, len(topos))
+	interp := make([]*acd.Accumulator, len(topos))
+	il := make([]*acd.Accumulator, len(topos))
+	for t, topo := range topos {
+		dts[t] = distanceTableFor(topo)
+		interp[t] = &res[t].Interpolation
+		il[t] = &res[t].InteractionList
 	}
-	close(ch)
-	wg.Wait()
-	return FFIMatrices{Interpolation: bi.Finalize(), InteractionList: bl.Finalize()}
+	ms.Interpolation.ContractTableMulti(dts, interp, workers)
+	ms.InteractionList.ContractTableMultiSym(dts, il, workers)
+	for t := range res {
+		res[t].Anterpolation = res[t].Interpolation
+	}
+	span.End()
+	for t := range res {
+		res[t].record()
+	}
+	return res
 }
 
 // Distance tables are cached across calls, keyed by topology instance:
@@ -235,23 +239,4 @@ func distanceTableFor(t topology.Topology) *topology.DistanceTable {
 	dtCache[t] = dt
 	dtFIFO = append(dtFIFO, t)
 	return dt
-}
-
-// contractAll contracts one symmetric-canonical matrix against every
-// topology in a single fused pass through cached per-topology distance
-// tables: each distinct pair is read once and evaluated against all K
-// tables, with parallelism inside the matrix (bounded by workers)
-// instead of one goroutine per topology. The result is byte-identical
-// at any worker count.
-func contractAll(m *commmat.Matrix, topos []topology.Topology, workers int) []acd.Accumulator {
-	defer obs.StartSpan("commmat.contract").End()
-	out := make([]acd.Accumulator, len(topos))
-	dts := make([]*topology.DistanceTable, len(topos))
-	accs := make([]*acd.Accumulator, len(topos))
-	for t, topo := range topos {
-		dts[t] = distanceTableFor(topo)
-		accs[t] = &out[t]
-	}
-	m.ContractTableMultiSym(dts, accs, workers)
-	return out
 }

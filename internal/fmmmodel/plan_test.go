@@ -2,10 +2,10 @@ package fmmmodel
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sfcacd/internal/acd"
-	"sfcacd/internal/commmat"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
@@ -14,11 +14,11 @@ import (
 	"sfcacd/internal/topology"
 )
 
-// TestPlanReplayEquality requires the matrices every curve's
-// assignment replays from a plan recorded on another curve's
-// assignment of the same particle set to equal those built from its
-// own plan: at orders 4-8 and at order 12 with 0.1% occupancy, for
-// radii 1-3 under both metrics, and for the far field.
+// TestPlanReplayEquality requires the results every curve's
+// assignment prices from a plan recorded on another curve's assignment
+// of the same particle set to equal those priced from its own plan, on
+// all six topology kinds: at orders 4-8 and at order 12 with 0.1%
+// occupancy, for radii 1-3 under both metrics, and for the far field.
 func TestPlanReplayEquality(t *testing.T) {
 	curves := sfc.All()
 	for _, tc := range []struct {
@@ -28,6 +28,14 @@ func TestPlanReplayEquality(t *testing.T) {
 		pts, err := dist.SampleUnique(dist.Uniform, rng.New(uint64(tc.order)), tc.order, tc.n)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var topos []topology.Topology
+		for _, kind := range topology.Kinds {
+			topo, err := topology.New(kind, tc.p, sfc.Hilbert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topos = append(topos, topo)
 		}
 		as := make([]*acd.Assignment, len(curves))
 		for i, c := range curves {
@@ -40,20 +48,19 @@ func TestPlanReplayEquality(t *testing.T) {
 			name := fmt.Sprintf("order %d %s (plan from %s)", tc.order, curves[i].Name(), curves[(i+1)%len(as)].Name())
 			for radius := 1; radius <= 3; radius++ {
 				for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
-					opts := NFIOptions{Radius: radius, Metric: m}
-					own := NFIMatrix(a, opts)
+					opts := NFIOptions{Radius: radius, Metric: m, Workers: 2}
+					own := NFIMulti(a, topos, opts)
 					opts.Plan = keynav.RecordPlan(other, opts.Spec(), 2)
-					if !commmat.Equal(NFIMatrix(a, opts), own) {
-						t.Errorf("%s r=%d %s: near-field matrix differs from the own-plan build", name, radius, m)
+					if got := NFIMulti(a, topos, opts); !slices.Equal(got, own) {
+						t.Errorf("%s r=%d %s: near field %v differs from the own-plan result %v", name, radius, m, got, own)
 					}
 					opts.Plan.Release()
 				}
 			}
-			own := FFIMatricesFromIndex(a.KeyIndex(), tc.p, 2)
+			own := FFIMulti(a, topos, FFIOptions{Workers: 2})
 			pl := keynav.RecordPlan(other, keynav.Spec{Far: true}, 2)
-			got := ffiMatrices(a.KeyIndex(), pl, tc.p, 2)
-			if !commmat.Equal(got.Interpolation, own.Interpolation) || !commmat.Equal(got.InteractionList, own.InteractionList) {
-				t.Errorf("%s: far-field matrices differ from the own-plan build", name)
+			if got := FFIMulti(a, topos, FFIOptions{Workers: 2, Plan: pl}); !slices.Equal(got, own) {
+				t.Errorf("%s: far field %v differs from the own-plan result %v", name, got, own)
 			}
 			pl.Release()
 		}
@@ -62,8 +69,8 @@ func TestPlanReplayEquality(t *testing.T) {
 
 // TestPlanMismatchPanics applies a plan to an assignment of another
 // particle set, and asks a plan for a neighborhood or a far field it
-// did not record: every matrix entry point must panic on the calling
-// goroutine instead of returning a matrix.
+// did not record: every priced and matrix entry point must panic on
+// the calling goroutine instead of returning a result.
 func TestPlanMismatchPanics(t *testing.T) {
 	const order, n, p = 6, 500, 64
 	assign := func(seed uint64) *acd.Assignment {

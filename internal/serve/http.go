@@ -423,6 +423,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, name, pr
 func (s *Server) writeDoError(w http.ResponseWriter, r *http.Request, err error) {
 	var overload *OverloadError
 	var deadline *DeadlineError
+	var panicked *PanicError
 	switch {
 	case errors.Is(err, ErrUnknownExperiment):
 		writeError(w, http.StatusNotFound, errorBody{Error: err.Error()})
@@ -434,6 +435,8 @@ func (s *Server) writeDoError(w http.ResponseWriter, r *http.Request, err error)
 		writeError(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), QueueDepth: overload.QueueDepth})
 	case errors.As(err, &deadline):
 		writeError(w, http.StatusGatewayTimeout, errorBody{Error: err.Error(), Timeout: deadline.Timeout.String()})
+	case errors.As(err, &panicked):
+		writeError(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	case r.Context().Err() != nil:
 		// The client is gone; nothing useful can be written. 499 is
 		// the de-facto "client closed request" status.

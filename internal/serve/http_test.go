@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sfcacd/internal/experiments"
+	"sfcacd/internal/obs"
 )
 
 // tinyBody overrides the scaled preset down to a millisecond-scale
@@ -338,5 +340,64 @@ func TestHandlerHealthAndMetrics(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", rec.Code)
+	}
+}
+
+// TestHandlerComputePanic posts two concurrent identical requests whose
+// computation panics: both get a 500 instead of the process dying, the
+// panic counts once in serve.panics, nothing is cached (a third request
+// computes again), and the daemon still answers /healthz.
+func TestHandlerComputePanic(t *testing.T) {
+	s := New(Options{Workers: 2})
+	var runs atomic.Int64
+	release := make(chan struct{})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		runs.Add(1)
+		<-release
+		panic("boom")
+	}
+	h := NewHandler(s)
+	p, err := mergeParams("table12", "", []byte(tinyBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyOf("table12", p)
+	panicsBefore := obs.GetCounter("serve.panics").Value()
+
+	recs := make([]*httptest.ResponseRecorder, 2)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = postExperiment(t, h, "/v1/experiments/table12", tinyBody)
+		}()
+		// The second request joins the first one's computation.
+		waitFor(t, fmt.Sprintf("request %d to join the in-flight call", i), func() bool { return refsOf(s, key) == i+1 })
+	}
+	close(release)
+	wg.Wait()
+	for i, rec := range recs {
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "boom") {
+			t.Errorf("request %d: status %d %q, want 500 naming the panic", i, rec.Code, rec.Body)
+		}
+	}
+	if got := obs.GetCounter("serve.panics").Value() - panicsBefore; got != 1 {
+		t.Errorf("serve.panics delta = %d, want 1", got)
+	}
+	if refsOf(s, key) != -1 {
+		t.Error("the failed call is still in flight")
+	}
+
+	if rec := postExperiment(t, h, "/v1/experiments/table12", tinyBody); rec.Code != http.StatusInternalServerError {
+		t.Errorf("third request: status %d %q, want 500", rec.Code, rec.Body)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Errorf("runner executed %d times, want 2 (the error must not be cached)", got)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/healthz after the panics = %d %q", rec.Code, rec.Body)
 	}
 }

@@ -91,6 +91,28 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("serve: computation exceeded the %v request deadline", e.Timeout)
 }
 
+// PanicError is returned when a computation panics. The panic is
+// recovered on the compute goroutine, so the process survives; every
+// coalesced waiter receives the error, nothing is cached, and the next
+// identical request computes afresh. The HTTP layer maps it to 500.
+// Panics on goroutines the computation itself spawns (sweep cells at
+// Workers >= 2, the anns, primitives and model3d workers) are not
+// recovered and stay fatal.
+type PanicError struct {
+	// Value is the value the computation panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack, truncated to
+	// panicStackMax bytes.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("serve: computation panicked: %v", e.Value)
+}
+
+// panicStackMax bounds the stack a PanicError carries.
+const panicStackMax = 4 << 10
+
 // Status classifies how a request was satisfied.
 type Status string
 
@@ -236,7 +258,7 @@ type Server struct {
 
 	requests, coalesced, computations *obs.Counter
 	rejections, diskHits, diskErrors  *obs.Counter
-	deadlines                         *obs.Counter
+	deadlines, panics                 *obs.Counter
 	queueGauge, runningGauge          *obs.Gauge
 	inflightGauge                     *obs.Gauge
 	latency                           *obs.Histogram
@@ -289,6 +311,7 @@ func New(opts Options) *Server {
 		diskHits:      obs.GetCounter("serve.disk_hits"),
 		diskErrors:    obs.GetCounter("serve.disk_errors"),
 		deadlines:     obs.GetCounter("serve.deadline_exceeded"),
+		panics:        obs.GetCounter("serve.panics"),
 		queueGauge:    obs.GetGauge("serve.queue_depth"),
 		runningGauge:  obs.GetGauge("serve.running"),
 		inflightGauge: obs.GetGauge("serve.inflight_requests"),
@@ -593,6 +616,18 @@ func (s *Server) abandon(c *call) {
 // retained trace, which is exactly the trace worth reading.
 func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p experiments.Params, tr *obs.Trace) {
 	defer c.cancel()
+	// Runs after the deferred slot release below: a panic fails the
+	// call (uncached, every waiter answered) instead of the process.
+	// Every finish call is the last statement of its path, so a panic
+	// always arrives before the call is finished.
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Inc()
+			stack := make([]byte, panicStackMax)
+			stack = stack[:runtime.Stack(stack, false)]
+			s.finish(c, resultcache.Entry{}, &PanicError{Value: v, Stack: stack})
+		}
+	}()
 	if tr != nil {
 		detach := tr.Root().Attach()
 		defer detach()

@@ -1,10 +1,13 @@
-// Batched distance sums: the contraction fallback for rows the
-// DistanceTable declines to materialize. A sparse contraction row makes
-// one Distance call per pair; at millions of pairs the dynamic dispatch
-// itself — not the distance arithmetic — dominates. DistanceSum moves
-// the loop inside the topology, so the fallback pays one dynamic
-// dispatch per (row, topology) and the distance math runs as a
-// concrete, inlinable loop.
+// Batched distance sums. At millions of pairs the dynamic dispatch of
+// one Distance call per pair — not the distance arithmetic — dominates,
+// so these methods move the loop inside the topology: the caller pays
+// one dynamic dispatch per batch and topology, and the distance math
+// runs as a concrete, inlinable loop. DistanceSumPairs, implemented by
+// all six topologies, prices the flush batches of the pair-stream
+// pricer (internal/fmmmodel), the ACD path; the query volume is the
+// caller's to account (CountDistanceQueries). DistanceSum and
+// DistanceSumRows are the contraction fallback for matrix rows the
+// DistanceTable declines to materialize.
 package topology
 
 import (
@@ -171,6 +174,97 @@ func (q *QuadtreeNet) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
 		// bits.Len32(0) is 0, so the src == dst case contributes 0
 		// digits without a branch, matching Distance.
 		digits := (uint(bits.Len32(x^uint32(d))) + 1) / 2
+		s += uint64(2*digits) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs returns sum_i Distance(src[i], dst[i]) * ns[i]
+// exactly. Every entry must be a valid rank; dst and ns must be at
+// least as long as src.
+func (b *Bus) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	var s uint64
+	for i, x := range src {
+		d := dst[i] - x
+		if d < 0 {
+			d = -d
+		}
+		s += uint64(uint32(d)) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs is the ring's form of Bus.DistanceSumPairs.
+func (r *Ring) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	n := int32(r.n)
+	var s uint64
+	for i, x := range src {
+		d := dst[i] - x
+		if d < 0 {
+			d = -d
+		}
+		if wrap := n - d; wrap < d {
+			d = wrap
+		}
+		s += uint64(uint32(d)) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs is the mesh's form of Bus.DistanceSumPairs.
+func (m *Mesh) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	coords := m.coords
+	var s uint64
+	for i, x := range src {
+		s += uint64(geom.Manhattan(coords[x], coords[dst[i]])) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs is the torus's form of Bus.DistanceSumPairs. Up to
+// torusLUTMaxSide each pair is load-mask-load through the wrapped delta
+// table, as in DistanceSum; larger tori take the per-pair wrap
+// arithmetic.
+func (t *Torus) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	coords := t.coords
+	var s uint64
+	if dlut := t.dlut; dlut != nil {
+		mask, shift := t.side-1, t.procOrder
+		for i, x := range src {
+			ca, cb := coords[x], coords[dst[i]]
+			s += uint64(dlut[(ca.Y-cb.Y)&mask<<shift|(ca.X-cb.X)&mask]) * uint64(ns[i])
+		}
+		return s
+	}
+	side := t.side
+	for i, x := range src {
+		ca, cb := coords[x], coords[dst[i]]
+		s += uint64(wrapDist(ca.X, cb.X, side)+wrapDist(ca.Y, cb.Y, side)) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs is the hypercube's form of Bus.DistanceSumPairs.
+func (h *Hypercube) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	var s uint64
+	for i, x := range src {
+		s += uint64(bits.OnesCount32(uint32(x)^uint32(dst[i]))) * uint64(ns[i])
+	}
+	return s
+}
+
+// DistanceSumPairs is the quadtree network's form of Bus.DistanceSumPairs.
+func (q *QuadtreeNet) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
+	dst, ns = dst[:len(src)], ns[:len(src)]
+	var s uint64
+	for i, x := range src {
+		// As in DistanceSum, equal ranks contribute 0 digits.
+		digits := (uint(bits.Len32(uint32(x)^uint32(dst[i]))) + 1) / 2
 		s += uint64(2*digits) * uint64(ns[i])
 	}
 	return s

@@ -136,3 +136,58 @@ func TestTorusDistanceSumRows(t *testing.T) {
 		})
 	}
 }
+
+// TestDistanceSumPairsMatchesDistance is the differential test for
+// DistanceSumPairs: the batched sum over arbitrary (src, dst) pairs
+// must equal the per-pair Distance loop bit-for-bit, for every
+// topology kind and for a torus above torusLUTMaxSide (no delta
+// table), on empty and non-empty batches with equal-rank entries and
+// counts above 1.
+func TestDistanceSumPairsMatchesDistance(t *testing.T) {
+	curve, err := sfc.ByName("hilbert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topos []Topology
+	for _, kind := range Kinds {
+		topo, err := New(kind, 64, curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	big := NewTorus(9, curve)
+	if big.dlut != nil {
+		t.Fatal("a side-512 torus built a delta table")
+	}
+	topos = append(topos, big)
+	for i, topo := range topos {
+		ps, ok := topo.(interface {
+			DistanceSumPairs(src, dst []int32, ns []uint32) uint64
+		})
+		if !ok {
+			t.Fatalf("%s has no DistanceSumPairs", topo.Name())
+		}
+		p := topo.P()
+		r := rng.New(uint64(60 + i))
+		for _, n := range []int{0, 1, 7, 513} {
+			src := make([]int32, n)
+			dst := make([]int32, n)
+			ns := make([]uint32, n)
+			for j := range src {
+				src[j], dst[j] = int32(r.Intn(p)), int32(r.Intn(p))
+				if j%5 == 0 {
+					dst[j] = src[j]
+				}
+				ns[j] = 1 + r.Uint32n(9)
+			}
+			var want uint64
+			for j := range src {
+				want += uint64(topo.Distance(int(src[j]), int(dst[j]))) * uint64(ns[j])
+			}
+			if got := ps.DistanceSumPairs(src, dst, ns); got != want {
+				t.Errorf("%s of %d: DistanceSumPairs over %d pairs = %d, want %d", topo.Name(), p, n, got, want)
+			}
+		}
+	}
+}

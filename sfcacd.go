@@ -189,12 +189,16 @@ type FFIOptions = fmmmodel.FFIOptions
 // anterpolation, and interaction-list components.
 type FFIResult = fmmmodel.FFIResult
 
-// NFI computes the near-field ACD of an assignment on a topology.
+// NFI computes the near-field ACD of an assignment on a topology. The
+// topology must have the assignment's processor count; NFI panics
+// otherwise.
 func NFI(a *Assignment, topo Topology, opts NFIOptions) Accumulator {
 	return fmmmodel.NFIMulti(a, []Topology{topo}, opts)[0]
 }
 
-// FFI computes the far-field ACD of an assignment on a topology.
+// FFI computes the far-field ACD of an assignment on a topology. The
+// topology must have the assignment's processor count; FFI panics
+// otherwise.
 func FFI(a *Assignment, topo Topology, opts FFIOptions) FFIResult {
 	return fmmmodel.FFIMulti(a, []Topology{topo}, opts)[0]
 }
