@@ -270,8 +270,9 @@ func BenchmarkTorusDistance(b *testing.B) {
 
 // --- Communication matrices and the priced path ---
 
-// commMatFixture builds one scaled assignment, its key-space index,
-// and the four processor-order tori the tables sweep.
+// commMatFixture builds one scaled assignment, its labelling of the
+// particle set's key skeleton, and the four processor-order tori the
+// tables sweep.
 func commMatFixture(b *testing.B) (*acd.Assignment, *keynav.Index, []topology.Topology) {
 	b.Helper()
 	r := sfcacd.NewRand(7)
@@ -279,7 +280,7 @@ func commMatFixture(b *testing.B) (*acd.Assignment, *keynav.Index, []topology.To
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfcacd.Hilbert, benchParams.Order, benchParams.P())
+	a, err := sfcacd.Assign(pts, sfcacd.Hilbert, benchParams.Order, benchParams.P())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package acd
 
 import (
 	"fmt"
-	"sync"
 
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
@@ -106,7 +105,8 @@ func (a Accumulator) String() string {
 }
 
 // Assignment is the result of distributing particles onto processors:
-// steps 1–4 of the paper's §IV algorithm.
+// steps 1–4 of the paper's §IV algorithm. It labels the skeleton of its
+// particle set (keynav.Set) with its ranks.
 type Assignment struct {
 	// Order is the spatial resolution order k (grid side 2^k).
 	Order uint
@@ -114,7 +114,8 @@ type Assignment struct {
 	P int
 	// Particles holds the particle cells. Assign and FromSorted keep
 	// them in particle-order SFC order (sorted along the curve);
-	// FromOwners keeps the caller's order.
+	// FromOwners keeps the set's input order and shares the set's
+	// slice, so treat it as read-only.
 	Particles []geom.Point
 	// Ranks[i] is the processor rank owning Particles[i]. Assign and
 	// FromSorted produce the balanced consecutive chunks, so their
@@ -122,130 +123,91 @@ type Assignment struct {
 	Ranks []int32
 	// side caches the grid side.
 	side uint32
-	// keyIx caches the key-space occupancy index behind RankAt and the
-	// NFI and FFI replay passes; it is built on the first KeyIndex
-	// call. released marks the assignment dead: the index is no longer
-	// built and RankAt reports every cell empty. ixMu guards both.
-	ixMu     sync.Mutex
-	keyIx    *keynav.Index
-	released bool
+	// ix is the labelling behind RankAt and the NFI and FFI replay
+	// passes; Release drops it.
+	ix *keynav.Index
 }
 
-// Release returns the assignment's pooled key-space index for reuse.
-// The assignment must not be used afterwards: RankAt reports every
-// cell empty. Only call it from owners that know the assignment is
-// dead — the sweep scheduler's cells do; ordinary callers can rely on
-// the garbage collector instead.
+// Release drops the assignment's labelling. The assignment must not be
+// used afterwards: RankAt reports every cell empty. Nothing needs to
+// call it; the garbage collector reclaims an assignment whole.
 func (a *Assignment) Release() {
-	if a == nil {
-		return
+	if a != nil {
+		a.ix = nil
 	}
-	a.ixMu.Lock()
-	a.released = true
-	a.keyIx.Release()
-	a.keyIx = nil
-	a.ixMu.Unlock()
 }
 
-// KeyIndex returns the assignment's key-space occupancy index
-// (internal/keynav), building it on first call. The index is shared:
-// RankAt and the near- and far-field replay passes over one assignment
-// use the same build. Returns nil after Release. Hot loops should hold
-// the returned index rather than call RankAt, which takes the lock on
-// every probe.
-func (a *Assignment) KeyIndex() *keynav.Index {
-	a.ixMu.Lock()
-	defer a.ixMu.Unlock()
-	if a.keyIx == nil && !a.released {
-		a.keyIx = keynav.Build(a.Order, a.Particles, a.Ranks)
-	}
-	return a.keyIx
-}
+// KeyIndex returns the assignment's labelling of its particle set's
+// skeleton (internal/keynav): the per-level representative ranks the
+// replay passes read, with the set and its plans behind Index.Set.
+// Returns nil after Release.
+func (a *Assignment) KeyIndex() *keynav.Index { return a.ix }
 
-// Assign orders the given particles along the particle-order curve,
+// Assign orders the set's particles along the particle-order curve,
 // partitions them into p balanced consecutive chunks, and assigns
-// chunk i to processor rank i. Duplicate cells are not allowed (the
-// paper assumes at most one particle per finest-resolution cell).
-func Assign(particles []geom.Point, curve sfc.Curve, order uint, p int) (*Assignment, error) {
+// chunk i to processor rank i.
+func Assign(set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)
 	}
-	if len(particles) == 0 {
+	if set.N() == 0 {
 		return nil, fmt.Errorf("acd: no particles")
 	}
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
 	ordering := obs.StartSpan("ordering")
-	perm, keys := sfc.SortPointsKeys(curve, order, particles)
+	pts := set.Points()
+	perm := sfc.SortPoints(curve, set.Order, pts)
 	ordering.End()
-	partitioning := obs.StartSpan("partitioning")
-	defer partitioning.End()
+	defer obs.StartSpan("partitioning").End()
+	n := len(pts)
 	a := &Assignment{
-		Order:     order,
+		Order:     set.Order,
 		P:         p,
-		Particles: make([]geom.Point, len(particles)),
-		Ranks:     make([]int32, len(particles)),
-		side:      geom.Side(order),
+		Particles: make([]geom.Point, n),
+		Ranks:     make([]int32, n),
+		side:      geom.Side(set.Order),
 	}
-	n := len(particles)
-	// Duplicate detection rides on the sorted keys: equal cells have
-	// equal curve keys and sort next to each other.
-	prevIdx := uint64(0)
+	owners := make([]int32, n) // in the set's input order
 	for i, src := range perm {
-		pt := particles[src]
-		idx := keys[src] // curve.Index(order, pt), computed by the sort
-		if i > 0 && idx == prevIdx {
-			return nil, fmt.Errorf("acd: duplicate particle cell %v", pt)
-		}
-		prevIdx = idx
-		a.Particles[i] = pt
-		a.Ranks[i] = int32(partition.ChunkOf(i, n, p))
+		r := int32(partition.ChunkOf(i, n, p))
+		a.Particles[i], a.Ranks[i], owners[src] = pts[src], r, r
 	}
+	a.ix = set.Label(owners)
 	return a, nil
 }
 
-// FromOwners builds an Assignment from an explicit particle-to-rank
-// ownership (particles need not be curve-sorted and ranks need not be
-// monotone). This supports dynamic studies where particles move
-// between timesteps while their owning processors stay fixed. The
-// far-field model remains well defined: cell representatives are
-// minimum ranks regardless of ordering.
-func FromOwners(particles []geom.Point, ranks []int32, order uint, p int) (*Assignment, error) {
+// FromOwners builds an Assignment from an explicit ownership of the
+// set's particles: ranks[i] owns the set's i-th input point (ranks
+// need not be monotone along any curve). This supports dynamic studies
+// where particles move between timesteps while their owning processors
+// stay fixed. The far-field model remains well defined: cell
+// representatives are minimum ranks regardless of ordering.
+func FromOwners(set *keynav.Set, ranks []int32, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)
 	}
-	if len(particles) == 0 {
+	if set.N() == 0 {
 		return nil, fmt.Errorf("acd: no particles")
 	}
-	if len(particles) != len(ranks) {
-		return nil, fmt.Errorf("acd: %d particles for %d ranks", len(particles), len(ranks))
+	if set.N() != len(ranks) {
+		return nil, fmt.Errorf("acd: %d particles for %d ranks", set.N(), len(ranks))
 	}
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
 	defer obs.StartSpan("partitioning").End()
-	side := geom.Side(order)
-	for i, pt := range particles {
-		if ranks[i] < 0 || int(ranks[i]) >= p {
-			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", ranks[i], p)
-		}
-		if pt.X >= side || pt.Y >= side {
-			return nil, fmt.Errorf("acd: particle cell %v outside the %dx%d grid", pt, side, side)
-		}
-	}
-	// Duplicate cells have equal Morton keys, so they sort next to each
-	// other; one scan over the sorted keys finds them, as in Assign.
-	perm, keys := sfc.SortPointsKeys(sfc.Morton, order, particles)
-	for i := 1; i < len(perm); i++ {
-		if keys[perm[i]] == keys[perm[i-1]] {
-			return nil, fmt.Errorf("acd: duplicate particle cell %v", particles[perm[i]])
+	for _, r := range ranks {
+		if r < 0 || int(r) >= p {
+			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", r, p)
 		}
 	}
 	return &Assignment{
-		Order:     order,
+		Order:     set.Order,
 		P:         p,
-		Particles: append([]geom.Point(nil), particles...),
+		Particles: set.Points(),
 		Ranks:     append([]int32(nil), ranks...),
-		side:      side,
+		side:      geom.Side(set.Order),
+		ix:        set.Label(ranks),
 	}, nil
 }
 
@@ -257,13 +219,12 @@ func (a *Assignment) N() int { return len(a.Particles) }
 
 // RankAt returns the rank owning the particle in the given cell, or -1
 // if the cell is empty or outside the grid. It answers through the
-// key-space index (KeyIndex), building it on the first call.
+// labelling (KeyIndex).
 func (a *Assignment) RankAt(p geom.Point) int32 {
-	ix := a.KeyIndex()
-	if ix == nil {
+	if a.ix == nil {
 		return -1
 	}
-	return ix.RankAt(p)
+	return a.ix.RankAt(p)
 }
 
 // ChunkBounds returns the half-open range of ordered particle indices

@@ -5,9 +5,28 @@ import (
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 )
+
+// assignPoints is Assign over a private set of pts.
+func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return Assign(set, curve, p)
+}
+
+// ownersPoints is FromOwners over a private set of pts.
+func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return FromOwners(set, ranks, p)
+}
 
 func TestAccumulator(t *testing.T) {
 	var a Accumulator
@@ -53,7 +72,7 @@ func TestAssignOrdersAlongCurve(t *testing.T) {
 	const order = 3
 	pts := fullGrid(order)
 	for _, c := range sfc.Extended() {
-		a, err := Assign(pts, c, order, 4)
+		a, err := assignPoints(pts, c, order, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -72,7 +91,7 @@ func TestAssignRanksMonotoneBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Assign(pts, sfc.Hilbert, order, 7)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +123,7 @@ func TestAssignRankAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Assign(pts, sfc.Morton, order, 5)
+	a, err := assignPoints(pts, sfc.Morton, order, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +153,7 @@ func TestAssignRankAt(t *testing.T) {
 			t.Fatalf("RankAt(%v) outside the %dx%d grid = %d, want -1", p, side, side, got)
 		}
 	}
-	b, err := Assign([]geom.Point{geom.Pt(0, 1), geom.Pt(3, 3)}, sfc.Morton, 2, 2)
+	b, err := assignPoints([]geom.Point{geom.Pt(0, 1), geom.Pt(3, 3)}, sfc.Morton, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +174,7 @@ func TestAssignSparseFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Assign(pts, sfc.Hilbert, order, 4)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +197,21 @@ func TestAssignSparseFallback(t *testing.T) {
 
 func TestAssignErrors(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0)}
-	if _, err := Assign(pts, sfc.Hilbert, 2, 0); err == nil {
+	if _, err := assignPoints(pts, sfc.Hilbert, 2, 0); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, err := Assign(nil, sfc.Hilbert, 2, 4); err == nil {
+	if _, err := assignPoints(nil, sfc.Hilbert, 2, 4); err == nil {
 		t.Error("empty particles accepted")
 	}
 	dup := []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1)}
-	if _, err := Assign(dup, sfc.Hilbert, 2, 2); err == nil {
+	if _, err := assignPoints(dup, sfc.Hilbert, 2, 2); err == nil {
 		t.Error("duplicate cells accepted")
 	}
 }
 
 func TestChunkBounds(t *testing.T) {
 	pts := fullGrid(2) // 16 particles
-	a, err := Assign(pts, sfc.Hilbert, 2, 4)
+	a, err := assignPoints(pts, sfc.Hilbert, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +230,7 @@ func TestChunkBounds(t *testing.T) {
 
 func TestAssignMoreProcsThanParticles(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 3), geom.Pt(1, 2)}
-	a, err := Assign(pts, sfc.Hilbert, 2, 16)
+	a, err := assignPoints(pts, sfc.Hilbert, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +247,7 @@ func TestAssignMoreProcsThanParticles(t *testing.T) {
 func TestFromOwners(t *testing.T) {
 	pts := []geom.Point{geom.Pt(3, 3), geom.Pt(0, 0), geom.Pt(1, 2)}
 	ranks := []int32{2, 0, 2} // non-monotone, duplicated rank
-	a, err := FromOwners(pts, ranks, 2, 4)
+	a, err := ownersPoints(pts, ranks, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,23 +260,23 @@ func TestFromOwners(t *testing.T) {
 		t.Error("empty cell not -1")
 	}
 	// Errors.
-	if _, err := FromOwners(pts, ranks[:2], 2, 4); err == nil {
+	if _, err := ownersPoints(pts, ranks[:2], 2, 4); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := FromOwners(pts, []int32{0, 0, 4}, 2, 4); err == nil {
+	if _, err := ownersPoints(pts, []int32{0, 0, 4}, 2, 4); err == nil {
 		t.Error("rank out of range accepted")
 	}
-	if _, err := FromOwners([]geom.Point{geom.Pt(4, 0)}, []int32{0}, 2, 4); err == nil {
+	if _, err := ownersPoints([]geom.Point{geom.Pt(4, 0)}, []int32{0}, 2, 4); err == nil {
 		t.Error("cell outside the grid accepted")
 	}
-	if _, err := FromOwners(nil, nil, 2, 4); err == nil {
+	if _, err := ownersPoints(nil, nil, 2, 4); err == nil {
 		t.Error("empty accepted")
 	}
-	if _, err := FromOwners(pts, ranks, 2, 0); err == nil {
+	if _, err := ownersPoints(pts, ranks, 2, 0); err == nil {
 		t.Error("p=0 accepted")
 	}
 	dup := []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1)}
-	if _, err := FromOwners(dup, []int32{0, 1}, 2, 4); err == nil {
+	if _, err := ownersPoints(dup, []int32{0, 1}, 2, 4); err == nil {
 		t.Error("duplicate cells accepted")
 	}
 }
@@ -270,11 +289,11 @@ func TestFromOwnersMatchesAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Assign(pts, sfc.Hilbert, order, 8)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromOwners(a.Particles, a.Ranks, order, 8)
+	b, err := ownersPoints(a.Particles, a.Ranks, order, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +306,7 @@ func TestFromOwnersMatchesAssign(t *testing.T) {
 
 func TestSideAndN(t *testing.T) {
 	pts := fullGrid(3)
-	a, err := Assign(pts, sfc.Gray, 3, 2)
+	a, err := assignPoints(pts, sfc.Gray, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

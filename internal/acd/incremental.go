@@ -1,10 +1,8 @@
 package acd
 
 import (
-	"fmt"
-
 	"sfcacd/internal/geom"
-	"sfcacd/internal/obs"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/partition"
 )
 
@@ -87,34 +85,22 @@ func (rp *RepartitionPolicy) Decide(gauge float64) bool {
 
 // FromSorted builds an Assignment from particles already in curve
 // order with distinct cells — the incremental maintainer's bridge back
-// to the batch ACD model, which skips the sort Assign would redo. The
-// caller guarantees ordering and distinctness (the maintainer's sorted
-// permutation plus the one-particle-per-cell invariant); they are not
-// re-verified here. Ranks are the balanced consecutive chunks, and the
-// key-space index behind RankAt stays lazy exactly as in Assign.
+// to the batch ACD model, which skips the curve sort Assign would redo.
+// It builds a private skeleton of the particles (which rejects
+// duplicate cells) and labels it with the balanced consecutive chunks;
+// the caller guarantees the curve order, which is not re-verified.
 func FromSorted(particles []geom.Point, order uint, p int) (*Assignment, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("acd: p = %d must be positive", p)
+	set, err := keynav.NewSet(order, particles)
+	if err != nil {
+		return nil, err
 	}
-	if len(particles) == 0 {
-		return nil, fmt.Errorf("acd: no particles")
-	}
-	assignCounter.Inc()
-	defer obs.StartTimer(assignTime)()
-	defer obs.StartSpan("partitioning").End()
 	n := len(particles)
-	a := &Assignment{
-		Order:     order,
-		P:         p,
-		Particles: append([]geom.Point(nil), particles...),
-		Ranks:     make([]int32, n),
-		side:      geom.Side(order),
-	}
+	ranks := make([]int32, n)
 	for r := 0; r < p; r++ {
 		lo, hi := partition.Start(r, n, p), partition.End(r, n, p)
 		for i := lo; i < hi; i++ {
-			a.Ranks[i] = int32(r)
+			ranks[i] = int32(r)
 		}
 	}
-	return a, nil
+	return FromOwners(set, ranks, p)
 }

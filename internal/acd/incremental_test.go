@@ -113,7 +113,7 @@ func TestFromSortedMatchesAssign(t *testing.T) {
 			pts = append(pts, pt)
 		}
 	}
-	want, err := Assign(pts, curve, order, p)
+	want, err := assignPoints(pts, curve, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
@@ -150,8 +151,12 @@ func TestANNSEqualsNFIOnBus(t *testing.T) {
 			pts = append(pts, geom.Pt(x, y))
 		}
 	}
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range sfc.All() {
-		a, err := acd.Assign(pts, c, order, len(pts))
+		a, err := acd.Assign(set, c, len(pts))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,21 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
+
+// assignPoints is acd.Assign over a private set of pts.
+func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.Assign(set, curve, p)
+}
 
 func TestRouteHopsMatchDistanceOnMesh(t *testing.T) {
 	m := topology.NewMesh(3, sfc.Hilbert)
@@ -125,7 +135,7 @@ func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(c sfc.Curve) Stats {
-		a, err := acd.Assign(pts, c, order, 64)
+		a, err := assignPoints(pts, c, order, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +207,7 @@ func TestRouteMatrixMatchesEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, p)
+	a, err := assignPoints(pts, sfc.Morton, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,30 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
+
+// assignPoints is acd.Assign over a private set of pts.
+func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.Assign(set, curve, p)
+}
+
+// ownersPoints is acd.FromOwners over a private set of pts.
+func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.FromOwners(set, ranks, p)
+}
 
 func TestTallyBasics(t *testing.T) {
 	ta := NewTally(3)
@@ -65,7 +84,7 @@ func TestCollectNFIConsistentWithACD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +111,7 @@ func TestCollectFFIConsistentWithACD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 16)
+	a, err := assignPoints(pts, sfc.Morton, order, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +205,7 @@ func tallyInputs(t *testing.T) map[string]*acd.Assignment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assigned, err := acd.Assign(pts, sfc.Hilbert, order, p)
+	assigned, err := assignPoints(pts, sfc.Hilbert, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +215,7 @@ func tallyInputs(t *testing.T) map[string]*acd.Assignment {
 	for i, j := range perm {
 		ranks[i] = int32(j * p / n)
 	}
-	owners, err := acd.FromOwners(pts, ranks, order, p)
+	owners, err := ownersPoints(pts, ranks, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +263,7 @@ func TestACDOrderingPredictsMakespan(t *testing.T) {
 	}
 	var scores []score
 	for _, curve := range sfc.All() {
-		a, err := acd.Assign(pts, curve, order, 1<<(2*procOrder))
+		a, err := assignPoints(pts, curve, order, 1<<(2*procOrder))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +330,7 @@ func TestWorkOnlyMakespanIgnoresPlacement(t *testing.T) {
 	opts := fmmmodel.NFIOptions{Radius: 1, Metric: geom.MetricChebyshev}
 	ms := map[string]float64{}
 	for _, curve := range []sfc.Curve{sfc.Hilbert, sfc.RowMajor} {
-		a, err := acd.Assign(pts, curve, order, 16)
+		a, err := assignPoints(pts, curve, order, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -120,30 +121,32 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 	// Steps are inherently sequential (each drifts the previous step's
 	// positions), but within a step the curves are independent cells
 	// reading the same frozen positions.
+	opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
 	for step := 0; step <= steps; step++ {
 		if step > 0 {
 			drift(pts, p.Order, driftRand)
 		}
+		// One skeleton per step: both policies of every curve label it,
+		// and its near plan is recorded once, with the whole budget.
+		set, err := keynav.NewSet(p.Order, pts)
+		if err != nil {
+			return DynamicResult{}, err
+		}
+		set.Plan(opts.Spec(), workerBudget(p.Workers))
 		if err := runCells(ctx, pool, nc, func(c int) error {
-			curve := curves[c]
-			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-			opts := fmmmodel.NFIOptions{
-				Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
-			}
+			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curves[c])}
 			// Static policy: initial owners, current positions.
-			static, err := acd.FromOwners(pts, initialRanks[c], p.Order, p.P())
+			static, err := acd.FromOwners(set, initialRanks[c], p.P())
 			if err != nil {
 				return err
 			}
 			res.Static[c][step] = fmmmodel.NFIMulti(static, topos, opts)[0].ACD()
-			static.Release()
 			// Reorder policy: fresh assignment from current positions.
-			fresh, err := acd.Assign(pts, curve, p.Order, p.P())
+			fresh, err := acd.Assign(set, curves[c], p.P())
 			if err != nil {
 				return err
 			}
 			res.Reorder[c][step] = fmmmodel.NFIMulti(fresh, topos, opts)[0].ACD()
-			fresh.Release()
 			return nil
 		}); err != nil {
 			return DynamicResult{}, err

@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/execmodel"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -58,21 +59,21 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 	type cellOut struct {
 		acd, makespan, maxSends float64
 	}
-	groups := make([]shared[[]geom.Point], p.Trials)
+	groups := newShared[*keynav.Set](p.Trials, n)
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, p.Order, p.P())
+		a, err := acd.Assign(set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -99,7 +100,6 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 			acdVal = float64(hops) / float64(work)
 		}
 		o := cellOut{acd: acdVal, makespan: ms, maxSends: float64(maxSends)}
-		a.Release()
 		outs[cell] = o
 		return nil
 	})

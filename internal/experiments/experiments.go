@@ -15,6 +15,7 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -96,6 +97,9 @@ func (p Params) Validate() error {
 	if p.Radius < 0 {
 		return fmt.Errorf("experiments: negative radius")
 	}
+	if err := checkNearEvents(p.Particles, p.Radius); err != nil {
+		return err
+	}
 	if p.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count")
 	}
@@ -106,6 +110,27 @@ func (p Params) Validate() error {
 	}
 	if !incrModes[p.IncrMode] {
 		return fmt.Errorf("experiments: unknown incr mode %q", p.IncrMode)
+	}
+	return nil
+}
+
+// maxNearEvents bounds the ordered near-field events of one particle
+// set, particles x ((2r+1)^2 - 1) for radius r (at least 1, the
+// default). A set's near plan holds half of them as 8-byte pairs, so
+// the bound caps a plan at 1 GiB: a request over it would exhaust
+// memory, which no caller can recover from. The largest paper preset
+// (fig6: 10^6 particles at radius 4, 80 neighbors each) stays 3.4x
+// below it.
+const maxNearEvents = 1 << 28
+
+// checkNearEvents rejects a near field of more than maxNearEvents
+// ordered events.
+func checkNearEvents(particles, radius int) error {
+	r := uint64(max(radius, 1))
+	// Past 2^13 the neighborhood alone exceeds the bound (and its
+	// square could overflow).
+	if r >= 1<<13 || uint64(particles)*((2*r+1)*(2*r+1)-1) > maxNearEvents {
+		return fmt.Errorf("experiments: %d particles at near-field radius %d exceed %d near-field events", particles, radius, maxNearEvents)
 	}
 	return nil
 }
@@ -164,21 +189,27 @@ func curveNames(curves []sfc.Curve) []string {
 	return names
 }
 
+// sampleSet draws the trial's unique particle set and builds its
+// skeleton, which every assignment of the set labels.
+func sampleSet(s dist.Sampler, p Params, trial int) (*keynav.Set, error) {
+	pts, err := samplePoints(s, p, trial)
+	if err != nil {
+		return nil, err
+	}
+	return keynav.NewSet(p.Order, pts)
+}
+
 // priceCell prices one sweep cell's assignment on every topology: the
 // radius-p.Radius Chebyshev near field and the far field, replayed from
-// the cell group's shared plan (recorded here by the group's first
-// cell, with the whole p.Workers budget). It then releases the
-// assignment and the cell's hold on the plan.
-func priceCell(p Params, a *acd.Assignment, topos []topology.Topology, g *groupPlan, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
+// one near+far plan of the assignment's particle set. The group's first
+// cell records it here with the whole p.Workers budget, since the
+// group's other cells wait on it anyway.
+func priceCell(p Params, a *acd.Assignment, topos []topology.Topology, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
 	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
 	spec := nfiOpts.Spec()
 	spec.Far = true
-	nfiOpts.Plan = g.get(a.KeyIndex(), spec, workerBudget(p.Workers))
-	nfi := fmmmodel.NFIMulti(a, topos, nfiOpts)
-	ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Plan: nfiOpts.Plan})
-	a.Release()
-	g.done()
-	return nfi, ffi
+	a.KeyIndex().Set().Plan(spec, workerBudget(p.Workers))
+	return fmmmodel.NFIMulti(a, topos, nfiOpts), fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
 }
 
 // torusPerCurve builds one torus per processor-order curve at the

@@ -58,6 +58,55 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateNearEvents pins the near-field event bound on both
+// sides of the boundary (radius 0 counting as the default 1), rejects
+// the radius that once exhausted the daemon's memory and a radius whose
+// neighborhood would overflow, and keeps every registry paper preset,
+// its scaled default and the radius sweep's radii inside the bound.
+func TestParamsValidateNearEvents(t *testing.T) {
+	// 2^25 particles with 8 neighbors each: exactly 2^28 events.
+	at := Params{Particles: 1 << 25, Order: 13, ProcOrder: 2, Radius: 1, Trials: 1}
+	for _, radius := range []int{0, 1} {
+		p := at
+		p.Radius = radius
+		if err := p.Validate(); err != nil {
+			t.Errorf("r=%d: 2^28 near-field events rejected: %v", radius, err)
+		}
+		p.Particles++
+		if p.Validate() == nil {
+			t.Errorf("r=%d: 2^28+8 near-field events accepted", radius)
+		}
+	}
+	for _, p := range []Params{
+		{Particles: 65536, Order: 8, ProcOrder: 3, Radius: 64, Trials: 1},
+		{Particles: 1, Order: 4, ProcOrder: 1, Radius: math.MaxInt, Trials: 1},
+	} {
+		if p.Validate() == nil {
+			t.Errorf("%d particles at radius %d accepted", p.Particles, p.Radius)
+		}
+	}
+	for _, spec := range Registry() {
+		for _, p := range []Params{spec.Paper, spec.Paper.Scale(2)} {
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s: %+v rejected: %v", spec.Name, p, err)
+			}
+			if spec.Name != "radius" {
+				continue
+			}
+			for _, r := range []int{1, 2, 4, 6, 8} { // the experiment's sweep
+				if err := checkNearEvents(p.Particles, r); err != nil {
+					t.Errorf("radius: swept radius %d rejected: %v", r, err)
+				}
+			}
+		}
+	}
+	// The sweep bounds its own radii, before sampling anything.
+	p := Params{Particles: 1 << 22, Order: 12, ProcOrder: 2, Radius: 1, Trials: 1}
+	if _, err := RunRadiusSweep(context.Background(), p, []int{1, 8}); err == nil {
+		t.Error("radius sweep accepted 2^22 particles at radius 8")
+	}
+}
+
 func TestParamsScale(t *testing.T) {
 	p := Table12Paper.Scale(2)
 	if p.Particles != 250000/16 || p.Order != 8 || p.ProcOrder != 6 {

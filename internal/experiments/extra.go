@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/primitives"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -133,21 +134,21 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		acd, maxLoad, meanLoad float64
 	}
 	type cellOut struct{ mesh, torus gridOut }
-	groups := make([]shared[[]geom.Point], p.Trials)
+	groups := newShared[*keynav.Set](p.Trials, n)
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, p.Order, p.P())
+		a, err := acd.Assign(set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -179,7 +180,6 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 				o.torus = out
 			}
 		}
-		a.Release()
 		outs[cell] = o
 		return nil
 	})

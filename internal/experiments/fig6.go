@@ -4,7 +4,7 @@ import (
 	"context"
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -64,22 +64,21 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per topology
 	}
-	groups := make([]shared[[]geom.Point], p.Trials)
-	plans := newGroupPlans(len(groups), nc)
+	groups := newShared[*keynav.Set](p.Trials, nc)
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, p.Order, p.P())
+		a, err := acd.Assign(set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -91,7 +90,7 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 			}
 			topos[t] = topo
 		}
-		nfiAccs, ffiAccs := priceCell(p, a, topos, &plans[trial], inner)
+		nfiAccs, ffiAccs := priceCell(p, a, topos, inner)
 		o := cellOut{nfi: make([]float64, nt), ffi: make([]float64, nt)}
 		for t := range topos {
 			o.nfi[t] = nfiAccs[t].ACD()

@@ -6,7 +6,7 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -67,8 +67,7 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	type cellOut struct{ nfi, ffi float64 }
 	// A trial's cells share its particle set and its plan, across every
 	// curve and processor count.
-	groups := make([]shared[[]geom.Point], p.Trials)
-	plans := newGroupPlans(len(groups), nc*no)
+	groups := newShared[*keynav.Set](p.Trials, nc*no)
 	outs := make([]cellOut, p.Trials*nc*no)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -76,8 +75,8 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		i := cell % no
 		c := (cell / no) % nc
 		trial := cell / (no * nc)
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
@@ -85,15 +84,14 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		curve := curves[c]
 		po := procOrders[i]
 		procs := 1 << (2 * po)
-		a, err := acd.Assign(pts, curve, p.Order, procs)
+		a, err := acd.Assign(set, curve, procs)
 		if err != nil {
 			return err
 		}
-		// Even with a single torus per step, the matrix path pays off:
-		// the event stream collapses to its distinct rank pairs before
-		// any distance is computed.
+		// One torus per step: the replay's pair memo still folds the
+		// repeated rank pairs before any distance is computed.
 		topos := []topology.Topology{topology.NewTorus(po, curve)}
-		nfi, ffi := priceCell(p, a, topos, &plans[trial], inner)
+		nfi, ffi := priceCell(p, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -62,59 +63,55 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 	type cellOut struct {
 		countACD, workACD, countImb, workImb float64
 	}
-	groups := make([]shared[[]geom.Point], p.Trials)
+	groups := newShared[*keynav.Set](p.Trials, n)
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Exponential, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Exponential, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		// Count-balanced baseline.
-		count, err := acd.Assign(pts, curve, p.Order, p.P())
+		work := nearDegrees(set, p.Radius, workerBudget(p.Workers))
+		// Both policies label the trial's set; perm lists its particles
+		// along the curve, where the chunks are consecutive.
+		perm := sfc.SortPoints(curve, p.Order, set.Points())
+		curveWork := make([]float64, len(perm))
+		for i, j := range perm {
+			curveWork[i] = work[j]
+		}
+		byCurve, err := partition.WeightedChunks(curveWork, p.P())
 		if err != nil {
 			return err
 		}
-		// Per-particle work in curve order: near-field neighbor count,
-		// probed on the key-space index directly (Assignment.RankAt
-		// would take its lock on every probe).
-		ix := count.KeyIndex()
-		work := make([]float64, count.N())
-		for i, particle := range count.Particles {
-			deg := 0
-			geom.VisitNeighborhood(particle, p.Radius, geom.MetricChebyshev, count.Side(),
-				func(q geom.Point) {
-					if ix.RankAt(q) >= 0 {
-						deg++
-					}
-				})
-			work[i] = float64(deg)
+		countRanks, workRanks := make([]int32, len(perm)), make([]int32, len(perm))
+		for i, j := range perm {
+			countRanks[j] = int32(partition.ChunkOf(i, len(perm), p.P()))
+			workRanks[j] = byCurve[i]
 		}
-		ranks, err := partition.WeightedChunks(work, p.P())
+		count, err := acd.FromOwners(set, countRanks, p.P())
 		if err != nil {
 			return err
 		}
-		weighted, err := acd.FromOwners(count.Particles, ranks, p.Order, p.P())
+		weighted, err := acd.FromOwners(set, workRanks, p.P())
 		if err != nil {
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
-		o := cellOut{
+		// Per-rank loads are sums of integer degrees, exact in any
+		// order, so the set order serves as well as the curve order.
+		outs[cell] = cellOut{
 			countACD: fmmmodel.NFIMulti(count, topos, opts)[0].ACD(),
 			workACD:  fmmmodel.NFIMulti(weighted, topos, opts)[0].ACD(),
-			countImb: partition.Imbalance(partition.ChunkWeights(work, count.Ranks, p.P())),
-			workImb:  partition.Imbalance(partition.ChunkWeights(work, ranks, p.P())),
+			countImb: partition.Imbalance(partition.ChunkWeights(work, countRanks, p.P())),
+			workImb:  partition.Imbalance(partition.ChunkWeights(work, workRanks, p.P())),
 		}
-		weighted.Release()
-		count.Release()
-		outs[cell] = o
 		return nil
 	})
 	if err != nil {
@@ -129,4 +126,25 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 		res.WorkImbalance[c] += o.workImb * f
 	}
 	return res, nil
+}
+
+// nearDegrees returns each of the set's particles' near-field work, in
+// the set's input order: the number of occupied cells within Chebyshev
+// radius of it. Every pair of the set's near plan is one neighbor of
+// each endpoint (the neighborhood excludes the cell itself), so the
+// plan, recorded here on first use with up to workers goroutines,
+// holds the degrees without a probe.
+func nearDegrees(set *keynav.Set, radius, workers int) []float64 {
+	deg := make([]float64, set.N()) // by finest slab position
+	for _, chunk := range set.Plan(keynav.Spec{Radius: radius, Metric: geom.MetricChebyshev}, workers).Near(radius, geom.MetricChebyshev) {
+		for _, pr := range chunk {
+			deg[pr.A]++
+			deg[pr.B]++
+		}
+	}
+	work := make([]float64, set.N())
+	for i := range work {
+		work[i] = deg[set.Pos(i)]
+	}
+	return work
 }

@@ -4,6 +4,11 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"sfcacd/internal/acd"
+	"sfcacd/internal/dist"
+	"sfcacd/internal/geom"
+	"sfcacd/internal/sfc"
 )
 
 func TestRunLoadBalance(t *testing.T) {
@@ -58,6 +63,39 @@ func TestRunLoadBalanceDeterministic(t *testing.T) {
 	for c := range a.Curves {
 		if a.WorkACD[c] != b.WorkACD[c] || a.CountImbalance[c] != b.CountImbalance[c] {
 			t.Fatal("RunLoadBalance not deterministic")
+		}
+	}
+}
+
+// TestNearDegreesMatchProbes holds the plan-derived per-particle work
+// to the probe loop it replaced: each particle's Chebyshev
+// neighborhood visited cell by cell and looked up in an assignment's
+// labelling, at radii 0-3 on a skewed input and at several recording
+// worker counts.
+func TestNearDegreesMatchProbes(t *testing.T) {
+	p := testParams
+	for _, radius := range []int{0, 1, 2, 3} {
+		for _, workers := range []int{1, 3} {
+			set, err := sampleSet(dist.Exponential, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := acd.Assign(set, sfc.Hilbert, p.P())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := nearDegrees(set, radius, workers)
+			for i, pt := range set.Points() {
+				deg := 0
+				geom.VisitNeighborhood(pt, radius, geom.MetricChebyshev, geom.Side(p.Order), func(q geom.Point) {
+					if a.RankAt(q) >= 0 {
+						deg++
+					}
+				})
+				if got[i] != float64(deg) {
+					t.Fatalf("r=%d workers=%d: particle %d at %v has degree %v, probes count %d", radius, workers, i, pt, got[i], deg)
+				}
+			}
 		}
 	}
 }

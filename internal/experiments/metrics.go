@@ -6,7 +6,7 @@ import (
 	"sfcacd/internal/anns"
 	"sfcacd/internal/clustering"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -93,29 +93,28 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 2: the ACD columns over trial x curve cells.
 	type cellOut struct{ nfi, ffi float64 }
-	groups := make([]shared[[]geom.Point], cfg.Params.Trials)
-	plans := newGroupPlans(len(groups), n)
+	groups := newShared[*keynav.Set](cfg.Params.Trials, n)
 	outs := make([]cellOut, cfg.Params.Trials*n)
 	pool := sweepPool(cfg.Params.Workers, len(outs))
 	inner := innerWorkers(cfg.Params.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, cfg.Params, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, cfg.Params, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, cfg.Params.Order, cfg.Params.P())
+		a, err := acd.Assign(set, curve, cfg.Params.P())
 		if err != nil {
 			return err
 		}
-		// One topology through the same matrix build and fused
-		// contraction as the other experiment runners.
+		// One topology, priced on replay like the other experiment
+		// runners.
 		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
-		nfi, ffi := priceCell(cfg.Params, a, topos, &plans[trial], inner)
+		nfi, ffi := priceCell(cfg.Params, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -44,6 +45,12 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 	if len(radii) == 0 {
 		return RadiusSweepResult{}, fmt.Errorf("experiments: no radii to sweep")
 	}
+	// The swept radii are not in Params, so Validate did not bound them.
+	for _, r := range radii {
+		if err := checkNearEvents(p.Particles, r); err != nil {
+			return RadiusSweepResult{}, err
+		}
+	}
 	curves := sfc.All()
 	res := RadiusSweepResult{
 		Radii:  append([]int(nil), radii...),
@@ -51,39 +58,35 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		NFI:    zeroRect(len(curves), len(radii)),
 	}
 	nc := len(curves)
-	groups := make([]shared[[]geom.Point], p.Trials)
-	// Each radius induces its own near-field pairs, so a trial's cells
-	// share one plan per radius: plans[trial*len(radii)+i].
-	plans := newGroupPlans(p.Trials*len(radii), nc)
+	groups := newShared[*keynav.Set](p.Trials, nc)
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, p.Order, p.P())
+		a, err := acd.Assign(set, curve, p.P())
 		if err != nil {
 			return err
 		}
-		// The radii share one occupancy index (a.KeyIndex is cached);
-		// each replays its own plan and prices it on the torus.
+		// Each radius induces its own near-field pairs, so the set
+		// holds one plan per radius, recorded by the trial's first cell
+		// with the whole p.Workers budget; each cell replays them all
+		// against its one labelling and prices them on the torus.
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		o := make([]float64, len(radii))
 		for i, radius := range radii {
 			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner}
-			g := &plans[trial*len(radii)+i]
-			opts.Plan = g.get(a.KeyIndex(), opts.Spec(), workerBudget(p.Workers))
+			set.Plan(opts.Spec(), workerBudget(p.Workers))
 			o[i] = fmmmodel.NFIMulti(a, topos, opts)[0].ACD()
-			g.done()
 		}
-		a.Release()
 		outs[cell] = o
 		return nil
 	})
@@ -150,8 +153,7 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	}
 	nc := len(curves)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := make([]shared[[]geom.Point], len(sizes)*p.Trials)
-	plans := newGroupPlans(len(groups), nc)
+	groups := newShared[*keynav.Set](len(sizes)*p.Trials, nc)
 	outs := make([]cellOut, len(groups)*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -161,19 +163,19 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 		trial := g % p.Trials
 		i := g / p.Trials
 		q := qs[i]
-		pts, err := groups[g].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, q, trial)
+		set, err := groups[g].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, q, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, q.Order, q.P())
+		a, err := acd.Assign(set, curve, q.P())
 		if err != nil {
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(q.ProcOrder, curve)}
-		nfi, ffi := priceCell(q, a, topos, &plans[g], inner)
+		nfi, ffi := priceCell(q, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})
@@ -228,22 +230,21 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 	}
 	nc := len(curves)
 	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
-	groups := make([]shared[[]geom.Point], p.Trials)
-	plans := newGroupPlans(len(groups), nc)
+	groups := newShared[*keynav.Set](p.Trials, nc)
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		pts, err := groups[trial].get(func() ([]geom.Point, error) {
-			return samplePoints(dist.Uniform, p, trial)
+		set, err := groups[trial].get(func() (*keynav.Set, error) {
+			return sampleSet(dist.Uniform, p, trial)
 		})
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(pts, curve, p.Order, p.P())
+		a, err := acd.Assign(set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -251,7 +252,7 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 			topology.NewMesh(p.ProcOrder, curve),
 			topology.NewTorus(p.ProcOrder, curve),
 		}
-		nfi, ffi := priceCell(p, a, topos, &plans[trial], inner)
+		nfi, ffi := priceCell(p, a, topos, inner)
 		outs[cell] = cellOut{
 			meshNFI:  nfi[0].ACD(),
 			torusNFI: nfi[1].ACD(),

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 )
 
@@ -148,56 +147,36 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 	return ctx.Err()
 }
 
-// shared is a lazily computed per-group artifact (e.g. one trial's
-// sampled particle set) shared read-only by all cells of the group;
-// whichever cell arrives first computes it.
+// shared is a lazily computed per-group artifact (one trial's sampled
+// particle set, as its keynav.Set skeleton) shared read-only by the
+// cells of the group; whichever cell arrives first computes it. The
+// slot drops the artifact once the group's last cell has taken it, so
+// a sweep holds only the artifacts of the groups it has in flight:
+// the cells' assignments keep it alive until they finish.
 type shared[T any] struct {
 	once sync.Once
 	v    T
 	err  error
+	left atomic.Int32 // cells yet to take the artifact
 }
 
+// newShared returns the slots of `groups` groups of `cells` cells.
+func newShared[T any](groups, cells int) []shared[T] {
+	s := make([]shared[T], groups)
+	for i := range s {
+		s[i].left.Store(int32(cells))
+	}
+	return s
+}
+
+// get returns the group's artifact, computing it with f on the first
+// call. Each of the group's cells calls it exactly once.
 func (s *shared[T]) get(f func() (T, error)) (T, error) {
 	s.once.Do(func() { s.v, s.err = f() })
-	return s.v, s.err
-}
-
-// groupPlan shares one keynav.Plan among the cells of a sweep group:
-// the cells that price one sampled particle set, under each curve (and,
-// in fig7, each processor count). The plan's cell pairs depend only on
-// which cells are occupied, so the first cell to arrive records it from
-// its own assignment's index with the sweep's whole worker budget — the
-// group's other cells wait on it anyway — and every cell replays it
-// against its own ranks. The group's last cell releases it, so a sweep
-// holds only the plans of the groups it has in flight.
-type groupPlan struct {
-	once sync.Once
-	plan *keynav.Plan
-	left atomic.Int32 // cells yet to call done
-}
-
-// newGroupPlans returns the plans of `groups` groups of `cells` cells.
-func newGroupPlans(groups, cells int) []groupPlan {
-	g := make([]groupPlan, groups)
-	for i := range g {
-		g[i].left.Store(int32(cells))
+	v, err := s.v, s.err
+	if s.left.Add(-1) == 0 {
+		var zero T
+		s.v = zero
 	}
-	return g
-}
-
-// get returns the group's plan, recording spec over ix on the first
-// call. Every later caller must assign the same particle set.
-func (g *groupPlan) get(ix *keynav.Index, spec keynav.Spec, workers int) *keynav.Plan {
-	g.once.Do(func() { g.plan = keynav.RecordPlan(ix, spec, workers) })
-	return g.plan
-}
-
-// done marks one of the group's cells finished with the plan; the last
-// one releases it. A cell that fails before done leaves the plan to
-// the garbage collector.
-func (g *groupPlan) done() {
-	if g.left.Add(-1) == 0 {
-		g.plan.Release()
-		g.plan = nil
-	}
+	return v, err
 }

@@ -154,15 +154,18 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestPlanSharedAcrossCells runs sweeps whose cells share one recorded
-// plan per sampled particle set on several workers — concurrent
-// replays, and the release by each group's last cell, which the race
+// TestPlanSharedAcrossCells runs sweeps whose cells label one shared
+// set per sampled particle set and replay the plan its first cell
+// records, on several workers — concurrent replays, and the group slot
+// dropping its set after the last cell takes it, which the race
 // detector checks — and requires the one-worker results and exactly
-// one recording per group: a (distribution, trial) pair in table12, a
-// trial across every curve and processor count in fig7.
+// one set and one recording per group: a (distribution, trial) pair in
+// table12, a trial across every curve and processor count in fig7, a
+// timestep across every curve and both policies in dynamic.
 func TestPlanSharedAcrossCells(t *testing.T) {
-	plans := obs.GetCounter("keynav.plans")
+	builds, plans := obs.GetCounter("keynav.builds"), obs.GetCounter("keynav.plans")
 	p := Params{Particles: 500, Order: 6, ProcOrder: 2, Radius: 2, Trials: 2, Seed: 5}
+	const steps = 3
 	for name, run := range map[string]func(Params) (any, int, error){
 		"table12": func(p Params) (any, int, error) {
 			res, err := RunTable12(context.Background(), p)
@@ -172,16 +175,23 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 			res, err := RunFig7(context.Background(), p, []uint{1, 2, 3})
 			return res, p.Trials, err
 		},
+		"dynamic": func(p Params) (any, int, error) {
+			res, err := RunDynamic(context.Background(), p, steps)
+			return res, steps + 1, err
+		},
 	} {
 		var want any
 		for _, workers := range []int{1, 4} {
 			p.Workers = workers
-			before := plans.Value()
+			b0, p0 := builds.Value(), plans.Value()
 			got, groups, err := run(p)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if n := plans.Value() - before; n != uint64(groups) {
+			if n := builds.Value() - b0; n != uint64(groups) {
+				t.Errorf("%s workers=%d: %d sets built for %d groups", name, workers, n, groups)
+			}
+			if n := plans.Value() - p0; n != uint64(groups) {
 				t.Errorf("%s workers=%d: %d plans recorded for %d groups", name, workers, n, groups)
 			}
 			if want == nil {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 )
@@ -61,8 +61,7 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per processor-order curve
 	}
-	groups := make([]shared[[]geom.Point], len(samplers)*p.Trials)
-	plans := newGroupPlans(len(groups), nc)
+	groups := newShared[*keynav.Set](len(samplers)*p.Trials, nc)
 	outs := make([]cellOut, len(groups)*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -71,17 +70,17 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 		g := cell / nc
 		trial := g % p.Trials
 		d := g / p.Trials
-		pts, err := groups[g].get(func() ([]geom.Point, error) {
-			return samplePoints(samplers[d], p, trial)
+		set, err := groups[g].get(func() (*keynav.Set, error) {
+			return sampleSet(samplers[d], p, trial)
 		})
 		if err != nil {
 			return err
 		}
-		a, err := acd.Assign(pts, curves[pc], p.Order, p.P())
+		a, err := acd.Assign(set, curves[pc], p.P())
 		if err != nil {
 			return err
 		}
-		nfiAccs, ffiAccs := priceCell(p, a, topos, &plans[g], inner)
+		nfiAccs, ffiAccs := priceCell(p, a, topos, inner)
 		o := cellOut{nfi: make([]float64, nc), ffi: make([]float64, nc)}
 		for proc := range curves {
 			o.nfi[proc] = nfiAccs[proc].ACD()

@@ -98,7 +98,7 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 	}
 	procs := 1 << (3 * p.ProcOrder)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := make([]shared[[]geom3.Point3], p.Trials)
+	groups := newShared[[]geom3.Point3](p.Trials, nc)
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(workers, len(outs))
 	inner := innerWorkers(workers, pool)

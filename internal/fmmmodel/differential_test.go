@@ -36,10 +36,11 @@ func allTopologies() []topology.Topology {
 // TestDifferentialMatrixVsDirect sweeps seeds x particle orders and
 // checks the priced path (NFIMulti, FFIMulti) against the direct
 // oracle on curve-sorted Assign inputs and a shuffled-rank FromOwners
-// input, each also replaying plans recorded on the next assignment of
-// the same particle set (see checkPricedVsDirect for the radii,
-// metrics and topologies covered). It keeps its matrix-era name
-// because CI's Differential step selects it by name.
+// input, each assigned both over a private set and over one set every
+// input shares, whose plans the first assignment priced records (see
+// checkPricedVsDirect for the radii, metrics and topologies covered).
+// It keeps its matrix-era name because CI's Differential step selects
+// it by name.
 func TestDifferentialMatrixVsDirect(t *testing.T) {
 	const order, p = 6, 64
 	topos := allTopologies()
@@ -49,20 +50,46 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var as []*acd.Assignment
-		var names []string
+		set, err := keynav.NewSet(order, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, curve := range curves {
-			a, err := acd.Assign(pts, curve, order, p)
+			a, err := assignPoints(pts, curve, order, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			as, names = append(as, a), append(names, curve.Name())
+			shared, err := acd.Assign(set, curve, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPricedVsDirect(t, fmt.Sprintf("seed%d/%s", seed, curve.Name()), a, shared, topos)
 		}
-		as, names = append(as, shuffledOwners(t, pts, order, p, uint64(seed))), append(names, "owners")
-		for i, a := range as {
-			checkPricedVsDirect(t, fmt.Sprintf("seed%d/%s", seed, names[i]), a, topos, as[(i+1)%len(as)])
+		a := shuffledOwners(t, pts, order, p, uint64(seed))
+		shared, err := acd.FromOwners(set, a.Ranks, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkPricedVsDirect(t, fmt.Sprintf("seed%d/owners", seed), a, shared, topos)
 	}
+}
+
+// assignPoints is acd.Assign over a private set of pts.
+func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.Assign(set, curve, p)
+}
+
+// ownersPoints is acd.FromOwners over a private set of pts.
+func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.FromOwners(set, ranks, p)
 }
 
 // shuffledOwners assigns pts in sampling order to ranks shuffled so
@@ -76,7 +103,7 @@ func shuffledOwners(t *testing.T, pts []geom.Point, order uint, p int, seed uint
 	for i, j := range perm {
 		ranks[i] = int32(j * p / len(pts))
 	}
-	a, err := acd.FromOwners(pts, ranks, order, p)
+	a, err := ownersPoints(pts, ranks, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +112,9 @@ func shuffledOwners(t *testing.T, pts []geom.Point, order uint, p int, seed uint
 
 // checkPricedVsDirect holds NFIMulti (radii 1 and 2, both metrics)
 // and FFIMulti to the direct per-event oracle on every topology in
-// topos, for one assignment: once with private plans, and once
-// replaying plans recorded on planFrom, another assignment of the same
-// particle set.
-func checkPricedVsDirect(t *testing.T, name string, a *acd.Assignment, topos []topology.Topology, planFrom *acd.Assignment) {
+// topos, for one assignment a over a private set and the same
+// ownership, shared, labelling a set other assignments share.
+func checkPricedVsDirect(t *testing.T, name string, a, shared *acd.Assignment, topos []topology.Topology) {
 	t.Helper()
 	ffiDirect := make([]FFIResult, len(topos))
 	for i, topo := range topos {
@@ -98,29 +124,21 @@ func checkPricedVsDirect(t *testing.T, name string, a *acd.Assignment, topos []t
 		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			opts := NFIOptions{Radius: radius, Metric: metric}
 			private := NFIMulti(a, topos, opts)
-			spec := opts.Spec()
-			spec.Far = true
-			opts.Plan = keynav.RecordPlan(planFrom.KeyIndex(), spec, 2)
-			shared := NFIMulti(a, topos, opts)
-			sharedFFI := FFIMulti(a, topos, FFIOptions{Plan: opts.Plan})
-			opts.Plan.Release()
+			fromShared := NFIMulti(shared, topos, opts)
 			for i, topo := range topos {
-				if direct := oracleNFI(a, topo, opts); private[i] != direct || shared[i] != direct {
-					t.Errorf("%s r=%d %s %s: NFI priced %+v (shared plan %+v) != direct %+v",
-						name, radius, metric, topo.Name(), private[i], shared[i], direct)
-				}
-				if sharedFFI[i] != ffiDirect[i] {
-					t.Errorf("%s r=%d %s %s: FFI priced from a shared plan %+v != direct %+v",
-						name, radius, metric, topo.Name(), sharedFFI[i], ffiDirect[i])
+				if direct := oracleNFI(a, topo, opts); private[i] != direct || fromShared[i] != direct {
+					t.Errorf("%s r=%d %s %s: NFI priced %+v (shared set %+v) != direct %+v",
+						name, radius, metric, topo.Name(), private[i], fromShared[i], direct)
 				}
 			}
 		}
 	}
-
-	multi := FFIMulti(a, topos, FFIOptions{})
-	for i, topo := range topos {
-		if multi[i] != ffiDirect[i] {
-			t.Errorf("%s %s: FFI priced %+v != direct %+v", name, topo.Name(), multi[i], ffiDirect[i])
+	for _, b := range []*acd.Assignment{a, shared} {
+		multi := FFIMulti(b, topos, FFIOptions{})
+		for i, topo := range topos {
+			if multi[i] != ffiDirect[i] {
+				t.Errorf("%s %s: FFI priced %+v != direct %+v", name, topo.Name(), multi[i], ffiDirect[i])
+			}
 		}
 	}
 }
@@ -135,7 +153,7 @@ func TestNFIMatrixContractsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 64)
+	a, err := assignPoints(pts, sfc.Morton, order, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

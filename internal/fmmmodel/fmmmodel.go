@@ -12,15 +12,14 @@
 //     accumulation), and interaction-list exchanges, between per-cell
 //     representative processors (the minimum rank in the cell).
 //
-// Every ACD consumer prices the event stream on replay: the key-space
-// index (internal/keynav) records the event-producing cell pairs of
-// the assignment's particle set as a plan, and NFIMulti and FFIMulti
-// replay the plan against the assignment's ranks straight into the
+// Every ACD consumer prices the event stream on replay: the skeleton
+// of the assignment's particle set (keynav.Set) records the
+// event-producing cell pairs as a plan, and NFIMulti and FFIMulti
+// replay the plan against the assignment's labelling straight into the
 // distance kernels of any number of topologies, through small
 // per-worker pair memos (multi.go). The plan does not depend on the
-// ranks, so callers pricing one particle set under several curves pass
-// a shared plan (NFIOptions.Plan, FFIOptions.Plan) and enumerate once;
-// without one each call records a private plan.
+// ranks, so the set records it once, for the first assignment priced,
+// and every other assignment of the set replays it.
 //
 // Consumers that need the rank pairs themselves rather than their
 // distance sums — per-rank tallies (internal/execmodel), link routing
@@ -51,13 +50,6 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Plan, when set, supplies the near-field pairs of the assignment's
-	// particle set, recorded for this Radius and Metric by
-	// keynav.RecordPlan (it panics otherwise). Nil records a private
-	// plan. The plan is an input shared across assignments of one
-	// particle set, not a tuning knob: the results are the same either
-	// way.
-	Plan *keynav.Plan
 }
 
 func (o *NFIOptions) normalize() {
@@ -116,8 +108,4 @@ func (r FFIResult) record() {
 type FFIOptions struct {
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Plan, when set, supplies the interaction-list pairs of the
-	// assignment's particle set (a keynav.Plan recorded with Far). Nil
-	// records a private plan; the results are the same either way.
-	Plan *keynav.Plan
 }

@@ -27,7 +27,7 @@ func fullGrid(order uint) []geom.Point {
 // all four cells, Hilbert particle order, one particle per processor,
 // bus topology.
 func TestNFIHandComputed(t *testing.T) {
-	a, err := acd.Assign(fullGrid(1), sfc.Hilbert, 1, 4)
+	a, err := assignPoints(fullGrid(1), sfc.Hilbert, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestNFIHandComputed(t *testing.T) {
 // 2). Each leaf representative sends to the root representative
 // (rank 0) over a bus.
 func TestFFIHandComputed(t *testing.T) {
-	a, err := acd.Assign(fullGrid(1), sfc.Hilbert, 1, 4)
+	a, err := assignPoints(fullGrid(1), sfc.Hilbert, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFFIMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pc := range []sfc.Curve{sfc.Hilbert, sfc.RowMajor} {
-			a, err := acd.Assign(pts, pc, order, 16)
+			a, err := assignPoints(pts, pc, order, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestNFIMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Gray, order, 16)
+	a, err := assignPoints(pts, sfc.Gray, order, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +188,19 @@ func TestNFIDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 16)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh assignment per worker count records its set's plan at
+	// that count.
+	assign := func() *acd.Assignment {
+		a, err := assignPoints(pts, sfc.Hilbert, order, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
 	topo := topology.NewMesh(2, sfc.Hilbert)
-	base := nfiOne(a, topo, NFIOptions{Radius: 2, Workers: 1})
+	base := nfiOne(assign(), topo, NFIOptions{Radius: 2, Workers: 1})
 	for _, w := range []int{2, 3, 8, 64} {
-		if got := nfiOne(a, topo, NFIOptions{Radius: 2, Workers: w}); got != base {
+		if got := nfiOne(assign(), topo, NFIOptions{Radius: 2, Workers: w}); got != base {
 			t.Fatalf("workers=%d: %+v != %+v", w, got, base)
 		}
 	}
@@ -208,14 +213,17 @@ func TestFFIDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 64)
-	if err != nil {
-		t.Fatal(err)
+	assign := func() *acd.Assignment {
+		a, err := assignPoints(pts, sfc.Morton, order, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
 	topo := topology.NewTorus(3, sfc.Morton)
-	base := ffiOne(a, topo, FFIOptions{Workers: 1})
+	base := ffiOne(assign(), topo, FFIOptions{Workers: 1})
 	for _, w := range []int{2, 7, 32} {
-		if got := ffiOne(a, topo, FFIOptions{Workers: w}); got != base {
+		if got := ffiOne(assign(), topo, FFIOptions{Workers: w}); got != base {
 			t.Fatalf("workers=%d: %+v != %+v", w, got, base)
 		}
 	}
@@ -230,7 +238,7 @@ func TestNFIRadiusGrowsACD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +261,7 @@ func TestSingleProcessorZeroACD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 1)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +286,7 @@ func TestHilbertBeatsRowMajorOnTorus(t *testing.T) {
 	}
 	const procOrder = 4 // 256 processors
 	run := func(c sfc.Curve) (nfi, ffi float64) {
-		a, err := acd.Assign(pts, c, order, 1<<(2*procOrder))
+		a, err := assignPoints(pts, c, order, 1<<(2*procOrder))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 )
@@ -13,10 +14,11 @@ import (
 // TestDifferentialKeysEngine feeds the key-space engine the input
 // shape loadbalance and dynamic build: an acd.FromOwners assignment
 // with particles in sampling order and ranks shuffled so they are not
-// monotone along any curve. The index must sort the keys itself and
-// carry each particle's own rank; checkPricedVsDirect holds the result
-// to the direct per-event oracle on all six topologies, with private
-// plans and with plans recorded on a Morton assignment of the set.
+// monotone along any curve. The set must sort the keys itself and the
+// labelling carry each particle's own rank; checkPricedVsDirect holds
+// the result to the direct per-event oracle on all six topologies, over
+// a private set and over a set whose plans a Morton assignment
+// recorded first.
 func TestDifferentialKeysEngine(t *testing.T) {
 	const order, p = 6, 64
 	topos := allTopologies()
@@ -25,11 +27,25 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		morton, err := acd.Assign(pts, sfc.Morton, order, p)
+		set, err := keynav.NewSet(order, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPricedVsDirect(t, fmt.Sprintf("seed%d/owners", seed), shuffledOwners(t, pts, order, p, uint64(seed)), topos, morton)
+		mortonShared, err := acd.Assign(set, sfc.Morton, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		morton, err := assignPoints(pts, sfc.Morton, order, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPricedVsDirect(t, fmt.Sprintf("seed%d/morton", seed), morton, mortonShared, topos)
+		a := shuffledOwners(t, pts, order, p, uint64(seed))
+		shared, err := acd.FromOwners(set, a.Ranks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPricedVsDirect(t, fmt.Sprintf("seed%d/owners", seed), a, shared, topos)
 	}
 }
 
@@ -43,13 +59,20 @@ func TestKeysEngineWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh assignment per worker count records its set's plans at
+	// that count.
+	assign := func() *acd.Assignment {
+		a, err := assignPoints(pts, sfc.Hilbert, order, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
+	a := assign()
 	nfiBase := NFIMulti(a, topos, NFIOptions{Workers: 1})
 	ffiBase := FFIMulti(a, topos, FFIOptions{Workers: 1})
 	for _, workers := range []int{2, 3, 8} {
+		a := assign()
 		nfi := NFIMulti(a, topos, NFIOptions{Workers: workers})
 		ffi := FFIMulti(a, topos, FFIOptions{Workers: workers})
 		for i := range topos {

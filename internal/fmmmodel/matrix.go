@@ -12,7 +12,8 @@ import (
 
 // This file builds topology-independent communication matrices
 // (internal/commmat) from the model's event streams, by replaying a
-// keynav.Plan against one index's representative ranks. The ACD path
+// particle set's keynav.Plan against one labelling's representative
+// ranks. The ACD path
 // (multi.go) prices the same replay without a matrix; the matrices
 // serve the consumers that need the rank pairs themselves (per-rank
 // tallies in internal/execmodel, link routing in internal/contention)
@@ -57,23 +58,16 @@ const ilBand = 512
 // NFIMatrix aggregates the assignment's near-field event stream into a
 // symmetric-canonical matrix: every unordered particle pair within
 // opts.Radius contributes one event between the owning ranks, keyed
-// with the smaller rank as source. The pairs come from opts.Plan (or a
-// plan recorded here over the assignment's occupancy index) and are
-// replayed against the index's ranks in one parallel pass. Contract
+// with the smaller rank as source. The pairs come from the particle
+// set's plan (recorded on first use) and are replayed against the
+// labelling's ranks in one parallel pass. Contract
 // with the Sym variant; each pair then counts once per direction,
 // exactly reproducing the ordered stream.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	defer obs.StartSpan("commmat.build.nfi").End()
 	opts.normalize()
 	ix := a.KeyIndex()
-	pl := opts.Plan
-	if pl == nil {
-		pl = keynav.RecordPlan(ix, opts.Spec(), opts.Workers)
-		defer pl.Release()
-	} else {
-		pl.Check(ix)
-	}
-	chunks := pl.Near(opts.Radius, opts.Metric)
+	chunks := ix.Set().Plan(opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
 	reps := ix.Reps(ix.Order)
 	workers := min(opts.Workers, max(len(chunks), 1))
 	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
@@ -110,19 +104,17 @@ type FFIMatrices struct {
 }
 
 // FFIMatricesFromIndex aggregates the far-field event streams of an
-// assignment over p ranks from its key-space index: the same streams a
-// walk over the representative quadtree (quadtree.RankTree) produces.
-// It records a private plan of the index's interaction lists and
-// replays it against the index's per-level representatives on up to
+// assignment over p ranks from its labelling: the same streams a walk
+// over the representative quadtree (quadtree.RankTree) produces. It
+// replays the particle set's interaction-list plan (recorded on first
+// use) against the labelling's per-level representatives on up to
 // workers workers, one builder shard each.
 func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 	defer obs.StartSpan("commmat.build.ffi").End()
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	pl := keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
-	defer pl.Release()
-	tasks := ffiTasks(ix, pl, workers)
+	tasks := ffiTasks(ix, workers)
 	bi := commmat.NewBuilderBanded(p, workers, tightBand)
 	bl := commmat.NewBuilderBanded(p, workers, ilBand)
 	parallel(workers, len(tasks), func(w, i int) {
@@ -153,10 +145,12 @@ type ffiTask struct {
 	il     []keynav.Pair
 }
 
-// ffiTasks cuts the far-field streams of the index into tasks, with
-// work chunked over slab positions and plan pairs so task cost tracks
-// occupancy. It panics if the plan did not record the far field.
-func ffiTasks(ix *keynav.Index, pl *keynav.Plan, workers int) []ffiTask {
+// ffiTasks cuts the far-field streams of the labelling into tasks,
+// with work chunked over slab positions and plan pairs so task cost
+// tracks occupancy. The set's far-field plan is recorded here on first
+// use, on up to workers goroutines.
+func ffiTasks(ix *keynav.Index, workers int) []ffiTask {
+	pl := ix.Set().Plan(keynav.Spec{Far: true}, workers)
 	var tasks []ffiTask
 	for l := ix.Order; l >= 1; l-- {
 		m := ix.LevelLen(l - 1)

@@ -58,9 +58,9 @@ var (
 )
 
 // NFIMulti computes the near-field accumulator of the assignment under
-// each of the given topologies from one replay of the near-field pair
-// plan (opts.Plan, or a private plan recorded here). Every topology
-// must have the assignment's processor count. The results are exactly
+// each of the given topologies from one replay of its particle set's
+// near-field pair plan (recorded on first use, with opts.Workers).
+// Every topology must have the assignment's processor count. The results are exactly
 // (Sum/Count/Zeros) those of accumulating the ordered per-event stream
 // on each topology; the tests pin this against a direct per-event
 // oracle.
@@ -73,14 +73,7 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 	}
 	checkP(topos, a.P)
 	ix := a.KeyIndex()
-	pl := opts.Plan
-	if pl == nil {
-		pl = keynav.RecordPlan(ix, opts.Spec(), opts.Workers)
-		defer pl.Release()
-	} else {
-		pl.Check(ix)
-	}
-	chunks := pl.Near(opts.Radius, opts.Metric)
+	chunks := ix.Set().Plan(opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
 	reps := ix.Reps(ix.Order)
 
 	span := obs.StartSpan("price.nfi")
@@ -96,9 +89,9 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 
 // FFIMulti computes the far-field breakdown of the assignment under
 // each of the given topologies from one replay of its far-field
-// streams: the parent-child links from the key-space index's child
-// groups, the interaction lists from the pair plan (opts.Plan, or a
-// private plan recorded here). The three communication types are
+// streams: the parent-child links from the skeleton's child groups,
+// the interaction lists from its particle set's pair plan (recorded on
+// first use, with opts.Workers). The three communication types are
 // priced separately, so FFIResult keeps its per-type breakdown. Every
 // topology must have the assignment's processor count.
 func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []FFIResult {
@@ -112,14 +105,7 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	}
 	checkP(topos, a.P)
 	ix := a.KeyIndex()
-	pl := opts.Plan
-	if pl == nil {
-		pl = keynav.RecordPlan(ix, keynav.Spec{Far: true}, opts.Workers)
-		defer pl.Release()
-	} else {
-		pl.Check(ix)
-	}
-	tasks := ffiTasks(ix, pl, opts.Workers)
+	tasks := ffiTasks(ix, opts.Workers)
 
 	span := obs.StartSpan("price.ffi")
 	workers := min(opts.Workers, max(len(tasks), 1))

@@ -19,7 +19,7 @@ func TestNFIMultiMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFFIMultiMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 16)
+	a, err := assignPoints(pts, sfc.Morton, order, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +72,24 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Gray, order, 64)
-	if err != nil {
-		t.Fatal(err)
+	// A fresh assignment per worker count records its set's plans at
+	// that count.
+	assign := func() *acd.Assignment {
+		a, err := assignPoints(pts, sfc.Gray, order, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
 	topos := []topology.Topology{
 		topology.NewTorus(3, sfc.Hilbert),
 		topology.NewMesh(3, sfc.Morton),
 	}
+	a := assign()
 	nfiBase := NFIMulti(a, topos, NFIOptions{Radius: 1, Workers: 1})
 	ffiBase := FFIMulti(a, topos, FFIOptions{Workers: 1})
 	for _, w := range []int{2, 8, 32} {
+		a := assign()
 		nfi := NFIMulti(a, topos, NFIOptions{Radius: 1, Workers: w})
 		ffi := FFIMulti(a, topos, FFIOptions{Workers: w})
 		for i := range topos {

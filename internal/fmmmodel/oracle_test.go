@@ -10,8 +10,8 @@ import (
 // The direct per-event oracle: the paper's §IV event streams
 // enumerated one event at a time on the calling goroutine and
 // accumulated per topology. It shares no lookup code with the
-// production pipeline (key-space index -> pair plan -> priced
-// replay): the near field resolves ranks through a
+// production pipeline (key skeleton -> pair plan -> labelling ->
+// priced replay): the near field resolves ranks through a
 // cell->rank map built from the assignment's arrays, and the far field
 // walks the dense representative tree quadtree.RankTree.
 

@@ -29,7 +29,6 @@ func TestPricedMatchesMatrixUnderEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := shuffledOwners(t, pts, order, p, 16)
 	six := []topology.Topology{
 		topology.NewBus(p),
 		topology.NewRing(p),
@@ -40,6 +39,9 @@ func TestPricedMatchesMatrixUnderEviction(t *testing.T) {
 	}
 	for _, topos := range [][]topology.Topology{six[3:4], append(six, plainTopology{six[3]})} {
 		for _, w := range []int{1, 2, 7} {
+			// A fresh set per worker count records its plans at that
+			// count.
+			a := shuffledOwners(t, pts, order, p, 16)
 			name := fmt.Sprintf("K=%d workers=%d", len(topos), w)
 			opts := NFIOptions{Radius: 1, Metric: geom.MetricChebyshev, Workers: w}
 			want := make([]acd.Accumulator, len(topos))
@@ -79,7 +81,7 @@ func TestPricedSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 1)
+	a, err := assignPoints(pts, sfc.Hilbert, order, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestPricedPMismatchPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Morton, order, 64)
+	a, err := assignPoints(pts, sfc.Morton, order, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

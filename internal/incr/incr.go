@@ -20,8 +20,9 @@
 //
 // When the drift gauge crosses the repartition policy's high-water
 // mark the delta mechanism stops paying for itself and the state falls
-// back to a full rebuild (keynav index refill plus matrix reset), with
-// hysteresis so an oscillating gauge does not flap between mechanisms.
+// back to a full rebuild (a matrix reset refilled from the state's own
+// occupancy), with hysteresis so an oscillating gauge does not flap
+// between mechanisms.
 // Either way the maintained matrix is defined to be bit-identical to a
 // from-scratch fmmmodel.NFIMatrix of the current configuration — the
 // differential oracle the tests and CI enforce every tick.
@@ -33,7 +34,6 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/sfc"
@@ -49,8 +49,8 @@ var (
 	readdCounter       = obs.GetCounter("incr.readded")
 )
 
-// denseOccLimit mirrors acd's dense-table threshold: up to 4^12 cells
-// the cell->particle occupancy is a flat array, beyond that a map.
+// denseOccLimit bounds the flat cell->particle occupancy array at 4^12
+// cells (64 MiB of int32); finer grids keep a map.
 const denseOccLimit = uint64(1) << 24
 
 // Config fixes one maintained pipeline's parameters for its lifetime.
@@ -114,7 +114,6 @@ type State struct {
 	sparseOcc map[uint64]int32
 
 	counts *commmat.Mutable
-	ix     *keynav.Index
 
 	// epoch/mark implement the affected set without clearing: identity
 	// id is affected this tick iff mark[id] == epoch. The retract and
@@ -131,8 +130,7 @@ type State struct {
 }
 
 // NewState builds the initial pipeline state from scratch: full curve
-// sort, balanced-chunk ownership, occupancy, key-space index, and
-// near-field matrix. Duplicate particle cells are rejected, as in
+// sort, balanced-chunk ownership, occupancy, and near-field matrix. Duplicate particle cells are rejected, as in
 // acd.Assign.
 func NewState(cfg Config, pts []geom.Point) (*State, error) {
 	if cfg.Curve == nil {
@@ -180,7 +178,6 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 		s.occSet(pt, int32(id))
 	}
 	s.counts = commmat.NewMutable(cfg.P)
-	s.ix = keynav.Build(cfg.Order, s.pts, s.owners)
 	s.refill()
 	return s, nil
 }
@@ -211,23 +208,27 @@ func (s *State) occClear(q geom.Point) {
 	}
 }
 
-// refill rebuilds the near-field matrix from the key-space index: it
-// records the index's near-field plan and replays it against the
-// current owners, as fmmmodel.NFIMatrix does.
+// refill rebuilds the near-field matrix from the state's occupancy:
+// every particle's upper neighborhood (geom.VisitUpperNeighborhood,
+// the enumeration a keynav plan records) probed through occAt, the
+// lookup the delta path uses, each unordered neighbor pair adding one
+// canonical event between the current owners.
 func (s *State) refill() {
 	s.counts.Reset()
-	pl := keynav.RecordPlan(s.ix, keynav.Spec{Radius: s.cfg.Radius, Metric: s.cfg.Metric}, 1)
-	reps := s.ix.Reps(s.ix.Order)
-	for _, chunk := range pl.Near(s.cfg.Radius, s.cfg.Metric) {
-		for _, pr := range chunk {
-			r, q := reps[pr.A], reps[pr.B]
-			if q < r {
-				r, q = q, r
+	var r int32
+	add := func(q geom.Point) {
+		if b := s.occAt(q); b >= 0 {
+			if o := s.owners[b]; o < r {
+				s.counts.Add(o, r)
+			} else {
+				s.counts.Add(r, o)
 			}
-			s.counts.Add(r, q)
 		}
 	}
-	pl.Release()
+	for id, pt := range s.pts {
+		r = s.owners[id]
+		geom.VisitUpperNeighborhood(pt, s.cfg.Radius, s.cfg.Metric, s.side, add)
+	}
 }
 
 // forAffectedPairs enumerates, in the state's current configuration,
@@ -358,7 +359,6 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 		st.Readded = s.forAffectedPairs(affected, func(ra, rb int32) {})
 		stats.End()
 		span := obs.StartSpan("incr.maintain.rebuild")
-		s.ix.Rebuild(s.cfg.Order, s.pts, s.owners)
 		s.refill()
 		span.End()
 	}
@@ -416,12 +416,9 @@ func (s *State) Assignment() (*acd.Assignment, error) {
 	return acd.FromSorted(s.sortedBuf, s.cfg.Order, s.cfg.P)
 }
 
-// Release returns the state's pooled resources (the key-space index).
-// The state must not be used afterwards.
+// Release drops the state's matrix. The state must not be used
+// afterwards. Nothing needs to call it; the garbage collector reclaims
+// a state whole.
 func (s *State) Release() {
-	if s.ix != nil {
-		s.ix.Release()
-		s.ix = nil
-	}
 	s.counts = nil
 }

@@ -7,10 +7,20 @@ import (
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
+
+// assignPoints is acd.Assign over a private set of pts.
+func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		return nil, err
+	}
+	return acd.Assign(set, curve, p)
+}
 
 // scatter places n particles on distinct cells of a 2^order grid.
 func scatter(n int, order uint, seed uint64) []geom.Point {
@@ -61,7 +71,7 @@ func driftStep(pts []geom.Point, order uint, frac float64, r *rng.Rand) []geom.P
 
 func oracleMatrix(t *testing.T, pts []geom.Point, curve sfc.Curve, order uint, p, radius int, m geom.Metric) (*commmat.Matrix, *acd.Assignment) {
 	t.Helper()
-	a, err := acd.Assign(pts, curve, order, p)
+	a, err := assignPoints(pts, curve, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestStateACDMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := s.ACD(dt)
-	a, err := acd.Assign(pts, curve, order, p)
+	a, err := assignPoints(pts, curve, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,11 @@ package keynav
 
 // Flat is a standalone single-level occupancy index: sorted
 // (key, rank) pairs searched through a radix directory. It serves key
-// spaces outside Index's 2D Morton hierarchy — the 3D model feeds it
+// spaces outside Set's 2D Morton hierarchy — the 3D model feeds it
 // sfc.Morton3Key values to replace its per-neighbor map lookups.
 type Flat struct {
-	lv level
+	lv    level
+	ranks []int32
 }
 
 // NewFlat builds a flat index over parallel key/rank slices whose keys
@@ -26,8 +27,7 @@ func NewFlat(keys []uint64, ranks []int32, keyBits uint) *Flat {
 	if !sorted {
 		sortPairs(keys, ranks, keyBits)
 	}
-	f := &Flat{}
-	f.lv.keys, f.lv.reps = keys, ranks
+	f := &Flat{lv: level{keys: keys}, ranks: ranks}
 	f.lv.buildDir(keyBits)
 	return f
 }
@@ -35,7 +35,7 @@ func NewFlat(keys []uint64, ranks []int32, keyBits uint) *Flat {
 // Rank returns the rank stored for key k, or -1 if absent.
 func (f *Flat) Rank(k uint64) int32 {
 	if i := f.lv.find(k); i >= 0 {
-		return f.lv.reps[i]
+		return f.ranks[i]
 	}
 	return -1
 }

@@ -4,29 +4,32 @@
 // of Holzmüller's algebraic neighbor-finding, instead of probing a
 // dense rank table or walking a quadtree.
 //
-// The Index holds every particle as a (Morton key, rank) pair sorted
-// by key, searched through a small top-level radix directory that cuts
-// a binary search to a couple of iterations inside one cache line.
-// On top of the sorted finest level, each coarser level is one linear
-// scan: the level-l key of a cell is its finest key shifted right by
-// 2(Order-l), so the particles of a cell form a contiguous prefix
-// group and the cell's representative (minimum owning rank, the §III
-// convention) is the group minimum. The per-level slabs replace
-// quadtree.RankTree's dense 4^l arrays: memory is proportional to the
-// number of occupied cells, not to the grid.
+// The engine splits what depends only on where the particles are from
+// what depends on who owns them. A Set is the skeleton of one particle
+// set: every occupied cell of every level as a sorted Morton key array
+// (a cell's index in it is its slab position), searched through a
+// small top-level radix directory that cuts a binary search to a
+// couple of iterations inside one cache line. The level-l key of a
+// cell is its finest key shifted right by 2(Order-l), so each coarser
+// level is one linear scan of the finer one, and a parent's children
+// form a contiguous run of the finer slab (ChildStart). Memory is
+// proportional to the number of occupied cells, not to the grid.
 //
-// The index is the only neighbor engine: acd.Assignment.RankAt and
-// both matrix passes of internal/fmmmodel answer through it. Its
-// enumeration records a Plan: the near-field and interaction-list cell
-// pairs as slab positions (a cell's index in its level's sorted key
-// array). Positions depend only on which cells are occupied, so one
-// plan serves every assignment of a particle set, replayed against
-// each index's per-level representatives (Reps); the parent-child
-// links need no plan (ChildStart). The oracles live in the tests:
-// quadtree.RankTree for the per-level queries and a cell->rank map
-// built from the assignment's arrays for the finest level. For every
-// query family here a test pins exact equality of the replayed event
-// multisets against that enumeration.
+// An Index is one assignment's labelling of a set: the representative
+// rank (minimum owning rank, the §III convention) of every occupied
+// cell at every level, in slab order. Labelling scatters the finest
+// ranks and takes one min-reduction per level over the child runs; it
+// sorts nothing and builds no directory.
+//
+// The set also owns the Plans recorded over it: the near-field and
+// interaction-list cell pairs as slab positions. Which cells are
+// neighbors or list partners depends only on the occupied cells, so a
+// plan recorded once serves every labelling of its set, replayed
+// against each labelling's representatives (Reps). The oracles live in
+// the tests: quadtree.RankTree for the per-level queries and a
+// cell->rank map built from the assignment's arrays for the finest
+// level. For every query family here a test pins exact equality of the
+// replayed event multisets against that enumeration.
 package keynav
 
 import (
@@ -41,14 +44,12 @@ import (
 
 var buildCounter = obs.GetCounter("keynav.builds")
 
-// level is one resolution level of the index: occupied cells as sorted
-// level keys, their representative ranks, the start of each cell's
-// child group in the next-finer level, and a radix directory over the
-// keys. At the finest level keys/reps alias the particle arrays and
+// level is one resolution level of a set: occupied cells as sorted
+// level keys, the start of each cell's child group in the next-finer
+// level, and a radix directory over the keys. At the finest level
 // childStart is nil.
 type level struct {
 	keys       []uint64
-	reps       []int32
 	childStart []int32 // len(keys)+1; indices into the next-finer level
 	dir        []int32 // len (1<<dirBits)+1; bucket b covers dir[b]..dir[b+1]
 	shift      uint    // key -> directory bucket shift
@@ -90,16 +91,13 @@ func (lv *level) lowerBound(k uint64) int {
 	return lo
 }
 
-// buildDir (re)builds the level's radix directory for the given total
-// key width in bits.
+// buildDir builds the level's radix directory for the given total key
+// width in bits.
 func (lv *level) buildDir(keyBits uint) {
 	db := dirBits(len(lv.keys), keyBits)
 	lv.shift = keyBits - db
 	size := (1 << db) + 1
-	lv.dir = grow(lv.dir, size)
-	for i := range lv.dir {
-		lv.dir[i] = 0
-	}
+	lv.dir = make([]int32, size)
 	// Count per bucket (shifted one slot so the prefix sum lands on
 	// bucket starts), then accumulate.
 	for _, k := range lv.keys {
@@ -137,138 +135,171 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Index is the key-space occupancy index of one assignment: particles
-// as sorted (Morton key, rank) pairs plus the per-level representative
-// slabs. Build with Build; recycle with Release.
-type Index struct {
+// Set is the skeleton of one particle set: its occupied cells at every
+// level and the pair plans recorded over them. It does not depend on
+// any assignment, so every assignment of the set labels the same Set.
+// A Set is immutable once built, apart from recording plans on demand,
+// and safe to share across goroutines.
+type Set struct {
 	// Order is the finest resolution order (grid side 2^Order).
 	Order uint
+	pts   []geom.Point
+	// pos[i] is the finest slab position of pts[i].
+	pos []int32
 	// lv[l] holds level l; lv[Order] is the particle level.
 	lv []level
-	// keys/ranks back the finest level (also aliased by lv[Order]).
-	keys  []uint64
-	ranks []int32
+
+	plansMu sync.Mutex
+	plans   []*planSlot
 }
 
-// indexPool recycles Index slabs between builds: parallel sweep cells
-// each build one per assignment, so pooling keeps the allocator out of
-// the sweep hot path.
-var indexPool = sync.Pool{New: func() any { return new(Index) }}
-
-// Build constructs the index from particle cells and their owning
-// ranks (parallel slices, as held by acd.Assignment). The inputs are
-// not modified and not retained.
-func Build(order uint, pts []geom.Point, ranks []int32) *Index {
-	ix := indexPool.Get().(*Index)
-	ix.Rebuild(order, pts, ranks)
-	return ix
-}
-
-// Rebuild refills the index in place from new particle data, reusing
-// every slab the previous build left behind. The incremental pipeline
-// holds one Index per maintained curve across timesteps and rebuilds
-// it on repartition ticks; in-place reuse keeps those rebuilds out of
-// both the allocator and the shared build pool.
-func (ix *Index) Rebuild(order uint, pts []geom.Point, ranks []int32) {
-	if len(pts) != len(ranks) {
-		panic("keynav: pts and ranks length mismatch")
-	}
+// NewSet builds the skeleton of the particle cells pts at the given
+// order. pts is copied, so the caller may reuse it. It rejects cells
+// outside the 2^order x 2^order grid and duplicate cells (the paper
+// assumes at most one particle per finest-resolution cell).
+func NewSet(order uint, pts []geom.Point) (*Set, error) {
 	defer obs.StartSpan("keybuild").End()
 	buildCounter.Inc()
-	// The previous finest level's slabs alias ix.keys/ix.ranks. At
-	// another order that slot becomes a coarser level, whose appends
-	// would then overwrite the new finest keys: detach it first, so no
-	// level but the finest ever shares the particle arrays.
-	if int(ix.Order) < len(ix.lv) {
-		ix.lv[ix.Order].keys, ix.lv[ix.Order].reps = nil, nil
-	}
+	side := geom.Side(order)
 	n := len(pts)
-	ix.Order = order
-	ix.keys = grow(ix.keys, n)
-	ix.ranks = grow(ix.ranks, n)
+	keys := make([]uint64, n)
+	idx := make([]int32, n)
 	sorted := true
 	for i, p := range pts {
-		k := sfc.MortonKey(p.X, p.Y)
-		ix.keys[i] = k
-		ix.ranks[i] = ranks[i]
-		if i > 0 && k < ix.keys[i-1] {
+		if p.X >= side || p.Y >= side {
+			return nil, fmt.Errorf("keynav: particle cell %v outside the %dx%d grid", p, side, side)
+		}
+		keys[i], idx[i] = sfc.MortonKey(p.X, p.Y), int32(i)
+		if i > 0 && keys[i] < keys[i-1] {
 			sorted = false
 		}
 	}
-	// Morton particle order arrives sorted; the other curves pay one
-	// radix pair sort.
+	// Morton-ordered input arrives sorted; any other order pays one
+	// radix pair sort, which carries each key's input index along.
 	if !sorted {
-		sortPairs(ix.keys, ix.ranks, 2*order)
+		sortPairs(keys, idx, 2*order)
 	}
-	ix.buildLevels()
+	s := &Set{Order: order, pts: append([]geom.Point(nil), pts...), pos: make([]int32, n)}
+	for j, i := range idx {
+		// Equal cells have equal keys and sort next to each other.
+		if j > 0 && keys[j] == keys[j-1] {
+			return nil, fmt.Errorf("keynav: duplicate particle cell %v", pts[i])
+		}
+		s.pos[i] = int32(j)
+	}
+	s.buildLevels(keys)
+	return s, nil
 }
 
-// buildLevels derives every coarser level from the finest by one
-// linear scan per level over right-shifted keys, taking prefix-group
-// minima as representatives.
-func (ix *Index) buildLevels() {
-	order := ix.Order
-	if cap(ix.lv) < int(order)+1 {
-		lv := make([]level, order+1)
-		copy(lv, ix.lv)
-		ix.lv = lv
-	}
-	ix.lv = ix.lv[:order+1]
-	fin := &ix.lv[order]
-	fin.keys, fin.reps, fin.childStart = ix.keys, ix.ranks, nil
-	fin.buildDir(2 * order)
-	for l := int(order) - 1; l >= 0; l-- {
-		src := &ix.lv[l+1]
-		dst := &ix.lv[l]
-		// A parent has at least one child, so the level can only
-		// shrink; sizing at the child count avoids a counting pass.
-		dst.keys = grow(dst.keys, len(src.keys))[:0]
-		dst.reps = grow(dst.reps, len(src.keys))[:0]
-		dst.childStart = grow(dst.childStart, len(src.keys)+1)[:0]
-		for i, k := range src.keys {
-			pk := k >> 2
-			if j := len(dst.keys) - 1; j >= 0 && dst.keys[j] == pk {
-				if r := src.reps[i]; r < dst.reps[j] {
-					dst.reps[j] = r
-				}
-				continue
+// buildLevels derives every coarser level from the sorted finest keys
+// by one linear scan per level over right-shifted keys.
+func (s *Set) buildLevels(keys []uint64) {
+	s.lv = make([]level, s.Order+1)
+	fin := &s.lv[s.Order]
+	fin.keys = keys
+	fin.buildDir(2 * s.Order)
+	for l := int(s.Order) - 1; l >= 0; l-- {
+		src, dst := s.lv[l+1].keys, &s.lv[l]
+		m := 0
+		for i, k := range src {
+			if i == 0 || k>>2 != src[i-1]>>2 {
+				m++
 			}
-			dst.keys = append(dst.keys, pk)
-			dst.reps = append(dst.reps, src.reps[i])
-			dst.childStart = append(dst.childStart, int32(i))
 		}
-		dst.childStart = append(dst.childStart, int32(len(src.keys)))
+		dst.keys = make([]uint64, 0, m)
+		dst.childStart = make([]int32, 0, m+1)
+		for i, k := range src {
+			if i == 0 || k>>2 != src[i-1]>>2 {
+				dst.keys = append(dst.keys, k>>2)
+				dst.childStart = append(dst.childStart, int32(i))
+			}
+		}
+		dst.childStart = append(dst.childStart, int32(len(src)))
 		dst.buildDir(2 * uint(l))
 	}
 }
 
-// Release returns the index's slabs to the build pool. The index must
-// not be used afterwards. Only owners that know the index is dead (the
-// sweep scheduler's cells, via acd.Assignment.Release) should call it.
-func (ix *Index) Release() {
-	if ix == nil {
-		return
-	}
-	indexPool.Put(ix)
-}
-
 // N returns the particle count.
-func (ix *Index) N() int { return len(ix.keys) }
+func (s *Set) N() int { return len(s.pts) }
+
+// Points returns the set's particle cells in input order. The slice
+// belongs to the set and must not be modified.
+func (s *Set) Points() []geom.Point { return s.pts }
+
+// Pos returns the finest-level slab position of input point i: the
+// position a near-field Pair names it by.
+func (s *Set) Pos(i int) int32 { return s.pos[i] }
 
 // LevelLen returns the number of occupied cells at a level.
-func (ix *Index) LevelLen(l uint) int { return len(ix.lv[l].keys) }
+func (s *Set) LevelLen(l uint) int { return len(s.lv[l].keys) }
+
+// Label returns the labelling of the set under an assignment: ranks[i]
+// owns input point i. The ranks are scattered into finest slab order,
+// and each coarser cell's representative is the minimum over its
+// child run. ranks is not retained.
+func (s *Set) Label(ranks []int32) *Index {
+	if len(ranks) != len(s.pts) {
+		panic(fmt.Sprintf("keynav: %d ranks label a set of %d cells", len(ranks), len(s.pts)))
+	}
+	total := 0
+	for l := range s.lv {
+		total += len(s.lv[l].keys)
+	}
+	slab := make([]int32, total)
+	ix := &Index{Order: s.Order, set: s, reps: make([][]int32, len(s.lv))}
+	for l := range s.lv {
+		m := len(s.lv[l].keys)
+		ix.reps[l], slab = slab[:m:m], slab[m:]
+	}
+	fin := ix.reps[s.Order]
+	for i, r := range ranks {
+		fin[s.pos[i]] = r
+	}
+	for l := int(s.Order) - 1; l >= 0; l-- {
+		src, start := ix.reps[l+1], s.lv[l].childStart
+		for j := range ix.reps[l] {
+			rep := src[start[j]]
+			for _, r := range src[start[j]+1 : start[j+1]] {
+				rep = min(rep, r)
+			}
+			ix.reps[l][j] = rep
+		}
+	}
+	return ix
+}
+
+// Index is one assignment's labelling of a Set: the representative
+// rank of every occupied cell at every level, in slab order. Build it
+// with Set.Label.
+type Index struct {
+	// Order is the finest resolution order (grid side 2^Order).
+	Order uint
+	set   *Set
+	// reps[l] holds level l's representatives; all levels share one
+	// allocation.
+	reps [][]int32
+}
+
+// Set returns the skeleton the index labels, which owns its plans.
+func (ix *Index) Set() *Set { return ix.set }
+
+// N returns the particle count.
+func (ix *Index) N() int { return ix.set.N() }
+
+// LevelLen returns the number of occupied cells at a level.
+func (ix *Index) LevelLen(l uint) int { return ix.set.LevelLen(l) }
 
 // Reps returns the representative ranks of level l's occupied cells in
 // slab order: the ranks a Plan's slab positions index. The slice
 // belongs to the index and must not be modified.
-func (ix *Index) Reps(l uint) []int32 { return ix.lv[l].reps }
+func (ix *Index) Reps(l uint) []int32 { return ix.reps[l] }
 
 // ChildStart returns, for level l < Order, where each occupied cell's
 // child group starts in level l+1's slab (LevelLen(l)+1 entries, the
 // last one LevelLen(l+1)): the parent-child links of the interpolation
-// stream, which no Plan needs to store. The slice belongs to the index
+// stream, which no Plan needs to store. The slice belongs to the set
 // and must not be modified.
-func (ix *Index) ChildStart(l uint) []int32 { return ix.lv[l].childStart }
+func (ix *Index) ChildStart(l uint) []int32 { return ix.set.lv[l].childStart }
 
 // RankAt returns the rank owning the particle in the given finest cell,
 // or -1 if the cell is empty or outside the grid (whose Morton key
@@ -277,9 +308,8 @@ func (ix *Index) RankAt(p geom.Point) int32 {
 	if side := geom.Side(ix.Order); p.X >= side || p.Y >= side {
 		return -1
 	}
-	fin := &ix.lv[ix.Order]
-	if i := fin.find(sfc.MortonKey(p.X, p.Y)); i >= 0 {
-		return fin.reps[i]
+	if i := ix.set.lv[ix.Order].find(sfc.MortonKey(p.X, p.Y)); i >= 0 {
+		return ix.reps[ix.Order][i]
 	}
 	return -1
 }
@@ -295,8 +325,8 @@ func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	if x >= side || y >= side {
 		panic(fmt.Sprintf("keynav: cell (%d,%d) outside level %d", x, y, l))
 	}
-	if i := ix.lv[l].find(sfc.MortonKey(x, y)); i >= 0 {
-		return ix.lv[l].reps[i]
+	if i := ix.set.lv[l].find(sfc.MortonKey(x, y)); i >= 0 {
+		return ix.reps[l][i]
 	}
 	return -1
 }
@@ -314,12 +344,12 @@ const nearScan = 8
 // pairs are the near-field upper event stream. Neighbor cells are
 // reached by dilated-integer arithmetic on the key and resolved against
 // the sorted array.
-func (ix *Index) upperNeighborPairs(lo, hi, radius int, m geom.Metric, out []Pair) []Pair {
+func (s *Set) upperNeighborPairs(lo, hi, radius int, m geom.Metric, out []Pair) []Pair {
 	if radius <= 0 {
 		return out
 	}
-	side := int(geom.Side(ix.Order))
-	fin := &ix.lv[ix.Order]
+	side := int(geom.Side(s.Order))
+	fin := &s.lv[s.Order]
 	keys := fin.keys
 	n := len(keys)
 	for i := lo; i < hi; i++ {
@@ -439,12 +469,12 @@ func abs(v int) int {
 // parent pairs — four upper neighbor probes per occupied parent — and
 // crosses their child groups, which are contiguous runs of the level-l
 // slab, filtering sibling-adjacency by the precomputed ilCross masks.
-func (ix *Index) upperILPairs(l uint, plo, phi int, out []Pair) []Pair {
+func (s *Set) upperILPairs(l uint, plo, phi int, out []Pair) []Pair {
 	if l < 2 {
 		return out
 	}
-	par := &ix.lv[l-1]
-	ch := &ix.lv[l]
+	par := &s.lv[l-1]
+	ch := &s.lv[l]
 	pside := int32(geom.Side(l - 1))
 	for j := plo; j < phi; j++ {
 		kj := par.keys[j]

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -21,13 +23,23 @@ import (
 // same ranks, same representative per cell, same event multisets —
 // across curves (sorted and unsorted key input), seeds, and radii.
 
-func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed uint64) *acd.Assignment {
+// samplePoints draws n distinct uniform cells at the given order.
+func samplePoints(t testing.TB, order uint, n int, seed uint64) []geom.Point {
 	t.Helper()
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(seed), order, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(pts, curve, order, p)
+	return pts
+}
+
+func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed uint64) *acd.Assignment {
+	t.Helper()
+	set, err := keynav.NewSet(order, samplePoints(t, order, n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := acd.Assign(set, curve, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +47,18 @@ func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed u
 }
 
 var testCurves = []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
+
+// labelled builds a fresh set over the assignment's particles (in its
+// curve order, so the set sees sorted and unsorted key input) and
+// labels it with the assignment's ranks.
+func labelled(t testing.TB, a *acd.Assignment) *keynav.Index {
+	t.Helper()
+	set, err := keynav.NewSet(a.Order, a.Particles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set.Label(a.Ranks)
+}
 
 // rankMap is the finest-level oracle: a cell->rank map built from the
 // assignment's parallel arrays. (acd.Assignment.RankAt answers through
@@ -65,7 +89,7 @@ func TestIndexRankAtMatchesAssignment(t *testing.T) {
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 7)
 		ranks := newRankMap(a)
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		ix := labelled(t, a)
 		side := geom.Side(order)
 		for y := uint32(0); y < side; y++ {
 			for x := uint32(0); x < side; x++ {
@@ -80,17 +104,43 @@ func TestIndexRankAtMatchesAssignment(t *testing.T) {
 				t.Fatalf("%s: RankAt%v outside the grid = %d, want -1", curve.Name(), q, got)
 			}
 		}
-		ix.Release()
 	}
 }
 
-// TestIndexRepMatchesRankTree probes every cell of every level against
-// the quadtree representative slab.
+// TestIndexRepMatchesRankTree labels one set under every curve, and
+// under shuffled explicit ownerships, and probes every cell of every
+// level against the quadtree representative slab.
 func TestIndexRepMatchesRankTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
+	pts := samplePoints(t, order, n, 11)
+	set, err := keynav.NewSet(order, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var as []*acd.Assignment
+	var names []string
 	for _, curve := range testCurves {
-		a := buildAssignment(t, curve, order, n, p, 11)
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		a, err := acd.Assign(set, curve, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, names = append(as, a), append(names, curve.Name())
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		perm := make([]int, n)
+		rng.New(seed).Perm(perm)
+		ranks := make([]int32, n)
+		for i, j := range perm {
+			ranks[i] = int32(j * p / n)
+		}
+		a, err := acd.FromOwners(set, ranks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, names = append(as, a), append(names, fmt.Sprintf("owners%d", seed))
+	}
+	for k, a := range as {
+		ix := a.KeyIndex()
 		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 		for l := uint(0); l <= order; l++ {
 			side := geom.Side(l)
@@ -99,7 +149,7 @@ func TestIndexRepMatchesRankTree(t *testing.T) {
 				for x := uint32(0); x < side; x++ {
 					got, want := ix.Rep(l, x, y), tree.Rep(l, x, y)
 					if got != want {
-						t.Fatalf("%s: Rep(%d,%d,%d) = %d, oracle %d", curve.Name(), l, x, y, got, want)
+						t.Fatalf("%s: Rep(%d,%d,%d) = %d, oracle %d", names[k], l, x, y, got, want)
 					}
 					if got >= 0 {
 						occupied++
@@ -107,10 +157,9 @@ func TestIndexRepMatchesRankTree(t *testing.T) {
 				}
 			}
 			if ix.LevelLen(l) != occupied {
-				t.Fatalf("%s: LevelLen(%d) = %d, oracle %d", curve.Name(), l, ix.LevelLen(l), occupied)
+				t.Fatalf("%s: LevelLen(%d) = %d, oracle %d", names[k], l, ix.LevelLen(l), occupied)
 			}
 		}
-		ix.Release()
 	}
 }
 
@@ -159,7 +208,6 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 13)
 		ranks := newRankMap(a)
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 		for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			for _, radius := range []int{0, 1, 2, 3, int(side), int(side) + 3} {
 				want := map[uint64]int{}
@@ -172,16 +220,16 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 					})
 				}
 				for _, workers := range recordWorkers {
-					pl := keynav.RecordPlan(ix, keynav.Spec{Radius: radius, Metric: m}, workers)
+					// A fresh set records its plan at this worker count.
+					ix := labelled(t, a)
+					pl := ix.Set().Plan(keynav.Spec{Radius: radius, Metric: m}, workers)
 					if got := nearRanks(ix, pl, radius, m); !mapsEqual(got, want) {
 						t.Fatalf("%s %s r=%d workers=%d: near-field multiset mismatch (got %d keys, want %d)",
 							curve.Name(), m, radius, workers, len(got), len(want))
 					}
-					pl.Release()
 				}
 			}
 		}
-		ix.Release()
 	}
 }
 
@@ -192,7 +240,7 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 17)
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		ix := labelled(t, a)
 		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 		for l := uint(1); l <= order; l++ {
 			want := map[uint64]int{}
@@ -214,7 +262,6 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 				t.Fatalf("%s l=%d: parent-link multiset mismatch", curve.Name(), l)
 			}
 		}
-		ix.Release()
 	}
 }
 
@@ -245,10 +292,10 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			seed uint64
 		}{{300, 16, 19}, {12, 4, 23}, {1, 1, 29}} {
 			a := buildAssignment(t, curve, order, tc.n, tc.p, tc.seed)
-			ix := keynav.Build(a.Order, a.Particles, a.Ranks)
 			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 			for _, workers := range recordWorkers {
-				pl := keynav.RecordPlan(ix, keynav.Spec{Far: true}, workers)
+				ix := labelled(t, a)
+				pl := ix.Set().Plan(keynav.Spec{Far: true}, workers)
 				for l := uint(2); l <= order; l++ {
 					want := upperILPairs(tree, l)
 					if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
@@ -256,9 +303,7 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 							curve.Name(), tc.n, l, workers, count(got), count(want))
 					}
 				}
-				pl.Release()
 			}
-			ix.Release()
 		}
 	}
 }
@@ -274,13 +319,17 @@ func TestDenseGridAllLevels(t *testing.T) {
 			pts = append(pts, geom.Pt(x, y))
 		}
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 8)
+	set, err := keynav.NewSet(order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+	a, err := acd.Assign(set, sfc.Hilbert, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := a.KeyIndex()
 	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
-	pl := keynav.RecordPlan(ix, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
+	pl := set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
 	for l := uint(2); l <= order; l++ {
 		want := upperILPairs(tree, l)
 		if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
@@ -297,24 +346,32 @@ func TestDenseGridAllLevels(t *testing.T) {
 	if got := nearRanks(ix, pl, 1, geom.MetricChebyshev); !mapsEqual(got, want) {
 		t.Fatal("dense: near-field multiset mismatch")
 	}
-	pl.Release()
-	ix.Release()
 }
 
-// TestPlanWorkerInvariance requires the recorded pair sequences —
-// not just their multisets — to be identical at every worker count
-// (the chunking may differ), on a dense and a sparse particle set.
+// TestPlanWorkerInvariance requires the pair sequences sets of the same
+// particles record at different worker counts — not just their
+// multisets — to be identical (the chunking may differ), on a dense
+// and a sparse particle set.
 func TestPlanWorkerInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		order uint
 		n     int
 	}{{7, 4000}, {12, 3000}} {
-		a := buildAssignment(t, sfc.Hilbert, tc.order, tc.n, 64, 37)
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		pts, err := dist.SampleUnique(dist.Uniform, rng.New(37), tc.order, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		spec := keynav.Spec{Radius: 2, Metric: geom.MetricManhattan, Far: true}
-		base := keynav.RecordPlan(ix, spec, 1)
+		record := func(workers int) *keynav.Plan {
+			set, err := keynav.NewSet(tc.order, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return set.Plan(spec, workers)
+		}
+		base := record(1)
 		for _, workers := range []int{2, 3, 8} {
-			pl := keynav.RecordPlan(ix, spec, workers)
+			pl := record(workers)
 			if !slices.Equal(slices.Concat(pl.Near(2, geom.MetricManhattan)...), slices.Concat(base.Near(2, geom.MetricManhattan)...)) {
 				t.Fatalf("order %d workers=%d: near-field pairs differ from the one-worker plan", tc.order, workers)
 			}
@@ -323,28 +380,19 @@ func TestPlanWorkerInvariance(t *testing.T) {
 					t.Fatalf("order %d workers=%d l=%d: IL pairs differ from the one-worker plan", tc.order, workers, l)
 				}
 			}
-			pl.Release()
 		}
-		base.Release()
-		ix.Release()
 	}
 }
 
-// TestPlanCheckRejectsOtherCells pins the plan's validity guard: a plan
-// serves an index of any ranks over its own occupied cells, and panics
-// on an index over other cells or at another order, or when asked for
-// a family it did not record.
-func TestPlanCheckRejectsOtherCells(t *testing.T) {
-	const order, n, p = 6, 500, 16
-	a := buildAssignment(t, sfc.Morton, order, n, p, 41)
-	b := buildAssignment(t, sfc.RowMajor, order, n, p, 41) // same cells, other ranks
-	c := buildAssignment(t, sfc.Morton, order, n, p, 43)   // other cells
-	ia := keynav.Build(a.Order, a.Particles, a.Ranks)
-	ib := keynav.Build(b.Order, b.Particles, b.Ranks)
-	ic := keynav.Build(c.Order, c.Particles, c.Ranks)
-	id := keynav.Build(order+1, a.Particles, a.Ranks) // same keys, finer grid
-	pl := keynav.RecordPlan(ia, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 2)
-	pl.Check(ib)
+// TestPlanRejectsUnrecordedFamilies pins the plan's guard: it panics
+// when asked for a neighborhood or a far field it did not record.
+func TestPlanRejectsUnrecordedFamilies(t *testing.T) {
+	pts := samplePoints(t, 6, 500, 41)
+	set, err := keynav.NewSet(6, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 2)
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -354,14 +402,75 @@ func TestPlanCheckRejectsOtherCells(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("other cells", func() { pl.Check(ic) })
-	mustPanic("other order", func() { pl.Check(id) })
 	mustPanic("other radius", func() { pl.Near(2, geom.MetricChebyshev) })
 	mustPanic("other metric", func() { pl.Near(1, geom.MetricManhattan) })
 	mustPanic("no far field", func() { pl.IL(2) })
-	pl.Release()
-	for _, ix := range []*keynav.Index{ia, ib, ic, id} {
-		ix.Release()
+}
+
+// TestSetPlanRecordedOnce asks one set for its plans from several
+// goroutines at once (run under -race in CI): every caller of a spec
+// gets the one plan its first caller recorded, a plan recorded for
+// both families also serves either alone, and another neighborhood
+// records its own plan.
+func TestSetPlanRecordedOnce(t *testing.T) {
+	pts := samplePoints(t, 7, 3000, 47)
+	set, err := keynav.NewSet(7, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := obs.GetCounter("keynav.plans")
+	before := plans.Value()
+	both := keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}
+	const goroutines = 4
+	got := make([]*keynav.Plan, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = set.Plan(both, 2)
+		}(g)
+	}
+	wg.Wait()
+	for g, pl := range got {
+		if pl != got[0] {
+			t.Fatalf("goroutine %d got another plan", g)
+		}
+	}
+	if set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 1) != got[0] || set.Plan(keynav.Spec{Far: true}, 1) != got[0] {
+		t.Fatal("the near+far plan does not serve a single family")
+	}
+	if n := plans.Value() - before; n != 1 {
+		t.Fatalf("%d plans recorded, want 1", n)
+	}
+	if set.Plan(keynav.Spec{Radius: 2, Metric: geom.MetricChebyshev}, 1) == got[0] {
+		t.Fatal("a radius-2 request replayed the radius-1 plan")
+	}
+	if n := plans.Value() - before; n != 2 {
+		t.Fatalf("%d plans recorded, want 2", n)
+	}
+}
+
+// TestNewSetRejectsBadCells pins the skeleton's input checks:
+// duplicate cells (wherever they sit in the input) and cells outside
+// the grid are errors, not silently merged or wrapped.
+func TestNewSetRejectsBadCells(t *testing.T) {
+	for name, pts := range map[string][]geom.Point{
+		"duplicate":          {geom.Pt(1, 1), geom.Pt(2, 3), geom.Pt(0, 0), geom.Pt(1, 1)},
+		"duplicate adjacent": {geom.Pt(3, 3), geom.Pt(3, 3)},
+		"x outside":          {geom.Pt(0, 0), geom.Pt(4, 0)},
+		"y outside":          {geom.Pt(0, 4)},
+	} {
+		if _, err := keynav.NewSet(2, pts); err == nil {
+			t.Errorf("%s: NewSet accepted %v", name, pts)
+		}
+	}
+	set, err := keynav.NewSet(2, []geom.Point{geom.Pt(3, 3), geom.Pt(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.N() != 2 || set.Pos(0) != 1 || set.Pos(1) != 0 {
+		t.Fatalf("N=%d Pos=(%d, %d), want 2 (1, 0)", set.N(), set.Pos(0), set.Pos(1))
 	}
 }
 
@@ -441,15 +550,15 @@ func count(m map[uint64]int) int {
 func BenchmarkKeyNavLookup(b *testing.B) {
 	for _, order := range []uint{8, 12} {
 		const n = 15625
-		pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)
+		set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+		a, err := acd.Assign(set, sfc.Hilbert, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		ix := a.KeyIndex()
 		b.Run(fmt.Sprintf("order%d", order), func(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
@@ -460,51 +569,55 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 			}
 			_ = hits
 		})
-		ix.Release()
 	}
 }
 
-// BenchmarkKeyNavBuild measures index construction at table12 scale
-// (order 8, n = 15,625).
+// BenchmarkKeyNavBuild measures skeleton construction at table12 scale
+// (order 8, n = 15,625) from Hilbert-ordered input, and labelling it.
 func BenchmarkKeyNavBuild(b *testing.B) {
 	const order, n = 8, 15625
-	pts, err := dist.SampleUnique(dist.Uniform, rng.New(1), order, n)
+	set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := acd.Assign(pts, sfc.Hilbert, order, 64)
+	a, err := acd.Assign(set, sfc.Hilbert, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
-		ix.Release()
-	}
+	b.Run("set", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := keynav.NewSet(order, a.Particles); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("label", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			set.Label(a.Ranks)
+		}
+	})
 }
 
 // BenchmarkKeyNavILPairs measures recording one far-field plan on one
 // worker: the interaction lists of every level, enumerated from
-// adjacent occupied parent pairs.
+// adjacent occupied parent pairs. Each iteration builds a fresh set,
+// since a set records a spec once.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint
 		n     int
 	}{{6, 1000}, {8, 15625}} {
-		pts, err := dist.SampleUnique(dist.Uniform, rng.New(uint64(tc.n)), tc.order, tc.n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := acd.Assign(pts, sfc.Hilbert, tc.order, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix := keynav.Build(a.Order, a.Particles, a.Ranks)
+		pts := samplePoints(b, tc.order, tc.n, uint64(tc.n))
 		b.Run(fmt.Sprintf("order%d_n%d", tc.order, tc.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				keynav.RecordPlan(ix, keynav.Spec{Far: true}, 1).Release()
+				b.StopTimer()
+				set, err := keynav.NewSet(tc.order, pts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				set.Plan(keynav.Spec{Far: true}, 1)
 			}
 		})
-		ix.Release()
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"sfcacd/internal/obs"
 )
 
-// planCounter counts recorded plans: a sweep that shares one plan per
-// sampled particle set records one per group, not one per cell.
+// planCounter counts recorded plans: a set records one per spec its
+// consumers ask for, however many assignments label it.
 var planCounter = obs.GetCounter("keynav.plans")
 
 // Pair is one event-producing pair of occupied cells, given as the two
@@ -30,30 +30,65 @@ type Spec struct {
 	Far bool
 }
 
-// Plan is the curve-independent shape of an index's event streams: the
+// covers reports whether a plan recorded for spec holds every family
+// want asks for.
+func (spec Spec) covers(want Spec) bool {
+	return (want.Radius <= 0 || spec.Radius == want.Radius && spec.Metric == want.Metric) &&
+		(!want.Far || spec.Far)
+}
+
+// Plan is the curve-independent shape of a set's event streams: the
 // near-field upper pairs of one neighborhood as finest-level slab
 // positions, and the interaction-list pairs of every level l >= 2 as
-// level-l slab positions. Which cells are neighbors, list partners or
-// parent and child depends only on the occupied cells, not on the
-// ranks a curve gives them, so one plan recorded from any index over a
-// particle set serves the index of every assignment of that set: a
-// replay reads each pair's two representatives from Index.Reps. Parent
-// links are not stored; Index.ChildStart already encodes them.
+// level-l slab positions. Which cells are neighbors or list partners
+// depends only on the occupied cells, not on the ranks a curve gives
+// them, so the plan serves every labelling of its set: a replay reads
+// each pair's two representatives from Index.Reps. Parent links are
+// not stored; Index.ChildStart already encodes them.
 //
 // The pairs are kept in the chunks they were recorded in, which are
 // also the natural units for a parallel replay. A plan is immutable
-// once recorded and safe to share across goroutines. Check panics
-// when it is applied to an index over another occupied-cell set.
+// once recorded and safe to share across goroutines.
 type Plan struct {
 	spec  Spec
 	order uint
-	keys  []uint64 // the finest keys the plan was recorded over
 	// chunks holds the pairs in enumeration order: the near field's
 	// chunks, then each level's interaction-list chunks from level 2 up.
 	// Level l's chunks are chunks[ilStart[l]:ilStart[l+1]]; the near
 	// field's are chunks[:ilStart[0]].
 	chunks  [][]Pair
 	ilStart []int
+}
+
+// planSlot is one plan of a set, recorded by the first caller that
+// asks for its spec; later callers wait on once.
+type planSlot struct {
+	spec Spec
+	once sync.Once
+	plan *Plan
+}
+
+// Plan returns a plan of the set holding every family spec selects.
+// The set records one the first time no earlier plan covers spec, on
+// up to workers goroutines (0 means GOMAXPROCS); concurrent callers
+// wait for that recording, and every later caller gets the same plan.
+// The pairs come out in the same order at every worker count.
+func (s *Set) Plan(spec Spec, workers int) *Plan {
+	s.plansMu.Lock()
+	var slot *planSlot
+	for _, p := range s.plans {
+		if p.spec.covers(spec) {
+			slot = p
+			break
+		}
+	}
+	if slot == nil {
+		slot = &planSlot{spec: spec}
+		s.plans = append(s.plans, slot)
+	}
+	s.plansMu.Unlock()
+	slot.once.Do(func() { slot.plan = s.record(spec, workers) })
+	return slot.plan
 }
 
 // planTask is one recording task, which fills one chunk: the near
@@ -65,33 +100,20 @@ type planTask struct {
 	near   bool
 }
 
-// Recorded plans are recycled through a small free list: a sweep
-// records one plan per sampled particle set and releases it when the
-// set's last cell finishes, so only the plans of in-flight groups are
-// live. (A sync.Pool would strand a plan released on one P in that
-// P's private slot, out of reach of the next recording.)
-var (
-	planMu   sync.Mutex
-	planFree []*Plan
-)
+// recordScratch pools the buffers recording workers enumerate into;
+// each chunk is then stored at its exact size, so a plan holds no
+// spare capacity for as long as its set lives.
+var recordScratch = sync.Pool{New: func() any { return new([]Pair) }}
 
-// planKeep bounds the free list at the groups a sweep has in flight,
-// about one per worker, with a floor for concurrent sweeps.
-func planKeep() int { return max(4, runtime.GOMAXPROCS(0)) }
-
-// RecordPlan enumerates the event pairs spec selects over the index's
-// occupied cells on up to workers goroutines (0 means GOMAXPROCS). The
-// pairs come out in the same order at every worker count.
-func RecordPlan(ix *Index, spec Spec, workers int) *Plan {
+// record enumerates the event pairs spec selects over the set's
+// occupied cells on up to workers goroutines.
+func (s *Set) record(spec Spec, workers int) *Plan {
 	defer obs.StartSpan("keynav.plan").End()
 	planCounter.Inc()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pl := newPlan()
-	pl.spec, pl.order = spec, ix.Order
-	pl.keys = append(pl.keys[:0], ix.keys...)
-
+	pl := &Plan{spec: spec, order: s.Order, ilStart: make([]int, s.Order+2)}
 	var tasks []planTask
 	split := func(level uint, m int, near bool) {
 		c := max(m/(4*workers), 1)
@@ -99,24 +121,23 @@ func RecordPlan(ix *Index, spec Spec, workers int) *Plan {
 			tasks = append(tasks, planTask{level: level, lo: lo, hi: min(lo+c, m), near: near})
 		}
 	}
-	pl.ilStart = slices.Grow(pl.ilStart[:0], int(ix.Order)+2)[:int(ix.Order)+2]
 	if spec.Radius > 0 {
-		split(ix.Order, ix.N(), true)
+		split(s.Order, s.N(), true)
 	}
 	for l := range pl.ilStart {
 		pl.ilStart[l] = len(tasks)
 	}
-	for l := uint(2); l <= ix.Order; l++ {
+	for l := uint(2); l <= s.Order; l++ {
 		if spec.Far {
-			split(l, ix.LevelLen(l-1), false)
+			split(l, s.LevelLen(l-1), false)
 		}
 		pl.ilStart[l+1] = len(tasks)
 	}
-	// Growing through the slice's capacity keeps the pair buffers of
-	// earlier recordings for reuse.
-	pl.chunks = slices.Grow(pl.chunks[:0], len(tasks))[:len(tasks)]
+	pl.chunks = make([][]Pair, len(tasks))
 	var next atomic.Int64
 	record := func() {
+		buf := recordScratch.Get().(*[]Pair)
+		defer recordScratch.Put(buf)
 		for {
 			t := int(next.Add(1)) - 1
 			if t >= len(tasks) {
@@ -124,9 +145,13 @@ func RecordPlan(ix *Index, spec Spec, workers int) *Plan {
 			}
 			tk := tasks[t]
 			if tk.near {
-				pl.chunks[t] = ix.upperNeighborPairs(tk.lo, tk.hi, spec.Radius, spec.Metric, pl.chunks[t][:0])
+				*buf = s.upperNeighborPairs(tk.lo, tk.hi, spec.Radius, spec.Metric, (*buf)[:0])
 			} else {
-				pl.chunks[t] = ix.upperILPairs(tk.level, tk.lo, tk.hi, pl.chunks[t][:0])
+				*buf = s.upperILPairs(tk.level, tk.lo, tk.hi, (*buf)[:0])
+			}
+			if len(*buf) > 0 {
+				// Clone allocates without zeroing what it copies over.
+				pl.chunks[t] = slices.Clone(*buf)
 			}
 		}
 	}
@@ -141,29 +166,6 @@ func RecordPlan(ix *Index, spec Spec, workers int) *Plan {
 	record()
 	wg.Wait()
 	return pl
-}
-
-// newPlan takes a plan from the free list, or makes one.
-func newPlan() *Plan {
-	planMu.Lock()
-	defer planMu.Unlock()
-	if n := len(planFree); n > 0 {
-		pl := planFree[n-1]
-		planFree[n-1] = nil
-		planFree = planFree[:n-1]
-		return pl
-	}
-	return new(Plan)
-}
-
-// Check panics unless the plan was recorded over exactly the index's
-// occupied cells. Applying a plan to another particle set is a caller
-// bug: its positions would silently pair the wrong cells.
-func (p *Plan) Check(ix *Index) {
-	if ix.Order != p.order || !slices.Equal(ix.keys, p.keys) {
-		panic(fmt.Sprintf("keynav: plan recorded over %d cells at order %d applied to another cell set (%d cells at order %d)",
-			len(p.keys), p.order, ix.N(), ix.Order))
-	}
 }
 
 // Near returns the near-field upper pairs for the (radius, m)
@@ -193,17 +195,4 @@ func (p *Plan) IL(l uint) [][]Pair {
 		return nil
 	}
 	return p.chunks[p.ilStart[l]:p.ilStart[l+1]]
-}
-
-// Release returns the plan's slabs for reuse by a later recording. The
-// plan must not be used afterwards, by any goroutine.
-func (p *Plan) Release() {
-	if p == nil {
-		return
-	}
-	planMu.Lock()
-	if len(planFree) < planKeep() {
-		planFree = append(planFree, p)
-	}
-	planMu.Unlock()
 }

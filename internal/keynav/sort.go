@@ -7,8 +7,8 @@ import "sync"
 const pairCutoff = 128
 
 // pairScratch pools the ping-pong buffers of sortPairs. Concurrent
-// sweep cells each build an index per assignment, so the sort scratch
-// must not hit the allocator every time.
+// sweep groups each build a set, so the sort scratch must not hit the
+// allocator every time.
 var pairScratch = sync.Pool{New: func() any { return new(pairBufs) }}
 
 type pairBufs struct {

@@ -68,8 +68,8 @@ func TestHandlerMissThenHitByteIdentical(t *testing.T) {
 }
 
 // TestHandlerMixedOrders posts table12 at order 8 and then at order 12
-// to one handler: the second request builds its key-space indexes from
-// slabs the first one recycled at a lower order. Both must answer 200.
+// to one handler (a pooled index once crashed the second request).
+// Both must answer 200.
 func TestHandlerMixedOrders(t *testing.T) {
 	h := NewHandler(New(Options{Workers: 2}))
 	for _, order := range []int{8, 12} {
@@ -146,6 +146,25 @@ func TestHandlerErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", eb.Error, tc.wantInError)
 			}
 		})
+	}
+}
+
+// TestHandlerRejectsOversizedNearField posts a near-field radius whose
+// pair plan would exhaust the daemon's memory: validation answers 400
+// and the computation never runs.
+func TestHandlerRejectsOversizedNearField(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		t.Errorf("ran %s with %+v", spec.Name, p)
+		return fakeOutput(p), nil
+	}
+	rec := postExperiment(t, NewHandler(s), "/v1/experiments/meshtorus",
+		`{"Particles":65536,"Order":8,"ProcOrder":3,"Radius":64,"Trials":1}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want %d (body %s)", rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "near-field events") {
+		t.Errorf("error body %s does not name the near-field bound", rec.Body)
 	}
 }
 

@@ -125,8 +125,8 @@ func SortPoints(c Curve, order uint, pts []geom.Point) []int {
 
 // SortPointsKeys is SortPoints but also returns the curve keys it
 // computed (keys[i] is the index of pts[i], input order — not sorted),
-// so callers that need the keys afterwards, like acd.Assign's
-// duplicate-cell detection, avoid re-encoding every particle.
+// so callers that need the keys afterwards, like the incremental
+// pipeline's duplicate-cell check, avoid re-encoding every particle.
 func SortPointsKeys(c Curve, order uint, pts []geom.Point) ([]int, []uint64) {
 	keys := make([]uint64, len(pts))
 	for i, p := range pts {

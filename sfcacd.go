@@ -33,6 +33,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/geom3"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/model3d"
 	"sfcacd/internal/nbody"
 	"sfcacd/internal/primitives"
@@ -161,16 +162,25 @@ type Accumulator = acd.Accumulator
 type Assignment = acd.Assignment
 
 // Assign orders particles along the curve, chunks them, and assigns
-// chunk i to rank i.
+// chunk i to rank i. Duplicate cells and cells outside the grid are
+// errors.
 func Assign(particles []Point, curve Curve, order uint, p int) (*Assignment, error) {
-	return acd.Assign(particles, curve, order, p)
+	set, err := keynav.NewSet(order, particles)
+	if err != nil {
+		return nil, err
+	}
+	return acd.Assign(set, curve, p)
 }
 
 // AssignmentFromOwners builds an Assignment from an explicit
-// particle-to-rank ownership, for dynamic studies where particles move
-// while their owners stay fixed.
+// particle-to-rank ownership (ranks[i] owns particles[i]), for dynamic
+// studies where particles move while their owners stay fixed.
 func AssignmentFromOwners(particles []Point, ranks []int32, order uint, p int) (*Assignment, error) {
-	return acd.FromOwners(particles, ranks, order, p)
+	set, err := keynav.NewSet(order, particles)
+	if err != nil {
+		return nil, err
+	}
+	return acd.FromOwners(set, ranks, p)
 }
 
 // WeightedAccumulator is the data-volume-weighted ACD accumulator
