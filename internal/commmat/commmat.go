@@ -14,15 +14,14 @@
 // specialized to exact event counts.
 //
 // Build with a Builder (one Shard per concurrent worker, merged into an
-// immutable Matrix by Finalize), or maintain a retractable Mutable,
-// then contract with ContractTableMulti against the distance tables
-// (topology.DistanceTable) of one or more topologies: a single fused
-// pass over the distinct pairs serves all of them (see fused.go), and
-// it is the only contraction. Event streams whose pair relation is
-// symmetric (near field, interaction lists) are best aggregated in
-// canonical src <= dst form — each unordered pair recorded once — and
-// contracted with ContractTableMultiSym, which weights every pair by
-// both directions.
+// immutable Matrix by Finalize), then contract with ContractTableMulti
+// against the distance tables (topology.DistanceTable) of one or more
+// topologies: a single fused pass over the distinct pairs serves all of
+// them (see fused.go), and it is the only contraction. Event streams
+// whose pair relation is symmetric (near field, interaction lists) are
+// best aggregated in canonical src <= dst form — each unordered pair
+// recorded once — and contracted with ContractTableMultiSym, which
+// weights every pair by both directions.
 //
 // Aggregation is hash-free on the hot path: events count directly into
 // a pooled scratch grid with a one-bit-per-pair occupancy bitmap.
@@ -197,6 +196,38 @@ func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
 			fn(src, m.dsts[i], m.counts[i])
 		}
 	}
+}
+
+// Equal reports whether two matrices hold identical aggregations: the
+// same rank count, total events, and per-pair counts. It is
+// form-insensitive — a dense and a CSR matrix compare equal when their
+// contents match — which lets differential oracles compare matrices
+// built along different paths byte-for-byte at the pair level.
+func Equal(a, b *Matrix) bool {
+	if a.p != b.p || a.events != b.events || a.pairs != b.pairs {
+		return false
+	}
+	type pair struct {
+		src, dst int32
+		n        uint32
+	}
+	as := make([]pair, 0, a.pairs)
+	a.Visit(func(src, dst int32, n uint32) {
+		as = append(as, pair{src, dst, n})
+	})
+	i := 0
+	ok := true
+	b.Visit(func(src, dst int32, n uint32) {
+		if !ok || i >= len(as) {
+			ok = false
+			return
+		}
+		if p := as[i]; p.src != src || p.dst != dst || p.n != n {
+			ok = false
+		}
+		i++
+	})
+	return ok && i == len(as)
 }
 
 // Builder aggregates a communication event stream into a Matrix.

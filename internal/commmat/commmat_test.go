@@ -240,3 +240,18 @@ func TestScratchBestFit(t *testing.T) {
 		t.Errorf("free list holds %d grids, want %d", n, scratchKeep())
 	}
 }
+
+// TestEqualDetectsDifferences spot-checks Equal's negative cases.
+func TestEqualDetectsDifferences(t *testing.T) {
+	mk := func(pairs ...[2]int32) *Matrix { return buildWith(16, 1, pairs) }
+	a := mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 7})
+	if !Equal(a, mk([2]int32{1, 2}, [2]int32{3, 7}, [2]int32{1, 2})) {
+		t.Fatalf("order-insensitive streams compared unequal")
+	}
+	if Equal(a, mk([2]int32{1, 2}, [2]int32{3, 7})) {
+		t.Fatalf("different event counts compared equal")
+	}
+	if Equal(a, mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 8})) {
+		t.Fatalf("different pair sets compared equal")
+	}
+}

@@ -390,78 +390,3 @@ func fuseDirect(pl *fusedPlan, t, src int, rd []int32, rn []uint32) uint64 {
 	}
 	return s
 }
-
-// ContractTableMultiSym contracts the maintained matrix against every
-// distance table in one fused pass with symmetric-canonical weighting,
-// adding table k's contraction into accs[k] — exactly what
-// Matrix().ContractTableMultiSym would produce, without materializing
-// the Matrix. The maintainer is single-goroutine, so the pass is
-// serial: rows are buffered once from Visit and the K distance rows
-// for each source are looked up back to back, in the same per-table
-// RowFor order as the sequential row loop.
-func (m *Mutable) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*acd.Accumulator) {
-	if len(dts) != len(accs) {
-		panic("commmat: ContractTableMultiSym needs one accumulator per table")
-	}
-	if len(dts) == 0 {
-		return
-	}
-	fusedCounter.Inc()
-	unders := make([]topology.Topology, len(dts))
-	sums := make([]topology.PairContractor, len(dts))
-	for t, dt := range dts {
-		unders[t] = dt.Underlying()
-		sums[t], _ = unders[t].(topology.PairContractor)
-	}
-	direct := make([]uint64, len(dts))
-	curSrc := int32(-1)
-	var dsts []int32
-	var counts []uint32
-	flushRow := func() {
-		if len(dsts) == 0 {
-			return
-		}
-		var ev, zeros uint64
-		for i, d := range dsts {
-			n := uint64(counts[i])
-			ev += n
-			if d == curSrc {
-				zeros = n
-			}
-		}
-		for t, dt := range dts {
-			var s uint64
-			if row := dt.RowFor(int(curSrc), len(dsts)); row != nil {
-				for i, d := range dsts {
-					s += uint64(row[d]) * uint64(counts[i])
-				}
-			} else {
-				if pc := sums[t]; pc != nil {
-					s = pc.DistanceSum(int(curSrc), dsts, counts)
-				} else {
-					topo := unders[t]
-					for i, d := range dsts {
-						s += uint64(topo.Distance(int(curSrc), int(d))) * uint64(counts[i])
-					}
-				}
-				direct[t] += uint64(len(dsts))
-			}
-			accs[t].Sum += 2 * s
-			accs[t].Count += 2 * ev
-			accs[t].Zeros += 2 * zeros
-		}
-		dsts, counts = dsts[:0], counts[:0]
-	}
-	m.Visit(func(src, dst int32, n uint32) {
-		if src != curSrc {
-			flushRow()
-			curSrc = src
-		}
-		dsts = append(dsts, dst)
-		counts = append(counts, n)
-	})
-	flushRow()
-	for t := range dts {
-		topology.CountDistanceQueries(direct[t])
-	}
-}

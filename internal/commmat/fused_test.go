@@ -173,58 +173,6 @@ func TestFusedDistanceQueryAccounting(t *testing.T) {
 	}
 }
 
-// TestMutableContractTableMultiEquivalence: the Mutable fused pass,
-// over all tables at once or one table at a time, must equal the
-// sequential oracle exactly, including its distance-query accounting.
-func TestMutableContractTableMultiEquivalence(t *testing.T) {
-	const p, n = 1024, 20000
-	counter := obs.GetCounter("topology.distance.analytic")
-	mm := NewMutable(p)
-	for _, e := range randomEvents(17, p, n) {
-		src, dst := e[0], e[1]
-		if dst < src {
-			src, dst = dst, src
-		}
-		mm.Add(src, dst)
-	}
-	topos := sixTopologies(t, p, sfc.All()[0])
-
-	before := counter.Value()
-	seq := make([]acd.Accumulator, len(topos))
-	for i, dt := range freshTables(topos) {
-		seqContractMutableSym(mm, dt, &seq[i])
-	}
-	seqDelta := counter.Value() - before
-
-	got := make([]acd.Accumulator, len(topos))
-	accs := make([]*acd.Accumulator, len(topos))
-	for i := range got {
-		accs[i] = &got[i]
-	}
-	before = counter.Value()
-	mm.ContractTableMultiSym(freshTables(topos), accs)
-	fusedDelta := counter.Value() - before
-	for i := range topos {
-		if got[i] != seq[i] {
-			t.Fatalf("topo=%s: fused %+v != sequential %+v", topos[i].Name(), got[i], seq[i])
-		}
-	}
-	if fusedDelta != seqDelta {
-		t.Fatalf("fused pass recorded %d distance queries, sequential %d", fusedDelta, seqDelta)
-	}
-
-	before = counter.Value()
-	one := contractEach(topos, mm.ContractTableMultiSym)
-	if delta := counter.Value() - before; delta != seqDelta {
-		t.Fatalf("one-table passes recorded %d distance queries, sequential %d", delta, seqDelta)
-	}
-	for i := range topos {
-		if one[i] != seq[i] {
-			t.Fatalf("topo=%s: one-table fused %+v != sequential %+v", topos[i].Name(), one[i], seq[i])
-		}
-	}
-}
-
 // BenchmarkContractMulti measures the fused pass against the
 // sequential per-table oracle at 1 and 6 topologies on both matrix
 // forms. The 6-topology fused case is the headline: one pair stream

@@ -55,39 +55,3 @@ func seqContract(m *Matrix, dt *topology.DistanceTable, acc *acd.Accumulator, we
 	}
 	topology.CountDistanceQueries(direct)
 }
-
-// seqContractMutableSym is seqContract for a maintained matrix with
-// symmetric-canonical weighting, reading rows straight from Visit.
-func seqContractMutableSym(m *Mutable, dt *topology.DistanceTable, acc *acd.Accumulator) {
-	t := dt.Underlying()
-	direct := uint64(0)
-	curSrc := int32(-1)
-	var dsts []int32
-	var counts []uint32
-	flushRow := func() {
-		if len(dsts) == 0 {
-			return
-		}
-		if row := dt.RowFor(int(curSrc), len(dsts)); row != nil {
-			for i, d := range dsts {
-				acc.AddN(int(row[d]), 2*int(counts[i]))
-			}
-		} else {
-			for i, d := range dsts {
-				acc.AddN(t.Distance(int(curSrc), int(d)), 2*int(counts[i]))
-			}
-			direct += uint64(len(dsts))
-		}
-		dsts, counts = dsts[:0], counts[:0]
-	}
-	m.Visit(func(src, dst int32, n uint32) {
-		if src != curSrc {
-			flushRow()
-			curSrc = src
-		}
-		dsts = append(dsts, dst)
-		counts = append(counts, n)
-	})
-	flushRow()
-	topology.CountDistanceQueries(direct)
-}

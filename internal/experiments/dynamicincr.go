@@ -17,12 +17,12 @@ import (
 // DynamicIncrResult is the incremental time-stepped pipeline study: an
 // n-body simulation drifts the particles a few percent of a cell per
 // tick, and per curve an incr.State carries the SFC order, chunk
-// assignment, and near-field communication matrix across ticks instead
-// of rebuilding them. Every reported value is a deterministic function
-// of the particle trajectory alone — Params.IncrMode moves only the
-// maintenance cost between mechanisms, never the numbers — so the
-// rendered output doubles as a cross-mechanism differential oracle:
-// runs with -incr-mode=incr and -incr-mode=rebuild must be
+// assignment, and near-field ACD on the curve's torus across ticks
+// instead of rebuilding them. Every reported value is a deterministic
+// function of the particle trajectory alone — Params.IncrMode moves
+// only the maintenance cost between mechanisms, never the numbers — so
+// the rendered output doubles as a cross-mechanism differential
+// oracle: runs with -incr-mode=incr and -incr-mode=rebuild must be
 // byte-identical (CI compares them).
 type DynamicIncrResult struct {
 	// Curves are the curve names.
@@ -33,8 +33,8 @@ type DynamicIncrResult struct {
 	// Moved[t] counts particles whose cell changed at tick t. The
 	// trajectory is curve-independent, so one series serves all curves.
 	Moved []int
-	// ACD[c][t] is the near-field ACD of the maintained matrix on the
-	// curve's torus after tick t.
+	// ACD[c][t] is the near-field ACD on the curve's torus after tick
+	// t, read from the state's maintained accumulator.
 	ACD [][]float64
 	// Gauge[c][t] is the drift gauge (fraction of particles whose
 	// owning rank changed) fed to the repartition policy at tick t.

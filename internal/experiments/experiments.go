@@ -85,14 +85,17 @@ func (p Params) Validate() error {
 	if p.Order > 15 {
 		return fmt.Errorf("experiments: order %d too large", p.Order)
 	}
-	if p.ProcOrder > topology.MaxProcOrder {
-		return fmt.Errorf("experiments: processor order %d exceeds %d", p.ProcOrder, topology.MaxProcOrder)
+	if p.ProcOrder > maxProcOrder {
+		return fmt.Errorf("experiments: processor order %d exceeds %d", p.ProcOrder, maxProcOrder)
 	}
 	if uint64(p.Particles) > geom.Cells(p.Order) {
 		return fmt.Errorf("experiments: %d particles exceed %d cells", p.Particles, geom.Cells(p.Order))
 	}
 	if p.Trials < 1 {
 		return fmt.Errorf("experiments: need at least 1 trial")
+	}
+	if p.Trials > maxTrials {
+		return fmt.Errorf("experiments: %d trials exceed %d", p.Trials, maxTrials)
 	}
 	if p.Radius < 0 {
 		return fmt.Errorf("experiments: negative radius")
@@ -113,6 +116,17 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// maxProcOrder bounds ProcOrder at p = 4^10 ranks, two orders above
+// the largest paper preset. A grid topology then needs 12 MiB; at
+// topology.MaxProcOrder (2^30 ranks) one torus needs 12 GiB, which no
+// caller can recover from.
+const maxProcOrder = 10
+
+// maxTrials bounds Trials. A sweep allocates its group slots for every
+// trial up front, so a huge count exhausts memory before any work; every
+// preset uses 3 or fewer.
+const maxTrials = 1024
 
 // maxNearEvents bounds the ordered near-field events of one particle
 // set, particles x ((2r+1)^2 - 1) for radius r (at least 1, the

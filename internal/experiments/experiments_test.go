@@ -56,6 +56,31 @@ func TestParamsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("processor order past topology.MaxProcOrder accepted")
 	}
+	// The sizes that once killed the daemon are rejected with errors
+	// that name the bound; the bounds themselves are accepted.
+	for _, tc := range []struct {
+		field    string
+		set      func(*Params, int)
+		bound    int
+		bad      []int
+		boundErr string
+	}{
+		{"ProcOrder", func(p *Params, v int) { p.ProcOrder = uint(v) }, 10, []int{11, 15}, "exceeds 10"},
+		{"Trials", func(p *Params, v int) { p.Trials = v }, 1024, []int{1025, 1000000000}, "exceed 1024"},
+	} {
+		ok := testParams
+		tc.set(&ok, tc.bound)
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%s = %d rejected: %v", tc.field, tc.bound, err)
+		}
+		for _, v := range tc.bad {
+			bad := testParams
+			tc.set(&bad, v)
+			if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.boundErr) {
+				t.Errorf("%s = %d: error %v, want one naming the bound (%q)", tc.field, v, err, tc.boundErr)
+			}
+		}
+	}
 }
 
 // TestParamsValidateNearEvents pins the near-field event bound on both

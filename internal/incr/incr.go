@@ -1,7 +1,8 @@
 // Package incr maintains the §IV pipeline's derived state — curve
-// order, balanced-chunk assignment, and the near-field communication
-// matrix — across the timesteps of a drifting particle set, instead of
-// rebuilding all three from scratch each tick.
+// order, balanced-chunk assignment, and the near-field ACD of every
+// network it has been asked to price — across the timesteps of a
+// drifting particle set, instead of rebuilding them from scratch each
+// tick.
 //
 // Between ticks only a small minority of particles move, so each
 // derived structure admits a delta update:
@@ -14,22 +15,27 @@
 //     owners only where the recorded rank disagrees with the
 //     balanced-chunk partition over the repaired order. The fraction
 //     of disagreements is the tick's drift gauge.
-//   - The near-field matrix is repaired in a commmat.Mutable by
-//     retracting the rank-pair events incident to affected particles
-//     in the pre-tick state and re-adding them in the post-tick state.
+//   - Each priced network's acd.Accumulator is repaired by retracting
+//     the near-field pairs incident to affected particles in the
+//     pre-tick state and re-adding them in the post-tick state, each
+//     pair's two events priced at the network's hop distance between
+//     the members' owners.
 //
 // When the drift gauge crosses the repartition policy's high-water
 // mark the delta mechanism stops paying for itself and the state falls
-// back to a full rebuild (a matrix reset refilled from the state's own
-// occupancy), with hysteresis so an oscillating gauge does not flap
-// between mechanisms.
-// Either way the maintained matrix is defined to be bit-identical to a
-// from-scratch fmmmodel.NFIMatrix of the current configuration — the
-// differential oracle the tests and CI enforce every tick.
+// back to a full rebuild (every accumulator re-priced from the state's
+// own occupancy), with hysteresis so an oscillating gauge does not
+// flap between mechanisms.
+// Either way each maintained accumulator is defined to equal exactly
+// what fmmmodel.NFIMulti returns for a fresh assignment of the current
+// configuration, and Matrix, built on demand from the same occupancy,
+// is bit-identical to fmmmodel.NFIMatrix — the differential oracles
+// the tests and CI enforce every tick.
 package incr
 
 import (
 	"fmt"
+	"slices"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
@@ -52,6 +58,19 @@ var (
 // denseOccLimit bounds the flat cell->particle occupancy array at 4^12
 // cells (64 MiB of int32); finer grids keep a map.
 const denseOccLimit = uint64(1) << 24
+
+// matrixBand is Matrix's scratch-band hint, the one fmmmodel's
+// near-field builder uses: chunk-monotone ownership keeps almost every
+// canonical pair's ranks within 256 of each other.
+const matrixBand = 256
+
+// A canonical near-field pair stands for two events, one each way.
+// Retracting a pair adds -2 events modulo 2^64, so the unsigned sums
+// come back exactly when the pair is re-added.
+const (
+	addPair     = uint64(2)
+	retractPair = ^uint64(1)
+)
 
 // Config fixes one maintained pipeline's parameters for its lifetime.
 type Config struct {
@@ -113,7 +132,9 @@ type State struct {
 	denseOcc  []int32
 	sparseOcc map[uint64]int32
 
-	counts *commmat.Mutable
+	// tracked holds one accumulator per distance table ACDMulti has
+	// priced, kept exact across ticks.
+	tracked []tracked
 
 	// epoch/mark implement the affected set without clearing: identity
 	// id is affected this tick iff mark[id] == epoch. The retract and
@@ -129,9 +150,19 @@ type State struct {
 	repartitions int
 }
 
+// tracked is one priced network: the caller's distance table, which
+// identifies it, the topology its distances come from, and its
+// maintained accumulator.
+type tracked struct {
+	dt   *topology.DistanceTable
+	topo topology.Topology
+	acc  acd.Accumulator
+}
+
 // NewState builds the initial pipeline state from scratch: full curve
-// sort, balanced-chunk ownership, occupancy, and near-field matrix. Duplicate particle cells are rejected, as in
-// acd.Assign.
+// sort, balanced-chunk ownership and occupancy. No network is priced
+// until ACDMulti asks for one. Duplicate particle cells are rejected,
+// as in acd.Assign.
 func NewState(cfg Config, pts []geom.Point) (*State, error) {
 	if cfg.Curve == nil {
 		return nil, fmt.Errorf("incr: nil curve")
@@ -177,8 +208,6 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 	for id, pt := range s.pts {
 		s.occSet(pt, int32(id))
 	}
-	s.counts = commmat.NewMutable(cfg.P)
-	s.refill()
 	return s, nil
 }
 
@@ -208,27 +237,52 @@ func (s *State) occClear(q geom.Point) {
 	}
 }
 
-// refill rebuilds the near-field matrix from the state's occupancy:
-// every particle's upper neighborhood (geom.VisitUpperNeighborhood,
-// the enumeration a keynav plan records) probed through occAt, the
-// lookup the delta path uses, each unordered neighbor pair adding one
-// canonical event between the current owners.
-func (s *State) refill() {
-	s.counts.Reset()
+// forPairs calls fn with the members' owners for every near-field pair
+// of the current configuration: every particle's upper neighborhood
+// (geom.VisitUpperNeighborhood, the enumeration a keynav plan records)
+// probed through occAt, the lookup the delta path uses.
+func (s *State) forPairs(fn func(ra, rb int32)) {
 	var r int32
-	add := func(q geom.Point) {
+	visit := func(q geom.Point) {
 		if b := s.occAt(q); b >= 0 {
-			if o := s.owners[b]; o < r {
-				s.counts.Add(o, r)
-			} else {
-				s.counts.Add(r, o)
-			}
+			fn(r, s.owners[b])
 		}
 	}
 	for id, pt := range s.pts {
 		r = s.owners[id]
-		geom.VisitUpperNeighborhood(pt, s.cfg.Radius, s.cfg.Metric, s.side, add)
+		geom.VisitUpperNeighborhood(pt, s.cfg.Radius, s.cfg.Metric, s.side, visit)
 	}
+}
+
+// price adds w events between ranks a and b to every accumulator in
+// ts, each at the network's hop distance (addPair for a canonical
+// pair's two events, retractPair to take them back).
+func price(ts []tracked, a, b int32, w uint64) {
+	for i := range ts {
+		t := &ts[i]
+		t.acc.Sum += w * uint64(t.topo.Distance(int(a), int(b)))
+		t.acc.Count += w
+		if a == b {
+			t.acc.Zeros += w
+		}
+	}
+}
+
+// reprice prices the current configuration from scratch into ts's
+// accumulators.
+func (s *State) reprice(ts []tracked) {
+	if len(ts) == 0 {
+		return
+	}
+	for i := range ts {
+		ts[i].acc = acd.Accumulator{}
+	}
+	pairs := 0
+	s.forPairs(func(ra, rb int32) {
+		price(ts, ra, rb, addPair)
+		pairs++
+	})
+	topology.CountDistanceQueries(uint64(pairs * len(ts)))
 }
 
 // forAffectedPairs enumerates, in the state's current configuration,
@@ -273,7 +327,7 @@ func (s *State) apply(newPts []geom.Point, moved []int, deltas []acd.OwnerDelta)
 // Tick advances the state to the new particle configuration (same
 // identities, same length; cells must stay distinct). It returns the
 // tick's stats, which are identical whichever mechanism maintained the
-// matrix. A duplicate-cell error leaves the state unusable.
+// accumulators. A duplicate-cell error leaves the state unusable.
 func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	var st TickStats
 	if len(newPts) != s.n {
@@ -333,18 +387,13 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	if rebuild := s.cfg.ForceRebuild || st.Repartitioned; !rebuild {
 		span := obs.StartSpan("incr.maintain.delta")
 		st.Retracted = s.forAffectedPairs(affected, func(ra, rb int32) {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			s.counts.Sub(ra, rb)
+			price(s.tracked, ra, rb, retractPair)
 		})
 		s.apply(newPts, moved, deltas)
 		st.Readded = s.forAffectedPairs(affected, func(ra, rb int32) {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			s.counts.Add(ra, rb)
+			price(s.tracked, ra, rb, addPair)
 		})
+		topology.CountDistanceQueries(uint64((st.Retracted + st.Readded) * len(s.tracked)))
 		span.End()
 	} else {
 		// The retract/re-add counts are part of the tick's reported
@@ -359,7 +408,7 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 		st.Readded = s.forAffectedPairs(affected, func(ra, rb int32) {})
 		stats.End()
 		span := obs.StartSpan("incr.maintain.rebuild")
-		s.refill()
+		s.reprice(s.tracked)
 		span.End()
 	}
 	retractCounter.Add(uint64(st.Retracted))
@@ -377,29 +426,56 @@ func (s *State) P() int { return s.cfg.P }
 // on, since construction.
 func (s *State) Repartitions() int { return s.repartitions }
 
-// Matrix materializes the maintained near-field matrix — bit-identical
-// to fmmmodel.NFIMatrix over a fresh assignment of the current
-// configuration, which is the differential oracle CI compares against.
-func (s *State) Matrix() *commmat.Matrix { return s.counts.Matrix() }
+// Matrix builds the near-field matrix of the current configuration
+// from the maintained occupancy and owners — bit-identical to
+// fmmmodel.NFIMatrix over a fresh assignment, which is the
+// differential oracle CI compares against. Nothing maintains it: each
+// call walks every pair once into a commmat Builder and counts as one
+// commmat build.
+func (s *State) Matrix() *commmat.Matrix {
+	b := commmat.NewBuilderBanded(s.cfg.P, 1, matrixBand)
+	sh := b.Shard(0)
+	s.forPairs(func(ra, rb int32) {
+		if rb < ra {
+			ra, rb = rb, ra
+		}
+		sh.Add(ra, rb)
+	})
+	return b.Finalize()
+}
 
-// ACD contracts the maintained matrix against a distance table without
-// materializing it.
+// ACD returns the near-field accumulator of one distance table's
+// network; see ACDMulti.
 func (s *State) ACD(dt *topology.DistanceTable) acd.Accumulator {
 	return s.ACDMulti([]*topology.DistanceTable{dt})[0]
 }
 
-// ACDMulti contracts the maintained matrix against several distance
-// tables in one fused pass (commmat.Mutable.ContractTableMultiSym):
-// each distinct pair is read once and evaluated against every table.
-// Result k is exactly what ACD against table k would return.
+// ACDMulti returns the near-field accumulator of each table's network:
+// exactly what fmmmodel.NFIMulti returns on that topology for a fresh
+// assignment of the current configuration. The first call on a table
+// prices the configuration once (one walk over every pair for all of
+// the call's new tables); from then on the state tracks the table and
+// every Tick keeps its accumulator exact, so later calls only read
+// it. Distances come from the table's underlying topology, one call per
+// pair; the table itself is only the handle.
 func (s *State) ACDMulti(dts []*topology.DistanceTable) []acd.Accumulator {
-	accs := make([]acd.Accumulator, len(dts))
-	ptrs := make([]*acd.Accumulator, len(dts))
-	for i := range accs {
-		ptrs[i] = &accs[i]
+	first := len(s.tracked)
+	for _, dt := range dts {
+		if s.find(dt) < 0 {
+			s.tracked = append(s.tracked, tracked{dt: dt, topo: dt.Underlying()})
+		}
 	}
-	s.counts.ContractTableMultiSym(dts, ptrs)
+	s.reprice(s.tracked[first:])
+	accs := make([]acd.Accumulator, len(dts))
+	for i, dt := range dts {
+		accs[i] = s.tracked[s.find(dt)].acc
+	}
 	return accs
+}
+
+// find returns dt's index in s.tracked, or -1.
+func (s *State) find(dt *topology.DistanceTable) int {
+	return slices.IndexFunc(s.tracked, func(t tracked) bool { return t.dt == dt })
 }
 
 // Assignment materializes the maintained order and ownership as a
@@ -416,9 +492,9 @@ func (s *State) Assignment() (*acd.Assignment, error) {
 	return acd.FromSorted(s.sortedBuf, s.cfg.Order, s.cfg.P)
 }
 
-// Release drops the state's matrix. The state must not be used
-// afterwards. Nothing needs to call it; the garbage collector reclaims
-// a state whole.
+// Release drops the state's tracked accumulators and occupancy. The
+// state must not be used afterwards. Nothing needs to call it; the
+// garbage collector reclaims a state whole.
 func (s *State) Release() {
-	s.counts = nil
+	s.tracked, s.denseOcc, s.sparseOcc = nil, nil, nil
 }

@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sfcacd/internal/acd"
@@ -69,6 +71,54 @@ func driftStep(pts []geom.Point, order uint, frac float64, r *rng.Rand) []geom.P
 	return out
 }
 
+// teleport reverses the point set: identities trade cells, so nearly
+// every identity changes owner (massive churn, no collisions) while
+// each occupied cell keeps its owner.
+func teleport(pts []geom.Point) []geom.Point {
+	out := append([]geom.Point(nil), pts...)
+	slices.Reverse(out)
+	return out
+}
+
+// sixTables returns one topology of every kind over p ranks, each
+// wrapped in its own fresh distance table.
+func sixTables(t *testing.T, p int, curve sfc.Curve) ([]topology.Topology, []*topology.DistanceTable) {
+	t.Helper()
+	topos := make([]topology.Topology, len(topology.Kinds))
+	dts := make([]*topology.DistanceTable, len(topology.Kinds))
+	for i, kind := range topology.Kinds {
+		topo, err := topology.New(kind, p, curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos[i], dts[i] = topo, topology.NewDistanceTable(topo)
+	}
+	return topos, dts
+}
+
+// oracleACD is fmmmodel.NFIMulti over a fresh assignment of pts.
+func oracleACD(t *testing.T, pts []geom.Point, cfg Config, topos []topology.Topology) []acd.Accumulator {
+	t.Helper()
+	a, err := assignPoints(pts, cfg.Curve, cfg.Order, cfg.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmmmodel.NFIMulti(a, topos, fmmmodel.NFIOptions{Radius: cfg.Radius, Metric: cfg.Metric, Workers: 1})
+}
+
+// checkAccs fails unless got equals want, network for network.
+func checkAccs(t *testing.T, what string, got, want []acd.Accumulator) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d accumulators, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: accumulator %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 func oracleMatrix(t *testing.T, pts []geom.Point, curve sfc.Curve, order uint, p, radius int, m geom.Metric) (*commmat.Matrix, *acd.Assignment) {
 	t.Helper()
 	a, err := assignPoints(pts, curve, order, p)
@@ -78,10 +128,11 @@ func oracleMatrix(t *testing.T, pts []geom.Point, curve sfc.Curve, order uint, p
 	return fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: radius, Metric: m, Workers: 1}), a
 }
 
-// TestStateMatchesOracleEveryTick is the differential oracle: after
-// every tick the maintained matrix must equal a from-scratch
-// fmmmodel.NFIMatrix of the current configuration, and the maintained
-// assignment must equal a from-scratch acd.Assign.
+// TestStateMatchesOracleEveryTick is the matrix's differential oracle:
+// after every tick the matrix Matrix builds from the maintained
+// occupancy and owners must equal a from-scratch fmmmodel.NFIMatrix of
+// the current configuration, and the maintained assignment must equal a
+// from-scratch acd.Assign.
 func TestStateMatchesOracleEveryTick(t *testing.T) {
 	for _, curveName := range []string{"hilbert", "morton"} {
 		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
@@ -103,7 +154,7 @@ func TestStateMatchesOracleEveryTick(t *testing.T) {
 				}
 				want, oracle := oracleMatrix(t, pts, curve, order, p, radius, metric)
 				if !commmat.Equal(s.Matrix(), want) {
-					t.Fatalf("%s/%v tick %d: maintained matrix diverged from oracle", curveName, metric, tick)
+					t.Fatalf("%s/%v tick %d: matrix diverged from oracle", curveName, metric, tick)
 				}
 				got, err := s.Assignment()
 				if err != nil {
@@ -137,13 +188,7 @@ func TestStateRepartitionTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Teleport: reverse the point set (identities keep cells, but every
-	// cell changes hands in curve order), guaranteeing massive owner
-	// churn without collisions.
-	flipped := append([]geom.Point(nil), pts...)
-	for i, j := 0, len(flipped)-1; i < j; i, j = i+1, j-1 {
-		flipped[i], flipped[j] = flipped[j], flipped[i]
-	}
+	flipped := teleport(pts)
 	st, err := s.Tick(flipped)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +266,8 @@ func TestForceRebuildParity(t *testing.T) {
 	rebuild.Release()
 }
 
-// TestStateACDMatchesBatch checks the in-place contraction against the
-// batch NFI accumulator path on the same topology.
+// TestStateACDMatchesBatch checks a table first priced after a tick
+// against the batch NFIMulti path on the same topology.
 func TestStateACDMatchesBatch(t *testing.T) {
 	curve, err := sfc.ByName("morton")
 	if err != nil {
@@ -282,11 +327,10 @@ func TestStateRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestStateACDMultiMatchesPerTable is the incremental layer's fused
-// Mutable contraction oracle: ACDMulti over all six topology kinds
-// must return, per table, exactly what the sequential single-table
-// path (ACD, which delegates to Mutable.ContractTableSym) produces on
-// an identically fresh table.
+// TestStateACDMultiMatchesPerTable pins the shared pricing walk: six
+// tables, one of every topology kind, first priced together by one
+// ACDMulti call must each hold exactly what ACD returns when it prices
+// the same network alone on a fresh table.
 func TestStateACDMultiMatchesPerTable(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -307,22 +351,112 @@ func TestStateACDMultiMatchesPerTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	topos := make([]topology.Topology, len(topology.Kinds))
-	fusedTables := make([]*topology.DistanceTable, len(topology.Kinds))
-	for i, kind := range topology.Kinds {
-		topo, err := topology.New(kind, p, curve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topos[i] = topo
-		fusedTables[i] = topology.NewDistanceTable(topo)
-	}
-	fused := s.ACDMulti(fusedTables)
+	topos, tables := sixTables(t, p, curve)
+	together := s.ACDMulti(tables)
 	for i, topo := range topos {
 		want := s.ACD(topology.NewDistanceTable(topo))
-		if fused[i] != want {
-			t.Fatalf("%s: fused ACDMulti %+v != sequential ACD %+v",
-				topo.Name(), fused[i], want)
+		if together[i] != want {
+			t.Fatalf("%s: ACDMulti %+v != ACD alone %+v",
+				topo.Name(), together[i], want)
 		}
+	}
+}
+
+// TestStateAccumulatorsMatchOracleEveryTick is the accumulators'
+// differential oracle: six networks, one of every topology kind,
+// priced at tick 0 and tracked from then on must equal
+// fmmmodel.NFIMulti over a fresh assignment after every tick, under
+// both metrics, through drift ticks, a teleport that trips the
+// repartition policy and the delta ticks after it. A ForceRebuild twin
+// fed the same trajectory, re-pricing every tick, must agree at every
+// tick.
+func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
+	const order, procOrder, radius, teleportTick = 6, 3, 2, 5
+	for _, curveName := range []string{"hilbert", "morton"} {
+		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+			curve, err := sfc.ByName(curveName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Curve: curve, Order: order, P: 1 << (2 * procOrder), Radius: radius, Metric: metric}
+			pts := scatter(900, order, 41)
+			delta, err := NewState(cfg, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ForceRebuild = true
+			rebuild, err := NewState(cfg, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topos, dts := sixTables(t, cfg.P, curve)
+			_, twinDts := sixTables(t, cfg.P, curve)
+			want := oracleACD(t, pts, cfg, topos)
+			checkAccs(t, "tick 0", delta.ACDMulti(dts), want)
+			checkAccs(t, "tick 0 rebuild", rebuild.ACDMulti(twinDts), want)
+			r := rng.New(43)
+			for tick := 1; tick <= 9; tick++ {
+				if tick == teleportTick {
+					// Reversal alone keeps every cell's owner, and so the
+					// ACD; the drift on top makes the rebuild count.
+					pts = teleport(pts)
+				}
+				pts = driftStep(pts, order, 0.04, r)
+				st, err := delta.Tick(pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Repartitioned != (tick == teleportTick) {
+					t.Fatalf("%s/%v tick %d: repartitioned %v at gauge %.3f", curveName, metric, tick, st.Repartitioned, st.Gauge)
+				}
+				if _, err := rebuild.Tick(pts); err != nil {
+					t.Fatal(err)
+				}
+				want := oracleACD(t, pts, cfg, topos)
+				what := fmt.Sprintf("%s/%v tick %d", curveName, metric, tick)
+				checkAccs(t, what, delta.ACDMulti(dts), want)
+				checkAccs(t, what+" rebuild", rebuild.ACDMulti(twinDts), want)
+			}
+		}
+	}
+}
+
+// TestStateLateTableMatchesTracked: a table first priced after several
+// ticks, in a call that also reads tracked tables, must equal a table
+// of the same network tracked since tick 0 through delta and rebuild
+// ticks, and the two must stay equal once both are tracked.
+func TestStateLateTableMatchesTracked(t *testing.T) {
+	curve, err := sfc.ByName("morton")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const order, procOrder, radius = 6, 2, 1
+	cfg := Config{Curve: curve, Order: order, P: 1 << (2 * procOrder), Radius: radius, Metric: geom.MetricChebyshev}
+	pts := scatter(700, order, 17)
+	s, err := NewState(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, early := sixTables(t, cfg.P, curve)
+	s.ACDMulti(early)
+	r := rng.New(19)
+	for tick := 0; tick < 6; tick++ {
+		if tick == 3 {
+			pts = teleport(pts)
+		}
+		pts = driftStep(pts, order, 0.05, r)
+		if _, err := s.Tick(pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, late := sixTables(t, cfg.P, curve)
+	both := s.ACDMulti(append(slices.Clone(early), late...))
+	checkAccs(t, "first pricing", both[len(early):], both[:len(early)])
+	for tick := 0; tick < 3; tick++ {
+		pts = driftStep(pts, order, 0.05, r)
+		if _, err := s.Tick(pts); err != nil {
+			t.Fatal(err)
+		}
+		checkAccs(t, fmt.Sprintf("tick %d after", tick), s.ACDMulti(late), s.ACDMulti(early))
 	}
 }

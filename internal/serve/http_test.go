@@ -168,6 +168,31 @@ func TestHandlerRejectsOversizedNearField(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsDaemonKillingSizes posts a processor order and a
+// trial count whose allocations would kill the daemon with a fatal
+// out-of-memory error, which no recover can catch: validation answers
+// 400 naming the bound, and the computation never runs.
+func TestHandlerRejectsDaemonKillingSizes(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		t.Errorf("ran %s with %+v", spec.Name, p)
+		return fakeOutput(p), nil
+	}
+	h := NewHandler(s)
+	for _, tc := range []struct{ body, bound string }{
+		{`{"ProcOrder":15}`, "exceeds 10"},
+		{`{"Trials":1000000000}`, "exceed 1024"},
+	} {
+		rec := postExperiment(t, h, "/v1/experiments/table12", tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want %d (body %s)", tc.body, rec.Code, http.StatusBadRequest, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), tc.bound) {
+			t.Errorf("%s: error body %s does not name the bound", tc.body, rec.Body)
+		}
+	}
+}
+
 func TestHandlerOverload(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
