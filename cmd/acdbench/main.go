@@ -280,12 +280,6 @@ func run() int {
 		events := obs.GetCounter("commmat.events").Value()
 		obs.GetGauge("commmat.dedup_ratio").Set(float64(events) / float64(pairs))
 	}
-	// Derived gauge: replayed events per pair the pricers' memos
-	// flushed to the distance kernels.
-	if pairs := obs.GetCounter("price.pairs").Value(); pairs > 0 {
-		events := obs.GetCounter("price.events").Value()
-		obs.GetGauge("price.dedup_ratio").Set(float64(events) / float64(pairs))
-	}
 	manifest.Metrics = obs.Default().Snapshot()
 
 	if *report != "" {

@@ -88,8 +88,8 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		if err != nil {
 			return err
 		}
-		// One torus per step: the replay's pair memo still folds the
-		// repeated rank pairs before any distance is computed.
+		// One torus per step: too few for a torus group, so the replay
+		// prices every event through the torus's own kernel.
 		topos := []topology.Topology{topology.NewTorus(po, curve)}
 		nfi, ffi := priceCell(p, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 )
 
 // This file is the sweep scheduler: every runner decomposes its nested
@@ -77,7 +78,9 @@ func RunCells(ctx context.Context, workers, cells int, run func(cell int) error)
 // by its cell. The context is checked before every cell, bounding
 // cancellation latency to one cell; a cancelled context yields
 // ctx.Err() unless a cell failed first. On failure the sweep stops
-// early and the error of the lowest failing cell index is returned.
+// early and the error of the lowest failing cell index is returned. A
+// cell that panics on a pool worker stops the sweep too, and the first
+// such panic is re-raised on the caller once every worker has returned.
 func runCells(ctx context.Context, workers, cells int, run func(cell int) error) error {
 	if cells <= 0 {
 		return ctx.Err()
@@ -108,11 +111,13 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 		failCell = -1
 		failErr  error
 	)
+	var guard panics.Guard
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer guard.Recover()
 			detach := span.Attach()
 			defer detach()
 			for {
@@ -120,7 +125,7 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 				if i >= cells {
 					return
 				}
-				if sctx.Err() != nil {
+				if sctx.Err() != nil || guard.Stopped() {
 					return
 				}
 				if err := run(i); err != nil {
@@ -141,6 +146,7 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 		}()
 	}
 	wg.Wait()
+	guard.Repanic()
 	if failCell != -1 {
 		return failErr
 	}

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 )
 
 // TestSweepEquality pins the scheduler's determinism guarantee: every
@@ -141,6 +143,43 @@ func TestSweepCancellation(t *testing.T) {
 		if n := ran.Load(); n >= cells {
 			t.Errorf("workers=%d: all %d cells ran despite cancellation", workers, n)
 		}
+	}
+}
+
+// TestRunCellsWorkerPanic checks that a cell panicking on a pool
+// worker re-panics on the caller, carrying the cell's value and the
+// worker's stack, instead of ending the process, and that it stops the
+// sweep: no cell starts after the panic is recovered.
+func TestRunCellsWorkerPanic(t *testing.T) {
+	var v any
+	func() {
+		defer func() { v = recover() }()
+		RunCells(context.Background(), 2, 4, func(cell int) error {
+			if cell == 1 {
+				panic("cell 1 boom")
+			}
+			return nil
+		})
+	}()
+	w, ok := v.(*panics.Worker)
+	if !ok || w.Value != "cell 1 boom" || !strings.Contains(string(w.Stack), "TestRunCellsWorkerPanic") {
+		t.Fatalf("recovered %#v, want a *panics.Worker of the cell's panic", v)
+	}
+	var ran atomic.Int64
+	const cells = 400
+	func() {
+		defer func() { recover() }()
+		runCells(context.Background(), 2, cells, func(cell int) error {
+			ran.Add(1)
+			if cell == 0 {
+				panic("cell 0 boom")
+			}
+			time.Sleep(100 * time.Microsecond)
+			return nil
+		})
+	}()
+	if n := ran.Load(); n >= cells {
+		t.Errorf("all %d cells ran after the first one panicked", n)
 	}
 }
 

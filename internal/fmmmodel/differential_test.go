@@ -13,12 +13,13 @@ import (
 	"sfcacd/internal/topology"
 )
 
-// The priced path (replay the pair plan through the pricers' memos into
-// the distance kernels) must reproduce the direct per-event path bit
-// for bit: identical Sum, Count, and Zeros, not merely close ACD
-// values. Integer accumulation is commutative, so any divergence is a
-// real defect — a lost or double-counted event, a broken symmetry
-// argument, a mishandled memo eviction, or a wrong distance.
+// The priced path (replay the pair plan through the pricers' flush
+// buffers into the distance kernels) must reproduce the direct
+// per-event path bit for bit: identical Sum, Count, and Zeros, not
+// merely close ACD values. Integer accumulation is commutative, so any
+// divergence is a real defect — a lost or double-counted event, a
+// broken symmetry argument, a torus priced in the wrong group lane, or
+// a wrong distance.
 
 // allTopologies returns one instance of each of the paper's six network
 // types, sized for p = 64.

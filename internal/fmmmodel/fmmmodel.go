@@ -16,10 +16,11 @@
 // of the assignment's particle set (keynav.Set) records the
 // event-producing cell pairs as a plan, and NFIMulti and FFIMulti
 // replay the plan against the assignment's labelling straight into the
-// distance kernels of any number of topologies, through small
-// per-worker pair memos (multi.go). The plan does not depend on the
-// ranks, so the set records it once, for the first assignment priced,
-// and every other assignment of the set replays it.
+// distance kernels of any number of topologies, through a per-worker
+// flush buffer of events: tori are priced four at a time in one pass,
+// every other topology through its own kernel (multi.go). The plan does
+// not depend on the ranks, so the set records it once, for the first
+// assignment priced, and every other assignment of the set replays it.
 //
 // Consumers that need the rank pairs themselves rather than their
 // distance sums — per-rank tallies (internal/execmodel), link routing

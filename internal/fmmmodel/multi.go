@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/topology"
 )
 
@@ -15,46 +16,40 @@ import (
 // on replay. The communication event stream of an assignment does not
 // depend on the network, so the paper's 4x4 SFC-combination tables
 // (one particle order against four processor orders) share a single
-// replay of the pair plan per particle order. Each worker streams its
-// events through a pricer: a small direct-mapped (src, dst) -> count
-// memo whose evicted entries collect in a flush buffer, and a full
-// buffer costs one batched distance kernel call (pairSummer) per
-// topology. Pairs repeat locally along the plan, so the memo folds
-// most repeats before they reach a kernel, without the cache misses of
-// aggregating a whole communication matrix. One topology is simply
-// K = 1: the single-topology callers (the sfcacd facade, loadbalance,
-// dynamic) run the same replay.
+// replay of the pair plan per particle order. Each worker writes every
+// replayed event's two ranks into a flush buffer and keeps those between
+// distinct ranks, and a full buffer is priced in one batched call per
+// kernel: four tori of the call's list at a time in one pass over the
+// buffer (topology.TorusGroup), every other topology through its own
+// unit-weight kernel (pairSummer). Each event is priced as itself;
+// nothing folds repeated rank pairs. One topology is simply K = 1: the
+// single-topology callers (the sfcacd facade, loadbalance, dynamic) run
+// the same replay.
 //
 // Every tally is an exact integer sum, so the results are byte-
 // identical to accumulating the ordered per-event stream at any worker
-// count and any memo behavior; the tests pin this against a direct
-// per-event oracle and against the matrix path (matrix.go).
+// count; the tests pin this against a direct per-event oracle and
+// against the matrix path (matrix.go).
 
-const (
-	// memoBits sizes a pricer's pair memo at 1 << memoBits entries:
-	// 12 KiB of keys and counts, small enough that a worker's pricers
-	// stay cache-resident.
-	memoBits = 10
-	// flushLen is the flush buffer length; a full buffer costs one
-	// kernel call per topology.
-	flushLen = 512
-)
+// flushLen is the flush buffer length; a full buffer costs one kernel
+// call per torus group and per other topology.
+const flushLen = 512
 
 // pairSummer is implemented by the topologies (all six paper kinds)
-// that price a weighted batch of arbitrary rank pairs in one dynamic
-// dispatch: DistanceSumPairs returns sum_i Distance(src[i], dst[i]) *
-// ns[i] exactly.
+// that price a batch of events between arbitrary rank pairs in one
+// dynamic dispatch: DistanceSumPairs returns sum_i Distance(src[i],
+// dst[i]) exactly.
 type pairSummer interface {
-	DistanceSumPairs(src, dst []int32, ns []uint32) uint64
+	DistanceSumPairs(src, dst []int32) uint64
 }
 
 // Pricing-volume counters: "price.events" counts replayed events and
-// "price.pairs" the pairs the memos flushed to the distance kernels.
-// Their ratio is the memo's dedup factor; cmd/acdbench derives the
-// "price.dedup_ratio" gauge from them for run manifests.
+// "price.zero_hop" those between equal ranks, which no kernel prices.
+// Every other event is priced once per topology, which
+// "topology.distance.analytic" counts.
 var (
-	eventsCounter = obs.GetCounter("price.events")
-	pairsCounter  = obs.GetCounter("price.pairs")
+	eventsCounter  = obs.GetCounter("price.events")
+	zeroHopCounter = obs.GetCounter("price.zero_hop")
 )
 
 // NFIMulti computes the near-field accumulator of the assignment under
@@ -77,7 +72,7 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 	reps := ix.Reps(ix.Order)
 
 	span := obs.StartSpan("price.nfi")
-	ps := newPricers(topos, min(opts.Workers, max(len(chunks), 1)))
+	ps := newPricers(newKernels(topos), min(opts.Workers, max(len(chunks), 1)))
 	parallel(len(ps), len(chunks), func(w, c int) { ps[w].replaySym(reps, chunks[c]) })
 	mergePricers(ps, total, 2)
 	span.End()
@@ -109,7 +104,8 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 
 	span := obs.StartSpan("price.ffi")
 	workers := min(opts.Workers, max(len(tasks), 1))
-	interp, il := newPricers(topos, workers), newPricers(topos, workers)
+	ks := newKernels(topos)
+	interp, il := newPricers(ks, workers), newPricers(ks, workers)
 	parallel(workers, len(tasks), func(w, i int) {
 		t := tasks[i]
 		reps := ix.Reps(t.level)
@@ -145,11 +141,15 @@ func checkP(topos []topology.Topology, p int) {
 
 // parallel runs tasks [0, n) on workers workers that pull task indices
 // from a shared cursor; run receives the worker index with the task.
-// Worker 0 is the calling goroutine, so one worker spawns nothing.
+// Worker 0 is the calling goroutine, so one worker spawns nothing. The
+// first worker panic stops the pool and is re-raised on the caller
+// once every worker has returned.
 func parallel(workers, n int, run func(w, task int)) {
 	var next atomic.Int64
+	var guard panics.Guard
 	work := func(w int) {
-		for {
+		defer guard.Recover()
+		for !guard.Stopped() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
@@ -167,168 +167,177 @@ func parallel(workers, n int, run func(w, task int)) {
 	}
 	work(0)
 	wg.Wait()
+	guard.Repanic()
 }
 
-// pricer tallies one event family's stream on K topologies. An event
-// between equal ranks has hop distance 0 on every topology (hop
-// distance is a metric), so the replay loops only count it. Any other
-// event enters the memo keyed by its packed (src, dst) pair: a hit adds
-// to the resident count, a miss evicts the resident entry into the
-// flush buffer. The memo therefore never holds a zero key, which marks
-// an empty slot.
+// kernels is how one call prices a flush batch on its topologies: the
+// tori four at a time, each group in one pass, and every other
+// topology (with the leftover tori) on its own, through its kernel or,
+// lacking one, per-pair Distance. Every topology of a call has the
+// assignment's P, so all its tori share a side. The groups' rows are
+// built per call from the tori's own codes and dropped with it.
+type kernels struct {
+	k      int // topologies in the call's list
+	groups []torusGroup
+	single []single
+}
+
+// torusGroup is one group of four tori; at[l] is lane l's index in the
+// call's topology list.
+type torusGroup struct {
+	group *topology.TorusGroup
+	at    [4]int
+}
+
+// single is one topology priced on its own: through sum, or per-pair
+// Distance where sum is nil.
+type single struct {
+	at   int
+	topo topology.Topology
+	sum  pairSummer
+}
+
+// newKernels applies the grouping to a call's topology list, in list
+// order.
+func newKernels(topos []topology.Topology) *kernels {
+	k := &kernels{k: len(topos)}
+	var tori []*topology.Torus
+	var at []int
+	for i, topo := range topos {
+		if t, ok := topo.(*topology.Torus); ok {
+			tori, at = append(tori, t), append(at, i)
+			if len(tori) == 4 {
+				k.groups = append(k.groups, torusGroup{topology.NewTorusGroup(tori...), [4]int(at)})
+				tori, at = tori[:0], at[:0]
+			}
+			continue
+		}
+		sum, _ := topo.(pairSummer)
+		k.single = append(k.single, single{at: i, topo: topo, sum: sum})
+	}
+	for j, t := range tori {
+		k.single = append(k.single, single{at: at[j], topo: t, sum: t})
+	}
+	return k
+}
+
+// price adds each topology's distance sum over the batch to sums,
+// which is indexed like the call's topology list.
+func (k *kernels) price(src, dst []int32, sums []uint64) {
+	for _, g := range k.groups {
+		s := g.group.DistanceSumPairs(src, dst)
+		for l, t := range g.at {
+			sums[t] += s[l]
+		}
+	}
+	for _, one := range k.single {
+		if one.sum != nil {
+			sums[one.at] += one.sum.DistanceSumPairs(src, dst)
+			continue
+		}
+		for i, r := range src {
+			sums[one.at] += uint64(one.topo.Distance(int(r), int(dst[i])))
+		}
+	}
+}
+
+// pricer tallies one event family's stream on a call's topologies. The
+// replay loops write every event's two ranks into the flush buffer but
+// advance past them only if they differ: an event between equal ranks
+// has hop distance 0 on every topology (hop distance is a metric), so
+// it counts towards Count and Zeros and is never priced. A full buffer
+// is priced by the call's kernels.
 type pricer struct {
-	topos   []topology.Topology
-	kernels []pairSummer // nil where a topology has no kernel
-	keys    [1 << memoBits]uint64
-	counts  [1 << memoBits]uint32
+	kernels *kernels
 	src     [flushLen]int32
 	dst     [flushLen]int32
-	ns      [flushLen]uint32
-	n       int // buffered pairs
-	// events and zeros count the replayed and the zero-hop events,
-	// pairs the flushed pairs; sums[t] is topology t's distance sum.
-	events, zeros, pairs uint64
-	sums                 []uint64
+	n       int // buffered events
+	// events counts the replayed events and priced those with distinct
+	// ranks; sums[t] is topology t's distance sum.
+	events, priced uint64
+	sums           []uint64
 }
 
-// newPricers returns one pricer over topos per worker.
-func newPricers(topos []topology.Topology, workers int) []*pricer {
-	kernels := make([]pairSummer, len(topos))
-	for t, topo := range topos {
-		kernels[t], _ = topo.(pairSummer)
-	}
+// newPricers returns one pricer per worker over the call's kernels.
+func newPricers(k *kernels, workers int) []*pricer {
 	ps := make([]*pricer, workers)
 	for w := range ps {
-		ps[w] = &pricer{topos: topos, kernels: kernels, sums: make([]uint64, len(topos))}
+		ps[w] = &pricer{kernels: k, sums: make([]uint64, k.k)}
 	}
 	return ps
 }
 
-// pack returns the memo key of an event between the distinct ranks r
-// and q: never zero, because r != q.
-func pack(r, q int32) uint64 { return uint64(uint32(r))<<32 | uint64(uint32(q)) }
-
-// probe counts one more event for key if it is resident in its memo
-// slot with an unsaturated count. Otherwise it returns the slot for
-// miss. The replay loops call probe and miss directly so that the hit
-// path inlines.
-func (p *pricer) probe(key uint64) (h uint64, hit bool) {
-	h = key * 0x9e3779b97f4a7c15 >> (64 - memoBits)
-	if p.keys[h] == key && p.counts[h] != ^uint32(0) {
-		p.counts[h]++
-		return h, true
-	}
-	return h, false
-}
-
-// miss evicts slot h's resident entry, if any, into the flush buffer
-// and makes key resident with count 1. A saturated entry evicts itself.
-func (p *pricer) miss(h, key uint64) {
-	if old := p.keys[h]; old != 0 {
-		p.push(old, p.counts[h])
-	}
-	p.keys[h], p.counts[h] = key, 1
-}
-
 // replaySym adds one event per plan pair between the two cells'
-// representatives, in canonical (smaller rank first) form.
+// representatives. Hop distance is symmetric, so the pair needs no
+// canonical order.
 func (p *pricer) replaySym(reps []int32, pairs []keynav.Pair) {
-	var zeros uint64
+	// n < flushLen throughout; masking it lets the compiler drop the
+	// buffer's bounds checks.
+	n := p.n
 	for _, pr := range pairs {
 		r, q := reps[pr.A], reps[pr.B]
-		if r == q {
-			zeros++
-			continue
-		}
-		if q < r {
-			r, q = q, r
-		}
-		key := pack(r, q)
-		if h, hit := p.probe(key); !hit {
-			p.miss(h, key)
+		p.src[n&(flushLen-1)], p.dst[n&(flushLen-1)] = r, q
+		if n += distinct(r, q); n == flushLen {
+			p.n = n
+			p.flush()
+			n = 0
 		}
 	}
+	p.n = n
 	p.events += uint64(len(pairs))
-	p.zeros += zeros
 }
 
 // replayLinks adds one event per link from the parents at positions
-// [lo, hi) to their child groups. A parent's representative is the
-// minimum over its children's, so (parent, child) is already canonical.
+// [lo, hi) to their child groups.
 func (p *pricer) replayLinks(parents, start, reps []int32, lo, hi int) {
-	var zeros uint64
+	n := p.n
 	for j := lo; j < hi; j++ {
 		pr := parents[j]
 		for _, r := range reps[start[j]:start[j+1]] {
-			if r == pr {
-				zeros++
-				continue
-			}
-			key := pack(pr, r)
-			if h, hit := p.probe(key); !hit {
-				p.miss(h, key)
+			p.src[n&(flushLen-1)], p.dst[n&(flushLen-1)] = pr, r
+			if n += distinct(pr, r); n == flushLen {
+				p.n = n
+				p.flush()
+				n = 0
 			}
 		}
 	}
+	p.n = n
 	p.events += uint64(start[hi] - start[lo])
-	p.zeros += zeros
 }
 
-// push appends a memo entry to the flush buffer, flushing it when full.
-func (p *pricer) push(key uint64, n uint32) {
-	p.src[p.n], p.dst[p.n], p.ns[p.n] = int32(key>>32), int32(uint32(key)), n
-	if p.n++; p.n == flushLen {
-		p.flush()
-	}
+// distinct is 1 if r != q and 0 otherwise, without a branch, which a
+// replay loop would mispredict on zero-hop events.
+func distinct(r, q int32) int {
+	x := uint32(r ^ q)
+	return int((x | -x) >> 31)
 }
 
-// flush prices the buffered pairs on every topology: one kernel call
-// each, or per-pair Distance calls for a topology without a kernel.
+// flush prices the buffered events and empties the buffer.
 func (p *pricer) flush() {
-	src, dst, ns := p.src[:p.n], p.dst[:p.n], p.ns[:p.n]
-	for t, k := range p.kernels {
-		if k != nil {
-			p.sums[t] += k.DistanceSumPairs(src, dst, ns)
-			continue
-		}
-		topo := p.topos[t]
-		for i, r := range src {
-			p.sums[t] += uint64(topo.Distance(int(r), int(dst[i]))) * uint64(ns[i])
-		}
-	}
-	p.pairs += uint64(p.n)
+	p.kernels.price(p.src[:p.n], p.dst[:p.n], p.sums)
+	p.priced += uint64(p.n)
 	p.n = 0
 }
 
-// drain empties the memo into the buffer and flushes it.
-func (p *pricer) drain() {
-	for h, key := range p.keys {
-		if key != 0 {
-			p.push(key, p.counts[h])
-			p.keys[h] = 0
-		}
-	}
-	p.flush()
-}
-
-// mergePricers drains the pricers and adds their tallies to out, one
+// mergePricers flushes the pricers and adds their tallies to out, one
 // accumulator per topology, each event counted weight times (2 for a
-// canonical stream that stands for both directions). The sums are
-// integers, so the merge order does not matter.
+// stream of unordered pairs, each standing for both directions). The
+// sums are integers, so the merge order does not matter.
 func mergePricers(ps []*pricer, out []acd.Accumulator, weight uint64) {
-	var events, zeros, pairs uint64
+	var events, priced uint64
 	for _, p := range ps {
-		p.drain()
-		events, zeros, pairs = events+p.events, zeros+p.zeros, pairs+p.pairs
+		p.flush()
+		events, priced = events+p.events, priced+p.priced
 		for t, s := range p.sums {
 			out[t].Sum += weight * s
 		}
 	}
 	for t := range out {
 		out[t].Count += weight * events
-		out[t].Zeros += weight * zeros
+		out[t].Zeros += weight * (events - priced)
 	}
 	eventsCounter.Add(events)
-	pairsCounter.Add(pairs)
-	topology.CountDistanceQueries(pairs * uint64(len(out)))
+	zeroHopCounter.Add(events - priced)
+	topology.CountDistanceQueries(priced * uint64(len(out)))
 }

@@ -7,7 +7,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
-	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -17,13 +17,15 @@ import (
 // its per-pair Distance fallback.
 type plainTopology struct{ topology.Topology }
 
-// TestPricedMatchesMatrixUnderEviction holds the priced path to the
-// matrix path where the pricers' memos thrash: shuffled owners scatter
-// every cell's neighbors over unrelated ranks, so nearly every event
-// is a distinct pair and evicts a memo entry. NFIMulti and FFIMulti
-// must equal the matrix contractions exactly at K = 1 and K = 6 (plus
-// a topology without a batched kernel), at 1, 2 and 7 workers.
-func TestPricedMatchesMatrixUnderEviction(t *testing.T) {
+// TestPricedMatchesMatrixOnShuffledOwners holds the priced path to the
+// matrix path on shuffled owners, which scatter every cell's neighbors
+// over unrelated ranks, so nearly every event is a distinct pair.
+// NFIMulti and FFIMulti must equal the matrix contractions exactly at
+// 1, 2 and 7 workers on: K = 1; K = 6 plus a topology without a batched
+// kernel; the four curve tori, priced as one torus group; and seven
+// tori interleaved with other kinds, one group of four and three
+// leftovers priced on their own.
+func TestPricedMatchesMatrixOnShuffledOwners(t *testing.T) {
 	const order, n, p = 8, 15625, 4096
 	pts, err := dist.SampleUnique(dist.Uniform, rng.New(16), order, n)
 	if err != nil {
@@ -37,7 +39,17 @@ func TestPricedMatchesMatrixUnderEviction(t *testing.T) {
 		topology.NewHypercube(12),
 		topology.NewQuadtreeNet(6),
 	}
-	for _, topos := range [][]topology.Topology{six[3:4], append(six, plainTopology{six[3]})} {
+	var curveTori []topology.Topology
+	for _, c := range []sfc.Curve{sfc.Hilbert, sfc.Morton, sfc.Gray, sfc.RowMajor} {
+		curveTori = append(curveTori, topology.NewTorus(6, c))
+	}
+	seven := []topology.Topology{
+		curveTori[0], six[0], curveTori[1], curveTori[2], six[2],
+		topology.NewTorus(6, sfc.Snake), curveTori[3], plainTopology{six[3]},
+		topology.NewTorus(6, sfc.Moore), six[4], six[3],
+	}
+	lists := [][]topology.Topology{six[3:4], append(six, plainTopology{six[3]}), curveTori, seven}
+	for _, topos := range lists {
 		for _, w := range []int{1, 2, 7} {
 			// A fresh set per worker count records its plans at that
 			// count.
@@ -51,24 +63,44 @@ func TestPricedMatchesMatrixUnderEviction(t *testing.T) {
 				dts[i], accs[i] = topology.NewDistanceTable(topo), &want[i]
 			}
 			NFIMatrix(a, opts).ContractTableMultiSym(dts, accs, w)
-			events, pairs := obs.GetCounter("price.events").Value(), obs.GetCounter("price.pairs").Value()
 			got := NFIMulti(a, topos, opts)
-			events = obs.GetCounter("price.events").Value() - events
-			pairs = obs.GetCounter("price.pairs").Value() - pairs
-			if 2*pairs < events {
-				t.Fatalf("%s: %d events priced as %d pairs; the memo was not thrashed", name, events, pairs)
-			}
 			wantFFI := FFIMatricesFromIndex(a.KeyIndex(), p, w).ContractAll(topos, w)
 			gotFFI := FFIMulti(a, topos, FFIOptions{Workers: w})
 			for i, topo := range topos {
 				if got[i] != want[i] {
-					t.Errorf("%s %s: priced NFI %+v != matrix %+v", name, topo.Name(), got[i], want[i])
+					t.Errorf("%s %d (%s): priced NFI %+v != matrix %+v", name, i, topo.Name(), got[i], want[i])
 				}
 				if gotFFI[i] != wantFFI[i] {
-					t.Errorf("%s %s: priced FFI %+v != matrix %+v", name, topo.Name(), gotFFI[i], wantFFI[i])
+					t.Errorf("%s %d (%s): priced FFI %+v != matrix %+v", name, i, topo.Name(), gotFFI[i], wantFFI[i])
 				}
 			}
 		}
+	}
+}
+
+// TestKernelsGroupToriFourAtATime pins the grouping rule: a call's tori
+// form groups of four in list order, and the leftover tori, every
+// other kind and a topology without a kernel price on their own, each
+// under its own index in the list.
+func TestKernelsGroupToriFourAtATime(t *testing.T) {
+	torus := func() topology.Topology { return topology.NewTorus(2, sfc.Hilbert) }
+	topos := []topology.Topology{
+		torus(), topology.NewBus(16), torus(), torus(), plainTopology{torus()},
+		torus(), torus(), topology.NewMesh(2, sfc.Gray), torus(), torus(),
+	}
+	k := newKernels(topos)
+	if len(k.groups) != 1 || k.groups[0].at != [4]int{0, 2, 3, 5} {
+		t.Fatalf("groups %+v, want one at [0 2 3 5]", k.groups)
+	}
+	var at []int
+	for _, one := range k.single {
+		at = append(at, one.at)
+		if _, plain := one.topo.(plainTopology); plain != (one.sum == nil) {
+			t.Errorf("topology %d: kernel %v", one.at, one.sum)
+		}
+	}
+	if fmt.Sprint(at) != "[1 4 7 6 8 9]" {
+		t.Errorf("single topologies at %v, want [1 4 7 6 8 9]", at)
 	}
 }
 
@@ -135,5 +167,26 @@ func TestPricedPMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestParallelWorkerPanic checks that a task panicking on a spawned
+// pricing worker re-panics on the caller with the task's value, and
+// that a panic on the calling worker is re-raised too.
+func TestParallelWorkerPanic(t *testing.T) {
+	for _, bad := range []int{0, 5} {
+		var v any
+		func() {
+			defer func() { v = recover() }()
+			parallel(3, 8, func(w, task int) {
+				if task == bad {
+					panic(fmt.Sprintf("task %d boom", task))
+				}
+			})
+		}()
+		w, ok := v.(*panics.Worker)
+		if !ok || w.Value != fmt.Sprintf("task %d boom", bad) {
+			t.Errorf("task %d: recovered %#v, want a *panics.Worker of the task's panic", bad, v)
+		}
 	}
 }

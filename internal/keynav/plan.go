@@ -9,6 +9,7 @@ import (
 
 	"sfcacd/internal/geom"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 )
 
 // planCounter counts recorded plans: a set records one per spec its
@@ -135,10 +136,14 @@ func (s *Set) record(spec Spec, workers int) *Plan {
 	}
 	pl.chunks = make([][]Pair, len(tasks))
 	var next atomic.Int64
+	// The first worker panic stops the recording and is re-raised on
+	// the caller once every worker has returned.
+	var guard panics.Guard
 	record := func() {
+		defer guard.Recover()
 		buf := recordScratch.Get().(*[]Pair)
 		defer recordScratch.Put(buf)
-		for {
+		for !guard.Stopped() {
 			t := int(next.Add(1)) - 1
 			if t >= len(tasks) {
 				return
@@ -165,6 +170,7 @@ func (s *Set) record(spec Spec, workers int) *Plan {
 	}
 	record()
 	wg.Wait()
+	guard.Repanic()
 	return pl
 }
 

@@ -390,7 +390,8 @@ func TestHandlerHealthAndMetrics(t *testing.T) {
 // TestHandlerComputePanic posts two concurrent identical requests whose
 // computation panics: both get a 500 instead of the process dying, the
 // panic counts once in serve.panics, nothing is cached (a third request
-// computes again), and the daemon still answers /healthz.
+// computes again), and the daemon still answers /healthz. A panic on a
+// sweep worker goroutine gets the same treatment.
 func TestHandlerComputePanic(t *testing.T) {
 	s := New(Options{Workers: 2})
 	var runs atomic.Int64
@@ -443,5 +444,28 @@ func TestHandlerComputePanic(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("/healthz after the panics = %d %q", rec.Code, rec.Body)
+	}
+
+	// A panic on a sweep worker goroutine reaches the same recover: the
+	// sweep re-raises it on the compute goroutine that waits for it.
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		return nil, experiments.RunCells(ctx, 2, 4, func(cell int) error {
+			if cell == 2 {
+				panic("cell boom")
+			}
+			return nil
+		})
+	}
+	panicsBefore = obs.GetCounter("serve.panics").Value()
+	if rec := postExperiment(t, h, "/v1/experiments/table12", tinyBody); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "cell boom") {
+		t.Errorf("sweep worker panic: status %d %q, want 500 naming the panic", rec.Code, rec.Body)
+	}
+	if got := obs.GetCounter("serve.panics").Value() - panicsBefore; got != 1 {
+		t.Errorf("sweep worker panic: serve.panics delta = %d, want 1", got)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/healthz after the sweep worker panic = %d %q", rec.Code, rec.Body)
 	}
 }

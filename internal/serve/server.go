@@ -43,6 +43,7 @@ import (
 	"sfcacd/internal/faultinject"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/obs/tracestore"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/resultcache"
 )
 
@@ -95,9 +96,10 @@ func (e *DeadlineError) Error() string {
 // recovered on the compute goroutine, so the process survives; every
 // coalesced waiter receives the error, nothing is cached, and the next
 // identical request computes afresh. The HTTP layer maps it to 500.
-// Panics on goroutines the computation itself spawns (sweep cells at
-// Workers >= 2, the anns, primitives and model3d workers) are not
-// recovered and stay fatal.
+// The sweep cells, the pricing workers and the plan recorders re-raise
+// a worker's panic on the goroutine that waits for them, so it arrives
+// here too. Panics on the worker goroutines of anns, primitives and
+// model3d are not recovered and stay fatal.
 type PanicError struct {
 	// Value is the value the computation panicked with.
 	Value any
@@ -625,6 +627,9 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 			s.panics.Inc()
 			stack := make([]byte, panicStackMax)
 			stack = stack[:runtime.Stack(stack, false)]
+			if w, ok := v.(*panics.Worker); ok {
+				v, stack = w.Value, w.Stack[:min(len(w.Stack), panicStackMax)]
+			}
 			s.finish(c, resultcache.Entry{}, &PanicError{Value: v, Stack: stack})
 		}
 	}()

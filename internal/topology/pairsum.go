@@ -3,15 +3,18 @@
 // so these methods move the loop inside the topology: the caller pays
 // one dynamic dispatch per batch and topology, and the distance math
 // runs as a concrete, inlinable loop. DistanceSumPairs, implemented by
-// all six topologies, prices the flush batches of the pair-stream
-// pricer (internal/fmmmodel), the ACD path; the query volume is the
-// caller's to account (CountDistanceQueries). DistanceSum and
-// DistanceSumRows are the contraction fallback for matrix rows the
-// DistanceTable declines to materialize.
+// all six topologies, prices the flush batches of the replay pricer
+// (internal/fmmmodel), the ACD path, one event per pair; TorusGroup
+// prices such a batch on four tori in one pass. The query volume is
+// the caller's to account (CountDistanceQueries). DistanceSum and
+// DistanceSumRows, weighted by event counts, are the contraction
+// fallback for matrix rows the DistanceTable declines to materialize.
 package topology
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"sfcacd/internal/geom"
 )
@@ -89,41 +92,34 @@ func (m *Mesh) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
 	return s
 }
 
-// DistanceSum implements PairContractor. With the delta table the loop
-// is load-mask-load per pair: the coordinate deltas mod side (the mask
-// is exact because the side is a power of two) index the precomputed
-// wrapped hop count, so no per-pair branch can mispredict.
+// DistanceSum implements PairContractor. Up to torusLUTMaxSide each
+// pair is one branch-free load from the hop table, indexed by the
+// packed-code difference (see Torus); no per-pair branch can
+// mispredict.
 func (t *Torus) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
 	checkRank(t, src)
-	ca, coords := t.coords[src], t.coords
+	a, codes := t.codes[src]|t.guard, t.codes
 	ns = ns[:len(dsts)]
 	var s uint64
-	if dlut := t.dlut; dlut != nil {
-		mask, shift := t.side-1, t.procOrder
+	if hops, m := t.hops, t.mask; hops != nil {
 		for i, d := range dsts {
-			cb := coords[d]
-			idx := (ca.Y-cb.Y)&mask<<shift | (ca.X-cb.X)&mask
-			s += uint64(dlut[idx]) * uint64(ns[i])
+			s += uint64(hops[(a-codes[d])&m]) * uint64(ns[i])
 		}
 		return s
 	}
-	side := t.side
 	for i, d := range dsts {
-		cb := coords[d]
-		hops := wrapDist(ca.X, cb.X, side) + wrapDist(ca.Y, cb.Y, side)
-		s += uint64(hops) * uint64(ns[i])
+		s += t.codeHops(a, codes[d]) * uint64(ns[i])
 	}
 	return s
 }
 
 // DistanceSumRows implements RowBlockContractor.
 func (t *Torus) DistanceSumRows(srcs, rowStart, dsts []int32, ns []uint32) uint64 {
-	coords := t.coords
+	codes := t.codes
 	var s uint64
-	if dlut := t.dlut; dlut != nil {
-		mask, shift := t.side-1, t.procOrder
+	if hops, m := t.hops, t.mask; hops != nil {
 		for r, src := range srcs {
-			ca := coords[src]
+			a := codes[src] | t.guard
 			lo, hi := rowStart[r], rowStart[r+1]
 			rd, rn := dsts[lo:hi], ns[lo:hi]
 			rn = rn[:len(rd)]
@@ -133,16 +129,11 @@ func (t *Torus) DistanceSumRows(srcs, rowStart, dsts []int32, ns []uint32) uint6
 			var rs0, rs1 uint64
 			i := 0
 			for ; i+1 < len(rd); i += 2 {
-				cb0, cb1 := coords[rd[i]], coords[rd[i+1]]
-				idx0 := (ca.Y-cb0.Y)&mask<<shift | (ca.X-cb0.X)&mask
-				idx1 := (ca.Y-cb1.Y)&mask<<shift | (ca.X-cb1.X)&mask
-				rs0 += uint64(dlut[idx0]) * uint64(rn[i])
-				rs1 += uint64(dlut[idx1]) * uint64(rn[i+1])
+				rs0 += uint64(hops[(a-codes[rd[i]])&m]) * uint64(rn[i])
+				rs1 += uint64(hops[(a-codes[rd[i+1]])&m]) * uint64(rn[i+1])
 			}
 			if i < len(rd) {
-				cb := coords[rd[i]]
-				idx := (ca.Y-cb.Y)&mask<<shift | (ca.X-cb.X)&mask
-				rs0 += uint64(dlut[idx]) * uint64(rn[i])
+				rs0 += uint64(hops[(a-codes[rd[i]])&m]) * uint64(rn[i])
 			}
 			s += rs0 + rs1
 		}
@@ -179,25 +170,25 @@ func (q *QuadtreeNet) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
 	return s
 }
 
-// DistanceSumPairs returns sum_i Distance(src[i], dst[i]) * ns[i]
-// exactly. Every entry must be a valid rank; dst and ns must be at
-// least as long as src.
-func (b *Bus) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
+// DistanceSumPairs returns sum_i Distance(src[i], dst[i]) exactly: each
+// pair is one event. Every entry must be a valid rank, and dst must be
+// at least as long as src.
+func (b *Bus) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
 	var s uint64
 	for i, x := range src {
 		d := dst[i] - x
 		if d < 0 {
 			d = -d
 		}
-		s += uint64(uint32(d)) * uint64(ns[i])
+		s += uint64(uint32(d))
 	}
 	return s
 }
 
 // DistanceSumPairs is the ring's form of Bus.DistanceSumPairs.
-func (r *Ring) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
+func (r *Ring) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
 	n := int32(r.n)
 	var s uint64
 	for i, x := range src {
@@ -208,64 +199,115 @@ func (r *Ring) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
 		if wrap := n - d; wrap < d {
 			d = wrap
 		}
-		s += uint64(uint32(d)) * uint64(ns[i])
+		s += uint64(uint32(d))
 	}
 	return s
 }
 
 // DistanceSumPairs is the mesh's form of Bus.DistanceSumPairs.
-func (m *Mesh) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
+func (m *Mesh) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
 	coords := m.coords
 	var s uint64
 	for i, x := range src {
-		s += uint64(geom.Manhattan(coords[x], coords[dst[i]])) * uint64(ns[i])
+		s += uint64(geom.Manhattan(coords[x], coords[dst[i]]))
 	}
 	return s
 }
 
-// DistanceSumPairs is the torus's form of Bus.DistanceSumPairs. Up to
-// torusLUTMaxSide each pair is load-mask-load through the wrapped delta
-// table, as in DistanceSum; larger tori take the per-pair wrap
-// arithmetic.
-func (t *Torus) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
-	coords := t.coords
+// DistanceSumPairs is the torus's form of Bus.DistanceSumPairs: one
+// hop-table load per pair up to torusLUTMaxSide, as in DistanceSum,
+// and wrap arithmetic on the packed codes above it.
+func (t *Torus) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
+	codes, g := t.codes, t.guard
 	var s uint64
-	if dlut := t.dlut; dlut != nil {
-		mask, shift := t.side-1, t.procOrder
+	if hops, m := t.hops, t.mask; hops != nil {
 		for i, x := range src {
-			ca, cb := coords[x], coords[dst[i]]
-			s += uint64(dlut[(ca.Y-cb.Y)&mask<<shift|(ca.X-cb.X)&mask]) * uint64(ns[i])
+			s += uint64(hops[((codes[x]|g)-codes[dst[i]])&m])
 		}
 		return s
 	}
-	side := t.side
 	for i, x := range src {
-		ca, cb := coords[x], coords[dst[i]]
-		s += uint64(wrapDist(ca.X, cb.X, side)+wrapDist(ca.Y, cb.Y, side)) * uint64(ns[i])
+		s += t.codeHops(codes[x], codes[dst[i]])
 	}
 	return s
 }
 
 // DistanceSumPairs is the hypercube's form of Bus.DistanceSumPairs.
-func (h *Hypercube) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
+func (h *Hypercube) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
 	var s uint64
 	for i, x := range src {
-		s += uint64(bits.OnesCount32(uint32(x)^uint32(dst[i]))) * uint64(ns[i])
+		s += uint64(bits.OnesCount32(uint32(x) ^ uint32(dst[i])))
 	}
 	return s
 }
 
 // DistanceSumPairs is the quadtree network's form of Bus.DistanceSumPairs.
-func (q *QuadtreeNet) DistanceSumPairs(src, dst []int32, ns []uint32) uint64 {
-	dst, ns = dst[:len(src)], ns[:len(src)]
+func (q *QuadtreeNet) DistanceSumPairs(src, dst []int32) uint64 {
+	dst = dst[:len(src)]
 	var s uint64
 	for i, x := range src {
 		// As in DistanceSum, equal ranks contribute 0 digits.
 		digits := (uint(bits.Len32(uint32(x)^uint32(dst[i]))) + 1) / 2
-		s += uint64(2*digits) * uint64(ns[i])
+		s += uint64(2 * digits)
 	}
 	return s
+}
+
+// TorusGroup prices one pair batch on up to four tori of one side in a
+// single pass. Each torus is a lane: its packed codes (see Torus) fill
+// one column of a rank -> [4]uint32 row, so a pair costs two row loads
+// and one load per lane from the hop table, which every lane shares
+// because it depends only on the side. A lane without a torus holds
+// code 0 at every rank and prices 0.
+type TorusGroup struct {
+	tori []*Torus
+	rows [][4]uint32
+}
+
+// NewTorusGroup groups one to four tori of one side. The row costs 16
+// bytes per rank: 64 KiB at p = 4,096.
+func NewTorusGroup(tori ...*Torus) *TorusGroup {
+	if len(tori) == 0 || len(tori) > 4 {
+		panic(fmt.Sprintf("topology: a torus group holds 1 to 4 tori, got %d", len(tori)))
+	}
+	g := &TorusGroup{tori: slices.Clone(tori), rows: make([][4]uint32, tori[0].P())}
+	for l, t := range tori {
+		if t.side != tori[0].side {
+			panic(fmt.Sprintf("topology: torus group of side %d given a torus of side %d", tori[0].side, t.side))
+		}
+		for r, c := range t.codes {
+			g.rows[r][l] = c
+		}
+	}
+	return g
+}
+
+// DistanceSumPairs returns, for each lane l, sum_i Distance(src[i],
+// dst[i]) on its torus exactly, under the contract of
+// Bus.DistanceSumPairs. Above torusLUTMaxSide each torus prices the
+// batch on its own.
+func (g *TorusGroup) DistanceSumPairs(src, dst []int32) [4]uint64 {
+	var s [4]uint64
+	t := g.tori[0]
+	hops, gd, m := t.hops, t.guard, t.mask
+	if hops == nil {
+		for l, t := range g.tori {
+			s[l] = t.DistanceSumPairs(src, dst)
+		}
+		return s
+	}
+	dst = dst[:len(src)]
+	rows := g.rows
+	var s0, s1, s2, s3 uint64
+	for i, x := range src {
+		a, b := &rows[x], &rows[dst[i]]
+		s0 += uint64(hops[((a[0]|gd)-b[0])&m])
+		s1 += uint64(hops[((a[1]|gd)-b[1])&m])
+		s2 += uint64(hops[((a[2]|gd)-b[2])&m])
+		s3 += uint64(hops[((a[3]|gd)-b[3])&m])
+	}
+	return [4]uint64{s0, s1, s2, s3}
 }

@@ -69,7 +69,7 @@ func TestDistanceSumMatchesDistance(t *testing.T) {
 	}
 }
 
-// TestTorusDistanceSumBothBranches covers the delta-table branch
+// TestTorusDistanceSumBothBranches covers the hop-table branch
 // (side <= torusLUTMaxSide) and the arithmetic fallback (larger sides
 // build no table) against the per-pair oracle.
 func TestTorusDistanceSumBothBranches(t *testing.T) {
@@ -79,9 +79,9 @@ func TestTorusDistanceSumBothBranches(t *testing.T) {
 	}
 	for _, procOrder := range []int{3, 9} { // sides 8 and 512
 		torus := NewTorus(uint(procOrder), curve)
-		hasLUT := torus.dlut != nil
+		hasLUT := torus.hops != nil
 		if wantLUT := torus.side <= torusLUTMaxSide; hasLUT != wantLUT {
-			t.Fatalf("side %d: dlut presence = %v, want %v", torus.side, hasLUT, wantLUT)
+			t.Fatalf("side %d: hop table presence = %v, want %v", torus.side, hasLUT, wantLUT)
 		}
 		p := torus.P()
 		r := rng.New(uint64(procOrder))
@@ -100,7 +100,7 @@ func TestTorusDistanceSumBothBranches(t *testing.T) {
 // TestTorusDistanceSumRows checks the row-block form against per-row
 // DistanceSum over randomly cut CSR row blocks — including empty rows
 // and odd row lengths, which exercise the unrolled loop's tail — on
-// both the delta-table and arithmetic branches.
+// both the hop-table and arithmetic branches.
 func TestTorusDistanceSumRows(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -138,11 +138,10 @@ func TestTorusDistanceSumRows(t *testing.T) {
 }
 
 // TestDistanceSumPairsMatchesDistance is the differential test for
-// DistanceSumPairs: the batched sum over arbitrary (src, dst) pairs
-// must equal the per-pair Distance loop bit-for-bit, for every
-// topology kind and for a torus above torusLUTMaxSide (no delta
-// table), on empty and non-empty batches with equal-rank entries and
-// counts above 1.
+// DistanceSumPairs: the batched sum over arbitrary (src, dst) pairs,
+// one event each, must equal the per-pair Distance loop bit-for-bit,
+// for every topology kind and for a torus above torusLUTMaxSide (no
+// hop table), on empty and non-empty batches with equal-rank entries.
 func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -157,13 +156,13 @@ func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 		topos = append(topos, topo)
 	}
 	big := NewTorus(9, curve)
-	if big.dlut != nil {
-		t.Fatal("a side-512 torus built a delta table")
+	if big.hops != nil {
+		t.Fatal("a side-512 torus built a hop table")
 	}
 	topos = append(topos, big)
 	for i, topo := range topos {
 		ps, ok := topo.(interface {
-			DistanceSumPairs(src, dst []int32, ns []uint32) uint64
+			DistanceSumPairs(src, dst []int32) uint64
 		})
 		if !ok {
 			t.Fatalf("%s has no DistanceSumPairs", topo.Name())
@@ -171,23 +170,79 @@ func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 		p := topo.P()
 		r := rng.New(uint64(60 + i))
 		for _, n := range []int{0, 1, 7, 513} {
-			src := make([]int32, n)
-			dst := make([]int32, n)
-			ns := make([]uint32, n)
-			for j := range src {
-				src[j], dst[j] = int32(r.Intn(p)), int32(r.Intn(p))
-				if j%5 == 0 {
-					dst[j] = src[j]
-				}
-				ns[j] = 1 + r.Uint32n(9)
-			}
+			src, dst := randomPairs(r, p, n)
 			var want uint64
 			for j := range src {
-				want += uint64(topo.Distance(int(src[j]), int(dst[j]))) * uint64(ns[j])
+				want += uint64(topo.Distance(int(src[j]), int(dst[j])))
 			}
-			if got := ps.DistanceSumPairs(src, dst, ns); got != want {
+			if got := ps.DistanceSumPairs(src, dst); got != want {
 				t.Errorf("%s of %d: DistanceSumPairs over %d pairs = %d, want %d", topo.Name(), p, n, got, want)
 			}
 		}
+	}
+}
+
+// randomPairs draws n rank pairs over p ranks, every fifth between equal
+// ranks.
+func randomPairs(r *rng.Rand, p, n int) (src, dst []int32) {
+	src, dst = make([]int32, n), make([]int32, n)
+	for j := range src {
+		src[j], dst[j] = int32(r.Intn(p)), int32(r.Intn(p))
+		if j%5 == 0 {
+			dst[j] = src[j]
+		}
+	}
+	return src, dst
+}
+
+// TestTorusGroupMatchesTori holds every lane of a torus group to its
+// torus's own DistanceSumPairs, for groups of one to four tori of
+// different placements, on both the hop-table and the arithmetic
+// branch. A lane without a torus must price 0.
+func TestTorusGroupMatchesTori(t *testing.T) {
+	curves := []sfc.Curve{sfc.Hilbert, sfc.Morton, sfc.Gray, sfc.RowMajor}
+	for _, procOrder := range []uint{3, 9} {
+		var tori []*Torus
+		for _, c := range curves {
+			tori = append(tori, NewTorus(procOrder, c))
+		}
+		r := rng.New(uint64(procOrder))
+		for lanes := 1; lanes <= 4; lanes++ {
+			g := NewTorusGroup(tori[:lanes]...)
+			for _, n := range []int{0, 1, 7, 513} {
+				src, dst := randomPairs(r, tori[0].P(), n)
+				got := g.DistanceSumPairs(src, dst)
+				for l := range got {
+					var want uint64
+					if l < lanes {
+						want = tori[l].DistanceSumPairs(src, dst)
+					}
+					if got[l] != want {
+						t.Errorf("side %d, %d lanes, %d pairs: lane %d = %d, want %d",
+							tori[0].side, lanes, n, l, got[l], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTorusGroupRejectsMixedSides checks the constructor's contract: a
+// group holds one to four tori of one side.
+func TestTorusGroupRejectsMixedSides(t *testing.T) {
+	a, b := NewTorus(2, sfc.Hilbert), NewTorus(3, sfc.Hilbert)
+	for name, tori := range map[string][]*Torus{
+		"none":       nil,
+		"five":       {a, a, a, a, a},
+		"mixed side": {a, b},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTorusGroup did not panic", name)
+				}
+			}()
+			NewTorusGroup(tori...)
+		}()
 	}
 }

@@ -132,3 +132,63 @@ func TestQuickTorusBoundedByMesh(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPackedTorusLookupMatchesDistance pins the packed-code lookup,
+// ((a|g) - b) & m into the hop table or, above torusLUTMaxSide, wrap
+// arithmetic on the codes, against Torus.Distance: every rank pair at
+// sides 1 to 16 and random pairs at sides 64, 256 (the largest table)
+// and 512 (the fallback), through FillDistanceRow, which exposes the
+// lookup per pair, and through every lane of a four-torus group on
+// single-pair batches.
+func TestPackedTorusLookupMatchesDistance(t *testing.T) {
+	curves := []sfc.Curve{sfc.Hilbert, sfc.Morton, sfc.Gray, sfc.RowMajor}
+	r := rand.New(rand.NewSource(19))
+	for _, procOrder := range []uint{0, 1, 2, 3, 4, 6, 8, 9} {
+		var tori []*Torus
+		for _, c := range curves {
+			tori = append(tori, NewTorus(procOrder, c))
+		}
+		g := NewTorusGroup(tori...)
+		p := tori[0].P()
+		srcs := make([]int, 0, p)
+		all := procOrder <= 4
+		if all {
+			for a := 0; a < p; a++ {
+				srcs = append(srcs, a)
+			}
+		} else {
+			for range 8 {
+				srcs = append(srcs, r.Intn(p))
+			}
+		}
+		row := make([]uint16, p)
+		for _, a := range srcs {
+			dsts := make([]int, 0, p)
+			if all {
+				for b := 0; b < p; b++ {
+					dsts = append(dsts, b)
+				}
+			} else {
+				for range 256 {
+					dsts = append(dsts, r.Intn(p))
+				}
+			}
+			for l, tor := range tori {
+				tor.FillDistanceRow(a, row)
+				for _, b := range dsts {
+					if want := tor.Distance(a, b); int(row[b]) != want {
+						t.Fatalf("side %d lane %d: packed row lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, row[b], want)
+					}
+				}
+			}
+			for _, b := range dsts {
+				got := g.DistanceSumPairs([]int32{int32(a)}, []int32{int32(b)})
+				for l, tor := range tori {
+					if want := tor.Distance(a, b); got[l] != uint64(want) {
+						t.Fatalf("side %d lane %d: packed group lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, got[l], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -39,7 +39,7 @@ func (r *Ring) FillDistanceRow(src int, row []uint16) {
 	}
 }
 
-// coordLUTSide bounds the per-axis lookup tables the grid fills use:
+// coordLUTSide bounds the per-axis lookup tables the mesh fill uses:
 // P <= 65536 (the DistanceTable range) means sides up to 256.
 const coordLUTSide = 256
 
@@ -81,24 +81,19 @@ func (m *Mesh) FillDistanceRow(src int, row []uint16) {
 	}
 }
 
-// FillDistanceRow implements RowFiller.
+// FillDistanceRow implements RowFiller: one hop-table load per cell
+// from the packed codes (see Torus), wrap arithmetic above
+// torusLUTMaxSide.
 func (t *Torus) FillDistanceRow(src int, row []uint16) {
-	c := t.coords[src]
-	if t.side > coordLUTSide {
-		for d := range row {
-			cd := t.coords[d]
-			row[d] = uint16(wrapDist(c.X, cd.X, t.side) + wrapDist(c.Y, cd.Y, t.side))
+	a, codes := t.codes[src]|t.guard, t.codes[:len(row)]
+	if hops, m := t.hops, t.mask; hops != nil {
+		for d, b := range codes {
+			row[d] = hops[(a-b)&m]
 		}
 		return
 	}
-	var lx, ly [coordLUTSide]uint16
-	for v := uint32(0); v < t.side; v++ {
-		lx[v] = uint16(wrapDist(c.X, v, t.side))
-		ly[v] = uint16(wrapDist(c.Y, v, t.side))
-	}
-	for d := range row {
-		cd := t.coords[d]
-		row[d] = lx[cd.X] + ly[cd.Y]
+	for d, b := range codes {
+		row[d] = uint16(t.codeHops(a, b))
 	}
 }
 

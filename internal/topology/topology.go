@@ -319,35 +319,56 @@ func (m *Mesh) Neighbors(p int, buf []int) []int {
 	return m.gridNeighbors(p, false, buf)
 }
 
-// torusLUTMaxSide bounds the delta-distance table: a side x side grid
-// of uint16 (128 KiB at side 256). Beyond it the batched sum falls back
-// to per-pair wrap arithmetic.
+// torusLUTMaxSide bounds the hop table: at side 256 it holds 2 x 256 x
+// 256 uint16 cells (256 KiB). Beyond it the torus kernels fall back to
+// per-pair wrap arithmetic on the packed codes.
 const torusLUTMaxSide = 256
 
 // Torus is the mesh plus wrap-around links in both dimensions.
+//
+// Its kernels read each rank's cell as one packed code, y<<(s+1) | x
+// with s = procOrder: a guard bit sits above each field. For codes a
+// and b, ((a|g) - b) & m with g = 1<<s is (dy<<(s+1) | dx), the
+// coordinate deltas taken mod side: the side is a power of two, g
+// absorbs the x field's borrow, the y field's borrow runs off the top,
+// and m masks both fields. That value indexes hops directly, so the
+// wrapped metric is one branch-free table load per pair.
 type Torus struct {
 	gridNet
-	// dlut[dy<<procOrder | dx] is the torus hop count for the
-	// coordinate delta (dx, dy) taken mod side — the side is a power of
-	// two, so the delta reduces with a mask and the whole wrapped
-	// metric becomes one branch-free table load. Built only up to
-	// torusLUTMaxSide; nil above it.
-	dlut []uint16
+	codes []uint32 // rank -> packed cell code
+	// hops[dy<<(s+1) | dx] is the hop count for the coordinate deltas
+	// (dx, dy) mod side. Built only up to torusLUTMaxSide; nil above it.
+	hops        []uint16
+	guard, mask uint32 // g and m above
 }
 
 // NewTorus returns a 2^procOrder x 2^procOrder torus with ranks placed
 // along the given processor-order curve.
 func NewTorus(procOrder uint, placement sfc.Curve) *Torus {
 	t := &Torus{gridNet: newGridNet(procOrder, placement)}
+	t.guard = 1 << procOrder
+	t.mask = (t.side-1)<<(procOrder+1) | (t.side - 1)
+	t.codes = make([]uint32, len(t.coords))
+	for r, c := range t.coords {
+		t.codes[r] = c.Y<<(procOrder+1) | c.X
+	}
 	if t.side <= torusLUTMaxSide {
-		t.dlut = make([]uint16, int(t.side)*int(t.side))
+		t.hops = make([]uint16, t.mask+1)
 		for dy := uint32(0); dy < t.side; dy++ {
 			for dx := uint32(0); dx < t.side; dx++ {
-				t.dlut[dy<<procOrder|dx] = uint16(wrapDist(dx, 0, t.side) + wrapDist(dy, 0, t.side))
+				t.hops[dy<<(procOrder+1)|dx] = uint16(wrapDist(dx, 0, t.side) + wrapDist(dy, 0, t.side))
 			}
 		}
 	}
 	return t
+}
+
+// codeHops is the arithmetic fallback above torusLUTMaxSide: the hop
+// count between two packed codes without the table.
+func (t *Torus) codeHops(a, b uint32) uint64 {
+	d := (a | t.guard) - b
+	dx, dy := d&(t.side-1), d>>(t.procOrder+1)&(t.side-1)
+	return uint64(min(dx, t.side-dx) + min(dy, t.side-dy))
 }
 
 // Name implements Topology.
