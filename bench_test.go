@@ -304,8 +304,8 @@ func BenchmarkCommMatBuild(b *testing.B) {
 }
 
 // BenchmarkCommMatContract measures the per-topology side: contracting
-// prebuilt matrices against the four tori through distance tables, one
-// fused single-goroutine pass per matrix.
+// prebuilt matrices against the four tori, one single-goroutine
+// contraction per matrix.
 func BenchmarkCommMatContract(b *testing.B) {
 	a, ix, topos := commMatFixture(b)
 	nfi := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: benchParams.Radius})

@@ -253,7 +253,7 @@ func run() int {
 		obs.TakeSpans() // drop any stale phases from a failed predecessor
 		start := time.Now()
 		p := params(spec.Paper)
-		if err := p.Validate(); err != nil {
+		if err := spec.Validate(p); err != nil {
 			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
 			return 2
 		}

@@ -1,27 +1,27 @@
 // Package commmat provides topology-independent communication
-// matrices: sparse (or, for small processor counts, dense) aggregations
-// of a communication event stream by (src, dst) rank pair.
+// matrices: sparse aggregations of a communication event stream by
+// (src, dst) rank pair, in CSR form.
 //
 // The paper's model (§IV) makes the event stream of an assignment
 // independent of the network, and chunk-monotone rank assignment makes
 // it highly repetitive: a near-field or interaction-list traversal
-// touches far fewer distinct rank pairs than events. Aggregating the
-// stream once turns multi-topology evaluation into a contraction — one
-// distance lookup per *distinct* pair, applied with Accumulator.AddN —
-// so sweeping T topologies costs O(events + distinctPairs x T) instead
-// of O(events x T). This is the communication-matrix formulation of the
-// topology-mapping literature (Hoefler & Snir; hop-byte metrics),
-// specialized to exact event counts.
+// touches far fewer distinct rank pairs than events. A matrix keeps
+// those pairs for the consumers that need them (per-rank tallies,
+// link routing), and contracting it against a topology — the sum of
+// count x hop distance over its pairs — reproduces the per-event
+// accumulator exactly. This is the communication-matrix formulation
+// of the topology-mapping literature (Hoefler & Snir; hop-byte
+// metrics), specialized to exact event counts.
 //
 // Build with a Builder (one Shard per concurrent worker, merged into an
 // immutable Matrix by Finalize), then contract with ContractTableMulti
 // against the distance tables (topology.DistanceTable) of one or more
-// topologies: a single fused pass over the distinct pairs serves all of
-// them (see fused.go), and it is the only contraction. Event streams
-// whose pair relation is symmetric (near field, interaction lists) are
-// best aggregated in canonical src <= dst form — each unordered pair
-// recorded once — and contracted with ContractTableMultiSym, which
-// weights every pair by both directions.
+// topologies: a plain row loop through each topology's own DistanceSum
+// (see contract.go). Event streams whose pair relation is symmetric
+// (near field, interaction lists) are best aggregated in canonical
+// src <= dst form — each unordered pair recorded once — and contracted
+// with ContractTableMultiSym, which weights every pair by both
+// directions.
 //
 // Aggregation is hash-free on the hot path: events count directly into
 // a pooled scratch grid with a one-bit-per-pair occupancy bitmap.
@@ -55,19 +55,12 @@ var (
 	buildsCounter = obs.GetCounter("commmat.builds")
 )
 
-const (
-	// denseCells is the largest p*p for which the finalized matrix
-	// stores a dense p x p count grid (512 x 512 = 1 MiB of uint32)
-	// instead of the CSR form. Dense matrices contract with pure array
-	// indexing.
-	denseCells = 1 << 18
-	// maxScratchCells caps the scratch grid at 32 MiB of uint32. Up to
-	// that budget the grid covers all of p x p; past it each source row
-	// covers a band of dst-src deltas (p = 4096 gets a 2048-wide band,
-	// p = 65536 a 128-wide one), and below one 64-cell bitmap word per
-	// row aggregation is purely overflow-based.
-	maxScratchCells = 1 << 23
-)
+// maxScratchCells caps the scratch grid at 32 MiB of uint32. Up to
+// that budget the grid covers all of p x p; past it each source row
+// covers a band of dst-src deltas (p = 4096 gets a 2048-wide band,
+// p = 65536 a 128-wide one), and below one 64-cell bitmap word per row
+// aggregation is purely overflow-based.
+const maxScratchCells = 1 << 23
 
 // scratchStride returns the scratch-grid row width for p ranks: p
 // itself (full grid), a delta band, or 0 for overflow-only
@@ -134,8 +127,8 @@ func putScratch(s *scratch) {
 
 // Matrix is an immutable communication matrix over p processor ranks:
 // for every (src, dst) rank pair, the number of communication events
-// from src to dst. Zero-count pairs are not represented (the dense form
-// stores them as zero cells). Build one with a Builder.
+// from src to dst. Zero-count pairs are not represented. Build one with
+// a Builder.
 type Matrix struct {
 	p      int
 	events uint64
@@ -143,14 +136,12 @@ type Matrix struct {
 	// diag is the event total of the diagonal (src == dst) pairs.
 	// Because hop distance is a metric — zero iff the ranks are equal —
 	// a contraction's Count is always events and its Zeros always diag,
-	// whatever the topology; the fused multi-table pass reads both here
-	// instead of re-tallying them per table.
+	// whatever the topology, so the contraction reads both here instead
+	// of tallying them per table.
 	diag uint64
-	// dense[src*p+dst] holds the pair count when p*p <= denseCells.
-	dense []uint32
-	// CSR form otherwise: rowSrc lists the distinct source ranks in
-	// ascending order; row r's pairs are dsts/counts[rowStart[r]:
-	// rowStart[r+1]], with dsts ascending within the row.
+	// rowSrc lists the distinct source ranks in ascending order; row
+	// r's pairs are dsts/counts[rowStart[r]:rowStart[r+1]], with dsts
+	// ascending within the row.
 	rowSrc   []int32
 	rowStart []int32
 	dsts     []int32
@@ -167,30 +158,9 @@ func (m *Matrix) Events() uint64 { return m.events }
 // one event.
 func (m *Matrix) Pairs() int { return m.pairs }
 
-// DedupRatio returns Events/Pairs, the average number of events per
-// distinct pair — the factor by which contraction shrinks the distance
-// workload. It is 0 for an empty matrix.
-func (m *Matrix) DedupRatio() float64 {
-	if m.pairs == 0 {
-		return 0
-	}
-	return float64(m.events) / float64(m.pairs)
-}
-
 // Visit calls fn for every pair with a nonzero count, in ascending
 // (src, dst) order.
 func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
-	if m.dense != nil {
-		for src := 0; src < m.p; src++ {
-			base := src * m.p
-			for dst := 0; dst < m.p; dst++ {
-				if n := m.dense[base+dst]; n != 0 {
-					fn(int32(src), int32(dst), n)
-				}
-			}
-		}
-		return
-	}
 	for r, src := range m.rowSrc {
 		for i := m.rowStart[r]; i < m.rowStart[r+1]; i++ {
 			fn(src, m.dsts[i], m.counts[i])
@@ -199,10 +169,9 @@ func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
 }
 
 // Equal reports whether two matrices hold identical aggregations: the
-// same rank count, total events, and per-pair counts. It is
-// form-insensitive — a dense and a CSR matrix compare equal when their
-// contents match — which lets differential oracles compare matrices
-// built along different paths byte-for-byte at the pair level.
+// same rank count, total events, and per-pair counts, which lets
+// differential oracles compare matrices built along different paths
+// byte-for-byte at the pair level.
 func Equal(a, b *Matrix) bool {
 	if a.p != b.p || a.events != b.events || a.pairs != b.pairs {
 		return false
@@ -250,8 +219,7 @@ func NewBuilder(p, workers int) *Builder { return NewBuilderBanded(p, workers, 0
 // covers only that band per source row, shrinking its working set to
 // cache-resident size. The hint is purely a performance knob — pairs
 // outside the band stay exact through the overflow log — and is
-// ignored when the default grid is at least as small, or when p is
-// small enough for the dense matrix form.
+// ignored when the default grid is at least as small.
 func NewBuilderBanded(p, workers, band int) *Builder {
 	if p < 1 {
 		panic("commmat: builder needs at least 1 rank")
@@ -261,7 +229,7 @@ func NewBuilderBanded(p, workers, band int) *Builder {
 	}
 	stride := scratchStride(p)
 	if band > 0 {
-		if hb := (band + 63) &^ 63; hb < stride && p*p > denseCells {
+		if hb := (band + 63) &^ 63; hb < stride {
 			stride = hb
 		}
 	}
@@ -410,66 +378,46 @@ func (b *Builder) finalizeGrid(m *Matrix, keys []uint64, kcounts []uint32) {
 	if b.stride == b.p {
 		// Full grid: the global bit order is already (src, dst) order
 		// and there is no overflow.
-		if b.p*b.p <= denseCells {
-			m.dense = make([]uint32, b.p*b.p)
-			m.pairs = pairs
-			for w := 0; w < words; w++ {
-				word := bm[w]
-				if word == 0 {
-					continue
-				}
-				bm[w] = 0
-				for word != 0 {
-					idx := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					n := grid[idx]
-					grid[idx] = 0
-					m.dense[idx] = n
-					m.events += uint64(n)
-				}
+		m.rowStart = append(m.rowStart, 0)
+		m.dsts = make([]int32, 0, pairs)
+		m.counts = make([]uint32, 0, pairs)
+		curSrc, rowBase, rowEnd := int32(0), 0, b.stride
+		open := false
+		for w := 0; w < words; w++ {
+			word := bm[w]
+			if word == 0 {
+				continue
 			}
-		} else {
-			m.rowStart = append(m.rowStart, 0)
-			m.dsts = make([]int32, 0, pairs)
-			m.counts = make([]uint32, 0, pairs)
-			curSrc, rowBase, rowEnd := int32(0), 0, b.stride
-			open := false
-			for w := 0; w < words; w++ {
-				word := bm[w]
-				if word == 0 {
-					continue
-				}
-				bm[w] = 0
-				for word != 0 {
-					idx := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if idx >= rowEnd {
-						if open {
-							m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-							open = false
-						}
-						for idx >= rowEnd {
-							curSrc++
-							rowBase = rowEnd
-							rowEnd += b.stride
-						}
+			bm[w] = 0
+			for word != 0 {
+				idx := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				if idx >= rowEnd {
+					if open {
+						m.rowStart = append(m.rowStart, int32(len(m.dsts)))
+						open = false
 					}
-					if !open {
-						m.rowSrc = append(m.rowSrc, curSrc)
-						open = true
+					for idx >= rowEnd {
+						curSrc++
+						rowBase = rowEnd
+						rowEnd += b.stride
 					}
-					n := grid[idx]
-					grid[idx] = 0
-					m.dsts = append(m.dsts, int32(idx-rowBase))
-					m.counts = append(m.counts, n)
-					m.events += uint64(n)
 				}
+				if !open {
+					m.rowSrc = append(m.rowSrc, curSrc)
+					open = true
+				}
+				n := grid[idx]
+				grid[idx] = 0
+				m.dsts = append(m.dsts, int32(idx-rowBase))
+				m.counts = append(m.counts, n)
+				m.events += uint64(n)
 			}
-			if open {
-				m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-			}
-			m.pairs = len(m.dsts)
 		}
+		if open {
+			m.rowStart = append(m.rowStart, int32(len(m.dsts)))
+		}
+		m.pairs = len(m.dsts)
 	} else {
 		// Banded grid: walk row by row (band strides are multiples of
 		// 64), interleaving overflow pairs on the correct side of the
@@ -544,16 +492,9 @@ func (b *Builder) finalizeOverflow(m *Matrix, keys []uint64, kcounts []uint32) {
 }
 
 // computeDiag tallies the diagonal event total once at construction:
-// a dense diagonal walk, or one binary search per CSR row (dsts are
-// ascending within a row).
+// one binary search per row (dsts are ascending within a row).
 func (m *Matrix) computeDiag() {
 	m.diag = 0
-	if m.dense != nil {
-		for src := 0; src < m.p; src++ {
-			m.diag += uint64(m.dense[src*m.p+src])
-		}
-		return
-	}
 	for r, src := range m.rowSrc {
 		lo, hi := m.rowStart[r], m.rowStart[r+1]
 		row := m.dsts[lo:hi]

@@ -81,16 +81,16 @@ func buildWith(p, workers int, events [][2]int32) *Matrix {
 	return b.Finalize()
 }
 
-// TestBuilderMatchesBruteForce covers every aggregation mode: dense
-// final form, full-grid CSR, banded grid with overflow, a deliberately
-// narrow band, and the overflow-only fallback for huge p.
+// TestBuilderMatchesBruteForce covers every aggregation mode: the full
+// grid with most pairs occupied and with few, the banded grid with
+// overflow, and the overflow-only fallback for huge p.
 func TestBuilderMatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		name string
 		p, n int
 	}{
-		{"dense", 64, 5000},            // p*p <= denseCells
-		{"fullCSR", 600, 20000},        // full grid, CSR output
+		{"dense", 64, 5000},            // full grid, most pairs occupied
+		{"fullCSR", 600, 20000},        // full grid, sparse
 		{"banded", 4096, 40000},        // p*p > maxScratchCells: delta band
 		{"overflowOnly", 200000, 3000}, // stride rounds to 0
 	}
@@ -151,9 +151,9 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestContractEquivalence: the fused contraction against one table
-// equals per-event accumulation, as does the sequential oracle, and
-// the Sym variant weights each pair exactly twice.
+// TestContractEquivalence: the contraction against one table equals
+// per-event accumulation, as does the per-pair oracle, and the Sym
+// variant weights each pair exactly twice.
 func TestContractEquivalence(t *testing.T) {
 	for _, p := range []int{64, 600, 4096} {
 		events := randomEvents(int64(p)+1, p, 20000)
@@ -164,16 +164,16 @@ func TestContractEquivalence(t *testing.T) {
 		for _, e := range events {
 			direct.Add(topo.Distance(int(e[0]), int(e[1])))
 		}
-		var viaOracle, viaFused, sym acd.Accumulator
-		seqContract(m, topology.NewDistanceTable(topo), &viaOracle, 1)
-		m.ContractTableMulti([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&viaFused}, 2)
+		var viaOracle, viaContract, sym acd.Accumulator
+		seqContract(m, topo, &viaOracle, 1)
+		m.ContractTableMulti([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&viaContract}, 2)
 		m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&sym}, 2)
 
 		if viaOracle != direct {
-			t.Fatalf("p=%d: sequential oracle %+v != direct %+v", p, viaOracle, direct)
+			t.Fatalf("p=%d: per-pair oracle %+v != direct %+v", p, viaOracle, direct)
 		}
-		if viaFused != direct {
-			t.Fatalf("p=%d: ContractTableMulti %+v != direct %+v", p, viaFused, direct)
+		if viaContract != direct {
+			t.Fatalf("p=%d: ContractTableMulti %+v != direct %+v", p, viaContract, direct)
 		}
 		want := acd.Accumulator{Sum: 2 * direct.Sum, Count: 2 * direct.Count, Zeros: 2 * direct.Zeros}
 		if sym != want {

@@ -100,7 +100,7 @@ func (p Params) Validate() error {
 	if p.Radius < 0 {
 		return fmt.Errorf("experiments: negative radius")
 	}
-	if err := checkNearEvents(p.Particles, p.Radius); err != nil {
+	if err := checkNearEvents(p.Particles, p.Radius, 2); err != nil {
 		return err
 	}
 	if p.Workers < 0 {
@@ -129,24 +129,32 @@ const maxProcOrder = 10
 const maxTrials = 1024
 
 // maxNearEvents bounds the ordered near-field events of one particle
-// set, particles x ((2r+1)^2 - 1) for radius r (at least 1, the
-// default). A set's near plan holds half of them as 8-byte pairs, so
-// the bound caps a plan at 1 GiB: a request over it would exhaust
-// memory, which no caller can recover from. The largest paper preset
-// (fig6: 10^6 particles at radius 4, 80 neighbors each) stays 3.4x
-// below it.
+// set, particles x ((2r+1)^d - 1) for radius r (at least 1, the
+// default) in d dimensions. A 2D set's near plan holds half of them as
+// 8-byte pairs, so the bound caps a plan at 1 GiB: a request over it
+// would exhaust memory, which no caller can recover from. The 3D near
+// field visits every one of them, with no context check, so the bound
+// also caps how long one 3D cell can run. The largest paper presets
+// (fig6: 10^6 particles at radius 4, 80 neighbors each; threed: 2x10^5
+// particles at radius 1, 26 each) stay 3.4x and 52x below it.
 const maxNearEvents = 1 << 28
 
 // checkNearEvents rejects a near field of more than maxNearEvents
-// ordered events.
-func checkNearEvents(particles, radius int) error {
+// ordered events in dims (2 or 3) dimensions.
+func checkNearEvents(particles, radius, dims int) error {
 	r := uint64(max(radius, 1))
 	// Past 2^13 the neighborhood alone exceeds the bound (and its
-	// square could overflow).
-	if r >= 1<<13 || uint64(particles)*((2*r+1)*(2*r+1)-1) > maxNearEvents {
-		return fmt.Errorf("experiments: %d particles at near-field radius %d exceed %d near-field events", particles, radius, maxNearEvents)
+	// cube could overflow).
+	if r < 1<<13 {
+		cells := uint64(1)
+		for range dims {
+			cells *= 2*r + 1
+		}
+		if uint64(particles) <= maxNearEvents/(cells-1) {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("experiments: %d particles at near-field radius %d exceed %d %dD near-field events", particles, radius, maxNearEvents, dims)
 }
 
 // Scale returns a copy of p with particle count and grid/processor

@@ -112,14 +112,14 @@ func TestParamsValidateNearEvents(t *testing.T) {
 	}
 	for _, spec := range Registry() {
 		for _, p := range []Params{spec.Paper, spec.Paper.Scale(2)} {
-			if err := p.Validate(); err != nil {
+			if err := spec.Validate(p); err != nil {
 				t.Errorf("%s: %+v rejected: %v", spec.Name, p, err)
 			}
 			if spec.Name != "radius" {
 				continue
 			}
 			for _, r := range []int{1, 2, 4, 6, 8} { // the experiment's sweep
-				if err := checkNearEvents(p.Particles, r); err != nil {
+				if err := checkNearEvents(p.Particles, r, 2); err != nil {
 					t.Errorf("radius: swept radius %d rejected: %v", r, err)
 				}
 			}

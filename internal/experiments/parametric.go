@@ -47,7 +47,7 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 	}
 	// The swept radii are not in Params, so Validate did not bound them.
 	for _, r := range radii {
-		if err := checkNearEvents(p.Particles, r); err != nil {
+		if err := checkNearEvents(p.Particles, r, 2); err != nil {
 			return RadiusSweepResult{}, err
 		}
 	}

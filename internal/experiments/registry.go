@@ -57,6 +57,22 @@ type Spec struct {
 	// Decode reconstructs a Result of this experiment from its JSON
 	// encoding, for rendering cache hits.
 	Decode func([]byte) (Result, error)
+	// Check rejects parameters the experiment derives into a
+	// configuration Params.Validate does not bound (threed's 3D near
+	// field); nil where Validate covers it.
+	Check func(Params) error
+}
+
+// Validate checks p for this experiment before anything runs:
+// Params.Validate, then the experiment's own Check.
+func (s Spec) Validate(p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if s.Check != nil {
+		return s.Check(p)
+	}
+	return nil
 }
 
 // Registry returns the experiment table in display order.
@@ -226,6 +242,7 @@ var registry = []Spec{
 			return &Output{Params: tp, Result: res}, nil
 		},
 		Decode: decodeResult[ThreeDResult],
+		Check:  func(p Params) error { return ThreeDFromParams(p).Validate() },
 	},
 	{
 		Name:  "clustering",

@@ -72,18 +72,26 @@ var ThreeDDefault = ThreeDParams{
 	Seed:      2013,
 }
 
+// Validate checks the 3D study's parameters, including the near-field
+// bound: particles x ((2r+1)^3 - 1) events at most maxNearEvents.
+func (p ThreeDParams) Validate() error {
+	if p.Particles < 1 || p.Trials < 1 {
+		return fmt.Errorf("experiments: bad 3D params %+v", p)
+	}
+	if uint64(p.Particles) > geom3.Cells(p.Order) {
+		return fmt.Errorf("experiments: %d particles exceed %d cells", p.Particles, geom3.Cells(p.Order))
+	}
+	return checkNearEvents(p.Particles, p.Radius, 3)
+}
+
 // RunThreeD runs the 3D validation: uniform particles ordered by each
 // 3D curve, distributed over a 3D torus placed with the same curve.
 // workers caps the sweep pool (0 means GOMAXPROCS); it is a separate
 // argument so ThreeDParams' JSON encoding (recorded in run manifests
 // and cache keys) stays purely scientific — it never changes results.
 func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, error) {
-	if p.Particles < 1 || p.Trials < 1 {
-		return ThreeDResult{}, fmt.Errorf("experiments: bad 3D params %+v", p)
-	}
-	if uint64(p.Particles) > geom3.Cells(p.Order) {
-		return ThreeDResult{}, fmt.Errorf("experiments: %d particles exceed %d cells",
-			p.Particles, geom3.Cells(p.Order))
+	if err := p.Validate(); err != nil {
+		return ThreeDResult{}, err
 	}
 	curves := sfc.AllND(3)
 	nc := len(curves)

@@ -147,7 +147,7 @@ func checkPricedVsDirect(t *testing.T, name string, a, shared *acd.Assignment, t
 // TestNFIMatrixContractsExactly pins the symmetric-canonical
 // convention at the matrix level: contracting the canonical matrix
 // with symmetric weighting, one table at a time or all tables in one
-// fused pass, reproduces the ordered direct stream.
+// call, reproduces the ordered direct stream.
 func TestNFIMatrixContractsExactly(t *testing.T) {
 	const order = 6
 	pts, err := dist.SampleUnique(dist.Normal, rng.New(9), order, 500)
@@ -162,19 +162,19 @@ func TestNFIMatrixContractsExactly(t *testing.T) {
 	m := NFIMatrix(a, opts)
 	topos := allTopologies()
 	dts := make([]*topology.DistanceTable, len(topos))
-	fused := make([]acd.Accumulator, len(topos))
+	all := make([]acd.Accumulator, len(topos))
 	accs := make([]*acd.Accumulator, len(topos))
 	for i, topo := range topos {
 		dts[i] = topology.NewDistanceTable(topo)
-		accs[i] = &fused[i]
+		accs[i] = &all[i]
 	}
 	m.ContractTableMultiSym(dts, accs, 1)
 	for i, topo := range topos {
 		var one acd.Accumulator
 		m.ContractTableMultiSym([]*topology.DistanceTable{topology.NewDistanceTable(topo)}, []*acd.Accumulator{&one}, 2)
 		direct := oracleNFI(a, topo, opts)
-		if one != direct || fused[i] != direct {
-			t.Errorf("%s: one table %+v / fused %+v != direct %+v", topo.Name(), one, fused[i], direct)
+		if one != direct || all[i] != direct {
+			t.Errorf("%s: one table %+v / all tables %+v != direct %+v", topo.Name(), one, all[i], direct)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package fmmmodel
 
 import (
-	"sync"
-
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/keynav"
@@ -13,15 +11,16 @@ import (
 // This file builds topology-independent communication matrices
 // (internal/commmat) from the model's event streams, by replaying a
 // particle set's keynav.Plan against one labelling's representative
-// ranks. The ACD path
-// (multi.go) prices the same replay without a matrix; the matrices
-// serve the consumers that need the rank pairs themselves (per-rank
-// tallies in internal/execmodel, link routing in internal/contention)
-// and the benchmark's matrix-path breakdown (perfbench). Contracting a
-// matrix against a topology reproduces the accumulator of the ordered
-// per-event stream bit for bit (the differential tests pin this
-// against a direct per-event oracle and against the priced path). Two
-// symmetries cut the aggregation work in half:
+// ranks. The ACD path (multi.go) prices the same replay without a
+// matrix; the matrices serve the consumers that need the rank pairs
+// themselves (per-rank tallies in internal/execmodel, link routing in
+// internal/contention) and the benchmark's matrix-path breakdown
+// (perfbench), which contracts them row by row through each
+// topology's DistanceSum. Contracting a matrix against a topology
+// reproduces the accumulator of the ordered per-event stream bit for
+// bit (the differential tests pin this against a direct per-event
+// oracle and against the priced path). Two symmetries cut the
+// aggregation work in half:
 //
 //   - The near-field and interaction-list relations are symmetric, so
 //     both traversals enumerate each unordered pair once (from its
@@ -169,12 +168,11 @@ func ffiTasks(ix *keynav.Index, workers int) []ffiTask {
 	return tasks
 }
 
-// ContractAll contracts the far-field matrices against every topology
-// in one fused pass per matrix, through the cached per-topology
-// distance tables. Parallelism lives inside each matrix and is bounded
-// by workers; results are byte-identical at any worker count and equal
-// FFIMulti's. The anterpolation accumulator reuses the interpolation
-// contraction because hop distance is symmetric.
+// ContractAll contracts the far-field matrices against every topology,
+// one contraction per matrix. Parallelism lives inside each matrix and
+// is bounded by workers; results are byte-identical at any worker count
+// and equal FFIMulti's. The anterpolation accumulator reuses the
+// interpolation contraction because hop distance is symmetric.
 func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIResult {
 	res := make([]FFIResult, len(topos))
 	if len(topos) == 0 {
@@ -185,7 +183,7 @@ func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIR
 	interp := make([]*acd.Accumulator, len(topos))
 	il := make([]*acd.Accumulator, len(topos))
 	for t, topo := range topos {
-		dts[t] = distanceTableFor(topo)
+		dts[t] = topology.NewDistanceTable(topo)
 		interp[t] = &res[t].Interpolation
 		il[t] = &res[t].InteractionList
 	}
@@ -199,38 +197,4 @@ func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIR
 		res[t].record()
 	}
 	return res
-}
-
-// Distance tables are cached across calls, keyed by topology instance:
-// experiment sweeps contract many assignments against the same topology
-// objects, so a table materialized once serves the whole sweep. The
-// cache is a small FIFO — worst case dtCacheMax tables of
-// eagerCells-bounded size.
-const dtCacheMax = 8
-
-var (
-	dtMu    sync.Mutex
-	dtCache map[topology.Topology]*topology.DistanceTable
-	dtFIFO  []topology.Topology
-)
-
-// distanceTableFor returns the cached distance table of a topology,
-// creating (and caching) one on first use.
-func distanceTableFor(t topology.Topology) *topology.DistanceTable {
-	dtMu.Lock()
-	defer dtMu.Unlock()
-	if dt, ok := dtCache[t]; ok {
-		return dt
-	}
-	if dtCache == nil {
-		dtCache = make(map[topology.Topology]*topology.DistanceTable)
-	}
-	for len(dtFIFO) >= dtCacheMax {
-		delete(dtCache, dtFIFO[0])
-		dtFIFO = dtFIFO[1:]
-	}
-	dt := topology.NewDistanceTable(t)
-	dtCache[t] = dt
-	dtFIFO = append(dtFIFO, t)
-	return dt
 }

@@ -112,6 +112,7 @@ func expandBatch(req BatchRequest) ([]batchCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("batch: %v", err)
 		}
+		spec, _ := experiments.Lookup(name)
 		for i := range idx {
 			idx[i] = 0
 		}
@@ -132,7 +133,7 @@ func expandBatch(req BatchRequest) ([]batchCell, error) {
 					return nil, fmt.Errorf("batch: bad sweep value: %v", err)
 				}
 			}
-			if err := p.Validate(); err != nil {
+			if err := spec.Validate(p); err != nil {
 				return nil, fmt.Errorf("batch: cell %d (%s): %v", len(cells), name, err)
 			}
 			cells = append(cells, batchCell{experiment: name, params: p})

@@ -240,4 +240,9 @@ func TestBatchBadRequest(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown field status %d, want 400", rec.Code)
 	}
+	// A cell is checked by its experiment too: threed's 3D near field.
+	rec = postExperiment(t, h, "/v1/batch", `{"experiments":["threed"],"params":{"Radius":65}}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized threed cell status %d, want 400", rec.Code)
+	}
 }

@@ -393,7 +393,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, name, pr
 	if s.peers == nil || r.Header.Get(HeaderFleetForwarded) != "" {
 		return false
 	}
-	if err := params.Validate(); err != nil {
+	if spec, _ := experiments.Lookup(name); spec.Validate(params) != nil {
 		return false // let the local path produce the 400
 	}
 	owner, self := s.peers.Owner(RequestKey(name, params))

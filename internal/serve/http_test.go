@@ -168,6 +168,26 @@ func TestHandlerRejectsOversizedNearField(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsOversizedThreeD posts a radius whose 3D near field
+// would keep the daemon's cores busy for minutes: the threed entry
+// derives 20,000 particles on a 64^3 cube from the scaled preset, which
+// Params.Validate does not see, and the entry's own check answers 400
+// naming the bound before the computation runs.
+func TestHandlerRejectsOversizedThreeD(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		t.Errorf("ran %s with %+v", spec.Name, p)
+		return fakeOutput(p), nil
+	}
+	rec := postExperiment(t, NewHandler(s), "/v1/experiments/threed", `{"Radius":65}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want %d (body %s)", rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "3D near-field events") {
+		t.Errorf("error body %s does not name the 3D near-field bound", rec.Body)
+	}
+}
+
 // TestHandlerRejectsDaemonKillingSizes posts a processor order and a
 // trial count whose allocations would kill the daemon with a fatal
 // out-of-memory error, which no recover can catch: validation answers

@@ -482,7 +482,7 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	if !ok {
 		return Response{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, experiment)
 	}
-	if err := p.Validate(); err != nil {
+	if err := spec.Validate(p); err != nil {
 		return Response{}, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
 	key := RequestKey(experiment, p)

@@ -1,214 +1,16 @@
-// DistanceTable: precomputed rank-pair distances for contraction-style
-// evaluation (internal/commmat). The table devirtualizes the hot path —
-// a contraction over a dense communication matrix indexes a uint16 row
-// instead of making one dynamic Distance interface call per pair — but
-// only materializes distances when the lookup volume amortizes the
-// build cost, so sparse contractions never pay for cells they skip.
 package topology
 
-import "sync"
-
-const (
-	// maxTableP is the largest processor count a table serves: hop
-	// distances up to 65,535 fit the uint16 cells (the bus diameter is
-	// P-1, so this bounds P).
-	maxTableP = 1 << 16
-	// eagerCells caps the full-table form at p*p cells (4096 x 4096,
-	// 32 MiB of uint16). Larger networks fall back to lazily built and
-	// cached single rows.
-	eagerCells = 1 << 24
-	// amortize is the build-cost multiplier: a table (or row) of c
-	// cells is built only once at least c/amortize lookups have asked
-	// for it, so a build never costs more than amortize times the work
-	// it replaces.
-	amortize = 4
-	// fillerAmortize replaces amortize when the topology implements
-	// RowFiller. An analytic fill is several times cheaper per cell
-	// than a dispatched Distance call, but the threshold stays
-	// conservative — the ski-rental bound wants pending lookups on the
-	// order of cells x (fill cost / call cost) before a build is known
-	// to repay, and a premature full-table build costs more than the
-	// per-pair fallback it replaces.
-	fillerAmortize = 4
-	// rowBudgetCells bounds the lazy per-row cache (64 MiB of uint16).
-	rowBudgetCells = 1 << 25
-)
-
-// DistanceTable memoizes a topology's rank-pair hop distances in flat
-// uint16 storage. Small networks (p*p <= eagerCells) promote to one
-// contiguous P x P table once enough lookups accumulate; larger ones
-// cache individual source rows, each built on first sufficiently dense
-// use. All methods are safe for concurrent use.
-//
-// DistanceTable itself implements Topology, so it can substitute for
-// the underlying network anywhere.
+// DistanceTable is a handle on one topology that identifies a priced
+// network across calls: internal/commmat contracts matrices against
+// its Underlying topology, and internal/incr keeps one maintained
+// accumulator per table. It memoizes no distances; every contraction
+// asks the topology itself, through its DistanceSum kernel.
 type DistanceTable struct {
-	topo     Topology
-	p        int
-	filler   RowFiller // non-nil when topo fills rows analytically
-	amortize int
-
-	mu      sync.Mutex
-	full    []uint16
-	rows    map[int][]uint16
-	pending int // lookups served without a full table so far
-	budget  int // remaining lazy-row cells
+	topo Topology
 }
 
-// NewDistanceTable wraps a topology. Construction is cheap: no
-// distances are computed until lookups demand them.
-func NewDistanceTable(t Topology) *DistanceTable {
-	dt := &DistanceTable{topo: t, p: t.P(), amortize: amortize, budget: rowBudgetCells}
-	if f, ok := t.(RowFiller); ok {
-		dt.filler = f
-		dt.amortize = fillerAmortize
-	}
-	return dt
-}
+// NewDistanceTable wraps a topology.
+func NewDistanceTable(t Topology) *DistanceTable { return &DistanceTable{topo: t} }
 
 // Underlying returns the wrapped topology.
 func (dt *DistanceTable) Underlying() Topology { return dt.topo }
-
-// Name implements Topology.
-func (dt *DistanceTable) Name() string { return dt.topo.Name() }
-
-// P implements Topology.
-func (dt *DistanceTable) P() int { return dt.p }
-
-// Distance implements Topology, answering from the table when the pair
-// is materialized and from the underlying topology otherwise.
-func (dt *DistanceTable) Distance(a, b int) int {
-	dt.mu.Lock()
-	if dt.full != nil {
-		d := int(dt.full[a*dt.p+b])
-		dt.mu.Unlock()
-		return d
-	}
-	if row, ok := dt.rows[a]; ok {
-		d := int(row[b])
-		dt.mu.Unlock()
-		return d
-	}
-	dt.mu.Unlock()
-	CountDistanceQueries(1)
-	return dt.topo.Distance(a, b)
-}
-
-// RowFor returns the distance row of src — row[dst] is the hop count
-// src->dst — if one is materialized or the pending lookup volume
-// (grown by pairs) now amortizes building it; otherwise nil, and the
-// caller should fall back to per-pair Distance calls. pairs is the
-// number of lookups the caller is about to perform against the row.
-func (dt *DistanceTable) RowFor(src, pairs int) []uint16 {
-	if dt.p > maxTableP {
-		return nil
-	}
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return dt.rowForLocked(src, pairs)
-}
-
-// RowsFor is RowFor for a batch of sources under a single lock
-// acquisition: out[i] is set to the row for srcs[i], with pairs[i] the
-// lookup volume about to be performed against it (nil entries mean
-// per-pair fallback, as with RowFor). It replays exactly the state
-// machine of calling RowFor(srcs[i], pairs[i]) in order — the same
-// rows materialize and the same queries are accounted — while paying
-// the lock once per batch instead of once per row.
-func (dt *DistanceTable) RowsFor(srcs, pairs []int32, out [][]uint16) {
-	if dt.p > maxTableP {
-		for i := range srcs {
-			out[i] = nil
-		}
-		return
-	}
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	// Fast path: when nothing is materialized yet and no row in the
-	// batch can trigger a build — neither the cumulative full-table
-	// threshold nor any single row's lazy threshold — the whole batch
-	// answers nil with one bulk pending update. The observable state
-	// evolution is identical to the per-row replay (pending sums to the
-	// same value and no build decision can differ), it just skips a map
-	// probe per row.
-	if dt.full == nil && len(dt.rows) == 0 {
-		total, maxPairs := 0, int32(0)
-		for _, q := range pairs {
-			total += int(q)
-			if q > maxPairs {
-				maxPairs = q
-			}
-		}
-		cells := dt.p * dt.p
-		noFull := cells > eagerCells || (dt.pending+total)*dt.amortize < cells
-		if noFull && int(maxPairs)*dt.amortize < dt.p {
-			dt.pending += total
-			for i := range srcs {
-				out[i] = nil
-			}
-			return
-		}
-	}
-	for i, src := range srcs {
-		out[i] = dt.rowForLocked(int(src), int(pairs[i]))
-	}
-}
-
-// DenseRows is RowsFor over every source 0..P-1 with a uniform lookup
-// volume per row — the plan shape of a dense-matrix contraction.
-func (dt *DistanceTable) DenseRows(pairs int, out [][]uint16) {
-	if dt.p > maxTableP {
-		for src := 0; src < dt.p; src++ {
-			out[src] = nil
-		}
-		return
-	}
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	for src := 0; src < dt.p; src++ {
-		out[src] = dt.rowForLocked(src, pairs)
-	}
-}
-
-// rowForLocked is RowFor's state machine; dt.mu must be held.
-func (dt *DistanceTable) rowForLocked(src, pairs int) []uint16 {
-	if dt.full != nil {
-		return dt.full[src*dt.p : (src+1)*dt.p]
-	}
-	dt.pending += pairs
-	if cells := dt.p * dt.p; cells <= eagerCells && dt.pending*dt.amortize >= cells {
-		dt.full = make([]uint16, cells)
-		for a := 0; a < dt.p; a++ {
-			dt.fillRow(dt.full[a*dt.p:(a+1)*dt.p], a)
-		}
-		dt.rows = nil
-		return dt.full[src*dt.p : (src+1)*dt.p]
-	}
-	if row, ok := dt.rows[src]; ok {
-		return row
-	}
-	if pairs*dt.amortize < dt.p || dt.budget < dt.p {
-		return nil
-	}
-	row := make([]uint16, dt.p)
-	dt.fillRow(row, src)
-	if dt.rows == nil {
-		dt.rows = make(map[int][]uint16)
-	}
-	dt.rows[src] = row
-	dt.budget -= dt.p
-	return row
-}
-
-// fillRow computes one source row — through the topology's RowFiller
-// when it has one — and accounts for the analytic queries it spends.
-func (dt *DistanceTable) fillRow(row []uint16, src int) {
-	if dt.filler != nil {
-		dt.filler.FillDistanceRow(src, row)
-	} else {
-		for b := range row {
-			row[b] = uint16(dt.topo.Distance(src, b))
-		}
-	}
-	CountDistanceQueries(uint64(len(row)))
-}

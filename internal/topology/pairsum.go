@@ -5,10 +5,10 @@
 // runs as a concrete, inlinable loop. DistanceSumPairs, implemented by
 // all six topologies, prices the flush batches of the replay pricer
 // (internal/fmmmodel), the ACD path, one event per pair; TorusGroup
-// prices such a batch on four tori in one pass. The query volume is
-// the caller's to account (CountDistanceQueries). DistanceSum and
-// DistanceSumRows, weighted by event counts, are the contraction
-// fallback for matrix rows the DistanceTable declines to materialize.
+// prices such a batch on four tori in one pass. DistanceSum, weighted
+// by event counts, contracts one row of a communication matrix
+// (internal/commmat). The query volume is the caller's to account
+// (CountDistanceQueries).
 package topology
 
 import (
@@ -32,19 +32,6 @@ import (
 // per-pair Distance calls.
 type PairContractor interface {
 	DistanceSum(src int, dsts []int32, ns []uint32) uint64
-}
-
-// RowBlockContractor extends PairContractor to a block of CSR rows in
-// one dynamic dispatch: row i has source srcs[i] and its pairs are
-// dsts/ns[rowStart[i]:rowStart[i+1]] (rowStart has len(srcs)+1
-// entries, indexing dsts and ns absolutely). DistanceSumRows returns
-// the total weighted distance sum over the block — exactly the sum of
-// per-row DistanceSum calls. Implemented by the topologies whose
-// per-pair arithmetic is cheap enough that even a per-row dispatch is
-// measurable at contraction volume.
-type RowBlockContractor interface {
-	PairContractor
-	DistanceSumRows(srcs, rowStart, dsts []int32, ns []uint32) uint64
 }
 
 // DistanceSum implements PairContractor.
@@ -109,38 +96,6 @@ func (t *Torus) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
 	}
 	for i, d := range dsts {
 		s += t.codeHops(a, codes[d]) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSumRows implements RowBlockContractor.
-func (t *Torus) DistanceSumRows(srcs, rowStart, dsts []int32, ns []uint32) uint64 {
-	codes := t.codes
-	var s uint64
-	if hops, m := t.hops, t.mask; hops != nil {
-		for r, src := range srcs {
-			a := codes[src] | t.guard
-			lo, hi := rowStart[r], rowStart[r+1]
-			rd, rn := dsts[lo:hi], ns[lo:hi]
-			rn = rn[:len(rd)]
-			// Two independent partial sums per row break the
-			// accumulator dependency chain (uint64 addition is
-			// associative, so the split is exact).
-			var rs0, rs1 uint64
-			i := 0
-			for ; i+1 < len(rd); i += 2 {
-				rs0 += uint64(hops[(a-codes[rd[i]])&m]) * uint64(rn[i])
-				rs1 += uint64(hops[(a-codes[rd[i+1]])&m]) * uint64(rn[i+1])
-			}
-			if i < len(rd) {
-				rs0 += uint64(hops[(a-codes[rd[i]])&m]) * uint64(rn[i])
-			}
-			s += rs0 + rs1
-		}
-		return s
-	}
-	for r, src := range srcs {
-		s += t.DistanceSum(int(src), dsts[rowStart[r]:rowStart[r+1]], ns[rowStart[r]:rowStart[r+1]])
 	}
 	return s
 }

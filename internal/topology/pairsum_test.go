@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"testing"
 
 	"sfcacd/internal/rng"
@@ -94,46 +93,6 @@ func TestTorusDistanceSumBothBranches(t *testing.T) {
 				t.Fatalf("side %d: DistanceSum = %d, want %d", torus.side, got, want)
 			}
 		}
-	}
-}
-
-// TestTorusDistanceSumRows checks the row-block form against per-row
-// DistanceSum over randomly cut CSR row blocks — including empty rows
-// and odd row lengths, which exercise the unrolled loop's tail — on
-// both the hop-table and arithmetic branches.
-func TestTorusDistanceSumRows(t *testing.T) {
-	curve, err := sfc.ByName("hilbert")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procOrder := range []int{3, 9} {
-		torus := NewTorus(uint(procOrder), curve)
-		p := torus.P()
-		r := rng.New(uint64(100 + procOrder))
-		t.Run(fmt.Sprintf("side%d", torus.side), func(t *testing.T) {
-			srcs := make([]int32, 0, 40)
-			rowStart := []int32{0}
-			var dsts []int32
-			var ns []uint32
-			for len(srcs) < 40 {
-				src := int32(r.Intn(p))
-				rowLen := r.Intn(10) // 0..9: empty, odd, and even rows
-				rd, rn := randomBatch(r, p, rowLen, int(src))
-				srcs = append(srcs, src)
-				dsts = append(dsts, rd...)
-				ns = append(ns, rn...)
-				rowStart = append(rowStart, int32(len(dsts)))
-			}
-			got := torus.DistanceSumRows(srcs, rowStart, dsts, ns)
-			var want uint64
-			for i, src := range srcs {
-				lo, hi := rowStart[i], rowStart[i+1]
-				want += torus.DistanceSum(int(src), dsts[lo:hi], ns[lo:hi])
-			}
-			if got != want {
-				t.Fatalf("DistanceSumRows = %d, per-row sum = %d", got, want)
-			}
-		})
 	}
 }
 

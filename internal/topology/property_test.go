@@ -137,12 +137,14 @@ func TestQuickTorusBoundedByMesh(t *testing.T) {
 // ((a|g) - b) & m into the hop table or, above torusLUTMaxSide, wrap
 // arithmetic on the codes, against Torus.Distance: every rank pair at
 // sides 1 to 16 and random pairs at sides 64, 256 (the largest table)
-// and 512 (the fallback), through FillDistanceRow, which exposes the
-// lookup per pair, and through every lane of a four-torus group on
+// and 512 (the fallback), through DistanceSum on single pairs of unit
+// weight, which exposes the lookup per pair, and on whole batches of
+// random weights, and through every lane of a four-torus group on
 // single-pair batches.
 func TestPackedTorusLookupMatchesDistance(t *testing.T) {
 	curves := []sfc.Curve{sfc.Hilbert, sfc.Morton, sfc.Gray, sfc.RowMajor}
 	r := rand.New(rand.NewSource(19))
+	unit := []uint32{1}
 	for _, procOrder := range []uint{0, 1, 2, 3, 4, 6, 8, 9} {
 		var tori []*Torus
 		for _, c := range curves {
@@ -161,30 +163,38 @@ func TestPackedTorusLookupMatchesDistance(t *testing.T) {
 				srcs = append(srcs, r.Intn(p))
 			}
 		}
-		row := make([]uint16, p)
 		for _, a := range srcs {
-			dsts := make([]int, 0, p)
+			dsts := make([]int32, 0, p)
 			if all {
 				for b := 0; b < p; b++ {
-					dsts = append(dsts, b)
+					dsts = append(dsts, int32(b))
 				}
 			} else {
 				for range 256 {
-					dsts = append(dsts, r.Intn(p))
+					dsts = append(dsts, int32(r.Intn(p)))
 				}
 			}
+			ns := make([]uint32, len(dsts))
+			for i := range ns {
+				ns[i] = 1 + uint32(r.Intn(9))
+			}
 			for l, tor := range tori {
-				tor.FillDistanceRow(a, row)
-				for _, b := range dsts {
-					if want := tor.Distance(a, b); int(row[b]) != want {
-						t.Fatalf("side %d lane %d: packed row lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, row[b], want)
+				var want uint64
+				for i, b := range dsts {
+					d := tor.Distance(a, int(b))
+					if got := tor.DistanceSum(a, dsts[i:i+1], unit); got != uint64(d) {
+						t.Fatalf("side %d lane %d: packed lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, got, d)
 					}
+					want += uint64(d) * uint64(ns[i])
+				}
+				if got := tor.DistanceSum(a, dsts, ns); got != want {
+					t.Fatalf("side %d lane %d: weighted DistanceSum from %d over %d pairs = %d, Distance loop %d", tor.side, l, a, len(dsts), got, want)
 				}
 			}
 			for _, b := range dsts {
-				got := g.DistanceSumPairs([]int32{int32(a)}, []int32{int32(b)})
+				got := g.DistanceSumPairs([]int32{int32(a)}, []int32{b})
 				for l, tor := range tori {
-					if want := tor.Distance(a, b); got[l] != uint64(want) {
+					if want := tor.Distance(a, int(b)); got[l] != uint64(want) {
 						t.Fatalf("side %d lane %d: packed group lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, got[l], want)
 					}
 				}
