@@ -88,17 +88,6 @@ func TestPublicPrimitives(t *testing.T) {
 	}
 }
 
-func TestPublicQuadtree(t *testing.T) {
-	pts := []sfcacd.Point{sfcacd.Pt(0, 0), sfcacd.Pt(200, 200), sfcacd.Pt(201, 201)}
-	tree := sfcacd.BuildLinearQuadtree(8, pts, 1)
-	if tree.TotalParticles() != 3 {
-		t.Fatalf("tree particles %d", tree.TotalParticles())
-	}
-	if !tree.Balance().IsBalanced() {
-		t.Fatal("balanced tree unbalanced")
-	}
-}
-
 func TestPublic3D(t *testing.T) {
 	pts, err := sfcacd.SampleUnique3(sfcacd.Samplers3D()[0], sfcacd.NewRand(2), 4, 100)
 	if err != nil {

@@ -186,18 +186,6 @@ func BenchmarkNBodyFMM(b *testing.B) {
 	}
 }
 
-// BenchmarkNBodyAdaptiveFMM measures the adaptive (dual tree
-// traversal) solver on the same system as BenchmarkNBodyFMM.
-func BenchmarkNBodyAdaptiveFMM(b *testing.B) {
-	sys := randomNBody(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sfcacd.SolveAdaptiveFMM(sys, sfcacd.FMMSolverOptions{Terms: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNBodyDirect measures the O(n^2) baseline (smaller n: the
 // quadratic cost dominates the suite otherwise — compare ns/particle).
 func BenchmarkNBodyDirect(b *testing.B) {

@@ -92,14 +92,3 @@ func ExampleSolveDirect() {
 	// Output:
 	// -0.6931
 }
-
-// ExampleBuildLinearQuadtree builds and balances an adaptive tree.
-func ExampleBuildLinearQuadtree() {
-	pts := []sfcacd.Point{sfcacd.Pt(128, 128), sfcacd.Pt(129, 129)}
-	tree := sfcacd.BuildLinearQuadtree(8, pts, 1)
-	fmt.Println("balanced before:", tree.IsBalanced())
-	fmt.Println("balanced after:", tree.Balance().IsBalanced())
-	// Output:
-	// balanced before: false
-	// balanced after: true
-}

@@ -45,13 +45,6 @@ func main() {
 	fmmTime := time.Since(start)
 
 	start = time.Now()
-	adaptive, err := sfcacd.SolveAdaptiveFMM(sys, sfcacd.FMMSolverOptions{Terms: *terms})
-	if err != nil {
-		log.Fatal(err)
-	}
-	adaptiveTime := time.Since(start)
-
-	start = time.Now()
 	direct, err := sfcacd.SolveDirect(sys, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -67,19 +60,11 @@ func main() {
 			maxMag = m
 		}
 	}
-	var maxErrA float64
-	for i := range adaptive.Potential {
-		if d := abs(adaptive.Potential[i] - direct.Potential[i]); d > maxErrA {
-			maxErrA = d
-		}
-	}
 	fmt.Printf("n = %d particles, %d expansion terms\n", *n, *terms)
-	fmt.Printf("uniform FMM:  %v\n", fmmTime.Round(time.Millisecond))
-	fmt.Printf("adaptive FMM: %v\n", adaptiveTime.Round(time.Millisecond))
-	fmt.Printf("direct:       %v  (%.1fx slower than uniform FMM)\n", directTime.Round(time.Millisecond),
+	fmt.Printf("FMM:    %v\n", fmmTime.Round(time.Millisecond))
+	fmt.Printf("direct: %v  (%.1fx slower than FMM)\n", directTime.Round(time.Millisecond),
 		float64(directTime)/float64(fmmTime))
-	fmt.Printf("max relative potential error: uniform %.2e, adaptive %.2e\n",
-		maxErr/maxMag, maxErrA/maxMag)
+	fmt.Printf("max relative potential error: %.2e\n", maxErr/maxMag)
 	fmt.Printf("sample: potential at particle 0 = %.6f (direct %.6f)\n",
 		fmm.Potential[0], direct.Potential[0])
 }

@@ -72,15 +72,6 @@ func (a *Accumulator) Merge(b Accumulator) {
 	a.Zeros += b.Zeros
 }
 
-// ZeroHopFraction returns Zeros/Count, the share of communications
-// that stayed on their processor. It is 0 for an empty accumulator.
-func (a Accumulator) ZeroHopFraction() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return float64(a.Zeros) / float64(a.Count)
-}
-
 // Record publishes the accumulator's tallies to the obs registry
 // ("acd.events", "acd.zero_hops"). Call it exactly once per final
 // merged accumulator — model entry points do this; callers composing
@@ -225,10 +216,4 @@ func (a *Assignment) RankAt(p geom.Point) int32 {
 		return -1
 	}
 	return a.ix.RankAt(p)
-}
-
-// ChunkBounds returns the half-open range of ordered particle indices
-// owned by rank r.
-func (a *Assignment) ChunkBounds(r int) (lo, hi int) {
-	return partition.Start(r, a.N(), a.P), partition.End(r, a.N(), a.P)
 }

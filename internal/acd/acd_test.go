@@ -209,25 +209,6 @@ func TestAssignErrors(t *testing.T) {
 	}
 }
 
-func TestChunkBounds(t *testing.T) {
-	pts := fullGrid(2) // 16 particles
-	a, err := assignPoints(pts, sfc.Hilbert, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		lo, hi := a.ChunkBounds(r)
-		if hi-lo != 4 {
-			t.Fatalf("chunk %d size %d", r, hi-lo)
-		}
-		for i := lo; i < hi; i++ {
-			if int(a.Ranks[i]) != r {
-				t.Fatalf("particle %d in bounds of %d has rank %d", i, r, a.Ranks[i])
-			}
-		}
-	}
-}
-
 func TestAssignMoreProcsThanParticles(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 3), geom.Pt(1, 2)}
 	a, err := assignPoints(pts, sfc.Hilbert, 2, 16)

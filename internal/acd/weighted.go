@@ -47,25 +47,3 @@ func (a WeightedAccumulator) ACD() float64 {
 func (a WeightedAccumulator) String() string {
 	return fmt.Sprintf("weighted acd=%.3f (events=%d, volume=%.0f)", a.ACD(), a.Events, a.Weight)
 }
-
-// FromUniform converts a plain Accumulator into a weighted one where
-// every event carried the same volume.
-func FromUniform(acc Accumulator, perEventVolume float64) WeightedAccumulator {
-	return WeightedAccumulator{
-		WeightedSum: float64(acc.Sum) * perEventVolume,
-		Weight:      float64(acc.Count) * perEventVolume,
-		Events:      acc.Count,
-	}
-}
-
-// Combine merges independently computed phases (e.g. NFI events
-// carrying particle records and FFI events carrying expansion
-// coefficients) into a single volume-weighted ACD for the whole
-// application step.
-func Combine(phases ...WeightedAccumulator) WeightedAccumulator {
-	var total WeightedAccumulator
-	for _, p := range phases {
-		total.Merge(p)
-	}
-	return total
-}

@@ -30,33 +30,3 @@ func TestWeightedAccumulator(t *testing.T) {
 		t.Error("String missing label")
 	}
 }
-
-func TestFromUniformMatchesPlainACD(t *testing.T) {
-	var acc Accumulator
-	acc.Add(3)
-	acc.Add(5)
-	w := FromUniform(acc, 64)
-	if math.Abs(w.ACD()-acc.ACD()) > 1e-12 {
-		t.Errorf("uniform weighting changed ACD: %f vs %f", w.ACD(), acc.ACD())
-	}
-	if w.Events != 2 || w.Weight != 128 {
-		t.Errorf("converted %+v", w)
-	}
-}
-
-func TestCombineShiftsTowardHeavyPhase(t *testing.T) {
-	// NFI: many short messages; FFI: few long ones. The combined
-	// volume-weighted ACD must sit between the two and move toward the
-	// FFI value as expansion size grows.
-	var nfi, ffi Accumulator
-	nfi.AddN(1, 1000) // 1000 events at distance 1
-	ffi.AddN(10, 10)  // 10 events at distance 10
-	small := Combine(FromUniform(nfi, 16), FromUniform(ffi, 16))
-	big := Combine(FromUniform(nfi, 16), FromUniform(ffi, 4096))
-	if !(small.ACD() < big.ACD()) {
-		t.Fatalf("volume weighting had no effect: %f vs %f", small.ACD(), big.ACD())
-	}
-	if big.ACD() <= nfi.ACD() || big.ACD() >= ffi.ACD() {
-		t.Fatalf("combined ACD %f outside [%f, %f]", big.ACD(), nfi.ACD(), ffi.ACD())
-	}
-}

@@ -168,3 +168,20 @@ func TestANNSEqualsNFIOnBus(t *testing.T) {
 		}
 	}
 }
+
+// NearestNeighborPairs returns the number of unordered Manhattan-
+// distance-1 pairs on a side x side grid: 2*side*(side-1). Used to
+// validate pair counting.
+func NearestNeighborPairs(side uint32) uint64 {
+	return 2 * uint64(side) * uint64(side-1)
+}
+
+// RowMajorExact returns the exact classic ANNS (r=1, Manhattan) of the
+// row-major curve on a 2^order grid: vertical neighbor pairs stretch 1,
+// horizontal pairs stretch 2^order, in equal numbers — the closed form
+// (side+1)/2 that Xu and Tirthapura's analysis yields. Used as an
+// analytic cross-check of the empirical machinery.
+func RowMajorExact(order uint) float64 {
+	side := float64(geom.Side(order))
+	return (side + 1) / 2
+}

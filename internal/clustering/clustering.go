@@ -97,38 +97,3 @@ func RandomRectQuery(r *rng.Rand, order uint, width, height uint32) Rect {
 	y := r.Uint32n(side - height + 1)
 	return Rect{Lo: geom.Pt(x, y), Hi: geom.Pt(x+width-1, y+height-1)}
 }
-
-// AverageClustersRect estimates the expected cluster count of random
-// width x height queries.
-func AverageClustersRect(c sfc.Curve, order uint, width, height uint32, trials int, r *rng.Rand) float64 {
-	if trials < 1 {
-		panic("clustering: need at least one trial")
-	}
-	sum := 0
-	for i := 0; i < trials; i++ {
-		sum += Clusters(c, order, RandomRectQuery(r, order, width, height))
-	}
-	return float64(sum) / float64(trials)
-}
-
-// ExactAverageClusters computes the exact expected cluster count over
-// all positions of a querySide x querySide window (feasible for small
-// grids; used to validate the Monte Carlo estimator).
-func ExactAverageClusters(c sfc.Curve, order uint, querySide uint32) float64 {
-	side := geom.Side(order)
-	if querySide < 1 || querySide > side {
-		panic("clustering: query side outside grid")
-	}
-	sum := 0
-	n := 0
-	for y := uint32(0); y+querySide <= side; y++ {
-		for x := uint32(0); x+querySide <= side; x++ {
-			sum += Clusters(c, order, Rect{
-				Lo: geom.Pt(x, y),
-				Hi: geom.Pt(x+querySide-1, y+querySide-1),
-			})
-			n++
-		}
-	}
-	return float64(sum) / float64(n)
-}

@@ -111,28 +111,6 @@ func TestRectHelpers(t *testing.T) {
 	}
 }
 
-func TestElongatedQueriesExposeRowMajor(t *testing.T) {
-	// Under the paper's x-major order a wide horizontal window of
-	// width w crosses w columns and is always exactly w runs, while
-	// Hilbert keeps many of those columns contiguous. The transposed
-	// window is the row-major best case (a single run).
-	const order = 6
-	r := rng.New(5)
-	h := AverageClustersRect(sfc.Hilbert, order, 16, 1, 3000, r)
-	rm := AverageClustersRect(sfc.RowMajor, order, 16, 1, 3000, r)
-	if rm != 16 {
-		t.Errorf("rowmajor wide query clusters %f, want exactly 16", rm)
-	}
-	if h >= rm {
-		t.Errorf("hilbert wide query clusters %f >= rowmajor %f", h, rm)
-	}
-	// The transposed (1 x 16 vertical) window is a single run under
-	// the column-scanning row-major order.
-	if v := AverageClustersRect(sfc.RowMajor, order, 1, 16, 3000, r); v != 1 {
-		t.Errorf("rowmajor tall query clusters %f, want 1", v)
-	}
-}
-
 func TestRandomRectQueryBounds(t *testing.T) {
 	r := rng.New(6)
 	for i := 0; i < 500; i++ {
@@ -160,4 +138,26 @@ func TestPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// ExactAverageClusters computes the exact expected cluster count over
+// all positions of a querySide x querySide window (feasible for small
+// grids; used to validate the Monte Carlo estimator).
+func ExactAverageClusters(c sfc.Curve, order uint, querySide uint32) float64 {
+	side := geom.Side(order)
+	if querySide < 1 || querySide > side {
+		panic("clustering: query side outside grid")
+	}
+	sum := 0
+	n := 0
+	for y := uint32(0); y+querySide <= side; y++ {
+		for x := uint32(0); x+querySide <= side; x++ {
+			sum += Clusters(c, order, Rect{
+				Lo: geom.Pt(x, y),
+				Hi: geom.Pt(x+querySide-1, y+querySide-1),
+			})
+			n++
+		}
+	}
+	return float64(sum) / float64(n)
 }

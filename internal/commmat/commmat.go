@@ -148,9 +148,6 @@ type Matrix struct {
 	counts   []uint32
 }
 
-// P returns the number of processor ranks the matrix is defined over.
-func (m *Matrix) P() int { return m.p }
-
 // Events returns the total number of aggregated communication events.
 func (m *Matrix) Events() uint64 { return m.events }
 

@@ -7,7 +7,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"sfcacd/internal/geom"
 	"sfcacd/internal/rng"
@@ -99,15 +98,6 @@ func (e exponential) Sample(r *rng.Rand, order uint) geom.Point {
 	}
 }
 
-// SampleN draws n cells (duplicates allowed).
-func SampleN(s Sampler, r *rng.Rand, order uint, n int) []geom.Point {
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = s.Sample(r, order)
-	}
-	return out
-}
-
 // SampleUnique draws n distinct cells by rejection, honouring the
 // paper's assumption that a cell at the finest resolution contains at
 // most one particle. It fails if n exceeds the number of cells or if
@@ -153,30 +143,4 @@ func (b bitmap) testAndSet(i uint64) bool {
 	old := b[w]&mask != 0
 	b[w] |= mask
 	return old
-}
-
-// Moments summarizes a sample cloud; used by tests and by cmd/sfcviz to
-// regenerate Figure 2 descriptively.
-type Moments struct {
-	MeanX, MeanY float64
-	StdX, StdY   float64
-}
-
-// ComputeMoments returns per-axis mean and standard deviation.
-func ComputeMoments(pts []geom.Point) Moments {
-	if len(pts) == 0 {
-		return Moments{}
-	}
-	var sx, sy, sxx, syy float64
-	for _, p := range pts {
-		sx += float64(p.X)
-		sy += float64(p.Y)
-		sxx += float64(p.X) * float64(p.X)
-		syy += float64(p.Y) * float64(p.Y)
-	}
-	n := float64(len(pts))
-	m := Moments{MeanX: sx / n, MeanY: sy / n}
-	m.StdX = math.Sqrt(sxx/n - m.MeanX*m.MeanX)
-	m.StdY = math.Sqrt(syy/n - m.MeanY*m.MeanY)
-	return m
 }

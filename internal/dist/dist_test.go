@@ -227,3 +227,38 @@ func TestBitmap(t *testing.T) {
 		}
 	}
 }
+
+// SampleN draws n cells (duplicates allowed).
+func SampleN(s Sampler, r *rng.Rand, order uint, n int) []geom.Point {
+	out := make([]geom.Point, n)
+	for i := range out {
+		out[i] = s.Sample(r, order)
+	}
+	return out
+}
+
+// Moments summarizes a sample cloud; the sampler tests check the
+// distributions' shapes through it.
+type Moments struct {
+	MeanX, MeanY float64
+	StdX, StdY   float64
+}
+
+// ComputeMoments returns per-axis mean and standard deviation.
+func ComputeMoments(pts []geom.Point) Moments {
+	if len(pts) == 0 {
+		return Moments{}
+	}
+	var sx, sy, sxx, syy float64
+	for _, p := range pts {
+		sx += float64(p.X)
+		sy += float64(p.Y)
+		sxx += float64(p.X) * float64(p.X)
+		syy += float64(p.Y) * float64(p.Y)
+	}
+	n := float64(len(pts))
+	m := Moments{MeanX: sx / n, MeanY: sy / n}
+	m.StdX = math.Sqrt(sxx/n - m.MeanX*m.MeanX)
+	m.StdY = math.Sqrt(syy/n - m.MeanY*m.MeanY)
+	return m
+}

@@ -84,19 +84,6 @@ func (t *Tally) Makespan(c CostParams) (float64, error) {
 	return worst, nil
 }
 
-// TotalCost returns the summed (non-max) cost, proportional to the
-// aggregate resource usage.
-func (t *Tally) TotalCost(c CostParams) (float64, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	var total float64
-	for p := range t.Sends {
-		total += c.Alpha*float64(t.Sends[p]) + c.Beta*float64(t.Hops[p]) + c.Gamma*float64(t.Work[p])
-	}
-	return total, nil
-}
-
 // CollectNFI tallies one FMM near-field step: every cross-processor
 // pair exchange is a message charged to the sender, and every pair
 // evaluation (including same-processor ones) is a unit of local work

@@ -54,13 +54,6 @@ func TestTallyBasics(t *testing.T) {
 	if ms != 7 {
 		t.Fatalf("makespan %f, want 7", ms)
 	}
-	tot, err := ta.TotalCost(CostParams{Alpha: 1, Beta: 1, Gamma: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot != 1+2+1+5+7 {
-		t.Fatalf("total %f", tot)
-	}
 }
 
 func TestCostParamsValidation(t *testing.T) {
@@ -68,7 +61,7 @@ func TestCostParamsValidation(t *testing.T) {
 	if _, err := ta.Makespan(CostParams{Alpha: -1}); err == nil {
 		t.Error("negative alpha accepted")
 	}
-	if _, err := ta.TotalCost(CostParams{Beta: -1}); err == nil {
+	if _, err := ta.Makespan(CostParams{Beta: -1}); err == nil {
 		t.Error("negative beta accepted")
 	}
 	if err := DefaultCost.Validate(); err != nil {

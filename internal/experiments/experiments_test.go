@@ -86,8 +86,9 @@ func TestParamsValidate(t *testing.T) {
 // TestParamsValidateNearEvents pins the near-field event bound on both
 // sides of the boundary (radius 0 counting as the default 1), rejects
 // the radius that once exhausted the daemon's memory and a radius whose
-// neighborhood would overflow, and keeps every registry paper preset,
-// its scaled default and the radius sweep's radii inside the bound.
+// neighborhood would overflow, and keeps every registry paper preset
+// and its scaled default inside the bound, the radius sweep's radii
+// included.
 func TestParamsValidateNearEvents(t *testing.T) {
 	// 2^25 particles with 8 neighbors each: exactly 2^28 events.
 	at := Params{Particles: 1 << 25, Order: 13, ProcOrder: 2, Radius: 1, Trials: 1}
@@ -115,20 +116,42 @@ func TestParamsValidateNearEvents(t *testing.T) {
 			if err := spec.Validate(p); err != nil {
 				t.Errorf("%s: %+v rejected: %v", spec.Name, p, err)
 			}
-			if spec.Name != "radius" {
-				continue
-			}
-			for _, r := range []int{1, 2, 4, 6, 8} { // the experiment's sweep
-				if err := checkNearEvents(p.Particles, r, 2); err != nil {
-					t.Errorf("radius: swept radius %d rejected: %v", r, err)
-				}
-			}
 		}
 	}
 	// The sweep bounds its own radii, before sampling anything.
 	p := Params{Particles: 1 << 22, Order: 12, ProcOrder: 2, Radius: 1, Trials: 1}
 	if _, err := RunRadiusSweep(context.Background(), p, []int{1, 8}); err == nil {
 		t.Error("radius sweep accepted 2^22 particles at radius 8")
+	}
+}
+
+// TestSweepEntriesCheckDerivedParams checks that the radius and nsweep
+// entries bound what they derive before anything runs: Params.Validate
+// accepts both requests, but radius sweeps radius 8 over 2^20
+// particles, past the near-field bound, and nsweep's Particles/8 of 4
+// particles is 0. The scaled preset passes both.
+func TestSweepEntriesCheckDerivedParams(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		p     Params
+		bound string
+	}{
+		{"radius", Params{Particles: 1 << 20, Order: 10, ProcOrder: 3, Trials: 1}, "radius 8 exceed 268435456 2D near-field events"},
+		{"nsweep", Params{Particles: 4, Order: 5, ProcOrder: 1, Trials: 1}, "size 0: experiments: need at least 1 particle"},
+	} {
+		spec, ok := Lookup(tc.name)
+		if !ok {
+			t.Fatalf("no %s entry", tc.name)
+		}
+		if err := tc.p.Validate(); err != nil {
+			t.Fatalf("%s: Params.Validate rejected %+v: %v", tc.name, tc.p, err)
+		}
+		if err := spec.Validate(tc.p); err == nil || !strings.Contains(err.Error(), tc.bound) {
+			t.Errorf("%s: %+v: error %v, want one naming the bound (%q)", tc.name, tc.p, err, tc.bound)
+		}
+		if err := spec.Validate(Table12Paper.Scale(2)); err != nil {
+			t.Errorf("%s: scaled preset rejected: %v", tc.name, err)
+		}
 	}
 }
 

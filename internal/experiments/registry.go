@@ -59,7 +59,8 @@ type Spec struct {
 	Decode func([]byte) (Result, error)
 	// Check rejects parameters the experiment derives into a
 	// configuration Params.Validate does not bound (threed's 3D near
-	// field); nil where Validate covers it.
+	// field, radius's swept radii, nsweep's swept sizes); nil where
+	// Validate covers it.
 	Check func(Params) error
 }
 
@@ -142,27 +143,44 @@ var registry = []Spec{
 		Desc:  "§VI-C: NFI ACD as the near-field radius grows",
 		Paper: Table12Paper,
 		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunRadiusSweep(ctx, p, []int{1, 2, 4, 6, 8})
+			res, err := RunRadiusSweep(ctx, p, sweepRadii)
 			if err != nil {
 				return nil, err
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
 		Decode: decodeResult[RadiusSweepResult],
+		Check: func(p Params) error {
+			for _, r := range sweepRadii {
+				if err := checkNearEvents(p.Particles, r, 2); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	},
 	{
 		Name:  "nsweep",
 		Desc:  "§VI-C: ACD as the particle count grows at fixed p",
 		Paper: Table12Paper,
 		Run: func(ctx context.Context, p Params) (*Output, error) {
-			sizes := []int{p.Particles / 8, p.Particles / 4, p.Particles / 2, p.Particles}
-			res, err := RunSizeSweep(ctx, p, sizes)
+			res, err := RunSizeSweep(ctx, p, sweepSizes(p))
 			if err != nil {
 				return nil, err
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
 		Decode: decodeResult[SizeSweepResult],
+		Check: func(p Params) error {
+			for _, n := range sweepSizes(p) {
+				q := p
+				q.Particles = n
+				if err := q.Validate(); err != nil {
+					return fmt.Errorf("swept size %d: %w", n, err)
+				}
+			}
+			return nil
+		},
 	},
 	{
 		Name:  "meshtorus",
@@ -308,6 +326,15 @@ func decodeResult[T Result](data []byte) (Result, error) {
 		return nil, err
 	}
 	return v, nil
+}
+
+// sweepRadii are the near-field radii the radius experiment sweeps.
+var sweepRadii = []int{1, 2, 4, 6, 8}
+
+// sweepSizes derives the particle counts the nsweep experiment sweeps:
+// an eighth, a quarter, a half and all of p.Particles.
+func sweepSizes(p Params) []int {
+	return []int{p.Particles / 8, p.Particles / 4, p.Particles / 2, p.Particles}
 }
 
 // fig7Orders derives the processor-order sweep from the shared knobs:

@@ -50,13 +50,6 @@ func Chebyshev(a, b Point) int {
 	return int(dy)
 }
 
-// EuclideanSq returns the squared Euclidean distance between two points.
-func EuclideanSq(a, b Point) int {
-	dx := int(absDiff(a.X, b.X))
-	dy := int(absDiff(a.Y, b.Y))
-	return dx*dx + dy*dy
-}
-
 // Metric identifies which spatial distance defines a neighborhood.
 type Metric uint8
 
@@ -111,11 +104,6 @@ func InBounds(x, y int, side uint32) bool {
 // grids and is unrelated to any space-filling curve order.
 func CellID(p Point, side uint32) uint64 {
 	return uint64(p.Y)*uint64(side) + uint64(p.X)
-}
-
-// PointOfCellID inverts CellID.
-func PointOfCellID(id uint64, side uint32) Point {
-	return Point{X: uint32(id % uint64(side)), Y: uint32(id / uint64(side))}
 }
 
 // VisitNeighborhood calls fn for every grid point q != p with

@@ -44,12 +44,6 @@ func TestChebyshev(t *testing.T) {
 	}
 }
 
-func TestEuclideanSq(t *testing.T) {
-	if got := EuclideanSq(Point{0, 0}, Point{3, 4}); got != 25 {
-		t.Errorf("EuclideanSq = %d, want 25", got)
-	}
-}
-
 func TestMetricDist(t *testing.T) {
 	a, b := Point{0, 0}, Point{2, 3}
 	if got := MetricManhattan.Dist(a, b); got != 5 {
@@ -135,9 +129,6 @@ func TestCellIDRoundTrip(t *testing.T) {
 				t.Fatalf("duplicate cell id %d", id)
 			}
 			seen[id] = true
-			if got := PointOfCellID(id, side); got != p {
-				t.Fatalf("round trip %v -> %d -> %v", p, id, got)
-			}
 		}
 	}
 	if len(seen) != side*side {

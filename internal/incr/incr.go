@@ -416,12 +416,6 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	return st, nil
 }
 
-// N returns the particle count.
-func (s *State) N() int { return s.n }
-
-// P returns the processor count.
-func (s *State) P() int { return s.cfg.P }
-
 // Repartitions returns how many ticks the policy decided to rebuild
 // on, since construction.
 func (s *State) Repartitions() int { return s.repartitions }

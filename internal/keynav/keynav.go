@@ -283,9 +283,6 @@ type Index struct {
 // Set returns the skeleton the index labels, which owns its plans.
 func (ix *Index) Set() *Set { return ix.set }
 
-// N returns the particle count.
-func (ix *Index) N() int { return ix.set.N() }
-
 // LevelLen returns the number of occupied cells at a level.
 func (ix *Index) LevelLen(l uint) int { return ix.set.LevelLen(l) }
 

@@ -1,10 +1,11 @@
 package nbody
 
 import (
-	"math"
 	"math/cmplx"
 	"runtime"
 	"sync"
+
+	"sfcacd/internal/panics"
 )
 
 // FMMOptions tunes the fast multipole solver.
@@ -38,21 +39,10 @@ func (o *FMMOptions) normalize() {
 }
 
 // fmmTree is the uniform quadtree state of one solve.
-// kernel bundles the expansion order and binomial table shared by the
-// translation operators; both the uniform and adaptive solvers hold
-// one.
-type kernel struct {
+type fmmTree struct {
 	terms int
 	// binom[a][b] = C(a, b), a <= 2*terms+2.
 	binom [][]float64
-}
-
-func newKernel(terms int) kernel {
-	return kernel{terms: terms, binom: newBinomTable(2*terms + 2)}
-}
-
-type fmmTree struct {
-	kernel
 	depth int // leaf level
 	// Per level l: side = 2^l cells; multipole and local expansions,
 	// each terms+1 complex coefficients per cell (index 0 is the
@@ -94,7 +84,7 @@ func SolveFMM(s System, opts FMMOptions) (Result, error) {
 	}
 	opts.normalize()
 	n := len(s.Pos)
-	t := &fmmTree{kernel: newKernel(opts.Terms)}
+	t := &fmmTree{terms: opts.Terms, binom: newBinomTable(2*opts.Terms + 2)}
 	// Depth so that average occupancy ~ LeafSize; at least 2 so
 	// interaction lists exist.
 	t.depth = 2
@@ -120,7 +110,7 @@ func (t *fmmTree) allocate() {
 }
 
 // coeffs returns the coefficient slice of a cell within a level array.
-func (t kernel) coeffs(arr []complex128, cell int) []complex128 {
+func (t *fmmTree) coeffs(arr []complex128, cell int) []complex128 {
 	return arr[cell*(t.terms+1) : (cell+1)*(t.terms+1)]
 }
 
@@ -224,7 +214,7 @@ func (t *fmmTree) m2m() {
 
 // shiftMultipole adds the multipole expansion src (about a center
 // offset by z0 from dst's center) into dst.
-func (t kernel) shiftMultipole(src []complex128, z0 complex128, dst []complex128) {
+func (t *fmmTree) shiftMultipole(src []complex128, z0 complex128, dst []complex128) {
 	dst[0] += src[0]
 	// Powers of z0 up to terms.
 	pw := make([]complex128, t.terms+1)
@@ -245,7 +235,7 @@ func (t kernel) shiftMultipole(src []complex128, z0 complex128, dst []complex128
 // local center into a local expansion (Lemma 2.4):
 // b_0 = a_0 log(-z0) + sum_k a_k (-1)^k / z0^k
 // b_l = -a_0/(l z0^l) + (1/z0^l) sum_k a_k (-1)^k C(l+k-1,k-1) / z0^k.
-func (t kernel) m2l(src []complex128, z0 complex128, dst []complex128) {
+func (t *fmmTree) m2l(src []complex128, z0 complex128, dst []complex128) {
 	inv := 1 / z0
 	// s_k = a_k (-1)^k / z0^k for k >= 1.
 	sk := make([]complex128, t.terms+1)
@@ -279,7 +269,7 @@ func (t kernel) m2l(src []complex128, z0 complex128, dst []complex128) {
 // from the child center... specifically src is about zp, dst about zc,
 // z0 = zp - zc is the source center relative to the destination) into
 // the child (Lemma 2.5): a_l = sum_{k=l} b_k C(k,l) (-z0)^{k-l}.
-func (t kernel) l2l(src []complex128, z0 complex128, dst []complex128) {
+func (t *fmmTree) l2l(src []complex128, z0 complex128, dst []complex128) {
 	mz := -z0
 	pw := make([]complex128, t.terms+1)
 	pw[0] = 1
@@ -371,7 +361,8 @@ func abs(v int) int {
 }
 
 // parallelRows splits [0, side) row stripes over workers and blocks
-// until all complete.
+// until all complete. The first stripe panic is re-raised on the
+// caller once every stripe has returned.
 func parallelRows(side, workers int, fn func(yLo, yHi int)) {
 	if workers > side {
 		workers = side
@@ -380,6 +371,7 @@ func parallelRows(side, workers int, fn func(yLo, yHi int)) {
 		workers = 1
 	}
 	stripe := (side + workers - 1) / workers
+	var guard panics.Guard
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*stripe, (w+1)*stripe
@@ -392,10 +384,12 @@ func parallelRows(side, workers int, fn func(yLo, yHi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer guard.Recover()
 			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
+	guard.Repanic()
 }
 
 // evaluate computes the final per-particle results: local expansion at
@@ -461,24 +455,4 @@ func (t *fmmTree) evaluate(s System, workers int) (Result, error) {
 		}
 	})
 	return res, nil
-}
-
-// RelativeError returns max_i |a.Potential[i] - b.Potential[i]| scaled
-// by the max magnitude of b's potentials — the accuracy figure used by
-// the solver tests and the nbody example.
-func RelativeError(a, b Result) float64 {
-	var maxDiff, maxMag float64
-	for i := range a.Potential {
-		d := math.Abs(a.Potential[i] - b.Potential[i])
-		if d > maxDiff {
-			maxDiff = d
-		}
-		if m := math.Abs(b.Potential[i]); m > maxMag {
-			maxMag = m
-		}
-	}
-	if maxMag == 0 {
-		return maxDiff
-	}
-	return maxDiff / maxMag
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/cmplx"
 	"runtime"
-	"sync"
 )
 
 // System is a set of charged particles in the unit square.
@@ -60,40 +59,26 @@ func SolveDirect(s System, workers int) (Result, error) {
 		Potential: make([]float64, n),
 		Gradient:  make([]complex128, n),
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				zi := s.Pos[i]
-				var pot float64
-				var grad complex128
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					d := zi - s.Pos[j]
-					if d == 0 {
-						continue
-					}
-					pot += s.Q[j] * realLog(d)
-					grad += complex(s.Q[j], 0) / d
+	parallelRows(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			zi := s.Pos[i]
+			var pot float64
+			var grad complex128
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
 				}
-				res.Potential[i] = pot
-				res.Gradient[i] = cmplx.Conj(grad)
+				d := zi - s.Pos[j]
+				if d == 0 {
+					continue
+				}
+				pot += s.Q[j] * realLog(d)
+				grad += complex(s.Q[j], 0) / d
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			res.Potential[i] = pot
+			res.Gradient[i] = cmplx.Conj(grad)
+		}
+	})
 	return res, nil
 }
 

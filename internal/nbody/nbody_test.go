@@ -1,10 +1,12 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
+	"sfcacd/internal/panics"
 	"sfcacd/internal/rng"
 )
 
@@ -104,6 +106,31 @@ func TestDirectDeterministicAcrossWorkers(t *testing.T) {
 	for i := range a.Potential {
 		if a.Potential[i] != b.Potential[i] || a.Gradient[i] != b.Gradient[i] {
 			t.Fatalf("worker count changed result at %d", i)
+		}
+	}
+}
+
+// TestParallelRowsWorkerPanic checks that a stripe panicking on a
+// worker goroutine re-panics on the caller as a *panics.Worker carrying
+// the stripe's value, with one worker and with several.
+func TestParallelRowsWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var v any
+		func() {
+			defer func() { v = recover() }()
+			parallelRows(8, workers, func(lo, hi int) {
+				if lo <= 5 && 5 < hi {
+					panic(fmt.Sprintf("row %d boom", lo))
+				}
+			})
+		}()
+		want := "row 0 boom"
+		if workers == 4 {
+			want = "row 4 boom"
+		}
+		w, ok := v.(*panics.Worker)
+		if !ok || w.Value != want {
+			t.Errorf("workers %d: recovered %#v, want a *panics.Worker of %q", workers, v, want)
 		}
 	}
 }
@@ -300,4 +327,24 @@ func TestRelativeErrorZeroBaseline(t *testing.T) {
 	if got := RelativeError(a, b); got != 0.5 {
 		t.Fatalf("RelativeError = %f", got)
 	}
+}
+
+// RelativeError returns max_i |a.Potential[i] - b.Potential[i]| scaled
+// by the max magnitude of b's potentials — the accuracy figure the
+// solver tests check.
+func RelativeError(a, b Result) float64 {
+	var maxDiff, maxMag float64
+	for i := range a.Potential {
+		d := math.Abs(a.Potential[i] - b.Potential[i])
+		if d > maxDiff {
+			maxDiff = d
+		}
+		if m := math.Abs(b.Potential[i]); m > maxMag {
+			maxMag = m
+		}
+	}
+	if maxMag == 0 {
+		return maxDiff
+	}
+	return maxDiff / maxMag
 }

@@ -14,7 +14,6 @@ func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 // satisfies v <= bound, or in the implicit overflow bucket. Count,
 // Sum, Min, and Max are tracked exactly.
 type Histogram struct {
-	name   string
 	bounds []float64 // sorted ascending upper bounds
 	counts []atomic.Uint64
 	count  atomic.Uint64
@@ -23,11 +22,10 @@ type Histogram struct {
 	max    atomic.Uint64 // float64 bits; valid only when count > 0
 }
 
-func newHistogram(name string, bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
 	h := &Histogram{
-		name:   name,
 		bounds: bs,
 		counts: make([]atomic.Uint64, len(bs)+1),
 	}
@@ -35,9 +33,6 @@ func newHistogram(name string, bounds []float64) *Histogram {
 	h.max.Store(floatBits(math.Inf(-1)))
 	return h
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -94,14 +89,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
@@ -110,16 +97,6 @@ func (h *Histogram) reset() {
 	h.sum.Store(0)
 	h.min.Store(floatBits(math.Inf(1)))
 	h.max.Store(floatBits(math.Inf(-1)))
-}
-
-// LinearBuckets returns n upper bounds start, start+width, ...,
-// start+(n-1)*width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start + float64(i)*width
-	}
-	return bs
 }
 
 // ExponentialBuckets returns n upper bounds start, start*factor,

@@ -61,7 +61,7 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHistogram(tc.name, tc.bounds)
+			h := newHistogram(tc.bounds)
 			for _, v := range tc.values {
 				h.Observe(v)
 			}
@@ -88,7 +88,7 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram("conc", []float64{10, 100, 1000})
+	h := newHistogram([]float64{10, 100, 1000})
 	const goroutines = 8
 	const perG = 5000
 	var wg sync.WaitGroup
@@ -119,27 +119,11 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 4)
-	wantLin := []float64{10, 15, 20, 25}
-	for i := range wantLin {
-		if lin[i] != wantLin[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", lin, wantLin)
-		}
-	}
 	exp := ExponentialBuckets(1, 4, 5)
 	wantExp := []float64{1, 4, 16, 64, 256}
 	for i := range wantExp {
 		if exp[i] != wantExp[i] {
 			t.Fatalf("ExponentialBuckets = %v, want %v", exp, wantExp)
 		}
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	if (HistogramSnapshot{}).Mean() != 0 {
-		t.Fatal("empty Mean != 0")
-	}
-	if got := (HistogramSnapshot{Count: 4, Sum: 10}).Mean(); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
 	}
 }

@@ -21,7 +21,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -39,15 +38,11 @@ type stripe struct {
 // Counter is a monotonically increasing metric, safe for concurrent
 // use. Increments land on one of several cache-line-padded stripes;
 // Value folds them. Concurrent writers should spread themselves with
-// AddAt/IncAt using any cheap caller-local hint (a rank, a worker
-// index); single-goroutine callers can use Add/Inc.
+// IncAt using any cheap caller-local hint (a rank, a worker index);
+// single-goroutine callers can use Add/Inc.
 type Counter struct {
-	name    string
 	stripes [counterStripes]stripe
 }
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds 1 on stripe 0.
 func (c *Counter) Inc() { c.stripes[0].v.Add(1) }
@@ -57,9 +52,6 @@ func (c *Counter) Add(n uint64) { c.stripes[0].v.Add(n) }
 
 // IncAt adds 1 on the stripe selected by hint.
 func (c *Counter) IncAt(hint int) { c.stripes[uint(hint)&(counterStripes-1)].v.Add(1) }
-
-// AddAt adds n on the stripe selected by hint.
-func (c *Counter) AddAt(hint int, n uint64) { c.stripes[uint(hint)&(counterStripes-1)].v.Add(n) }
 
 // Value returns the sum over all stripes.
 func (c *Counter) Value() uint64 {
@@ -79,12 +71,8 @@ func (c *Counter) reset() {
 // Gauge is a last-value metric holding a float64, safe for concurrent
 // use.
 type Gauge struct {
-	name string
 	bits atomic.Uint64
 }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
@@ -156,7 +144,7 @@ func (r *Registry) GetCounter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -169,7 +157,7 @@ func (r *Registry) GetGauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -183,7 +171,7 @@ func (r *Registry) GetHistogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHistogram(name, bounds)
+		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h
@@ -254,18 +242,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-}
-
-// CounterNames returns the sorted names of registered counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // GetCounter returns (creating if needed) a counter in the default

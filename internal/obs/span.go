@@ -72,10 +72,6 @@ func NewTracer() *Tracer {
 
 var defaultTracer = NewTracer()
 
-// DefaultTracer returns the process-wide tracer that StartSpan and
-// TakeSpans operate on.
-func DefaultTracer() *Tracer { return defaultTracer }
-
 // Span is an in-progress timing of one phase activation. End it
 // exactly once (End is idempotent; extra calls are no-ops).
 type Span struct {
@@ -358,9 +354,6 @@ func (t *Tracer) Take() []PhaseSnapshot {
 	t.gen++
 	return out
 }
-
-// Reset discards the phase tree.
-func (t *Tracer) Reset() { t.Take() }
 
 // StartSpan opens a phase on the default tracer — unless the calling
 // goroutine is bound to a request-scoped tracer through Span.Attach,

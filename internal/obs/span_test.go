@@ -166,7 +166,7 @@ func TestTakeResetsAndOrphansInFlight(t *testing.T) {
 }
 
 func TestStartTimer(t *testing.T) {
-	h := newHistogram("t", ExponentialBuckets(1000, 10, 6))
+	h := newHistogram(ExponentialBuckets(1000, 10, 6))
 	stop := StartTimer(h)
 	time.Sleep(2 * time.Millisecond)
 	stop()

@@ -131,10 +131,10 @@ func TestAttachRoutesPackageStartSpan(t *testing.T) {
 	if findPhase(snap.Spans, after) != nil {
 		t.Error("StartSpan after detach still landed in the trace")
 	}
-	if findPhase(DefaultTracer().Snapshot(), inside) != nil {
+	if findPhase(defaultTracer.Snapshot(), inside) != nil {
 		t.Error("bound StartSpan also landed in the default tracer")
 	}
-	if findPhase(DefaultTracer().Snapshot(), after) == nil {
+	if findPhase(defaultTracer.Snapshot(), after) == nil {
 		t.Error("StartSpan after detach did not return to the default tracer")
 	}
 }
@@ -177,7 +177,7 @@ func TestAttachNesting(t *testing.T) {
 func TestMarkActive(t *testing.T) {
 	// Unbound goroutine: no-op, nothing lands anywhere new.
 	MarkActive("mark.unbound")
-	if findPhase(DefaultTracer().Snapshot(), "mark.unbound") != nil {
+	if findPhase(defaultTracer.Snapshot(), "mark.unbound") != nil {
 		t.Error("unbound MarkActive recorded a phase")
 	}
 

@@ -82,17 +82,6 @@ func (t *RankTree) Rep(level uint, p geom3.Point3) int32 {
 	return t.levels[level][geom3.CellID(p, side)]
 }
 
-// NonEmpty returns the occupied cell count of a level.
-func (t *RankTree) NonEmpty(level uint) int {
-	n := 0
-	for _, v := range t.levels[level] {
-		if v != -1 {
-			n++
-		}
-	}
-	return n
-}
-
 // VisitCells calls fn for every occupied cell of a level, in dense-id
 // order.
 func (t *RankTree) VisitCells(level uint, fn func(p geom3.Point3, rep int32)) {

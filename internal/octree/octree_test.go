@@ -34,9 +34,6 @@ func TestBuildRankTreeMinRank(t *testing.T) {
 func TestNonEmptyAndVisit(t *testing.T) {
 	pts := []geom3.Point3{geom3.Pt3(0, 0, 0), geom3.Pt3(7, 7, 7), geom3.Pt3(3, 4, 5)}
 	tr := BuildRankTree(3, pts, []int32{0, 1, 2})
-	if tr.NonEmpty(3) != 3 || tr.NonEmpty(0) != 1 {
-		t.Fatalf("NonEmpty: %d, %d", tr.NonEmpty(3), tr.NonEmpty(0))
-	}
 	count := 0
 	tr.VisitCells(3, func(p geom3.Point3, rep int32) {
 		count++
@@ -46,6 +43,11 @@ func TestNonEmptyAndVisit(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("visited %d", count)
+	}
+	root := 0
+	tr.VisitCells(0, func(geom3.Point3, int32) { root++ })
+	if root != 1 {
+		t.Fatalf("root level visited %d cells", root)
 	}
 }
 

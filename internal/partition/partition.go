@@ -34,6 +34,3 @@ func Start(r, n, p int) int { return r * n / p }
 
 // End returns one past the last ordered position owned by rank r.
 func End(r, n, p int) int { return (r + 1) * n / p }
-
-// Size returns the number of elements owned by rank r.
-func Size(r, n, p int) int { return End(r, n, p) - Start(r, n, p) }

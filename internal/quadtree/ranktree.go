@@ -1,9 +1,6 @@
-// Package quadtree provides the quadtree machinery behind the FMM
-// communication model: the per-level representative (minimum-rank)
-// tree with its FMM interaction lists — the dense reference the
-// far-field model is tested against — and a linear compressed quadtree
-// in the style of Sundar, Sampath & Biros (the paper's reference
-// [20]).
+// Package quadtree provides the per-level representative (minimum-rank)
+// quadtree with its FMM interaction lists: the dense reference the
+// far-field model is tested against.
 package quadtree
 
 import (
@@ -93,17 +90,6 @@ func (t *RankTree) Rep(level uint, x, y uint32) int32 {
 	return t.levels[level][uint64(y)*uint64(side)+uint64(x)]
 }
 
-// NonEmpty returns the number of occupied cells at a level.
-func (t *RankTree) NonEmpty(level uint) int {
-	n := 0
-	for _, v := range t.levels[level] {
-		if v != -1 {
-			n++
-		}
-	}
-	return n
-}
-
 // VisitCells calls fn for every occupied cell at a level, in row-major
 // order.
 func (t *RankTree) VisitCells(level uint, fn func(x, y uint32, rep int32)) {
@@ -160,38 +146,4 @@ func (t *RankTree) InteractionList(level uint, x, y uint32, fn func(nx, ny uint3
 			}
 		}
 	}
-}
-
-// InteractionListSize returns the number of cells (occupied or not)
-// that would be in the interaction list of (x, y) at the level,
-// counting also empty cells — useful for validating the geometry
-// against the paper's Figure 4.
-func (t *RankTree) InteractionListSize(level uint, x, y uint32) int {
-	if level < 2 {
-		return 0
-	}
-	side := geom.Side(level)
-	px, py := int(x/2), int(y/2)
-	pside := int(side / 2)
-	self := geom.Pt(x, y)
-	n := 0
-	for ny := py - 1; ny <= py+1; ny++ {
-		if ny < 0 || ny >= pside {
-			continue
-		}
-		for nx := px - 1; nx <= px+1; nx++ {
-			if nx < 0 || nx >= pside {
-				continue
-			}
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					cand := geom.Pt(uint32(2*nx+dx), uint32(2*ny+dy))
-					if geom.Chebyshev(self, cand) > 1 {
-						n++
-					}
-				}
-			}
-		}
-	}
-	return n
 }

@@ -245,4 +245,14 @@ func TestBatchBadRequest(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized threed cell status %d, want 400", rec.Code)
 	}
+	// So are the radii radius sweeps and the sizes nsweep derives.
+	for _, body := range []string{
+		`{"experiments":["radius"],"params":{"Particles":1048576,"Order":10,"ProcOrder":3,"Trials":1}}`,
+		`{"experiments":["nsweep"],"params":{"Particles":4,"Order":5,"ProcOrder":1,"Trials":1}}`,
+	} {
+		rec = postExperiment(t, h, "/v1/batch", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, rec.Code)
+		}
+	}
 }

@@ -188,6 +188,32 @@ func TestHandlerRejectsOversizedThreeD(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsDerivedSweepParams posts requests that
+// Params.Validate accepts but whose derived sweeps are out of bounds:
+// radius sweeps radius 8 over 2^20 particles, past the 2D near-field
+// bound, and nsweep's Particles/8 of 4 particles is 0. Each entry's
+// own check answers 400 naming the bound before the computation runs.
+func TestHandlerRejectsDerivedSweepParams(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		t.Errorf("ran %s with %+v", spec.Name, p)
+		return fakeOutput(p), nil
+	}
+	h := NewHandler(s)
+	for _, tc := range []struct{ path, body, bound string }{
+		{"/v1/experiments/radius", `{"Particles":1048576,"Order":10,"ProcOrder":3,"Trials":1}`, "268435456 2D near-field events"},
+		{"/v1/experiments/nsweep", `{"Particles":4,"Order":5,"ProcOrder":1,"Trials":1}`, "at least 1 particle"},
+	} {
+		rec := postExperiment(t, h, tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want %d (body %s)", tc.path, tc.body, rec.Code, http.StatusBadRequest, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), tc.bound) {
+			t.Errorf("%s: error body %s does not name the bound", tc.path, rec.Body)
+		}
+	}
+}
+
 // TestHandlerRejectsDaemonKillingSizes posts a processor order and a
 // trial count whose allocations would kill the daemon with a fatal
 // out-of-memory error, which no recover can catch: validation answers

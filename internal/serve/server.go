@@ -354,10 +354,6 @@ func (s *Server) RetryAfterHint(depth int) time.Duration {
 // introspection).
 func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
-// Traces returns the trace retention store the HTTP layer serves
-// /debug/traces from.
-func (s *Server) Traces() *tracestore.Store { return s.traces }
-
 // SetPeers installs the fleet view: misses check the owner and
 // sibling replicas before computing, and the HTTP layer forwards
 // requests owned elsewhere. Call it once, after construction and

@@ -10,7 +10,6 @@ package sfc
 
 import (
 	"fmt"
-	"sort"
 
 	"sfcacd/internal/geom"
 )
@@ -100,17 +99,6 @@ func ByName(name string) (Curve, error) {
 		return Moore, nil
 	}
 	return nil, fmt.Errorf("sfc: unknown curve %q", name)
-}
-
-// Names lists the canonical names of Extended curves, sorted.
-func Names() []string {
-	cs := Extended()
-	names := make([]string, len(cs))
-	for i, c := range cs {
-		names[i] = c.Name()
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SortPoints returns the indices 0..len(pts)-1 permuted so that

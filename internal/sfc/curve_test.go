@@ -259,12 +259,6 @@ func TestAllAndNames(t *testing.T) {
 	if got := len(Extended()); got != 6 {
 		t.Fatalf("Extended() has %d curves, want 6", got)
 	}
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names not sorted/unique: %v", names)
-		}
-	}
 }
 
 func TestSortPoints(t *testing.T) {

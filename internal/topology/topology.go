@@ -8,9 +8,8 @@
 // sits at the grid cell the curve visits at position i. The remaining
 // topologies use natural rank labels, as in the paper.
 //
-// Every distance function is analytic (O(1) or O(log p)); the flat
-// networks also expose their adjacency so tests can cross-verify the
-// analytic distances against BFS.
+// Every distance function is analytic (O(1) or O(log p)); the tests
+// cross-verify them against BFS over each network's links.
 package topology
 
 import (
@@ -28,12 +27,8 @@ import (
 // add per call is a measurable fraction of the work. Query-dominated
 // pipelines therefore tally locally — usually for free, as the event
 // count of the acd.Accumulator they are filling — and flush in bulk
-// through CountDistanceQueries. BFS queries are rare and counted per
-// call.
-var (
-	analyticQueries = obs.GetCounter("topology.distance.analytic")
-	bfsQueries      = obs.GetCounter("topology.distance.bfs")
-)
+// through CountDistanceQueries.
+var analyticQueries = obs.GetCounter("topology.distance.analytic")
 
 // CountDistanceQueries records n analytic Distance calls answered by
 // some topology. See the counter comment for why this is a bulk API.
@@ -41,38 +36,6 @@ func CountDistanceQueries(n uint64) {
 	if n > 0 {
 		analyticQueries.Add(n)
 	}
-}
-
-// BFSDistances computes single-source shortest-path hop counts over
-// the topology's link graph, the ground truth the analytic Distance
-// functions are verified against. Unreachable ranks get -1. The
-// topology must implement NeighborLister.
-func BFSDistances(t Topology, src int) []int {
-	checkRank(t, src)
-	bfsQueries.Inc()
-	nl, ok := t.(NeighborLister)
-	if !ok {
-		panic(fmt.Sprintf("topology: %s does not expose neighbors for BFS", t.Name()))
-	}
-	dist := make([]int, t.P())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	var buf []int
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		buf = nl.Neighbors(cur, buf[:0])
-		for _, n := range buf {
-			if dist[n] == -1 {
-				dist[n] = dist[cur] + 1
-				queue = append(queue, n)
-			}
-		}
-	}
-	return dist
 }
 
 // Topology is a network of P processors with a shortest-path hop
@@ -86,13 +49,6 @@ type Topology interface {
 	// processors ranked a and b. It is a metric: symmetric, zero iff
 	// a == b, and satisfies the triangle inequality.
 	Distance(a, b int) int
-}
-
-// NeighborLister is implemented by topologies whose processors are the
-// only network nodes, exposing direct links for BFS verification.
-type NeighborLister interface {
-	// Neighbors appends the ranks adjacent to p to buf and returns it.
-	Neighbors(p int, buf []int) []int
 }
 
 // checkRank is the cold path of the Distance guards: callers test the
@@ -138,18 +94,6 @@ func (b *Bus) Distance(x, y int) int {
 	return y - x
 }
 
-// Neighbors implements NeighborLister.
-func (b *Bus) Neighbors(p int, buf []int) []int {
-	checkRank(b, p)
-	if p > 0 {
-		buf = append(buf, p-1)
-	}
-	if p < b.n-1 {
-		buf = append(buf, p+1)
-	}
-	return buf
-}
-
 // --- Ring ---
 
 // Ring is a bus with an extra wrap link between the first and last
@@ -186,21 +130,6 @@ func (r *Ring) Distance(x, y int) int {
 		return wrap
 	}
 	return d
-}
-
-// Neighbors implements NeighborLister.
-func (r *Ring) Neighbors(p int, buf []int) []int {
-	checkRank(r, p)
-	if r.n == 1 {
-		return buf
-	}
-	prev := (p - 1 + r.n) % r.n
-	next := (p + 1) % r.n
-	buf = append(buf, prev)
-	if next != prev {
-		buf = append(buf, next)
-	}
-	return buf
 }
 
 // --- Mesh and Torus ---
@@ -255,36 +184,6 @@ func (g *gridNet) Side() uint32 { return g.side }
 // Placement returns the name of the processor-order curve.
 func (g *gridNet) Placement() string { return g.placement }
 
-func (g *gridNet) gridNeighbors(p int, wrap bool, buf []int) []int {
-	c := g.coords[p]
-	side := int(g.side)
-	if side == 1 {
-		return buf
-	}
-	deltas := [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
-	for _, d := range deltas {
-		x, y := int(c.X)+d[0], int(c.Y)+d[1]
-		if wrap {
-			x = (x + side) % side
-			y = (y + side) % side
-		} else if !geom.InBounds(x, y, g.side) {
-			continue
-		}
-		n := g.RankAt(geom.Pt(uint32(x), uint32(y)))
-		dup := false
-		for _, v := range buf {
-			if v == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, n)
-		}
-	}
-	return buf
-}
-
 // Mesh is the 2D mesh/grid topology: a square grid of processors with
 // links between horizontal and vertical neighbors.
 type Mesh struct {
@@ -311,12 +210,6 @@ func (m *Mesh) Distance(a, b int) int {
 		checkRank(m, b)
 	}
 	return geom.Manhattan(m.coords[a], m.coords[b])
-}
-
-// Neighbors implements NeighborLister.
-func (m *Mesh) Neighbors(p int, buf []int) []int {
-	checkRank(m, p)
-	return m.gridNeighbors(p, false, buf)
 }
 
 // torusLUTMaxSide bounds the hop table: at side 256 it holds 2 x 256 x
@@ -399,12 +292,6 @@ func wrapDist(a, b, side uint32) int {
 	return int(d)
 }
 
-// Neighbors implements NeighborLister.
-func (t *Torus) Neighbors(p int, buf []int) []int {
-	checkRank(t, p)
-	return t.gridNeighbors(p, true, buf)
-}
-
 // --- Hypercube ---
 
 // Hypercube is the classical binary hypercube: p = 2^dims processors,
@@ -436,15 +323,6 @@ func (h *Hypercube) Distance(a, b int) int {
 	return bits.OnesCount32(uint32(a) ^ uint32(b))
 }
 
-// Neighbors implements NeighborLister.
-func (h *Hypercube) Neighbors(p int, buf []int) []int {
-	checkRank(h, p)
-	for d := uint(0); d < h.dims; d++ {
-		buf = append(buf, p^(1<<d))
-	}
-	return buf
-}
-
 // --- Quadtree network ---
 
 // QuadtreeNet is the quadtree topology: p = 4^levels processors at the
@@ -469,9 +347,6 @@ func (q *QuadtreeNet) Name() string { return "quadtree" }
 
 // P implements Topology.
 func (q *QuadtreeNet) P() int { return 1 << (2 * q.levels) }
-
-// Levels returns the tree depth.
-func (q *QuadtreeNet) Levels() uint { return q.levels }
 
 // Distance implements Topology: 2 * (levels - common prefix length in
 // base-4 digits).

@@ -37,7 +37,6 @@ import (
 	"sfcacd/internal/model3d"
 	"sfcacd/internal/nbody"
 	"sfcacd/internal/primitives"
-	"sfcacd/internal/quadtree"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -257,20 +256,6 @@ func CollectFFITally(a *Assignment, topo Topology) *ExecTally {
 	return execmodel.CollectFFI(a, topo)
 }
 
-// --- Quadtree ---
-
-// QuadCell identifies a quadtree cell (level + coordinates).
-type QuadCell = quadtree.Cell
-
-// LinearQuadtree is an adaptive linear (compressed) quadtree.
-type LinearQuadtree = quadtree.LinearTree
-
-// BuildLinearQuadtree refines the domain until no leaf holds more than
-// maxPerLeaf particles.
-func BuildLinearQuadtree(order uint, pts []Point, maxPerLeaf int) *LinearQuadtree {
-	return quadtree.BuildLinear(order, pts, maxPerLeaf)
-}
-
 // --- Communication primitives (§VII) ---
 
 // Primitive ACD calculators over any topology.
@@ -360,13 +345,6 @@ type FMMSolverOptions = nbody.FMMOptions
 // SolveFMM computes potentials with the 2D fast multipole method.
 func SolveFMM(s NBodySystem, opts FMMSolverOptions) (NBodyResult, error) {
 	return nbody.SolveFMM(s, opts)
-}
-
-// SolveAdaptiveFMM computes potentials with the adaptive (dual tree
-// traversal) fast multipole method, which handles heavily clustered
-// inputs without the uniform tree's 4^depth memory.
-func SolveAdaptiveFMM(s NBodySystem, opts FMMSolverOptions) (NBodyResult, error) {
-	return nbody.SolveAdaptiveFMM(s, opts)
 }
 
 // SolveDirect computes potentials by O(n^2) direct summation.
