@@ -16,9 +16,9 @@ package anns
 
 import (
 	"runtime"
-	"sync"
 
 	"sfcacd/internal/geom"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/sfc"
 )
 
@@ -76,70 +76,62 @@ func Stretch(c sfc.Curve, order uint, opts Options) Result {
 	opts.normalize()
 	metric := opts.Ball.geomMetric()
 	side := geom.Side(order)
-	// Precompute the linear index of every cell.
-	idx := make([]uint64, geom.Cells(order))
-	for y := uint32(0); y < side; y++ {
-		for x := uint32(0); x < side; x++ {
-			p := geom.Pt(x, y)
-			idx[geom.CellID(p, side)] = c.Index(order, p)
-		}
-	}
-	workers := opts.Workers
-	if workers > int(side) {
-		workers = int(side)
-	}
+	// Row stripes, one task each: the first pass precomputes the linear
+	// index of every cell, the second sums the stretch of the pairs each
+	// stripe's rows tally. Each stripe sums into its own partial, and
+	// the partials merge in stripe order, so the float sum does not
+	// depend on scheduling.
+	workers := min(opts.Workers, int(side))
 	stripe := (int(side) + workers - 1) / workers
+	stripes := (int(side) + stripe - 1) / stripe
+	rows := func(task int) (uint32, uint32) {
+		return uint32(task * stripe), uint32(min((task+1)*stripe, int(side)))
+	}
+	idx := make([]uint64, geom.Cells(order))
+	panics.Parallel(workers, stripes, func(_, task int) {
+		yLo, yHi := rows(task)
+		for y := yLo; y < yHi; y++ {
+			for x := uint32(0); x < side; x++ {
+				p := geom.Pt(x, y)
+				idx[geom.CellID(p, side)] = c.Index(order, p)
+			}
+		}
+	})
 	type partial struct {
 		sum   float64
 		pairs uint64
 	}
-	results := make(chan partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		yLo := uint32(w * stripe)
-		yHi := yLo + uint32(stripe)
-		if yHi > side {
-			yHi = side
-		}
-		if yLo >= yHi {
-			continue
-		}
-		wg.Add(1)
-		go func(yLo, yHi uint32) {
-			defer wg.Done()
-			var local partial
-			for y := yLo; y < yHi; y++ {
-				for x := uint32(0); x < side; x++ {
-					p := geom.Pt(x, y)
-					pi := idx[geom.CellID(p, side)]
-					geom.VisitNeighborhood(p, opts.Radius, metric, side, func(q geom.Point) {
-						// Count each unordered pair once: only the
-						// lexicographically later endpoint tallies it.
-						if q.Y > p.Y || (q.Y == p.Y && q.X > p.X) {
-							return
-						}
-						qi := idx[geom.CellID(q, side)]
-						var gap uint64
-						if pi > qi {
-							gap = pi - qi
-						} else {
-							gap = qi - pi
-						}
-						local.sum += float64(gap) / float64(metric.Dist(p, q))
-						local.pairs++
-					})
-				}
+	parts := make([]partial, stripes)
+	panics.Parallel(workers, stripes, func(_, task int) {
+		yLo, yHi := rows(task)
+		var local partial
+		for y := yLo; y < yHi; y++ {
+			for x := uint32(0); x < side; x++ {
+				p := geom.Pt(x, y)
+				pi := idx[geom.CellID(p, side)]
+				geom.VisitNeighborhood(p, opts.Radius, metric, side, func(q geom.Point) {
+					// Count each unordered pair once: only the
+					// lexicographically later endpoint tallies it.
+					if q.Y > p.Y || (q.Y == p.Y && q.X > p.X) {
+						return
+					}
+					qi := idx[geom.CellID(q, side)]
+					var gap uint64
+					if pi > qi {
+						gap = pi - qi
+					} else {
+						gap = qi - pi
+					}
+					local.sum += float64(gap) / float64(metric.Dist(p, q))
+					local.pairs++
+				})
 			}
-			results <- local
-		}(yLo, yHi)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+		}
+		parts[task] = local
+	})
 	var sum float64
 	var pairs uint64
-	for r := range results {
+	for _, r := range parts {
 		sum += r.sum
 		pairs += r.pairs
 	}

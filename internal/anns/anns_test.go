@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
@@ -184,4 +185,32 @@ func NearestNeighborPairs(side uint32) uint64 {
 func RowMajorExact(order uint) float64 {
 	side := float64(geom.Side(order))
 	return (side + 1) / 2
+}
+
+// panicCurve panics on the cells of the grid's last row.
+type panicCurve struct {
+	sfc.Curve
+	lastRow uint32
+}
+
+func (c panicCurve) Index(order uint, p geom.Point) uint64 {
+	if p.Y == c.lastRow {
+		panic("curve boom")
+	}
+	return c.Curve.Index(order, p)
+}
+
+// TestStretchWorkerPanic panics the curve on the last stripe's rows,
+// which a worker indexes: the panic must reach the caller as a
+// *panics.Worker rather than end the process.
+func TestStretchWorkerPanic(t *testing.T) {
+	const order = 3
+	var v any
+	func() {
+		defer func() { v = recover() }()
+		Stretch(panicCurve{sfc.Hilbert, geom.Side(order) - 1}, order, Options{Workers: 3})
+	}()
+	if w, ok := v.(*panics.Worker); !ok || w.Value != "curve boom" {
+		t.Fatalf("recovered %#v, want a *panics.Worker of the curve's panic", v)
+	}
 }

@@ -3,44 +3,27 @@
 // (src, dst) rank pair, in CSR form.
 //
 // The paper's model (§IV) makes the event stream of an assignment
-// independent of the network, and chunk-monotone rank assignment makes
-// it highly repetitive: a near-field or interaction-list traversal
-// touches far fewer distinct rank pairs than events. A matrix keeps
-// those pairs for the consumers that need them (per-rank tallies,
-// link routing), and contracting it against a topology — the sum of
-// count x hop distance over its pairs — reproduces the per-event
-// accumulator exactly. This is the communication-matrix formulation
-// of the topology-mapping literature (Hoefler & Snir; hop-byte
-// metrics), specialized to exact event counts.
+// independent of the network. A matrix keeps the stream's rank pairs
+// for the consumers that need them (per-rank tallies, link routing),
+// and contracting it against a topology — the sum of count x hop
+// distance over its pairs — reproduces the per-event accumulator
+// exactly. This is the communication-matrix formulation of the
+// topology-mapping literature (Hoefler & Snir; hop-byte metrics),
+// specialized to exact event counts.
 //
-// Build with a Builder (one Shard per concurrent worker, merged into an
-// immutable Matrix by Finalize), then contract with ContractTableMulti
-// against the distance tables (topology.DistanceTable) of one or more
-// topologies: a plain row loop through each topology's own DistanceSum
-// (see contract.go). Event streams whose pair relation is symmetric
-// (near field, interaction lists) are best aggregated in canonical
-// src <= dst form — each unordered pair recorded once — and contracted
-// with ContractTableMultiSym, which weights every pair by both
-// directions.
-//
-// Aggregation is hash-free on the hot path: events count directly into
-// a pooled scratch grid with a one-bit-per-pair occupancy bitmap.
-// Chunk-monotone assignments keep communicating ranks close, so for
-// large p the grid stores only a band of dst-src deltas per source row
-// — a working set that fits cache where a full p x p grid cannot — and
-// the rare out-of-band pair lands in a small per-shard overflow map.
-// Finalize emits the matrix by scanning the bitmap's set bits (already
-// in (src, dst) order, merged with the sorted overflow), zeroing the
-// scratch behind itself for reuse.
+// Build with a Builder: one Shard per concurrent worker logs its
+// events, and Finalize counts them into the immutable Matrix. Contract
+// with ContractTableMulti against the distance tables
+// (topology.DistanceTable) of one or more topologies: a plain row loop
+// over each pair's Distance (see contract.go). Event streams whose
+// pair relation is symmetric (near field, interaction lists) are
+// aggregated in canonical src <= dst form — each unordered pair
+// recorded once — and contracted with ContractTableMultiSym, which
+// weights every pair by both directions.
 package commmat
 
 import (
-	"math/bits"
-	"runtime"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/obs"
 )
@@ -54,76 +37,6 @@ var (
 	pairsCounter  = obs.GetCounter("commmat.pairs")
 	buildsCounter = obs.GetCounter("commmat.builds")
 )
-
-// maxScratchCells caps the scratch grid at 32 MiB of uint32. Up to
-// that budget the grid covers all of p x p; past it each source row
-// covers a band of dst-src deltas (p = 4096 gets a 2048-wide band,
-// p = 65536 a 128-wide one), and below one 64-cell bitmap word per row
-// aggregation is purely overflow-based.
-const maxScratchCells = 1 << 23
-
-// scratchStride returns the scratch-grid row width for p ranks: p
-// itself (full grid), a delta band, or 0 for overflow-only
-// aggregation. Band strides are multiples of 64 so bitmap words never
-// straddle rows.
-func scratchStride(p int) int {
-	if p*p <= maxScratchCells {
-		return p
-	}
-	return (maxScratchCells / p) &^ 63
-}
-
-// scratch is a reusable aggregation grid: counts plus an occupancy
-// bitmap. Finalize re-zeroes it and returns it to the free list, which
-// holds strong references so the grids survive garbage collection.
-type scratch struct {
-	grid []uint32
-	bm   []uint64
-}
-
-var (
-	scratchMu   sync.Mutex
-	scratchFree []*scratch
-)
-
-// scratchKeep bounds the free list at the grids a sweep's builders
-// hold at once: a sweep runs up to GOMAXPROCS cells, and each holds two
-// grids during its far-field build. The floor of 8 covers two
-// concurrent sweeps (the daemon's compute slots) on small machines.
-func scratchKeep() int { return max(8, 2*runtime.GOMAXPROCS(0)) }
-
-// getScratch hands out the smallest free grid that covers the request
-// (so a large grid stays free for the next large request), or a new
-// one.
-func getScratch(cells int) *scratch {
-	words := (cells + 63) / 64
-	scratchMu.Lock()
-	best := -1
-	for i, s := range scratchFree {
-		if len(s.grid) >= cells && len(s.bm) >= words && (best < 0 || len(s.grid) < len(scratchFree[best].grid)) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		s := scratchFree[best]
-		last := len(scratchFree) - 1
-		scratchFree[best] = scratchFree[last]
-		scratchFree[last] = nil
-		scratchFree = scratchFree[:last]
-		scratchMu.Unlock()
-		return s
-	}
-	scratchMu.Unlock()
-	return &scratch{grid: make([]uint32, cells), bm: make([]uint64, words)}
-}
-
-func putScratch(s *scratch) {
-	scratchMu.Lock()
-	if len(scratchFree) < scratchKeep() {
-		scratchFree = append(scratchFree, s)
-	}
-	scratchMu.Unlock()
-}
 
 // Matrix is an immutable communication matrix over p processor ranks:
 // for every (src, dst) rank pair, the number of communication events
@@ -170,30 +83,9 @@ func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
 // differential oracles compare matrices built along different paths
 // byte-for-byte at the pair level.
 func Equal(a, b *Matrix) bool {
-	if a.p != b.p || a.events != b.events || a.pairs != b.pairs {
-		return false
-	}
-	type pair struct {
-		src, dst int32
-		n        uint32
-	}
-	as := make([]pair, 0, a.pairs)
-	a.Visit(func(src, dst int32, n uint32) {
-		as = append(as, pair{src, dst, n})
-	})
-	i := 0
-	ok := true
-	b.Visit(func(src, dst int32, n uint32) {
-		if !ok || i >= len(as) {
-			ok = false
-			return
-		}
-		if p := as[i]; p.src != src || p.dst != dst || p.n != n {
-			ok = false
-		}
-		i++
-	})
-	return ok && i == len(as)
+	return a.p == b.p && a.events == b.events &&
+		slices.Equal(a.rowSrc, b.rowSrc) && slices.Equal(a.rowStart, b.rowStart) &&
+		slices.Equal(a.dsts, b.dsts) && slices.Equal(a.counts, b.counts)
 }
 
 // Builder aggregates a communication event stream into a Matrix.
@@ -202,44 +94,18 @@ func Equal(a, b *Matrix) bool {
 // producers stop) merges the shards into the immutable Matrix.
 type Builder struct {
 	p      int
-	stride int      // scratch row width; 0 = overflow-only aggregation
-	scr    *scratch // shared by all shards when stride > 0
 	shards []*Shard
 }
 
 // NewBuilder returns a builder over p ranks with the given number of
 // shards (clamped to at least one).
-func NewBuilder(p, workers int) *Builder { return NewBuilderBanded(p, workers, 0) }
-
-// NewBuilderBanded is NewBuilder plus a caller hint that nearly all of
-// the stream's dst-src deltas fall in [0, band): the scratch grid then
-// covers only that band per source row, shrinking its working set to
-// cache-resident size. The hint is purely a performance knob — pairs
-// outside the band stay exact through the overflow log — and is
-// ignored when the default grid is at least as small.
-func NewBuilderBanded(p, workers, band int) *Builder {
+func NewBuilder(p, workers int) *Builder {
 	if p < 1 {
 		panic("commmat: builder needs at least 1 rank")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := scratchStride(p)
-	if band > 0 {
-		if hb := (band + 63) &^ 63; hb < stride {
-			stride = hb
-		}
-	}
-	b := &Builder{p: p, stride: stride, shards: make([]*Shard, workers)}
-	if b.stride > 0 {
-		b.scr = getScratch(p * b.stride)
-	}
+	b := &Builder{p: p, shards: make([]*Shard, max(workers, 1))}
 	for i := range b.shards {
-		s := &Shard{p: int32(p), stride: b.stride, full: b.stride == b.p, shared: workers > 1}
-		if b.scr != nil {
-			s.grid, s.bm = b.scr.grid, b.scr.bm
-		}
-		b.shards[i] = s
+		b.shards[i] = &Shard{}
 	}
 	return b
 }
@@ -247,257 +113,80 @@ func NewBuilderBanded(p, workers, band int) *Builder {
 // Shard returns shard i (0 <= i < workers).
 func (b *Builder) Shard(i int) *Shard { return b.shards[i] }
 
-// Shard is one producer-side view of the aggregation. In grid mode
-// events count straight into the builder's shared scratch (atomically
-// when there are concurrent shards); pairs outside a banded grid's
-// delta range — and every pair in overflow-only mode — append to the
-// shard-local overflow log, which Finalize sorts and run-length
-// collapses.
+// Shard is one producer-side view of the aggregation: a log of its
+// events, which Finalize counts.
 type Shard struct {
-	p      int32
-	stride int
-	full   bool // grid rows span all of [0, p), not a delta band
-	shared bool
-	grid   []uint32
-	bm     []uint64
-	over   []uint64 // one packed (src, dst) key per overflow event
+	events []event
 }
+
+type event struct{ src, dst int32 }
 
 // Add records one communication event from src to dst. Both must be in
-// [0, p). Streams aggregated in canonical src <= dst order stay on the
-// banded fast path; arbitrary pairs remain correct via the overflow
-// log.
+// [0, p).
 func (s *Shard) Add(src, dst int32) {
-	var idx int
-	if s.full {
-		idx = int(src)*s.stride + int(dst)
-	} else {
-		d := int(dst) - int(src)
-		if uint(d) >= uint(s.stride) {
-			s.over = append(s.over, uint64(uint32(src))<<32|uint64(uint32(dst)))
-			return
-		}
-		idx = int(src)*s.stride + d
-	}
-	// The occupancy bit only needs setting when the count leaves zero —
-	// once per distinct pair, not once per event.
-	if s.shared {
-		if atomic.AddUint32(&s.grid[idx], 1) == 1 {
-			orBit(s.bm, idx)
-		}
-		return
-	}
-	c := s.grid[idx]
-	s.grid[idx] = c + 1
-	if c == 0 {
-		s.bm[idx>>6] |= 1 << (uint(idx) & 63)
-	}
-}
-
-// orBit sets a bitmap bit atomically (compare-and-swap loop).
-func orBit(bm []uint64, idx int) {
-	addr := &bm[idx>>6]
-	bit := uint64(1) << (uint(idx) & 63)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&bit != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|bit) {
-			return
-		}
-	}
+	s.events = append(s.events, event{src, dst})
 }
 
 // Finalize merges all shards into the immutable Matrix and records the
 // build in the commmat metrics. The builder must not be reused after.
+//
+// It counts the events of each source row, scatters every event's
+// destination into its row, and sorts each row and collapses its runs
+// of equal destinations into (dst, count) pairs, tallying the diagonal
+// on the way. The rows come out in rank order and sorted, so the
+// matrix does not depend on how the stream was sharded.
 func (b *Builder) Finalize() *Matrix {
 	defer obs.StartSpan("commmat.finalize").End()
-	m := &Matrix{p: b.p}
-	keys, counts := b.mergedOverflow()
-	if b.scr != nil {
-		b.finalizeGrid(m, keys, counts)
-	} else {
-		b.finalizeOverflow(m, keys, counts)
+	p := b.p
+	start := make([]int, p+1)
+	for _, s := range b.shards {
+		for _, e := range s.events {
+			start[e.src+1]++
+		}
 	}
-	m.computeDiag()
+	for r := range p {
+		start[r+1] += start[r]
+	}
+	dsts := make([]int32, start[p])
+	next := slices.Clone(start[:p])
+	for _, s := range b.shards {
+		for _, e := range s.events {
+			dsts[next[e.src]] = e.dst
+			next[e.src]++
+		}
+	}
 	b.shards = nil
+
+	m := &Matrix{p: p, events: uint64(len(dsts)), rowStart: []int32{0}}
+	var counts []uint32
+	pairs := 0 // the collapse writes dsts[pairs], never ahead of the row it reads
+	for src := range p {
+		row := dsts[start[src]:start[src+1]]
+		if len(row) == 0 {
+			continue
+		}
+		slices.Sort(row)
+		for i := 0; i < len(row); {
+			d, j := row[i], i+1
+			for j < len(row) && row[j] == d {
+				j++
+			}
+			if d == int32(src) {
+				m.diag += uint64(j - i)
+			}
+			dsts[pairs] = d
+			counts = append(counts, uint32(j-i))
+			pairs++
+			i = j
+		}
+		m.rowSrc = append(m.rowSrc, int32(src))
+		m.rowStart = append(m.rowStart, int32(pairs))
+	}
+	m.pairs = pairs
+	m.dsts = slices.Clone(dsts[:pairs])
+	m.counts = counts
 	buildsCounter.Inc()
 	eventsCounter.Add(m.events)
 	pairsCounter.Add(uint64(m.pairs))
 	return m
-}
-
-// mergedOverflow concatenates the shards' overflow logs, sorts them,
-// and run-length collapses the result into unique ascending (src, dst)
-// keys with per-pair counts.
-func (b *Builder) mergedOverflow() ([]uint64, []uint32) {
-	total := 0
-	for _, s := range b.shards {
-		total += len(s.over)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	all := make([]uint64, 0, total)
-	for _, s := range b.shards {
-		all = append(all, s.over...)
-		s.over = nil
-	}
-	slices.Sort(all)
-	keys := all[:0] // in-place: the write index never passes the read index
-	counts := make([]uint32, 0, 16)
-	for i := 0; i < len(all); {
-		k := all[i]
-		j := i + 1
-		for j < len(all) && all[j] == k {
-			j++
-		}
-		keys = append(keys, k)
-		counts = append(counts, uint32(j-i))
-		i = j
-	}
-	return keys, counts
-}
-
-// finalizeGrid emits the matrix by scanning the occupancy bitmap — set
-// bits come out in ascending (src, dst) order — merging any out-of-band
-// overflow in place, and zeroes the scratch behind itself before
-// returning it to the free list.
-func (b *Builder) finalizeGrid(m *Matrix, keys []uint64, kcounts []uint32) {
-	grid, bm := b.scr.grid, b.scr.bm
-	cells := b.p * b.stride
-	words := (cells + 63) / 64
-	pairs := len(keys)
-	for w := 0; w < words; w++ {
-		pairs += bits.OnesCount64(bm[w])
-	}
-	if b.stride == b.p {
-		// Full grid: the global bit order is already (src, dst) order
-		// and there is no overflow.
-		m.rowStart = append(m.rowStart, 0)
-		m.dsts = make([]int32, 0, pairs)
-		m.counts = make([]uint32, 0, pairs)
-		curSrc, rowBase, rowEnd := int32(0), 0, b.stride
-		open := false
-		for w := 0; w < words; w++ {
-			word := bm[w]
-			if word == 0 {
-				continue
-			}
-			bm[w] = 0
-			for word != 0 {
-				idx := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if idx >= rowEnd {
-					if open {
-						m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-						open = false
-					}
-					for idx >= rowEnd {
-						curSrc++
-						rowBase = rowEnd
-						rowEnd += b.stride
-					}
-				}
-				if !open {
-					m.rowSrc = append(m.rowSrc, curSrc)
-					open = true
-				}
-				n := grid[idx]
-				grid[idx] = 0
-				m.dsts = append(m.dsts, int32(idx-rowBase))
-				m.counts = append(m.counts, n)
-				m.events += uint64(n)
-			}
-		}
-		if open {
-			m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-		}
-		m.pairs = len(m.dsts)
-	} else {
-		// Banded grid: walk row by row (band strides are multiples of
-		// 64), interleaving overflow pairs on the correct side of the
-		// band to keep dst ascending within each row.
-		m.rowStart = append(m.rowStart, 0)
-		m.dsts = make([]int32, 0, pairs)
-		m.counts = make([]uint32, 0, pairs)
-		rowWords := b.stride / 64
-		k := 0
-		for src := int32(0); src < int32(b.p); src++ {
-			before := len(m.dsts)
-			for k < len(keys) && int32(keys[k]>>32) == src && int32(keys[k]) < src {
-				m.dsts = append(m.dsts, int32(keys[k]))
-				m.counts = append(m.counts, kcounts[k])
-				m.events += uint64(kcounts[k])
-				k++
-			}
-			base := int(src) * b.stride
-			w0 := base / 64
-			for rw := 0; rw < rowWords; rw++ {
-				word := bm[w0+rw]
-				if word == 0 {
-					continue
-				}
-				bm[w0+rw] = 0
-				for word != 0 {
-					idx := (w0+rw)<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					n := grid[idx]
-					grid[idx] = 0
-					m.dsts = append(m.dsts, src+int32(idx-base))
-					m.counts = append(m.counts, n)
-					m.events += uint64(n)
-				}
-			}
-			for k < len(keys) && int32(keys[k]>>32) == src {
-				m.dsts = append(m.dsts, int32(keys[k]))
-				m.counts = append(m.counts, kcounts[k])
-				m.events += uint64(kcounts[k])
-				k++
-			}
-			if len(m.dsts) > before {
-				m.rowSrc = append(m.rowSrc, src)
-				m.rowStart = append(m.rowStart, int32(len(m.dsts)))
-			}
-		}
-		m.pairs = len(m.dsts)
-	}
-	putScratch(b.scr)
-	b.scr = nil
-}
-
-// finalizeOverflow emits the sorted CSR form straight from the merged
-// overflow log — the fallback for rank counts whose grid would not fit
-// the scratch budget.
-func (b *Builder) finalizeOverflow(m *Matrix, keys []uint64, kcounts []uint32) {
-	m.pairs = len(keys)
-	m.rowStart = append(m.rowStart, 0)
-	m.dsts = make([]int32, len(keys))
-	m.counts = make([]uint32, len(keys))
-	copy(m.counts, kcounts)
-	for i, k := range keys {
-		src := int32(k >> 32)
-		if len(m.rowSrc) == 0 || m.rowSrc[len(m.rowSrc)-1] != src {
-			m.rowSrc = append(m.rowSrc, src)
-			m.rowStart = append(m.rowStart, int32(i))
-		}
-		m.rowStart[len(m.rowStart)-1] = int32(i + 1)
-		m.dsts[i] = int32(uint32(k))
-		m.events += uint64(kcounts[i])
-	}
-}
-
-// computeDiag tallies the diagonal event total once at construction:
-// one binary search per row (dsts are ascending within a row).
-func (m *Matrix) computeDiag() {
-	m.diag = 0
-	for r, src := range m.rowSrc {
-		lo, hi := m.rowStart[r], m.rowStart[r+1]
-		row := m.dsts[lo:hi]
-		i := sort.Search(len(row), func(i int) bool { return row[i] >= src })
-		if i < len(row) && row[i] == src {
-			m.diag += uint64(m.counts[int(lo)+i])
-		}
-	}
 }

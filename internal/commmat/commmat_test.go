@@ -1,6 +1,7 @@
 package commmat
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,8 +19,9 @@ func (r refMatrix) add(src, dst int32) {
 }
 
 // randomEvents yields a deterministic event stream over p ranks whose
-// deltas mix tight locality (the banded fast path) with occasional far
-// jumps (the overflow path), including dst < src pairs.
+// deltas mix tight forward locality (the canonical src <= dst form of
+// the symmetric streams) with occasional far jumps, including dst < src
+// pairs and diagonal events.
 func randomEvents(seed int64, p, n int) [][2]int32 {
 	rng := rand.New(rand.NewSource(seed))
 	events := make([][2]int32, n)
@@ -45,14 +47,18 @@ func randomEvents(seed int64, p, n int) [][2]int32 {
 	return events
 }
 
-// checkAgainstRef verifies the matrix against the brute-force map and
-// that Visit yields strictly ascending (src, dst) order.
+// checkAgainstRef verifies the matrix against the brute-force map,
+// its event and diagonal totals, and that Visit yields strictly
+// ascending (src, dst) order.
 func checkAgainstRef(t *testing.T, m *Matrix, ref refMatrix) {
 	t.Helper()
-	var events uint64
+	var events, diag uint64
 	seen := 0
 	prev := int64(-1)
 	m.Visit(func(src, dst int32, n uint32) {
+		if src == dst {
+			diag += uint64(n)
+		}
 		key := int64(src)<<32 | int64(dst)
 		if key <= prev {
 			t.Fatalf("Visit order not ascending: (%d,%d) after %d", src, dst, prev)
@@ -68,8 +74,8 @@ func checkAgainstRef(t *testing.T, m *Matrix, ref refMatrix) {
 	if seen != len(ref) {
 		t.Fatalf("matrix has %d pairs, reference has %d", seen, len(ref))
 	}
-	if m.Pairs() != len(ref) || m.Events() != events {
-		t.Fatalf("accounting: Pairs=%d Events=%d, want %d/%d", m.Pairs(), m.Events(), len(ref), events)
+	if m.Pairs() != len(ref) || m.Events() != events || m.diag != diag {
+		t.Fatalf("accounting: Pairs=%d Events=%d diagonal=%d, want %d/%d/%d", m.Pairs(), m.Events(), m.diag, len(ref), events, diag)
 	}
 }
 
@@ -81,48 +87,24 @@ func buildWith(p, workers int, events [][2]int32) *Matrix {
 	return b.Finalize()
 }
 
-// TestBuilderMatchesBruteForce covers every aggregation mode: the full
-// grid with most pairs occupied and with few, the banded grid with
-// overflow, and the overflow-only fallback for huge p.
+// TestBuilderMatchesBruteForce holds the builder to a map of pair
+// counts, at a p where most pairs are occupied (64), sparse ones (600
+// and 4,096) and one far beyond the stream (200,000), with one shard
+// and with several.
 func TestBuilderMatchesBruteForce(t *testing.T) {
-	cases := []struct {
-		name string
-		p, n int
-	}{
-		{"dense", 64, 5000},            // full grid, most pairs occupied
-		{"fullCSR", 600, 20000},        // full grid, sparse
-		{"banded", 4096, 40000},        // p*p > maxScratchCells: delta band
-		{"overflowOnly", 200000, 3000}, // stride rounds to 0
-	}
+	cases := []struct{ p, n int }{{64, 5000}, {600, 20000}, {4096, 40000}, {200000, 3000}}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("p=%d", tc.p), func(t *testing.T) {
 			events := randomEvents(int64(tc.p), tc.p, tc.n)
 			ref := refMatrix{}
 			for _, e := range events {
 				ref.add(e[0], e[1])
 			}
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []int{1, 3, 8} {
 				checkAgainstRef(t, buildWith(tc.p, workers, events), ref)
 			}
 		})
 	}
-}
-
-// TestBandedHintStaysExact pins that a caller-supplied band narrower
-// than the stream's real spread only moves pairs to the overflow path,
-// never changes the result.
-func TestBandedHintStaysExact(t *testing.T) {
-	const p, n = 2000, 30000
-	events := randomEvents(7, p, n)
-	ref := refMatrix{}
-	for _, e := range events {
-		ref.add(e[0], e[1])
-	}
-	b := NewBuilderBanded(p, 2, 64)
-	for i, e := range events {
-		b.Shard(i%2).Add(e[0], e[1])
-	}
-	checkAgainstRef(t, b.Finalize(), ref)
 }
 
 // TestDeterministicAcrossWorkers: the finalized matrix is identical no
@@ -208,37 +190,6 @@ func TestConcurrentShards(t *testing.T) {
 	}
 	wg.Wait()
 	checkAgainstRef(t, b.Finalize(), ref)
-}
-
-// TestScratchBestFit pins the free list's reuse policy: a request takes
-// the smallest free grid that covers it, so a large grid stays free for
-// the next large request, and the list keeps up to scratchKeep grids.
-func TestScratchBestFit(t *testing.T) {
-	scratchMu.Lock()
-	saved := scratchFree
-	scratchFree = nil
-	scratchMu.Unlock()
-	defer func() {
-		scratchMu.Lock()
-		scratchFree = saved
-		scratchMu.Unlock()
-	}()
-
-	big, small := getScratch(1<<12), getScratch(1<<10)
-	putScratch(big)
-	putScratch(small)
-	if got := getScratch(1 << 9); got != small {
-		t.Errorf("request for %d cells took a %d-cell grid, want the %d-cell one", 1<<9, len(got.grid), len(small.grid))
-	}
-	if got := getScratch(1 << 11); got != big {
-		t.Errorf("request for %d cells took a %d-cell grid, want the %d-cell one", 1<<11, len(got.grid), len(big.grid))
-	}
-	for i := 0; i < scratchKeep()+2; i++ {
-		putScratch(getScratch(64 * (i + 1)))
-	}
-	if n := len(scratchFree); n != scratchKeep() {
-		t.Errorf("free list holds %d grids, want %d", n, scratchKeep())
-	}
 }
 
 // TestEqualDetectsDifferences spot-checks Equal's negative cases.

@@ -1,9 +1,8 @@
 package commmat
 
 import (
-	"sync"
-
 	"sfcacd/internal/acd"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/topology"
 )
 
@@ -26,11 +25,11 @@ func (m *Matrix) ContractTableMultiSym(dts []*topology.DistanceTable, accs []*ac
 }
 
 // contract splits the rows into workers contiguous ranges, sums each
-// range into its own uint64 per table, and merges the ranges in order.
-// The sums are exact integers, so the split never reaches the result.
-// Count and Zeros are weight x events and weight x diagonal events
-// whatever the topology, since hop distance is zero iff the ranks are
-// equal.
+// pair's count x Distance of each range into its own uint64 per table,
+// and merges the ranges in order. The sums are exact integers, so the
+// split never reaches the result. Count and Zeros are weight x events
+// and weight x diagonal events whatever the topology, since hop
+// distance is zero iff the ranks are equal.
 func (m *Matrix) contract(dts []*topology.DistanceTable, accs []*acd.Accumulator, weight, workers int) {
 	if len(dts) != len(accs) {
 		panic("commmat: ContractTableMulti needs one accumulator per table")
@@ -39,23 +38,23 @@ func (m *Matrix) contract(dts []*topology.DistanceTable, accs []*acd.Accumulator
 	if k == 0 {
 		return
 	}
-	topos := make([]topology.Topology, k)
-	for t, dt := range dts {
-		topos[t] = dt.Underlying()
-	}
 	rows := len(m.rowSrc)
 	workers = max(min(workers, rows), 1)
 	sums := make([]uint64, workers*k)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.contractRows(topos, rows*w/workers, rows*(w+1)/workers, sums[w*k:(w+1)*k])
-		}()
-	}
-	m.contractRows(topos, 0, rows/workers, sums[:k])
-	wg.Wait()
+	panics.Parallel(workers, workers, func(_, task int) {
+		lo, hi := rows*task/workers, rows*(task+1)/workers
+		for t, dt := range dts {
+			topo := dt.Underlying()
+			var s uint64
+			for r := lo; r < hi; r++ {
+				src := int(m.rowSrc[r])
+				for i := m.rowStart[r]; i < m.rowStart[r+1]; i++ {
+					s += uint64(topo.Distance(src, int(m.dsts[i]))) * uint64(m.counts[i])
+				}
+			}
+			sums[task*k+t] = s
+		}
+	})
 	wt := uint64(weight)
 	for t, acc := range accs {
 		var s uint64
@@ -67,26 +66,4 @@ func (m *Matrix) contract(dts []*topology.DistanceTable, accs []*acd.Accumulator
 		acc.Zeros += wt * m.diag
 	}
 	topology.CountDistanceQueries(uint64(m.pairs) * uint64(k))
-}
-
-// contractRows sums rows [lo, hi) into sums[t] for each topology: one
-// DistanceSum dispatch per row, or per-pair Distance calls on a
-// topology without one.
-func (m *Matrix) contractRows(topos []topology.Topology, lo, hi int, sums []uint64) {
-	for t, topo := range topos {
-		pc, _ := topo.(topology.PairContractor)
-		var s uint64
-		for r := lo; r < hi; r++ {
-			src := int(m.rowSrc[r])
-			dsts, ns := m.dsts[m.rowStart[r]:m.rowStart[r+1]], m.counts[m.rowStart[r]:m.rowStart[r+1]]
-			if pc != nil {
-				s += pc.DistanceSum(src, dsts, ns)
-				continue
-			}
-			for i, d := range dsts {
-				s += uint64(topo.Distance(src, int(d))) * uint64(ns[i])
-			}
-		}
-		sums[t] = s
-	}
 }

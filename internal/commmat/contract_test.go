@@ -3,10 +3,12 @@ package commmat
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
@@ -48,36 +50,35 @@ func ptrs(accs []acd.Accumulator) []*acd.Accumulator {
 	return out
 }
 
-// plainTopology hides a topology's DistanceSum, so the contraction
-// prices it through per-pair Distance calls.
-type plainTopology struct{ topology.Topology }
+// countingTopology counts the Distance calls made on a topology.
+type countingTopology struct {
+	topology.Topology
+	calls *atomic.Uint64
+}
+
+func (c countingTopology) Distance(a, b int) int {
+	c.calls.Add(1)
+	return c.Topology.Distance(a, b)
+}
 
 // contraction is ContractTableMulti or ContractTableMultiSym.
 type contraction func(dts []*topology.DistanceTable, accs []*acd.Accumulator, workers int)
 
 // TestFusedContractMultiEquivalence holds the contraction to the
-// per-pair oracle: across builder grids (the full grid at p = 64, where
-// most pairs are occupied, and at p = 1,024, and the delta band at
-// p = 4,096), seeds, placement curves, all six topology kinds, Sym and
-// non-Sym weighting, worker counts, and table counts (all six in one
-// call, or one at a time), it must produce exactly (Sum/Count/Zeros)
-// the oracle's per-table results and count exactly pairs x K distance
-// queries.
+// per-pair oracle: across matrix sizes (p = 64, where most pairs are
+// occupied, 1,024 and 4,096), seeds, placement curves, all six
+// topology kinds, Sym and non-Sym weighting, worker counts, and table
+// counts (all six in one call, or one at a time), it must produce
+// exactly (Sum/Count/Zeros) the oracle's per-table results and count
+// exactly pairs x K distance queries.
 func TestFusedContractMultiEquivalence(t *testing.T) {
 	curves := sfc.All()
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	cases := []struct {
-		name string
-		p, n int
-	}{
-		{"dense", 64, 5000},      // full grid, most pairs occupied
-		{"fullCSR", 1024, 20000}, // full grid, sparse
-		{"banded", 4096, 40000},  // p*p > maxScratchCells: delta band
-	}
+	cases := []struct{ p, n int }{{64, 5000}, {1024, 20000}, {4096, 40000}}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 2; seed++ {
 			curve := curves[int(seed)%len(curves)]
-			t.Run(fmt.Sprintf("%s/seed%d/%s", tc.name, seed, curve.Name()), func(t *testing.T) {
+			t.Run(fmt.Sprintf("p=%d/seed%d/%s", tc.p, seed, curve.Name()), func(t *testing.T) {
 				m := buildWith(tc.p, 2, randomEvents(seed, tc.p, tc.n))
 				topos := sixTopologies(t, tc.p, curve)
 				seq := make([]acd.Accumulator, len(topos))
@@ -123,37 +124,36 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusedDistanceQueryAccounting covers a topology without
-// DistanceSum: its per-pair Distance fallback must reproduce the
-// kernel's sums exactly and account the same pairs x K distance
-// queries, with kernel and fallback tables mixed in one call, at any
-// worker count.
+// TestFusedDistanceQueryAccounting holds the query count the
+// contraction reports to the Distance calls it makes: one per pair and
+// table, pairs x K in all, with K = 12 tables (each kind twice, once
+// behind a call counter) in one call, at any worker count. The counted
+// tables must price exactly as their uncounted twins.
 func TestFusedDistanceQueryAccounting(t *testing.T) {
 	curves := sfc.All()
-	for _, tc := range []struct {
-		name string
-		p, n int
-	}{
-		{"dense", 64, 5000},
-		{"banded", 4096, 40000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, tc := range []struct{ p, n int }{{64, 5000}, {4096, 40000}} {
+		t.Run(fmt.Sprintf("p=%d", tc.p), func(t *testing.T) {
 			m := buildWith(tc.p, 2, randomEvents(int64(tc.p)+3, tc.p, tc.n))
 			six := sixTopologies(t, tc.p, curves[0])
+			var calls atomic.Uint64
 			topos := append([]topology.Topology(nil), six...)
 			for _, topo := range six {
-				topos = append(topos, plainTopology{topo})
+				topos = append(topos, countingTopology{topo, &calls})
 			}
 			for _, workers := range []int{1, 3, 8} {
 				got := make([]acd.Accumulator, len(topos))
 				before := analytic.Value()
+				calls.Store(0)
 				m.ContractTableMultiSym(tables(topos), ptrs(got), workers)
 				if delta, want := analytic.Value()-before, uint64(m.Pairs()*len(topos)); delta != want {
 					t.Fatalf("workers=%d: %d distance queries, want pairs x K = %d", workers, delta, want)
 				}
+				if n, want := calls.Load(), uint64(m.Pairs()*len(six)); n != want {
+					t.Fatalf("workers=%d: %d Distance calls on the counted tables, want pairs x 6 = %d", workers, n, want)
+				}
 				for i, topo := range six {
-					if fallback := got[len(six)+i]; fallback != got[i] {
-						t.Fatalf("workers=%d %s: per-pair fallback %+v != DistanceSum %+v", workers, topo.Name(), fallback, got[i])
+					if counted := got[len(six)+i]; counted != got[i] {
+						t.Fatalf("workers=%d %s: counted %+v != plain %+v", workers, topo.Name(), counted, got[i])
 					}
 				}
 			}
@@ -161,9 +161,40 @@ func TestFusedDistanceQueryAccounting(t *testing.T) {
 	}
 }
 
+// panicTopology panics on any distance from src.
+type panicTopology struct {
+	topology.Topology
+	src int
+}
+
+func (pt panicTopology) Distance(a, b int) int {
+	if a == pt.src {
+		panic(fmt.Sprintf("distance from rank %d", a))
+	}
+	return pt.Topology.Distance(a, b)
+}
+
+// TestContractWorkerPanic panics the topology on the last row, the
+// last of three row ranges: the panic must reach the caller as a
+// *panics.Worker rather than end the process, whichever worker
+// contracts that range.
+func TestContractWorkerPanic(t *testing.T) {
+	m := buildWith(64, 1, randomEvents(5, 64, 2000))
+	last := int(m.rowSrc[len(m.rowSrc)-1])
+	topo := panicTopology{topology.NewBus(64), last}
+	var v any
+	func() {
+		defer func() { v = recover() }()
+		var acc acd.Accumulator
+		m.ContractTableMulti(tables([]topology.Topology{topo}), []*acd.Accumulator{&acc}, 3)
+	}()
+	if w, ok := v.(*panics.Worker); !ok || w.Value != fmt.Sprintf("distance from rank %d", last) {
+		t.Fatalf("recovered %#v, want a *panics.Worker of the topology's panic", v)
+	}
+}
+
 // BenchmarkContractMulti measures the contraction against the per-pair
-// oracle at 1 and 6 topologies, on the full grid (p = 256) and the
-// delta band (p = 4,096).
+// oracle at 1 and 6 topologies, at p = 256 and p = 4,096.
 func BenchmarkContractMulti(b *testing.B) {
 	for _, form := range []struct {
 		name string

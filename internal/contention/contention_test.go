@@ -87,7 +87,7 @@ func TestOppositeRoutesUseDistinctLinks(t *testing.T) {
 	m := topology.NewMesh(2, sfc.RowMajor)
 	tr := NewTracker(m)
 	a := int32(0)
-	b := int32(m.RankAt(m.Coord(0)) + 3*4) // (3,0): 3 hops in +x? rank x*4+y => rank 12
+	b := int32(3 * 4) // row-major rank of (3, 0): 3 hops along x
 	tr.Route(a, b)
 	tr.Route(b, a)
 	s := tr.Stats()

@@ -5,22 +5,22 @@ import (
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/topology"
 )
 
 // This file builds topology-independent communication matrices
 // (internal/commmat) from the model's event streams, by replaying a
 // particle set's keynav.Plan against one labelling's representative
-// ranks. The ACD path (multi.go) prices the same replay without a
-// matrix; the matrices serve the consumers that need the rank pairs
-// themselves (per-rank tallies in internal/execmodel, link routing in
-// internal/contention) and the benchmark's matrix-path breakdown
-// (perfbench), which contracts them row by row through each
-// topology's DistanceSum. Contracting a matrix against a topology
-// reproduces the accumulator of the ordered per-event stream bit for
-// bit (the differential tests pin this against a direct per-event
-// oracle and against the priced path). Two symmetries cut the
-// aggregation work in half:
+// ranks into the shards of a commmat.Builder. The ACD path (multi.go)
+// prices the same replay without a matrix; the matrices serve the
+// consumers that need the rank pairs themselves (per-rank tallies in
+// internal/execmodel, link routing in internal/contention) and the
+// benchmark's matrix-path breakdown (perfbench). Contracting a matrix
+// against a topology reproduces the accumulator of the ordered
+// per-event stream bit for bit (the differential tests pin this
+// against a direct per-event oracle and against the priced path). Two
+// symmetries cut the aggregation work in half:
 //
 //   - The near-field and interaction-list relations are symmetric, so
 //     both traversals enumerate each unordered pair once (from its
@@ -32,27 +32,6 @@ import (
 //
 // The far-field matrices stay separate per communication type so
 // FFIResult's breakdown survives aggregation.
-
-// tightBand is the scratch-band hint for the near-field and
-// interpolation builders: chunk-monotone assignment keeps spatially
-// adjacent particles (and a cell and its parent's representative) a few
-// chunks apart along the curve, so almost every canonical pair has a
-// rank delta well under 256. The hint only sizes the aggregation grid;
-// curve discontinuities that jump further (Morton or Gray boundaries)
-// land in the exact overflow path. Interaction-list partners sit whole
-// cells apart and need the wider ilBand.
-const tightBand = 256
-
-// ilBand is the scratch-band hint for the interaction-list builder. IL
-// partners sit whole cells apart, so the near-field band is too tight,
-// but the delta profile is still heavily concentrated: at table12
-// scale (order 8, p = 4096) 95-99% of IL events across the four curves
-// land under delta 512. Banding there shrinks the aggregation grid
-// from 32 MiB (the p = 4096 default) to 8 MiB, keeping the
-// count-increment hot path close to cache-resident; the coarse-level
-// pairs whose representative deltas exceed the band stay exact through
-// the overflow log.
-const ilBand = 512
 
 // NFIMatrix aggregates the assignment's near-field event stream into a
 // symmetric-canonical matrix: every unordered particle pair within
@@ -69,8 +48,8 @@ func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
 	chunks := ix.Set().Plan(opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
 	reps := ix.Reps(ix.Order)
 	workers := min(opts.Workers, max(len(chunks), 1))
-	b := commmat.NewBuilderBanded(a.P, workers, tightBand)
-	parallel(workers, len(chunks), func(w, c int) { replaySym(b.Shard(w), reps, chunks[c]) })
+	b := commmat.NewBuilder(a.P, workers)
+	panics.Parallel(workers, len(chunks), func(w, c int) { replaySym(b.Shard(w), reps, chunks[c]) })
 	return b.Finalize()
 }
 
@@ -114,9 +93,8 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 		workers = defaultWorkers()
 	}
 	tasks := ffiTasks(ix, workers)
-	bi := commmat.NewBuilderBanded(p, workers, tightBand)
-	bl := commmat.NewBuilderBanded(p, workers, ilBand)
-	parallel(workers, len(tasks), func(w, i int) {
+	bi, bl := commmat.NewBuilder(p, workers), commmat.NewBuilder(p, workers)
+	panics.Parallel(workers, len(tasks), func(w, i int) {
 		t := tasks[i]
 		reps := ix.Reps(t.level)
 		if t.il != nil {

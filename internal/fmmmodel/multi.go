@@ -2,8 +2,6 @@ package fmmmodel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/keynav"
@@ -73,7 +71,7 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 
 	span := obs.StartSpan("price.nfi")
 	ps := newPricers(newKernels(topos), min(opts.Workers, max(len(chunks), 1)))
-	parallel(len(ps), len(chunks), func(w, c int) { ps[w].replaySym(reps, chunks[c]) })
+	panics.Parallel(len(ps), len(chunks), func(w, c int) { ps[w].replaySym(reps, chunks[c]) })
 	mergePricers(ps, total, 2)
 	span.End()
 	for t := range total {
@@ -106,7 +104,7 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	workers := min(opts.Workers, max(len(tasks), 1))
 	ks := newKernels(topos)
 	interp, il := newPricers(ks, workers), newPricers(ks, workers)
-	parallel(workers, len(tasks), func(w, i int) {
+	panics.Parallel(workers, len(tasks), func(w, i int) {
 		t := tasks[i]
 		reps := ix.Reps(t.level)
 		if t.il != nil {
@@ -137,37 +135,6 @@ func checkP(topos []topology.Topology, p int) {
 			panic(fmt.Sprintf("fmmmodel: %s of %d processors cannot price an assignment over %d", t.Name(), t.P(), p))
 		}
 	}
-}
-
-// parallel runs tasks [0, n) on workers workers that pull task indices
-// from a shared cursor; run receives the worker index with the task.
-// Worker 0 is the calling goroutine, so one worker spawns nothing. The
-// first worker panic stops the pool and is re-raised on the caller
-// once every worker has returned.
-func parallel(workers, n int, run func(w, task int)) {
-	var next atomic.Int64
-	var guard panics.Guard
-	work := func(w int) {
-		defer guard.Recover()
-		for !guard.Stopped() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			run(w, i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	guard.Repanic()
 }
 
 // kernels is how one call prices a flush batch on its topologies: the

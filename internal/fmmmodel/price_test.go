@@ -170,23 +170,39 @@ func TestPricedPMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerPanic checks that a task panicking on a spawned
-// pricing worker re-panics on the caller with the task's value, and
-// that a panic on the calling worker is re-raised too.
+// panicTopology panics on every distance query.
+type panicTopology struct{ topology.Topology }
+
+func (panicTopology) Distance(a, b int) int { panic("distance boom") }
+
+// TestParallelWorkerPanic prices on a topology that panics in every
+// pricing worker: NFIMulti and FFIMulti must re-raise the panic on the
+// caller as a *panics.Worker, at one worker and at several. The set is
+// large enough that every worker fills its flush buffer.
 func TestParallelWorkerPanic(t *testing.T) {
-	for _, bad := range []int{0, 5} {
-		var v any
-		func() {
-			defer func() { v = recover() }()
-			parallel(3, 8, func(w, task int) {
-				if task == bad {
-					panic(fmt.Sprintf("task %d boom", task))
-				}
-			})
-		}()
-		w, ok := v.(*panics.Worker)
-		if !ok || w.Value != fmt.Sprintf("task %d boom", bad) {
-			t.Errorf("task %d: recovered %#v, want a *panics.Worker of the task's panic", bad, v)
+	const order = 7
+	pts, err := dist.SampleUnique(dist.Uniform, rng.New(7), order, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := assignPoints(pts, sfc.Morton, order, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []topology.Topology{panicTopology{topology.NewTorus(2, sfc.Hilbert)}}
+	for _, workers := range []int{1, 3} {
+		for name, f := range map[string]func(){
+			"NFIMulti": func() { NFIMulti(a, topos, NFIOptions{Workers: workers}) },
+			"FFIMulti": func() { FFIMulti(a, topos, FFIOptions{Workers: workers}) },
+		} {
+			var v any
+			func() {
+				defer func() { v = recover() }()
+				f()
+			}()
+			if w, ok := v.(*panics.Worker); !ok || w.Value != "distance boom" {
+				t.Errorf("%s at %d workers: recovered %#v, want a *panics.Worker of the topology's panic", name, workers, v)
+			}
 		}
 	}
 }

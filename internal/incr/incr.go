@@ -59,11 +59,6 @@ var (
 // cells (64 MiB of int32); finer grids keep a map.
 const denseOccLimit = uint64(1) << 24
 
-// matrixBand is Matrix's scratch-band hint, the one fmmmodel's
-// near-field builder uses: chunk-monotone ownership keeps almost every
-// canonical pair's ranks within 256 of each other.
-const matrixBand = 256
-
 // A canonical near-field pair stands for two events, one each way.
 // Retracting a pair adds -2 events modulo 2^64, so the unsigned sums
 // come back exactly when the pair is re-added.
@@ -427,7 +422,7 @@ func (s *State) Repartitions() int { return s.repartitions }
 // call walks every pair once into a commmat Builder and counts as one
 // commmat build.
 func (s *State) Matrix() *commmat.Matrix {
-	b := commmat.NewBuilderBanded(s.cfg.P, 1, matrixBand)
+	b := commmat.NewBuilder(s.cfg.P, 1)
 	sh := b.Shard(0)
 	s.forPairs(func(ra, rb int32) {
 		if rb < ra {

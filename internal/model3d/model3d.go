@@ -16,6 +16,7 @@ import (
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/octree"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -138,35 +139,25 @@ func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator
 	// table.
 	flat := a.keyIndex()
 	n := a.N()
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	results := make(chan acd.Accumulator, workers)
+	workers := max(min(opts.Workers, n), 1)
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	parts := make([]acd.Accumulator, workers)
+	panics.Parallel(workers, workers, func(_, task int) {
+		var local acd.Accumulator
+		for i := task * chunk; i < min((task+1)*chunk, n); i++ {
+			p := a.Particles[i]
+			mine := int(a.Ranks[i])
+			geom3.VisitNeighborhood(p, opts.Radius, opts.Metric, a.side, func(q geom3.Point3) {
+				if r := flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)); r >= 0 {
+					local.Add(topo.Distance(mine, int(r)))
+				}
+			})
 		}
-		go func(lo, hi int) {
-			var local acd.Accumulator
-			for i := lo; i < hi; i++ {
-				p := a.Particles[i]
-				mine := int(a.Ranks[i])
-				geom3.VisitNeighborhood(p, opts.Radius, opts.Metric, a.side, func(q geom3.Point3) {
-					if r := flat.Rank(sfc.Morton3Key(q.X, q.Y, q.Z)); r >= 0 {
-						local.Add(topo.Distance(mine, int(r)))
-					}
-				})
-			}
-			results <- local
-		}(lo, hi)
-	}
+		parts[task] = local
+	})
 	var total acd.Accumulator
-	for w := 0; w < workers; w++ {
-		total.Merge(<-results)
+	for _, part := range parts {
+		total.Merge(part)
 	}
 	// One Distance call per recorded event.
 	total.Record()
@@ -222,49 +213,31 @@ func FFI(a *Assignment, topo topology.Topology, workers int) FFIResult {
 
 func interactionLevel3D(tree *octree.RankTree, topo topology.Topology, level uint, workers int) acd.Accumulator {
 	side := geom3.Side(level)
-	if workers > int(side) {
-		workers = int(side)
-	}
+	workers = min(workers, int(side))
 	stripe := (int(side) + workers - 1) / workers
-	var wg sync.WaitGroup
-	results := make(chan acd.Accumulator, workers)
-	for w := 0; w < workers; w++ {
-		zLo := uint32(w * stripe)
-		zHi := zLo + uint32(stripe)
-		if zHi > side {
-			zHi = side
-		}
-		if zLo >= zHi {
-			continue
-		}
-		wg.Add(1)
-		go func(zLo, zHi uint32) {
-			defer wg.Done()
-			var local acd.Accumulator
-			for z := zLo; z < zHi; z++ {
-				for y := uint32(0); y < side; y++ {
-					for x := uint32(0); x < side; x++ {
-						p := geom3.Pt3(x, y, z)
-						rep := tree.Rep(level, p)
-						if rep == -1 {
-							continue
-						}
-						tree.InteractionList(level, p, func(_ geom3.Point3, other int32) {
-							local.Add(topo.Distance(int(rep), int(other)))
-						})
+	stripes := (int(side) + stripe - 1) / stripe
+	parts := make([]acd.Accumulator, stripes)
+	panics.Parallel(workers, stripes, func(_, task int) {
+		var local acd.Accumulator
+		for z := uint32(task * stripe); z < uint32(min((task+1)*stripe, int(side))); z++ {
+			for y := uint32(0); y < side; y++ {
+				for x := uint32(0); x < side; x++ {
+					p := geom3.Pt3(x, y, z)
+					rep := tree.Rep(level, p)
+					if rep == -1 {
+						continue
 					}
+					tree.InteractionList(level, p, func(_ geom3.Point3, other int32) {
+						local.Add(topo.Distance(int(rep), int(other)))
+					})
 				}
 			}
-			results <- local
-		}(zLo, zHi)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+		}
+		parts[task] = local
+	})
 	var total acd.Accumulator
-	for r := range results {
-		total.Merge(r)
+	for _, part := range parts {
+		total.Merge(part)
 	}
 	return total
 }

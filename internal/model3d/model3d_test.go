@@ -8,6 +8,8 @@ import (
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/geom3"
+	"sfcacd/internal/octree"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -304,4 +306,47 @@ func TestNFIKeysEngineMatchesTree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// panicTopology panics on every distance query.
+type panicTopology struct{ topology.Topology }
+
+func (panicTopology) Distance(a, b int) int { panic("distance boom") }
+
+// workerPanic runs f and checks it re-raised the topology's panic on
+// the caller as a *panics.Worker rather than ending the process.
+func workerPanic(t *testing.T, f func()) {
+	t.Helper()
+	var v any
+	func() {
+		defer func() { v = recover() }()
+		f()
+	}()
+	if w, ok := v.(*panics.Worker); !ok || w.Value != "distance boom" {
+		t.Fatalf("recovered %#v, want a *panics.Worker of the topology's panic", v)
+	}
+}
+
+func panicAssignment(t *testing.T) (*Assignment, topology.Topology) {
+	t.Helper()
+	pts := sample3(t, dist.Uniform3, 4, 3, 200)
+	a, err := Assign(pts, sfc.HilbertND{N: 3}, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, panicTopology{topology.NewTorus3D(1, sfc.HilbertND{N: 3})}
+}
+
+// TestNFIWorkerPanic panics the topology in the near-field workers.
+func TestNFIWorkerPanic(t *testing.T) {
+	a, topo := panicAssignment(t)
+	workerPanic(t, func() { NFI(a, topo, NFIOptions{Workers: 3}) })
+}
+
+// TestInteractionLevelWorkerPanic panics the topology in the
+// interaction-list workers of one level.
+func TestInteractionLevelWorkerPanic(t *testing.T) {
+	a, topo := panicAssignment(t)
+	tree := octree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	workerPanic(t, func() { interactionLevel3D(tree, topo, a.Order, 3) })
 }

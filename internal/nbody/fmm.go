@@ -3,7 +3,6 @@ package nbody
 import (
 	"math/cmplx"
 	"runtime"
-	"sync"
 
 	"sfcacd/internal/panics"
 )
@@ -364,32 +363,11 @@ func abs(v int) int {
 // until all complete. The first stripe panic is re-raised on the
 // caller once every stripe has returned.
 func parallelRows(side, workers int, fn func(yLo, yHi int)) {
-	if workers > side {
-		workers = side
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stripe := (side + workers - 1) / workers
-	var guard panics.Guard
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*stripe, (w+1)*stripe
-		if hi > side {
-			hi = side
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer guard.Recover()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	guard.Repanic()
+	workers = max(min(workers, side), 1)
+	stripe := max((side+workers-1)/workers, 1)
+	panics.Parallel(workers, (side+stripe-1)/stripe, func(_, task int) {
+		fn(task*stripe, min((task+1)*stripe, side))
+	})
 }
 
 // evaluate computes the final per-particle results: local expansion at

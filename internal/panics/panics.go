@@ -3,7 +3,9 @@
 // goroutine ends the process whatever its caller recovers; a pool that
 // recovers each worker's panic, stops, and re-raises the first one
 // after its Wait hands it to the caller's own recover instead (the
-// daemon's compute goroutine turns it into a 500).
+// daemon's compute goroutine turns it into a 500). Parallel is that
+// pool over a list of tasks; Guard serves pools with a loop of their
+// own.
 package panics
 
 import (
@@ -61,4 +63,35 @@ func (g *Guard) Repanic() {
 	if g.first != nil {
 		panic(g.first)
 	}
+}
+
+// Parallel runs tasks [0, n) on workers workers that pull task indices
+// from a shared cursor; run receives the worker index with the task.
+// Worker 0 is the calling goroutine, so one worker spawns nothing. The
+// first worker panic stops the pool and is re-raised on the caller
+// once every worker has returned.
+func Parallel(workers, n int, run func(w, task int)) {
+	var next atomic.Int64
+	var guard Guard
+	work := func(w int) {
+		defer guard.Recover()
+		for !guard.Stopped() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			run(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	guard.Repanic()
 }

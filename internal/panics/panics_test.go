@@ -1,8 +1,10 @@
 package panics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,5 +44,40 @@ func TestGuardRepanicsFirst(t *testing.T) {
 	var quiet Guard
 	if got := run(&quiet, func(int) {}); got != nil || quiet.Stopped() {
 		t.Errorf("a pool without panics re-panicked %#v", got)
+	}
+}
+
+// TestParallel runs every task exactly once at several worker counts,
+// and re-raises a task's panic on the caller as a *Worker, for the
+// first task and for a later one.
+func TestParallel(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		var runs [20]atomic.Int32
+		Parallel(workers, len(runs), func(w, task int) {
+			if w < 0 || w >= workers {
+				t.Errorf("worker index %d of %d", w, workers)
+			}
+			runs[task].Add(1)
+		})
+		for i := range runs {
+			if n := runs[i].Load(); n != 1 {
+				t.Fatalf("%d workers: task %d ran %d times", workers, i, n)
+			}
+		}
+	}
+	for _, bad := range []int{0, 5} {
+		var v any
+		func() {
+			defer func() { v = recover() }()
+			Parallel(3, 8, func(w, task int) {
+				if task == bad {
+					panic(fmt.Sprintf("task %d boom", task))
+				}
+			})
+		}()
+		w, ok := v.(*Worker)
+		if !ok || w.Value != fmt.Sprintf("task %d boom", bad) {
+			t.Errorf("task %d: recovered %#v, want a *Worker of the task's panic", bad, v)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"runtime"
 
 	"sfcacd/internal/acd"
+	"sfcacd/internal/panics"
 	"sfcacd/internal/topology"
 )
 
@@ -43,32 +44,23 @@ func Reduce(topo topology.Topology, root int) acd.Accumulator {
 // source ranks (integer sums, so the result is deterministic).
 func AllToAll(topo topology.Topology) acd.Accumulator {
 	p := topo.P()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
-	}
-	results := make(chan acd.Accumulator, workers)
+	workers := min(runtime.GOMAXPROCS(0), p)
 	chunk := (p + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > p {
-			hi = p
-		}
-		go func(lo, hi int) {
-			var local acd.Accumulator
-			for i := lo; i < hi; i++ {
-				for j := 0; j < p; j++ {
-					if i != j {
-						local.Add(topo.Distance(i, j))
-					}
+	parts := make([]acd.Accumulator, workers)
+	panics.Parallel(workers, workers, func(_, task int) {
+		var local acd.Accumulator
+		for i := task * chunk; i < min((task+1)*chunk, p); i++ {
+			for j := 0; j < p; j++ {
+				if i != j {
+					local.Add(topo.Distance(i, j))
 				}
 			}
-			results <- local
-		}(lo, hi)
-	}
+		}
+		parts[task] = local
+	})
 	var res acd.Accumulator
-	for w := 0; w < workers; w++ {
-		res.Merge(<-results)
+	for _, part := range parts {
+		res.Merge(part)
 	}
 	return res
 }

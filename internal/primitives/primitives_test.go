@@ -3,6 +3,7 @@ package primitives
 import (
 	"testing"
 
+	"sfcacd/internal/panics"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
 )
@@ -132,5 +133,33 @@ func TestPatternsRunAll(t *testing.T) {
 	}
 	if len(Patterns()) != 5 {
 		t.Errorf("expected 5 patterns")
+	}
+}
+
+// panicTopology panics on any distance from rank src.
+type panicTopology struct {
+	topology.Topology
+	src int
+}
+
+func (pt panicTopology) Distance(a, b int) int {
+	if a == pt.src {
+		panic("distance boom")
+	}
+	return pt.Topology.Distance(a, b)
+}
+
+// TestAllToAllWorkerPanic panics the topology on the last source rank,
+// which the last chunk's worker prices: the panic must reach the
+// caller as a *panics.Worker rather than end the process.
+func TestAllToAllWorkerPanic(t *testing.T) {
+	const p = 64
+	var v any
+	func() {
+		defer func() { v = recover() }()
+		AllToAll(panicTopology{topology.NewRing(p), p - 1})
+	}()
+	if w, ok := v.(*panics.Worker); !ok || w.Value != "distance boom" {
+		t.Fatalf("recovered %#v, want a *panics.Worker of the topology's panic", v)
 	}
 }

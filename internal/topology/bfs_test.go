@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"sync"
 
 	"sfcacd/internal/geom"
 	"sfcacd/internal/geom3"
@@ -77,6 +78,42 @@ func (r *Ring) Neighbors(p int, buf []int) []int {
 	return buf
 }
 
+// rankTables holds each grid network's inverse placement, cell id ->
+// rank, built on its first BFS from the ranks' coordinates.
+var rankTables sync.Map
+
+// inverse returns the table a network's placement inverts to, building
+// it with fill on first use.
+func inverse(key any, p int, fill func(inv []int)) []int {
+	if inv, ok := rankTables.Load(key); ok {
+		return inv.([]int)
+	}
+	inv := make([]int, p)
+	fill(inv)
+	got, _ := rankTables.LoadOrStore(key, inv)
+	return got.([]int)
+}
+
+// rankAt returns the rank placed at a grid position.
+func (g *gridNet) rankAt(pt geom.Point) int {
+	inv := inverse(g, len(g.coords), func(inv []int) {
+		for r, c := range g.coords {
+			inv[geom.CellID(c, g.side)] = r
+		}
+	})
+	return inv[geom.CellID(pt, g.side)]
+}
+
+// rankAt returns the rank placed at a grid position.
+func (g *grid3D) rankAt(pt geom3.Point3) int {
+	inv := inverse(g, len(g.coords), func(inv []int) {
+		for r, c := range g.coords {
+			inv[geom3.CellID(c, g.side)] = r
+		}
+	})
+	return inv[geom3.CellID(pt, g.side)]
+}
+
 func (g *gridNet) gridNeighbors(p int, wrap bool, buf []int) []int {
 	c := g.coords[p]
 	side := int(g.side)
@@ -92,7 +129,7 @@ func (g *gridNet) gridNeighbors(p int, wrap bool, buf []int) []int {
 		} else if !geom.InBounds(x, y, g.side) {
 			continue
 		}
-		n := g.RankAt(geom.Pt(uint32(x), uint32(y)))
+		n := g.rankAt(geom.Pt(uint32(x), uint32(y)))
 		dup := false
 		for _, v := range buf {
 			if v == n {
@@ -154,7 +191,7 @@ func (g *grid3D) neighbors3(p int, wrap bool, buf []int) []int {
 		} else if !geom3.InBounds(x, y, z, g.side) {
 			continue
 		}
-		n := g.RankAt(geom3.Pt3(uint32(x), uint32(y), uint32(z)))
+		n := g.rankAt(geom3.Pt3(uint32(x), uint32(y), uint32(z)))
 		dup := false
 		for _, v := range buf {
 			if v == n {

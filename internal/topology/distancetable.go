@@ -4,7 +4,7 @@ package topology
 // network across calls: internal/commmat contracts matrices against
 // its Underlying topology, and internal/incr keeps one maintained
 // accumulator per table. It memoizes no distances; every contraction
-// asks the topology itself, through its DistanceSum kernel.
+// asks the topology itself, one Distance call per pair.
 type DistanceTable struct {
 	topo Topology
 }

@@ -1,14 +1,12 @@
-// Batched distance sums. At millions of pairs the dynamic dispatch of
-// one Distance call per pair — not the distance arithmetic — dominates,
+// Batched distance sums. At millions of events the dynamic dispatch of
+// one Distance call per event — not the distance arithmetic — dominates,
 // so these methods move the loop inside the topology: the caller pays
 // one dynamic dispatch per batch and topology, and the distance math
 // runs as a concrete, inlinable loop. DistanceSumPairs, implemented by
 // all six topologies, prices the flush batches of the replay pricer
-// (internal/fmmmodel), the ACD path, one event per pair; TorusGroup
-// prices such a batch on four tori in one pass. DistanceSum, weighted
-// by event counts, contracts one row of a communication matrix
-// (internal/commmat). The query volume is the caller's to account
-// (CountDistanceQueries).
+// (internal/fmmmodel), one event per pair; TorusGroup prices such a
+// batch on four tori in one pass. The query volume is the caller's to
+// account (CountDistanceQueries).
 package topology
 
 import (
@@ -18,112 +16,6 @@ import (
 
 	"sfcacd/internal/geom"
 )
-
-// PairContractor is implemented by topologies that can contract a
-// weighted batch of distance queries from one source in a single
-// dynamic dispatch. DistanceSum returns
-//
-//	sum_i Distance(src, int(dsts[i])) * uint64(ns[i])
-//
-// exactly — the same integer a per-pair Distance loop produces. Every
-// dsts entry must be a valid rank and ns must be at least as long as
-// dsts. All six paper topologies implement it; the query volume is the
-// caller's to account (topology.CountDistanceQueries), exactly as with
-// per-pair Distance calls.
-type PairContractor interface {
-	DistanceSum(src int, dsts []int32, ns []uint32) uint64
-}
-
-// DistanceSum implements PairContractor.
-func (b *Bus) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(b, src)
-	x := int32(src)
-	var s uint64
-	for i, d := range dsts {
-		dd := d - x
-		if dd < 0 {
-			dd = -dd
-		}
-		s += uint64(uint32(dd)) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSum implements PairContractor.
-func (r *Ring) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(r, src)
-	x, n := int32(src), int32(r.n)
-	var s uint64
-	for i, d := range dsts {
-		dd := d - x
-		if dd < 0 {
-			dd = -dd
-		}
-		if wrap := n - dd; wrap < dd {
-			dd = wrap
-		}
-		s += uint64(uint32(dd)) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSum implements PairContractor.
-func (m *Mesh) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(m, src)
-	ca, coords := m.coords[src], m.coords
-	ns = ns[:len(dsts)]
-	var s uint64
-	for i, d := range dsts {
-		s += uint64(geom.Manhattan(ca, coords[d])) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSum implements PairContractor. Up to torusLUTMaxSide each
-// pair is one branch-free load from the hop table, indexed by the
-// packed-code difference (see Torus); no per-pair branch can
-// mispredict.
-func (t *Torus) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(t, src)
-	a, codes := t.codes[src]|t.guard, t.codes
-	ns = ns[:len(dsts)]
-	var s uint64
-	if hops, m := t.hops, t.mask; hops != nil {
-		for i, d := range dsts {
-			s += uint64(hops[(a-codes[d])&m]) * uint64(ns[i])
-		}
-		return s
-	}
-	for i, d := range dsts {
-		s += t.codeHops(a, codes[d]) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSum implements PairContractor.
-func (h *Hypercube) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(h, src)
-	x := uint32(src)
-	var s uint64
-	for i, d := range dsts {
-		s += uint64(bits.OnesCount32(x^uint32(d))) * uint64(ns[i])
-	}
-	return s
-}
-
-// DistanceSum implements PairContractor.
-func (q *QuadtreeNet) DistanceSum(src int, dsts []int32, ns []uint32) uint64 {
-	checkRank(q, src)
-	x := uint32(src)
-	var s uint64
-	for i, d := range dsts {
-		// bits.Len32(0) is 0, so the src == dst case contributes 0
-		// digits without a branch, matching Distance.
-		digits := (uint(bits.Len32(x^uint32(d))) + 1) / 2
-		s += uint64(2*digits) * uint64(ns[i])
-	}
-	return s
-}
 
 // DistanceSumPairs returns sum_i Distance(src[i], dst[i]) exactly: each
 // pair is one event. Every entry must be a valid rank, and dst must be
@@ -171,8 +63,9 @@ func (m *Mesh) DistanceSumPairs(src, dst []int32) uint64 {
 }
 
 // DistanceSumPairs is the torus's form of Bus.DistanceSumPairs: one
-// hop-table load per pair up to torusLUTMaxSide, as in DistanceSum,
-// and wrap arithmetic on the packed codes above it.
+// branch-free hop-table load per pair up to torusLUTMaxSide, indexed
+// by the packed-code difference (see Torus), and wrap arithmetic on
+// the packed codes above it.
 func (t *Torus) DistanceSumPairs(src, dst []int32) uint64 {
 	dst = dst[:len(src)]
 	codes, g := t.codes, t.guard
@@ -204,7 +97,8 @@ func (q *QuadtreeNet) DistanceSumPairs(src, dst []int32) uint64 {
 	dst = dst[:len(src)]
 	var s uint64
 	for i, x := range src {
-		// As in DistanceSum, equal ranks contribute 0 digits.
+		// bits.Len32(0) is 0, so equal ranks contribute 0 digits
+		// without a branch, matching Distance.
 		digits := (uint(bits.Len32(uint32(x)^uint32(dst[i]))) + 1) / 2
 		s += uint64(2 * digits)
 	}

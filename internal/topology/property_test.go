@@ -137,14 +137,13 @@ func TestQuickTorusBoundedByMesh(t *testing.T) {
 // ((a|g) - b) & m into the hop table or, above torusLUTMaxSide, wrap
 // arithmetic on the codes, against Torus.Distance: every rank pair at
 // sides 1 to 16 and random pairs at sides 64, 256 (the largest table)
-// and 512 (the fallback), through DistanceSum on single pairs of unit
-// weight, which exposes the lookup per pair, and on whole batches of
-// random weights, and through every lane of a four-torus group on
-// single-pair batches.
+// and 512 (the fallback), through DistanceSumPairs on single pairs,
+// which exposes the lookup per pair, and on whole batches from one
+// source, and through every lane of a four-torus group on single-pair
+// batches.
 func TestPackedTorusLookupMatchesDistance(t *testing.T) {
 	curves := []sfc.Curve{sfc.Hilbert, sfc.Morton, sfc.Gray, sfc.RowMajor}
 	r := rand.New(rand.NewSource(19))
-	unit := []uint32{1}
 	for _, procOrder := range []uint{0, 1, 2, 3, 4, 6, 8, 9} {
 		var tori []*Torus
 		for _, c := range curves {
@@ -174,21 +173,21 @@ func TestPackedTorusLookupMatchesDistance(t *testing.T) {
 					dsts = append(dsts, int32(r.Intn(p)))
 				}
 			}
-			ns := make([]uint32, len(dsts))
-			for i := range ns {
-				ns[i] = 1 + uint32(r.Intn(9))
+			src := make([]int32, len(dsts))
+			for i := range src {
+				src[i] = int32(a)
 			}
 			for l, tor := range tori {
 				var want uint64
 				for i, b := range dsts {
 					d := tor.Distance(a, int(b))
-					if got := tor.DistanceSum(a, dsts[i:i+1], unit); got != uint64(d) {
+					if got := tor.DistanceSumPairs(src[i:i+1], dsts[i:i+1]); got != uint64(d) {
 						t.Fatalf("side %d lane %d: packed lookup (%d, %d) = %d, Distance %d", tor.side, l, a, b, got, d)
 					}
-					want += uint64(d) * uint64(ns[i])
+					want += uint64(d)
 				}
-				if got := tor.DistanceSum(a, dsts, ns); got != want {
-					t.Fatalf("side %d lane %d: weighted DistanceSum from %d over %d pairs = %d, Distance loop %d", tor.side, l, a, len(dsts), got, want)
+				if got := tor.DistanceSumPairs(src, dsts); got != want {
+					t.Fatalf("side %d lane %d: DistanceSumPairs from %d over %d pairs = %d, Distance loop %d", tor.side, l, a, len(dsts), got, want)
 				}
 			}
 			for _, b := range dsts {

@@ -145,7 +145,6 @@ type gridNet struct {
 	procOrder uint
 	side      uint32
 	coords    []geom.Point // rank -> grid position
-	rankAt    []int32      // grid cell id -> rank
 	placement string
 }
 
@@ -159,24 +158,16 @@ func newGridNet(procOrder uint, placement sfc.Curve) gridNet {
 		procOrder: procOrder,
 		side:      side,
 		coords:    make([]geom.Point, p),
-		rankAt:    make([]int32, p),
 		placement: placement.Name(),
 	}
-	for rank := 0; rank < p; rank++ {
-		pt := placement.Point(procOrder, uint64(rank))
-		g.coords[rank] = pt
-		g.rankAt[geom.CellID(pt, side)] = int32(rank)
+	for rank := range g.coords {
+		g.coords[rank] = placement.Point(procOrder, uint64(rank))
 	}
 	return g
 }
 
 // Coord returns the grid position of a rank.
 func (g *gridNet) Coord(rank int) geom.Point { return g.coords[rank] }
-
-// RankAt returns the rank placed at a grid position.
-func (g *gridNet) RankAt(pt geom.Point) int {
-	return int(g.rankAt[geom.CellID(pt, g.side)])
-}
 
 // Side returns the grid side length.
 func (g *gridNet) Side() uint32 { return g.side }

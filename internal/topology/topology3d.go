@@ -17,7 +17,6 @@ import (
 type grid3D struct {
 	side      uint32
 	coords    []geom3.Point3
-	rankAt    []int32
 	placement string
 }
 
@@ -33,24 +32,18 @@ func newGrid3D(procOrder uint, placement sfc.NDCurve) grid3D {
 	g := grid3D{
 		side:      side,
 		coords:    make([]geom3.Point3, p),
-		rankAt:    make([]int32, p),
 		placement: placement.Name(),
 	}
 	buf := make([]uint32, 3)
-	for rank := 0; rank < p; rank++ {
+	for rank := range g.coords {
 		placement.CoordsND(procOrder, uint64(rank), buf)
-		pt := geom3.Pt3(buf[0], buf[1], buf[2])
-		g.coords[rank] = pt
-		g.rankAt[geom3.CellID(pt, side)] = int32(rank)
+		g.coords[rank] = geom3.Pt3(buf[0], buf[1], buf[2])
 	}
 	return g
 }
 
 // Coord returns the grid position of a rank.
 func (g *grid3D) Coord(rank int) geom3.Point3 { return g.coords[rank] }
-
-// RankAt returns the rank placed at a position.
-func (g *grid3D) RankAt(pt geom3.Point3) int { return int(g.rankAt[geom3.CellID(pt, g.side)]) }
 
 // Side returns the cube side.
 func (g *grid3D) Side() uint32 { return g.side }

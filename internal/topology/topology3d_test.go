@@ -92,18 +92,21 @@ func Test3DGridAccessors(t *testing.T) {
 	if m.Side() != 2 || m.Placement() != "hilbert3d" {
 		t.Fatalf("side=%d placement=%q", m.Side(), m.Placement())
 	}
+	seen := make(map[geom3.Point3]int)
 	for r := 0; r < m.P(); r++ {
-		if got := m.RankAt(m.Coord(r)); got != r {
-			t.Fatalf("RankAt(Coord(%d)) = %d", r, got)
+		c := m.Coord(r)
+		if prev, dup := seen[c]; dup || c.X >= m.Side() || c.Y >= m.Side() || c.Z >= m.Side() {
+			t.Fatalf("Coord(%d) = %v, off the grid or shared with rank %d", r, c, prev)
 		}
+		seen[c] = r
 	}
 }
 
 func TestTorus3DWrapShortens(t *testing.T) {
 	tor := NewTorus3D(2, sfc.RowMajorND{N: 3}) // 4x4x4
 	mesh := NewMesh3D(2, sfc.RowMajorND{N: 3})
-	a := mesh.RankAt(geom3.Pt3(0, 0, 0))
-	b := mesh.RankAt(geom3.Pt3(3, 3, 3))
+	a := mesh.rankAt(geom3.Pt3(0, 0, 0))
+	b := mesh.rankAt(geom3.Pt3(3, 3, 3))
 	if d := mesh.Distance(a, b); d != 9 {
 		t.Fatalf("mesh3d corner distance = %d", d)
 	}

@@ -187,10 +187,13 @@ func TestGridAccessors(t *testing.T) {
 	if m.Side() != 4 || m.Placement() != "hilbert" {
 		t.Fatalf("side=%d placement=%q", m.Side(), m.Placement())
 	}
+	seen := make(map[geom.Point]int)
 	for r := 0; r < m.P(); r++ {
-		if got := m.RankAt(m.Coord(r)); got != r {
-			t.Fatalf("RankAt(Coord(%d)) = %d", r, got)
+		c := m.Coord(r)
+		if prev, dup := seen[c]; dup || c.X >= m.Side() || c.Y >= m.Side() {
+			t.Fatalf("Coord(%d) = %v, off the grid or shared with rank %d", r, c, prev)
 		}
+		seen[c] = r
 	}
 }
 
@@ -198,8 +201,8 @@ func TestTorusWrapShortens(t *testing.T) {
 	tor := NewTorus(3, sfc.RowMajor) // 8x8
 	mesh := NewMesh(3, sfc.RowMajor)
 	// Opposite corners: mesh distance 14, torus distance 2.
-	a := mesh.RankAt(geom.Pt(0, 0))
-	b := mesh.RankAt(geom.Pt(7, 7))
+	a := mesh.rankAt(geom.Pt(0, 0))
+	b := mesh.rankAt(geom.Pt(7, 7))
 	if d := mesh.Distance(a, b); d != 14 {
 		t.Fatalf("mesh corner distance = %d", d)
 	}
