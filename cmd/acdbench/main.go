@@ -252,7 +252,7 @@ func run() int {
 		logger.Debug("starting experiment", "experiment", name)
 		obs.TakeSpans() // drop any stale phases from a failed predecessor
 		start := time.Now()
-		p := params(spec.Paper)
+		p := spec.Resolve(params(spec.Paper))
 		if err := spec.Validate(p); err != nil {
 			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
 			return 2

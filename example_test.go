@@ -7,7 +7,8 @@ import (
 )
 
 // ExampleAssign shows the paper's §IV pipeline: order particles along
-// a curve, chunk them, distribute chunks to processors.
+// a curve, chunk them, distribute chunks to processors. Owners lists
+// each input point's rank, in input order.
 func ExampleAssign() {
 	pts := []sfcacd.Point{
 		sfcacd.Pt(0, 0), sfcacd.Pt(7, 7), sfcacd.Pt(1, 0), sfcacd.Pt(6, 7),
@@ -16,14 +17,14 @@ func ExampleAssign() {
 	if err != nil {
 		panic(err)
 	}
-	for i, p := range a.Particles {
-		fmt.Printf("%v -> rank %d\n", p, a.Ranks[i])
+	for i, r := range a.Owners() {
+		fmt.Printf("%v -> rank %d\n", pts[i], r)
 	}
 	// Output:
 	// (0,0) -> rank 0
+	// (7,7) -> rank 1
 	// (1,0) -> rank 0
 	// (6,7) -> rank 1
-	// (7,7) -> rank 1
 }
 
 // ExampleNFI computes the near-field Average Communicated Distance of

@@ -103,19 +103,11 @@ type Assignment struct {
 	Order uint
 	// P is the number of processors.
 	P int
-	// Particles holds the particle cells. Assign and FromSorted keep
-	// them in particle-order SFC order (sorted along the curve);
-	// FromOwners keeps the set's input order and shares the set's
-	// slice, so treat it as read-only.
-	Particles []geom.Point
-	// Ranks[i] is the processor rank owning Particles[i]. Assign and
-	// FromSorted produce the balanced consecutive chunks, so their
-	// ranks are non-decreasing; FromOwners takes any ownership.
-	Ranks []int32
-	// side caches the grid side.
+	// n is the particle count and side the grid side.
+	n    int
 	side uint32
-	// ix is the labelling behind RankAt and the NFI and FFI replay
-	// passes; Release drops it.
+	// ix is the labelling behind RankAt, Owners and the NFI and FFI
+	// replay passes; Release drops it.
 	ix *keynav.Index
 }
 
@@ -136,7 +128,10 @@ func (a *Assignment) KeyIndex() *keynav.Index { return a.ix }
 
 // Assign orders the set's particles along the particle-order curve,
 // partitions them into p balanced consecutive chunks, and assigns
-// chunk i to processor rank i.
+// chunk i to processor rank i. A curve with a child-order table
+// (sfc.Quadrants: Hilbert, Morton, Gray) labels the set in one top-down
+// pass over its skeleton (keynav.Set.LabelAlong); any other curve sorts
+// the particles along itself and labels the resulting owners.
 func Assign(set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)
@@ -146,26 +141,34 @@ func Assign(set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
 	}
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
-	ordering := obs.StartSpan("ordering")
-	pts := set.Points()
-	perm := sfc.SortPoints(curve, set.Order, pts)
-	ordering.End()
-	defer obs.StartSpan("partitioning").End()
-	n := len(pts)
-	a := &Assignment{
-		Order:     set.Order,
-		P:         p,
-		Particles: make([]geom.Point, n),
-		Ranks:     make([]int32, n),
-		side:      geom.Side(set.Order),
+	partitioning := obs.StartSpan("partitioning")
+	ranks := chunkRanks(set.N(), p)
+	partitioning.End()
+	defer obs.StartSpan("ordering").End()
+	a := &Assignment{Order: set.Order, P: p, n: set.N(), side: geom.Side(set.Order)}
+	if q, ok := curve.(sfc.Quadrants); ok {
+		a.ix = set.LabelAlong(q, ranks)
+		return a, nil
 	}
-	owners := make([]int32, n) // in the set's input order
-	for i, src := range perm {
-		r := int32(partition.ChunkOf(i, n, p))
-		a.Particles[i], a.Ranks[i], owners[src] = pts[src], r, r
+	owners := make([]int32, set.N()) // in the set's input order
+	for c, i := range sfc.SortPoints(curve, set.Order, set.Points()) {
+		owners[i] = ranks[c]
 	}
 	a.ix = set.Label(owners)
 	return a, nil
+}
+
+// chunkRanks returns the balanced consecutive chunks of n particles in
+// curve order over p ranks: ranks[c] owns the c-th particle.
+func chunkRanks(n, p int) []int32 {
+	ranks := make([]int32, n)
+	for r := 0; r < p; r++ {
+		lo, hi := partition.Start(r, n, p), partition.End(r, n, p)
+		for c := lo; c < hi; c++ {
+			ranks[c] = int32(r)
+		}
+	}
+	return ranks
 }
 
 // FromOwners builds an Assignment from an explicit ownership of the
@@ -192,21 +195,30 @@ func FromOwners(set *keynav.Set, ranks []int32, p int) (*Assignment, error) {
 			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", r, p)
 		}
 	}
-	return &Assignment{
-		Order:     set.Order,
-		P:         p,
-		Particles: set.Points(),
-		Ranks:     append([]int32(nil), ranks...),
-		side:      geom.Side(set.Order),
-		ix:        set.Label(ranks),
-	}, nil
+	return &Assignment{Order: set.Order, P: p, n: set.N(), side: geom.Side(set.Order), ix: set.Label(ranks)}, nil
 }
 
 // Side returns the grid side 2^Order.
 func (a *Assignment) Side() uint32 { return a.side }
 
 // N returns the particle count.
-func (a *Assignment) N() int { return len(a.Particles) }
+func (a *Assignment) N() int { return a.n }
+
+// Owners returns the rank owning each of the set's input points:
+// owners[i] owns KeyIndex().Set().Points()[i]. It reads the finest
+// labelling through the set's slab positions, so it inverts FromOwners.
+// Returns nil after Release.
+func (a *Assignment) Owners() []int32 {
+	if a.ix == nil {
+		return nil
+	}
+	set, fin := a.ix.Set(), a.ix.Reps(a.Order)
+	owners := make([]int32, set.N())
+	for i := range owners {
+		owners[i] = fin[set.Pos(i)]
+	}
+	return owners
+}
 
 // RankAt returns the rank owning the particle in the given cell, or -1
 // if the cell is empty or outside the grid. It answers through the

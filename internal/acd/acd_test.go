@@ -1,11 +1,13 @@
 package acd
 
 import (
+	"slices"
 	"testing"
 
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/partition"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 )
@@ -17,6 +19,18 @@ func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*Assign
 		return nil, err
 	}
 	return Assign(set, curve, p)
+}
+
+// alongCurve returns a's owners in the order curve c visits its set's
+// points: ranks[k] owns the k-th point along c.
+func alongCurve(a *Assignment, c sfc.Curve) []int32 {
+	owners := a.Owners()
+	perm := sfc.SortPoints(c, a.Order, a.KeyIndex().Set().Points())
+	ranks := make([]int32, len(perm))
+	for k, i := range perm {
+		ranks[k] = owners[i]
+	}
+	return ranks
 }
 
 // ownersPoints is FromOwners over a private set of pts.
@@ -68,17 +82,32 @@ func fullGrid(order uint) []geom.Point {
 	return pts
 }
 
+// TestAssignOrdersAlongCurve checks, for every curve (walked or
+// sorted), that the owners read along the curve are exactly the
+// balanced consecutive chunks, on a full grid and a sparse set, with
+// more ranks than particles too.
 func TestAssignOrdersAlongCurve(t *testing.T) {
-	const order = 3
-	pts := fullGrid(order)
-	for _, c := range sfc.Extended() {
-		a, err := assignPoints(pts, c, order, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		for i := 1; i < a.N(); i++ {
-			if c.Index(order, a.Particles[i-1]) >= c.Index(order, a.Particles[i]) {
-				t.Fatalf("%s: particles not in curve order at %d", c.Name(), i)
+	sparse, err := dist.SampleUnique(dist.Normal, rng.New(4), 6, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		order uint
+		pts   []geom.Point
+	}{{3, fullGrid(3)}, {6, sparse}} {
+		for _, c := range sfc.Extended() {
+			for _, p := range []int{1, 4, 7, len(tc.pts) + 5} {
+				a, err := assignPoints(tc.pts, c, tc.order, p)
+				if err != nil {
+					t.Fatalf("%s: %v", c.Name(), err)
+				}
+				n := len(tc.pts)
+				for k, r := range alongCurve(a, c) {
+					if want := int32(partition.ChunkOf(k, n, p)); r != want {
+						t.Fatalf("%s order %d p=%d: the %d-th particle along the curve is owned by %d, want %d",
+							c.Name(), tc.order, p, k, r, want)
+					}
+				}
 			}
 		}
 	}
@@ -96,8 +125,9 @@ func TestAssignRanksMonotoneBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make(map[int32]int)
-	for i, rk := range a.Ranks {
-		if i > 0 && rk < a.Ranks[i-1] {
+	ranks := alongCurve(a, sfc.Hilbert)
+	for i, rk := range ranks {
+		if i > 0 && rk < ranks[i-1] {
 			t.Fatalf("ranks not monotone at %d", i)
 		}
 		counts[rk]++
@@ -127,9 +157,10 @@ func TestAssignRankAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range a.Particles {
-		if got := a.RankAt(p); got != a.Ranks[i] {
-			t.Fatalf("RankAt(%v) = %d, want %d", p, got, a.Ranks[i])
+	owners := a.Owners()
+	for i, p := range pts {
+		if got := a.RankAt(p); got != owners[i] {
+			t.Fatalf("RankAt(%v) = %d, want %d", p, got, owners[i])
 		}
 	}
 	// An unoccupied cell must report -1.
@@ -178,9 +209,10 @@ func TestAssignSparseFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range a.Particles {
-		if got := a.RankAt(p); got != a.Ranks[i] {
-			t.Fatalf("sparse RankAt(%v) = %d, want %d", p, got, a.Ranks[i])
+	owners := a.Owners()
+	for i, p := range pts {
+		if got := a.RankAt(p); got != owners[i] {
+			t.Fatalf("sparse RankAt(%v) = %d, want %d", p, got, owners[i])
 		}
 	}
 	if a.RankAt(geom.Pt(0, 0)) != -1 {
@@ -218,8 +250,9 @@ func TestAssignMoreProcsThanParticles(t *testing.T) {
 	if a.P != 16 || a.N() != 3 {
 		t.Fatalf("P=%d N=%d", a.P, a.N())
 	}
+	ranks := alongCurve(a, sfc.Hilbert)
 	for i := 1; i < a.N(); i++ {
-		if a.Ranks[i] <= a.Ranks[i-1] {
+		if ranks[i] <= ranks[i-1] {
 			t.Fatal("with p > n, ranks should be strictly increasing")
 		}
 	}
@@ -274,7 +307,7 @@ func TestFromOwnersMatchesAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ownersPoints(a.Particles, a.Ranks, order, 8)
+	b, err := ownersPoints(pts, a.Owners(), order, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +315,31 @@ func TestFromOwnersMatchesAssign(t *testing.T) {
 		if a.RankAt(p) != b.RankAt(p) {
 			t.Fatalf("RankAt(%v) differs: %d vs %d", p, a.RankAt(p), b.RankAt(p))
 		}
+	}
+}
+
+// TestOwnersRoundTrip checks that Owners inverts FromOwners on a
+// shuffled ownership, and that a released assignment has no owners.
+func TestOwnersRoundTrip(t *testing.T) {
+	const order, n, p = 5, 200, 9
+	pts, err := dist.SampleUnique(dist.Exponential, rng.New(8), order, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := make([]int32, n)
+	for i := range ranks {
+		ranks[i] = int32(i * 5 % p)
+	}
+	a, err := ownersPoints(pts, ranks, order, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Owners(); !slices.Equal(got, ranks) {
+		t.Fatalf("Owners() = %v, want %v", got, ranks)
+	}
+	a.Release()
+	if got := a.Owners(); got != nil {
+		t.Fatalf("Owners() after Release = %v, want nil", got)
 	}
 }
 

@@ -94,13 +94,5 @@ func FromSorted(particles []geom.Point, order uint, p int) (*Assignment, error) 
 	if err != nil {
 		return nil, err
 	}
-	n := len(particles)
-	ranks := make([]int32, n)
-	for r := 0; r < p; r++ {
-		lo, hi := partition.Start(r, n, p), partition.End(r, n, p)
-		for i := lo; i < hi; i++ {
-			ranks[i] = int32(r)
-		}
-	}
-	return FromOwners(set, ranks, p)
+	return FromOwners(set, chunkRanks(len(particles), p), p)
 }

@@ -1,6 +1,7 @@
 package acd
 
 import (
+	"slices"
 	"testing"
 
 	"sfcacd/internal/geom"
@@ -117,15 +118,18 @@ func TestFromSortedMatchesAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromSorted(want.Particles, order, p)
+	// FromSorted takes the points in curve order, and its ranks read in
+	// that order are the balanced chunks Assign's are.
+	sorted := make([]geom.Point, len(pts))
+	for k, i := range sfc.SortPoints(curve, order, pts) {
+		sorted[k] = pts[i]
+	}
+	got, err := FromSorted(sorted, order, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Particles {
-		if got.Particles[i] != want.Particles[i] || got.Ranks[i] != want.Ranks[i] {
-			t.Fatalf("position %d: got (%v, %d), want (%v, %d)",
-				i, got.Particles[i], got.Ranks[i], want.Particles[i], want.Ranks[i])
-		}
+	if g, w := got.Owners(), alongCurve(want, curve); !slices.Equal(g, w) {
+		t.Fatalf("FromSorted owners %v, Assign's along the curve %v", g, w)
 	}
 	for _, pt := range pts {
 		if g, w := got.RankAt(pt), want.RankAt(pt); g != w {

@@ -30,14 +30,14 @@ func TestRankTableLazyBuild(t *testing.T) {
 	if ix == nil {
 		t.Fatal("Assign left the assignment unlabelled")
 	}
-	if got := a.RankAt(a.Particles[0]); got != a.Ranks[0] {
-		t.Fatalf("first RankAt = %d, want %d", got, a.Ranks[0])
+	if got, want := a.RankAt(pts[0]), a.Owners()[0]; got != want {
+		t.Fatalf("first RankAt = %d, want %d", got, want)
 	}
 	if a.KeyIndex() != ix {
 		t.Fatal("KeyIndex returned another labelling")
 	}
 	a.Release()
-	if got := a.RankAt(a.Particles[0]); got != -1 {
+	if got := a.RankAt(pts[0]); got != -1 {
 		t.Fatalf("RankAt after Release = %d, want -1", got)
 	}
 	if a.KeyIndex() != nil {
@@ -71,8 +71,8 @@ func TestRankAtConcurrentFirstUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < a.N(); i += goroutines {
-				if got := a.RankAt(a.Particles[i]); got != a.Ranks[i] {
-					t.Errorf("RankAt(%v) = %d, want %d", a.Particles[i], got, a.Ranks[i])
+				if got := a.RankAt(pts[i]); got != ranks[i] {
+					t.Errorf("RankAt(%v) = %d, want %d", pts[i], got, ranks[i])
 				}
 			}
 		}(g)
@@ -119,7 +119,7 @@ func BenchmarkRankAt(b *testing.B) {
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		q := a.Particles[i%n]
+		q := pts[i%n]
 		if a.RankAt(geom.Pt(q.X^1, q.Y)) >= 0 {
 			hits++
 		}
@@ -127,8 +127,8 @@ func BenchmarkRankAt(b *testing.B) {
 	_ = hits
 }
 
-// BenchmarkAssign measures one assignment of a particle set whose
-// skeleton is already built: the curve sort, the chunking and the
+// BenchmarkAssign measures one Hilbert assignment of a particle set
+// whose skeleton is already built: the chunking and the top-down
 // labelling.
 func BenchmarkAssign(b *testing.B) {
 	const order, n, p = 8, 15625, 64

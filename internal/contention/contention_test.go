@@ -199,7 +199,7 @@ func TestRouteNMatchesRepeatedRoute(t *testing.T) {
 // matrices in both directions loads every link exactly as routing each
 // ordered event of the per-event streams does. The streams are
 // enumerated here without the production pipeline: neighbor ranks
-// from a cell->rank map built from the assignment's arrays,
+// from a cell->rank map built from the assignment's owners,
 // representatives from quadtree.RankTree.
 func TestRouteMatrixMatchesEventStream(t *testing.T) {
 	const order, n, p = 6, 400, 64
@@ -211,20 +211,21 @@ func TestRouteMatrixMatchesEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	owners := a.Owners()
 	ranks := make(map[geom.Point]int32, a.N())
-	for i, pt := range a.Particles {
-		ranks[pt] = a.Ranks[i]
+	for i, pt := range pts {
+		ranks[pt] = owners[i]
 	}
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := quadtree.BuildRankTree(a.Order, pts, owners)
 	for _, grid := range grids() {
 		for _, radius := range []int{1, 2} {
 			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev}
 			viaMatrix, viaEvents := NewTracker(grid), NewTracker(grid)
 			routeMatrix(viaMatrix, fmmmodel.NFIMatrix(a, opts))
-			for i, pt := range a.Particles {
+			for i, pt := range pts {
 				geom.VisitNeighborhood(pt, radius, opts.Metric, a.Side(), func(q geom.Point) {
 					if r, ok := ranks[q]; ok {
-						viaEvents.Route(a.Ranks[i], r)
+						viaEvents.Route(owners[i], r)
 					}
 				})
 			}

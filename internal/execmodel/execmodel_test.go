@@ -127,19 +127,20 @@ func TestCollectFFIConsistentWithACD(t *testing.T) {
 // The per-rank checks below hold the matrix-backed tallies to the
 // per-event stream, enumerated here one ordered event at a time and
 // sharing no code with the production pipeline: near-field neighbor
-// ranks come from a cell->rank map built from the assignment's arrays,
+// ranks come from a cell->rank map built from the assignment's owners,
 // far-field representatives from quadtree.RankTree.
 
 // nfiEvents calls fn(src, dst) for every ordered near-field event.
 func nfiEvents(a *acd.Assignment, opts fmmmodel.NFIOptions, fn func(src, dst int32)) {
+	pts, owners := a.KeyIndex().Set().Points(), a.Owners()
 	ranks := make(map[geom.Point]int32, a.N())
-	for i, pt := range a.Particles {
-		ranks[pt] = a.Ranks[i]
+	for i, pt := range pts {
+		ranks[pt] = owners[i]
 	}
-	for i, pt := range a.Particles {
+	for i, pt := range pts {
 		geom.VisitNeighborhood(pt, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
 			if r, ok := ranks[q]; ok {
-				fn(a.Ranks[i], r)
+				fn(owners[i], r)
 			}
 		})
 	}
@@ -149,7 +150,7 @@ func nfiEvents(a *acd.Assignment, opts fmmmodel.NFIOptions, fn func(src, dst int
 // parent (interpolation) and parent to child (anterpolation) per link,
 // and each cell to every member of its interaction list.
 func ffiEvents(a *acd.Assignment, fn func(src, dst int32)) {
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := quadtree.BuildRankTree(a.Order, a.KeyIndex().Set().Points(), a.Owners())
 	for l := tree.Order; l >= 1; l-- {
 		tree.VisitCells(l, func(x, y uint32, rep int32) {
 			parent := tree.Rep(l-1, x/2, y/2)

@@ -134,16 +134,16 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		acd, maxLoad, meanLoad float64
 	}
 	type cellOut struct{ mesh, torus gridOut }
-	groups := newShared[*keynav.Set](p.Trials, n)
+	groups := newGroupSlots(p.Trials, n, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, p, trial)
+	})
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, p, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

@@ -64,16 +64,16 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per topology
 	}
-	groups := newShared[*keynav.Set](p.Trials, nc)
+	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, p, trial)
+	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, p, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

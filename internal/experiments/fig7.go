@@ -67,7 +67,9 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	type cellOut struct{ nfi, ffi float64 }
 	// A trial's cells share its particle set and its plan, across every
 	// curve and processor count.
-	groups := newShared[*keynav.Set](p.Trials, nc*no)
+	groups := newGroupSlots(p.Trials, nc*no, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, p, trial)
+	})
 	outs := make([]cellOut, p.Trials*nc*no)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
@@ -75,9 +77,7 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 		i := cell % no
 		c := (cell / no) % nc
 		trial := cell / (no * nc)
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, p, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

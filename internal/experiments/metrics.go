@@ -93,16 +93,16 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 2: the ACD columns over trial x curve cells.
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newShared[*keynav.Set](cfg.Params.Trials, n)
+	groups := newGroupSlots(cfg.Params.Trials, n, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, cfg.Params, trial)
+	})
 	outs := make([]cellOut, cfg.Params.Trials*n)
 	pool := sweepPool(cfg.Params.Workers, len(outs))
 	inner := innerWorkers(cfg.Params.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, cfg.Params, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

@@ -58,16 +58,16 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		NFI:    zeroRect(len(curves), len(radii)),
 	}
 	nc := len(curves)
-	groups := newShared[*keynav.Set](p.Trials, nc)
+	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, p, trial)
+	})
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, p, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}
@@ -153,19 +153,16 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	}
 	nc := len(curves)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newShared[*keynav.Set](len(sizes)*p.Trials, nc)
-	outs := make([]cellOut, len(groups)*nc)
+	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(g int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, qs[g/p.Trials], g%p.Trials)
+	})
+	outs := make([]cellOut, len(sizes)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
-		g := cell / nc
-		trial := g % p.Trials
-		i := g / p.Trials
-		q := qs[i]
-		set, err := groups[g].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, q, trial)
-		})
+		q := qs[cell/nc/p.Trials]
+		set, err := groups.get(cell / nc)
 		if err != nil {
 			return err
 		}
@@ -230,16 +227,16 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 	}
 	nc := len(curves)
 	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
-	groups := newShared[*keynav.Set](p.Trials, nc)
+	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
+		return sampleSet(dist.Uniform, p, trial)
+	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups[trial].get(func() (*keynav.Set, error) {
-			return sampleSet(dist.Uniform, p, trial)
-		})
+		set, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

@@ -62,6 +62,22 @@ type Spec struct {
 	// field, radius's swept radii, nsweep's swept sizes); nil where
 	// Validate covers it.
 	Check func(Params) error
+	// Canonical clears the knobs the experiment does not read, so
+	// requests that differ only in them share one cache key (radius
+	// sweeps fixed radii over a uniform sample, so it clears Radius and
+	// Distribution); nil changes nothing. Resolve applies it.
+	Canonical func(Params) Params
+}
+
+// Resolve returns p as this experiment keys it: p with the knobs the
+// experiment ignores cleared by Canonical. serve's single and batch
+// requests and acdbench resolve their parameters through it before
+// Validate and keying.
+func (s Spec) Resolve(p Params) Params {
+	if s.Canonical != nil {
+		return s.Canonical(p)
+	}
+	return p
 }
 
 // Validate checks p for this experiment before anything runs:
@@ -157,6 +173,10 @@ var registry = []Spec{
 				}
 			}
 			return nil
+		},
+		Canonical: func(p Params) Params {
+			p.Radius, p.Distribution = 0, ""
+			return p
 		},
 	},
 	{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -21,8 +22,10 @@ import (
 //     old serial loops accumulated in — so the result bytes are
 //     identical for every worker count (pinned by TestSweepEquality).
 //   - Bounded cancellation. Workers check the context between cells,
-//     so cancellation latency is at most one cell, regardless of how
-//     many trials or curves a sweep spans.
+//     so cancellation latency is at most one cell plus one group build
+//     (a worker waiting on a group builds at most one later group
+//     first; see groupSlots), regardless of how many trials or curves a
+//     sweep spans.
 //   - Deterministic errors. Cells are handed out in increasing index
 //     order from an atomic cursor and only a cell's own error is ever
 //     recorded; of the recorded errors the lowest cell index wins,
@@ -153,36 +156,78 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 	return ctx.Err()
 }
 
-// shared is a lazily computed per-group artifact (one trial's sampled
-// particle set, as its keynav.Set skeleton) shared read-only by the
-// cells of the group; whichever cell arrives first computes it. The
-// slot drops the artifact once the group's last cell has taken it, so
-// a sweep holds only the artifacts of the groups it has in flight:
-// the cells' assignments keep it alive until they finish.
-type shared[T any] struct {
-	once sync.Once
-	v    T
-	err  error
-	left atomic.Int32 // cells yet to take the artifact
+// groupSlots holds a sweep's per-group artifacts (one trial's sampled
+// particle set, as its keynav.Set skeleton), each shared read-only by
+// the group's cells and built exactly once, by build(g), on whichever
+// worker first needs it. A worker that needs a group another worker is
+// still building does not just block: it first builds the nearest
+// later group nobody has started, then waits. It builds at most one
+// group per wait, so a waiting worker holds at most one group ahead,
+// and a group built ahead keeps its error until its own cells take it.
+// A slot drops its artifact once the group's last cell has taken it,
+// so a sweep holds only the artifacts of the groups it has in flight
+// or built ahead: the cells' assignments keep them alive until they
+// finish.
+type groupSlots[T any] struct {
+	build func(g int) (T, error)
+	slots []groupSlot[T]
 }
 
-// newShared returns the slots of `groups` groups of `cells` cells.
-func newShared[T any](groups, cells int) []shared[T] {
-	s := make([]shared[T], groups)
-	for i := range s {
-		s[i].left.Store(int32(cells))
+type groupSlot[T any] struct {
+	started atomic.Bool
+	done    chan struct{} // closed once the build has returned or panicked
+	v       T
+	err     error
+	left    atomic.Int32 // cells yet to take the artifact
+}
+
+// newGroupSlots returns the slots of `groups` groups of `cells` cells
+// each, built by build.
+func newGroupSlots[T any](groups, cells int, build func(g int) (T, error)) *groupSlots[T] {
+	gs := &groupSlots[T]{build: build, slots: make([]groupSlot[T], groups)}
+	for i := range gs.slots {
+		gs.slots[i].done = make(chan struct{})
+		gs.slots[i].left.Store(int32(cells))
 	}
-	return s
+	return gs
 }
 
-// get returns the group's artifact, computing it with f on the first
-// call. Each of the group's cells calls it exactly once.
-func (s *shared[T]) get(f func() (T, error)) (T, error) {
-	s.once.Do(func() { s.v, s.err = f() })
+// get returns group g's artifact, building it on the first call. Each
+// of the group's cells calls it exactly once.
+func (gs *groupSlots[T]) get(g int) (T, error) {
+	s := &gs.slots[g]
+	if !gs.claim(g) {
+		select {
+		case <-s.done:
+		default:
+			// Another worker is building g: build the nearest later
+			// group nobody has started meanwhile, then wait.
+			for h := g + 1; h < len(gs.slots); h++ {
+				if gs.claim(h) {
+					break
+				}
+			}
+			<-s.done
+		}
+	}
 	v, err := s.v, s.err
 	if s.left.Add(-1) == 0 {
 		var zero T
 		s.v = zero
 	}
 	return v, err
+}
+
+// claim builds group g if no worker has started it, and reports
+// whether it did. A build that panics leaves the slot failed, so the
+// cells waiting on it return an error while the panic travels on.
+func (gs *groupSlots[T]) claim(g int) bool {
+	s := &gs.slots[g]
+	if !s.started.CompareAndSwap(false, true) {
+		return false
+	}
+	defer close(s.done)
+	s.err = fmt.Errorf("experiments: building group %d panicked", g)
+	s.v, s.err = gs.build(g)
+	return true
 }

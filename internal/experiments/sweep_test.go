@@ -220,7 +220,7 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 		},
 	} {
 		var want any
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			p.Workers = workers
 			b0, p0 := builds.Value(), plans.Value()
 			got, groups, err := run(p)
@@ -238,6 +238,100 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 			} else if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: workers=%d results differ from workers=1", name, workers)
 			}
+		}
+	}
+}
+
+// buildAheadSlots returns slots of groups of cells whose group 0 build
+// holds, on more than one worker, until another worker waiting on it
+// has started building group 1 ahead, and then runs then0. Group 1's
+// build returns err1.
+func buildAheadSlots(workers, groups, cells int, err1 error, then0 func()) (*groupSlots[[]int], *atomic.Int32) {
+	var built atomic.Int32
+	ahead := make(chan struct{})
+	gs := newGroupSlots(groups, cells, func(g int) ([]int, error) {
+		built.Add(1)
+		switch g {
+		case 0:
+			if workers > 1 {
+				select {
+				case <-ahead:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			then0()
+		case 1:
+			close(ahead)
+			if err1 != nil {
+				return nil, err1
+			}
+		}
+		return []int{g}, nil
+	})
+	return gs, &built
+}
+
+// TestGroupBuildAheadKeepsLowestError fails group 1's build while a
+// worker waiting on group 0 builds it ahead, and fails a later cell of
+// group 0: the sweep must return the group-0 cell's error, as the
+// serial loop would. One worker builds only group 0; with more, a
+// waiting worker builds group 1 ahead.
+func TestGroupBuildAheadKeepsLowestError(t *testing.T) {
+	const groups, cells = 4, 3
+	for _, workers := range []int{1, 2, 8} {
+		errGroup1, errCell := errors.New("group 1 failed"), errors.New("cell 2 failed")
+		gs, built := buildAheadSlots(workers, groups, cells, errGroup1, func() {})
+		err := runCells(context.Background(), workers, groups*cells, func(cell int) error {
+			v, err := gs.get(cell / cells)
+			if err != nil {
+				return err
+			}
+			if v[0] != cell/cells {
+				t.Errorf("workers=%d: cell %d got group %d's artifact", workers, cell, v[0])
+			}
+			if cell == 2 {
+				return errCell
+			}
+			return nil
+		})
+		if !errors.Is(err, errCell) {
+			t.Errorf("workers=%d: sweep error %v, want %v", workers, err, errCell)
+		}
+		if n := built.Load(); workers == 1 && n != 1 {
+			t.Errorf("workers=1: %d groups built, want only group 0", n)
+		}
+		if workers > 1 && !gs.slots[1].started.Load() {
+			t.Errorf("workers=%d: no worker built group 1 while group 0 was being built", workers)
+		}
+	}
+}
+
+// TestGroupBuildPanicReachesCaller panics group 0's build while another
+// worker waits on it: the waiting cell must get an error, never the
+// zero artifact, and the sweep must re-raise the builder's panic.
+func TestGroupBuildPanicReachesCaller(t *testing.T) {
+	const groups, cells = 3, 4
+	for _, workers := range []int{1, 2, 8} {
+		gs, _ := buildAheadSlots(workers, groups, cells, nil, func() { panic("group 0 boom") })
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			_ = runCells(context.Background(), workers, groups*cells, func(cell int) error {
+				v, err := gs.get(cell / cells)
+				if err == nil && v == nil {
+					t.Errorf("workers=%d: cell %d got no artifact and no error", workers, cell)
+				}
+				if err != nil && cell/cells == 0 && !strings.Contains(err.Error(), "group 0 panicked") {
+					t.Errorf("workers=%d: cell %d error %v, want the failed build's", workers, cell, err)
+				}
+				return err
+			})
+		}()
+		if w, ok := recovered.(*panics.Worker); ok {
+			recovered = w.Value
+		}
+		if recovered != "group 0 boom" {
+			t.Errorf("workers=%d: recovered %#v, want the builder's panic", workers, recovered)
 		}
 	}
 }

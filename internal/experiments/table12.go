@@ -61,18 +61,15 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per processor-order curve
 	}
-	groups := newShared[*keynav.Set](len(samplers)*p.Trials, nc)
-	outs := make([]cellOut, len(groups)*nc)
+	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(g int) (*keynav.Set, error) {
+		return sampleSet(samplers[g/p.Trials], p, g%p.Trials)
+	})
+	outs := make([]cellOut, len(samplers)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		pc := cell % nc
-		g := cell / nc
-		trial := g % p.Trials
-		d := g / p.Trials
-		set, err := groups[g].get(func() (*keynav.Set, error) {
-			return sampleSet(samplers[d], p, trial)
-		})
+		set, err := groups.get(cell / nc)
 		if err != nil {
 			return err
 		}

@@ -106,17 +106,17 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 	}
 	procs := 1 << (3 * p.ProcOrder)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newShared[[]geom3.Point3](p.Trials, nc)
+	groups := newGroupSlots(p.Trials, nc, func(trial int) ([]geom3.Point3, error) {
+		defer obs.StartSpan("sampling").End()
+		return dist.SampleUnique3(dist.Uniform3, rng.New(trialSeed(p.Seed, trial)), p.Order, p.Particles)
+	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(workers, len(outs))
 	inner := innerWorkers(workers, pool)
 	err := runCells(ctx, pool, len(outs), func(cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		pts, err := groups[trial].get(func() ([]geom3.Point3, error) {
-			defer obs.StartSpan("sampling").End()
-			return dist.SampleUnique3(dist.Uniform3, rng.New(trialSeed(p.Seed, trial)), p.Order, p.Particles)
-		})
+		pts, err := groups.get(trial)
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,7 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 			checkPricedVsDirect(t, fmt.Sprintf("seed%d/%s", seed, curve.Name()), a, shared, topos)
 		}
 		a := shuffledOwners(t, pts, order, p, uint64(seed))
-		shared, err := acd.FromOwners(set, a.Ranks, p)
+		shared, err := acd.FromOwners(set, a.Owners(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

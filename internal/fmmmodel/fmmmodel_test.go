@@ -74,7 +74,7 @@ func TestFFIHandComputed(t *testing.T) {
 // bruteFFI is an independent reference implementation of the far-field
 // model: scan all cell pairs at every level.
 func bruteFFI(a *acd.Assignment, topo topology.Topology) FFIResult {
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := quadtree.BuildRankTree(a.Order, a.KeyIndex().Set().Points(), a.Owners())
 	var res FFIResult
 	for l := uint(1); l <= a.Order; l++ {
 		side := geom.Side(l)
@@ -145,13 +145,14 @@ func TestFFIMatchesBruteForce(t *testing.T) {
 // pairs.
 func bruteNFI(a *acd.Assignment, topo topology.Topology, radius int, m geom.Metric) acd.Accumulator {
 	var res acd.Accumulator
+	pts, owners := a.KeyIndex().Set().Points(), a.Owners()
 	for i := 0; i < a.N(); i++ {
 		for j := 0; j < a.N(); j++ {
 			if i == j {
 				continue
 			}
-			if m.Dist(a.Particles[i], a.Particles[j]) <= radius {
-				res.Add(topo.Distance(int(a.Ranks[i]), int(a.Ranks[j])))
+			if m.Dist(pts[i], pts[j]) <= radius {
+				res.Add(topo.Distance(int(owners[i]), int(owners[j])))
 			}
 		}
 	}

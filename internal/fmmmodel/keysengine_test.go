@@ -41,7 +41,7 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		}
 		checkPricedVsDirect(t, fmt.Sprintf("seed%d/morton", seed), morton, mortonShared, topos)
 		a := shuffledOwners(t, pts, order, p, uint64(seed))
-		shared, err := acd.FromOwners(set, a.Ranks, p)
+		shared, err := acd.FromOwners(set, a.Owners(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,14 +12,17 @@ import (
 // accumulated per topology. It shares no lookup code with the
 // production pipeline (key skeleton -> pair plan -> labelling ->
 // priced replay): the near field resolves ranks through a
-// cell->rank map built from the assignment's arrays, and the far field
-// walks the dense representative tree quadtree.RankTree.
+// cell->rank map built from the assignment's owners, and the far field
+// walks the dense representative tree quadtree.RankTree. The owners
+// themselves (Assignment.Owners) are the input under test here; acd's
+// and keynav's tests pin them to the curve's balanced chunks.
 
 // cellRanks maps every occupied cell of the assignment to its owner.
 func cellRanks(a *acd.Assignment) map[geom.Point]int32 {
+	owners := a.Owners()
 	m := make(map[geom.Point]int32, a.N())
-	for i, p := range a.Particles {
-		m[p] = a.Ranks[i]
+	for i, p := range a.KeyIndex().Set().Points() {
+		m[p] = owners[i]
 	}
 	return m
 }
@@ -32,10 +35,11 @@ func oracleNFIEvents(a *acd.Assignment, opts NFIOptions, fn func(src, dst int32)
 		opts.Radius = 1
 	}
 	ranks := cellRanks(a)
-	for i, p := range a.Particles {
+	for _, p := range a.KeyIndex().Set().Points() {
+		mine := ranks[p]
 		geom.VisitNeighborhood(p, opts.Radius, opts.Metric, a.Side(), func(q geom.Point) {
 			if r, ok := ranks[q]; ok {
-				fn(a.Ranks[i], r)
+				fn(mine, r)
 			}
 		})
 	}
@@ -55,7 +59,7 @@ func oracleNFI(a *acd.Assignment, topo topology.Topology, opts NFIOptions) acd.A
 // per parent-child link at every level, and one event per cell per
 // member of its interaction list.
 func oracleFFI(a *acd.Assignment, topo topology.Topology) FFIResult {
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := quadtree.BuildRankTree(a.Order, a.KeyIndex().Set().Points(), a.Owners())
 	var res FFIResult
 	for l := tree.Order; l >= 1; l-- {
 		tree.VisitCells(l, func(x, y uint32, rep int32) {

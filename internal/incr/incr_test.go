@@ -160,11 +160,14 @@ func TestStateMatchesOracleEveryTick(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range oracle.Particles {
-					if got.Particles[i] != oracle.Particles[i] || got.Ranks[i] != oracle.Ranks[i] {
+				// The maintained set holds the points in curve order; the
+				// oracle's holds them in input order.
+				owners := oracle.Owners()
+				for k, i := range sfc.SortPoints(curve, order, pts) {
+					gp := got.KeyIndex().Set().Points()[k]
+					if gp != pts[i] || got.Owners()[k] != owners[i] {
 						t.Fatalf("%s/%v tick %d: assignment position %d = (%v,%d), oracle (%v,%d)",
-							curveName, metric, tick, i, got.Particles[i], got.Ranks[i],
-							oracle.Particles[i], oracle.Ranks[i])
+							curveName, metric, tick, k, gp, got.Owners()[k], pts[i], owners[i])
 					}
 				}
 			}

@@ -17,9 +17,12 @@
 //
 // An Index is one assignment's labelling of a set: the representative
 // rank (minimum owning rank, the §III convention) of every occupied
-// cell at every level, in slab order. Labelling scatters the finest
-// ranks and takes one min-reduction per level over the child runs; it
-// sorts nothing and builds no directory.
+// cell at every level, in slab order. Label scatters any ownership's
+// finest ranks and takes one min-reduction per level over the child
+// runs. LabelAlong labels the chunks of a quadrant-recursive curve
+// (Hilbert, Morton, Gray) in one top-down pass, reading the curve
+// order off the skeleton with the curve's child-order table. Neither
+// sorts or builds a directory.
 //
 // The set also owns the Plans recorded over it: the near-field and
 // interaction-list cell pairs as slab positions. Which cells are
@@ -27,7 +30,7 @@
 // plan recorded once serves every labelling of its set, replayed
 // against each labelling's representatives (Reps). The oracles live in
 // the tests: quadtree.RankTree for the per-level queries and a
-// cell->rank map built from the assignment's arrays for the finest
+// cell->rank map built from the assignment's owners for the finest
 // level. For every query family here a test pins exact equality of the
 // replayed event multisets against that enumeration.
 package keynav
@@ -46,13 +49,19 @@ var buildCounter = obs.GetCounter("keynav.builds")
 
 // level is one resolution level of a set: occupied cells as sorted
 // level keys, the start of each cell's child group in the next-finer
-// level, and a radix directory over the keys. At the finest level
-// childStart is nil.
+// level, the finest slab position of each cell's first particle, and a
+// radix directory over the keys. At the finest level childStart and
+// first are nil.
 type level struct {
 	keys       []uint64
 	childStart []int32 // len(keys)+1; indices into the next-finer level
-	dir        []int32 // len (1<<dirBits)+1; bucket b covers dir[b]..dir[b+1]
-	shift      uint    // key -> directory bucket shift
+	// first[j] is the finest slab position of cell j's first particle
+	// in Morton order (len(keys)+1 entries, the last one the particle
+	// count), so cell j holds first[j+1]-first[j] particles. At level
+	// Order-1 it is childStart.
+	first []int32
+	dir   []int32 // len (1<<dirBits)+1; bucket b covers dir[b]..dir[b+1]
+	shift uint    // key -> directory bucket shift
 }
 
 // find returns the position of key k in the level, or -1. The
@@ -192,7 +201,9 @@ func NewSet(order uint, pts []geom.Point) (*Set, error) {
 }
 
 // buildLevels derives every coarser level from the sorted finest keys
-// by one linear scan per level over right-shifted keys.
+// by one linear scan per level over right-shifted keys, and each
+// level's first-particle offsets by one gather through its child
+// starts: a cell's first particle is its first child's.
 func (s *Set) buildLevels(keys []uint64) {
 	s.lv = make([]level, s.Order+1)
 	fin := &s.lv[s.Order]
@@ -216,6 +227,14 @@ func (s *Set) buildLevels(keys []uint64) {
 		}
 		dst.childStart = append(dst.childStart, int32(len(src)))
 		dst.buildDir(2 * uint(l))
+		if l == int(s.Order)-1 {
+			dst.first = dst.childStart
+		} else {
+			dst.first = make([]int32, len(dst.childStart))
+			for j, c := range dst.childStart {
+				dst.first[j] = s.lv[l+1].first[c]
+			}
+		}
 	}
 }
 
@@ -238,19 +257,7 @@ func (s *Set) LevelLen(l uint) int { return len(s.lv[l].keys) }
 // and each coarser cell's representative is the minimum over its
 // child run. ranks is not retained.
 func (s *Set) Label(ranks []int32) *Index {
-	if len(ranks) != len(s.pts) {
-		panic(fmt.Sprintf("keynav: %d ranks label a set of %d cells", len(ranks), len(s.pts)))
-	}
-	total := 0
-	for l := range s.lv {
-		total += len(s.lv[l].keys)
-	}
-	slab := make([]int32, total)
-	ix := &Index{Order: s.Order, set: s, reps: make([][]int32, len(s.lv))}
-	for l := range s.lv {
-		m := len(s.lv[l].keys)
-		ix.reps[l], slab = slab[:m:m], slab[m:]
-	}
+	ix := s.newIndex(len(ranks))
 	fin := ix.reps[s.Order]
 	for i, r := range ranks {
 		fin[s.pos[i]] = r
@@ -264,6 +271,94 @@ func (s *Set) Label(ranks []int32) *Index {
 			}
 			ix.reps[l][j] = rep
 		}
+	}
+	return ix
+}
+
+// LabelAlong returns the labelling of the set under chunks of a
+// quadrant-recursive curve: ranks[c] owns the c-th particle along q's
+// curve, and ranks must be non-decreasing. It reads the curve order off
+// the skeleton in one pass per level from the root. Each cell carries
+// its curve state and the curve position of its first particle; a
+// cell's children take the positions after the particles of the
+// siblings the curve visits before them. The curve visits a cell's
+// particles contiguously and ranks never decrease, so a cell's
+// representative, its minimum rank, is the rank at its first position.
+// Nothing is encoded, sorted, scattered or reduced. ranks is not
+// retained.
+func (s *Set) LabelAlong(q sfc.Quadrants, ranks []int32) *Index {
+	ix := s.newIndex(len(ranks))
+	if len(ranks) == 0 {
+		return ix
+	}
+	// The curve's child-order table, read once: states are below 4.
+	var table [4][4]struct{ digit, next uint8 }
+	for st := range table {
+		for quad := range table[st] {
+			e := &table[st][quad]
+			e.digit, e.next = q.Quadrant(uint8(st), uint8(quad))
+		}
+	}
+	n := len(ranks)
+	// pos and state of the current level's cells, and of the next
+	// level's, which the pass fills while walking the current one.
+	pos, npos := make([]int32, 1, n), make([]int32, 0, n)
+	state, nstate := make([]uint8, 1, n), make([]uint8, 0, n)
+	ix.reps[0][0] = ranks[0]
+	for l := uint(0); l < s.Order; l++ {
+		start, keys, first := s.lv[l].childStart, s.lv[l+1].keys, s.lv[l+1].first
+		m := len(keys)
+		npos, nstate = npos[:m], nstate[:m]
+		up, reps := ix.reps[l], ix.reps[l+1]
+		for j, st := range state {
+			lo, hi := start[j], start[j+1]
+			tab := &table[st]
+			if hi-lo == 1 {
+				// An only child starts where its parent does.
+				npos[lo], nstate[lo], reps[lo] = pos[j], tab[keys[lo]&3].next, up[j]
+				continue
+			}
+			// Slot the two to four children by visit position, with the
+			// particles each holds, then place each child after the
+			// particles of the positions before its own.
+			var digits [4]uint8
+			var held [4]int32
+			for k := lo; k < hi; k++ {
+				e := tab[keys[k]&3]
+				digits[k-lo], nstate[k] = e.digit, e.next
+				if first == nil {
+					held[e.digit] = 1
+				} else {
+					held[e.digit] = first[k+1] - first[k]
+				}
+			}
+			c := pos[j]
+			at := [4]int32{c, c + held[0], c + held[0] + held[1], c + held[0] + held[1] + held[2]}
+			for k := lo; k < hi; k++ {
+				c := at[digits[k-lo]]
+				npos[k], reps[k] = c, ranks[c]
+			}
+		}
+		pos, npos, state, nstate = npos, pos, nstate, state
+	}
+	return ix
+}
+
+// newIndex allocates an empty labelling of the set, all levels in one
+// slab, for n ranks.
+func (s *Set) newIndex(n int) *Index {
+	if n != len(s.pts) {
+		panic(fmt.Sprintf("keynav: %d ranks label a set of %d cells", n, len(s.pts)))
+	}
+	total := 0
+	for l := range s.lv {
+		total += len(s.lv[l].keys)
+	}
+	slab := make([]int32, total)
+	ix := &Index{Order: s.Order, set: s, reps: make([][]int32, len(s.lv))}
+	for l := range s.lv {
+		m := len(s.lv[l].keys)
+		ix.reps[l], slab = slab[:m:m], slab[m:]
 	}
 	return ix
 }

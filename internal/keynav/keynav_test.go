@@ -18,7 +18,7 @@ import (
 )
 
 // quadtree.RankTree and a cell->rank map built from the assignment's
-// arrays are the differential oracles: every query family of the
+// owners are the differential oracles: every query family of the
 // key-space engine is pinned here to exact equality —
 // same ranks, same representative per cell, same event multisets —
 // across curves (sorted and unsorted key input), seeds, and radii.
@@ -48,27 +48,46 @@ func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed u
 
 var testCurves = []sfc.Curve{sfc.RowMajor, sfc.Morton, sfc.Gray, sfc.Hilbert}
 
-// labelled builds a fresh set over the assignment's particles (in its
-// curve order, so the set sees sorted and unsorted key input) and
-// labels it with the assignment's ranks.
-func labelled(t testing.TB, a *acd.Assignment) *keynav.Index {
+// alongCurve returns the assignment's particles and their owners in
+// the order the curve visits them.
+func alongCurve(a *acd.Assignment, curve sfc.Curve) ([]geom.Point, []int32) {
+	pts, owners := a.KeyIndex().Set().Points(), a.Owners()
+	sorted, ranks := make([]geom.Point, len(pts)), make([]int32, len(pts))
+	for k, i := range sfc.SortPoints(curve, a.Order, pts) {
+		sorted[k], ranks[k] = pts[i], owners[i]
+	}
+	return sorted, ranks
+}
+
+// labelled builds a fresh set over the assignment's particles (in the
+// curve's order, so the set sees sorted and unsorted key input) and
+// labels it with the assignment's owners.
+func labelled(t testing.TB, curve sfc.Curve, a *acd.Assignment) *keynav.Index {
 	t.Helper()
-	set, err := keynav.NewSet(a.Order, a.Particles)
+	pts, ranks := alongCurve(a, curve)
+	set, err := keynav.NewSet(a.Order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set.Label(a.Ranks)
+	return set.Label(ranks)
+}
+
+// rankTree is the per-level oracle: the dense representative tree of
+// the assignment's points and owners.
+func rankTree(a *acd.Assignment) *quadtree.RankTree {
+	return quadtree.BuildRankTree(a.Order, a.KeyIndex().Set().Points(), a.Owners())
 }
 
 // rankMap is the finest-level oracle: a cell->rank map built from the
-// assignment's parallel arrays. (acd.Assignment.RankAt answers through
-// the index itself, so it cannot serve as the reference.)
+// assignment's owners. (acd.Assignment.RankAt answers through the
+// index itself, so it cannot serve as the reference.)
 type rankMap map[geom.Point]int32
 
 func newRankMap(a *acd.Assignment) rankMap {
+	owners := a.Owners()
 	m := make(rankMap, a.N())
-	for i, pt := range a.Particles {
-		m[pt] = a.Ranks[i]
+	for i, pt := range a.KeyIndex().Set().Points() {
+		m[pt] = owners[i]
 	}
 	return m
 }
@@ -89,7 +108,7 @@ func TestIndexRankAtMatchesAssignment(t *testing.T) {
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 7)
 		ranks := newRankMap(a)
-		ix := labelled(t, a)
+		ix := labelled(t, curve, a)
 		side := geom.Side(order)
 		for y := uint32(0); y < side; y++ {
 			for x := uint32(0); x < side; x++ {
@@ -141,7 +160,7 @@ func TestIndexRepMatchesRankTree(t *testing.T) {
 	}
 	for k, a := range as {
 		ix := a.KeyIndex()
-		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+		tree := rankTree(a)
 		for l := uint(0); l <= order; l++ {
 			side := geom.Side(l)
 			occupied := 0
@@ -211,8 +230,8 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 		for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 			for _, radius := range []int{0, 1, 2, 3, int(side), int(side) + 3} {
 				want := map[uint64]int{}
-				for i, pt := range a.Particles {
-					mine := a.Ranks[i]
+				for _, pt := range a.KeyIndex().Set().Points() {
+					mine := ranks.at(pt)
 					geom.VisitUpperNeighborhood(pt, radius, m, side, func(q geom.Point) {
 						if r := ranks.at(q); r >= 0 {
 							want[pairKey(mine, r)]++
@@ -221,7 +240,7 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 				}
 				for _, workers := range recordWorkers {
 					// A fresh set records its plan at this worker count.
-					ix := labelled(t, a)
+					ix := labelled(t, curve, a)
 					pl := ix.Set().Plan(keynav.Spec{Radius: radius, Metric: m}, workers)
 					if got := nearRanks(ix, pl, radius, m); !mapsEqual(got, want) {
 						t.Fatalf("%s %s r=%d workers=%d: near-field multiset mismatch (got %d keys, want %d)",
@@ -240,8 +259,8 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
 		a := buildAssignment(t, curve, order, n, p, 17)
-		ix := labelled(t, a)
-		tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+		ix := labelled(t, curve, a)
+		tree := rankTree(a)
 		for l := uint(1); l <= order; l++ {
 			want := map[uint64]int{}
 			tree.VisitCells(l, func(x, y uint32, rep int32) {
@@ -292,9 +311,9 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			seed uint64
 		}{{300, 16, 19}, {12, 4, 23}, {1, 1, 29}} {
 			a := buildAssignment(t, curve, order, tc.n, tc.p, tc.seed)
-			tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+			tree := rankTree(a)
 			for _, workers := range recordWorkers {
-				ix := labelled(t, a)
+				ix := labelled(t, curve, a)
 				pl := ix.Set().Plan(keynav.Spec{Far: true}, workers)
 				for l := uint(2); l <= order; l++ {
 					want := upperILPairs(tree, l)
@@ -328,7 +347,7 @@ func TestDenseGridAllLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := a.KeyIndex()
-	tree := quadtree.BuildRankTree(a.Order, a.Particles, a.Ranks)
+	tree := rankTree(a)
 	pl := set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
 	for l := uint(2); l <= order; l++ {
 		want := upperILPairs(tree, l)
@@ -338,9 +357,9 @@ func TestDenseGridAllLevels(t *testing.T) {
 	}
 	ranks := newRankMap(a)
 	want := map[uint64]int{}
-	for i, pt := range a.Particles {
+	for _, pt := range pts {
 		geom.VisitUpperNeighborhood(pt, 1, geom.MetricChebyshev, side, func(q geom.Point) {
-			want[pairKey(a.Ranks[i], ranks.at(q))]++
+			want[pairKey(ranks.at(pt), ranks.at(q))]++
 		})
 	}
 	if got := nearRanks(ix, pl, 1, geom.MetricChebyshev); !mapsEqual(got, want) {
@@ -559,10 +578,11 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 		ix := a.KeyIndex()
+		pts := set.Points()
 		b.Run(fmt.Sprintf("order%d", order), func(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				p := a.Particles[i%n]
+				p := pts[i%n]
 				if ix.RankAt(geom.Pt(p.X^1, p.Y)) >= 0 {
 					hits++
 				}
@@ -573,7 +593,8 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 }
 
 // BenchmarkKeyNavBuild measures skeleton construction at table12 scale
-// (order 8, n = 15,625) from Hilbert-ordered input, and labelling it.
+// (order 8, n = 15,625) from Hilbert-ordered input, and labelling it
+// (BenchmarkLabelAlong times the top-down labelling).
 func BenchmarkKeyNavBuild(b *testing.B) {
 	const order, n = 8, 15625
 	set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
@@ -584,16 +605,18 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sorted, _ := alongCurve(a, sfc.Hilbert)
+	owners := a.Owners()
 	b.Run("set", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := keynav.NewSet(order, a.Particles); err != nil {
+			if _, err := keynav.NewSet(order, sorted); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("label", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			set.Label(a.Ranks)
+			set.Label(owners)
 		}
 	})
 }

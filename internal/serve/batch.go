@@ -132,6 +132,7 @@ func expandBatch(req BatchRequest) ([]batchCell, error) {
 				if err := dec.Decode(&p); err != nil {
 					return nil, fmt.Errorf("batch: bad sweep value: %v", err)
 				}
+				p = spec.Resolve(p)
 			}
 			if err := spec.Validate(p); err != nil {
 				return nil, fmt.Errorf("batch: cell %d (%s): %v", len(cells), name, err)

@@ -50,6 +50,25 @@ func TestExpandBatch(t *testing.T) {
 	}
 }
 
+// TestExpandBatchResolvesIgnoredKnobs sweeps radius over the knobs its
+// runner ignores: every cell must come out with them cleared, as
+// mergeParams clears them for a single request.
+func TestExpandBatchResolvesIgnoredKnobs(t *testing.T) {
+	cells, err := expandBatch(BatchRequest{
+		Experiments: []string{"radius"},
+		Params:      json.RawMessage(`{"Particles":400,"Order":5,"Distribution":"normal"}`),
+		Sweep:       map[string][]json.RawMessage{"Radius": {json.RawMessage("1"), json.RawMessage("3")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if c.params.Radius != 0 || c.params.Distribution != "" || c.params.Particles != 400 {
+			t.Errorf("cell %d params %+v, want Radius 0 and no Distribution over 400 particles", i, c.params)
+		}
+	}
+}
+
 func TestExpandBatchErrors(t *testing.T) {
 	cases := []struct {
 		name string

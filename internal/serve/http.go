@@ -336,7 +336,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // mergeParams resolves the effective parameters of a request: the
 // named experiment's preset (scaled by default, ?preset=paper for
-// paper scale) with the body's partial Params object merged over it.
+// paper scale) with the body's partial Params object merged over it,
+// and the knobs the experiment ignores cleared (Spec.Resolve).
 func mergeParams(name, preset string, body []byte) (experiments.Params, error) {
 	spec, ok := experiments.Lookup(name)
 	if !ok {
@@ -356,7 +357,7 @@ func mergeParams(name, preset string, body []byte) (experiments.Params, error) {
 	if err := dec.Decode(&params); err != nil && !errors.Is(err, io.EOF) {
 		return experiments.Params{}, fmt.Errorf("bad params body: %v", err)
 	}
-	return params, nil
+	return spec.Resolve(params), nil
 }
 
 // envelopeOf wraps a cached entry for the response body. Raw fields

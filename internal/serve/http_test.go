@@ -67,6 +67,56 @@ func TestHandlerMissThenHitByteIdentical(t *testing.T) {
 	}
 }
 
+// radiusBodies are three radius requests that differ only in knobs the
+// runner ignores: it sweeps fixed radii over a uniform sample.
+var radiusBodies = []string{
+	`{"Particles":1000,"Order":6,"ProcOrder":3,"Trials":1,"Radius":1}`,
+	`{"Particles":1000,"Order":6,"ProcOrder":3,"Trials":1,"Radius":3}`,
+	`{"Particles":1000,"Order":6,"ProcOrder":3,"Trials":1,"Radius":1,"Distribution":"normal"}`,
+}
+
+// TestHandlerRadiusIgnoredKnobsShareOneKey posts the three bodies: the
+// first computes, the other two hit its entry under the same key, and
+// the envelope carries the cleared knobs.
+func TestHandlerRadiusIgnoredKnobsShareOneKey(t *testing.T) {
+	h := NewHandler(New(Options{Workers: 2}))
+	computations := obs.GetCounter("serve.computations")
+	before := computations.Value()
+	var key string
+	for i, body := range radiusBodies {
+		rec := postExperiment(t, h, "/v1/experiments/radius", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("body %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if got := rec.Header().Get("X-Cache"); got != want {
+			t.Errorf("body %d: X-Cache = %q, want %q", i, got, want)
+		}
+		var env Envelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			key = env.Key
+		} else if env.Key != key {
+			t.Errorf("body %d: key %s, want the first body's %s", i, env.Key, key)
+		}
+		var p experiments.Params
+		if err := json.Unmarshal(env.Params, &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Radius != 0 || p.Distribution != "" || p.Particles != 1000 {
+			t.Errorf("body %d: envelope params %+v, want Radius 0, no Distribution, 1000 particles", i, p)
+		}
+	}
+	if n := computations.Value() - before; n != 1 {
+		t.Errorf("serve.computations rose by %d, want 1", n)
+	}
+}
+
 // TestHandlerMixedOrders posts table12 at order 8 and then at order 12
 // to one handler (a pooled index once crashed the second request).
 // Both must answer 200.
