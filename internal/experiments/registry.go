@@ -63,9 +63,9 @@ type Spec struct {
 	// Validate covers it.
 	Check func(Params) error
 	// Canonical clears the knobs the experiment does not read, so
-	// requests that differ only in them share one cache key (radius
-	// sweeps fixed radii over a uniform sample, so it clears Radius and
-	// Distribution); nil changes nothing. Resolve applies it.
+	// requests that differ only in them share one cache key: all but
+	// dynamic and dynamicincr clear Distribution, and radius (fixed
+	// radii) Radius too. nil changes nothing. Resolve applies it.
 	Canonical func(Params) Params
 }
 
@@ -90,6 +90,13 @@ func (s Spec) Validate(p Params) error {
 		return s.Check(p)
 	}
 	return nil
+}
+
+// ignoreDistribution is the Canonical of the experiments that sample
+// fixed distributions and never read Params.Distribution.
+func ignoreDistribution(p Params) Params {
+	p.Distribution = ""
+	return p
 }
 
 // Registry returns the experiment table in display order.
@@ -126,7 +133,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: Table12Set(res)}, nil
 		},
-		Decode: decodeResult[Table12Set],
+		Decode:    decodeResult[Table12Set],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "fig6",
@@ -139,7 +147,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[Fig6Result],
+		Decode:    decodeResult[Fig6Result],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "fig7",
@@ -152,7 +161,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[Fig7Result],
+		Decode:    decodeResult[Fig7Result],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "radius",
@@ -175,8 +185,8 @@ var registry = []Spec{
 			return nil
 		},
 		Canonical: func(p Params) Params {
-			p.Radius, p.Distribution = 0, ""
-			return p
+			p.Radius = 0
+			return ignoreDistribution(p)
 		},
 	},
 	{
@@ -201,6 +211,7 @@ var registry = []Spec{
 			}
 			return nil
 		},
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "meshtorus",
@@ -213,7 +224,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[MeshTorusResult],
+		Decode:    decodeResult[MeshTorusResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "primitives",
@@ -226,7 +238,8 @@ var registry = []Spec{
 			res := RunPrimitives(p.ProcOrder, p.Workers)
 			return &Output{Params: map[string]any{"procorder": p.ProcOrder}, Result: res}, nil
 		},
-		Decode: decodeResult[PrimitivesResult],
+		Decode:    decodeResult[PrimitivesResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "contention",
@@ -239,7 +252,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[ContentionResult],
+		Decode:    decodeResult[ContentionResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "dynamic",
@@ -279,8 +293,9 @@ var registry = []Spec{
 			}
 			return &Output{Params: tp, Result: res}, nil
 		},
-		Decode: decodeResult[ThreeDResult],
-		Check:  func(p Params) error { return ThreeDFromParams(p).Validate() },
+		Decode:    decodeResult[ThreeDResult],
+		Check:     func(p Params) error { return ThreeDFromParams(p).Validate() },
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "clustering",
@@ -294,7 +309,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: cfg, Result: res}, nil
 		},
-		Decode: decodeResult[ClusterResult],
+		Decode:    decodeResult[ClusterResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "loadbalance",
@@ -307,7 +323,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[LoadBalanceResult],
+		Decode:    decodeResult[LoadBalanceResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "execmodel",
@@ -320,7 +337,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: p, Result: res}, nil
 		},
-		Decode: decodeResult[ExecModelResult],
+		Decode:    decodeResult[ExecModelResult],
+		Canonical: ignoreDistribution,
 	},
 	{
 		Name:  "metrics",
@@ -334,7 +352,8 @@ var registry = []Spec{
 			}
 			return &Output{Params: cfg, Result: res}, nil
 		},
-		Decode: decodeResult[MetricsResult],
+		Decode:    decodeResult[MetricsResult],
+		Canonical: ignoreDistribution,
 	},
 }
 

@@ -138,9 +138,7 @@ func ffiTasks(ix *keynav.Index, workers int) []ffiTask {
 	}
 	for l := uint(2); l <= ix.Order; l++ {
 		for _, c := range pl.IL(l) {
-			if len(c) > 0 {
-				tasks = append(tasks, ffiTask{level: l, il: c})
-			}
+			tasks = append(tasks, ffiTask{level: l, il: c})
 		}
 	}
 	return tasks

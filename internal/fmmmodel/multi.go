@@ -290,11 +290,13 @@ func (p *pricer) flush() {
 // mergePricers flushes the pricers and adds their tallies to out, one
 // accumulator per topology, each event counted weight times (2 for a
 // stream of unordered pairs, each standing for both directions). The
-// sums are integers, so the merge order does not matter.
+// sums are integers, so the merge order does not matter. Leftover
+// events are priced in a guarded pool, so a topology's panic always
+// reaches the caller as a *panics.Worker.
 func mergePricers(ps []*pricer, out []acd.Accumulator, weight uint64) {
+	panics.Parallel(1, len(ps), func(_, i int) { ps[i].flush() })
 	var events, priced uint64
 	for _, p := range ps {
-		p.flush()
 		events, priced = events+p.events, priced+p.priced
 		for t, s := range p.sums {
 			out[t].Sum += weight * s

@@ -1,15 +1,12 @@
 // Package keynav is the key-space neighbor engine: it answers the
 // neighbor and interaction-list queries of the FMM communication model
-// by arithmetic on a radix-sorted array of Morton keys, in the style
-// of Holzmüller's algebraic neighbor-finding, instead of probing a
-// dense rank table or walking a quadtree.
+// from a radix-sorted array of Morton keys, instead of probing a dense
+// rank table or walking a quadtree.
 //
 // The engine splits what depends only on where the particles are from
 // what depends on who owns them. A Set is the skeleton of one particle
 // set: every occupied cell of every level as a sorted Morton key array
-// (a cell's index in it is its slab position), searched through a
-// small top-level radix directory that cuts a binary search to a
-// couple of iterations inside one cache line. The level-l key of a
+// (a cell's index in it is its slab position). The level-l key of a
 // cell is its finest key shifted right by 2(Order-l), so each coarser
 // level is one linear scan of the finer one, and a parent's children
 // form a contiguous run of the finer slab (ChildStart). Memory is
@@ -21,23 +18,24 @@
 // finest ranks and takes one min-reduction per level over the child
 // runs. LabelAlong labels the chunks of a quadrant-recursive curve
 // (Hilbert, Morton, Gray) in one top-down pass, reading the curve
-// order off the skeleton with the curve's child-order table. Neither
-// sorts or builds a directory.
+// order off the skeleton with the curve's child-order table.
 //
 // The set also owns the Plans recorded over it: the near-field and
-// interaction-list cell pairs as slab positions. Which cells are
-// neighbors or list partners depends only on the occupied cells, so a
-// plan recorded once serves every labelling of its set, replayed
+// interaction-list cell pairs as slab positions, found by refining the
+// adjacent cell pairs of each level into the next level's, top down,
+// with no neighbor search. They depend only on the occupied cells, so
+// a plan recorded once serves every labelling of its set, replayed
 // against each labelling's representatives (Reps). The oracles live in
-// the tests: quadtree.RankTree for the per-level queries and a
-// cell->rank map built from the assignment's owners for the finest
-// level. For every query family here a test pins exact equality of the
-// replayed event multisets against that enumeration.
+// the tests: quadtree.RankTree, a cell->rank map built from the
+// assignment's owners, and the probe enumerations that search for
+// every neighbor by key. A test pins each query family's pairs or
+// replayed event multisets to them exactly.
 package keynav
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"sfcacd/internal/geom"
@@ -49,12 +47,13 @@ var buildCounter = obs.GetCounter("keynav.builds")
 
 // level is one resolution level of a set: occupied cells as sorted
 // level keys, the start of each cell's child group in the next-finer
-// level, the finest slab position of each cell's first particle, and a
-// radix directory over the keys. At the finest level childStart and
-// first are nil.
+// level, which children each cell has, and the finest slab position of
+// each cell's first particle. The finest level has none of the last
+// three; only it has a radix directory over the keys, for RankAt.
 type level struct {
 	keys       []uint64
 	childStart []int32 // len(keys)+1; indices into the next-finer level
+	occ        []uint8 // bit s: the child at sub-position s (key & 3) is occupied
 	// first[j] is the finest slab position of cell j's first particle
 	// in Morton order (len(keys)+1 entries, the last one the particle
 	// count), so cell j holds first[j+1]-first[j] particles. At level
@@ -82,22 +81,6 @@ func (lv *level) find(k uint64) int {
 		return lo
 	}
 	return -1
-}
-
-// lowerBound returns the first position whose key is >= k (len(keys)
-// if none), narrowed through the directory like find.
-func (lv *level) lowerBound(k uint64) int {
-	b := k >> lv.shift
-	lo, hi := int(lv.dir[b]), int(lv.dir[b+1])
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if lv.keys[m] < k {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 // buildDir builds the level's radix directory for the given total key
@@ -201,9 +184,10 @@ func NewSet(order uint, pts []geom.Point) (*Set, error) {
 }
 
 // buildLevels derives every coarser level from the sorted finest keys
-// by one linear scan per level over right-shifted keys, and each
-// level's first-particle offsets by one gather through its child
-// starts: a cell's first particle is its first child's.
+// by one linear scan per level over right-shifted keys, which also
+// marks each cell's occupied children, and each level's first-particle
+// offsets by one gather through its child starts: a cell's first
+// particle is its first child's.
 func (s *Set) buildLevels(keys []uint64) {
 	s.lv = make([]level, s.Order+1)
 	fin := &s.lv[s.Order]
@@ -219,14 +203,16 @@ func (s *Set) buildLevels(keys []uint64) {
 		}
 		dst.keys = make([]uint64, 0, m)
 		dst.childStart = make([]int32, 0, m+1)
+		dst.occ = make([]uint8, 0, m)
 		for i, k := range src {
 			if i == 0 || k>>2 != src[i-1]>>2 {
 				dst.keys = append(dst.keys, k>>2)
 				dst.childStart = append(dst.childStart, int32(i))
+				dst.occ = append(dst.occ, 0)
 			}
+			dst.occ[len(dst.occ)-1] |= 1 << (k & 3)
 		}
 		dst.childStart = append(dst.childStart, int32(len(src)))
-		dst.buildDir(2 * uint(l))
 		if l == int(s.Order)-1 {
 			dst.first = dst.childStart
 		} else {
@@ -408,7 +394,7 @@ func (ix *Index) RankAt(p geom.Point) int32 {
 
 // Rep returns the representative (minimum) rank of cell (x, y) at the
 // given level, or -1 if the cell is empty — the RankTree.Rep oracle's
-// signature, answered by key search.
+// signature, answered by a binary search over the level's keys.
 func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	if l > ix.Order {
 		panic(fmt.Sprintf("keynav: level %d beyond order %d", l, ix.Order))
@@ -417,199 +403,8 @@ func (ix *Index) Rep(l uint, x, y uint32) int32 {
 	if x >= side || y >= side {
 		panic(fmt.Sprintf("keynav: cell (%d,%d) outside level %d", x, y, l))
 	}
-	if i := ix.set.lv[l].find(sfc.MortonKey(x, y)); i >= 0 {
+	if i, ok := slices.BinarySearch(ix.set.lv[l].keys, sfc.MortonKey(x, y)); ok {
 		return ix.reps[l][i]
 	}
 	return -1
-}
-
-// nearScan bounds the forward scan of a neighbor probe before it
-// falls back to the directory search: eight keys is one cache line of
-// the sorted array.
-const nearScan = 8
-
-// upperNeighborPairs appends to out, for every particle position i in
-// [lo, hi), a Pair{i, j} for every occupied cell j within metric
-// distance radius of i's cell that follows it in row-major order. The
-// enumeration mirrors geom.VisitUpperNeighborhood exactly (same
-// clamping at the grid edges), so over the full particle range the
-// pairs are the near-field upper event stream. Neighbor cells are
-// reached by dilated-integer arithmetic on the key and resolved against
-// the sorted array.
-func (s *Set) upperNeighborPairs(lo, hi, radius int, m geom.Metric, out []Pair) []Pair {
-	if radius <= 0 {
-		return out
-	}
-	side := int(geom.Side(s.Order))
-	fin := &s.lv[s.Order]
-	keys := fin.keys
-	n := len(keys)
-	for i := lo; i < hi; i++ {
-		x, y := sfc.MortonCoords(keys[i])
-		for dy := 0; dy <= radius; dy++ {
-			yq := int(y) + dy
-			if yq >= side {
-				break
-			}
-			span := radius
-			if m == geom.MetricManhattan {
-				span = radius - dy
-			}
-			x0 := int(x) - span
-			if dy == 0 {
-				x0 = int(x) + 1
-			}
-			if x0 < 0 {
-				x0 = 0
-			}
-			x1 := int(x) + span
-			if x1 >= side {
-				x1 = side - 1
-			}
-			ypart := sfc.MortonYPart(uint32(yq))
-			xpart := sfc.MortonXPart(uint32(x0))
-			// A row's targets ascend in key order, and nearby cells
-			// mostly sit a few positions after the particle's own, so a
-			// cursor c starting at i rides the row: each target's lower
-			// bound is found by a short forward scan from the cursor,
-			// with the directory as the fallback.
-			c := i
-			for xq := x0; xq <= x1; xq++ {
-				kt := ypart | xpart
-				xpart = sfc.MortonIncX(xpart)
-				j := c + 1
-				if kt <= keys[c] {
-					j = fin.lowerBound(kt)
-				} else {
-					end := min(j+nearScan, n)
-					for j < end && keys[j] < kt {
-						j++
-					}
-					if j == end && end < n {
-						j = fin.lowerBound(kt)
-					}
-				}
-				if j == n {
-					// Every key is below kt: the rest of the row is
-					// unoccupied.
-					break
-				}
-				if keys[j] == kt {
-					out = append(out, Pair{int32(i), int32(j)})
-					c = j
-				} else {
-					c = max(j-1, 0)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// parentUpper lists the row-major-upper neighbor offsets of a parent
-// cell; visiting each unordered pair of Chebyshev-adjacent parents
-// exactly once partitions the interaction lists, because every
-// interaction-list pair at level l lives between two distinct adjacent
-// cells at level l-1 (children of one parent are mutually adjacent and
-// never in each other's lists).
-var parentUpper = [4]struct{ dx, dy int32 }{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
-
-// ilCross[o][sa] is the bitmask of child sub-positions sb of the o-th
-// upper parent neighbor whose cells are interaction-list partners
-// (Chebyshev distance > 1) of the child at sub-position sa. Sub
-// positions are the low two key bits: bit 0 = x, bit 1 = y.
-var ilCross [4][4]uint8
-
-// sibDelta[sa][o] is the key delta of the o-th upper parent neighbor
-// when it stays inside sa's aligned sibling quad (0 when the offset
-// crosses the quad boundary and needs a directory probe): incrementing
-// an even coordinate only sets the low dilated bit, so the sibling's
-// key is the parent's plus the sub-position difference.
-var sibDelta = [4][4]uint8{
-	{1, 0, 2, 3}, // (even, even): +x, +y, and +x+y are siblings
-	{0, 1, 2, 0}, // (odd, even): -x+y and +y are siblings
-	{1, 0, 0, 0}, // (even, odd): +x is a sibling
-	{0, 0, 0, 0}, // (odd, odd): every upper offset leaves the quad
-}
-
-func init() {
-	for o, off := range parentUpper {
-		for sa := 0; sa < 4; sa++ {
-			for sb := 0; sb < 4; sb++ {
-				dx := int(2*off.dx) + sb&1 - sa&1
-				dy := int(2*off.dy) + sb>>1 - sa>>1
-				if max(abs(dx), abs(dy)) > 1 {
-					ilCross[o][sa] |= 1 << sb
-				}
-			}
-		}
-	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// upperILPairs appends to out one Pair of level-l positions for every
-// unordered interaction-list pair of occupied cells at level l >= 2
-// whose parents lie in positions [plo, phi) of level l-1 (the pair is
-// attributed to its row-major-lower parent). Instead of scanning the
-// 6x6 candidate window around every cell, the pass enumerates adjacent
-// parent pairs — four upper neighbor probes per occupied parent — and
-// crosses their child groups, which are contiguous runs of the level-l
-// slab, filtering sibling-adjacency by the precomputed ilCross masks.
-func (s *Set) upperILPairs(l uint, plo, phi int, out []Pair) []Pair {
-	if l < 2 {
-		return out
-	}
-	par := &s.lv[l-1]
-	ch := &s.lv[l]
-	pside := int32(geom.Side(l - 1))
-	for j := plo; j < phi; j++ {
-		kj := par.keys[j]
-		px, py := sfc.MortonCoords(kj)
-		aLo, aHi := par.childStart[j], par.childStart[j+1]
-		sa := kj & 3
-		for o, off := range parentUpper {
-			var jq int
-			if d := sibDelta[sa][o]; d != 0 {
-				// The neighbor is a sibling within the same aligned
-				// 2x2 quad (always inside the grid): its key is kj+d,
-				// and the only keys in (kj, kj+3] are siblings, so the
-				// next <= 3 slab entries decide occupancy without a
-				// directory probe.
-				kt := kj + uint64(d)
-				jq = -1
-				for t := j + 1; t < len(par.keys) && par.keys[t] <= kt; t++ {
-					if par.keys[t] == kt {
-						jq = t
-						break
-					}
-				}
-			} else {
-				qx := int32(px) + off.dx
-				qy := int32(py) + off.dy
-				if qx < 0 || qx >= pside || qy >= pside {
-					continue
-				}
-				jq = par.find(sfc.MortonKey(uint32(qx), uint32(qy)))
-			}
-			if jq < 0 {
-				continue
-			}
-			bLo, bHi := par.childStart[jq], par.childStart[jq+1]
-			for ai := aLo; ai < aHi; ai++ {
-				bm := ilCross[o][ch.keys[ai]&3]
-				for bi := bLo; bi < bHi; bi++ {
-					if bm>>(ch.keys[bi]&3)&1 != 0 {
-						out = append(out, Pair{ai, bi})
-					}
-				}
-			}
-		}
-	}
-	return out
 }

@@ -369,34 +369,44 @@ func TestDenseGridAllLevels(t *testing.T) {
 
 // TestPlanWorkerInvariance requires the pair sequences sets of the same
 // particles record at different worker counts — not just their
-// multisets — to be identical (the chunking may differ), on a dense
-// and a sparse particle set.
+// multisets — to be identical (the chunking may differ), on dense and
+// sparse uniform, normal and exponential sets, for the r = 1 near field
+// (the finest adjacency) and a wider one (crossed particle runs).
 func TestPlanWorkerInvariance(t *testing.T) {
 	for _, tc := range []struct {
+		d     dist.Sampler
 		order uint
 		n     int
-	}{{7, 4000}, {12, 3000}} {
-		pts, err := dist.SampleUnique(dist.Uniform, rng.New(37), tc.order, tc.n)
+	}{
+		{dist.Uniform, 7, 4000}, {dist.Uniform, 12, 3000},
+		{dist.Normal, 8, 4000}, {dist.Normal, 12, 3000},
+		{dist.Exponential, 8, 4000}, {dist.Exponential, 12, 3000},
+	} {
+		pts, err := dist.SampleUnique(tc.d, rng.New(37), tc.order, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := keynav.Spec{Radius: 2, Metric: geom.MetricManhattan, Far: true}
-		record := func(workers int) *keynav.Plan {
-			set, err := keynav.NewSet(tc.order, pts)
-			if err != nil {
-				t.Fatal(err)
+		for _, spec := range []keynav.Spec{
+			{Radius: 1, Metric: geom.MetricChebyshev, Far: true},
+			{Radius: 2, Metric: geom.MetricManhattan, Far: true},
+		} {
+			record := func(workers int) *keynav.Plan {
+				set, err := keynav.NewSet(tc.order, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return set.Plan(spec, workers)
 			}
-			return set.Plan(spec, workers)
-		}
-		base := record(1)
-		for _, workers := range []int{2, 3, 8} {
-			pl := record(workers)
-			if !slices.Equal(slices.Concat(pl.Near(2, geom.MetricManhattan)...), slices.Concat(base.Near(2, geom.MetricManhattan)...)) {
-				t.Fatalf("order %d workers=%d: near-field pairs differ from the one-worker plan", tc.order, workers)
-			}
-			for l := uint(2); l <= tc.order; l++ {
-				if !slices.Equal(slices.Concat(pl.IL(l)...), slices.Concat(base.IL(l)...)) {
-					t.Fatalf("order %d workers=%d l=%d: IL pairs differ from the one-worker plan", tc.order, workers, l)
+			base := record(1)
+			for _, workers := range []int{2, 3, 8} {
+				pl := record(workers)
+				if !slices.Equal(slices.Concat(pl.Near(spec.Radius, spec.Metric)...), slices.Concat(base.Near(spec.Radius, spec.Metric)...)) {
+					t.Fatalf("%s order %d r=%d workers=%d: near-field pairs differ from the one-worker plan", tc.d.Name(), tc.order, spec.Radius, workers)
+				}
+				for l := uint(2); l <= tc.order; l++ {
+					if !slices.Equal(slices.Concat(pl.IL(l)...), slices.Concat(base.IL(l)...)) {
+						t.Fatalf("%s order %d r=%d workers=%d l=%d: IL pairs differ from the one-worker plan", tc.d.Name(), tc.order, spec.Radius, workers, l)
+					}
 				}
 			}
 		}
@@ -622,14 +632,15 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 }
 
 // BenchmarkKeyNavILPairs measures recording one far-field plan on one
-// worker: the interaction lists of every level, enumerated from
-// adjacent occupied parent pairs. Each iteration builds a fresh set,
-// since a set records a spec once.
+// worker: the interaction lists of every level, refined top-down from
+// adjacent occupied cell pairs. The order-12 set is sparse below the
+// coarse levels. Each iteration builds a fresh set, since a set
+// records a spec once.
 func BenchmarkKeyNavILPairs(b *testing.B) {
 	for _, tc := range []struct {
 		order uint
 		n     int
-	}{{6, 1000}, {8, 15625}} {
+	}{{6, 1000}, {8, 15625}, {12, 15625}} {
 		pts := samplePoints(b, tc.order, tc.n, uint64(tc.n))
 		b.Run(fmt.Sprintf("order%d_n%d", tc.order, tc.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

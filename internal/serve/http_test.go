@@ -117,6 +117,53 @@ func TestHandlerRadiusIgnoredKnobsShareOneKey(t *testing.T) {
 	}
 }
 
+// TestHandlerIgnoredDistributionSharesOneKey posts every experiment
+// with and then without a Distribution. Only dynamic and dynamicincr
+// sample the distribution they are given, so each of them computes
+// twice under two keys; every other experiment computes once and
+// answers the second body from the first's entry under its key.
+func TestHandlerIgnoredDistributionSharesOneKey(t *testing.T) {
+	h := NewHandler(New(Options{Workers: 2}))
+	computations := obs.GetCounter("serve.computations")
+	bodies := []string{
+		`{"Particles":400,"Order":5,"ProcOrder":2,"Trials":1,"Distribution":"normal"}`,
+		`{"Particles":400,"Order":5,"ProcOrder":2,"Trials":1}`,
+	}
+	for _, name := range experiments.Names() {
+		reads := name == "dynamic" || name == "dynamicincr"
+		before := computations.Value()
+		var keys []string
+		for i, body := range bodies {
+			rec := postExperiment(t, h, "/v1/experiments/"+name, body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s body %d: status %d: %s", name, i, rec.Code, rec.Body)
+			}
+			want := "miss"
+			if i == 1 && !reads {
+				want = "hit"
+			}
+			if got := rec.Header().Get("X-Cache"); got != want {
+				t.Errorf("%s body %d: X-Cache = %q, want %q", name, i, got, want)
+			}
+			var env Envelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, env.Key)
+		}
+		if same := keys[0] == keys[1]; same == reads {
+			t.Errorf("%s: keys %s and %s, want them equal: %v", name, keys[0], keys[1], !reads)
+		}
+		want := uint64(1)
+		if reads {
+			want = 2
+		}
+		if n := computations.Value() - before; n != want {
+			t.Errorf("%s: serve.computations rose by %d, want %d", name, n, want)
+		}
+	}
+}
+
 // TestHandlerMixedOrders posts table12 at order 8 and then at order 12
 // to one handler (a pooled index once crashed the second request).
 // Both must answer 200.

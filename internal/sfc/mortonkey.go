@@ -1,40 +1,14 @@
 package sfc
 
-// Dilated-integer (Morton key) arithmetic for the key-space neighbor
-// engine (internal/keynav). A Morton key interleaves the bits of a
-// cell coordinate pair, so neighbor cells can be reached by arithmetic
-// on the key's dilated halves instead of decoding, stepping, and
-// re-encoding. These helpers are the raw bit forms behind the Morton
-// curve: unlike Curve.Index they skip bounds checks and per-call
-// statistics, because they sit in the engine's innermost loops.
-
-const (
-	// mortonEvenMask selects the x bits of a Morton key (even
-	// positions); mortonOddMask selects the y bits.
-	mortonEvenMask = 0x5555555555555555
-	mortonOddMask  = 0xaaaaaaaaaaaaaaaa
-)
+// Raw Morton key helpers for the key-space neighbor engine
+// (internal/keynav): the bit forms behind the Morton curve. Unlike
+// Curve.Index they skip bounds checks and per-call statistics, because
+// they sit in the engine's inner loops.
 
 // MortonKey returns the Z-curve index of (x, y): the bit interleaving
 // with y in the odd positions. It equals Morton.Index for points on
 // the grid but accepts any uint32 coordinates.
 func MortonKey(x, y uint32) uint64 { return mortonEncode(x, y) }
-
-// MortonCoords inverts MortonKey.
-func MortonCoords(k uint64) (x, y uint32) { return mortonDecode(k) }
-
-// MortonXPart returns the dilated x half of a key: the bits of x
-// spread to the even positions. Combine with MortonYPart by or-ing.
-func MortonXPart(x uint32) uint64 { return part1by1(x) }
-
-// MortonYPart returns the dilated y half of a key: the bits of y
-// spread to the odd positions.
-func MortonYPart(y uint32) uint64 { return part1by1(y) << 1 }
-
-// MortonIncX increments the x coordinate embedded in a dilated x part
-// (as produced by MortonXPart): filling the unused odd positions with
-// ones makes the +1 carry ripple across them to the next even bit.
-func MortonIncX(xp uint64) uint64 { return ((xp | mortonOddMask) + 1) & mortonEvenMask }
 
 // Morton3Key returns the 3D Z-curve index of (x, y, z): the bit
 // interleaving of the three coordinates with x in the lowest

@@ -14,28 +14,11 @@ func TestMortonKeyMatchesCurve(t *testing.T) {
 		if k := MortonKey(p.X, p.Y); k != d {
 			t.Fatalf("MortonKey(%d,%d) = %d, curve index %d", p.X, p.Y, k, d)
 		}
-		if k := MortonXPart(p.X) | MortonYPart(p.Y); k != d {
-			t.Fatalf("part composition for %v = %d, want %d", p, k, d)
-		}
-		x, y := MortonCoords(d)
+		x, y := mortonDecode(d)
 		if x != p.X || y != p.Y {
-			t.Fatalf("MortonCoords(%d) = (%d,%d), want %v", d, x, y, p)
+			t.Fatalf("mortonDecode(%d) = (%d,%d), want %v", d, x, y, p)
 		}
 	})
-}
-
-// TestMortonIncX checks the dilated-increment identity over a span
-// wide enough to exercise multi-bit carries.
-func TestMortonIncX(t *testing.T) {
-	for y := uint32(0); y < 4; y++ {
-		xp := MortonXPart(0)
-		for x := uint32(0); x < 1<<12; x++ {
-			if got, want := MortonYPart(y)|xp, MortonKey(x, y); got != want {
-				t.Fatalf("dilated walk at (%d,%d): key %d, want %d", x, y, got, want)
-			}
-			xp = MortonIncX(xp)
-		}
-	}
 }
 
 // TestMorton3Key checks the 3D interleaving against a per-bit
