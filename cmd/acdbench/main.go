@@ -112,7 +112,7 @@ func run() int {
 		seed      = flag.Uint64("seed", 0, "override random seed")
 		workers   = flag.Int("workers", 0, "cap sweep-cell and inner accumulation worker goroutines (0 = GOMAXPROCS)")
 		distrib   = flag.String("dist", "", "override the particle distribution (uniform, normal, exponential)")
-		incrMode  = flag.String("incr-mode", "", "maintenance mechanism for incremental experiments: incr (default; delta repair) or rebuild (from scratch each tick); results are bit-identical")
+		incrMode  = flag.String("incr-mode", "", "maintenance mechanism for incremental experiments: incr (default; delta repair) or rebuild (ACD re-priced from scratch each tick); results are bit-identical")
 		cacheDir  = flag.String("cache", "", "read/write results in this content-addressed cache directory (shared with acdserverd -cachedir)")
 		cacheVer  = flag.Bool("cache-verify", false, "verify every entry in the -cache store (quarantining bad ones) and exit")
 		csvDirF   = flag.String("csvdir", "", "also write machine-readable CSVs into this directory")

@@ -48,39 +48,41 @@ func DeltaOwners(perm []int, owners []int32, p int, out []OwnerDelta) []OwnerDel
 }
 
 // RepartitionPolicy decides, from the drift gauge (fraction of
-// particles whose owner changed this tick), whether the maintainer
-// should fall back to a full rebuild of its derived state. It is a
-// hysteresis loop: rebuilding starts when the gauge reaches Hi and
-// continues until it falls below Lo, so a workload oscillating around
-// a single threshold does not flap between mechanisms.
+// particles whose owner changed this tick), whether the owner churn
+// calls for repartitioning on this tick. It is a hysteresis loop:
+// flagging starts when the gauge reaches Hi and continues until it
+// falls below Lo, so a workload oscillating around a single threshold
+// does not flap. internal/incr reports each decision
+// (TickStats.Repartitioned) and maintains its state by delta either
+// way.
 type RepartitionPolicy struct {
-	// Hi is the gauge at or above which rebuilding engages.
+	// Hi is the gauge at or above which flagging engages.
 	Hi float64
-	// Lo is the gauge below which rebuilding disengages.
+	// Lo is the gauge below which flagging disengages.
 	Lo float64
 
-	rebuilding bool
+	engaged bool
 }
 
 // DefaultRepartitionPolicy returns the policy used by the registry
-// experiments: engage full rebuilds at 25% owner churn, return to
-// delta maintenance below 10%.
+// experiments: flag ticks from 25% owner churn until it falls below
+// 10%.
 func DefaultRepartitionPolicy() RepartitionPolicy {
 	return RepartitionPolicy{Hi: 0.25, Lo: 0.10}
 }
 
 // Decide consumes one tick's drift gauge and reports whether this tick
-// should rebuild. Call it exactly once per tick: the hysteresis state
-// advances on every call.
+// is flagged for a repartition. Call it exactly once per tick: the
+// hysteresis state advances on every call.
 func (rp *RepartitionPolicy) Decide(gauge float64) bool {
-	if rp.rebuilding {
+	if rp.engaged {
 		if gauge < rp.Lo {
-			rp.rebuilding = false
+			rp.engaged = false
 		}
 	} else if gauge >= rp.Hi {
-		rp.rebuilding = true
+		rp.engaged = true
 	}
-	return rp.rebuilding
+	return rp.engaged
 }
 
 // FromSorted builds an Assignment from particles already in curve

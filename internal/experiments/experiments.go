@@ -49,8 +49,8 @@ type Params struct {
 	// key stable).
 	Distribution string
 	// IncrMode pins the maintenance mechanism of the incremental
-	// time-stepped experiments: "" or "incr" (delta maintenance with
-	// policy-driven rebuild fallback) or "rebuild" (full rebuild every
+	// time-stepped experiments: "" or "incr" (delta maintenance on
+	// every tick) or "rebuild" (the ACD re-priced from scratch every
 	// tick). The two mechanisms are bit-identical by construction (the
 	// cross-mechanism differential oracle CI enforces), so like Workers
 	// the knob only moves cost and is excluded from CanonicalKey.

@@ -19,7 +19,7 @@ import (
 // distinct ranks, and a full buffer is priced in one batched call per
 // kernel: four tori of the call's list at a time in one pass over the
 // buffer (topology.TorusGroup), every other topology through its own
-// unit-weight kernel (pairSummer). Each event is priced as itself;
+// unit-weight kernel (topology.SumPairs). Each event is priced as itself;
 // nothing folds repeated rank pairs. One topology is simply K = 1: the
 // single-topology callers (the sfcacd facade, loadbalance, dynamic) run
 // the same replay.
@@ -32,14 +32,6 @@ import (
 // flushLen is the flush buffer length; a full buffer costs one kernel
 // call per torus group and per other topology.
 const flushLen = 512
-
-// pairSummer is implemented by the topologies (all six paper kinds)
-// that price a batch of events between arbitrary rank pairs in one
-// dynamic dispatch: DistanceSumPairs returns sum_i Distance(src[i],
-// dst[i]) exactly.
-type pairSummer interface {
-	DistanceSumPairs(src, dst []int32) uint64
-}
 
 // Pricing-volume counters: "price.events" counts replayed events and
 // "price.zero_hop" those between equal ranks, which no kernel prices.
@@ -139,10 +131,10 @@ func checkP(topos []topology.Topology, p int) {
 
 // kernels is how one call prices a flush batch on its topologies: the
 // tori four at a time, each group in one pass, and every other
-// topology (with the leftover tori) on its own, through its kernel or,
-// lacking one, per-pair Distance. Every topology of a call has the
-// assignment's P, so all its tori share a side. The groups' rows are
-// built per call from the tori's own codes and dropped with it.
+// topology (with the leftover tori) on its own, through
+// topology.SumPairs. Every topology of a call has the assignment's P,
+// so all its tori share a side. The groups' rows are built per call
+// from the tori's own codes and dropped with it.
 type kernels struct {
 	k      int // topologies in the call's list
 	groups []torusGroup
@@ -156,12 +148,11 @@ type torusGroup struct {
 	at    [4]int
 }
 
-// single is one topology priced on its own: through sum, or per-pair
-// Distance where sum is nil.
+// single is one topology priced on its own; at is its index in the
+// call's topology list.
 type single struct {
 	at   int
 	topo topology.Topology
-	sum  pairSummer
 }
 
 // newKernels applies the grouping to a call's topology list, in list
@@ -179,11 +170,10 @@ func newKernels(topos []topology.Topology) *kernels {
 			}
 			continue
 		}
-		sum, _ := topo.(pairSummer)
-		k.single = append(k.single, single{at: i, topo: topo, sum: sum})
+		k.single = append(k.single, single{at: i, topo: topo})
 	}
 	for j, t := range tori {
-		k.single = append(k.single, single{at: at[j], topo: t, sum: t})
+		k.single = append(k.single, single{at: at[j], topo: t})
 	}
 	return k
 }
@@ -198,13 +188,7 @@ func (k *kernels) price(src, dst []int32, sums []uint64) {
 		}
 	}
 	for _, one := range k.single {
-		if one.sum != nil {
-			sums[one.at] += one.sum.DistanceSumPairs(src, dst)
-			continue
-		}
-		for i, r := range src {
-			sums[one.at] += uint64(one.topo.Distance(int(r), int(dst[i])))
-		}
+		sums[one.at] += topology.SumPairs(one.topo, src, dst)
 	}
 }
 

@@ -81,7 +81,8 @@ func TestPricedMatchesMatrixOnShuffledOwners(t *testing.T) {
 // TestKernelsGroupToriFourAtATime pins the grouping rule: a call's tori
 // form groups of four in list order, and the leftover tori, every
 // other kind and a topology without a kernel price on their own, each
-// under its own index in the list.
+// under its own index in the list. Which of them has a kernel is
+// topology.SumPairs' to decide (TestSumPairsMatchesDistance).
 func TestKernelsGroupToriFourAtATime(t *testing.T) {
 	torus := func() topology.Topology { return topology.NewTorus(2, sfc.Hilbert) }
 	topos := []topology.Topology{
@@ -95,9 +96,6 @@ func TestKernelsGroupToriFourAtATime(t *testing.T) {
 	var at []int
 	for _, one := range k.single {
 		at = append(at, one.at)
-		if _, plain := one.topo.(plainTopology); plain != (one.sum == nil) {
-			t.Errorf("topology %d: kernel %v", one.at, one.sum)
-		}
 	}
 	if fmt.Sprint(at) != "[1 4 7 6 8 9]" {
 		t.Errorf("single topologies at %v, want [1 4 7 6 8 9]", at)

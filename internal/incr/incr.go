@@ -21,16 +21,20 @@
 //     pair's two events priced at the network's hop distance between
 //     the members' owners.
 //
-// When the drift gauge crosses the repartition policy's high-water
-// mark the delta mechanism stops paying for itself and the state falls
-// back to a full rebuild (every accumulator re-priced from the state's
-// own occupancy), with hysteresis so an oscillating gauge does not
-// flap between mechanisms.
-// Either way each maintained accumulator is defined to equal exactly
-// what fmmmodel.NFIMulti returns for a fresh assignment of the current
-// configuration, and Matrix, built on demand from the same occupancy,
-// is bit-identical to fmmmodel.NFIMatrix — the differential oracles
-// the tests and CI enforce every tick.
+// Every pair enumeration is one loop over the neighborhood's rows,
+// computed once per state from geom's visitors, that writes each
+// pair's two owners into a fixed-length buffer; a full buffer is
+// priced with one topology.SumPairs call per network.
+//
+// The delta path runs on every tick. The repartition policy still
+// reads the drift gauge each tick and its decision is reported, but it
+// does not change how the accumulators are maintained; only
+// Config.ForceRebuild re-prices every pair from scratch each tick, as
+// the cross-mechanism oracle. Either way each maintained accumulator is
+// defined to equal exactly what fmmmodel.NFIMulti returns for a fresh
+// assignment of the current configuration, and Matrix, built on demand
+// from the same occupancy, is bit-identical to fmmmodel.NFIMatrix — the
+// differential oracles the tests and CI enforce every tick.
 package incr
 
 import (
@@ -67,6 +71,11 @@ const (
 	retractPair = ^uint64(1)
 )
 
+// flushLen is the pair buffer's length, as in fmmmodel's pricer: a full
+// buffer costs one kernel call per priced network. It is fixed, not
+// sized by the enumeration, which may hold up to 2^28 pairs.
+const flushLen = 512
+
 // Config fixes one maintained pipeline's parameters for its lifetime.
 type Config struct {
 	Curve  sfc.Curve
@@ -74,15 +83,17 @@ type Config struct {
 	P      int
 	Radius int
 	Metric geom.Metric
-	// Policy governs the fallback to full rebuilds. The zero value is
-	// replaced by acd.DefaultRepartitionPolicy.
+	// Policy decides on which ticks the owner churn calls for a
+	// repartition; the decisions are reported (TickStats.Repartitioned,
+	// Repartitions) and do not change the maintenance. The zero value
+	// is replaced by acd.DefaultRepartitionPolicy.
 	Policy acd.RepartitionPolicy
-	// ForceRebuild pins the maintenance mechanism to full rebuilds
-	// regardless of the policy's decision. The policy still runs (and
-	// TickStats still reports its decisions), so a forced-rebuild state
-	// reports tick-for-tick identical stats to a delta state fed the
-	// same drift — which is what lets an experiment output serve as a
-	// cross-mechanism differential oracle.
+	// ForceRebuild re-prices every tracked network from scratch on
+	// every tick instead of by delta. It changes no reported value: a
+	// forced-rebuild state reports tick-for-tick identical stats and
+	// accumulators to a delta state fed the same drift, which is what
+	// lets an experiment output serve as a cross-mechanism differential
+	// oracle.
 	ForceRebuild bool
 }
 
@@ -99,7 +110,9 @@ type TickStats struct {
 	OwnerMoves int
 	// Gauge is OwnerMoves / n, the drift fed to the policy.
 	Gauge float64
-	// Repartitioned is the policy's decision for this tick.
+	// Repartitioned is the policy's decision for this tick. It is
+	// reported only: the accumulators are maintained the same way
+	// either way.
 	Repartitioned bool
 	// Retracted and Readded count the rank-pair events incident to
 	// affected particles before and after the move was applied.
@@ -130,6 +143,12 @@ type State struct {
 	// tracked holds one accumulator per distance table ACDMulti has
 	// priced, kept exact across ticks.
 	tracked []tracked
+
+	// near and upper are the rows of a particle's neighborhood and of
+	// its upper neighborhood, relative to its cell.
+	near, upper []row
+	// batch is the pair enumerations' flush buffer.
+	batch batch
 
 	// epoch/mark implement the affected set without clearing: identity
 	// id is affected this tick iff mark[id] == epoch. The retract and
@@ -172,12 +191,15 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 		cfg.Policy = acd.DefaultRepartitionPolicy()
 	}
 	n := len(pts)
+	side := geom.Side(cfg.Order)
 	s := &State{
-		cfg:  cfg,
-		side: geom.Side(cfg.Order),
-		n:    n,
-		pts:  append([]geom.Point(nil), pts...),
-		mark: make([]uint64, n),
+		cfg:   cfg,
+		side:  side,
+		n:     n,
+		pts:   append([]geom.Point(nil), pts...),
+		near:  rows(geom.VisitNeighborhood, cfg.Radius, cfg.Metric, side),
+		upper: rows(geom.VisitUpperNeighborhood, cfg.Radius, cfg.Metric, side),
+		mark:  make([]uint64, n),
 	}
 	s.perm, s.keys = sfc.SortPointsKeys(cfg.Curve, cfg.Order, s.pts)
 	for i := 1; i < n; i++ {
@@ -206,11 +228,12 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 	return s, nil
 }
 
-func (s *State) occAt(q geom.Point) int32 {
+// occAt returns the occupant of a cell, by geom.CellID, or -1.
+func (s *State) occAt(cell uint64) int32 {
 	if s.denseOcc != nil {
-		return s.denseOcc[geom.CellID(q, s.side)]
+		return s.denseOcc[cell]
 	}
-	if id, ok := s.sparseOcc[geom.CellID(q, s.side)]; ok {
+	if id, ok := s.sparseOcc[cell]; ok {
 		return id
 	}
 	return -1
@@ -232,34 +255,131 @@ func (s *State) occClear(q geom.Point) {
 	}
 }
 
-// forPairs calls fn with the members' owners for every near-field pair
-// of the current configuration: every particle's upper neighborhood
-// (geom.VisitUpperNeighborhood, the enumeration a keynav plan records)
-// probed through occAt, the lookup the delta path uses.
-func (s *State) forPairs(fn func(ra, rb int32)) {
-	var r int32
-	visit := func(q geom.Point) {
-		if b := s.occAt(q); b >= 0 {
-			fn(r, s.owners[b])
+// row is one row of a neighborhood, relative to its centre cell: the
+// cells (dx, dy) for lo <= dx <= hi.
+type row struct{ dy, lo, hi int32 }
+
+// rows returns, in visit order, the rows of the cells visit calls
+// around a centre cell: the neighborhood's shape as geom defines it,
+// computed once. Rows rather than cells keep it O(r): the 2^28-event
+// near-field bound admits one particle at r = 8,191, whose neighborhood
+// has 2^28 cells. An offset of side or more leaves every grid, so the
+// window is clipped there.
+func rows(visit func(geom.Point, int, geom.Metric, uint32, func(geom.Point)), r int, m geom.Metric, side uint32) []row {
+	c := min(max(r, 0), int(side)-1)
+	var rs []row
+	visit(geom.Pt(uint32(c), uint32(c)), r, m, uint32(2*c+1), func(q geom.Point) {
+		dx, dy := int32(int(q.X)-c), int32(int(q.Y)-c)
+		if k := len(rs) - 1; k >= 0 && rs[k].dy == dy && rs[k].hi+1 == dx {
+			rs[k].hi = dx
+			return
+		}
+		rs = append(rs, row{dy, dx, dx})
+	})
+	return rs
+}
+
+// batch is the flush buffer of one pair enumeration and where its pairs
+// go: priced on the networks ts at weight w (addPair or retractPair),
+// or logged into a matrix shard sh.
+type batch struct {
+	src, dst [flushLen]int32
+	n        int // buffered pairs
+	// pairs and zeros count the enumeration's flushed pairs and its
+	// pairs between equal owners.
+	pairs, zeros int
+	ts           []tracked
+	w            uint64
+	sh           *commmat.Shard
+}
+
+// start begins an enumeration into ts at weight w, or into sh.
+func (b *batch) start(ts []tracked, w uint64, sh *commmat.Shard) {
+	b.ts, b.w, b.sh = ts, w, sh
+	b.pairs, b.zeros = 0, 0
+}
+
+// flush prices the buffered pairs on every network of the enumeration,
+// or logs them into its shard in canonical (smaller rank first) form,
+// and empties the buffer.
+func (b *batch) flush() {
+	src, dst := b.src[:b.n], b.dst[:b.n]
+	for i := range b.ts {
+		t := &b.ts[i]
+		t.acc.Sum += b.w * topology.SumPairs(t.topo, src, dst)
+	}
+	if b.sh != nil {
+		for i, r := range src {
+			q := dst[i]
+			if q < r {
+				r, q = q, r
+			}
+			b.sh.Add(r, q)
 		}
 	}
-	for id, pt := range s.pts {
-		r = s.owners[id]
-		geom.VisitUpperNeighborhood(pt, s.cfg.Radius, s.cfg.Metric, s.side, visit)
+	b.pairs += b.n
+	b.n = 0
+}
+
+// finish flushes the enumeration, adds its pair and equal-owner counts
+// at its weight to its networks' accumulators (one distance query per
+// pair and network), and returns its pair count.
+func (b *batch) finish() int {
+	b.flush()
+	for i := range b.ts {
+		t := &b.ts[i]
+		t.acc.Count += b.w * uint64(b.pairs)
+		t.acc.Zeros += b.w * uint64(b.zeros)
+	}
+	topology.CountDistanceQueries(uint64(b.pairs * len(b.ts)))
+	// Drop the targets: a matrix shard would otherwise keep its event
+	// log alive until the next enumeration.
+	b.ts, b.sh = nil, nil
+	return b.pairs
+}
+
+// pairsAt buffers the pair between particle a and the occupant of every
+// cell in rs around it, skipping an occupant that is affected this tick
+// and has an identity below lo.
+func (s *State) pairsAt(a int, rs []row, lo int) {
+	b := &s.batch
+	pt, ra := s.pts[a], s.owners[a]
+	side := int(s.side)
+	for _, r := range rs {
+		y := int(pt.Y) + int(r.dy)
+		if uint(y) >= uint(side) {
+			continue
+		}
+		base := uint64(y) * uint64(side)
+		for x := max(int(pt.X)+int(r.lo), 0); x <= min(int(pt.X)+int(r.hi), side-1); x++ {
+			q := s.occAt(base + uint64(x))
+			if q < 0 || (s.mark[q] == s.epoch && int(q) < lo) {
+				continue
+			}
+			rq := s.owners[q]
+			// b.n < flushLen throughout; masking it drops the bounds
+			// checks.
+			b.src[b.n&(flushLen-1)], b.dst[b.n&(flushLen-1)] = ra, rq
+			b.zeros += equal(ra, rq)
+			if b.n++; b.n == flushLen {
+				b.flush()
+			}
+		}
 	}
 }
 
-// price adds w events between ranks a and b to every accumulator in
-// ts, each at the network's hop distance (addPair for a canonical
-// pair's two events, retractPair to take them back).
-func price(ts []tracked, a, b int32, w uint64) {
-	for i := range ts {
-		t := &ts[i]
-		t.acc.Sum += w * uint64(t.topo.Distance(int(a), int(b)))
-		t.acc.Count += w
-		if a == b {
-			t.acc.Zeros += w
-		}
+// equal is 1 if r == q and 0 otherwise, without a branch.
+func equal(r, q int32) int {
+	x := uint32(r ^ q)
+	return int(((x | -x) >> 31) ^ 1)
+}
+
+// allPairs enumerates every near-field pair of the current
+// configuration once, from its row-major-lower member's upper
+// neighborhood (the enumeration a keynav plan records).
+func (s *State) allPairs() {
+	for id := range s.pts {
+		s.pairsAt(id, s.upper, 0)
 	}
 }
 
@@ -272,51 +392,46 @@ func (s *State) reprice(ts []tracked) {
 	for i := range ts {
 		ts[i].acc = acd.Accumulator{}
 	}
-	pairs := 0
-	s.forPairs(func(ra, rb int32) {
-		price(ts, ra, rb, addPair)
-		pairs++
-	})
-	topology.CountDistanceQueries(uint64(pairs * len(ts)))
-}
-
-// forAffectedPairs enumerates, in the state's current configuration,
-// every near-field pair with at least one affected member and calls fn
-// with the members' current owners. Pairs between two affected
-// particles are visited once, from the lower identity: the enumeration
-// from the higher one skips them, so retract and re-add touch each
-// pair's event exactly once regardless of processing order.
-func (s *State) forAffectedPairs(affected []int, fn func(ra, rb int32)) int {
-	count := 0
-	for _, a := range affected {
-		ra := s.owners[a]
-		geom.VisitNeighborhood(s.pts[a], s.cfg.Radius, s.cfg.Metric, s.side, func(q geom.Point) {
-			b := s.occAt(q)
-			if b < 0 || (s.mark[b] == s.epoch && int(b) < a) {
-				return
-			}
-			fn(ra, s.owners[b])
-			count++
-		})
-	}
-	return count
+	s.batch.start(ts, addPair, nil)
+	s.allPairs()
+	s.batch.finish()
 }
 
 // apply moves the state to the new configuration: occupancy and
-// positions for moved particles (old cells cleared before new ones are
-// set, so moves that permute cells among themselves stay consistent)
-// and recorded owners for the delta'd ones.
-func (s *State) apply(newPts []geom.Point, moved []int, deltas []acd.OwnerDelta) {
+// positions for moved particles and recorded owners for the delta'd
+// ones. Old cells are cleared before new ones are set, so moves that
+// permute cells among themselves stay consistent, and a new cell that
+// is still occupied then is a duplicate: only a moved particle can
+// create one.
+func (s *State) apply(newPts []geom.Point, moved []int, deltas []acd.OwnerDelta) error {
 	for _, id := range moved {
 		s.occClear(s.pts[id])
 	}
 	for _, id := range moved {
-		s.pts[id] = newPts[id]
-		s.occSet(newPts[id], int32(id))
+		q := newPts[id]
+		if s.occAt(geom.CellID(q, s.side)) >= 0 {
+			return fmt.Errorf("incr: duplicate particle cell %v", q)
+		}
+		s.pts[id] = q
+		s.occSet(q, int32(id))
 	}
 	for _, d := range deltas {
 		s.owners[d.ID] = d.New
 	}
+	return nil
+}
+
+// delta enumerates into ts at weight w, in the state's current
+// configuration, every near-field pair with at least one affected
+// member, and returns the pair count. A pair between two affected
+// particles is visited once, from the lower identity, so retract and
+// re-add touch each pair exactly once regardless of processing order.
+func (s *State) delta(affected []int, ts []tracked, w uint64) int {
+	s.batch.start(ts, w, nil)
+	for _, a := range affected {
+		s.pairsAt(a, s.near, a)
+	}
+	return s.batch.finish()
 }
 
 // Tick advances the state to the new particle configuration (same
@@ -346,11 +461,6 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	resort := obs.StartSpan("incr.resort")
 	st.Displaced = sfc.ResortPermByKeys(s.perm, s.keys)
 	resort.End()
-	for i := 1; i < s.n; i++ {
-		if s.keys[s.perm[i]] == s.keys[s.perm[i-1]] {
-			return st, fmt.Errorf("incr: duplicate particle cell %v", newPts[s.perm[i]])
-		}
-	}
 
 	deltas := acd.DeltaOwners(s.perm, s.owners, s.cfg.P, s.deltaBuf[:0])
 	s.deltaBuf = deltas
@@ -379,29 +489,24 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	}
 	s.affectedBuf = affected
 
-	if rebuild := s.cfg.ForceRebuild || st.Repartitioned; !rebuild {
-		span := obs.StartSpan("incr.maintain.delta")
-		st.Retracted = s.forAffectedPairs(affected, func(ra, rb int32) {
-			price(s.tracked, ra, rb, retractPair)
-		})
-		s.apply(newPts, moved, deltas)
-		st.Readded = s.forAffectedPairs(affected, func(ra, rb int32) {
-			price(s.tracked, ra, rb, addPair)
-		})
-		topology.CountDistanceQueries(uint64((st.Retracted + st.Readded) * len(s.tracked)))
-		span.End()
-	} else {
-		// The retract/re-add counts are part of the tick's reported
-		// stats, so a rebuild tick still runs the enumerations — in
-		// counting-only form, under a span excluded from the maintenance
-		// timings the mechanisms are compared on.
-		stats := obs.StartSpan("incr.stats")
-		st.Retracted = s.forAffectedPairs(affected, func(ra, rb int32) {})
-		stats.End()
-		s.apply(newPts, moved, deltas)
-		stats = obs.StartSpan("incr.stats")
-		st.Readded = s.forAffectedPairs(affected, func(ra, rb int32) {})
-		stats.End()
+	// A ForceRebuild state still runs the enumerations for the tick's
+	// reported stats, counting only, under a span excluded from the
+	// maintenance timings the mechanisms are compared on.
+	ts, name := s.tracked, "incr.maintain.delta"
+	if s.cfg.ForceRebuild {
+		ts, name = nil, "incr.stats"
+	}
+	span := obs.StartSpan(name)
+	st.Retracted = s.delta(affected, ts, retractPair)
+	err := s.apply(newPts, moved, deltas)
+	if err == nil {
+		st.Readded = s.delta(affected, ts, addPair)
+	}
+	span.End()
+	if err != nil {
+		return st, err
+	}
+	if s.cfg.ForceRebuild {
 		span := obs.StartSpan("incr.maintain.rebuild")
 		s.reprice(s.tracked)
 		span.End()
@@ -411,8 +516,8 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	return st, nil
 }
 
-// Repartitions returns how many ticks the policy decided to rebuild
-// on, since construction.
+// Repartitions returns how many ticks the policy flagged for a
+// repartition, since construction.
 func (s *State) Repartitions() int { return s.repartitions }
 
 // Matrix builds the near-field matrix of the current configuration
@@ -423,13 +528,9 @@ func (s *State) Repartitions() int { return s.repartitions }
 // commmat build.
 func (s *State) Matrix() *commmat.Matrix {
 	b := commmat.NewBuilder(s.cfg.P, 1)
-	sh := b.Shard(0)
-	s.forPairs(func(ra, rb int32) {
-		if rb < ra {
-			ra, rb = rb, ra
-		}
-		sh.Add(ra, rb)
-	})
+	s.batch.start(nil, 0, b.Shard(0))
+	s.allPairs()
+	s.batch.finish()
 	return b.Finalize()
 }
 
@@ -445,8 +546,9 @@ func (s *State) ACD(dt *topology.DistanceTable) acd.Accumulator {
 // prices the configuration once (one walk over every pair for all of
 // the call's new tables); from then on the state tracks the table and
 // every Tick keeps its accumulator exact, so later calls only read
-// it. Distances come from the table's underlying topology, one call per
-// pair; the table itself is only the handle.
+// it. Distances come from the table's underlying topology, one
+// topology.SumPairs call per buffer of pairs; the table itself is only
+// the handle.
 func (s *State) ACDMulti(dts []*topology.DistanceTable) []acd.Accumulator {
 	first := len(s.tracked)
 	for _, dt := range dts {

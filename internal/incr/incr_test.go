@@ -3,6 +3,7 @@ package incr
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"sfcacd/internal/acd"
@@ -177,9 +178,10 @@ func TestStateMatchesOracleEveryTick(t *testing.T) {
 }
 
 // TestStateRepartitionTick drives the gauge over the policy's
-// high-water mark with a mass teleport and checks the rebuild path
-// also lands exactly on the oracle, then that hysteresis holds the
-// rebuild mechanism until the gauge falls below the low-water mark.
+// high-water mark with a mass teleport, which the delta path maintains
+// like any other tick, and checks the state lands exactly on the
+// oracle, then that the hysteresis releases once the gauge falls below
+// the low-water mark.
 func TestStateRepartitionTick(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -206,8 +208,8 @@ func TestStateRepartitionTick(t *testing.T) {
 	if !commmat.Equal(s.Matrix(), want) {
 		t.Fatal("matrix diverged after repartition tick")
 	}
-	// A quiet tick after the storm: gauge 0 < Lo releases the rebuild
-	// mechanism and the delta path resumes, still on the oracle.
+	// A quiet tick after the storm: gauge 0 < Lo releases the policy,
+	// and the state stays on the oracle.
 	st, err = s.Tick(flipped)
 	if err != nil {
 		t.Fatal(err)
@@ -321,12 +323,95 @@ func TestStateRejectsBadInput(t *testing.T) {
 	if _, err := NewState(Config{Curve: curve, Order: 4, P: 2}, dup); err == nil {
 		t.Fatal("duplicate cells accepted")
 	}
-	s, err := NewState(Config{Curve: curve, Order: 4, P: 2, Radius: 1, Metric: geom.MetricChebyshev}, scatter(10, 4, 1))
+	cfg := Config{Curve: curve, Order: 4, P: 2, Radius: 1, Metric: geom.MetricChebyshev}
+	pts := scatter(10, 4, 1)
+	s, err := NewState(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Tick(scatter(9, 4, 1)); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+	// A tick creates a duplicate only by moving a particle onto a cell
+	// that is still occupied once every moved particle has left its own.
+	empty := geom.Pt(0, 0)
+	for slices.Contains(pts, empty) {
+		empty.X++
+	}
+	for name, move := range map[string]func(next []geom.Point){
+		"onto a resting particle": func(next []geom.Point) { next[0] = pts[1] },
+		"two onto one empty cell": func(next []geom.Point) { next[0], next[1] = empty, empty },
+	} {
+		s, err := NewState(cfg, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := slices.Clone(pts)
+		move(next)
+		if _, err := s.Tick(next); err == nil || !strings.Contains(err.Error(), "duplicate particle cell") {
+			t.Errorf("moving %s: error %v, want a duplicate particle cell", name, err)
+		}
+	}
+}
+
+// TestTickSwapsCells: two particles that trade cells in one tick leave
+// every cell distinct, so the tick must succeed and each mechanism's
+// accumulators must equal fmmmodel.NFIMulti.
+func TestTickSwapsCells(t *testing.T) {
+	const order, procOrder = 5, 2
+	pts := scatter(300, order, 11)
+	for _, force := range []bool{false, true} {
+		cfg := Config{Curve: sfc.Hilbert, Order: order, P: 1 << (2 * procOrder), Radius: 1, Metric: geom.MetricChebyshev, ForceRebuild: force}
+		s, err := NewState(cfg, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos, dts := sixTables(t, cfg.P, cfg.Curve)
+		s.ACDMulti(dts)
+		next := slices.Clone(pts)
+		last := len(next) - 1
+		next[0], next[last] = next[last], next[0]
+		st, err := s.Tick(next)
+		if err != nil {
+			t.Fatalf("ForceRebuild %v: swap rejected: %v", force, err)
+		}
+		if st.Moved != 2 {
+			t.Fatalf("ForceRebuild %v: swap moved %d particles, want 2", force, st.Moved)
+		}
+		checkAccs(t, fmt.Sprintf("ForceRebuild %v after the swap", force), s.ACDMulti(dts), oracleACD(t, next, cfg, topos))
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestTickAllocs pins a steady-state tick's allocations: the flush
+// buffer has a fixed length and every per-tick list reuses its storage,
+// so a tick allocates no more than its two spans.
+func TestTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const order, procOrder = 8, 4
+	pts := scatter(4000, order, 3)
+	cfg := Config{Curve: sfc.Hilbert, Order: order, P: 1 << (2 * procOrder), Radius: 1, Metric: geom.MetricChebyshev}
+	s, err := NewState(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ACD(topology.NewDistanceTable(topology.NewTorus(procOrder, cfg.Curve)))
+	// Ticks alternate between two configurations, so every tick moves
+	// the same particles.
+	cfgs := [][]geom.Point{driftStep(pts, order, 0.03, rng.New(5)), pts}
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Tick(cfgs[k%2]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs > 2 {
+		t.Fatalf("a steady-state tick allocates %v objects, want at most 2", allocs)
 	}
 }
 
@@ -366,7 +451,8 @@ func TestStateACDMultiMatchesPerTable(t *testing.T) {
 }
 
 // TestStateAccumulatorsMatchOracleEveryTick is the accumulators'
-// differential oracle: six networks, one of every topology kind,
+// differential oracle: six networks, one of every topology kind, and a
+// 3D torus, which has no batched kernel and prices pair by pair,
 // priced at tick 0 and tracked from then on must equal
 // fmmmodel.NFIMulti over a fresh assignment after every tick, under
 // both metrics, through drift ticks, a teleport that trips the
@@ -394,6 +480,11 @@ func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
 			}
 			topos, dts := sixTables(t, cfg.P, curve)
 			_, twinDts := sixTables(t, cfg.P, curve)
+			// p = 64 = 4^3 ranks.
+			torus3D := topology.NewTorus3D(2, sfc.HilbertND{N: 3})
+			topos = append(topos, torus3D)
+			dts = append(dts, topology.NewDistanceTable(torus3D))
+			twinDts = append(twinDts, topology.NewDistanceTable(torus3D))
 			want := oracleACD(t, pts, cfg, topos)
 			checkAccs(t, "tick 0", delta.ACDMulti(dts), want)
 			checkAccs(t, "tick 0 rebuild", rebuild.ACDMulti(twinDts), want)
@@ -426,7 +517,7 @@ func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
 
 // TestStateLateTableMatchesTracked: a table first priced after several
 // ticks, in a call that also reads tracked tables, must equal a table
-// of the same network tracked since tick 0 through delta and rebuild
+// of the same network tracked since tick 0 through drift and teleport
 // ticks, and the two must stay equal once both are tracked.
 func TestStateLateTableMatchesTracked(t *testing.T) {
 	curve, err := sfc.ByName("morton")
@@ -461,5 +552,37 @@ func TestStateLateTableMatchesTracked(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAccs(t, fmt.Sprintf("tick %d after", tick), s.ACDMulti(late), s.ACDMulti(early))
+	}
+}
+
+// TestStateRadiusBeyondGrid: a radius wider than the grid puts every
+// other particle in the near field. The rows are clipped at the grid's
+// side, so the accumulators and the matrix must still equal the
+// oracles', under both metrics.
+func TestStateRadiusBeyondGrid(t *testing.T) {
+	const order, procOrder = 3, 1
+	for _, radius := range []int{7, 9, 40} {
+		for _, metric := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
+			cfg := Config{Curve: sfc.Morton, Order: order, P: 1 << (2 * procOrder), Radius: radius, Metric: metric}
+			pts := scatter(30, order, 7)
+			s, err := NewState(cfg, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topos, dts := sixTables(t, cfg.P, cfg.Curve)
+			s.ACDMulti(dts)
+			r := rng.New(3)
+			for tick := 0; tick < 3; tick++ {
+				pts = driftStep(pts, order, 0.2, r)
+				if _, err := s.Tick(pts); err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("r=%d %v tick %d", radius, metric, tick)
+				checkAccs(t, what, s.ACDMulti(dts), oracleACD(t, pts, cfg, topos))
+				if want, _ := oracleMatrix(t, pts, cfg.Curve, order, cfg.P, radius, metric); !commmat.Equal(s.Matrix(), want) {
+					t.Fatalf("%s: matrix diverged from oracle", what)
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // one dynamic dispatch per batch and topology, and the distance math
 // runs as a concrete, inlinable loop. DistanceSumPairs, implemented by
 // all six topologies, prices the flush batches of the replay pricer
-// (internal/fmmmodel), one event per pair; TorusGroup prices such a
+// (internal/fmmmodel) and of the incremental maintainer (internal/incr),
+// one event per pair, both through SumPairs; TorusGroup prices such a
 // batch on four tori in one pass. The query volume is the caller's to
 // account (CountDistanceQueries).
 package topology
@@ -16,6 +17,24 @@ import (
 
 	"sfcacd/internal/geom"
 )
+
+// SumPairs returns sum_i t.Distance(src[i], dst[i]) exactly, under the
+// contract of Bus.DistanceSumPairs: through t's DistanceSumPairs kernel
+// where it has one, and one Distance call per pair where it has none
+// (the 3D networks).
+func SumPairs(t Topology, src, dst []int32) uint64 {
+	if k, ok := t.(interface {
+		DistanceSumPairs(src, dst []int32) uint64
+	}); ok {
+		return k.DistanceSumPairs(src, dst)
+	}
+	dst = dst[:len(src)]
+	var s uint64
+	for i, r := range src {
+		s += uint64(t.Distance(int(r), int(dst[i])))
+	}
+	return s
+}
 
 // DistanceSumPairs returns sum_i Distance(src[i], dst[i]) exactly: each
 // pair is one event. Every entry must be a valid rank, and dst must be

@@ -9,10 +9,12 @@ import (
 )
 
 // TestDistanceSumPairsMatchesDistance is the differential test for
-// DistanceSumPairs: the batched sum over arbitrary (src, dst) pairs,
-// one event each, must equal the per-pair Distance loop bit-for-bit,
-// for every topology kind and for a torus above torusLUTMaxSide (no
-// hop table), on empty and non-empty batches with equal-rank entries.
+// DistanceSumPairs and SumPairs: the batched sum over arbitrary (src,
+// dst) pairs, one event each, must equal the per-pair Distance loop
+// bit-for-bit, for every topology kind and for a torus above
+// torusLUTMaxSide (no hop table), which price through their kernels,
+// and for the 3D networks, which have none and price pair by pair, on
+// empty and non-empty batches with equal-rank entries.
 func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 	curve, err := sfc.ByName("hilbert")
 	if err != nil {
@@ -34,12 +36,14 @@ func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 		t.Fatal("a side-512 torus built a hop table")
 	}
 	topos = append(topos, big)
+	kernels := len(topos)
+	topos = append(topos, NewMesh3D(2, sfc.HilbertND{N: 3}), NewTorus3D(2, sfc.MortonND{N: 3}), NewOctreeNet(2))
 	for i, topo := range topos {
-		ps, ok := topo.(interface {
+		_, ok := topo.(interface {
 			DistanceSumPairs(src, dst []int32) uint64
 		})
-		if !ok {
-			t.Fatalf("%s has no DistanceSumPairs", topo.Name())
+		if ok != (i < kernels) {
+			t.Fatalf("%s: has DistanceSumPairs %v, want %v", topo.Name(), ok, i < kernels)
 		}
 		p := topo.P()
 		r := rng.New(uint64(60 + i))
@@ -49,8 +53,8 @@ func TestDistanceSumPairsMatchesDistance(t *testing.T) {
 			for j := range src {
 				want += uint64(topo.Distance(int(src[j]), int(dst[j])))
 			}
-			if got := ps.DistanceSumPairs(src, dst); got != want {
-				t.Errorf("%s of %d: DistanceSumPairs over %d pairs = %d, want %d", topo.Name(), p, n, got, want)
+			if got := SumPairs(topo, src, dst); got != want {
+				t.Errorf("%s of %d: SumPairs over %d pairs = %d, want %d", topo.Name(), p, n, got, want)
 			}
 		}
 	}
