@@ -18,6 +18,15 @@
 //     canonicalized for golden-file comparison (Manifest.Deterministic).
 //  3. No dependencies. Only the Go standard library; every other
 //     internal package may import obs, obs imports none of them.
+//
+// Spans open two ways. Tracer.Start and the package-level StartSpan
+// nest under the calling goroutine's cursor and move it there
+// (Span.Attach gives a goroutine a cursor of its own). Span.Child opens
+// a phase under an explicit parent and moves no cursor, so it needs no
+// goroutine lookup; marks and spans opened while a child is open nest
+// under the goroutine's cursor, not under the child. A disk-fault mark
+// raised during the serving layer's cache.lookup therefore lands under
+// request, beside cache.lookup.
 package obs
 
 import (

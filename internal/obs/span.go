@@ -75,13 +75,16 @@ var defaultTracer = NewTracer()
 // Span is an in-progress timing of one phase activation. End it
 // exactly once (End is idempotent; extra calls are no-ops).
 type Span struct {
-	t     *Tracer
-	node  *phase
-	prev  *phase
-	scope *scope
-	gen   uint64
-	start time.Time
-	done  bool
+	t    *Tracer
+	node *phase
+	// cursor is the cursor Start moved onto node (the tracer-wide one
+	// or an attached goroutine's), which End moves back to prev; nil
+	// for a span opened by Child, which moves none.
+	cursor **phase
+	prev   *phase
+	gen    uint64
+	start  time.Time
+	done   bool
 }
 
 // Start opens (or re-enters) the named phase as a child of the
@@ -101,22 +104,41 @@ func (t *Tracer) Start(name string) *Span {
 func (t *Tracer) startID(name string, id uint64) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.current
-	var sc *scope
+	cursor := &t.current
 	if id != 0 {
-		if s, ok := t.scopes[id]; ok {
-			sc = s
-			cur = s.current
+		if sc, ok := t.scopes[id]; ok {
+			cursor = &sc.current
 		}
 	}
-	node := cur.child(name)
+	prev := *cursor
+	node := prev.child(name)
 	node.calls++
-	if sc != nil {
-		sc.current = node
-	} else {
-		t.current = node
+	*cursor = node
+	return &Span{t: t, node: node, cursor: cursor, prev: prev, gen: t.gen, start: time.Now()}
+}
+
+// Child opens (or re-enters) the named phase directly under s's phase
+// and returns its span. Unlike Start it neither reads nor moves any
+// cursor, so it costs no goroutine lookup: phases and marks that other
+// code opens while the child is open still nest under the opening
+// goroutine's cursor, not under the child. It suits a phase whose
+// parent the caller holds — the serving layer's cache lookup, peer
+// fetch and waits under a request's root span. Child on a nil span
+// returns nil, and a child of a span that outlived a Take/Reset is
+// inert: it records nothing.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
 	}
-	return &Span{t: t, node: node, prev: cur, scope: sc, gen: t.gen, start: time.Now()}
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := &Span{t: t, node: s.node, gen: s.gen, start: time.Now()}
+	if t.gen == s.gen { // else s's tree was already collected
+		c.node = s.node.child(name)
+		c.node.calls++
+	}
+	return c
 }
 
 func (t *Tracer) hasScopes() bool {
@@ -283,8 +305,8 @@ func goid() uint64 {
 }
 
 // End closes the span, folding its elapsed wall time into the phase
-// node and restoring the parent as current. Ending a span that
-// outlived a Take/Reset is a safe no-op.
+// node and, for a span opened by Start, restoring the parent as
+// current. Ending a span that outlived a Take/Reset is a safe no-op.
 func (s *Span) End() {
 	if s == nil || s.done {
 		return
@@ -298,10 +320,8 @@ func (s *Span) End() {
 		return // the tree this span belongs to was already collected
 	}
 	s.node.ns += int64(elapsed)
-	if s.scope != nil {
-		s.scope.current = s.prev
-	} else {
-		t.current = s.prev
+	if s.cursor != nil {
+		*s.cursor = s.prev
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -162,6 +163,70 @@ func TestTakeResetsAndOrphansInFlight(t *testing.T) {
 	tr.Start("fresh").End()
 	if snap := tr.Snapshot(); len(snap) != 1 || snap[0].Name != "fresh" {
 		t.Fatalf("fresh tree = %+v", snap)
+	}
+}
+
+// TestSpanChild: children merge by name under their parent and sum
+// their time; they may overlap and end in any order, and they leave
+// the tracer's cursor where it was.
+func TestSpanChild(t *testing.T) {
+	tr := NewTracer()
+	parent := tr.Start("request")
+	for i := 0; i < 3; i++ {
+		c := parent.Child("cache.lookup")
+		time.Sleep(time.Millisecond)
+		c.End()
+	}
+	wait := parent.Child("wait")
+	peer := parent.Child("peer.fetch")
+	wait.Annotate("mode", "miss")
+	wait.End()
+	peer.End()
+	tr.Start("next").End() // the cursor is still on request
+	parent.End()
+
+	snap := tr.Snapshot()
+	if len(snap) != 1 || snap[0].Name != "request" || snap[0].Calls != 1 {
+		t.Fatalf("tree = %+v", snap)
+	}
+	var got []string
+	for _, c := range snap[0].Children {
+		got = append(got, c.Name+":"+uitoa(c.Calls))
+	}
+	if want := "cache.lookup:3 wait:1 peer.fetch:1 next:1"; strings.Join(got, " ") != want {
+		t.Fatalf("request children = %v, want %s", got, want)
+	}
+	lookup := snap[0].Children[0]
+	if lookup.Ns < int64(3*time.Millisecond) {
+		t.Errorf("cache.lookup summed %dns, want >= 3ms", lookup.Ns)
+	}
+	if snap[0].Children[1].Attrs["mode"] != "miss" {
+		t.Errorf("wait attrs = %v", snap[0].Children[1].Attrs)
+	}
+}
+
+// TestSpanChildNilAndAfterTake: Child on a nil span is nil, and a
+// child opened or ended after Take records nothing in either tree.
+func TestSpanChildNilAndAfterTake(t *testing.T) {
+	var nilSpan *Span
+	if c := nilSpan.Child("x"); c != nil {
+		t.Fatalf("Child on a nil span = %+v, want nil", c)
+	}
+
+	tr := NewTracer()
+	parent := tr.Start("request")
+	open := parent.Child("cache.lookup")
+	first := tr.Take()
+	if len(first) != 1 || len(first[0].Children) != 1 || first[0].Children[0].Name != "cache.lookup" {
+		t.Fatalf("Take = %+v", first)
+	}
+	open.End()
+	late := parent.Child("wait")
+	late.Annotate("mode", "miss")
+	late.Child("deeper").End()
+	late.End()
+	if rest := tr.Snapshot(); len(rest) != 0 {
+		t.Fatalf("post-Take tree not empty: %+v", rest)
 	}
 }
 

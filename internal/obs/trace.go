@@ -19,6 +19,13 @@ import (
 // those goroutines lands in this trace (see StartSpan). Library code
 // needs no knowledge of traces.
 //
+// The serving layer's own phases (cache.lookup, peer.fetch, wait,
+// queue.wait) open with Span.Child under the span that is their
+// parent — the root, or the compute span — and move no goroutine's
+// cursor. Marks and spans opened by the code such a phase runs nest
+// under the goroutine's cursor instead: a disk-fault mark raised
+// during cache.lookup lands under request, beside cache.lookup.
+//
 // All methods are safe on a nil *Trace (they no-op or return zero
 // values), so instrumented code can call them unconditionally.
 type Trace struct {
@@ -73,23 +80,14 @@ func (tr *Trace) StartTime() time.Time {
 }
 
 // Root returns the root span, the attachment point for goroutines
-// that work on this request. Nil for a nil trace (Attach on a nil
-// span would panic; callers guard with `if tr != nil`).
+// that work on this request and the parent its phases open under with
+// Child. Nil for a nil trace (Child on a nil span returns nil; Attach
+// on one would panic, so callers guard with `if tr != nil`).
 func (tr *Trace) Root() *Span {
 	if tr == nil {
 		return nil
 	}
 	return tr.root
-}
-
-// StartSpan opens a phase on the trace's tracer, nesting under the
-// calling goroutine's attached cursor when one exists. On a nil trace
-// it returns a nil span, whose End/Annotate are no-ops.
-func (tr *Trace) StartSpan(name string) *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.tracer.Start(name)
 }
 
 // Annotate sets a trace-level key=value attribute (cache status,

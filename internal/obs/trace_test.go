@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,7 +37,7 @@ func TestTraceLifecycle(t *testing.T) {
 	tr.Annotate("cache", "hit") // last write wins
 	tr.Annotate("experiment", "table12")
 
-	sp := tr.StartSpan("cache.lookup")
+	sp := tr.Root().Child("cache.lookup")
 	sp.End()
 
 	live := tr.Snapshot(start.Add(50 * time.Millisecond))
@@ -82,7 +83,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	if _, _, ok := tr.Finished(); ok {
 		t.Error("nil trace reports finished")
 	}
-	sp := tr.StartSpan("x") // nil span: End/Annotate no-op
+	sp := tr.Root().Child("x") // nil span: End/Annotate no-op
 	sp.Annotate("k", "v")
 	sp.End()
 	if s := tr.Snapshot(time.Now()); s.ID != "" {
@@ -210,7 +211,7 @@ func TestMarkActive(t *testing.T) {
 
 func TestSpanAnnotate(t *testing.T) {
 	tr := NewTrace("ann1", "POST /x", time.Now())
-	sp := tr.StartSpan("sweep")
+	sp := tr.Root().Child("sweep")
 	sp.Annotate("cells", "64")
 	sp.Annotate("cells", "128") // last write wins on merged phases
 	sp.Annotate("workers", "4")
@@ -223,5 +224,38 @@ func TestSpanAnnotate(t *testing.T) {
 	}
 	if sweep.Attrs["cells"] != "128" || sweep.Attrs["workers"] != "4" {
 		t.Errorf("attrs = %v", sweep.Attrs)
+	}
+}
+
+// TestChildMovesNoCursor: a child opened under the root of a trace
+// leaves the attached goroutine's cursor on the root, so package-level
+// spans and marks made while it is open nest under the root beside it.
+func TestChildMovesNoCursor(t *testing.T) {
+	tr := NewTrace("child1", "POST /x", time.Now())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		detach := tr.Root().Attach()
+		defer detach()
+		lookup := tr.Root().Child("cache.lookup")
+		StartSpan("disk.read").End()
+		MarkActive("fault.resultcache.disk.get")
+		lookup.End()
+	}()
+	<-done
+
+	snap := tr.Snapshot(time.Now())
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "request" {
+		t.Fatalf("span tree root = %+v", snap.Spans)
+	}
+	var names []string
+	for _, c := range snap.Spans[0].Children {
+		names = append(names, c.Name)
+		if len(c.Children) != 0 {
+			t.Errorf("%s has children %+v; nothing nests under a child", c.Name, c.Children)
+		}
+	}
+	if want := "cache.lookup disk.read fault.resultcache.disk.get"; strings.Join(names, " ") != want {
+		t.Errorf("request children = %v, want %s", names, want)
 	}
 }

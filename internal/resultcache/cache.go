@@ -23,6 +23,11 @@ type Entry struct {
 	Result json.RawMessage `json:"result"`
 	// Manifest is the JSON run manifest of the producing computation.
 	Manifest json.RawMessage `json:"manifest,omitempty"`
+	// Body is the serving layer's encoded response for the entry, set
+	// when the server admits it. It is neither persisted nor shipped to
+	// peers: the disk and wire formats carry the fields above, and the
+	// body is encoded from them again on admission.
+	Body []byte `json:"-"`
 }
 
 // entryOverhead approximates the bookkeeping bytes an entry costs
@@ -31,7 +36,7 @@ const entryOverhead = 256
 
 // size is the entry's byte account.
 func (e Entry) size() int64 {
-	return int64(len(e.Experiment) + len(e.Params) + len(e.Result) + len(e.Manifest) + entryOverhead)
+	return int64(len(e.Experiment) + len(e.Params) + len(e.Result) + len(e.Manifest) + len(e.Body) + entryOverhead)
 }
 
 // MarshalJSON encodes the key as hex for the on-disk form.

@@ -170,3 +170,37 @@ func TestKeyJSONRoundTrip(t *testing.T) {
 		t.Error("bad hex unmarshaled without error")
 	}
 }
+
+// TestBodyCountedNotStored: an entry's response body counts in the
+// memory budget, but the disk and wire formats leave it out.
+func TestBodyCountedNotStored(t *testing.T) {
+	e := wireTestEntry()
+	e.Body = []byte("{\"encoded\":true}\n")
+	c := New(1 << 20)
+	c.Put(e)
+	want := int64(len(e.Experiment) + len(e.Params) + len(e.Result) + len(e.Manifest) + len(e.Body) + entryOverhead)
+	if got := c.Bytes(); got != want {
+		t.Errorf("accounted %d bytes, want %d with the body", got, want)
+	}
+	if got, _ := c.Get(e.Key); !bytes.Equal(got.Body, e.Body) {
+		t.Errorf("cached body = %q", got.Body)
+	}
+
+	store, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := store.Get(e.Key); err != nil || !ok || got.Body != nil {
+		t.Errorf("disk round trip: body %q ok=%v err=%v, want no body", got.Body, ok, err)
+	}
+	wire, err := Export(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(wire, []byte("encoded")) {
+		t.Errorf("wire form carries the body: %s", wire)
+	}
+}

@@ -39,7 +39,9 @@ const HeaderClientID = "X-Client-Id"
 // Envelope is the JSON body of a successful experiment response. Raw
 // fields replay the cached bytes verbatim, so the body of a cache hit
 // is byte-identical to the body of the miss that produced it; only
-// the X-Cache header differs.
+// the X-Cache header differs. The server encodes an entry's envelope
+// once, when it admits the entry (withBody), and every response from
+// the entry writes those bytes.
 type Envelope struct {
 	Experiment string          `json:"experiment"`
 	Key        string          `json:"key"`
@@ -331,7 +333,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", string(resp.Status))
-	writeJSON(w, http.StatusOK, envelopeOf(resp.Entry))
+	writeBody(w, http.StatusOK, resp.Entry.Body)
 }
 
 // mergeParams resolves the effective parameters of a request: the
@@ -360,17 +362,27 @@ func mergeParams(name, preset string, body []byte) (experiments.Params, error) {
 	return spec.Resolve(params), nil
 }
 
-// envelopeOf wraps a cached entry for the response body. Raw fields
-// replay the cached bytes, so every node answering from the same
-// entry produces byte-identical bodies.
-func envelopeOf(e resultcache.Entry) Envelope {
-	return Envelope{
+// withBody returns e carrying its response body: e's Envelope as
+// json.Marshal encodes it, plus a newline. The server encodes it once,
+// when it admits an entry (computed, promoted from disk or filled by a
+// peer), and every successful response from the entry writes those
+// bytes, so every node answering from the same entry produces
+// byte-identical bodies. Marshal compacts and HTML-escapes the raw
+// fields, so an entry whose result a peer or an edited disk file
+// supplied with whitespace is served compacted.
+func withBody(e resultcache.Entry) (resultcache.Entry, error) {
+	data, err := json.Marshal(Envelope{
 		Experiment: e.Experiment,
 		Key:        e.Key.String(),
 		Params:     e.Params,
 		Result:     e.Result,
 		Manifest:   e.Manifest,
+	})
+	if err != nil {
+		return resultcache.Entry{}, fmt.Errorf("serve: encoding response: %w", err)
 	}
+	e.Body = append(data, '\n')
+	return e, nil
 }
 
 // forwardCache maps the owner's X-Cache onto the client-facing value:
@@ -462,7 +474,8 @@ func handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
 }
 
-// writeJSON writes v as a JSON response with Content-Length.
+// writeJSON encodes v as a JSON response body: the error and listing
+// bodies. Experiment results write their entry's stored body instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -471,15 +484,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
-	w.WriteHeader(status)
-	w.Write(data)
-	w.Write([]byte("\n"))
+	writeBody(w, status, append(data, '\n'))
 }
 
-// writeError writes a JSON error body through the same path as every
-// success body.
+// writeBody writes an encoded JSON body with Content-Type and
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// writeError writes a JSON error body through writeJSON, so every
+// error response carries Content-Length.
 func writeError(w http.ResponseWriter, status int, body errorBody) {
 	writeJSON(w, status, body)
 }

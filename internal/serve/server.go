@@ -351,7 +351,8 @@ func (s *Server) RetryAfterHint(depth int) time.Duration {
 }
 
 // Cache returns the in-memory result cache (exposed for warmup and
-// introspection).
+// introspection). Its entries carry their encoded response Body; the
+// server sets it on every entry it stores there.
 func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
 // SetPeers installs the fleet view: misses check the owner and
@@ -384,6 +385,9 @@ func (s *Server) lookupCached(key resultcache.Key) (resultcache.Entry, string) {
 	}
 	if s.disk != nil {
 		entry, ok, err := s.disk.Get(key)
+		if err == nil && ok {
+			entry, err = withBody(entry)
+		}
 		if err != nil {
 			s.diskErrors.Inc() // corrupt entry: treated as a miss
 		} else if ok {
@@ -483,7 +487,7 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	}
 	key := RequestKey(experiment, p)
 
-	lookup := tr.StartSpan("cache.lookup")
+	lookup := tr.Root().Child("cache.lookup")
 	if entry, src := s.lookupCached(key); src != "" {
 		if src != "memory" {
 			lookup.Annotate("source", src)
@@ -499,12 +503,14 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	// so a partitioned (or one-node) fleet degrades to exactly the
 	// single-process behavior.
 	if s.peers != nil {
-		pspan := tr.StartSpan("peer.fetch")
+		pspan := tr.Root().Child("peer.fetch")
 		entry, ok := s.peers.Fetch(ctx, key)
 		pspan.End()
 		if ok {
-			s.cache.Put(entry)
-			return Response{Status: StatusPeer, Entry: entry}, nil
+			if entry, err := withBody(entry); err == nil {
+				s.cache.Put(entry)
+				return Response{Status: StatusPeer, Entry: entry}, nil
+			}
 		}
 	}
 
@@ -550,7 +556,7 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 // server-applied compute deadline surfaces as its DeadlineError cause;
 // other waiters of the same call are unaffected either way.
 func (s *Server) wait(ctx context.Context, tr *obs.Trace, c *call, status Status) (Response, error) {
-	span := tr.StartSpan("wait")
+	span := tr.Root().Child("wait")
 	span.Annotate("mode", string(status))
 	defer span.End()
 	select {
@@ -629,10 +635,11 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 			s.finish(c, resultcache.Entry{}, &PanicError{Value: v, Stack: stack})
 		}
 	}()
+	var cspan *obs.Span // nil when untraced
 	if tr != nil {
 		detach := tr.Root().Attach()
 		defer detach()
-		cspan := obs.StartSpan("compute")
+		cspan = obs.StartSpan("compute")
 		defer cspan.End()
 		defer func() {
 			s.mu.Lock()
@@ -660,7 +667,7 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 		s.finish(c, resultcache.Entry{}, &OverloadError{QueueDepth: int(depth - 1)})
 		return
 	}
-	qspan := tr.StartSpan("queue.wait")
+	qspan := cspan.Child("queue.wait")
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -693,6 +700,9 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 	s.computeNs.Add(int64(wall))
 	s.computeCount.Add(1)
 	entry, err := BuildEntry(c.key, spec.Name, out, wall, obs.Default().Snapshot().Sub(before))
+	if err == nil {
+		entry, err = withBody(entry)
+	}
 	if err != nil {
 		s.finish(c, resultcache.Entry{}, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,10 +128,11 @@ func TestTraceCaptureEndToEnd(t *testing.T) {
 	if snap.Attrs["experiment"] != "table12" {
 		t.Errorf("experiment attr = %q", snap.Attrs["experiment"])
 	}
-	for _, phase := range []string{"cache.lookup", "wait", "compute", "queue.wait", "sweep"} {
-		if findSpan(snap.Spans, phase) == nil {
-			t.Errorf("trace missing %q span; tree: %s", phase, rec.Body)
-		}
+	// The serving phases open under their parents: the lookup and the
+	// wait under the root, the queue wait beside the sweep under the
+	// compute goroutine's span.
+	if got, want := spanShape(snap.Spans, 3), "request(cache.lookup compute(queue.wait sweep) wait)"; got != want {
+		t.Errorf("miss trace = %s, want %s; tree: %s", got, want, rec.Body)
 	}
 	sweep := findSpan(snap.Spans, "sweep")
 	if sweep != nil && sweep.Attrs["cells"] == "" {
@@ -153,11 +155,30 @@ func TestTraceCaptureEndToEnd(t *testing.T) {
 	if snap.Attrs["cache"] != string(StatusHit) {
 		t.Errorf("hit trace cache attr = %q", snap.Attrs["cache"])
 	}
+	if got, want := spanShape(snap.Spans, 0), "request(cache.lookup)"; got != want {
+		t.Errorf("hit trace = %s, want %s", got, want)
+	}
 
 	// Unknown ids 404.
 	if rec = get(h, "/debug/traces/nope"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown trace id status = %d, want 404", rec.Code)
 	}
+}
+
+// spanShape renders a span forest as "name(child child(...))" down to
+// depth levels (0: all), children sorted by name, so a test pins every
+// span's parent without depending on the order in which concurrent
+// goroutines entered them.
+func spanShape(spans []obs.PhaseSnapshot, depth int) string {
+	parts := make([]string, len(spans))
+	for i, sp := range spans {
+		parts[i] = sp.Name
+		if depth != 1 && len(sp.Children) > 0 {
+			parts[i] += "(" + spanShape(sp.Children, depth-1) + ")"
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }
 
 // findSpan walks a span forest for a phase name at any depth.
