@@ -165,7 +165,7 @@ func BenchmarkRadiusSweep(b *testing.B) {
 // BenchmarkPrimitives regenerates the §VII primitive table.
 func BenchmarkPrimitives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.RunPrimitives(4, 0)
+		experiments.RunPrimitives(nil, 4, 0)
 	}
 }
 

@@ -250,20 +250,21 @@ func run() int {
 			return 2
 		}
 		logger.Debug("starting experiment", "experiment", name)
-		obs.TakeSpans() // drop any stale phases from a failed predecessor
 		start := time.Now()
 		p := spec.Resolve(params(spec.Paper))
 		if err := spec.Validate(p); err != nil {
 			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
 			return 2
 		}
-		effParams, err := runOne(ctx, spec, p, store)
+		// Each experiment's phases open under the root of its own tracer.
+		tracer := obs.NewTracer()
+		effParams, err := runOne(obs.ContextWithSpan(ctx, tracer.Root()), spec, p, store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acdbench: %s: %v\n", name, err)
 			return 1
 		}
 		wall := time.Since(start)
-		manifest.AddExperiment(name, effParams, wall, obs.TakeSpans())
+		manifest.AddExperiment(name, effParams, wall, tracer.Take())
 		manifest.ObserveMemStats()
 		logger.Info("experiment completed", "experiment", name, "wall", wall.Round(time.Millisecond))
 	}
@@ -339,7 +340,7 @@ func runOne(ctx context.Context, spec experiments.Spec, p experiments.Params, st
 	announce(p)
 	key := resultcache.KeyFor(spec.Name, p.CanonicalKey(), experiments.ResultSchemaVersion)
 	if store != nil {
-		entry, ok, err := store.Get(key)
+		entry, ok, err := store.Get(nil, key)
 		if err != nil {
 			logger.Warn("cache read failed, recomputing", "err", err)
 		} else if ok {
@@ -364,7 +365,7 @@ func runOne(ctx context.Context, spec experiments.Spec, p experiments.Params, st
 		if err != nil {
 			return nil, err
 		}
-		if err := store.Put(entry); err != nil {
+		if err := store.Put(nil, entry); err != nil {
 			logger.Warn("cache write failed", "err", err)
 		} else {
 			logger.Debug("cached result", "experiment", spec.Name, "key", key.String()[:12])

@@ -229,15 +229,18 @@ func run() int {
 }
 
 // logRequests logs one line per completed request: debug level for
-// 2xx, info for everything else, so failures surface without -v. The
-// trace_id field joins the log line to /debug/traces/{id}.
+// 2xx and for a peer's 404 on the fleet's presence probe (its normal
+// "not here", which every replica a miss consults answers), info for
+// everything else, so failures surface without -v. The trace_id field
+// joins the log line to /debug/traces/{id}.
 func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		level := slog.LevelDebug
-		if rec.status < 200 || rec.status >= 300 {
+		notHere := rec.status == http.StatusNotFound && strings.HasPrefix(r.URL.Path, peekPath)
+		if (rec.status < 200 || rec.status >= 300) && !notHere {
 			level = slog.LevelInfo
 		}
 		logger.Log(r.Context(), level, "request",
@@ -247,6 +250,10 @@ func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 			"dur", time.Since(start).Round(time.Microsecond))
 	})
 }
+
+// peekPath prefixes the fleet's presence probe, GET
+// /internal/v1/peek/{key}.
+const peekPath = "/internal/v1/peek/"
 
 // statusRecorder captures the response status for logging. Embedding
 // only the interface would hide the underlying writer's optional

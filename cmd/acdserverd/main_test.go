@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -70,3 +71,43 @@ func (b bareWriter) WriteHeader(status int)      { b.w.WriteHeader(status) }
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestLogRequestsPeekMissAtDebug: a peer's 404 on the presence probe is
+// the fleet protocol's normal "not here" and logs at debug; a 404
+// anywhere else, and any other failure, still logs at info.
+func TestLogRequestsPeekMissAtDebug(t *testing.T) {
+	cases := []struct {
+		path   string
+		status int
+		want   slog.Level
+	}{
+		{"/internal/v1/peek/abc", http.StatusNotFound, slog.LevelDebug},
+		{"/internal/v1/peek/abc", http.StatusOK, slog.LevelDebug},
+		{"/internal/v1/peek/abc", http.StatusBadRequest, slog.LevelInfo},
+		{"/internal/v1/result/abc", http.StatusNotFound, slog.LevelInfo},
+		{"/v1/experiments/nope", http.StatusNotFound, slog.LevelInfo},
+		{"/v1/experiments/table12", http.StatusOK, slog.LevelDebug},
+	}
+	for _, c := range cases {
+		var levels []slog.Level
+		logger := slog.New(levelRecorder{&levels})
+		h := logRequests(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(c.status)
+		}))
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, c.path, nil))
+		if len(levels) != 1 || levels[0] != c.want {
+			t.Errorf("GET %s -> %d logged at %v, want [%v]", c.path, c.status, levels, c.want)
+		}
+	}
+}
+
+// levelRecorder is a slog handler that records each record's level.
+type levelRecorder struct{ levels *[]slog.Level }
+
+func (h levelRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h levelRecorder) Handle(_ context.Context, r slog.Record) error {
+	*h.levels = append(*h.levels, r.Level)
+	return nil
+}
+func (h levelRecorder) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h levelRecorder) WithGroup(string) slog.Handler      { return h }

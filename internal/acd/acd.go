@@ -131,8 +131,10 @@ func (a *Assignment) KeyIndex() *keynav.Index { return a.ix }
 // chunk i to processor rank i. A curve with a child-order table
 // (sfc.Quadrants: Hilbert, Morton, Gray) labels the set in one top-down
 // pass over its skeleton (keynav.Set.LabelAlong); any other curve sorts
-// the particles along itself and labels the resulting owners.
-func Assign(set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
+// the particles along itself and labels the resulting owners. The
+// partitioning and ordering phases open under parent (nil records
+// none).
+func Assign(parent *obs.Span, set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)
 	}
@@ -141,10 +143,10 @@ func Assign(set *keynav.Set, curve sfc.Curve, p int) (*Assignment, error) {
 	}
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
-	partitioning := obs.StartSpan("partitioning")
+	partitioning := parent.Child("partitioning")
 	ranks := chunkRanks(set.N(), p)
 	partitioning.End()
-	defer obs.StartSpan("ordering").End()
+	defer parent.Child("ordering").End()
 	a := &Assignment{Order: set.Order, P: p, n: set.N(), side: geom.Side(set.Order)}
 	if q, ok := curve.(sfc.Quadrants); ok {
 		a.ix = set.LabelAlong(q, ranks)
@@ -176,8 +178,9 @@ func chunkRanks(n, p int) []int32 {
 // need not be monotone along any curve). This supports dynamic studies
 // where particles move between timesteps while their owning processors
 // stay fixed. The far-field model remains well defined: cell
-// representatives are minimum ranks regardless of ordering.
-func FromOwners(set *keynav.Set, ranks []int32, p int) (*Assignment, error) {
+// representatives are minimum ranks regardless of ordering. The
+// partitioning phase opens under parent (nil records none).
+func FromOwners(parent *obs.Span, set *keynav.Set, ranks []int32, p int) (*Assignment, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("acd: p = %d must be positive", p)
 	}
@@ -189,7 +192,7 @@ func FromOwners(set *keynav.Set, ranks []int32, p int) (*Assignment, error) {
 	}
 	assignCounter.Inc()
 	defer obs.StartTimer(assignTime)()
-	defer obs.StartSpan("partitioning").End()
+	defer parent.Child("partitioning").End()
 	for _, r := range ranks {
 		if r < 0 || int(r) >= p {
 			return nil, fmt.Errorf("acd: rank %d out of range [0,%d)", r, p)

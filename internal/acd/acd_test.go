@@ -14,11 +14,11 @@ import (
 
 // assignPoints is Assign over a private set of pts.
 func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return Assign(set, curve, p)
+	return Assign(nil, set, curve, p)
 }
 
 // alongCurve returns a's owners in the order curve c visits its set's
@@ -35,11 +35,11 @@ func alongCurve(a *Assignment, c sfc.Curve) []int32 {
 
 // ownersPoints is FromOwners over a private set of pts.
 func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return FromOwners(set, ranks, p)
+	return FromOwners(nil, set, ranks, p)
 }
 
 func TestAccumulator(t *testing.T) {

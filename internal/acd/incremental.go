@@ -90,11 +90,12 @@ func (rp *RepartitionPolicy) Decide(gauge float64) bool {
 // to the batch ACD model, which skips the curve sort Assign would redo.
 // It builds a private skeleton of the particles (which rejects
 // duplicate cells) and labels it with the balanced consecutive chunks;
-// the caller guarantees the curve order, which is not re-verified.
+// the caller guarantees the curve order, which is not re-verified. It
+// records no phases.
 func FromSorted(particles []geom.Point, order uint, p int) (*Assignment, error) {
-	set, err := keynav.NewSet(order, particles)
+	set, err := keynav.NewSet(nil, order, particles)
 	if err != nil {
 		return nil, err
 	}
-	return FromOwners(set, chunkRanks(len(particles), p), p)
+	return FromOwners(nil, set, chunkRanks(len(particles), p), p)
 }

@@ -136,13 +136,13 @@ func BenchmarkAssign(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Assign(set, sfc.Hilbert, p); err != nil {
+		if _, err := Assign(nil, set, sfc.Hilbert, p); err != nil {
 			b.Fatal(err)
 		}
 	}

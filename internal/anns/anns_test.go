@@ -152,12 +152,12 @@ func TestANNSEqualsNFIOnBus(t *testing.T) {
 			pts = append(pts, geom.Pt(x, y))
 		}
 	}
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range sfc.All() {
-		a, err := acd.Assign(set, c, len(pts))
+		a, err := acd.Assign(nil, set, c, len(pts))
 		if err != nil {
 			t.Fatal(err)
 		}

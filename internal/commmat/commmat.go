@@ -128,15 +128,17 @@ func (s *Shard) Add(src, dst int32) {
 }
 
 // Finalize merges all shards into the immutable Matrix and records the
-// build in the commmat metrics. The builder must not be reused after.
+// build in the commmat metrics, and its time as a commmat.finalize
+// phase under parent (nil records none). The builder must not be
+// reused after.
 //
 // It counts the events of each source row, scatters every event's
 // destination into its row, and sorts each row and collapses its runs
 // of equal destinations into (dst, count) pairs, tallying the diagonal
 // on the way. The rows come out in rank order and sorted, so the
 // matrix does not depend on how the stream was sharded.
-func (b *Builder) Finalize() *Matrix {
-	defer obs.StartSpan("commmat.finalize").End()
+func (b *Builder) Finalize(parent *obs.Span) *Matrix {
+	defer parent.Child("commmat.finalize").End()
 	p := b.p
 	start := make([]int, p+1)
 	for _, s := range b.shards {

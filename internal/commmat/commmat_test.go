@@ -84,7 +84,7 @@ func buildWith(p, workers int, events [][2]int32) *Matrix {
 	for i, e := range events {
 		b.Shard(i%workers).Add(e[0], e[1])
 	}
-	return b.Finalize()
+	return b.Finalize(nil)
 }
 
 // TestBuilderMatchesBruteForce holds the builder to a map of pair
@@ -189,7 +189,7 @@ func TestConcurrentShards(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	checkAgainstRef(t, b.Finalize(), ref)
+	checkAgainstRef(t, b.Finalize(nil), ref)
 }
 
 // TestEqualDetectsDifferences spot-checks Equal's negative cases.

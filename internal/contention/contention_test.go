@@ -18,11 +18,11 @@ import (
 
 // assignPoints is acd.Assign over a private set of pts.
 func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.Assign(set, curve, p)
+	return acd.Assign(nil, set, curve, p)
 }
 
 func TestRouteHopsMatchDistanceOnMesh(t *testing.T) {

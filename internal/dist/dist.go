@@ -107,8 +107,13 @@ func SampleUnique(s Sampler, r *rng.Rand, order uint, n int) ([]geom.Point, erro
 	if uint64(n) > cells {
 		return nil, fmt.Errorf("dist: cannot place %d unique particles in %d cells", n, cells)
 	}
+	return sampleUnique(s, r, order, n, newOccupancy(cells, n))
+}
+
+// sampleUnique is SampleUnique marking the cells it places particles
+// in on occupied; every occupancy accepts the same draws.
+func sampleUnique(s Sampler, r *rng.Rand, order uint, n int, occupied occupancy) ([]geom.Point, error) {
 	side := geom.Side(order)
-	occupied := newBitmap(cells)
 	out := make([]geom.Point, 0, n)
 	// Generous stall guard: the worst-case experiment (normal at ~25%
 	// overall fill with a saturated center) needs only a few rejections
@@ -128,6 +133,39 @@ func SampleUnique(s Sampler, r *rng.Rand, order uint, n int) ([]geom.Point, erro
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// occupancy is the set of cells a sampler has placed a particle in.
+type occupancy interface {
+	// testAndSet adds cell id and reports whether it was already in.
+	testAndSet(id uint64) bool
+}
+
+// denseCellsPerParticle is the most grid cells per particle for which a
+// sampler keeps its occupancy in a dense bitmap. Up to it the bitmap
+// costs at most 32 bytes per particle, about what a set entry costs;
+// beyond it a set sized by the particle count is smaller.
+const denseCellsPerParticle = 256
+
+// newOccupancy returns the occupancy of n particles on a grid of the
+// given cell count: a dense bitmap where the grid is small next to the
+// particle count, a set sized by the particle count where it is not.
+func newOccupancy(cells uint64, n int) occupancy {
+	if cells <= denseCellsPerParticle*uint64(n) {
+		return newBitmap(cells)
+	}
+	return make(cellSet, n)
+}
+
+// cellSet is a sparse occupancy: the set of occupied cell ids.
+type cellSet map[uint64]struct{}
+
+func (s cellSet) testAndSet(id uint64) bool {
+	if _, ok := s[id]; ok {
+		return true
+	}
+	s[id] = struct{}{}
+	return false
 }
 
 // bitmap is a dense bit set over cell ids.

@@ -86,7 +86,7 @@ func SampleUnique3(s Sampler3, r *rng.Rand, order uint, n int) ([]geom3.Point3, 
 		return nil, fmt.Errorf("dist: cannot place %d unique particles in %d cells", n, cells)
 	}
 	side := geom3.Side(order)
-	occupied := newBitmap(cells)
+	occupied := newOccupancy(cells, n)
 	out := make([]geom3.Point3, 0, n)
 	maxAttempts := 200*uint64(n) + 100000
 	var attempts uint64

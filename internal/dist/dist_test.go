@@ -262,3 +262,54 @@ func ComputeMoments(pts []geom.Point) Moments {
 	m.StdY = math.Sqrt(syy/n - m.MeanY*m.MeanY)
 	return m
 }
+
+// TestOccupanciesAcceptSameDraws runs the dense bitmap and the sparse
+// set on one seeded stream per case: both must accept exactly the same
+// draws, so the occupancy SampleUnique picks never changes a sample.
+func TestOccupanciesAcceptSameDraws(t *testing.T) {
+	cases := []struct {
+		order uint
+		n     int
+	}{
+		{4, 100},    // a third of the grid: many draws are rejections
+		{6, 1000},   // dense, as table12 and serve sample
+		{12, 15625}, // sparse, as sparse12 samples
+	}
+	for _, s := range All() {
+		for _, c := range cases {
+			bits, err := sampleUnique(s, rng.New(41), c.order, c.n, newBitmap(geom.Cells(c.order)))
+			if err != nil {
+				t.Fatalf("%s order %d: bitmap: %v", s.Name(), c.order, err)
+			}
+			set, err := sampleUnique(s, rng.New(41), c.order, c.n, make(cellSet))
+			if err != nil {
+				t.Fatalf("%s order %d: set: %v", s.Name(), c.order, err)
+			}
+			if len(bits) != c.n || len(set) != c.n {
+				t.Fatalf("%s order %d: %d and %d particles, want %d", s.Name(), c.order, len(bits), len(set), c.n)
+			}
+			for i := range bits {
+				if bits[i] != set[i] {
+					t.Fatalf("%s order %d: particle %d is %v with a bitmap, %v with a set", s.Name(), c.order, i, bits[i], set[i])
+				}
+			}
+		}
+	}
+}
+
+// TestOccupancySizedByParticles: a grid large next to the particle
+// count gets a set, not a grid-sized bitmap, and a small one a bitmap.
+func TestOccupancySizedByParticles(t *testing.T) {
+	if _, ok := newOccupancy(geom.Cells(15), 100).(cellSet); !ok {
+		t.Error("100 particles on a 2^30-cell grid: occupancy is not a set")
+	}
+	if _, ok := newOccupancy(geom.Cells(12), 15625).(cellSet); !ok {
+		t.Error("15,625 particles on a 2^24-cell grid: occupancy is not a set")
+	}
+	if _, ok := newOccupancy(geom.Cells(8), 15625).(bitmap); !ok {
+		t.Error("15,625 particles on a 2^16-cell grid: occupancy is not a bitmap")
+	}
+	if _, ok := newOccupancy(geom.Cells(7), 3906).(bitmap); !ok {
+		t.Error("3,906 particles on a 2^14-cell grid: occupancy is not a bitmap")
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/commmat"
 	"sfcacd/internal/fmmmodel"
-	"sfcacd/internal/obs"
 	"sfcacd/internal/topology"
 )
 
@@ -88,9 +87,12 @@ func (t *Tally) Makespan(c CostParams) (float64, error) {
 // pair exchange is a message charged to the sender, and every pair
 // evaluation (including same-processor ones) is a unit of local work
 // at the owner. The events come from the near-field communication
-// matrix (fmmmodel.NFIMatrix).
+// matrix (fmmmodel.NFIMatrix). It is timed as an accumulation.nfi phase
+// under opts.Parent, with the matrix build beneath.
 func CollectNFI(a *acd.Assignment, topo topology.Topology, opts fmmmodel.NFIOptions) *Tally {
-	defer obs.StartSpan("accumulation.nfi").End()
+	acc := opts.Parent.Child("accumulation.nfi")
+	defer acc.End()
+	opts.Parent = acc
 	t := NewTally(topo.P())
 	t.addCanonical(fmmmodel.NFIMatrix(a, opts), topo)
 	return t
@@ -102,7 +104,6 @@ func CollectNFI(a *acd.Assignment, topo topology.Topology, opts fmmmodel.NFIOpti
 // source. The events come from the far-field communication matrices
 // (fmmmodel.FFIMatricesFromIndex).
 func CollectFFI(a *acd.Assignment, topo topology.Topology) *Tally {
-	defer obs.StartSpan("accumulation.ffi").End()
 	t := NewTally(topo.P())
 	ms := fmmmodel.FFIMatricesFromIndex(a.KeyIndex(), topo.P(), 0)
 	t.addCanonical(ms.Interpolation, topo)

@@ -18,20 +18,20 @@ import (
 
 // assignPoints is acd.Assign over a private set of pts.
 func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.Assign(set, curve, p)
+	return acd.Assign(nil, set, curve, p)
 }
 
 // ownersPoints is acd.FromOwners over a private set of pts.
 func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.FromOwners(set, ranks, p)
+	return acd.FromOwners(nil, set, ranks, p)
 }
 
 func TestTallyBasics(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -94,7 +95,8 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 	for s := 0; s <= steps; s++ {
 		res.Steps = append(res.Steps, s)
 	}
-	pts, err := samplePoints(p.sampler(), p, 0)
+	root := obs.SpanFrom(ctx)
+	pts, err := samplePoints(root, p.sampler(), p, 0)
 	if err != nil {
 		return DynamicResult{}, err
 	}
@@ -107,7 +109,7 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 	// reorders, so map initial ranks back to input order through the
 	// curve sort.
 	initialRanks := make([][]int32, nc)
-	if err := runCells(ctx, pool, nc, func(c int) error {
+	if err := runCells(ctx, pool, nc, func(_ *obs.Span, c int) error {
 		perm := sfc.SortPoints(curves[c], p.Order, pts)
 		ranks := make([]int32, len(pts))
 		for sorted, orig := range perm {
@@ -128,21 +130,23 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 		}
 		// One skeleton per step: both policies of every curve label it,
 		// and its near plan is recorded once, with the whole budget.
-		set, err := keynav.NewSet(p.Order, pts)
+		set, err := keynav.NewSet(root, p.Order, pts)
 		if err != nil {
 			return DynamicResult{}, err
 		}
-		set.Plan(opts.Spec(), workerBudget(p.Workers))
-		if err := runCells(ctx, pool, nc, func(c int) error {
+		set.Plan(root, opts.Spec(), workerBudget(p.Workers))
+		if err := runCells(ctx, pool, nc, func(sweep *obs.Span, c int) error {
 			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curves[c])}
+			opts := opts
+			opts.Parent = sweep
 			// Static policy: initial owners, current positions.
-			static, err := acd.FromOwners(set, initialRanks[c], p.P())
+			static, err := acd.FromOwners(sweep, set, initialRanks[c], p.P())
 			if err != nil {
 				return err
 			}
 			res.Static[c][step] = fmmmodel.NFIMulti(static, topos, opts)[0].ACD()
 			// Reorder policy: fresh assignment from current positions.
-			fresh, err := acd.Assign(set, curves[c], p.P())
+			fresh, err := acd.Assign(sweep, set, curves[c], p.P())
 			if err != nil {
 				return err
 			}

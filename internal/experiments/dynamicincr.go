@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/geom"
 	"sfcacd/internal/incr"
 	"sfcacd/internal/nbody"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -108,7 +109,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 	if ticks < 1 {
 		return DynamicIncrResult{}, fmt.Errorf("experiments: need at least 1 tick")
 	}
-	cells, err := samplePoints(p.sampler(), p, 0)
+	cells, err := samplePoints(obs.SpanFrom(ctx), p.sampler(), p, 0)
 	if err != nil {
 		return DynamicIncrResult{}, err
 	}
@@ -159,7 +160,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 
 	states := make([]*incr.State, nc)
 	tables := make([]*topology.DistanceTable, nc)
-	if err := runCells(ctx, pool, nc, func(c int) error {
+	if err := runCells(ctx, pool, nc, func(sweep *obs.Span, c int) error {
 		cfg := incr.Config{
 			Curve:        curves[c],
 			Order:        p.Order,
@@ -167,6 +168,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 			Radius:       p.Radius,
 			Metric:       geom.MetricChebyshev,
 			ForceRebuild: p.IncrMode == "rebuild",
+			Parent:       sweep,
 		}
 		s, err := incr.NewState(cfg, cells)
 		if err != nil {
@@ -192,7 +194,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 			return DynamicIncrResult{}, err
 		}
 		cells = projectCells(sim.Sys.Pos, cells, side)
-		if err := runCells(ctx, pool, nc, func(c int) error {
+		if err := runCells(ctx, pool, nc, func(_ *obs.Span, c int) error {
 			st, err := states[c].Tick(cells)
 			if err != nil {
 				return err

@@ -20,7 +20,7 @@ func TestDriftProperties(t *testing.T) {
 	p := testParams
 	p.Order = order
 	p.Particles = 600
-	pts, err := samplePoints(p.sampler(), p, 0)
+	pts, err := samplePoints(nil, p.sampler(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestDriftProperties(t *testing.T) {
 		}
 	}
 	// Replay: same seed, same trajectory, cell for cell.
-	ptsA, _ := samplePoints(p.sampler(), p, 0)
-	ptsB, _ := samplePoints(p.sampler(), p, 0)
+	ptsA, _ := samplePoints(nil, p.sampler(), p, 0)
+	ptsB, _ := samplePoints(nil, p.sampler(), p, 0)
 	ra, rb := rng.New(7), rng.New(7)
 	for step := 0; step < 5; step++ {
 		drift(ptsA, order, ra)

@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -59,26 +60,26 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 	type cellOut struct {
 		acd, makespan, maxSends float64
 	}
-	groups := newGroupSlots(p.Trials, n, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, p.P())
+		a, err := acd.Assign(sweep, set, curve, p.P())
 		if err != nil {
 			return err
 		}
 		topo := topology.NewTorus(p.ProcOrder, curve)
-		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
+		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
 		tally := execmodel.CollectNFI(a, topo, opts)
 		ms, err := tally.Makespan(execmodel.DefaultCost)
 		if err != nil {

@@ -79,8 +79,8 @@ func (p Params) P() int { return 1 << (2 * p.ProcOrder) }
 
 // Validate checks that the parameters are mutually consistent.
 func (p Params) Validate() error {
-	if p.Particles < 1 {
-		return fmt.Errorf("experiments: need at least 1 particle")
+	if err := p.validateKnobs(); err != nil {
+		return err
 	}
 	if p.Order > 15 {
 		return fmt.Errorf("experiments: order %d too large", p.Order)
@@ -97,11 +97,18 @@ func (p Params) Validate() error {
 	if p.Trials > maxTrials {
 		return fmt.Errorf("experiments: %d trials exceed %d", p.Trials, maxTrials)
 	}
+	return checkNearEvents(p.Particles, p.Radius, 2)
+}
+
+// validateKnobs checks the knobs every experiment reads alike, whatever
+// configuration it derives from them: the particle count and radius
+// signs, the worker count, the distribution and the incr mode.
+func (p Params) validateKnobs() error {
+	if p.Particles < 1 {
+		return fmt.Errorf("experiments: need at least 1 particle")
+	}
 	if p.Radius < 0 {
 		return fmt.Errorf("experiments: negative radius")
-	}
-	if err := checkNearEvents(p.Particles, p.Radius, 2); err != nil {
-		return err
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("experiments: negative worker count")
@@ -195,9 +202,10 @@ func trialSeed(base uint64, trial int) uint64 {
 	return base + uint64(trial)*0x9e3779b97f4a7c15
 }
 
-// samplePoints draws the trial's unique particle set.
-func samplePoints(s dist.Sampler, p Params, trial int) ([]geom.Point, error) {
-	defer obs.StartSpan("sampling").End()
+// samplePoints draws the trial's unique particle set, timed as a
+// sampling phase under parent.
+func samplePoints(parent *obs.Span, s dist.Sampler, p Params, trial int) ([]geom.Point, error) {
+	defer parent.Child("sampling").End()
 	r := rng.New(trialSeed(p.Seed, trial))
 	return dist.SampleUnique(s, r, p.Order, p.Particles)
 }
@@ -212,26 +220,27 @@ func curveNames(curves []sfc.Curve) []string {
 }
 
 // sampleSet draws the trial's unique particle set and builds its
-// skeleton, which every assignment of the set labels.
-func sampleSet(s dist.Sampler, p Params, trial int) (*keynav.Set, error) {
-	pts, err := samplePoints(s, p, trial)
+// skeleton, which every assignment of the set labels, under parent.
+func sampleSet(parent *obs.Span, s dist.Sampler, p Params, trial int) (*keynav.Set, error) {
+	pts, err := samplePoints(parent, s, p, trial)
 	if err != nil {
 		return nil, err
 	}
-	return keynav.NewSet(p.Order, pts)
+	return keynav.NewSet(parent, p.Order, pts)
 }
 
 // priceCell prices one sweep cell's assignment on every topology: the
 // radius-p.Radius Chebyshev near field and the far field, replayed from
 // one near+far plan of the assignment's particle set. The group's first
 // cell records it here with the whole p.Workers budget, since the
-// group's other cells wait on it anyway.
-func priceCell(p Params, a *acd.Assignment, topos []topology.Topology, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
-	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
+// group's other cells wait on it anyway. Its phases open under the
+// cell's sweep span.
+func priceCell(sweep *obs.Span, p Params, a *acd.Assignment, topos []topology.Topology, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
+	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
 	spec := nfiOpts.Spec()
 	spec.Far = true
-	a.KeyIndex().Set().Plan(spec, workerBudget(p.Workers))
-	return fmmmodel.NFIMulti(a, topos, nfiOpts), fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner})
+	a.KeyIndex().Set().Plan(sweep, spec, workerBudget(p.Workers))
+	return fmmmodel.NFIMulti(a, topos, nfiOpts), fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Parent: sweep})
 }
 
 // torusPerCurve builds one torus per processor-order curve at the

@@ -521,7 +521,7 @@ func TestRunMeshTorusWrapLinkUtility(t *testing.T) {
 }
 
 func TestRunPrimitives(t *testing.T) {
-	res := RunPrimitives(3, 0)
+	res := RunPrimitives(nil, 3, 0)
 	if len(res.Patterns) != 5 || len(res.Curves) != 4 {
 		t.Fatalf("bad shape")
 	}
@@ -541,7 +541,7 @@ func TestRunPrimitives(t *testing.T) {
 			res.Mesh[ringRow][hilbert], res.Mesh[ringRow][rowmajor])
 	}
 	// Deterministic.
-	res2 := RunPrimitives(3, 0)
+	res2 := RunPrimitives(nil, 3, 0)
 	for i := range res.Mesh {
 		for j := range res.Mesh[i] {
 			if res.Mesh[i][j] != res2.Mesh[i][j] || res.Torus[i][j] != res2.Torus[i][j] {

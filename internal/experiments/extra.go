@@ -8,6 +8,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/primitives"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -47,8 +48,8 @@ func (r PrimitivesResult) Matrices() (mesh, torus *tablefmt.Matrix) {
 // RunPrimitives evaluates every §VII primitive under every
 // processor-order curve at p = 4^ProcOrder, one sweep cell per curve.
 // Deterministic: no sampling is involved. workers caps the sweep pool
-// (0 means GOMAXPROCS).
-func RunPrimitives(procOrder uint, workers int) PrimitivesResult {
+// (0 means GOMAXPROCS); the sweep is timed under parent.
+func RunPrimitives(parent *obs.Span, procOrder uint, workers int) PrimitivesResult {
 	curves := sfc.All()
 	pats := primitives.Patterns()
 	res := PrimitivesResult{
@@ -61,7 +62,7 @@ func RunPrimitives(procOrder uint, workers int) PrimitivesResult {
 	}
 	// Cells write disjoint columns directly; no reduction is needed
 	// because each matrix slot is assigned exactly once.
-	runCells(context.Background(), sweepPool(workers, len(curves)), len(curves), func(c int) error {
+	runCells(obs.ContextWithSpan(context.Background(), parent), sweepPool(workers, len(curves)), len(curves), func(_ *obs.Span, c int) error {
 		curve := curves[c]
 		mesh := topology.NewMesh(procOrder, curve)
 		torus := topology.NewTorus(procOrder, curve)
@@ -134,28 +135,28 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		acd, maxLoad, meanLoad float64
 	}
 	type cellOut struct{ mesh, torus gridOut }
-	groups := newGroupSlots(p.Trials, n, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, p.P())
+		a, err := acd.Assign(sweep, set, curve, p.P())
 		if err != nil {
 			return err
 		}
 		// Each canonical pair of the near-field matrix stands for its
 		// events in both directions.
 		m := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner,
+			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep,
 		})
 		grids := []contention.GridTopology{
 			topology.NewMesh(p.ProcOrder, curve),

@@ -5,6 +5,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -64,21 +65,21 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per topology
 	}
-	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, p.P())
+		a, err := acd.Assign(sweep, set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -90,7 +91,7 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 			}
 			topos[t] = topo
 		}
-		nfiAccs, ffiAccs := priceCell(p, a, topos, inner)
+		nfiAccs, ffiAccs := priceCell(sweep, p, a, topos, inner)
 		o := cellOut{nfi: make([]float64, nt), ffi: make([]float64, nt)}
 		for t := range topos {
 			o.nfi[t] = nfiAccs[t].ACD()

@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -67,31 +68,31 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	type cellOut struct{ nfi, ffi float64 }
 	// A trial's cells share its particle set and its plan, across every
 	// curve and processor count.
-	groups := newGroupSlots(p.Trials, nc*no, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, nc*no, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*nc*no)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		i := cell % no
 		c := (cell / no) % nc
 		trial := cell / (no * nc)
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
 		po := procOrders[i]
 		procs := 1 << (2 * po)
-		a, err := acd.Assign(set, curve, procs)
+		a, err := acd.Assign(sweep, set, curve, procs)
 		if err != nil {
 			return err
 		}
 		// One torus per step: too few for a torus group, so the replay
 		// prices every event through the torus's own kernel.
 		topos := []topology.Topology{topology.NewTorus(po, curve)}
-		nfi, ffi := priceCell(p, a, topos, inner)
+		nfi, ffi := priceCell(sweep, p, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})

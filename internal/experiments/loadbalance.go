@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/partition"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -63,21 +64,21 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 	type cellOut struct {
 		countACD, workACD, countImb, workImb float64
 	}
-	groups := newGroupSlots(p.Trials, n, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Exponential, p, trial)
+	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Exponential, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*n)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		work := nearDegrees(set, p.Radius, workerBudget(p.Workers))
+		work := nearDegrees(sweep, set, p.Radius, workerBudget(p.Workers))
 		// Both policies label the trial's set; perm lists its particles
 		// along the curve, where the chunks are consecutive.
 		perm := sfc.SortPoints(curve, p.Order, set.Points())
@@ -94,16 +95,16 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 			countRanks[j] = int32(partition.ChunkOf(i, len(perm), p.P()))
 			workRanks[j] = byCurve[i]
 		}
-		count, err := acd.FromOwners(set, countRanks, p.P())
+		count, err := acd.FromOwners(sweep, set, countRanks, p.P())
 		if err != nil {
 			return err
 		}
-		weighted, err := acd.FromOwners(set, workRanks, p.P())
+		weighted, err := acd.FromOwners(sweep, set, workRanks, p.P())
 		if err != nil {
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner}
+		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
 		// Per-rank loads are sums of integer degrees, exact in any
 		// order, so the set order serves as well as the curve order.
 		outs[cell] = cellOut{
@@ -132,11 +133,11 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 // the set's input order: the number of occupied cells within Chebyshev
 // radius of it. Every pair of the set's near plan is one neighbor of
 // each endpoint (the neighborhood excludes the cell itself), so the
-// plan, recorded here on first use with up to workers goroutines,
-// holds the degrees without a probe.
-func nearDegrees(set *keynav.Set, radius, workers int) []float64 {
+// plan, recorded here on first use with up to workers goroutines under
+// parent, holds the degrees without a probe.
+func nearDegrees(parent *obs.Span, set *keynav.Set, radius, workers int) []float64 {
 	deg := make([]float64, set.N()) // by finest slab position
-	for _, chunk := range set.Plan(keynav.Spec{Radius: radius, Metric: geom.MetricChebyshev}, workers).Near(radius, geom.MetricChebyshev) {
+	for _, chunk := range set.Plan(parent, keynav.Spec{Radius: radius, Metric: geom.MetricChebyshev}, workers).Near(radius, geom.MetricChebyshev) {
 		for _, pr := range chunk {
 			deg[pr.A]++
 			deg[pr.B]++

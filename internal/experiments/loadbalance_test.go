@@ -76,15 +76,15 @@ func TestNearDegreesMatchProbes(t *testing.T) {
 	p := testParams
 	for _, radius := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{1, 3} {
-			set, err := sampleSet(dist.Exponential, p, 0)
+			set, err := sampleSet(nil, dist.Exponential, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := acd.Assign(set, sfc.Hilbert, p.P())
+			a, err := acd.Assign(nil, set, sfc.Hilbert, p.P())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := nearDegrees(set, radius, workers)
+			got := nearDegrees(nil, set, radius, workers)
 			for i, pt := range set.Points() {
 				deg := 0
 				geom.VisitNeighborhood(pt, radius, geom.MetricChebyshev, geom.Side(p.Order), func(q geom.Point) {

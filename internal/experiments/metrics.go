@@ -7,6 +7,7 @@ import (
 	"sfcacd/internal/clustering"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
@@ -79,7 +80,7 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 1: the application-independent metric columns, one cell per
 	// curve (each slot is written exactly once, so no reduction).
-	if err := runCells(ctx, sweepPool(cfg.Params.Workers, n), n, func(c int) error {
+	if err := runCells(ctx, sweepPool(cfg.Params.Workers, n), n, func(_ *obs.Span, c int) error {
 		curve := curves[c]
 		res.ANNS[c] = anns.Stretch(curve, cfg.MetricOrder, anns.Options{Radius: 1}).Mean
 		res.MaxStretch[c] = anns.MaxStretch(curve, cfg.MetricOrder, anns.Options{Radius: 1})
@@ -93,28 +94,28 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 2: the ACD columns over trial x curve cells.
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(cfg.Params.Trials, n, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, cfg.Params, trial)
+	groups := newGroupSlots(cfg.Params.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, cfg.Params, trial)
 	})
 	outs := make([]cellOut, cfg.Params.Trials*n)
 	pool := sweepPool(cfg.Params.Workers, len(outs))
 	inner := innerWorkers(cfg.Params.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % n
 		trial := cell / n
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, cfg.Params.P())
+		a, err := acd.Assign(sweep, set, curve, cfg.Params.P())
 		if err != nil {
 			return err
 		}
 		// One topology, priced on replay like the other experiment
 		// runners.
 		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
-		nfi, ffi := priceCell(cfg.Params, a, topos, inner)
+		nfi, ffi := priceCell(sweep, cfg.Params, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})

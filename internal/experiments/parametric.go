@@ -9,6 +9,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -58,21 +59,21 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		NFI:    zeroRect(len(curves), len(radii)),
 	}
 	nc := len(curves)
-	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, p.P())
+		a, err := acd.Assign(sweep, set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -83,8 +84,8 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
 		o := make([]float64, len(radii))
 		for i, radius := range radii {
-			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner}
-			set.Plan(opts.Spec(), workerBudget(p.Workers))
+			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
+			set.Plan(sweep, opts.Spec(), workerBudget(p.Workers))
 			o[i] = fmmmodel.NFIMulti(a, topos, opts)[0].ACD()
 		}
 		outs[cell] = o
@@ -153,26 +154,26 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	}
 	nc := len(curves)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(g int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, qs[g/p.Trials], g%p.Trials)
+	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, qs[g/p.Trials], g%p.Trials)
 	})
 	outs := make([]cellOut, len(sizes)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		q := qs[cell/nc/p.Trials]
-		set, err := groups.get(cell / nc)
+		set, err := groups.get(sweep, cell/nc)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, q.P())
+		a, err := acd.Assign(sweep, set, curve, q.P())
 		if err != nil {
 			return err
 		}
 		topos := []topology.Topology{topology.NewTorus(q.ProcOrder, curve)}
-		nfi, ffi := priceCell(q, a, topos, inner)
+		nfi, ffi := priceCell(sweep, q, a, topos, inner)
 		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
 		return nil
 	})
@@ -227,21 +228,21 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 	}
 	nc := len(curves)
 	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
-	groups := newGroupSlots(p.Trials, nc, func(trial int) (*keynav.Set, error) {
-		return sampleSet(dist.Uniform, p, trial)
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return sampleSet(sweep, dist.Uniform, p, trial)
 	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		set, err := groups.get(trial)
+		set, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
 		curve := curves[c]
-		a, err := acd.Assign(set, curve, p.P())
+		a, err := acd.Assign(sweep, set, curve, p.P())
 		if err != nil {
 			return err
 		}
@@ -249,7 +250,7 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 			topology.NewMesh(p.ProcOrder, curve),
 			topology.NewTorus(p.ProcOrder, curve),
 		}
-		nfi, ffi := priceCell(p, a, topos, inner)
+		nfi, ffi := priceCell(sweep, p, a, topos, inner)
 		outs[cell] = cellOut{
 			meshNFI:  nfi[0].ACD(),
 			torusNFI: nfi[1].ACD(),

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"sfcacd/internal/obs"
 )
 
 // Result is the common surface every experiment result exposes: a
@@ -64,9 +66,16 @@ type Spec struct {
 	Check func(Params) error
 	// Canonical clears the knobs the experiment does not read, so
 	// requests that differ only in them share one cache key: all but
-	// dynamic and dynamicincr clear Distribution, and radius (fixed
-	// radii) Radius too. nil changes nothing. Resolve applies it.
+	// dynamic and dynamicincr clear Distribution, radius (fixed radii)
+	// Radius too, and threed Order, ProcOrder and Trials. nil changes
+	// nothing. Resolve applies it.
 	Canonical func(Params) Params
+	// Derived marks an experiment that derives its whole configuration
+	// from a few knobs (threed): Validate then bounds only that
+	// configuration, through Check, and not the 2D grid, processors and
+	// trials Params.Validate bounds, which such an experiment never
+	// builds.
+	Derived bool
 }
 
 // Resolve returns p as this experiment keys it: p with the knobs the
@@ -81,9 +90,14 @@ func (s Spec) Resolve(p Params) Params {
 }
 
 // Validate checks p for this experiment before anything runs:
-// Params.Validate, then the experiment's own Check.
+// Params.Validate (only the shared knobs for a Derived experiment),
+// then the experiment's own Check.
 func (s Spec) Validate(p Params) error {
-	if err := p.Validate(); err != nil {
+	validate := p.Validate
+	if s.Derived {
+		validate = p.validateKnobs
+	}
+	if err := validate(); err != nil {
 		return err
 	}
 	if s.Check != nil {
@@ -235,7 +249,7 @@ var registry = []Spec{
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res := RunPrimitives(p.ProcOrder, p.Workers)
+			res := RunPrimitives(obs.SpanFrom(ctx), p.ProcOrder, p.Workers)
 			return &Output{Params: map[string]any{"procorder": p.ProcOrder}, Result: res}, nil
 		},
 		Decode:    decodeResult[PrimitivesResult],
@@ -293,9 +307,13 @@ var registry = []Spec{
 			}
 			return &Output{Params: tp, Result: res}, nil
 		},
-		Decode:    decodeResult[ThreeDResult],
-		Check:     func(p Params) error { return ThreeDFromParams(p).Validate() },
-		Canonical: ignoreDistribution,
+		Decode: decodeResult[ThreeDResult],
+		Check:  func(p Params) error { return ThreeDFromParams(p).Validate() },
+		Canonical: func(p Params) Params {
+			p.Order, p.ProcOrder, p.Trials = 0, 0, 0
+			return ignoreDistribution(p)
+		},
+		Derived: true,
 	},
 	{
 		Name:  "clustering",

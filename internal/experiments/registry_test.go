@@ -162,3 +162,43 @@ func TestDerivedConfigs(t *testing.T) {
 		t.Errorf("fig7Orders(po=2) = %v, want [2]", got)
 	}
 }
+
+// TestThreeDIgnoresUnreadKnobs: threed derives its whole configuration
+// from Particles (a threshold), Radius and Seed. A request whose Order,
+// ProcOrder and Trials no 2D sweep would accept — more particles than
+// its grid has cells — is valid, keys like the request without them,
+// and renders the same result.
+func TestThreeDIgnoresUnreadKnobs(t *testing.T) {
+	spec, _ := Lookup("threed")
+	base := registryTestParams
+	odd := base
+	odd.Order, odd.ProcOrder, odd.Trials = 3, 9, 7
+	if odd.Validate() == nil {
+		t.Fatalf("%+v passes Params.Validate; the test needs a 2D-invalid request", odd)
+	}
+	if err := spec.Validate(spec.Resolve(odd)); err != nil {
+		t.Fatalf("threed rejected knobs it never reads: %v", err)
+	}
+	if a, b := spec.Resolve(odd).CanonicalKey(), spec.Resolve(base).CanonicalKey(); a != b {
+		t.Errorf("keys differ: %s vs %s", a, b)
+	}
+	var renders [2]bytes.Buffer
+	for i, p := range []Params{base, odd} {
+		out, err := spec.Run(context.Background(), spec.Resolve(p))
+		if err != nil {
+			t.Fatalf("Run(%+v): %v", p, err)
+		}
+		if err := out.Result.Render(&renders[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if renders[0].String() != renders[1].String() {
+		t.Errorf("renderings differ:\n%s\n---\n%s", renders[0].String(), renders[1].String())
+	}
+	// What threed derives is still bounded: its 3D near field.
+	big := base
+	big.Radius = 65
+	if spec.Validate(spec.Resolve(big)) == nil {
+		t.Error("threed accepted a 3D near field over the bound")
+	}
+}

@@ -72,7 +72,7 @@ func innerWorkers(requested, pool int) int {
 // fleet with exactly the cell-handout, cancellation, and error
 // semantics the in-process sweeps use. See runCells for the contract.
 func RunCells(ctx context.Context, workers, cells int, run func(cell int) error) error {
-	return runCells(ctx, workers, cells, run)
+	return runCells(ctx, workers, cells, func(_ *obs.Span, cell int) error { return run(cell) })
 }
 
 // runCells executes cells 0..cells-1 on a pool of `workers` goroutines
@@ -84,13 +84,17 @@ func RunCells(ctx context.Context, workers, cells int, run func(cell int) error)
 // early and the error of the lowest failing cell index is returned. A
 // cell that panics on a pool worker stops the sweep too, and the first
 // such panic is re-raised on the caller once every worker has returned.
-func runCells(ctx context.Context, workers, cells int, run func(cell int) error) error {
+//
+// The sweep is timed as a "sweep" phase under the span ctx carries
+// (obs.SpanFrom; none records nothing), and every cell gets that sweep
+// span as the parent of its own phases.
+func runCells(ctx context.Context, workers, cells int, run func(sweep *obs.Span, cell int) error) error {
 	if cells <= 0 {
 		return ctx.Err()
 	}
 	sweepCellsRun.Add(uint64(cells))
 	sweepWorkersGauge.Set(float64(workers))
-	span := obs.StartSpan("sweep")
+	span := obs.SpanFrom(ctx).Child("sweep")
 	defer span.End()
 	span.Annotate("cells", strconv.Itoa(cells))
 	span.Annotate("workers", strconv.Itoa(workers))
@@ -99,7 +103,7 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := run(i); err != nil {
+			if err := run(span, i); err != nil {
 				return err
 			}
 		}
@@ -121,8 +125,6 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 		go func() {
 			defer wg.Done()
 			defer guard.Recover()
-			detach := span.Attach()
-			defer detach()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= cells {
@@ -131,7 +133,7 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 				if sctx.Err() != nil || guard.Stopped() {
 					return
 				}
-				if err := run(i); err != nil {
+				if err := run(span, i); err != nil {
 					// Cells never return context errors themselves (the
 					// scheduler owns all ctx checks), so every recorded
 					// error is a real cell failure; the monotone cursor
@@ -158,8 +160,9 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 
 // groupSlots holds a sweep's per-group artifacts (one trial's sampled
 // particle set, as its keynav.Set skeleton), each shared read-only by
-// the group's cells and built exactly once, by build(g), on whichever
-// worker first needs it. A worker that needs a group another worker is
+// the group's cells and built exactly once, by build(sweep, g), on
+// whichever worker first needs it, under the sweep span its cells
+// share. A worker that needs a group another worker is
 // still building does not just block: it first builds the nearest
 // later group nobody has started, then waits. It builds at most one
 // group per wait, so a waiting worker holds at most one group ahead,
@@ -169,7 +172,7 @@ func runCells(ctx context.Context, workers, cells int, run func(cell int) error)
 // or built ahead: the cells' assignments keep them alive until they
 // finish.
 type groupSlots[T any] struct {
-	build func(g int) (T, error)
+	build func(sweep *obs.Span, g int) (T, error)
 	slots []groupSlot[T]
 }
 
@@ -183,7 +186,7 @@ type groupSlot[T any] struct {
 
 // newGroupSlots returns the slots of `groups` groups of `cells` cells
 // each, built by build.
-func newGroupSlots[T any](groups, cells int, build func(g int) (T, error)) *groupSlots[T] {
+func newGroupSlots[T any](groups, cells int, build func(sweep *obs.Span, g int) (T, error)) *groupSlots[T] {
 	gs := &groupSlots[T]{build: build, slots: make([]groupSlot[T], groups)}
 	for i := range gs.slots {
 		gs.slots[i].done = make(chan struct{})
@@ -192,18 +195,19 @@ func newGroupSlots[T any](groups, cells int, build func(g int) (T, error)) *grou
 	return gs
 }
 
-// get returns group g's artifact, building it on the first call. Each
-// of the group's cells calls it exactly once.
-func (gs *groupSlots[T]) get(g int) (T, error) {
+// get returns group g's artifact, building it on the first call under
+// the cell's sweep span. Each of the group's cells calls it exactly
+// once.
+func (gs *groupSlots[T]) get(sweep *obs.Span, g int) (T, error) {
 	s := &gs.slots[g]
-	if !gs.claim(g) {
+	if !gs.claim(sweep, g) {
 		select {
 		case <-s.done:
 		default:
 			// Another worker is building g: build the nearest later
 			// group nobody has started meanwhile, then wait.
 			for h := g + 1; h < len(gs.slots); h++ {
-				if gs.claim(h) {
+				if gs.claim(sweep, h) {
 					break
 				}
 			}
@@ -221,13 +225,13 @@ func (gs *groupSlots[T]) get(g int) (T, error) {
 // claim builds group g if no worker has started it, and reports
 // whether it did. A build that panics leaves the slot failed, so the
 // cells waiting on it return an error while the panic travels on.
-func (gs *groupSlots[T]) claim(g int) bool {
+func (gs *groupSlots[T]) claim(sweep *obs.Span, g int) bool {
 	s := &gs.slots[g]
 	if !s.started.CompareAndSwap(false, true) {
 		return false
 	}
 	defer close(s.done)
 	s.err = fmt.Errorf("experiments: building group %d panicked", g)
-	s.v, s.err = gs.build(g)
+	s.v, s.err = gs.build(sweep, g)
 	return true
 }

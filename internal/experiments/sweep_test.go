@@ -93,7 +93,7 @@ func TestSweepDeterministicError(t *testing.T) {
 	errLow := errors.New("cell 3 failed")
 	errHigh := errors.New("cell 7 failed")
 	for _, workers := range []int{1, 4} {
-		err := runCells(context.Background(), workers, 16, func(cell int) error {
+		err := runCells(context.Background(), workers, 16, func(_ *obs.Span, cell int) error {
 			switch cell {
 			case 3:
 				return errLow
@@ -121,7 +121,7 @@ func TestSweepCancellation(t *testing.T) {
 		const cells = 10000
 		done := make(chan error, 1)
 		go func() {
-			done <- runCells(ctx, workers, cells, func(cell int) error {
+			done <- runCells(ctx, workers, cells, func(_ *obs.Span, cell int) error {
 				if once.CompareAndSwap(false, true) {
 					close(started)
 				}
@@ -169,7 +169,7 @@ func TestRunCellsWorkerPanic(t *testing.T) {
 	const cells = 400
 	func() {
 		defer func() { recover() }()
-		runCells(context.Background(), 2, cells, func(cell int) error {
+		runCells(context.Background(), 2, cells, func(_ *obs.Span, cell int) error {
 			ran.Add(1)
 			if cell == 0 {
 				panic("cell 0 boom")
@@ -185,7 +185,7 @@ func TestRunCellsWorkerPanic(t *testing.T) {
 
 // TestSweepEmpty checks the zero-cell edge case.
 func TestSweepEmpty(t *testing.T) {
-	if err := runCells(context.Background(), 4, 0, func(int) error {
+	if err := runCells(context.Background(), 4, 0, func(*obs.Span, int) error {
 		t.Fatal("cell ran")
 		return nil
 	}); err != nil {
@@ -249,7 +249,7 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 func buildAheadSlots(workers, groups, cells int, err1 error, then0 func()) (*groupSlots[[]int], *atomic.Int32) {
 	var built atomic.Int32
 	ahead := make(chan struct{})
-	gs := newGroupSlots(groups, cells, func(g int) ([]int, error) {
+	gs := newGroupSlots(groups, cells, func(_ *obs.Span, g int) ([]int, error) {
 		built.Add(1)
 		switch g {
 		case 0:
@@ -281,8 +281,8 @@ func TestGroupBuildAheadKeepsLowestError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		errGroup1, errCell := errors.New("group 1 failed"), errors.New("cell 2 failed")
 		gs, built := buildAheadSlots(workers, groups, cells, errGroup1, func() {})
-		err := runCells(context.Background(), workers, groups*cells, func(cell int) error {
-			v, err := gs.get(cell / cells)
+		err := runCells(context.Background(), workers, groups*cells, func(_ *obs.Span, cell int) error {
+			v, err := gs.get(nil, cell/cells)
 			if err != nil {
 				return err
 			}
@@ -316,8 +316,8 @@ func TestGroupBuildPanicReachesCaller(t *testing.T) {
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
-			_ = runCells(context.Background(), workers, groups*cells, func(cell int) error {
-				v, err := gs.get(cell / cells)
+			_ = runCells(context.Background(), workers, groups*cells, func(_ *obs.Span, cell int) error {
+				v, err := gs.get(nil, cell/cells)
 				if err == nil && v == nil {
 					t.Errorf("workers=%d: cell %d got no artifact and no error", workers, cell)
 				}

@@ -5,6 +5,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 )
@@ -61,23 +62,23 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per processor-order curve
 	}
-	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(g int) (*keynav.Set, error) {
-		return sampleSet(samplers[g/p.Trials], p, g%p.Trials)
+	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
+		return sampleSet(sweep, samplers[g/p.Trials], p, g%p.Trials)
 	})
 	outs := make([]cellOut, len(samplers)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		pc := cell % nc
-		set, err := groups.get(cell / nc)
+		set, err := groups.get(sweep, cell/nc)
 		if err != nil {
 			return err
 		}
-		a, err := acd.Assign(set, curves[pc], p.P())
+		a, err := acd.Assign(sweep, set, curves[pc], p.P())
 		if err != nil {
 			return err
 		}
-		nfiAccs, ffiAccs := priceCell(p, a, topos, inner)
+		nfiAccs, ffiAccs := priceCell(sweep, p, a, topos, inner)
 		o := cellOut{nfi: make([]float64, nc), ffi: make([]float64, nc)}
 		for proc := range curves {
 			o.nfi[proc] = nfiAccs[proc].ACD()

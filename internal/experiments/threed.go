@@ -106,17 +106,17 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 	}
 	procs := 1 << (3 * p.ProcOrder)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(p.Trials, nc, func(trial int) ([]geom3.Point3, error) {
-		defer obs.StartSpan("sampling").End()
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) ([]geom3.Point3, error) {
+		defer sweep.Child("sampling").End()
 		return dist.SampleUnique3(dist.Uniform3, rng.New(trialSeed(p.Seed, trial)), p.Order, p.Particles)
 	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(workers, len(outs))
 	inner := innerWorkers(workers, pool)
-	err := runCells(ctx, pool, len(outs), func(cell int) error {
+	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc
-		pts, err := groups.get(trial)
+		pts, err := groups.get(sweep, trial)
 		if err != nil {
 			return err
 		}
@@ -126,8 +126,8 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 			return err
 		}
 		torus := topology.NewTorus3D(p.ProcOrder, curve)
-		nfi := model3d.NFI(a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner})
-		ffi := model3d.FFI(a, torus, inner)
+		nfi := model3d.NFI(sweep, a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner})
+		ffi := model3d.FFI(sweep, a, torus, inner)
 		outs[cell] = cellOut{nfi: nfi.ACD(), ffi: ffi.Total().ACD()}
 		return nil
 	})
@@ -140,7 +140,7 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 		res.FFI[c] += o.ffi / float64(p.Trials)
 	}
 	// The full-grid ANNS column, one cell per curve.
-	if err := runCells(ctx, sweepPool(workers, nc), nc, func(c int) error {
+	if err := runCells(ctx, sweepPool(workers, nc), nc, func(_ *obs.Span, c int) error {
 		mean, _ := model3d.ANNS3D(curves[c], p.ANNSOrder, 1)
 		res.ANNS[c] = mean
 		return nil

@@ -12,7 +12,10 @@
 // Every injection increments "faultinject.injected" plus a per-site
 // "faultinject.<site>" counter in internal/obs, making injected faults
 // visible in /metrics and run manifests next to the degradation
-// counters (serve.disk_errors etc.) they are expected to drive.
+// counters (serve.disk_errors etc.) they are expected to drive, and
+// marks "fault.<site>" on the span the caller hands it (Check's parent,
+// or the span CheckCtx's context carries), so a request whose slowness
+// came from an injected fault shows the site in its trace.
 package faultinject
 
 import (
@@ -127,8 +130,8 @@ func (in *Injector) Disable(name string) {
 }
 
 // decide consumes one decision at the site and returns the fault to
-// apply, if any.
-func (in *Injector) decide(name string) (Fault, bool) {
+// apply, if any, marking an injection under parent.
+func (in *Injector) decide(parent *obs.Span, name string) (Fault, bool) {
 	if in == nil {
 		return Fault{}, false
 	}
@@ -150,10 +153,7 @@ func (in *Injector) decide(name string) (Fault, bool) {
 	}
 	s.injected.Inc()
 	in.total.Inc()
-	// Mark the hit on the goroutine's active trace (if any), so a
-	// request whose slowness came from an injected fault shows the
-	// fault site in its span tree.
-	obs.MarkActive("fault." + name)
+	parent.Mark("fault." + name)
 	return s.fault, true
 }
 
@@ -169,12 +169,12 @@ func fire(name string, f Fault) error {
 	return fmt.Errorf("%w at %s", ErrInjected, name)
 }
 
-// Check consumes one decision at the named site: on injection it
-// sleeps the fault's delay and returns its error (nil for a
-// latency-only fault). A nil Injector or unconfigured site returns nil
-// without any work.
-func (in *Injector) Check(name string) error {
-	f, ok := in.decide(name)
+// Check consumes one decision at the named site: on injection it marks
+// the fault under parent (nil marks nothing), sleeps the fault's delay
+// and returns its error (nil for a latency-only fault). A nil Injector
+// or unconfigured site returns nil without any work.
+func (in *Injector) Check(parent *obs.Span, name string) error {
+	f, ok := in.decide(parent, name)
 	if !ok {
 		return nil
 	}
@@ -184,10 +184,11 @@ func (in *Injector) Check(name string) error {
 	return fire(name, f)
 }
 
-// CheckCtx is Check with a context-aware delay: if ctx ends before the
-// injected latency elapses, it returns ctx's cause immediately.
+// CheckCtx is Check under the span ctx carries (obs.SpanFrom), with a
+// context-aware delay: if ctx ends before the injected latency elapses,
+// it returns ctx's cause immediately.
 func (in *Injector) CheckCtx(ctx context.Context, name string) error {
-	f, ok := in.decide(name)
+	f, ok := in.decide(obs.SpanFrom(ctx), name)
 	if !ok {
 		return nil
 	}

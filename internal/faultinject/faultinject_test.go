@@ -11,7 +11,7 @@ import (
 
 func TestNilInjectorIsDisabled(t *testing.T) {
 	var in *Injector
-	if err := in.Check("anything"); err != nil {
+	if err := in.Check(nil, "anything"); err != nil {
 		t.Errorf("nil injector injected: %v", err)
 	}
 	if err := in.CheckCtx(context.Background(), "anything"); err != nil {
@@ -23,7 +23,7 @@ func TestUnconfiguredSiteNeverInjects(t *testing.T) {
 	in := New(1)
 	in.Enable("a", 1, Fault{})
 	for i := 0; i < 100; i++ {
-		if err := in.Check("b"); err != nil {
+		if err := in.Check(nil, "b"); err != nil {
 			t.Fatalf("unconfigured site injected: %v", err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestUnconfiguredSiteNeverInjects(t *testing.T) {
 func TestEnableAlwaysInjects(t *testing.T) {
 	in := New(1)
 	in.Enable("disk.get", 1, Fault{})
-	err := in.Check("disk.get")
+	err := in.Check(nil, "disk.get")
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Check = %v, want ErrInjected", err)
 	}
@@ -42,7 +42,7 @@ func TestEnableCustomError(t *testing.T) {
 	want := errors.New("boom")
 	in := New(1)
 	in.Enable("s", 1, Fault{Err: want})
-	if err := in.Check("s"); !errors.Is(err, want) {
+	if err := in.Check(nil, "s"); !errors.Is(err, want) {
 		t.Fatalf("Check = %v, want %v", err, want)
 	}
 }
@@ -52,7 +52,7 @@ func TestEnableNInjectsExactly(t *testing.T) {
 	in.EnableN("s", 3, Fault{})
 	injected := 0
 	for i := 0; i < 10; i++ {
-		if in.Check("s") != nil {
+		if in.Check(nil, "s") != nil {
 			injected++
 		}
 	}
@@ -65,7 +65,7 @@ func TestDisable(t *testing.T) {
 	in := New(1)
 	in.Enable("s", 1, Fault{})
 	in.Disable("s")
-	if err := in.Check("s"); err != nil {
+	if err := in.Check(nil, "s"); err != nil {
 		t.Errorf("disabled site injected: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestDeterministicReplay(t *testing.T) {
 	pattern := func(in *Injector, site string, n int) []bool {
 		out := make([]bool, n)
 		for i := range out {
-			out[i] = in.Check(site) != nil
+			out[i] = in.Check(nil, site) != nil
 		}
 		return out
 	}
@@ -91,9 +91,9 @@ func TestDeterministicReplay(t *testing.T) {
 	pa := make([]bool, 64)
 	pb := make([]bool, 64)
 	for i := range pa {
-		pa[i] = a.Check("x") != nil
-		b.Check("noise")
-		pb[i] = b.Check("x") != nil
+		pa[i] = a.Check(nil, "x") != nil
+		b.Check(nil, "noise")
+		pb[i] = b.Check(nil, "x") != nil
 	}
 	for i := range pa {
 		if pa[i] != pb[i] {
@@ -132,7 +132,7 @@ func TestLatencyOnlyFault(t *testing.T) {
 	in := New(1)
 	in.Enable("slow", 1, Fault{Delay: 20 * time.Millisecond})
 	start := time.Now()
-	if err := in.Check("slow"); err != nil {
+	if err := in.Check(nil, "slow"); err != nil {
 		t.Fatalf("latency-only fault returned error: %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -161,7 +161,7 @@ func TestObsCounters(t *testing.T) {
 	siteBefore := obs.GetCounter("faultinject.counted.site").Value()
 	totalBefore := obs.GetCounter("faultinject.injected").Value()
 	for i := 0; i < 5; i++ {
-		in.Check("counted.site")
+		in.Check(nil, "counted.site")
 	}
 	if got := obs.GetCounter("faultinject.counted.site").Value() - siteBefore; got != 2 {
 		t.Errorf("site counter delta = %d, want 2", got)
@@ -176,7 +176,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Check("a"); !errors.Is(err, ErrInjected) {
+	if err := in.Check(nil, "a"); !errors.Is(err, ErrInjected) {
 		t.Errorf("parsed always-on site a: Check = %v", err)
 	}
 	in.mu.Lock()

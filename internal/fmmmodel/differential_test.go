@@ -51,7 +51,7 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := keynav.NewSet(order, pts)
+		set, err := keynav.NewSet(nil, order, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,14 +60,14 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared, err := acd.Assign(set, curve, p)
+			shared, err := acd.Assign(nil, set, curve, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkPricedVsDirect(t, fmt.Sprintf("seed%d/%s", seed, curve.Name()), a, shared, topos)
 		}
 		a := shuffledOwners(t, pts, order, p, uint64(seed))
-		shared, err := acd.FromOwners(set, a.Owners(), p)
+		shared, err := acd.FromOwners(nil, set, a.Owners(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,20 +77,20 @@ func TestDifferentialMatrixVsDirect(t *testing.T) {
 
 // assignPoints is acd.Assign over a private set of pts.
 func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.Assign(set, curve, p)
+	return acd.Assign(nil, set, curve, p)
 }
 
 // ownersPoints is acd.FromOwners over a private set of pts.
 func ownersPoints(pts []geom.Point, ranks []int32, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.FromOwners(set, ranks, p)
+	return acd.FromOwners(nil, set, ranks, p)
 }
 
 // shuffledOwners assigns pts in sampling order to ranks shuffled so

@@ -39,6 +39,7 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 )
 
 // NFIOptions configures the near-field model.
@@ -51,6 +52,9 @@ type NFIOptions struct {
 	Metric geom.Metric
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
+	// Parent is the span the call's phases open under; nil records
+	// none.
+	Parent *obs.Span
 }
 
 func (o *NFIOptions) normalize() {
@@ -109,4 +113,7 @@ func (r FFIResult) record() {
 type FFIOptions struct {
 	// Workers caps the worker goroutines; 0 means GOMAXPROCS.
 	Workers int
+	// Parent is the span the call's phases open under; nil records
+	// none.
+	Parent *obs.Span
 }

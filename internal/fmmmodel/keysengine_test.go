@@ -27,11 +27,11 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := keynav.NewSet(order, pts)
+		set, err := keynav.NewSet(nil, order, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mortonShared, err := acd.Assign(set, sfc.Morton, p)
+		mortonShared, err := acd.Assign(nil, set, sfc.Morton, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestDifferentialKeysEngine(t *testing.T) {
 		}
 		checkPricedVsDirect(t, fmt.Sprintf("seed%d/morton", seed), morton, mortonShared, topos)
 		a := shuffledOwners(t, pts, order, p, uint64(seed))
-		shared, err := acd.FromOwners(set, a.Owners(), p)
+		shared, err := acd.FromOwners(nil, set, a.Owners(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

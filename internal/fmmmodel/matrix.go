@@ -40,17 +40,20 @@ import (
 // set's plan (recorded on first use) and are replayed against the
 // labelling's ranks in one parallel pass. Contract
 // with the Sym variant; each pair then counts once per direction,
-// exactly reproducing the ordered stream.
+// exactly reproducing the ordered stream. It is timed as a
+// commmat.build.nfi phase under opts.Parent, with commmat.finalize
+// (and keynav.plan, when it records the plan) beneath.
 func NFIMatrix(a *acd.Assignment, opts NFIOptions) *commmat.Matrix {
-	defer obs.StartSpan("commmat.build.nfi").End()
+	build := opts.Parent.Child("commmat.build.nfi")
+	defer build.End()
 	opts.normalize()
 	ix := a.KeyIndex()
-	chunks := ix.Set().Plan(opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
+	chunks := ix.Set().Plan(build, opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
 	reps := ix.Reps(ix.Order)
 	workers := min(opts.Workers, max(len(chunks), 1))
 	b := commmat.NewBuilder(a.P, workers)
 	panics.Parallel(workers, len(chunks), func(w, c int) { replaySym(b.Shard(w), reps, chunks[c]) })
-	return b.Finalize()
+	return b.Finalize(build)
 }
 
 // replaySym adds one event per pair between the two cells'
@@ -86,13 +89,12 @@ type FFIMatrices struct {
 // over the representative quadtree (quadtree.RankTree) produces. It
 // replays the particle set's interaction-list plan (recorded on first
 // use) against the labelling's per-level representatives on up to
-// workers workers, one builder shard each.
+// workers workers, one builder shard each. It records no phases.
 func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
-	defer obs.StartSpan("commmat.build.ffi").End()
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	tasks := ffiTasks(ix, workers)
+	tasks := ffiTasks(nil, ix, workers)
 	bi, bl := commmat.NewBuilder(p, workers), commmat.NewBuilder(p, workers)
 	panics.Parallel(workers, len(tasks), func(w, i int) {
 		t := tasks[i]
@@ -110,7 +112,7 @@ func FFIMatricesFromIndex(ix *keynav.Index, p, workers int) FFIMatrices {
 			}
 		}
 	})
-	return FFIMatrices{Interpolation: bi.Finalize(), InteractionList: bl.Finalize()}
+	return FFIMatrices{Interpolation: bi.Finalize(nil), InteractionList: bl.Finalize(nil)}
 }
 
 // ffiTask is one unit of a far-field replay: the links from parent
@@ -125,9 +127,9 @@ type ffiTask struct {
 // ffiTasks cuts the far-field streams of the labelling into tasks,
 // with work chunked over slab positions and plan pairs so task cost
 // tracks occupancy. The set's far-field plan is recorded here on first
-// use, on up to workers goroutines.
-func ffiTasks(ix *keynav.Index, workers int) []ffiTask {
-	pl := ix.Set().Plan(keynav.Spec{Far: true}, workers)
+// use, on up to workers goroutines, under parent.
+func ffiTasks(parent *obs.Span, ix *keynav.Index, workers int) []ffiTask {
+	pl := ix.Set().Plan(parent, keynav.Spec{Far: true}, workers)
 	var tasks []ffiTask
 	for l := ix.Order; l >= 1; l-- {
 		m := ix.LevelLen(l - 1)
@@ -154,7 +156,6 @@ func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIR
 	if len(topos) == 0 {
 		return res
 	}
-	span := obs.StartSpan("commmat.contract")
 	dts := make([]*topology.DistanceTable, len(topos))
 	interp := make([]*acd.Accumulator, len(topos))
 	il := make([]*acd.Accumulator, len(topos))
@@ -168,7 +169,6 @@ func (ms FFIMatrices) ContractAll(topos []topology.Topology, workers int) []FFIR
 	for t := range res {
 		res[t].Anterpolation = res[t].Interpolation
 	}
-	span.End()
 	for t := range res {
 		res[t].record()
 	}

@@ -48,9 +48,11 @@ var (
 // Every topology must have the assignment's processor count. The results are exactly
 // (Sum/Count/Zeros) those of accumulating the ordered per-event stream
 // on each topology; the tests pin this against a direct per-event
-// oracle.
+// oracle. It is timed as an accumulation.nfi phase under opts.Parent,
+// with price.nfi (and keynav.plan, when it records the plan) beneath.
 func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []acd.Accumulator {
-	defer obs.StartSpan("accumulation.nfi").End()
+	acc := opts.Parent.Child("accumulation.nfi")
+	defer acc.End()
 	opts.normalize()
 	total := make([]acd.Accumulator, len(topos))
 	if len(topos) == 0 {
@@ -58,10 +60,10 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 	}
 	checkP(topos, a.P)
 	ix := a.KeyIndex()
-	chunks := ix.Set().Plan(opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
+	chunks := ix.Set().Plan(acc, opts.Spec(), opts.Workers).Near(opts.Radius, opts.Metric)
 	reps := ix.Reps(ix.Order)
 
-	span := obs.StartSpan("price.nfi")
+	span := acc.Child("price.nfi")
 	ps := newPricers(newKernels(topos), min(opts.Workers, max(len(chunks), 1)))
 	panics.Parallel(len(ps), len(chunks), func(w, c int) { ps[w].replaySym(reps, chunks[c]) })
 	mergePricers(ps, total, 2)
@@ -78,9 +80,12 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 // the interaction lists from its particle set's pair plan (recorded on
 // first use, with opts.Workers). The three communication types are
 // priced separately, so FFIResult keeps its per-type breakdown. Every
-// topology must have the assignment's processor count.
+// topology must have the assignment's processor count. It is timed as
+// an accumulation.ffi phase under opts.Parent, with price.ffi (and
+// keynav.plan, when it records the plan) beneath.
 func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []FFIResult {
-	defer obs.StartSpan("accumulation.ffi").End()
+	acc := opts.Parent.Child("accumulation.ffi")
+	defer acc.End()
 	if opts.Workers <= 0 {
 		opts.Workers = defaultWorkers()
 	}
@@ -90,9 +95,9 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	}
 	checkP(topos, a.P)
 	ix := a.KeyIndex()
-	tasks := ffiTasks(ix, opts.Workers)
+	tasks := ffiTasks(acc, ix, opts.Workers)
 
-	span := obs.StartSpan("price.ffi")
+	span := acc.Child("price.ffi")
 	workers := min(opts.Workers, max(len(tasks), 1))
 	ks := newKernels(topos)
 	interp, il := newPricers(ks, workers), newPricers(ks, workers)

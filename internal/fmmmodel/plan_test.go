@@ -38,12 +38,12 @@ func TestPlanReplayEquality(t *testing.T) {
 			}
 			topos = append(topos, topo)
 		}
-		set, err := keynav.NewSet(tc.order, pts)
+		set, err := keynav.NewSet(nil, tc.order, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range curves {
-			shared, err := acd.Assign(set, c, tc.p)
+			shared, err := acd.Assign(nil, set, c, tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,6 +95,11 @@ type Config struct {
 	// lets an experiment output serve as a cross-mechanism differential
 	// oracle.
 	ForceRebuild bool
+	// Parent is the span every Tick opens its phases under
+	// (incr.resort, then incr.maintain.delta, or incr.stats and
+	// incr.maintain.rebuild under ForceRebuild), and Matrix its
+	// commmat.finalize; nil records nothing.
+	Parent *obs.Span
 }
 
 // TickStats reports what one tick did. Every field is a deterministic
@@ -458,7 +463,7 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	for _, id := range moved {
 		s.keys[id] = s.cfg.Curve.Index(s.cfg.Order, newPts[id])
 	}
-	resort := obs.StartSpan("incr.resort")
+	resort := s.cfg.Parent.Child("incr.resort")
 	st.Displaced = sfc.ResortPermByKeys(s.perm, s.keys)
 	resort.End()
 
@@ -496,7 +501,7 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	if s.cfg.ForceRebuild {
 		ts, name = nil, "incr.stats"
 	}
-	span := obs.StartSpan(name)
+	span := s.cfg.Parent.Child(name)
 	st.Retracted = s.delta(affected, ts, retractPair)
 	err := s.apply(newPts, moved, deltas)
 	if err == nil {
@@ -507,7 +512,7 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 		return st, err
 	}
 	if s.cfg.ForceRebuild {
-		span := obs.StartSpan("incr.maintain.rebuild")
+		span := s.cfg.Parent.Child("incr.maintain.rebuild")
 		s.reprice(s.tracked)
 		span.End()
 	}
@@ -531,7 +536,7 @@ func (s *State) Matrix() *commmat.Matrix {
 	s.batch.start(nil, 0, b.Shard(0))
 	s.allPairs()
 	s.batch.finish()
-	return b.Finalize()
+	return b.Finalize(s.cfg.Parent)
 }
 
 // ACD returns the near-field accumulator of one distance table's

@@ -11,6 +11,7 @@ import (
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/topology"
@@ -18,11 +19,11 @@ import (
 
 // assignPoints is acd.Assign over a private set of pts.
 func assignPoints(pts []geom.Point, curve sfc.Curve, order uint, p int) (*acd.Assignment, error) {
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		return nil, err
 	}
-	return acd.Assign(set, curve, p)
+	return acd.Assign(nil, set, curve, p)
 }
 
 // scatter places n particles on distinct cells of a 2^order grid.
@@ -387,31 +388,58 @@ var raceEnabled bool
 
 // TestTickAllocs pins a steady-state tick's allocations: the flush
 // buffer has a fixed length and every per-tick list reuses its storage,
-// so a tick allocates no more than its two spans.
+// and a state built without a parent opens no span, so a tick
+// allocates nothing. A state built under a parent still records both of
+// a tick's phases, once per tick.
 func TestTickAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own account")
-	}
 	const order, procOrder = 8, 4
 	pts := scatter(4000, order, 3)
 	cfg := Config{Curve: sfc.Hilbert, Order: order, P: 1 << (2 * procOrder), Radius: 1, Metric: geom.MetricChebyshev}
-	s, err := NewState(cfg, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ACD(topology.NewDistanceTable(topology.NewTorus(procOrder, cfg.Curve)))
 	// Ticks alternate between two configurations, so every tick moves
 	// the same particles.
 	cfgs := [][]geom.Point{driftStep(pts, order, 0.03, rng.New(5)), pts}
-	k := 0
-	allocs := testing.AllocsPerRun(100, func() {
+	newState := func(cfg Config) *State {
+		s, err := NewState(cfg, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ACD(topology.NewDistanceTable(topology.NewTorus(procOrder, cfg.Curve)))
+		return s
+	}
+
+	if !raceEnabled { // the race detector allocates on its own account
+		s := newState(cfg)
+		k := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.Tick(cfgs[k%2]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("a steady-state tick allocates %v objects, want 0", allocs)
+		}
+	}
+
+	tracer := obs.NewTracer()
+	cfg.Parent = tracer.Root().Child("sweep")
+	s := newState(cfg)
+	const ticks = 5
+	for k := 0; k < ticks; k++ {
 		if _, err := s.Tick(cfgs[k%2]); err != nil {
 			t.Fatal(err)
 		}
-		k++
-	})
-	if allocs > 2 {
-		t.Fatalf("a steady-state tick allocates %v objects, want at most 2", allocs)
+	}
+	phases := tracer.Take()
+	if len(phases) != 1 || phases[0].Name != "sweep" {
+		t.Fatalf("tree = %+v, want one sweep", phases)
+	}
+	var got []string
+	for _, c := range phases[0].Children {
+		got = append(got, fmt.Sprintf("%s:%d", c.Name, c.Calls))
+	}
+	if want := fmt.Sprintf("incr.resort:%d incr.maintain.delta:%d", ticks, ticks); strings.Join(got, " ") != want {
+		t.Errorf("sweep children = %v, want %s", got, want)
 	}
 }
 

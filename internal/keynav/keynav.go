@@ -146,11 +146,12 @@ type Set struct {
 }
 
 // NewSet builds the skeleton of the particle cells pts at the given
-// order. pts is copied, so the caller may reuse it. It rejects cells
-// outside the 2^order x 2^order grid and duplicate cells (the paper
-// assumes at most one particle per finest-resolution cell).
-func NewSet(order uint, pts []geom.Point) (*Set, error) {
-	defer obs.StartSpan("keybuild").End()
+// order, timed as a keybuild phase under parent (nil records none).
+// pts is copied, so the caller may reuse it. It rejects cells outside
+// the 2^order x 2^order grid and duplicate cells (the paper assumes at
+// most one particle per finest-resolution cell).
+func NewSet(parent *obs.Span, order uint, pts []geom.Point) (*Set, error) {
+	defer parent.Child("keybuild").End()
 	buildCounter.Inc()
 	side := geom.Side(order)
 	n := len(pts)

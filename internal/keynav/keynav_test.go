@@ -35,11 +35,11 @@ func samplePoints(t testing.TB, order uint, n int, seed uint64) []geom.Point {
 
 func buildAssignment(t *testing.T, curve sfc.Curve, order uint, n, p int, seed uint64) *acd.Assignment {
 	t.Helper()
-	set, err := keynav.NewSet(order, samplePoints(t, order, n, seed))
+	set, err := keynav.NewSet(nil, order, samplePoints(t, order, n, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(set, curve, p)
+	a, err := acd.Assign(nil, set, curve, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func alongCurve(a *acd.Assignment, curve sfc.Curve) ([]geom.Point, []int32) {
 func labelled(t testing.TB, curve sfc.Curve, a *acd.Assignment) *keynav.Index {
 	t.Helper()
 	pts, ranks := alongCurve(a, curve)
-	set, err := keynav.NewSet(a.Order, pts)
+	set, err := keynav.NewSet(nil, a.Order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,14 @@ func TestIndexRankAtMatchesAssignment(t *testing.T) {
 func TestIndexRepMatchesRankTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	pts := samplePoints(t, order, n, 11)
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var as []*acd.Assignment
 	var names []string
 	for _, curve := range testCurves {
-		a, err := acd.Assign(set, curve, p)
+		a, err := acd.Assign(nil, set, curve, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestIndexRepMatchesRankTree(t *testing.T) {
 		for i, j := range perm {
 			ranks[i] = int32(j * p / n)
 		}
-		a, err := acd.FromOwners(set, ranks, p)
+		a, err := acd.FromOwners(nil, set, ranks, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 				for _, workers := range recordWorkers {
 					// A fresh set records its plan at this worker count.
 					ix := labelled(t, curve, a)
-					pl := ix.Set().Plan(keynav.Spec{Radius: radius, Metric: m}, workers)
+					pl := ix.Set().Plan(nil, keynav.Spec{Radius: radius, Metric: m}, workers)
 					if got := nearRanks(ix, pl, radius, m); !mapsEqual(got, want) {
 						t.Fatalf("%s %s r=%d workers=%d: near-field multiset mismatch (got %d keys, want %d)",
 							curve.Name(), m, radius, workers, len(got), len(want))
@@ -314,7 +314,7 @@ func TestVisitUpperILPairsMatchesTree(t *testing.T) {
 			tree := rankTree(a)
 			for _, workers := range recordWorkers {
 				ix := labelled(t, curve, a)
-				pl := ix.Set().Plan(keynav.Spec{Far: true}, workers)
+				pl := ix.Set().Plan(nil, keynav.Spec{Far: true}, workers)
 				for l := uint(2); l <= order; l++ {
 					want := upperILPairs(tree, l)
 					if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
@@ -338,17 +338,17 @@ func TestDenseGridAllLevels(t *testing.T) {
 			pts = append(pts, geom.Pt(x, y))
 		}
 	}
-	set, err := keynav.NewSet(order, pts)
+	set, err := keynav.NewSet(nil, order, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := acd.Assign(set, sfc.Hilbert, 8)
+	a, err := acd.Assign(nil, set, sfc.Hilbert, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := a.KeyIndex()
 	tree := rankTree(a)
-	pl := set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
+	pl := set.Plan(nil, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev, Far: true}, 1)
 	for l := uint(2); l <= order; l++ {
 		want := upperILPairs(tree, l)
 		if got := ilRanks(ix, pl, l); !mapsEqual(got, want) {
@@ -391,11 +391,11 @@ func TestPlanWorkerInvariance(t *testing.T) {
 			{Radius: 2, Metric: geom.MetricManhattan, Far: true},
 		} {
 			record := func(workers int) *keynav.Plan {
-				set, err := keynav.NewSet(tc.order, pts)
+				set, err := keynav.NewSet(nil, tc.order, pts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return set.Plan(spec, workers)
+				return set.Plan(nil, spec, workers)
 			}
 			base := record(1)
 			for _, workers := range []int{2, 3, 8} {
@@ -417,11 +417,11 @@ func TestPlanWorkerInvariance(t *testing.T) {
 // when asked for a neighborhood or a far field it did not record.
 func TestPlanRejectsUnrecordedFamilies(t *testing.T) {
 	pts := samplePoints(t, 6, 500, 41)
-	set, err := keynav.NewSet(6, pts)
+	set, err := keynav.NewSet(nil, 6, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 2)
+	pl := set.Plan(nil, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 2)
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -443,7 +443,7 @@ func TestPlanRejectsUnrecordedFamilies(t *testing.T) {
 // records its own plan.
 func TestSetPlanRecordedOnce(t *testing.T) {
 	pts := samplePoints(t, 7, 3000, 47)
-	set, err := keynav.NewSet(7, pts)
+	set, err := keynav.NewSet(nil, 7, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestSetPlanRecordedOnce(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g] = set.Plan(both, 2)
+			got[g] = set.Plan(nil, both, 2)
 		}(g)
 	}
 	wg.Wait()
@@ -466,13 +466,13 @@ func TestSetPlanRecordedOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got another plan", g)
 		}
 	}
-	if set.Plan(keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 1) != got[0] || set.Plan(keynav.Spec{Far: true}, 1) != got[0] {
+	if set.Plan(nil, keynav.Spec{Radius: 1, Metric: geom.MetricChebyshev}, 1) != got[0] || set.Plan(nil, keynav.Spec{Far: true}, 1) != got[0] {
 		t.Fatal("the near+far plan does not serve a single family")
 	}
 	if n := plans.Value() - before; n != 1 {
 		t.Fatalf("%d plans recorded, want 1", n)
 	}
-	if set.Plan(keynav.Spec{Radius: 2, Metric: geom.MetricChebyshev}, 1) == got[0] {
+	if set.Plan(nil, keynav.Spec{Radius: 2, Metric: geom.MetricChebyshev}, 1) == got[0] {
 		t.Fatal("a radius-2 request replayed the radius-1 plan")
 	}
 	if n := plans.Value() - before; n != 2 {
@@ -490,11 +490,11 @@ func TestNewSetRejectsBadCells(t *testing.T) {
 		"x outside":          {geom.Pt(0, 0), geom.Pt(4, 0)},
 		"y outside":          {geom.Pt(0, 4)},
 	} {
-		if _, err := keynav.NewSet(2, pts); err == nil {
+		if _, err := keynav.NewSet(nil, 2, pts); err == nil {
 			t.Errorf("%s: NewSet accepted %v", name, pts)
 		}
 	}
-	set, err := keynav.NewSet(2, []geom.Point{geom.Pt(3, 3), geom.Pt(0, 0)})
+	set, err := keynav.NewSet(nil, 2, []geom.Point{geom.Pt(3, 3), geom.Pt(0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,11 +579,11 @@ func count(m map[uint64]int) int {
 func BenchmarkKeyNavLookup(b *testing.B) {
 	for _, order := range []uint{8, 12} {
 		const n = 15625
-		set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
+		set, err := keynav.NewSet(nil, order, samplePoints(b, order, n, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := acd.Assign(set, sfc.Hilbert, 64)
+		a, err := acd.Assign(nil, set, sfc.Hilbert, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -607,11 +607,11 @@ func BenchmarkKeyNavLookup(b *testing.B) {
 // (BenchmarkLabelAlong times the top-down labelling).
 func BenchmarkKeyNavBuild(b *testing.B) {
 	const order, n = 8, 15625
-	set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
+	set, err := keynav.NewSet(nil, order, samplePoints(b, order, n, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := acd.Assign(set, sfc.Hilbert, 64)
+	a, err := acd.Assign(nil, set, sfc.Hilbert, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func BenchmarkKeyNavBuild(b *testing.B) {
 	owners := a.Owners()
 	b.Run("set", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := keynav.NewSet(order, sorted); err != nil {
+			if _, err := keynav.NewSet(nil, order, sorted); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -645,12 +645,12 @@ func BenchmarkKeyNavILPairs(b *testing.B) {
 		b.Run(fmt.Sprintf("order%d_n%d", tc.order, tc.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				set, err := keynav.NewSet(tc.order, pts)
+				set, err := keynav.NewSet(nil, tc.order, pts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				set.Plan(keynav.Spec{Far: true}, 1)
+				set.Plan(nil, keynav.Spec{Far: true}, 1)
 			}
 		})
 	}

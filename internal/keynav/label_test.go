@@ -39,7 +39,7 @@ func TestLabelAlongMatchesSortPath(t *testing.T) {
 			sets[s.Name()] = pts
 		}
 		for name, pts := range sets {
-			set, err := keynav.NewSet(order, pts)
+			set, err := keynav.NewSet(nil, order, pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestLabelAlongMatchesSortPath(t *testing.T) {
 // particles, and one particle at order 0 and at order 5.
 func TestLabelAlongEmptyAndSingle(t *testing.T) {
 	q := sfc.Hilbert.(sfc.Quadrants)
-	empty, err := keynav.NewSet(4, nil)
+	empty, err := keynav.NewSet(nil, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLabelAlongEmptyAndSingle(t *testing.T) {
 		t.Fatalf("empty set labels %d cells", ix.LevelLen(4))
 	}
 	for _, order := range []uint{0, 5} {
-		set, err := keynav.NewSet(order, []geom.Point{geom.Pt(0, 0)})
+		set, err := keynav.NewSet(nil, order, []geom.Point{geom.Pt(0, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestLabelAlongEmptyAndSingle(t *testing.T) {
 			t.Fatal("LabelAlong accepted 2 ranks for a set of 1")
 		}
 	}()
-	set, err := keynav.NewSet(2, []geom.Point{geom.Pt(1, 1)})
+	set, err := keynav.NewSet(nil, 2, []geom.Point{geom.Pt(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func fullGrid(order uint) []geom.Point {
 func BenchmarkLabelAlong(b *testing.B) {
 	for _, order := range []uint{8, 12} {
 		const n, p = 15625, 4096
-		set, err := keynav.NewSet(order, samplePoints(b, order, n, 1))
+		set, err := keynav.NewSet(nil, order, samplePoints(b, order, n, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -147,7 +147,7 @@ func TestPlanMatchesProbeOracle(t *testing.T) {
 		slices.Sort(radii)
 		radii = slices.Compact(radii)
 		for name, pts := range oracleSets(t, order) {
-			ref, err := NewSet(order, pts)
+			ref, err := NewSet(nil, order, pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,11 +161,11 @@ func TestPlanMatchesProbeOracle(t *testing.T) {
 					for _, workers := range []int{1, 2, 7} {
 						for _, far := range []bool{false, true} {
 							// A fresh set records the plan at this worker count.
-							set, err := NewSet(order, pts)
+							set, err := NewSet(nil, order, pts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							pl := set.Plan(Spec{Radius: radius, Metric: m, Far: far}, workers)
+							pl := set.Plan(nil, Spec{Radius: radius, Metric: m, Far: far}, workers)
 							where := fmt.Sprintf("order %d %s r=%d %s far=%v workers=%d", order, name, radius, m, far, workers)
 							if !samePairs(pl.Near(radius, m), near) {
 								t.Fatalf("%s: near-field pairs differ from the probe oracle's %d", where, len(near))

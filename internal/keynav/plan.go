@@ -68,10 +68,12 @@ type planSlot struct {
 
 // Plan returns a plan of the set holding every family spec selects.
 // The set records one the first time no earlier plan covers spec, on
-// up to workers goroutines (0 means GOMAXPROCS); concurrent callers
-// wait for that recording, and every later caller gets the same plan.
-// The pairs come out in the same order at every worker count.
-func (s *Set) Plan(spec Spec, workers int) *Plan {
+// up to workers goroutines (0 means GOMAXPROCS), timed as a
+// keynav.plan phase under the recording caller's parent (nil records
+// none); concurrent callers wait for that recording, and every later
+// caller gets the same plan. The pairs come out in the same order at
+// every worker count.
+func (s *Set) Plan(parent *obs.Span, spec Spec, workers int) *Plan {
 	s.plansMu.Lock()
 	var slot *planSlot
 	for _, p := range s.plans {
@@ -85,7 +87,7 @@ func (s *Set) Plan(spec Spec, workers int) *Plan {
 		s.plans = append(s.plans, slot)
 	}
 	s.plansMu.Unlock()
-	slot.once.Do(func() { slot.plan = s.record(spec, workers) })
+	slot.once.Do(func() { slot.plan = s.record(parent, spec, workers) })
 	return slot.plan
 }
 
@@ -99,8 +101,8 @@ func (s *Set) Plan(spec Spec, workers int) *Plan {
 // runs; at r = 1 it is the finest level's adjacency. Each level's
 // chunks are kept in order, so the pairs are the same at any worker
 // count.
-func (s *Set) record(spec Spec, workers int) *Plan {
-	defer obs.StartSpan("keynav.plan").End()
+func (s *Set) record(parent *obs.Span, spec Spec, workers int) *Plan {
+	defer parent.Child("keynav.plan").End()
 	planCounter.Inc()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -125,9 +125,10 @@ type NFIOptions struct {
 	Workers int
 }
 
-// NFI computes the 3D near-field ACD.
-func NFI(a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator {
-	defer obs.StartSpan("accumulation.nfi").End()
+// NFI computes the 3D near-field ACD, timed as an accumulation.nfi
+// phase under parent (nil records none).
+func NFI(parent *obs.Span, a *Assignment, topo topology.Topology, opts NFIOptions) acd.Accumulator {
+	defer parent.Child("accumulation.nfi").End()
 	if opts.Radius == 0 {
 		opts.Radius = 1
 	}
@@ -181,20 +182,23 @@ func (r FFIResult) Total() acd.Accumulator {
 	return t
 }
 
-// FFI computes the 3D far-field ACD over the octree.
-func FFI(a *Assignment, topo topology.Topology, workers int) FFIResult {
-	defer obs.StartSpan("accumulation.ffi").End()
+// FFI computes the 3D far-field ACD over the octree, timed as an
+// accumulation.ffi phase under parent (nil records none) with the
+// tree's build beneath.
+func FFI(parent *obs.Span, a *Assignment, topo topology.Topology, workers int) FFIResult {
+	acc := parent.Child("accumulation.ffi")
+	defer acc.End()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	treebuild := obs.StartSpan("treebuild")
+	treebuild := acc.Child("treebuild")
 	tree := octree.BuildRankTree(a.Order, a.Particles, a.Ranks)
 	treebuild.End()
 	var res FFIResult
 	for l := tree.Order; l >= 1; l-- {
 		tree.VisitCells(l, func(p geom3.Point3, rep int32) {
-			parent := tree.Rep(l-1, geom3.Pt3(p.X/2, p.Y/2, p.Z/2))
-			d := topo.Distance(int(rep), int(parent))
+			up := tree.Rep(l-1, geom3.Pt3(p.X/2, p.Y/2, p.Z/2))
+			d := topo.Distance(int(rep), int(up))
 			res.Interpolation.Add(d)
 			res.Anterpolation.Add(d)
 		})

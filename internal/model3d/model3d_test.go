@@ -111,7 +111,7 @@ func TestNFIMatchesBruteForce(t *testing.T) {
 	}
 	topo := topology.NewTorus3D(1, sfc.HilbertND{N: 3})
 	for _, radius := range []int{1, 2} {
-		got := NFI(a, topo, NFIOptions{Radius: radius})
+		got := NFI(nil, a, topo, NFIOptions{Radius: radius})
 		want := bruteNFI3(a, topo, radius, geom.MetricChebyshev)
 		if got != want {
 			t.Fatalf("r=%d: NFI %+v != brute %+v", radius, got, want)
@@ -127,9 +127,9 @@ func TestNFIDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.NewTorus3D(2, sfc.HilbertND{N: 3})
-	base := NFI(a, topo, NFIOptions{Radius: 1, Workers: 1})
+	base := NFI(nil, a, topo, NFIOptions{Radius: 1, Workers: 1})
 	for _, w := range []int{2, 5, 16} {
-		if got := NFI(a, topo, NFIOptions{Radius: 1, Workers: w}); got != base {
+		if got := NFI(nil, a, topo, NFIOptions{Radius: 1, Workers: w}); got != base {
 			t.Fatalf("workers=%d diverged", w)
 		}
 	}
@@ -190,7 +190,7 @@ func TestFFIMatchesBruteForce(t *testing.T) {
 			topology.NewTorus3D(1, sfc.MortonND{N: 3}),
 			topology.NewOctreeNet(1),
 		} {
-			got := FFI(a, topo, 0)
+			got := FFI(nil, a, topo, 0)
 			want := bruteFFI3(a, topo)
 			if got != want {
 				t.Fatalf("%s/%s: FFI %+v != brute %+v", curve.Name(), topo.Name(), got, want)
@@ -210,7 +210,7 @@ func TestHilbert3DBeatsRowMajor3D(t *testing.T) {
 			t.Fatal(err)
 		}
 		topo := topology.NewTorus3D(2, c)
-		return NFI(a, topo, NFIOptions{Radius: 1}).ACD(), FFI(a, topo, 0).Total().ACD()
+		return NFI(nil, a, topo, NFIOptions{Radius: 1}).ACD(), FFI(nil, a, topo, 0).Total().ACD()
 	}
 	hn, hf := run(sfc.HilbertND{N: 3})
 	rn, rf := run(sfc.RowMajorND{N: 3})
@@ -299,7 +299,7 @@ func TestNFIKeysEngineMatchesTree(t *testing.T) {
 		for _, radius := range []int{1, 2} {
 			for _, m := range []geom.Metric{geom.MetricChebyshev, geom.MetricManhattan} {
 				want := mapNFI3(a, topo, radius, m)
-				got := NFI(a, topo, NFIOptions{Radius: radius, Metric: m})
+				got := NFI(nil, a, topo, NFIOptions{Radius: radius, Metric: m})
 				if got != want {
 					t.Fatalf("%s r=%d %s: NFI %+v != map oracle %+v", curve.Name(), radius, m, got, want)
 				}
@@ -340,7 +340,7 @@ func panicAssignment(t *testing.T) (*Assignment, topology.Topology) {
 // TestNFIWorkerPanic panics the topology in the near-field workers.
 func TestNFIWorkerPanic(t *testing.T) {
 	a, topo := panicAssignment(t)
-	workerPanic(t, func() { NFI(a, topo, NFIOptions{Workers: 3}) })
+	workerPanic(t, func() { NFI(nil, a, topo, NFIOptions{Workers: 3}) })
 }
 
 // TestInteractionLevelWorkerPanic panics the topology in the

@@ -25,16 +25,16 @@ func sampleManifest() *Manifest {
 	h.Observe(9e5)
 
 	tr := NewTracer()
-	exp := tr.Start("table12")
-	s := tr.Start("sampling")
+	exp := tr.Root().Child("table12")
+	s := exp.Child("sampling")
 	time.Sleep(time.Microsecond)
 	s.End()
-	a := tr.Start("assign")
-	tr.Start("ordering").End()
-	tr.Start("partitioning").End()
+	a := exp.Child("assign")
+	a.Child("ordering").End()
+	a.Child("partitioning").End()
 	a.End()
-	tr.Start("accumulation.nfi").End()
-	tr.Start("accumulation.ffi").End()
+	exp.Child("accumulation.nfi").End()
+	exp.Child("accumulation.ffi").End()
 	exp.End()
 
 	m := NewManifest("acdbench")

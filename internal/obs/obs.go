@@ -19,14 +19,17 @@
 //  3. No dependencies. Only the Go standard library; every other
 //     internal package may import obs, obs imports none of them.
 //
-// Spans open two ways. Tracer.Start and the package-level StartSpan
-// nest under the calling goroutine's cursor and move it there
-// (Span.Attach gives a goroutine a cursor of its own). Span.Child opens
-// a phase under an explicit parent and moves no cursor, so it needs no
-// goroutine lookup; marks and spans opened while a child is open nest
-// under the goroutine's cursor, not under the child. A disk-fault mark
-// raised during the serving layer's cache.lookup therefore lands under
-// request, beside cache.lookup.
+// Every span opens under an explicit parent (Span.Child); no tracer
+// knows which goroutine calls it. The parent of an experiment's phases
+// comes from whoever runs it: acdbench roots each experiment in a fresh
+// Tracer, and the serving layer opens the computation's compute span in
+// the request's Trace. Either puts that span into the context it passes
+// to the registry runner (ContextWithSpan), whose sweep reads it
+// (SpanFrom) and hands the sweep span down to the library phases as an
+// argument or inside the options or state they receive. A
+// library call made without a parent records nothing and allocates
+// nothing. An event with no duration, such as an injected fault, is a
+// mark (Span.Mark) on the span of the phase it happened in.
 package obs
 
 import (

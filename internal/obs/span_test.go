@@ -7,8 +7,9 @@ import (
 )
 
 func TestSpanNesting(t *testing.T) {
-	// Table of Start/End scripts and the phase tree shape they must
-	// produce. "start X"/"end" manipulate an explicit span stack.
+	// Table of open/End scripts and the phase tree shape they must
+	// produce. "start X" opens X under the innermost open span (the
+	// tracer's root when none is), "end" ends it.
 	type op struct {
 		action string // "start" or "end"
 		name   string
@@ -72,10 +73,10 @@ func TestSpanNesting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := NewTracer()
-			var stack []*Span
+			stack := []*Span{tr.Root()}
 			for _, o := range tc.ops {
 				if o.action == "start" {
-					stack = append(stack, tr.Start(o.name))
+					stack = append(stack, stack[len(stack)-1].Child(o.name))
 				} else {
 					stack[len(stack)-1].End()
 					stack = stack[:len(stack)-1]
@@ -122,7 +123,7 @@ func uitoa(v uint64) string {
 
 func TestSpanRecordsTime(t *testing.T) {
 	tr := NewTracer()
-	sp := tr.Start("timed")
+	sp := tr.Root().Child("timed")
 	time.Sleep(5 * time.Millisecond)
 	sp.End()
 	snap := tr.Snapshot()
@@ -133,9 +134,9 @@ func TestSpanRecordsTime(t *testing.T) {
 
 func TestSpanEndIdempotent(t *testing.T) {
 	tr := NewTracer()
-	sp := tr.Start("a")
+	sp := tr.Root().Child("a")
 	sp.End()
-	sp.End() // must not double-book or corrupt the stack
+	sp.End() // must not double-book
 	snap := tr.Snapshot()
 	if snap[0].Calls != 1 {
 		t.Fatalf("calls = %d, want 1", snap[0].Calls)
@@ -146,8 +147,8 @@ func TestSpanEndIdempotent(t *testing.T) {
 
 func TestTakeResetsAndOrphansInFlight(t *testing.T) {
 	tr := NewTracer()
-	outer := tr.Start("outer")
-	inner := tr.Start("inner")
+	outer := tr.Root().Child("outer")
+	inner := outer.Child("inner")
 	first := tr.Take()
 	if len(first) != 1 || first[0].Name != "outer" || first[0].Children[0].Name != "inner" {
 		t.Fatalf("Take = %+v", first)
@@ -159,19 +160,18 @@ func TestTakeResetsAndOrphansInFlight(t *testing.T) {
 	if rest := tr.Snapshot(); len(rest) != 0 {
 		t.Fatalf("post-Take tree not empty: %+v", rest)
 	}
-	// The tracer is reusable after Take.
-	tr.Start("fresh").End()
+	// The tracer is reusable after Take, through a fresh Root.
+	tr.Root().Child("fresh").End()
 	if snap := tr.Snapshot(); len(snap) != 1 || snap[0].Name != "fresh" {
 		t.Fatalf("fresh tree = %+v", snap)
 	}
 }
 
 // TestSpanChild: children merge by name under their parent and sum
-// their time; they may overlap and end in any order, and they leave
-// the tracer's cursor where it was.
+// their time; they may overlap and end in any order.
 func TestSpanChild(t *testing.T) {
 	tr := NewTracer()
-	parent := tr.Start("request")
+	parent := tr.Root().Child("request")
 	for i := 0; i < 3; i++ {
 		c := parent.Child("cache.lookup")
 		time.Sleep(time.Millisecond)
@@ -182,7 +182,7 @@ func TestSpanChild(t *testing.T) {
 	wait.Annotate("mode", "miss")
 	wait.End()
 	peer.End()
-	tr.Start("next").End() // the cursor is still on request
+	parent.Child("next").End()
 	parent.End()
 
 	snap := tr.Snapshot()
@@ -214,7 +214,7 @@ func TestSpanChildNilAndAfterTake(t *testing.T) {
 	}
 
 	tr := NewTracer()
-	parent := tr.Start("request")
+	parent := tr.Root().Child("request")
 	open := parent.Child("cache.lookup")
 	first := tr.Take()
 	if len(first) != 1 || len(first[0].Children) != 1 || first[0].Children[0].Name != "cache.lookup" {

@@ -6,25 +6,22 @@ import (
 	"time"
 )
 
-// Trace is one request-scoped span tree. Unlike the process-wide
-// default tracer (whose merged tree feeds run manifests), every trace
-// owns a private Tracer, so concurrent requests never share cursors
-// and a request's phases — cache lookup, queue wait, compute, the
-// sweep cells under it — attribute to exactly one trace.
+// Trace is one request-scoped span tree. Every trace owns a private
+// Tracer, so concurrent requests never share a tree and a request's
+// phases — cache lookup, queue wait, compute, the sweep cells under it —
+// attribute to exactly one trace.
 //
-// The wiring is Span.Attach: the HTTP layer attaches the handler
-// goroutine to the trace's root span, the serving layer attaches the
-// compute goroutine, and sweep workers attach to the sweep span they
-// are handed — from there, every package-level StartSpan call made on
-// those goroutines lands in this trace (see StartSpan). Library code
-// needs no knowledge of traces.
-//
-// The serving layer's own phases (cache.lookup, peer.fetch, wait,
-// queue.wait) open with Span.Child under the span that is their
-// parent — the root, or the compute span — and move no goroutine's
-// cursor. Marks and spans opened by the code such a phase runs nest
-// under the goroutine's cursor instead: a disk-fault mark raised
-// during cache.lookup lands under request, beside cache.lookup.
+// Every phase opens under an explicit parent with Span.Child. The
+// serving layer opens cache.lookup, peer.fetch and wait under the root,
+// and queue.wait under its compute span, which it also puts into the
+// computation's context (ContextWithSpan). The registry runner and its
+// sweep read that parent from the context and hand it down, as an
+// argument or inside the options or state a library call receives, to
+// every phase of the experiment. A library call made
+// without a parent records nothing. A fault mark lands under the span
+// of the phase that raised it: a disk-fault mark under cache.lookup or
+// compute, a peer-fault mark under peer.fetch, the compute fault under
+// compute.
 //
 // All methods are safe on a nil *Trace (they no-op or return zero
 // values), so instrumented code can call them unconditionally.
@@ -50,7 +47,7 @@ type Trace struct {
 func NewTrace(id, name string, start time.Time) *Trace {
 	t := NewTracer()
 	tr := &Trace{id: id, name: name, start: start, tracer: t}
-	tr.root = t.Start("request")
+	tr.root = t.Root().Child("request")
 	return tr
 }
 
@@ -79,10 +76,9 @@ func (tr *Trace) StartTime() time.Time {
 	return tr.start
 }
 
-// Root returns the root span, the attachment point for goroutines
-// that work on this request and the parent its phases open under with
-// Child. Nil for a nil trace (Child on a nil span returns nil; Attach
-// on one would panic, so callers guard with `if tr != nil`).
+// Root returns the root span, the parent the request's own phases open
+// under with Child. Nil for a nil trace; Child on a nil span returns
+// nil.
 func (tr *Trace) Root() *Span {
 	if tr == nil {
 		return nil
@@ -216,4 +212,24 @@ func ContextWithTrace(ctx context.Context, tr *Trace) context.Context {
 func TraceFrom(ctx context.Context) *Trace {
 	tr, _ := ctx.Value(traceCtxKey{}).(*Trace)
 	return tr
+}
+
+// spanCtxKey keys the parent span in a context.
+type spanCtxKey struct{}
+
+// ContextWithSpan returns ctx carrying sp as the parent of the phases
+// opened by the code ctx is passed to (a registry runner, its sweep).
+// A nil sp returns ctx unchanged.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanCtxKey{}, sp)
+}
+
+// SpanFrom returns the span ctx carries, or nil: phases opened under
+// it then record nothing.
+func SpanFrom(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
+	return sp
 }

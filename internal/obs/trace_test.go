@@ -2,7 +2,9 @@ package obs
 
 import (
 	"context"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -102,111 +104,123 @@ func TestTraceContext(t *testing.T) {
 	}
 }
 
-// TestAttachRoutesPackageStartSpan pins the load-bearing wiring: a
-// goroutine attached to a span of a request-scoped trace has its
-// package-level StartSpan calls land in that trace, not in the default
-// tracer, and detach restores default routing.
-func TestAttachRoutesPackageStartSpan(t *testing.T) {
-	tr := NewTrace("bind1", "POST /x", time.Now())
-	const inside, after = "phase.inside.binding", "phase.after.detach"
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		detach := tr.Root().Attach()
-		sp := StartSpan(inside)
-		sp.End()
-		detach()
-		sp = StartSpan(after)
-		sp.End()
-	}()
-	<-done
+// TestContextCarriesSpan: the parent a caller puts into a context is
+// the one the callee's phases open under, in the caller's trace; a
+// context without one yields a nil parent, under which nothing records.
+func TestContextCarriesSpan(t *testing.T) {
+	tr := NewTrace("ctx1", "POST /x", time.Now())
+	compute := tr.Root().Child("compute")
+	ctx := ContextWithSpan(context.Background(), compute)
+	if SpanFrom(ctx) != compute {
+		t.Fatal("SpanFrom did not return the stored span")
+	}
+	SpanFrom(ctx).Child("sweep").End()
+	compute.End()
+	if got := ContextWithSpan(ctx, nil); got != ctx {
+		t.Error("ContextWithSpan with a nil span changed the context")
+	}
+
+	bare := SpanFrom(context.Background())
+	if bare != nil {
+		t.Fatalf("SpanFrom on an empty context = %+v, want nil", bare)
+	}
+	bare.Child("lost").End()
 
 	snap := tr.Snapshot(time.Now())
-	in := findPhase(snap.Spans, inside)
-	if in == nil {
-		t.Fatalf("bound StartSpan did not land in the trace: %+v", snap.Spans)
-	}
-	if in.Calls != 1 {
-		t.Errorf("bound phase calls = %d", in.Calls)
-	}
-	if findPhase(snap.Spans, after) != nil {
-		t.Error("StartSpan after detach still landed in the trace")
-	}
-	if findPhase(defaultTracer.Snapshot(), inside) != nil {
-		t.Error("bound StartSpan also landed in the default tracer")
-	}
-	if findPhase(defaultTracer.Snapshot(), after) == nil {
-		t.Error("StartSpan after detach did not return to the default tracer")
+	if got, want := shape(snap.Spans), "request(compute(sweep))"; got != want {
+		t.Errorf("tree = %s, want %s", got, want)
 	}
 }
 
-// TestAttachNesting: workers attached to a mid-tree span of a bound
-// tracer nest their package-level phases under that span (the sweep
-// pattern, one level deeper than the root).
-func TestAttachNesting(t *testing.T) {
-	tr := NewTrace("bind2", "POST /x", time.Now())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		detach := tr.Root().Attach()
-		defer detach()
-		sweep := StartSpan("sweep")
-		inner := make(chan struct{})
+// TestChildrenMergeConcurrently: workers opening same-named children
+// under one shared mid-tree parent in any interleaving fold into one
+// node per name with every call counted (the sweep pattern).
+func TestChildrenMergeConcurrently(t *testing.T) {
+	tr := NewTrace("merge1", "POST /x", time.Now())
+	sweep := tr.Root().Child("compute").Child("sweep")
+	const workers, cells = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer close(inner)
-			d := sweep.Attach()
-			defer d()
-			StartSpan("cell.work").End()
-			StartSpan("cell.work").End()
+			defer wg.Done()
+			for i := 0; i < cells; i++ {
+				acc := sweep.Child("accumulation.nfi")
+				acc.Child("price.nfi").End()
+				acc.End()
+				sweep.Child("ordering").End()
+			}
 		}()
-		<-inner
-		sweep.End()
-	}()
-	<-done
+	}
+	wg.Wait()
+	sweep.End()
 
 	snap := tr.Snapshot(time.Now())
-	sweep := findPhase(snap.Spans, "sweep")
-	if sweep == nil {
-		t.Fatalf("sweep span missing: %+v", snap.Spans)
+	if got, want := shape(snap.Spans), "request(compute(sweep(accumulation.nfi(price.nfi) ordering)))"; got != want {
+		t.Fatalf("tree = %s, want %s", got, want)
 	}
-	work := findPhase(sweep.Children, "cell.work")
-	if work == nil || work.Calls != 2 {
-		t.Fatalf("cell.work under sweep = %+v, want 2 merged calls", work)
+	s := findPhase(snap.Spans, "sweep")
+	for _, name := range []string{"accumulation.nfi", "price.nfi", "ordering"} {
+		if p := findPhase(s.Children, name); p.Calls != workers*cells {
+			t.Errorf("%s calls = %d, want %d", name, p.Calls, workers*cells)
+		}
 	}
 }
 
-func TestMarkActive(t *testing.T) {
-	// Unbound goroutine: no-op, nothing lands anywhere new.
-	MarkActive("mark.unbound")
-	if findPhase(defaultTracer.Snapshot(), "mark.unbound") != nil {
-		t.Error("unbound MarkActive recorded a phase")
-	}
+// TestSpanMark: a mark counts a zero-duration activation under the span
+// it is made on; on a nil span or a span from a collected tree it
+// records nothing.
+func TestSpanMark(t *testing.T) {
+	tr := NewTracer()
+	compute := tr.Root().Child("compute")
+	compute.Mark("fault.serve.compute")
+	compute.Mark("fault.serve.compute")
+	compute.End()
+	var nilSpan *Span
+	nilSpan.Mark("fault.nowhere")
 
-	tr := NewTrace("mark1", "POST /x", time.Now())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		detach := tr.Root().Attach()
-		defer detach()
-		sp := StartSpan("compute")
-		MarkActive("fault.serve.compute")
-		MarkActive("fault.serve.compute")
-		sp.End()
-	}()
-	<-done
-
-	snap := tr.Snapshot(time.Now())
-	compute := findPhase(snap.Spans, "compute")
-	if compute == nil {
-		t.Fatal("compute span missing")
-	}
-	mark := findPhase(compute.Children, "fault.serve.compute")
-	if mark == nil {
-		t.Fatal("MarkActive did not record under the open span")
+	first := tr.Take()
+	mark := findPhase(first, "fault.serve.compute")
+	if mark == nil || findPhase(first[0].Children, "fault.serve.compute") == nil {
+		t.Fatalf("mark not under compute: %+v", first)
 	}
 	if mark.Calls != 2 || mark.Ns != 0 {
 		t.Errorf("mark calls/ns = %d/%d, want 2/0", mark.Calls, mark.Ns)
 	}
+	compute.Mark("fault.late")
+	if rest := tr.Snapshot(); len(rest) != 0 {
+		t.Errorf("a mark on a collected span recorded %+v", rest)
+	}
+}
+
+// TestNilParentAllocatesNothing: library phases opened without a parent
+// cost no allocation.
+func TestNilParentAllocatesNothing(t *testing.T) {
+	var parent *Span
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := parent.Child("incr.resort")
+		sp.Annotate("k", "v")
+		sp.Mark("fault.x")
+		sp.End()
+		SpanFrom(context.Background()).Child("sweep").End()
+	})
+	if allocs != 0 {
+		t.Errorf("nil parent: %v allocations per phase, want 0", allocs)
+	}
+}
+
+// shape renders a span forest as "name(child child(...))", children
+// sorted by name.
+func shape(spans []PhaseSnapshot) string {
+	parts := make([]string, len(spans))
+	for i, sp := range spans {
+		parts[i] = sp.Name
+		if len(sp.Children) > 0 {
+			parts[i] += "(" + shape(sp.Children) + ")"
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }
 
 func TestSpanAnnotate(t *testing.T) {
@@ -224,38 +238,5 @@ func TestSpanAnnotate(t *testing.T) {
 	}
 	if sweep.Attrs["cells"] != "128" || sweep.Attrs["workers"] != "4" {
 		t.Errorf("attrs = %v", sweep.Attrs)
-	}
-}
-
-// TestChildMovesNoCursor: a child opened under the root of a trace
-// leaves the attached goroutine's cursor on the root, so package-level
-// spans and marks made while it is open nest under the root beside it.
-func TestChildMovesNoCursor(t *testing.T) {
-	tr := NewTrace("child1", "POST /x", time.Now())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		detach := tr.Root().Attach()
-		defer detach()
-		lookup := tr.Root().Child("cache.lookup")
-		StartSpan("disk.read").End()
-		MarkActive("fault.resultcache.disk.get")
-		lookup.End()
-	}()
-	<-done
-
-	snap := tr.Snapshot(time.Now())
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "request" {
-		t.Fatalf("span tree root = %+v", snap.Spans)
-	}
-	var names []string
-	for _, c := range snap.Spans[0].Children {
-		names = append(names, c.Name)
-		if len(c.Children) != 0 {
-			t.Errorf("%s has children %+v; nothing nests under a child", c.Name, c.Children)
-		}
-	}
-	if want := "cache.lookup disk.read fault.resultcache.disk.get"; strings.Join(names, " ") != want {
-		t.Errorf("request children = %v, want %s", names, want)
 	}
 }

@@ -190,10 +190,10 @@ func TestBodyCountedNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(e); err != nil {
+	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := store.Get(e.Key); err != nil || !ok || got.Body != nil {
+	if got, ok, err := store.Get(nil, e.Key); err != nil || !ok || got.Body != nil {
 		t.Errorf("disk round trip: body %q ok=%v err=%v, want no body", got.Body, ok, err)
 	}
 	wire, err := Export(e)

@@ -119,9 +119,10 @@ func (d *DiskStore) quarantine(path string) {
 // Get loads the entry stored under k. A missing entry returns ok ==
 // false with a nil error. A present but undecodable or key-mismatched
 // entry is quarantined (renamed aside, so the next Get misses cleanly)
-// and returns the error this one time.
-func (d *DiskStore) Get(k Key) (Entry, bool, error) {
-	if err := d.faults.Check(SiteDiskGet); err != nil {
+// and returns the error this one time. An injected fault is marked
+// under parent.
+func (d *DiskStore) Get(parent *obs.Span, k Key) (Entry, bool, error) {
+	if err := d.faults.Check(parent, SiteDiskGet); err != nil {
 		return Entry{}, false, err
 	}
 	path := d.path(k)
@@ -157,8 +158,8 @@ func decodeEntry(data []byte, want Key) (Entry, error) {
 // existing entry: the temp file is fsynced before the rename and the
 // parent directory after it, so a crash at any point leaves either the
 // old entry or the new one, never a mix — plus at worst an orphaned
-// temp file for the janitor.
-func (d *DiskStore) Put(e Entry) error {
+// temp file for the janitor. An injected fault is marked under parent.
+func (d *DiskStore) Put(parent *obs.Span, e Entry) error {
 	path := d.path(e.Key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -171,7 +172,7 @@ func (d *DiskStore) Put(e Entry) error {
 	if err != nil {
 		return err
 	}
-	if err := d.writeTmp(tmp, data); err != nil {
+	if err := d.writeTmp(parent, tmp, data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -180,7 +181,7 @@ func (d *DiskStore) Put(e Entry) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := d.faults.Check(SiteDiskRename); err != nil {
+	if err := d.faults.Check(parent, SiteDiskRename); err != nil {
 		return err // simulated crash: leave the temp file for the janitor
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
@@ -193,8 +194,8 @@ func (d *DiskStore) Put(e Entry) error {
 // opens files 0600; entries are chmodded to 0644 so a cache warmed by
 // acdbench under one user stays readable by a daemon running as
 // another.
-func (d *DiskStore) writeTmp(tmp *os.File, data []byte) error {
-	if err := d.faults.Check(SiteDiskPut); err != nil {
+func (d *DiskStore) writeTmp(parent *obs.Span, tmp *os.File, data []byte) error {
+	if err := d.faults.Check(parent, SiteDiskPut); err != nil {
 		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
@@ -203,7 +204,7 @@ func (d *DiskStore) writeTmp(tmp *os.File, data []byte) error {
 	if err := tmp.Chmod(0o644); err != nil {
 		return err
 	}
-	if err := d.faults.Check(SiteDiskSync); err != nil {
+	if err := d.faults.Check(parent, SiteDiskSync); err != nil {
 		return err
 	}
 	return tmp.Sync()

@@ -18,17 +18,17 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("table12", "params", "v1")
-	if _, ok, err := store.Get(key); err != nil || ok {
+	if _, ok, err := store.Get(nil, key); err != nil || ok {
 		t.Fatalf("Get on empty store = ok=%v err=%v, want miss with nil error", ok, err)
 	}
 	e := Entry{Key: key, Experiment: "table12",
 		Params:   json.RawMessage(`{"Particles":100}`),
 		Result:   json.RawMessage(`[{"curve":"hilbert"}]`),
 		Manifest: json.RawMessage(`{"schema":"x"}`)}
-	if err := store.Put(e); err != nil {
+	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := store.Get(key)
+	got, ok, err := store.Get(nil, key)
 	if err != nil || !ok {
 		t.Fatalf("Get after Put = ok=%v err=%v", ok, err)
 	}
@@ -39,10 +39,10 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 
 	// Overwrite refreshes in place.
 	e.Result = json.RawMessage(`[]`)
-	if err := store.Put(e); err != nil {
+	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = store.Get(key)
+	got, _, _ = store.Get(nil, key)
 	if string(got.Result) != "[]" {
 		t.Errorf("overwrite did not replace the entry: %s", got.Result)
 	}
@@ -60,7 +60,7 @@ func TestDiskStoreShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("fig6", "params", "v1")
-	if err := store.Put(Entry{Key: key}); err != nil {
+	if err := store.Put(nil, Entry{Key: key}); err != nil {
 		t.Fatal(err)
 	}
 	hexKey := key.String()
@@ -85,7 +85,7 @@ func TestDiskStoreCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	quarBefore := obs.GetCounter("resultcache.disk_quarantined").Value()
-	if _, ok, err := store.Get(key); err == nil || ok {
+	if _, ok, err := store.Get(nil, key); err == nil || ok {
 		t.Fatalf("corrupt entry Get = ok=%v err=%v, want error", ok, err)
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("error %q does not identify corruption", err)
@@ -99,7 +99,7 @@ func TestDiskStoreCorruptEntry(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, hexKey+".json"+quarantineSuffix)); err != nil {
 		t.Errorf("corrupt entry was not renamed aside: %v", err)
 	}
-	if _, ok, err := store.Get(key); err != nil || ok {
+	if _, ok, err := store.Get(nil, key); err != nil || ok {
 		t.Errorf("Get after quarantine = ok=%v err=%v, want clean miss", ok, err)
 	}
 }
@@ -112,7 +112,7 @@ func TestDiskStoreKeyMismatch(t *testing.T) {
 	// Store a valid entry, then copy its file under a different key's
 	// path: the self-describing key must be verified on load.
 	good := Entry{Key: KeyFor("a", "p", "v"), Experiment: "a"}
-	if err := store.Put(good); err != nil {
+	if err := store.Put(nil, good); err != nil {
 		t.Fatal(err)
 	}
 	wrong := KeyFor("b", "p", "v")
@@ -124,14 +124,14 @@ func TestDiskStoreKeyMismatch(t *testing.T) {
 	if err := os.WriteFile(dst, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := store.Get(wrong); err == nil || ok {
+	if _, ok, err := store.Get(nil, wrong); err == nil || ok {
 		t.Fatalf("key-mismatched entry Get = ok=%v err=%v, want error", ok, err)
 	}
 	// Mismatched entries quarantine like corrupt ones.
-	if _, ok, err := store.Get(wrong); err != nil || ok {
+	if _, ok, err := store.Get(nil, wrong); err != nil || ok {
 		t.Errorf("Get after quarantine = ok=%v err=%v, want clean miss", ok, err)
 	}
-	if _, ok, err := store.Get(good.Key); err != nil || !ok {
+	if _, ok, err := store.Get(nil, good.Key); err != nil || !ok {
 		t.Errorf("original entry lost: ok=%v err=%v", ok, err)
 	}
 }
@@ -146,7 +146,7 @@ func TestDiskStoreEntryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("table12", "params", "v1")
-	if err := store.Put(Entry{Key: key}); err != nil {
+	if err := store.Put(nil, Entry{Key: key}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(store.path(key))
@@ -173,7 +173,7 @@ func TestDiskStoreCrashSafePut(t *testing.T) {
 	store.SetFaults(inj)
 
 	key := KeyFor("table12", "params", "v1")
-	if err := store.Put(Entry{Key: key}); !errors.Is(err, faultinject.ErrInjected) {
+	if err := store.Put(nil, Entry{Key: key}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Put with injected rename failure = %v, want ErrInjected", err)
 	}
 	orphans, _ := filepath.Glob(filepath.Join(dir, "*", "entry-*.tmp"))
@@ -192,15 +192,15 @@ func TestDiskStoreCrashSafePut(t *testing.T) {
 	if got := obs.GetCounter("resultcache.disk_tmp_swept").Value() - sweptBefore; got != 1 {
 		t.Errorf("resultcache.disk_tmp_swept delta = %d, want 1", got)
 	}
-	if _, ok, err := reopened.Get(key); err != nil || ok {
+	if _, ok, err := reopened.Get(nil, key); err != nil || ok {
 		t.Errorf("Get after janitor = ok=%v err=%v, want clean miss", ok, err)
 	}
 
 	// The same store works normally once the injected fault is spent.
-	if err := store.Put(Entry{Key: key}); err != nil {
+	if err := store.Put(nil, Entry{Key: key}); err != nil {
 		t.Fatalf("Put after fault: %v", err)
 	}
-	if _, ok, err := reopened.Get(key); err != nil || !ok {
+	if _, ok, err := reopened.Get(nil, key); err != nil || !ok {
 		t.Errorf("Get after recovery = ok=%v err=%v, want hit", ok, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestDiskStorePutWriteFaultCleansUp(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.EnableN(SiteDiskPut, 1, faultinject.Fault{})
 	store.SetFaults(inj)
-	if err := store.Put(Entry{Key: KeyFor("a", "p", "v")}); !errors.Is(err, faultinject.ErrInjected) {
+	if err := store.Put(nil, Entry{Key: KeyFor("a", "p", "v")}); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Put = %v, want ErrInjected", err)
 	}
 	if orphans, _ := filepath.Glob(filepath.Join(dir, "*", "entry-*.tmp")); len(orphans) != 0 {
@@ -231,17 +231,17 @@ func TestDiskStoreGetFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("a", "p", "v")
-	if err := store.Put(Entry{Key: key}); err != nil {
+	if err := store.Put(nil, Entry{Key: key}); err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(1)
 	inj.EnableN(SiteDiskGet, 1, faultinject.Fault{})
 	store.SetFaults(inj)
-	if _, ok, err := store.Get(key); !errors.Is(err, faultinject.ErrInjected) || ok {
+	if _, ok, err := store.Get(nil, key); !errors.Is(err, faultinject.ErrInjected) || ok {
 		t.Fatalf("Get with injected fault = ok=%v err=%v, want ErrInjected", ok, err)
 	}
 	// The entry itself is intact once the fault is spent.
-	if _, ok, err := store.Get(key); err != nil || !ok {
+	if _, ok, err := store.Get(nil, key); err != nil || !ok {
 		t.Errorf("Get after fault = ok=%v err=%v, want hit", ok, err)
 	}
 }
@@ -256,7 +256,7 @@ func TestDiskStoreVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := store.Put(Entry{Key: KeyFor("table12", strings.Repeat("p", i+1), "v")}); err != nil {
+		if err := store.Put(nil, Entry{Key: KeyFor("table12", strings.Repeat("p", i+1), "v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestDiskStoreVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := Entry{Key: KeyFor("good", "p", "v")}
-	if err := store.Put(good); err != nil {
+	if err := store.Put(nil, good); err != nil {
 		t.Fatal(err)
 	}
 	misfiled := KeyFor("misfiled", "p", "v").String()

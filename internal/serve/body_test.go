@@ -152,7 +152,7 @@ func TestSuccessBodiesByteIdentical(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(disk.Dir(), hexKey[:2], hexKey+".json"), edited, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok, err := disk.Get(key); err != nil || !ok || !bytes.Contains(e.Result, []byte("\n  ")) {
+	if e, ok, err := disk.Get(nil, key); err != nil || !ok || !bytes.Contains(e.Result, []byte("\n  ")) {
 		t.Fatalf("edited entry did not keep its whitespace (ok=%v err=%v)", ok, err)
 	}
 	reread := New(Options{Workers: 1, Disk: disk})

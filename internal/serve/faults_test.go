@@ -269,3 +269,28 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("Drain after completion = %v", err)
 	}
 }
+
+// TestFaultMarksInTrace: every injected fault a traced miss meets is a
+// mark in that request's trace, on the span of the phase that raised
+// it: the disk read under cache.lookup, the compute fault and the disk
+// write under compute.
+func TestFaultMarksInTrace(t *testing.T) {
+	s, inj := newFaultyDiskServer(t, t.TempDir())
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		return fakeOutput(p), nil
+	}
+	slow := faultinject.Fault{Delay: time.Millisecond} // latency only: the request succeeds
+	for _, site := range []string{resultcache.SiteDiskGet, SiteCompute, resultcache.SiteDiskPut} {
+		inj.EnableN(site, 1, slow)
+	}
+	tr := obs.NewTrace("faults1", "POST /v1/experiments/table12", time.Now())
+	if _, err := s.Do(obs.ContextWithTrace(context.Background(), tr), "table12", tinyParams); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(http.StatusOK, time.Now())
+	got := spanShape(tr.Snapshot(time.Now()).Spans, 0)
+	want := "request(cache.lookup(fault.resultcache.disk.get) compute(fault.resultcache.disk.put fault.serve.compute queue.wait) wait)"
+	if got != want {
+		t.Errorf("trace = %s, want %s", got, want)
+	}
+}

@@ -180,12 +180,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// withTracing gives every non-/debug/ request a request-scoped trace:
-// an id (honored from X-Trace-Id, else drawn from the trace store's
-// deterministic source), a root span the handler goroutine attaches
-// to, and — after the response is written — a tail-sampling offer to
-// the retention store. /debug/ endpoints are exempt so reading traces
-// does not mint traces.
+// withTracing gives every non-/debug/ request a request-scoped trace,
+// carried in the request's context: an id (honored from X-Trace-Id,
+// else drawn from the trace store's deterministic source), a root span
+// the request's phases open under, and — after the response is written
+// — a tail-sampling offer to the retention store. /debug/ endpoints are
+// exempt so reading traces does not mint traces.
 func (s *Server) withTracing(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/debug/") {
@@ -198,10 +198,8 @@ func (s *Server) withTracing(next http.Handler) http.Handler {
 		}
 		tr := obs.NewTrace(id, r.Method+" "+r.URL.Path, s.traces.Now())
 		w.Header().Set("X-Trace-Id", id)
-		detach := tr.Root().Attach()
 		rec := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r.WithContext(obs.ContextWithTrace(r.Context(), tr)))
-		detach()
 		tr.Finish(rec.status, s.traces.Now())
 		s.traces.Offer(tr)
 	})

@@ -372,19 +372,22 @@ func RequestKey(experiment string, p experiments.Params) resultcache.Key {
 // like Do's lookup does. It never computes anything — it is the read
 // path the fleet peer protocol serves /internal/v1/result from, so a
 // peer asking for a result can never trigger a recursive computation.
+// The peer protocol's routes are untraced, so an injected disk fault
+// here is marked nowhere.
 func (s *Server) CachedEntry(key resultcache.Key) (resultcache.Entry, bool) {
-	e, src := s.lookupCached(key)
+	e, src := s.lookupCached(nil, key)
 	return e, src != ""
 }
 
 // lookupCached checks memory then disk for a finished entry,
-// returning where it was found ("memory", "disk") or "" on a miss.
-func (s *Server) lookupCached(key resultcache.Key) (resultcache.Entry, string) {
+// returning where it was found ("memory", "disk") or "" on a miss. A
+// disk fault is marked under parent.
+func (s *Server) lookupCached(parent *obs.Span, key resultcache.Key) (resultcache.Entry, string) {
 	if entry, ok := s.cache.Get(key); ok {
 		return entry, "memory"
 	}
 	if s.disk != nil {
-		entry, ok, err := s.disk.Get(key)
+		entry, ok, err := s.disk.Get(parent, key)
 		if err == nil && ok {
 			entry, err = withBody(entry)
 		}
@@ -488,7 +491,7 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	key := RequestKey(experiment, p)
 
 	lookup := tr.Root().Child("cache.lookup")
-	if entry, src := s.lookupCached(key); src != "" {
+	if entry, src := s.lookupCached(lookup, key); src != "" {
 		if src != "memory" {
 			lookup.Annotate("source", src)
 		}
@@ -504,7 +507,7 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	// single-process behavior.
 	if s.peers != nil {
 		pspan := tr.Root().Child("peer.fetch")
-		entry, ok := s.peers.Fetch(ctx, key)
+		entry, ok := s.peers.Fetch(obs.ContextWithSpan(ctx, pspan), key)
 		pspan.End()
 		if ok {
 			if entry, err := withBody(entry); err == nil {
@@ -612,12 +615,13 @@ func (s *Server) abandon(c *call) {
 
 // compute runs one admitted computation and broadcasts its outcome.
 // tr is the trace of the request that led the computation (nil when
-// untraced): the goroutine attaches to its root span, so every phase
-// the experiment code opens — the sweep, its cells' sampling and
-// accumulation passes — lands in that request's span tree even though
-// the computation itself is detached from the request context. If the
-// leading request times out, the spans keep completing into the
-// retained trace, which is exactly the trace worth reading.
+// untraced): the computation's compute span opens under its root and
+// rides in the computation's context, so every phase the experiment
+// code opens — the sweep, its cells' sampling and accumulation passes
+// — lands in that request's span tree even though the computation
+// itself is detached from the request context. If the leading request
+// times out, the spans keep completing into the retained trace, which
+// is exactly the trace worth reading.
 func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p experiments.Params, tr *obs.Trace) {
 	defer c.cancel()
 	// Runs after the deferred slot release below: a panic fails the
@@ -637,9 +641,7 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 	}()
 	var cspan *obs.Span // nil when untraced
 	if tr != nil {
-		detach := tr.Root().Attach()
-		defer detach()
-		cspan = obs.StartSpan("compute")
+		cspan = tr.Root().Child("compute")
 		defer cspan.End()
 		defer func() {
 			s.mu.Lock()
@@ -685,6 +687,7 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 	}()
 
 	s.computations.Inc()
+	ctx = obs.ContextWithSpan(ctx, cspan)
 	if err := s.faults.CheckCtx(ctx, SiteCompute); err != nil {
 		s.finish(c, resultcache.Entry{}, err)
 		return
@@ -709,7 +712,7 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 	}
 	s.cache.Put(entry)
 	if s.disk != nil {
-		if err := s.disk.Put(entry); err != nil {
+		if err := s.disk.Put(cspan, entry); err != nil {
 			s.diskErrors.Inc()
 		}
 	}

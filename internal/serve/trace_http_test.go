@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,6 +139,14 @@ func TestTraceCaptureEndToEnd(t *testing.T) {
 	if sweep != nil && sweep.Attrs["cells"] == "" {
 		t.Errorf("sweep span missing cells annotation: %+v", sweep.Attrs)
 	}
+	// Every phase of the sweep's cells opens under the sweep span the
+	// computation's context handed down.
+	if sweep == nil {
+		t.Fatal("sweep span missing")
+	}
+	if got, want := spanShape(sweep.Children, 0), missSweepShape; got != want {
+		t.Errorf("sweep children = %s, want %s", got, want)
+	}
 
 	// A second identical request is a cache hit with its own trace.
 	rec = postExperiment(t, h, "/v1/experiments/table12", tinyBody)
@@ -162,6 +171,66 @@ func TestTraceCaptureEndToEnd(t *testing.T) {
 	// Unknown ids 404.
 	if rec = get(h, "/debug/traces/nope"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown trace id status = %d, want 404", rec.Code)
+	}
+}
+
+// missSweepShape is the phase tree under a table12 miss's sweep.
+const missSweepShape = "accumulation.ffi(price.ffi) accumulation.nfi(price.nfi) keybuild keynav.plan ordering partitioning sampling"
+
+// TestConcurrentTracedMissesIsolated: two traced misses computing at
+// once, with different seeds, each hold exactly their own cells' phase
+// call counts — no phase of one computation lands in the other's
+// trace.
+func TestConcurrentTracedMissesIsolated(t *testing.T) {
+	st := keepAllStore()
+	h := NewHandler(New(Options{Workers: 2, Traces: st}))
+	bodies := []string{
+		`{"Particles":400,"Order":5,"ProcOrder":2,"Trials":2,"Seed":21}`,
+		`{"Particles":400,"Order":5,"ProcOrder":2,"Trials":2,"Seed":22}`,
+	}
+	ids := make([]string, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := postExperiment(t, h, "/v1/experiments/table12", body)
+			if rec.Code != http.StatusOK {
+				t.Errorf("POST %s: status %d: %s", body, rec.Code, rec.Body)
+			}
+			ids[i] = rec.Header().Get("X-Trace-Id")
+		}()
+	}
+	wg.Wait()
+	// Two trials of three distributions: six sets, four curves each.
+	const sets, cells = 6, 24
+	want := map[string]uint64{
+		"sampling": sets, "keybuild": sets, "keynav.plan": sets,
+		"partitioning": cells, "ordering": cells,
+		"accumulation.nfi": cells, "price.nfi": cells,
+		"accumulation.ffi": cells, "price.ffi": cells,
+	}
+	for i, id := range ids {
+		rec := get(h, "/debug/traces/"+id)
+		var snap obs.TraceSnapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("trace %d: %v", i, err)
+		}
+		if snap.Attrs["cache"] != string(StatusMiss) {
+			t.Errorf("trace %d: cache = %q, want miss", i, snap.Attrs["cache"])
+		}
+		sweep := findSpan(snap.Spans, "sweep")
+		if sweep == nil || sweep.Calls != 1 {
+			t.Fatalf("trace %d: sweep = %+v, want one", i, sweep)
+		}
+		if got := spanShape(sweep.Children, 0); got != missSweepShape {
+			t.Errorf("trace %d: sweep children = %s, want %s", i, got, missSweepShape)
+		}
+		for name, calls := range want {
+			if p := findSpan(sweep.Children, name); p == nil || p.Calls != calls {
+				t.Errorf("trace %d: %s = %+v, want %d calls", i, name, p, calls)
+			}
+		}
 	}
 }
 

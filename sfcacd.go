@@ -164,22 +164,22 @@ type Assignment = acd.Assignment
 // chunk i to rank i. Duplicate cells and cells outside the grid are
 // errors.
 func Assign(particles []Point, curve Curve, order uint, p int) (*Assignment, error) {
-	set, err := keynav.NewSet(order, particles)
+	set, err := keynav.NewSet(nil, order, particles)
 	if err != nil {
 		return nil, err
 	}
-	return acd.Assign(set, curve, p)
+	return acd.Assign(nil, set, curve, p)
 }
 
 // AssignmentFromOwners builds an Assignment from an explicit
 // particle-to-rank ownership (ranks[i] owns particles[i]), for dynamic
 // studies where particles move while their owners stay fixed.
 func AssignmentFromOwners(particles []Point, ranks []int32, order uint, p int) (*Assignment, error) {
-	set, err := keynav.NewSet(order, particles)
+	set, err := keynav.NewSet(nil, order, particles)
 	if err != nil {
 		return nil, err
 	}
-	return acd.FromOwners(set, ranks, p)
+	return acd.FromOwners(nil, set, ranks, p)
 }
 
 // WeightedAccumulator is the data-volume-weighted ACD accumulator
@@ -310,12 +310,12 @@ type NFI3DOptions = model3d.NFIOptions
 
 // NFI3D computes the 3D near-field ACD.
 func NFI3D(a *Assignment3D, topo Topology, opts NFI3DOptions) Accumulator {
-	return model3d.NFI(a, topo, opts)
+	return model3d.NFI(nil, a, topo, opts)
 }
 
 // FFI3D computes the 3D far-field ACD over the octree decomposition.
 func FFI3D(a *Assignment3D, topo Topology, workers int) model3d.FFIResult {
-	return model3d.FFI(a, topo, workers)
+	return model3d.FFI(nil, a, topo, workers)
 }
 
 // 3D topology constructors.
