@@ -171,7 +171,7 @@ func run() int {
 		}
 		server.SetPeers(node)
 		mux := http.NewServeMux()
-		mux.Handle("/internal/v1/", node.Handler())
+		mux.Handle("/internal/v1/", server.Traced(node.Handler()))
 		mux.Handle("/", handler)
 		handler = mux
 		ids := make([]string, 0, len(node.Members()))

@@ -42,9 +42,10 @@ const DefaultFetchCandidates = 2
 const maxPeerBody = 64 << 20
 
 // Store is the local finished-result lookup the peer protocol serves
-// from; *serve.Server implements it. It must never compute.
+// from; *serve.Server implements it. It must never compute. ctx is
+// the peer request's, carrying its trace.
 type Store interface {
-	CachedEntry(k resultcache.Key) (resultcache.Entry, bool)
+	CachedEntry(ctx context.Context, k resultcache.Key) (resultcache.Entry, bool)
 }
 
 // Config describes one node's view of the fleet.
@@ -352,7 +353,9 @@ func (n *Node) Forward(ctx context.Context, owner serve.MemberInfo, experiment, 
 //	GET /internal/v1/result/{key}   checksummed entry transfer
 //
 // Neither endpoint ever computes: they read the local caches only, so
-// peer traffic cannot recurse or amplify load.
+// peer traffic cannot recurse or amplify load. The daemon mounts the
+// handler behind serve.Server.Traced, so each read is traced under the
+// request's id.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /internal/v1/peek/{key}", n.handlePeek)
@@ -376,7 +379,7 @@ func (n *Node) handlePeek(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	e, ok := n.store.CachedEntry(key)
+	e, ok := n.store.CachedEntry(r.Context(), key)
 	w.Header().Set("Content-Type", "application/json")
 	if !ok {
 		w.WriteHeader(http.StatusNotFound)
@@ -393,7 +396,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	e, ok := n.store.CachedEntry(key)
+	e, ok := n.store.CachedEntry(r.Context(), key)
 	if !ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)

@@ -6,6 +6,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,10 +14,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sfcacd/internal/experiments"
 	"sfcacd/internal/faultinject"
 	"sfcacd/internal/fleet"
+	"sfcacd/internal/obs"
+	"sfcacd/internal/obs/tracestore"
 	"sfcacd/internal/resultcache"
 	"sfcacd/internal/serve"
 )
@@ -81,7 +85,7 @@ func startFleet(t *testing.T, serveFaults, fleetFaults map[string]*faultinject.I
 		}
 		srv.SetPeers(node)
 		mux := http.NewServeMux()
-		mux.Handle("/internal/v1/", node.Handler())
+		mux.Handle("/internal/v1/", srv.Traced(node.Handler()))
 		mux.Handle("/", serve.NewHandler(srv))
 		late[i].set(mux)
 		nodes[i].server, nodes[i].node = srv, node
@@ -289,6 +293,79 @@ func TestPeerProtocolEndpoints(t *testing.T) {
 	if resp, _ := get("/internal/v1/peek/nothex"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("peek(bad key) = %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestPeerRoutesTraced: the daemon mounts the peer protocol behind the
+// server's tracing, so a direct peek answers with its X-Trace-Id and
+// its trace holds the store read as cache.lookup, with an injected
+// disk-read fault marked beneath it, and a result read of the entry
+// the peek promoted into memory is traced the same way.
+func TestPeerRoutesTraced(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := resultcache.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tinyParams(91)
+	if _, err := serve.New(serve.Options{Workers: 1, Disk: disk}).Do(context.Background(), "table12", p); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh server over the same store holds the entry on disk only.
+	disk, err = resultcache.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(1)
+	disk.SetFaults(inj)
+	inj.EnableN(resultcache.SiteDiskGet, 1, faultinject.Fault{Delay: time.Millisecond}) // latency only
+	traces := tracestore.New(tracestore.Options{Seed: 1, SampleProb: 1})
+	srv := serve.New(serve.Options{Workers: 1, Disk: disk, Traces: traces})
+	node, err := fleet.New(fleet.Config{NodeID: "a", Advertise: "http://a.test", Store: srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Traced(node.Handler())
+	key := serve.RequestKey("table12", p).String()
+
+	for _, c := range []struct{ path, id, want string }{
+		{"/internal/v1/peek/" + key, "peek-1", "request(cache.lookup(fault.resultcache.disk.get))"},
+		{"/internal/v1/result/" + key, "result-1", "request(cache.lookup)"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, c.path, nil)
+		req.Header.Set("X-Trace-Id", c.id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", c.path, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Trace-Id"); got != c.id {
+			t.Errorf("GET %s: X-Trace-Id %q, want %q", c.path, got, c.id)
+		}
+		tr, ok := traces.Get(c.id)
+		if !ok {
+			t.Fatalf("GET %s: trace %s not retained", c.path, c.id)
+		}
+		spans := tr.Snapshot(time.Now()).Spans
+		if got := shape(spans); got != c.want {
+			t.Fatalf("GET %s: trace %s, want %s", c.path, got, c.want)
+		}
+		if c.id == "peek-1" && spans[0].Children[0].Attrs["source"] != "disk" {
+			t.Errorf("peek's cache.lookup attrs %v, want source disk", spans[0].Children[0].Attrs)
+		}
+	}
+}
+
+// shape renders a span forest as name(children ...).
+func shape(spans []obs.PhaseSnapshot) string {
+	parts := make([]string, len(spans))
+	for i, sp := range spans {
+		parts[i] = sp.Name
+		if len(sp.Children) > 0 {
+			parts[i] += "(" + shape(sp.Children) + ")"
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // TestSingleNodeFleetParity pins that a fleet of one behaves exactly

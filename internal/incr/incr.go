@@ -16,15 +16,20 @@
 //     balanced-chunk partition over the repaired order. The fraction
 //     of disagreements is the tick's drift gauge.
 //   - Each priced network's acd.Accumulator is repaired by retracting
-//     the near-field pairs incident to affected particles in the
-//     pre-tick state and re-adding them in the post-tick state, each
-//     pair's two events priced at the network's hop distance between
-//     the members' owners.
+//     the near-field pairs incident to affected particles at their
+//     pre-tick owners and re-adding them at their post-tick owners,
+//     each pair's two events priced at the network's hop distance
+//     between the members' owners. A particle that moved is enumerated
+//     twice, in the pre-tick and in the post-tick geometry. One that
+//     only changed owner kept its neighbors, so a single enumeration
+//     before the move retracts and re-adds its pairs.
 //
 // Every pair enumeration is one loop over the neighborhood's rows,
 // computed once per state from geom's visitors, that writes each
-// pair's two owners into a fixed-length buffer; a full buffer is
-// priced with one topology.SumPairs call per network.
+// pair's two owners into a fixed-length buffer (the single
+// enumeration writes the old owners into one buffer and the new into
+// another); a full buffer is priced with one topology.SumPairs call per
+// network.
 //
 // The delta path runs on every tick. The repartition policy still
 // reads the drift gauge each tick and its decision is reported, but it
@@ -119,8 +124,10 @@ type TickStats struct {
 	// reported only: the accumulators are maintained the same way
 	// either way.
 	Repartitioned bool
-	// Retracted and Readded count the rank-pair events incident to
-	// affected particles before and after the move was applied.
+	// Retracted and Readded count the near-field pairs with at least
+	// one affected (moved or owner-changed) member before and after the
+	// move was applied. A pair whose members both kept their cells
+	// counts on both sides.
 	Retracted int
 	Readded   int
 }
@@ -138,6 +145,9 @@ type State struct {
 	pts    []geom.Point
 	keys   []uint64
 	owners []int32
+	// next is each identity's owner once the tick's owner deltas are
+	// applied; outside a Tick it equals owners.
+	next []int32
 	// perm holds identities in curve order.
 	perm []int
 
@@ -152,19 +162,22 @@ type State struct {
 	// near and upper are the rows of a particle's neighborhood and of
 	// its upper neighborhood, relative to its cell.
 	near, upper []row
-	// batch is the pair enumerations' flush buffer.
-	batch batch
+	// batch is the pair enumerations' flush buffer; readd is the
+	// second one a tick's re-added pairs go into while batch holds its
+	// retracted ones.
+	batch, readd batch
 
-	// epoch/mark implement the affected set without clearing: identity
-	// id is affected this tick iff mark[id] == epoch. The retract and
-	// re-add enumerations visit each affected-affected pair once, from
-	// the lower identity.
+	// epoch/mark implement the affected set without clearing: epoch is
+	// even, and identity id moved this tick iff mark[id] == epoch|1 and
+	// only changed owner iff mark[id] == epoch. A pair between two
+	// particles of the same kind is visited once, from the lower
+	// identity.
 	epoch uint64
 	mark  []uint64
 
 	deltaBuf     []acd.OwnerDelta
 	movedBuf     []int
-	affectedBuf  []int
+	ownerOnlyBuf []int
 	sortedBuf    []geom.Point
 	repartitions int
 }
@@ -219,6 +232,7 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 			s.owners[s.perm[i]] = int32(r)
 		}
 	}
+	s.next = slices.Clone(s.owners)
 	if geom.Cells(cfg.Order) <= denseOccLimit {
 		s.denseOcc = make([]int32, geom.Cells(cfg.Order))
 		for i := range s.denseOcc {
@@ -343,12 +357,12 @@ func (b *batch) finish() int {
 	return b.pairs
 }
 
-// pairsAt buffers the pair between particle a and the occupant of every
-// cell in rs around it, skipping an occupant that is affected this tick
-// and has an identity below lo.
-func (s *State) pairsAt(a int, rs []row, lo int) {
-	b := &s.batch
+// pairsAt buffers into b the pair between particle a and the occupant
+// of every cell in rs around it, at their current owners, skipping an
+// occupant that moved this tick and has an identity below lo.
+func (s *State) pairsAt(b *batch, a int, rs []row, lo int) {
 	pt, ra := s.pts[a], s.owners[a]
+	mark, moved := s.mark, s.epoch|1
 	side := int(s.side)
 	for _, r := range rs {
 		y := int(pt.Y) + int(r.dy)
@@ -358,7 +372,7 @@ func (s *State) pairsAt(a int, rs []row, lo int) {
 		base := uint64(y) * uint64(side)
 		for x := max(int(pt.X)+int(r.lo), 0); x <= min(int(pt.X)+int(r.hi), side-1); x++ {
 			q := s.occAt(base + uint64(x))
-			if q < 0 || (s.mark[q] == s.epoch && int(q) < lo) {
+			if q < 0 || (mark[q] == moved && int(q) < lo) {
 				continue
 			}
 			rq := s.owners[q]
@@ -368,6 +382,46 @@ func (s *State) pairsAt(a int, rs []row, lo int) {
 			b.zeros += equal(ra, rq)
 			if b.n++; b.n == flushLen {
 				b.flush()
+			}
+		}
+	}
+}
+
+// pairsOnce buffers the pair between owner-only particle a and the
+// occupant of every cell of its neighborhood twice: at the old owners
+// into batch and at the new ones into readd. It skips a moved
+// occupant, whose own enumerations price the pair, and an owner-only
+// occupant with an identity below a. The two buffers must start a run
+// of these calls equally full; they then fill and flush in step.
+func (s *State) pairsOnce(a int) {
+	b, c := &s.batch, &s.readd
+	pt, ra, na := s.pts[a], s.owners[a], s.next[a]
+	mark, epoch := s.mark, s.epoch
+	side := int(s.side)
+	for _, r := range s.near {
+		y := int(pt.Y) + int(r.dy)
+		if uint(y) >= uint(side) {
+			continue
+		}
+		base := uint64(y) * uint64(side)
+		for x := max(int(pt.X)+int(r.lo), 0); x <= min(int(pt.X)+int(r.hi), side-1); x++ {
+			q := s.occAt(base + uint64(x))
+			if q < 0 {
+				continue
+			}
+			if m := mark[q]; m == epoch|1 || (m == epoch && int(q) < a) {
+				continue
+			}
+			rq, nq := s.owners[q], s.next[q]
+			i := b.n & (flushLen - 1)
+			b.src[i], b.dst[i] = ra, rq
+			c.src[i], c.dst[i] = na, nq
+			b.zeros += equal(ra, rq)
+			c.zeros += equal(na, nq)
+			b.n++
+			if c.n = b.n; b.n == flushLen {
+				b.flush()
+				c.flush()
 			}
 		}
 	}
@@ -384,7 +438,7 @@ func equal(r, q int32) int {
 // neighborhood (the enumeration a keynav plan records).
 func (s *State) allPairs() {
 	for id := range s.pts {
-		s.pairsAt(id, s.upper, 0)
+		s.pairsAt(&s.batch, id, s.upper, 0)
 	}
 }
 
@@ -404,10 +458,10 @@ func (s *State) reprice(ts []tracked) {
 
 // apply moves the state to the new configuration: occupancy and
 // positions for moved particles and recorded owners for the delta'd
-// ones. Old cells are cleared before new ones are set, so moves that
-// permute cells among themselves stay consistent, and a new cell that
-// is still occupied then is a duplicate: only a moved particle can
-// create one.
+// ones (next already holds them). Old cells are cleared before new ones
+// are set, so moves that permute cells among themselves stay
+// consistent, and a new cell that is still occupied then is a
+// duplicate: only a moved particle can create one.
 func (s *State) apply(newPts []geom.Point, moved []int, deltas []acd.OwnerDelta) error {
 	for _, id := range moved {
 		s.occClear(s.pts[id])
@@ -426,22 +480,44 @@ func (s *State) apply(newPts []geom.Point, moved []int, deltas []acd.OwnerDelta)
 	return nil
 }
 
-// delta enumerates into ts at weight w, in the state's current
-// configuration, every near-field pair with at least one affected
-// member, and returns the pair count. A pair between two affected
-// particles is visited once, from the lower identity, so retract and
-// re-add touch each pair exactly once regardless of processing order.
-func (s *State) delta(affected []int, ts []tracked, w uint64) int {
-	s.batch.start(ts, w, nil)
-	for _, a := range affected {
-		s.pairsAt(a, s.near, a)
+// delta moves ts's accumulators from the pre-tick to the post-tick
+// configuration, applying the tick in between, and returns how many
+// pairs it retracted and re-added: every near-field pair with at least
+// one affected member, in the configuration before and after. A moved
+// particle's pairs are retracted before apply and re-added after it,
+// each found by probing its neighborhood in that geometry. An
+// owner-only particle kept its cell, and so its neighbors: its pairs
+// with particles that did not move are found once, before apply, and
+// go into batch at the old owners and into readd at the new ones, so
+// they count on both sides. Its pairs with moved particles are left to
+// their enumerations. A pair between two particles of the same kind is
+// visited once, from the lower identity, so each pair is retracted and
+// re-added exactly once regardless of processing order.
+func (s *State) delta(newPts []geom.Point, moved, ownerOnly []int, deltas []acd.OwnerDelta, ts []tracked) (retracted, readded int, err error) {
+	s.batch.start(ts, retractPair, nil)
+	s.readd.start(ts, addPair, nil)
+	// Both buffers are empty here, as pairsOnce needs.
+	for _, a := range ownerOnly {
+		s.pairsOnce(a)
 	}
-	return s.batch.finish()
+	for _, a := range moved {
+		s.pairsAt(&s.batch, a, s.near, a)
+	}
+	retracted = s.batch.finish()
+	if err := s.apply(newPts, moved, deltas); err != nil {
+		return retracted, 0, err
+	}
+	for _, a := range moved {
+		s.pairsAt(&s.readd, a, s.near, a)
+	}
+	return retracted, s.readd.finish(), nil
 }
 
 // Tick advances the state to the new particle configuration (same
-// identities, same length; cells must stay distinct). It returns the
-// tick's stats, which are identical whichever mechanism maintained the
+// identities, same length; cells must stay distinct). It re-sorts the
+// moved particles' keys, finds the owner deltas and repairs every
+// tracked accumulator by delta (see delta). It returns the tick's
+// stats, which are identical whichever mechanism maintained the
 // accumulators. A duplicate-cell error leaves the state unusable.
 func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	var st TickStats
@@ -478,21 +554,19 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 		repartitionCounter.Inc()
 	}
 
-	s.epoch++
-	affected := s.affectedBuf[:0]
+	s.epoch += 2
 	for _, id := range moved {
-		if s.mark[id] != s.epoch {
-			s.mark[id] = s.epoch
-			affected = append(affected, id)
-		}
+		s.mark[id] = s.epoch | 1
 	}
+	ownerOnly := s.ownerOnlyBuf[:0]
 	for _, d := range deltas {
-		if s.mark[d.ID] != s.epoch {
+		s.next[d.ID] = d.New
+		if s.mark[d.ID] != s.epoch|1 {
 			s.mark[d.ID] = s.epoch
-			affected = append(affected, d.ID)
+			ownerOnly = append(ownerOnly, d.ID)
 		}
 	}
-	s.affectedBuf = affected
+	s.ownerOnlyBuf = ownerOnly
 
 	// A ForceRebuild state still runs the enumerations for the tick's
 	// reported stats, counting only, under a span excluded from the
@@ -502,11 +576,8 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 		ts, name = nil, "incr.stats"
 	}
 	span := s.cfg.Parent.Child(name)
-	st.Retracted = s.delta(affected, ts, retractPair)
-	err := s.apply(newPts, moved, deltas)
-	if err == nil {
-		st.Readded = s.delta(affected, ts, addPair)
-	}
+	var err error
+	st.Retracted, st.Readded, err = s.delta(newPts, moved, ownerOnly, deltas, ts)
 	span.End()
 	if err != nil {
 		return st, err

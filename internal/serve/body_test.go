@@ -107,7 +107,7 @@ func TestSuccessBodiesByteIdentical(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	entry, ok := s.CachedEntry(key)
+	entry, ok := s.CachedEntry(context.Background(), key)
 	if !ok {
 		t.Fatal("the computed entry is not cached")
 	}

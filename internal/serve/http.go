@@ -180,6 +180,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Traced returns h behind the tracing every route of NewHandler is
+// behind, and without its rate limit: the daemon mounts the fleet's
+// peer protocol with it, so a peek or a result read answers with an
+// X-Trace-Id and its trace holds the store read (see CachedEntry).
+func (s *Server) Traced(h http.Handler) http.Handler { return s.withTracing(h) }
+
 // withTracing gives every non-/debug/ request a request-scoped trace,
 // carried in the request's context: an id (honored from X-Trace-Id,
 // else drawn from the trace store's deterministic source), a root span

@@ -370,24 +370,25 @@ func RequestKey(experiment string, p experiments.Params) resultcache.Key {
 // CachedEntry returns the finished entry stored under key in the
 // memory cache or the disk store, promoting disk hits into memory
 // like Do's lookup does. It never computes anything — it is the read
-// path the fleet peer protocol serves /internal/v1/result from, so a
-// peer asking for a result can never trigger a recursive computation.
-// The peer protocol's routes are untraced, so an injected disk fault
-// here is marked nowhere.
-func (s *Server) CachedEntry(key resultcache.Key) (resultcache.Entry, bool) {
-	e, src := s.lookupCached(nil, key)
-	return e, src != ""
+// path the fleet peer protocol serves /internal/v1/ from, so a peer
+// asking for a result can never trigger a recursive computation. The
+// read opens cache.lookup under the root of ctx's trace, as Do's does,
+// so an injected disk fault marks beneath it.
+func (s *Server) CachedEntry(ctx context.Context, key resultcache.Key) (resultcache.Entry, bool) {
+	return s.lookup(obs.TraceFrom(ctx), key)
 }
 
-// lookupCached checks memory then disk for a finished entry,
-// returning where it was found ("memory", "disk") or "" on a miss. A
-// disk fault is marked under parent.
-func (s *Server) lookupCached(parent *obs.Span, key resultcache.Key) (resultcache.Entry, string) {
+// lookup checks memory then disk for a finished entry under a
+// cache.lookup span at tr's root, which notes a disk promotion and
+// holds the marks of the disk read's faults.
+func (s *Server) lookup(tr *obs.Trace, key resultcache.Key) (resultcache.Entry, bool) {
+	span := tr.Root().Child("cache.lookup")
+	defer span.End()
 	if entry, ok := s.cache.Get(key); ok {
-		return entry, "memory"
+		return entry, true
 	}
 	if s.disk != nil {
-		entry, ok, err := s.disk.Get(parent, key)
+		entry, ok, err := s.disk.Get(span, key)
 		if err == nil && ok {
 			entry, err = withBody(entry)
 		}
@@ -396,10 +397,11 @@ func (s *Server) lookupCached(parent *obs.Span, key resultcache.Key) (resultcach
 		} else if ok {
 			s.diskHits.Inc()
 			s.cache.Put(entry)
-			return entry, "disk"
+			span.Annotate("source", "disk")
+			return entry, true
 		}
 	}
-	return resultcache.Entry{}, ""
+	return resultcache.Entry{}, false
 }
 
 // SetDraining marks the server as draining: /readyz answers 503 so
@@ -490,15 +492,9 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 	}
 	key := RequestKey(experiment, p)
 
-	lookup := tr.Root().Child("cache.lookup")
-	if entry, src := s.lookupCached(lookup, key); src != "" {
-		if src != "memory" {
-			lookup.Annotate("source", src)
-		}
-		lookup.End()
+	if entry, ok := s.lookup(tr, key); ok {
 		return Response{Status: StatusHit, Entry: entry}, nil
 	}
-	lookup.End()
 
 	// Peer fill: before computing, ask the owner and sibling replicas
 	// whether one of them already finished this result. Any peer
