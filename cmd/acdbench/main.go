@@ -338,18 +338,22 @@ func verifyCache(store *resultcache.DiskStore) int {
 // effective parameter value for the run manifest.
 func runOne(ctx context.Context, spec experiments.Spec, p experiments.Params, store *resultcache.DiskStore) (any, error) {
 	announce(p)
-	key := resultcache.KeyFor(spec.Name, p.CanonicalKey(), experiments.ResultSchemaVersion)
+	key := serve.RequestKey(spec.Name, p)
 	if store != nil {
 		entry, ok, err := store.Get(nil, key)
 		if err != nil {
 			logger.Warn("cache read failed, recomputing", "err", err)
 		} else if ok {
-			res, err := spec.Decode(entry.Result)
+			var env resultcache.Envelope
+			if err := json.Unmarshal(entry.Body, &env); err != nil {
+				return nil, fmt.Errorf("decoding cached entry %s: %w", key, err)
+			}
+			res, err := spec.Decode(env.Result)
 			if err != nil {
 				return nil, fmt.Errorf("decoding cached result %s: %w", key, err)
 			}
 			logger.Info("served from cache", "experiment", spec.Name, "key", key.String()[:12])
-			return json.RawMessage(entry.Params), renderAndEmit(res)
+			return env.Params, renderAndEmit(res)
 		}
 	}
 

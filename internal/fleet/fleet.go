@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -386,11 +387,16 @@ func (n *Node) handlePeek(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"present\":false}\n")
 		return
 	}
-	fmt.Fprintf(w, "{\"present\":true,\"experiment\":%q,\"node\":%q}\n", e.Experiment, n.self.ID)
+	var env resultcache.Envelope
+	if err := json.Unmarshal(e.Body, &env); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	fmt.Fprintf(w, "{\"present\":true,\"experiment\":%q,\"node\":%q}\n", env.Experiment, n.self.ID)
 }
 
 // handleResult answers GET /internal/v1/result/{key} with the
-// Export-ed entry.
+// Export-ed entry: its body behind a checksum line.
 func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 	key, ok := peerKey(w, r)
 	if !ok {
@@ -403,13 +409,9 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"present\":false}\n")
 		return
 	}
-	data, err := resultcache.Export(e)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	data := resultcache.Export(e)
 	n.peerServes.Inc()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 	w.Write(data)
 }

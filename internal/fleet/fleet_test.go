@@ -228,7 +228,7 @@ func TestPeerFailureDegradesToLocalCompute(t *testing.T) {
 			if got := resp.Header.Get("X-Cache"); got != "miss" {
 				t.Errorf("X-Cache = %q, want miss (local recompute)", got)
 			}
-			var got, warm serve.Envelope
+			var got, warm resultcache.Envelope
 			if err := json.Unmarshal(body, &got); err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func TestPeerProtocolEndpoints(t *testing.T) {
 	a, _ := startFleet(t, nil, nil)
 	p := tinyParams(77)
 	_, warmBody := post(t, a.URL(), p, true)
-	var env serve.Envelope
+	var env resultcache.Envelope
 	if err := json.Unmarshal(warmBody, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -263,24 +263,20 @@ func TestPeerProtocolEndpoints(t *testing.T) {
 		return resp, data
 	}
 
-	resp, _ := get("/internal/v1/peek/" + env.Key)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("peek(cached) = %d, want 200", resp.StatusCode)
+	resp, peek := get("/internal/v1/peek/" + env.Key.String())
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(peek), `"experiment":"table12"`) {
+		t.Errorf("peek(cached) = %d %s, want 200 naming the experiment", resp.StatusCode, peek)
 	}
-	resp, data := get("/internal/v1/result/" + env.Key)
+	resp, data := get("/internal/v1/result/" + env.Key.String())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result(cached) = %d", resp.StatusCode)
 	}
-	key, err := resultcache.ParseKey(env.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, err := resultcache.Import(data, key)
+	entry, err := resultcache.Import(data, env.Key)
 	if err != nil {
 		t.Fatalf("transferred entry fails checksum import: %v", err)
 	}
-	if !bytes.Equal(entry.Result, env.Result) {
-		t.Error("imported entry result differs from the serving envelope")
+	if !bytes.Equal(entry.Body, warmBody) {
+		t.Error("imported entry body differs from the served body")
 	}
 
 	missing := strings.Repeat("0", 64)
@@ -384,10 +380,10 @@ func TestSingleNodeFleetParity(t *testing.T) {
 
 	p := tinyParams(42)
 	body, _ := json.Marshal(p)
-	run := func(h http.Handler) (*httptest.ResponseRecorder, serve.Envelope) {
+	run := func(h http.Handler) (*httptest.ResponseRecorder, resultcache.Envelope) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/experiments/table12", bytes.NewReader(body)))
-		var env serve.Envelope
+		var env resultcache.Envelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 			t.Fatalf("status %d: %v: %s", rec.Code, err, rec.Body)
 		}

@@ -88,11 +88,6 @@ type Config struct {
 	P      int
 	Radius int
 	Metric geom.Metric
-	// Policy decides on which ticks the owner churn calls for a
-	// repartition; the decisions are reported (TickStats.Repartitioned,
-	// Repartitions) and do not change the maintenance. The zero value
-	// is replaced by acd.DefaultRepartitionPolicy.
-	Policy acd.RepartitionPolicy
 	// ForceRebuild re-prices every tracked network from scratch on
 	// every tick instead of by delta. It changes no reported value: a
 	// forced-rebuild state reports tick-for-tick identical stats and
@@ -179,6 +174,12 @@ type State struct {
 	movedBuf     []int
 	ownerOnlyBuf []int
 	sortedBuf    []geom.Point
+
+	// policy decides on which ticks the owner churn calls for a
+	// repartition (acd.DefaultRepartitionPolicy); the decisions are
+	// reported (TickStats.Repartitioned, Repartitions) and do not
+	// change the maintenance.
+	policy       acd.RepartitionPolicy
 	repartitions int
 }
 
@@ -205,19 +206,17 @@ func NewState(cfg Config, pts []geom.Point) (*State, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("incr: no particles")
 	}
-	if cfg.Policy == (acd.RepartitionPolicy{}) {
-		cfg.Policy = acd.DefaultRepartitionPolicy()
-	}
 	n := len(pts)
 	side := geom.Side(cfg.Order)
 	s := &State{
-		cfg:   cfg,
-		side:  side,
-		n:     n,
-		pts:   append([]geom.Point(nil), pts...),
-		near:  rows(geom.VisitNeighborhood, cfg.Radius, cfg.Metric, side),
-		upper: rows(geom.VisitUpperNeighborhood, cfg.Radius, cfg.Metric, side),
-		mark:  make([]uint64, n),
+		cfg:    cfg,
+		policy: acd.DefaultRepartitionPolicy(),
+		side:   side,
+		n:      n,
+		pts:    append([]geom.Point(nil), pts...),
+		near:   rows(geom.VisitNeighborhood, cfg.Radius, cfg.Metric, side),
+		upper:  rows(geom.VisitUpperNeighborhood, cfg.Radius, cfg.Metric, side),
+		mark:   make([]uint64, n),
 	}
 	s.perm, s.keys = sfc.SortPointsKeys(cfg.Curve, cfg.Order, s.pts)
 	for i := 1; i < n; i++ {
@@ -548,7 +547,7 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	st.OwnerMoves = len(deltas)
 	ownerMoveCounter.Add(uint64(len(deltas)))
 	st.Gauge = float64(len(deltas)) / float64(s.n)
-	st.Repartitioned = s.cfg.Policy.Decide(st.Gauge)
+	st.Repartitioned = s.policy.Decide(st.Gauge)
 	if st.Repartitioned {
 		s.repartitions++
 		repartitionCounter.Inc()

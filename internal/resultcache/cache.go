@@ -3,43 +3,74 @@ package resultcache
 import (
 	"container/list"
 	"encoding/json"
+	"fmt"
 	"sync"
 
 	"sfcacd/internal/obs"
 )
 
-// Entry is one cached result: the experiment it came from, the JSON
-// encodings of its effective parameters and structured result, and the
-// run manifest of the computation that produced it. All byte slices
-// are treated as immutable once stored; callers must not mutate them.
+// Entry is one cached result: its content address and its body, the
+// JSON encoding of its Envelope plus a newline. The body is at once the
+// daemon's response, the disk store's file and the payload a peer
+// ships, so a result is encoded once: when it is computed (NewEntry),
+// or when a disk file or a peer payload is admitted. The body is
+// immutable once stored; callers must not mutate it.
 type Entry struct {
 	// Key is the entry's content address.
-	Key Key `json:"key"`
-	// Experiment is the registry name that produced the entry.
-	Experiment string `json:"experiment"`
-	// Params is the JSON encoding of the effective configuration.
-	Params json.RawMessage `json:"params"`
-	// Result is the JSON encoding of the structured result.
-	Result json.RawMessage `json:"result"`
-	// Manifest is the JSON run manifest of the producing computation.
-	Manifest json.RawMessage `json:"manifest,omitempty"`
-	// Body is the serving layer's encoded response for the entry, set
-	// when the server admits it. It is neither persisted nor shipped to
-	// peers: the disk and wire formats carry the fields above, and the
-	// body is encoded from them again on admission.
-	Body []byte `json:"-"`
+	Key Key
+	// Body is the encoded Envelope and a trailing newline.
+	Body []byte
+}
+
+// Envelope is the JSON form of a cached result: the experiment that
+// produced it, its key, the JSON encodings of its effective parameters
+// and structured result, and the run manifest of the computation. Its
+// encoding is an entry's body; the key it carries makes a disk file or
+// a peer payload self-describing.
+type Envelope struct {
+	Experiment string          `json:"experiment"`
+	Key        Key             `json:"key"`
+	Params     json.RawMessage `json:"params"`
+	Result     json.RawMessage `json:"result"`
+	Manifest   json.RawMessage `json:"manifest,omitempty"`
+}
+
+// NewEntry encodes env as the body of the entry stored under env.Key:
+// json.Marshal of env plus a newline. Marshal compacts and HTML-escapes
+// the raw fields, so JSON with whitespace comes out compacted.
+func NewEntry(env Envelope) (Entry, error) {
+	data, err := json.Marshal(env)
+	if err != nil {
+		return Entry{}, fmt.Errorf("resultcache: encoding entry %s: %w", env.Key, err)
+	}
+	return Entry{Key: env.Key, Body: append(data, '\n')}, nil
+}
+
+// parse admits the bytes of a disk file or a peer payload as the entry
+// stored under want: it decodes their Envelope, checks that its
+// self-describing key is want, and encodes it again, so whitespace or
+// field order a peer or a hand edit introduced is gone from the body.
+// A file written with the key first parses too: the field names are
+// the same.
+func parse(data []byte, want Key) (Entry, error) {
+	var env Envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return Entry{}, fmt.Errorf("resultcache: corrupt entry %s: %w", want, err)
+	}
+	if env.Key != want {
+		return Entry{}, fmt.Errorf("resultcache: entry %s stored under key %s", env.Key, want)
+	}
+	return NewEntry(env)
 }
 
 // entryOverhead approximates the bookkeeping bytes an entry costs
-// beyond its payload (list element, map slot, headers).
+// beyond its body (list element, map slot, headers).
 const entryOverhead = 256
 
 // size is the entry's byte account.
-func (e Entry) size() int64 {
-	return int64(len(e.Experiment) + len(e.Params) + len(e.Result) + len(e.Manifest) + len(e.Body) + entryOverhead)
-}
+func (e Entry) size() int64 { return int64(len(e.Body) + entryOverhead) }
 
-// MarshalJSON encodes the key as hex for the on-disk form.
+// MarshalJSON encodes the key as hex, its form in an Envelope.
 func (k Key) MarshalJSON() ([]byte, error) {
 	return json.Marshal(k.String())
 }

@@ -2,22 +2,37 @@ package resultcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"sfcacd/internal/obs"
 )
 
 // testEntry builds an entry whose accounted size is exactly
-// entryOverhead + payload bytes (experiment name left empty, result
-// padded to the requested payload size).
+// entryOverhead + payload bytes (body padded to the requested size).
 func testEntry(id byte, payload int) Entry {
-	e := Entry{
-		Key:    Key{0: id},
-		Result: json.RawMessage(bytes.Repeat([]byte("x"), payload)),
+	return Entry{Key: Key{0: id}, Body: bytes.Repeat([]byte("x"), payload)}
+}
+
+// mustEntry encodes env as an entry.
+func mustEntry(t testing.TB, env Envelope) Entry {
+	t.Helper()
+	e, err := NewEntry(env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return e
+}
+
+// entryFor is a small well-formed entry stored under k.
+func entryFor(t testing.TB, k Key) Entry {
+	t.Helper()
+	return mustEntry(t, Envelope{Experiment: "table12", Key: k,
+		Params: json.RawMessage(`{"Particles":100}`), Result: json.RawMessage(`[{"curve":"hilbert"}]`)})
 }
 
 func TestKeyForStable(t *testing.T) {
@@ -53,14 +68,13 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	e := Entry{Key: key, Experiment: "table12",
-		Params: json.RawMessage(`{"n":1}`), Result: json.RawMessage(`[1,2]`)}
+	e := entryFor(t, key)
 	c.Put(e)
 	got, ok := c.Get(key)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if got.Experiment != e.Experiment || !bytes.Equal(got.Params, e.Params) || !bytes.Equal(got.Result, e.Result) {
+	if got.Key != e.Key || !bytes.Equal(got.Body, e.Body) {
 		t.Errorf("Get = %+v, want %+v", got, e)
 	}
 	if c.Len() != 1 {
@@ -106,8 +120,8 @@ func TestCacheRefreshSameKey(t *testing.T) {
 		t.Errorf("Bytes = %d after refresh, want %d (accounting must track the new size)", c.Bytes(), want)
 	}
 	got, _ := c.Get(Key{0: 1})
-	if len(got.Result) != 300 {
-		t.Errorf("refreshed entry has %d result bytes, want 300", len(got.Result))
+	if len(got.Body) != 300 {
+		t.Errorf("refreshed entry has %d body bytes, want 300", len(got.Body))
 	}
 }
 
@@ -171,16 +185,15 @@ func TestKeyJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBodyCountedNotStored: an entry's response body counts in the
-// memory budget, but the disk and wire formats leave it out.
-func TestBodyCountedNotStored(t *testing.T) {
-	e := wireTestEntry()
-	e.Body = []byte("{\"encoded\":true}\n")
+// TestBodyIsDiskFileAndPeerPayload: an entry is one encoding. Its
+// body is counted once in the memory budget, is the disk store's file
+// byte for byte, and is the payload Export ships behind its checksum.
+func TestBodyIsDiskFileAndPeerPayload(t *testing.T) {
+	e := wireTestEntry(t)
 	c := New(1 << 20)
 	c.Put(e)
-	want := int64(len(e.Experiment) + len(e.Params) + len(e.Result) + len(e.Manifest) + len(e.Body) + entryOverhead)
-	if got := c.Bytes(); got != want {
-		t.Errorf("accounted %d bytes, want %d with the body", got, want)
+	if got, want := c.Bytes(), int64(len(e.Body)+entryOverhead); got != want {
+		t.Errorf("accounted %d bytes, want %d: the body once plus the overhead", got, want)
 	}
 	if got, _ := c.Get(e.Key); !bytes.Equal(got.Body, e.Body) {
 		t.Errorf("cached body = %q", got.Body)
@@ -193,14 +206,18 @@ func TestBodyCountedNotStored(t *testing.T) {
 	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := store.Get(nil, e.Key); err != nil || !ok || got.Body != nil {
-		t.Errorf("disk round trip: body %q ok=%v err=%v, want no body", got.Body, ok, err)
+	if file, err := os.ReadFile(store.path(e.Key)); err != nil || !bytes.Equal(file, e.Body) {
+		t.Errorf("disk file differs from the body (err %v):\n got %s\nwant %s", err, file, e.Body)
 	}
-	wire, err := Export(e)
-	if err != nil {
-		t.Fatal(err)
+	if got, ok, err := store.Get(nil, e.Key); err != nil || !ok || !bytes.Equal(got.Body, e.Body) {
+		t.Errorf("disk round trip: body %q ok=%v err=%v", got.Body, ok, err)
 	}
-	if bytes.Contains(wire, []byte("encoded")) {
-		t.Errorf("wire form carries the body: %s", wire)
+
+	sum, payload, _ := bytes.Cut(Export(e), []byte{'\n'})
+	if !bytes.Equal(payload, e.Body) {
+		t.Errorf("peer payload differs from the body:\n got %s\nwant %s", payload, e.Body)
+	}
+	if h := sha256.Sum256(e.Body); string(sum) != hex.EncodeToString(h[:]) {
+		t.Errorf("shipped sum %q is not the body's sha256", sum)
 	}
 }

@@ -2,7 +2,6 @@ package resultcache
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -37,10 +36,10 @@ const (
 // longer match the *.json entry glob) but stay on disk for forensics.
 const quarantineSuffix = ".quarantine"
 
-// DiskStore is a content-addressed directory store: one JSON file per
-// entry at <dir>/<hex[:2]>/<hex>.json. It lets acdbench warm a cache
-// the daemon then serves from (and vice versa), and persists results
-// across restarts.
+// DiskStore is a content-addressed directory store: one file per entry
+// at <dir>/<hex[:2]>/<hex>.json, holding the entry's body. It lets
+// acdbench warm a cache the daemon then serves from (and vice versa),
+// and persists results across restarts.
 //
 // Durability: Put writes a temp file, fsyncs it, renames it over the
 // entry path, and fsyncs the parent directory, so after Put returns
@@ -116,11 +115,12 @@ func (d *DiskStore) quarantine(path string) {
 	}
 }
 
-// Get loads the entry stored under k. A missing entry returns ok ==
-// false with a nil error. A present but undecodable or key-mismatched
-// entry is quarantined (renamed aside, so the next Get misses cleanly)
-// and returns the error this one time. An injected fault is marked
-// under parent.
+// Get loads the entry stored under k, its body the file's Envelope
+// encoded again (parse). A missing entry returns ok == false with a
+// nil error. A present but undecodable or key-mismatched entry is
+// quarantined (renamed aside, so the next Get misses cleanly) and
+// returns the error this one time. An injected fault is marked under
+// parent.
 func (d *DiskStore) Get(parent *obs.Span, k Key) (Entry, bool, error) {
 	if err := d.faults.Check(parent, SiteDiskGet); err != nil {
 		return Entry{}, false, err
@@ -133,7 +133,7 @@ func (d *DiskStore) Get(parent *obs.Span, k Key) (Entry, bool, error) {
 	if err != nil {
 		return Entry{}, false, err
 	}
-	e, err := decodeEntry(data, k)
+	e, err := parse(data, k)
 	if err != nil {
 		d.quarantine(path)
 		return Entry{}, false, err
@@ -141,38 +141,22 @@ func (d *DiskStore) Get(parent *obs.Span, k Key) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// decodeEntry parses an entry file's bytes and verifies its
-// self-describing key against the key it was looked up under.
-func decodeEntry(data []byte, want Key) (Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Entry{}, fmt.Errorf("resultcache: corrupt entry %s: %w", want, err)
-	}
-	if e.Key != want {
-		return Entry{}, fmt.Errorf("resultcache: entry %s stored under key %s", e.Key, want)
-	}
-	return e, nil
-}
-
-// Put stores e under e.Key, atomically and durably replacing any
-// existing entry: the temp file is fsynced before the rename and the
-// parent directory after it, so a crash at any point leaves either the
-// old entry or the new one, never a mix — plus at worst an orphaned
-// temp file for the janitor. An injected fault is marked under parent.
+// Put stores e's body as the file of e.Key, atomically and durably
+// replacing any existing entry: the temp file is fsynced before the
+// rename and the parent directory after it, so a crash at any point
+// leaves either the old entry or the new one, never a mix — plus at
+// worst an orphaned temp file for the janitor. An injected fault is
+// marked under parent.
 func (d *DiskStore) Put(parent *obs.Span, e Entry) error {
 	path := d.path(e.Key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "entry-*.tmp")
 	if err != nil {
 		return err
 	}
-	if err := d.writeTmp(parent, tmp, data); err != nil {
+	if err := d.writeTmp(parent, tmp, e.Body); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -239,11 +223,11 @@ type VerifyReport struct {
 }
 
 // Verify walks every entry in the store, checking that each file
-// decodes and that its self-describing key matches both the filename
-// and the shard directory. Bad entries are quarantined exactly as a
-// Get would quarantine them; orphaned temp files are swept. It is the
-// full-store form of the open-time janitor, exposed as
-// acdbench -cache-verify.
+// parses as Get would parse it and that its self-describing key
+// matches both the filename and the shard directory. Bad entries are
+// quarantined exactly as a Get would quarantine them; orphaned temp
+// files are swept. It is the full-store form of the open-time janitor,
+// exposed as acdbench -cache-verify.
 func (d *DiskStore) Verify() (VerifyReport, error) {
 	var rep VerifyReport
 	sweptBefore := d.tmpSwept.Value()
@@ -266,7 +250,7 @@ func (d *DiskStore) Verify() (VerifyReport, error) {
 			if err != nil {
 				return rep, err
 			}
-			_, err = decodeEntry(data, want)
+			_, err = parse(data, want)
 			bad = err != nil
 		}
 		if bad {

@@ -21,10 +21,11 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if _, ok, err := store.Get(nil, key); err != nil || ok {
 		t.Fatalf("Get on empty store = ok=%v err=%v, want miss with nil error", ok, err)
 	}
-	e := Entry{Key: key, Experiment: "table12",
+	env := Envelope{Experiment: "table12", Key: key,
 		Params:   json.RawMessage(`{"Particles":100}`),
 		Result:   json.RawMessage(`[{"curve":"hilbert"}]`),
 		Manifest: json.RawMessage(`{"schema":"x"}`)}
+	e := mustEntry(t, env)
 	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +33,19 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get after Put = ok=%v err=%v", ok, err)
 	}
-	if got.Experiment != e.Experiment || string(got.Params) != string(e.Params) ||
-		string(got.Result) != string(e.Result) || string(got.Manifest) != string(e.Manifest) {
-		t.Errorf("round trip changed the entry: %+v", got)
+	if got.Key != e.Key || string(got.Body) != string(e.Body) {
+		t.Errorf("round trip changed the entry: %s", got.Body)
 	}
 
 	// Overwrite refreshes in place.
-	e.Result = json.RawMessage(`[]`)
+	env.Result = json.RawMessage(`[]`)
+	e = mustEntry(t, env)
 	if err := store.Put(nil, e); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _ = store.Get(nil, key)
-	if string(got.Result) != "[]" {
-		t.Errorf("overwrite did not replace the entry: %s", got.Result)
+	if string(got.Body) != string(e.Body) {
+		t.Errorf("overwrite did not replace the entry: %s", got.Body)
 	}
 
 	// No stray temp files after successful writes.
@@ -60,7 +61,7 @@ func TestDiskStoreShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("fig6", "params", "v1")
-	if err := store.Put(nil, Entry{Key: key}); err != nil {
+	if err := store.Put(nil, entryFor(t, key)); err != nil {
 		t.Fatal(err)
 	}
 	hexKey := key.String()
@@ -111,7 +112,7 @@ func TestDiskStoreKeyMismatch(t *testing.T) {
 	}
 	// Store a valid entry, then copy its file under a different key's
 	// path: the self-describing key must be verified on load.
-	good := Entry{Key: KeyFor("a", "p", "v"), Experiment: "a"}
+	good := entryFor(t, KeyFor("a", "p", "v"))
 	if err := store.Put(nil, good); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestDiskStoreEntryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("table12", "params", "v1")
-	if err := store.Put(nil, Entry{Key: key}); err != nil {
+	if err := store.Put(nil, entryFor(t, key)); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(store.path(key))
@@ -173,7 +174,7 @@ func TestDiskStoreCrashSafePut(t *testing.T) {
 	store.SetFaults(inj)
 
 	key := KeyFor("table12", "params", "v1")
-	if err := store.Put(nil, Entry{Key: key}); !errors.Is(err, faultinject.ErrInjected) {
+	if err := store.Put(nil, entryFor(t, key)); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Put with injected rename failure = %v, want ErrInjected", err)
 	}
 	orphans, _ := filepath.Glob(filepath.Join(dir, "*", "entry-*.tmp"))
@@ -197,7 +198,7 @@ func TestDiskStoreCrashSafePut(t *testing.T) {
 	}
 
 	// The same store works normally once the injected fault is spent.
-	if err := store.Put(nil, Entry{Key: key}); err != nil {
+	if err := store.Put(nil, entryFor(t, key)); err != nil {
 		t.Fatalf("Put after fault: %v", err)
 	}
 	if _, ok, err := reopened.Get(nil, key); err != nil || !ok {
@@ -217,7 +218,7 @@ func TestDiskStorePutWriteFaultCleansUp(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.EnableN(SiteDiskPut, 1, faultinject.Fault{})
 	store.SetFaults(inj)
-	if err := store.Put(nil, Entry{Key: KeyFor("a", "p", "v")}); !errors.Is(err, faultinject.ErrInjected) {
+	if err := store.Put(nil, entryFor(t, KeyFor("a", "p", "v"))); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Put = %v, want ErrInjected", err)
 	}
 	if orphans, _ := filepath.Glob(filepath.Join(dir, "*", "entry-*.tmp")); len(orphans) != 0 {
@@ -231,7 +232,7 @@ func TestDiskStoreGetFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := KeyFor("a", "p", "v")
-	if err := store.Put(nil, Entry{Key: key}); err != nil {
+	if err := store.Put(nil, entryFor(t, key)); err != nil {
 		t.Fatal(err)
 	}
 	inj := faultinject.New(1)
@@ -256,7 +257,7 @@ func TestDiskStoreVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := store.Put(nil, Entry{Key: KeyFor("table12", strings.Repeat("p", i+1), "v")}); err != nil {
+		if err := store.Put(nil, entryFor(t, KeyFor("table12", strings.Repeat("p", i+1), "v"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +272,7 @@ func TestDiskStoreVerify(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(corruptDir, corrupt+".json"), []byte("{trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	good := Entry{Key: KeyFor("good", "p", "v")}
+	good := entryFor(t, KeyFor("good", "p", "v"))
 	if err := store.Put(nil, good); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -32,57 +35,63 @@ func FuzzParseKey(f *testing.F) {
 	})
 }
 
-// FuzzImport holds the peer-entry decoder to its contract on arbitrary
-// bytes: it never panics; an accepted entry carries the key it was
-// requested under and the checksum its wire form declares, and
-// re-exports to bytes that import again. Independently, whatever entry
-// Export accepts must import back under its own key — built here from
-// the fuzz input, so odd raw JSON, nil fields and invalid UTF-8 reach
-// the encoder.
+// FuzzImport holds peer-entry admission to its contract on arbitrary
+// bytes: it never panics, and an accepted entry carries the key it was
+// requested under, was shipped behind the sha256 of exactly the shipped
+// body, is its Envelope's encoding, parses to itself and re-exports to
+// bytes that import again.
+// The input is also shipped as a body under a correct sum, so odd JSON,
+// whitespace, field order and invalid UTF-8 reach the parser: Import
+// admits it exactly when the disk store's parse does.
 func FuzzImport(f *testing.F) {
-	e := wireTestEntry()
-	good, err := Export(e)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good, e.Key[:])
+	e := wireTestEntry(f)
+	f.Add(Export(e), e.Key[:])
 	f.Add([]byte(`{}`), e.Key[:])
 	f.Add([]byte(`{"key":"zz","sum":""}`), []byte("k"))
 	f.Add([]byte(`{ "a" : [1, 2] }`), []byte("table12"))
+	f.Add(e.Body, e.Key[:])
+	f.Add([]byte("{\"key\": \""+e.Key.String()+"\",\n \"experiment\": \"t<&>\xff\",\n \"result\": [ 1 ]}"), e.Key[:])
 	f.Fuzz(func(t *testing.T, data, key []byte) {
 		var want Key
 		copy(want[:], key)
 		if got, err := Import(data, want); err == nil {
-			if got.Key != want {
-				t.Fatalf("Import accepted an entry for %v under %v", got.Key, want)
-			}
-			var w wireEntry
-			if err := json.Unmarshal(data, &w); err != nil || w.Sum != got.payloadSum() {
-				t.Fatalf("Import accepted an entry whose checksum %q does not match its payload", w.Sum)
-			}
-			checkExportImports(t, got)
+			checkAdmitted(t, data, want, got)
 		}
-		var raw json.RawMessage
-		if json.Valid(data) {
-			raw = data
+		shipped := Export(Entry{Key: want, Body: data})
+		got, err := Import(shipped, want)
+		if _, perr := parse(data, want); (err == nil) != (perr == nil) {
+			t.Fatalf("Import of a correctly summed body = %v, parse = %v", err, perr)
 		}
-		checkExportImports(t, Entry{Key: want, Experiment: string(key), Params: raw, Manifest: raw})
+		if err == nil {
+			checkAdmitted(t, shipped, want, got)
+		}
 	})
 }
 
-// checkExportImports requires Import to accept Export's output for
-// the entry's own key, returning the same key and experiment.
-func checkExportImports(t *testing.T, e Entry) {
+// checkAdmitted holds an entry Import accepted from data under want to
+// the admission contract.
+func checkAdmitted(t *testing.T, data []byte, want Key, got Entry) {
 	t.Helper()
-	data, err := Export(e)
-	if err != nil {
-		return
+	if got.Key != want {
+		t.Fatalf("Import accepted an entry for %v under %v", got.Key, want)
 	}
-	got, err := Import(data, e.Key)
-	if err != nil {
-		t.Fatalf("Import rejected Export's output: %v\n%s", err, data)
+	sum, payload, _ := bytes.Cut(data, []byte{'\n'})
+	if h := sha256.Sum256(payload); hex.EncodeToString(h[:]) != string(sum) {
+		t.Fatalf("Import accepted a payload that does not hash to its sum %q", sum)
 	}
-	if got.Key != e.Key {
-		t.Fatalf("round trip changed the key: %v -> %v", e.Key, got.Key)
+	var env Envelope
+	if err := json.Unmarshal(got.Body, &env); err != nil {
+		t.Fatalf("the admitted body does not decode: %v", err)
+	}
+	if enc, err := NewEntry(env); err != nil || !bytes.Equal(enc.Body, got.Body) {
+		t.Fatalf("the admitted body is not its Envelope's encoding (%v):\n got %s\nwant %s", err, got.Body, enc.Body)
+	}
+	again, err := parse(got.Body, want)
+	if err != nil || !bytes.Equal(again.Body, got.Body) {
+		t.Fatalf("the admitted body does not parse to itself (%v):\n got %s\nthen %s", err, got.Body, again.Body)
+	}
+	back, err := Import(Export(got), want)
+	if err != nil || !bytes.Equal(back.Body, got.Body) {
+		t.Fatalf("the admitted entry does not re-export to bytes that import again (%v)", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"sfcacd/internal/experiments"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/resultcache"
 )
 
 // maxBatchCells bounds one batch's expansion; a sweep larger than
@@ -265,15 +266,25 @@ func (s *Server) batchCell(ctx context.Context, c batchCell, preset string) Cell
 		}
 	}
 	resp, err := s.Do(ctx, c.experiment, c.params)
+	if err == nil {
+		err = ev.fill(string(resp.Status), resp.Entry.Body)
+	}
 	if err != nil {
 		ev.Cache, ev.Error = "error", err.Error()
-		return ev
 	}
-	ev.Cache = string(resp.Status)
-	ev.Key = resp.Entry.Key.String()
-	ev.Params = resp.Entry.Params
-	ev.Result = resp.Entry.Result
 	return ev
+}
+
+// fill sets the event's serving path and its key, params and result
+// from a success body, the entry's Envelope; local and forwarded cells
+// decode it alike.
+func (ev *CellEvent) fill(cache string, body []byte) error {
+	var env resultcache.Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return fmt.Errorf("serve: decoding the cell's body: %w", err)
+	}
+	ev.Cache, ev.Key, ev.Params, ev.Result = cache, env.Key.String(), env.Params, env.Result
+	return nil
 }
 
 // forwardCell runs a cell on its owner replica, filling ev from the
@@ -298,13 +309,6 @@ func (s *Server) forwardCell(ctx context.Context, ev *CellEvent, owner MemberInf
 		}
 		return true
 	}
-	var env Envelope
-	if err := json.Unmarshal(fr.Body, &env); err != nil {
-		return false // relay failure: compute locally
-	}
-	ev.Cache = forwardCache(fr.Cache)
-	ev.Key = env.Key
-	ev.Params = env.Params
-	ev.Result = env.Result
-	return true
+	// A body that does not decode is a relay failure: compute locally.
+	return ev.fill(forwardCache(fr.Cache), fr.Body) == nil
 }

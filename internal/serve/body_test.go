@@ -17,22 +17,23 @@ import (
 	"sfcacd/internal/resultcache"
 )
 
-// wantBody is the response a successful request for e must carry: the
-// entry's Envelope as json.Marshal encodes it, plus a newline, written
-// as application/json with its exact Content-Length.
+// wantBody is the response a successful request for e must carry, as
+// application/json with its exact Content-Length: the entry's body,
+// which is its Envelope as json.Marshal encodes it, plus a newline.
 func wantBody(t *testing.T, e resultcache.Entry) []byte {
 	t.Helper()
-	data, err := json.Marshal(Envelope{
-		Experiment: e.Experiment,
-		Key:        e.Key.String(),
-		Params:     e.Params,
-		Result:     e.Result,
-		Manifest:   e.Manifest,
-	})
+	var env resultcache.Envelope
+	if err := json.Unmarshal(e.Body, &env); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(data, '\n')
+	if data = append(data, '\n'); !bytes.Equal(data, e.Body) {
+		t.Fatalf("the entry's body is not its encoded Envelope:\n got %.200s\nwant %.200s", e.Body, data)
+	}
+	return data
 }
 
 // checkBody asserts a response's status, X-Cache, headers and body.
@@ -55,8 +56,8 @@ func checkBody(t *testing.T, path string, rec *httptest.ResponseRecorder, cache 
 	}
 }
 
-// indented re-encodes raw JSON with whitespace, as a peer or an edited
-// disk file may supply it.
+// indented re-encodes JSON with whitespace, as a peer or an edited disk
+// file may supply it.
 func indented(t *testing.T, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -69,9 +70,9 @@ func indented(t *testing.T, raw []byte) []byte {
 // TestSuccessBodiesByteIdentical pins the stored response body: a miss,
 // a coalesced waiter, a hit, a disk promotion and a peer fill of one
 // key answer with the same bytes and headers, the ones json.Marshal of
-// the entry's Envelope gives. An entry whose raw fields carry
-// whitespace is served compacted, from a peer and from an edited disk
-// file alike.
+// the entry's Envelope gives. A body with whitespace is served
+// compacted, from a peer and from an edited disk file alike, and a
+// disk file with the key first parses to the same body.
 func TestSuccessBodiesByteIdentical(t *testing.T) {
 	const url = "/v1/experiments/table12"
 	params, err := mergeParams("table12", "", []byte(tinyBody))
@@ -121,41 +122,68 @@ func TestSuccessBodiesByteIdentical(t *testing.T) {
 	promoted.runFn = noCompute
 	checkBody(t, "disk promotion", postExperiment(t, NewHandler(promoted), url, tinyBody), "hit", want)
 
-	// Peer fill: the entry as the wire delivers it, and again with
-	// whitespace in its raw fields.
-	wire, err := resultcache.Export(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := resultcache.Import(wire, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spaced := shipped
-	spaced.Params, spaced.Result, spaced.Manifest = indented(t, shipped.Params), indented(t, shipped.Result), indented(t, shipped.Manifest)
+	// Peer fill: the entry as the wire delivers it, and a body with
+	// whitespace shipped under its correct sum.
 	for _, tc := range []struct {
-		name  string
-		entry resultcache.Entry
-	}{{"peer fill", shipped}, {"peer fill with whitespace", spaced}} {
+		name string
+		body []byte
+	}{{"peer fill", entry.Body}, {"peer fill with whitespace", indented(t, entry.Body)}} {
+		shipped, err := resultcache.Import(resultcache.Export(resultcache.Entry{Key: key, Body: tc.body}), key)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		filled := New(Options{Workers: 1})
 		filled.runFn = noCompute
-		filled.SetPeers(&stubPeers{self: MemberInfo{ID: "me", Self: true}, isOwn: true, entry: tc.entry, hasEntry: true})
+		filled.SetPeers(&stubPeers{self: MemberInfo{ID: "me", Self: true}, isOwn: true, entry: shipped, hasEntry: true})
 		checkBody(t, tc.name, postExperiment(t, NewHandler(filled), url, tinyBody), "peer", want)
 	}
 
-	// An edited disk file: the same entry, indented by hand.
-	edited, err := json.MarshalIndent(entry, "", "  ")
+	// Edited disk files: the body indented by hand, and the fields in
+	// the order of a file with the key first.
+	var env resultcache.Envelope
+	if err := json.Unmarshal(entry.Body, &env); err != nil {
+		t.Fatal(err)
+	}
+	keyFirst, err := json.Marshal(struct {
+		Key        resultcache.Key `json:"key"`
+		Experiment string          `json:"experiment"`
+		Params     json.RawMessage `json:"params"`
+		Result     json.RawMessage `json:"result"`
+		Manifest   json.RawMessage `json:"manifest,omitempty"`
+	}{env.Key, env.Experiment, env.Params, env.Result, env.Manifest})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hexKey := key.String()
-	if err := os.WriteFile(filepath.Join(disk.Dir(), hexKey[:2], hexKey+".json"), edited, 0o644); err != nil {
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{{"edited disk file", indented(t, entry.Body)}, {"key-first disk file", keyFirst}} {
+		if bytes.Equal(tc.file, want) {
+			t.Fatalf("%s: the file is already the served body", tc.name)
+		}
+		if err := os.WriteFile(filepath.Join(disk.Dir(), hexKey[:2], hexKey+".json"), tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reread := New(Options{Workers: 1, Disk: disk})
+		reread.runFn = noCompute
+		checkBody(t, tc.name, postExperiment(t, NewHandler(reread), url, tinyBody), "hit", want)
+	}
+}
+
+// TestEntryAccountsOneCopy pins one copy per cached result: at the
+// serving benchmark's shape (3,906 particles, order 7, p = 1,024, 3
+// trials) a computed entry's accounted size is its body plus the
+// cache's 256-byte overhead, and nothing beside it.
+func TestEntryAccountsOneCopy(t *testing.T) {
+	s := New(Options{Workers: 1})
+	p := experiments.Params{Particles: 3906, Order: 7, ProcOrder: 5, Radius: 1, Trials: 3, Seed: 2013}
+	resp, err := s.Do(context.Background(), "table12", p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok, err := disk.Get(nil, key); err != nil || !ok || !bytes.Contains(e.Result, []byte("\n  ")) {
-		t.Fatalf("edited entry did not keep its whitespace (ok=%v err=%v)", ok, err)
+	if got, want := s.Cache().Bytes(), int64(len(resp.Entry.Body)+256); got != want {
+		t.Errorf("entry accounts %d bytes, want %d: the %d-byte body and the overhead", got, want, len(resp.Entry.Body))
 	}
-	reread := New(Options{Workers: 1, Disk: disk})
-	reread.runFn = noCompute
-	checkBody(t, "edited disk file", postExperiment(t, NewHandler(reread), url, tinyBody), "hit", want)
+	t.Logf("table12 entry at the serving shape: %d-byte body, %d bytes accounted", len(resp.Entry.Body), s.Cache().Bytes())
 }

@@ -79,7 +79,7 @@ func TestInjectedDiskPutErrorStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do with injected disk Put error: %v", err)
 	}
-	if resp.Status != StatusMiss || len(resp.Entry.Result) == 0 {
+	if resp.Status != StatusMiss || len(resp.Entry.Body) == 0 {
 		t.Errorf("response %+v, want computed result despite Put failure", resp.Status)
 	}
 	if got := obs.GetCounter("serve.disk_errors").Value() - errsBefore; got != 1 {
@@ -184,7 +184,7 @@ func TestSlowComputeDeadline504WhileFastComputeServes(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2; i++ {
-		if resp := <-fastDone; len(resp.Entry.Result) == 0 {
+		if resp := <-fastDone; len(resp.Entry.Body) == 0 {
 			t.Error("fast waiter got an empty result")
 		}
 	}

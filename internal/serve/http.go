@@ -16,7 +16,6 @@ import (
 
 	"sfcacd/internal/experiments"
 	"sfcacd/internal/obs"
-	"sfcacd/internal/resultcache"
 )
 
 // maxBodyBytes bounds a request body; parameter JSON is tiny.
@@ -35,20 +34,6 @@ const HeaderFleetForwarded = "X-Fleet-Forwarded"
 // HeaderClientID keys per-client rate limiting; absent, the client's
 // remote address stands in.
 const HeaderClientID = "X-Client-Id"
-
-// Envelope is the JSON body of a successful experiment response. Raw
-// fields replay the cached bytes verbatim, so the body of a cache hit
-// is byte-identical to the body of the miss that produced it; only
-// the X-Cache header differs. The server encodes an entry's envelope
-// once, when it admits the entry (withBody), and every response from
-// the entry writes those bytes.
-type Envelope struct {
-	Experiment string          `json:"experiment"`
-	Key        string          `json:"key"`
-	Params     json.RawMessage `json:"params"`
-	Result     json.RawMessage `json:"result"`
-	Manifest   json.RawMessage `json:"manifest,omitempty"`
-}
 
 // errorBody is the JSON body of a failed request.
 type errorBody struct {
@@ -364,29 +349,6 @@ func mergeParams(name, preset string, body []byte) (experiments.Params, error) {
 		return experiments.Params{}, fmt.Errorf("bad params body: %v", err)
 	}
 	return spec.Resolve(params), nil
-}
-
-// withBody returns e carrying its response body: e's Envelope as
-// json.Marshal encodes it, plus a newline. The server encodes it once,
-// when it admits an entry (computed, promoted from disk or filled by a
-// peer), and every successful response from the entry writes those
-// bytes, so every node answering from the same entry produces
-// byte-identical bodies. Marshal compacts and HTML-escapes the raw
-// fields, so an entry whose result a peer or an edited disk file
-// supplied with whitespace is served compacted.
-func withBody(e resultcache.Entry) (resultcache.Entry, error) {
-	data, err := json.Marshal(Envelope{
-		Experiment: e.Experiment,
-		Key:        e.Key.String(),
-		Params:     e.Params,
-		Result:     e.Result,
-		Manifest:   e.Manifest,
-	})
-	if err != nil {
-		return resultcache.Entry{}, fmt.Errorf("serve: encoding response: %w", err)
-	}
-	e.Body = append(data, '\n')
-	return e, nil
 }
 
 // forwardCache maps the owner's X-Cache onto the client-facing value:

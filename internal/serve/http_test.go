@@ -16,6 +16,8 @@ import (
 
 	"sfcacd/internal/experiments"
 	"sfcacd/internal/obs"
+	"sfcacd/internal/panics"
+	"sfcacd/internal/resultcache"
 )
 
 // tinyBody overrides the scaled preset down to a millisecond-scale
@@ -50,11 +52,11 @@ func TestHandlerMissThenHitByteIdentical(t *testing.T) {
 		t.Error("hit body is not byte-identical to the miss body")
 	}
 
-	var env Envelope
+	var env resultcache.Envelope
 	if err := json.Unmarshal(first.Body.Bytes(), &env); err != nil {
 		t.Fatalf("response is not an Envelope: %v", err)
 	}
-	if env.Experiment != "table12" || len(env.Key) != 64 || len(env.Result) == 0 || len(env.Manifest) == 0 {
+	if env.Experiment != "table12" || env.Key == (resultcache.Key{}) || len(env.Result) == 0 || len(env.Manifest) == 0 {
 		t.Errorf("incomplete envelope: experiment=%q key=%q result=%dB manifest=%dB",
 			env.Experiment, env.Key, len(env.Result), len(env.Manifest))
 	}
@@ -82,7 +84,7 @@ func TestHandlerRadiusIgnoredKnobsShareOneKey(t *testing.T) {
 	h := NewHandler(New(Options{Workers: 2}))
 	computations := obs.GetCounter("serve.computations")
 	before := computations.Value()
-	var key string
+	var key resultcache.Key
 	for i, body := range radiusBodies {
 		rec := postExperiment(t, h, "/v1/experiments/radius", body)
 		if rec.Code != http.StatusOK {
@@ -95,7 +97,7 @@ func TestHandlerRadiusIgnoredKnobsShareOneKey(t *testing.T) {
 		if got := rec.Header().Get("X-Cache"); got != want {
 			t.Errorf("body %d: X-Cache = %q, want %q", i, got, want)
 		}
-		var env Envelope
+		var env resultcache.Envelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +134,7 @@ func TestHandlerIgnoredDistributionSharesOneKey(t *testing.T) {
 	for _, name := range experiments.Names() {
 		reads := name == "dynamic" || name == "dynamicincr"
 		before := computations.Value()
-		var keys []string
+		var keys []resultcache.Key
 		for i, body := range bodies {
 			rec := postExperiment(t, h, "/v1/experiments/"+name, body)
 			if rec.Code != http.StatusOK {
@@ -145,7 +147,7 @@ func TestHandlerIgnoredDistributionSharesOneKey(t *testing.T) {
 			if got := rec.Header().Get("X-Cache"); got != want {
 				t.Errorf("%s body %d: X-Cache = %q, want %q", name, i, got, want)
 			}
-			var env Envelope
+			var env resultcache.Envelope
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 				t.Fatal(err)
 			}
@@ -534,7 +536,8 @@ func TestHandlerHealthAndMetrics(t *testing.T) {
 // computation panics: both get a 500 instead of the process dying, the
 // panic counts once in serve.panics, nothing is cached (a third request
 // computes again), and the daemon still answers /healthz. A panic on a
-// sweep worker goroutine gets the same treatment.
+// sweep worker goroutine gets the same treatment, and so does one on a
+// panics.Parallel worker.
 func TestHandlerComputePanic(t *testing.T) {
 	s := New(Options{Workers: 2})
 	var runs atomic.Int64
@@ -610,5 +613,33 @@ func TestHandlerComputePanic(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("/healthz after the sweep worker panic = %d %q", rec.Code, rec.Body)
+	}
+
+	// The pool under pricing, plan recording, anns, primitives and
+	// model3d re-raises a worker's panic on the compute goroutine: here
+	// the spawned worker panics while the caller's worker waits.
+	spawned := make(chan struct{})
+	s.runFn = func(ctx context.Context, spec experiments.Spec, p experiments.Params) (*experiments.Output, error) {
+		panics.Parallel(2, 2, func(w, _ int) {
+			if w == 0 {
+				<-spawned
+				return
+			}
+			close(spawned)
+			panic("pool boom")
+		})
+		return nil, fmt.Errorf("the pool returned")
+	}
+	panicsBefore = obs.GetCounter("serve.panics").Value()
+	if rec := postExperiment(t, h, "/v1/experiments/table12", tinyBody); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "pool boom") {
+		t.Errorf("pool worker panic: status %d %q, want 500 naming the panic", rec.Code, rec.Body)
+	}
+	if got := obs.GetCounter("serve.panics").Value() - panicsBefore; got != 1 {
+		t.Errorf("pool worker panic: serve.panics delta = %d, want 1", got)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/healthz after the pool worker panic = %d %q", rec.Code, rec.Body)
 	}
 }

@@ -64,14 +64,19 @@ func doRequest(h http.Handler, req *http.Request) *httptest.ResponseRecorder {
 
 // peerEntry fabricates the finished entry a peer would hold for the
 // given request.
-func peerEntry(experiment string, p experiments.Params) resultcache.Entry {
-	return resultcache.Entry{
-		Key:        keyOf(experiment, p),
+func peerEntry(t *testing.T, experiment string, p experiments.Params) resultcache.Entry {
+	t.Helper()
+	e, err := resultcache.NewEntry(resultcache.Envelope{
 		Experiment: experiment,
+		Key:        keyOf(experiment, p),
 		Params:     []byte(`{"from":"peer"}`),
 		Result:     []byte(`{"rows":[]}`),
 		Manifest:   []byte(`{"node":"other"}`),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return e
 }
 
 // TestDoPeerFillThenHit pins the miss path's peer hook: a miss that a
@@ -88,7 +93,7 @@ func TestDoPeerFillThenHit(t *testing.T) {
 		self:     MemberInfo{ID: "me", Self: true},
 		owner:    MemberInfo{ID: "me", Self: true},
 		isOwn:    true,
-		entry:    peerEntry("table12", tinyParams),
+		entry:    peerEntry(t, "table12", tinyParams),
 		hasEntry: true,
 	}
 	s.SetPeers(peers)
@@ -103,7 +108,7 @@ func TestDoPeerFillThenHit(t *testing.T) {
 	if runs.Load() != 0 {
 		t.Errorf("runner executed %d times; a peer fill must not compute", runs.Load())
 	}
-	if !bytes.Equal(resp.Entry.Result, peers.entry.Result) {
+	if !bytes.Equal(resp.Entry.Body, peers.entry.Body) {
 		t.Error("peer-filled response does not carry the peer's entry")
 	}
 

@@ -96,10 +96,10 @@ func (e *DeadlineError) Error() string {
 // recovered on the compute goroutine, so the process survives; every
 // coalesced waiter receives the error, nothing is cached, and the next
 // identical request computes afresh. The HTTP layer maps it to 500.
-// The sweep cells, the pricing workers and the plan recorders re-raise
-// a worker's panic on the goroutine that waits for them, so it arrives
-// here too. Panics on the worker goroutines of anns, primitives and
-// model3d are not recovered and stay fatal.
+// Every worker pool a computation starts (the sweep cells, and the
+// pricing, plan-recording, anns, primitives and model3d workers on
+// panics.Parallel) re-raises a worker's panic on the goroutine that
+// waits for it, so it arrives here too.
 type PanicError struct {
 	// Value is the value the computation panicked with.
 	Value any
@@ -167,7 +167,8 @@ type PeerSource interface {
 	// Owner routes a content address to its owner replica.
 	Owner(key resultcache.Key) (MemberInfo, bool)
 	// Fetch retrieves a finished entry from the owner and sibling
-	// replicas' caches; it never triggers a computation anywhere.
+	// replicas' caches, admitted through resultcache.Import; it never
+	// triggers a computation anywhere.
 	Fetch(ctx context.Context, key resultcache.Key) (resultcache.Entry, bool)
 	// Forward proxies one experiment request to the owner, which
 	// computes (or serves from cache) under its own admission control.
@@ -351,8 +352,8 @@ func (s *Server) RetryAfterHint(depth int) time.Duration {
 }
 
 // Cache returns the in-memory result cache (exposed for warmup and
-// introspection). Its entries carry their encoded response Body; the
-// server sets it on every entry it stores there.
+// introspection). An entry's body is the response the server writes
+// for its key.
 func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
 // SetPeers installs the fleet view: misses check the owner and
@@ -389,9 +390,6 @@ func (s *Server) lookup(tr *obs.Trace, key resultcache.Key) (resultcache.Entry, 
 	}
 	if s.disk != nil {
 		entry, ok, err := s.disk.Get(span, key)
-		if err == nil && ok {
-			entry, err = withBody(entry)
-		}
 		if err != nil {
 			s.diskErrors.Inc() // corrupt entry: treated as a miss
 		} else if ok {
@@ -506,10 +504,8 @@ func (s *Server) do(ctx context.Context, tr *obs.Trace, experiment string, p exp
 		entry, ok := s.peers.Fetch(obs.ContextWithSpan(ctx, pspan), key)
 		pspan.End()
 		if ok {
-			if entry, err := withBody(entry); err == nil {
-				s.cache.Put(entry)
-				return Response{Status: StatusPeer, Entry: entry}, nil
-			}
+			s.cache.Put(entry)
+			return Response{Status: StatusPeer, Entry: entry}, nil
 		}
 	}
 
@@ -699,9 +695,6 @@ func (s *Server) compute(ctx context.Context, c *call, spec experiments.Spec, p 
 	s.computeNs.Add(int64(wall))
 	s.computeCount.Add(1)
 	entry, err := BuildEntry(c.key, spec.Name, out, wall, obs.Default().Snapshot().Sub(before))
-	if err == nil {
-		entry, err = withBody(entry)
-	}
 	if err != nil {
 		s.finish(c, resultcache.Entry{}, err)
 		return
@@ -726,8 +719,9 @@ func (s *Server) finish(c *call, entry resultcache.Entry, err error) {
 	close(c.done)
 }
 
-// BuildEntry marshals a computation's output and its run manifest into
-// a cacheable entry. The manifest records the effective parameters,
+// BuildEntry encodes a computation's output and its run manifest as a
+// cacheable entry, whose body is the response every request for the
+// key is answered with. The manifest records the effective parameters,
 // wall time, and the metric deltas the computation produced (best
 // effort: under concurrent computations the deltas include the
 // neighbors' work too, since the obs registry is process-wide).
@@ -749,11 +743,11 @@ func BuildEntry(key resultcache.Key, name string, out *experiments.Output, wall 
 	if err != nil {
 		return resultcache.Entry{}, fmt.Errorf("serve: marshaling manifest: %w", err)
 	}
-	return resultcache.Entry{
-		Key:        key,
+	return resultcache.NewEntry(resultcache.Envelope{
 		Experiment: name,
+		Key:        key,
 		Params:     paramsJSON,
 		Result:     resultJSON,
 		Manifest:   manifestJSON,
-	}, nil
+	})
 }

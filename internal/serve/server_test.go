@@ -108,7 +108,7 @@ func TestCoalescingExactlyOneComputation(t *testing.T) {
 		default:
 			t.Errorf("client %d: status %q", i, responses[i].Status)
 		}
-		if !bytes.Equal(responses[i].Entry.Result, responses[0].Entry.Result) ||
+		if !bytes.Equal(responses[i].Entry.Body, responses[0].Entry.Body) ||
 			responses[i].Entry.Key != responses[0].Entry.Key {
 			t.Errorf("client %d received a different entry", i)
 		}
@@ -176,15 +176,11 @@ func TestHitByteIdenticalToMiss(t *testing.T) {
 	if second.Status != StatusHit {
 		t.Fatalf("second request status %q, want hit", second.Status)
 	}
-	if second.Entry.Key != first.Entry.Key ||
-		second.Entry.Experiment != first.Entry.Experiment ||
-		!bytes.Equal(second.Entry.Params, first.Entry.Params) ||
-		!bytes.Equal(second.Entry.Result, first.Entry.Result) ||
-		!bytes.Equal(second.Entry.Manifest, first.Entry.Manifest) {
+	if second.Entry.Key != first.Entry.Key || !bytes.Equal(second.Entry.Body, first.Entry.Body) {
 		t.Error("cache hit is not byte-identical to the miss that produced it")
 	}
-	if len(first.Entry.Result) == 0 {
-		t.Error("empty result payload")
+	if len(first.Entry.Body) == 0 {
+		t.Error("empty body")
 	}
 }
 
@@ -358,8 +354,8 @@ func TestRealCoalescing64(t *testing.T) {
 		t.Errorf("serve.computations delta = %d, want exactly 1 for 64 identical requests", got)
 	}
 	for i := 1; i < clients; i++ {
-		if !bytes.Equal(responses[i].Entry.Result, responses[0].Entry.Result) {
-			t.Errorf("client %d received a different result payload", i)
+		if !bytes.Equal(responses[i].Entry.Body, responses[0].Entry.Body) {
+			t.Errorf("client %d received a different body", i)
 		}
 	}
 }
@@ -392,7 +388,7 @@ func TestDiskPromotion(t *testing.T) {
 	if resp.Status != StatusHit || runs.Load() != 0 {
 		t.Errorf("disk-backed request: status=%q runs=%d, want hit without recomputation", resp.Status, runs.Load())
 	}
-	if !bytes.Equal(resp.Entry.Result, first.Entry.Result) {
+	if !bytes.Equal(resp.Entry.Body, first.Entry.Body) {
 		t.Error("disk-served entry differs from the original computation")
 	}
 	if got := obs.GetCounter("serve.disk_hits").Value() - diskHitsBefore; got != 1 {
