@@ -229,17 +229,31 @@ func sampleSet(parent *obs.Span, s dist.Sampler, p Params, trial int) (*keynav.S
 	return keynav.NewSet(parent, p.Order, pts)
 }
 
+// pricedSet is the group build of the sweeps whose cells call
+// priceCell: it draws the trial's particle set, builds its skeleton and
+// records the one plan every cell of the group replays, the
+// radius-p.Radius Chebyshev near field plus the far field, all under
+// parent. It records on `workers` goroutines, the cells' inner share:
+// the group's cells run on the other workers meanwhile, or build the
+// next group ahead, so no cell waits on a plan.
+func pricedSet(parent *obs.Span, s dist.Sampler, p Params, trial, workers int) (*keynav.Set, error) {
+	set, err := sampleSet(parent, s, p, trial)
+	if err != nil {
+		return nil, err
+	}
+	spec := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev}.Spec()
+	spec.Far = true
+	set.Plan(parent, spec, workers)
+	return set, nil
+}
+
 // priceCell prices one sweep cell's assignment on every topology: the
-// radius-p.Radius Chebyshev near field and the far field, replayed from
-// one near+far plan of the assignment's particle set. The group's first
-// cell records it here with the whole p.Workers budget, since the
-// group's other cells wait on it anyway. Its phases open under the
-// cell's sweep span.
+// radius-p.Radius Chebyshev near field and the far field, replayed on
+// `inner` workers from the near+far plan its group's build recorded
+// (pricedSet), so it records none. Its phases open under the cell's
+// sweep span.
 func priceCell(sweep *obs.Span, p Params, a *acd.Assignment, topos []topology.Topology, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
 	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
-	spec := nfiOpts.Spec()
-	spec.Far = true
-	a.KeyIndex().Set().Plan(sweep, spec, workerBudget(p.Workers))
 	return fmmmodel.NFIMulti(a, topos, nfiOpts), fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Parent: sweep})
 }
 

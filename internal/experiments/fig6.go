@@ -65,12 +65,12 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per topology
 	}
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return pricedSet(sweep, dist.Uniform, p, trial, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc

@@ -68,12 +68,12 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	type cellOut struct{ nfi, ffi float64 }
 	// A trial's cells share its particle set and its plan, across every
 	// curve and processor count.
-	groups := newGroupSlots(p.Trials, nc*no, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
 	outs := make([]cellOut, p.Trials*nc*no)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	groups := newGroupSlots(p.Trials, nc*no, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return pricedSet(sweep, dist.Uniform, p, trial, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		i := cell % no
 		c := (cell / no) % nc

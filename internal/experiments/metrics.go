@@ -94,12 +94,12 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 2: the ACD columns over trial x curve cells.
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(cfg.Params.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, cfg.Params, trial)
-	})
 	outs := make([]cellOut, cfg.Params.Trials*n)
 	pool := sweepPool(cfg.Params.Workers, len(outs))
 	inner := innerWorkers(cfg.Params.Workers, pool)
+	groups := newGroupSlots(cfg.Params.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return pricedSet(sweep, dist.Uniform, cfg.Params, trial, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % n
 		trial := cell / n

@@ -59,12 +59,26 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		NFI:    zeroRect(len(curves), len(radii)),
 	}
 	nc := len(curves)
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	// Each radius induces its own near-field pairs, so a trial's build
+	// records one plan per radius, on the cells' inner share, and each
+	// cell replays them all against its one labelling.
+	opts := make([]fmmmodel.NFIOptions, len(radii))
+	for i, radius := range radii {
+		opts[i] = fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner}
+	}
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		set, err := sampleSet(sweep, dist.Uniform, p, trial)
+		if err != nil {
+			return nil, err
+		}
+		for _, o := range opts {
+			set.Plan(sweep, o.Spec(), inner)
+		}
+		return set, nil
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc
@@ -77,18 +91,13 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 		if err != nil {
 			return err
 		}
-		// Each radius induces its own near-field pairs, so the set
-		// holds one plan per radius, recorded by the trial's first cell
-		// with the whole p.Workers budget; each cell replays them all
-		// against its one labelling and prices them on the torus.
 		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		o := make([]float64, len(radii))
-		for i, radius := range radii {
-			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
-			set.Plan(sweep, opts.Spec(), workerBudget(p.Workers))
-			o[i] = fmmmodel.NFIMulti(a, topos, opts)[0].ACD()
+		acds := make([]float64, len(radii))
+		for i, o := range opts {
+			o.Parent = sweep
+			acds[i] = fmmmodel.NFIMulti(a, topos, o)[0].ACD()
 		}
-		outs[cell] = o
+		outs[cell] = acds
 		return nil
 	})
 	if err != nil {
@@ -154,12 +163,12 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	}
 	nc := len(curves)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, qs[g/p.Trials], g%p.Trials)
-	})
 	outs := make([]cellOut, len(sizes)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
+		return pricedSet(sweep, dist.Uniform, qs[g/p.Trials], g%p.Trials, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		q := qs[cell/nc/p.Trials]
@@ -228,12 +237,12 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 	}
 	nc := len(curves)
 	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
 	outs := make([]cellOut, p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
+		return pricedSet(sweep, dist.Uniform, p, trial, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		c := cell % nc
 		trial := cell / nc

@@ -158,19 +158,22 @@ func runCells(ctx context.Context, workers, cells int, run func(sweep *obs.Span,
 	return ctx.Err()
 }
 
-// groupSlots holds a sweep's per-group artifacts (one trial's sampled
-// particle set, as its keynav.Set skeleton), each shared read-only by
-// the group's cells and built exactly once, by build(sweep, g), on
-// whichever worker first needs it, under the sweep span its cells
-// share. A worker that needs a group another worker is
+// groupSlots holds a sweep's per-group artifacts, each shared
+// read-only by the group's cells and built exactly once, by build(sweep,
+// g), on whichever worker first needs it, under the sweep span its
+// cells share. In the priced sweeps an artifact is one trial's sampled
+// particle set, as its keynav.Set skeleton, together with every plan
+// its cells replay: the build records them (pricedSet, and the radius
+// sweep's one plan per radius), so a cell that gets its group never
+// waits on a plan. A worker that needs a group another worker is
 // still building does not just block: it first builds the nearest
 // later group nobody has started, then waits. It builds at most one
 // group per wait, so a waiting worker holds at most one group ahead,
 // and a group built ahead keeps its error until its own cells take it.
 // A slot drops its artifact once the group's last cell has taken it,
 // so a sweep holds only the artifacts of the groups it has in flight
-// or built ahead: the cells' assignments keep them alive until they
-// finish.
+// or built ahead, plans included: the cells' assignments keep them
+// alive until they finish.
 type groupSlots[T any] struct {
 	build func(sweep *obs.Span, g int) (T, error)
 	slots []groupSlot[T]

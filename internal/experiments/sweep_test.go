@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/panics"
+	"sfcacd/internal/sfc"
 )
 
 // TestSweepEquality pins the scheduler's determinism guarantee: every
@@ -194,8 +196,9 @@ func TestSweepEmpty(t *testing.T) {
 }
 
 // TestPlanSharedAcrossCells runs sweeps whose cells label one shared
-// set per sampled particle set and replay the plan its first cell
-// records, on several workers — concurrent replays, and the group slot
+// set per sampled particle set and replay the plan recorded on it
+// before they run (by the group's build, or per step in dynamic), on
+// several workers — concurrent replays, and the group slot
 // dropping its set after the last cell takes it, which the race
 // detector checks — and requires the one-worker results and exactly
 // one set and one recording per group: a (distribution, trial) pair in
@@ -239,6 +242,60 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 				t.Errorf("%s: workers=%d results differ from workers=1", name, workers)
 			}
 		}
+	}
+}
+
+// TestCellsRecordNoPlan pins where the priced sweeps record their
+// plans: in each group's build, never in a cell. A cell that recorded
+// one would open keynav.plan beneath its accumulation phase (NFIMulti
+// and FFIMulti record lazily), so each of the seven runners whose cells
+// replay a plan must show keynav.plan only directly under the sweep, at
+// one and at two workers. And priceCell on an assignment of a set that
+// pricedSet built records nothing.
+func TestCellsRecordNoPlan(t *testing.T) {
+	for _, name := range []string{"table12", "fig6", "fig7", "radius", "nsweep", "meshtorus", "metrics"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s: not registered", name)
+		}
+		for _, workers := range []int{1, 2} {
+			p := registryTestParams
+			p.Workers = workers
+			tracer := obs.NewTracer()
+			if _, err := spec.Run(obs.ContextWithSpan(context.Background(), tracer.Root()), spec.Resolve(p)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			lines := phaseLines(tracer.Take())
+			recorded := false
+			for _, l := range lines {
+				path := strings.Fields(l)[0]
+				if strings.HasSuffix(path, "keynav.plan") {
+					recorded = true
+					if path != "sweep/keynav.plan" {
+						t.Errorf("%s workers=%d: a plan recorded at %s", name, workers, path)
+					}
+				}
+			}
+			if !recorded {
+				t.Errorf("%s workers=%d: no plan recorded:\n%s", name, workers, strings.Join(lines, "\n"))
+			}
+		}
+	}
+
+	plans := obs.GetCounter("keynav.plans")
+	p := Params{Particles: 500, Order: 6, ProcOrder: 2, Radius: 2, Trials: 1, Seed: 5}
+	set, err := pricedSet(nil, dist.Uniform, p, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := acd.Assign(nil, set, sfc.Hilbert, p.P())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plans.Value()
+	priceCell(nil, p, a, torusPerCurve(p, sfc.All()), 1)
+	if n := plans.Value() - before; n != 0 {
+		t.Errorf("priceCell recorded %d plans on a set pricedSet built", n)
 	}
 }
 

@@ -62,12 +62,12 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 	type cellOut struct {
 		nfi, ffi []float64 // per processor-order curve
 	}
-	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
-		return sampleSet(sweep, samplers[g/p.Trials], p, g%p.Trials)
-	})
 	outs := make([]cellOut, len(samplers)*p.Trials*nc)
 	pool := sweepPool(p.Workers, len(outs))
 	inner := innerWorkers(p.Workers, pool)
+	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
+		return pricedSet(sweep, samplers[g/p.Trials], p, g%p.Trials, inner)
+	})
 	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
 		pc := cell % nc
 		set, err := groups.get(sweep, cell/nc)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -374,25 +373,22 @@ func peerKey(w http.ResponseWriter, r *http.Request) (resultcache.Key, bool) {
 	return k, true
 }
 
-// handlePeek answers GET /internal/v1/peek/{key}.
+// handlePeek answers GET /internal/v1/peek/{key} from the cache lookup
+// alone: 200 {"present":true,"node":ID} or 404 {"present":false}. It
+// decodes no body; Node.peek reads only the status.
 func (n *Node) handlePeek(w http.ResponseWriter, r *http.Request) {
 	key, ok := peerKey(w, r)
 	if !ok {
 		return
 	}
-	e, ok := n.store.CachedEntry(r.Context(), key)
+	_, ok = n.store.CachedEntry(r.Context(), key)
 	w.Header().Set("Content-Type", "application/json")
 	if !ok {
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprintf(w, "{\"present\":false}\n")
 		return
 	}
-	var env resultcache.Envelope
-	if err := json.Unmarshal(e.Body, &env); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	fmt.Fprintf(w, "{\"present\":true,\"experiment\":%q,\"node\":%q}\n", env.Experiment, n.self.ID)
+	fmt.Fprintf(w, "{\"present\":true,\"node\":%q}\n", n.self.ID)
 }
 
 // handleResult answers GET /internal/v1/result/{key} with the

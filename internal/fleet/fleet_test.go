@@ -264,8 +264,8 @@ func TestPeerProtocolEndpoints(t *testing.T) {
 	}
 
 	resp, peek := get("/internal/v1/peek/" + env.Key.String())
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(peek), `"experiment":"table12"`) {
-		t.Errorf("peek(cached) = %d %s, want 200 naming the experiment", resp.StatusCode, peek)
+	if want := `{"present":true,"node":"a"}` + "\n"; resp.StatusCode != http.StatusOK || string(peek) != want {
+		t.Errorf("peek(cached) = %d %s, want 200 %s", resp.StatusCode, peek, want)
 	}
 	resp, data := get("/internal/v1/result/" + env.Key.String())
 	if resp.StatusCode != http.StatusOK {

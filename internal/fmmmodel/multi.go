@@ -138,8 +138,8 @@ func checkP(topos []topology.Topology, p int) {
 // tori four at a time, each group in one pass, and every other
 // topology (with the leftover tori) on its own, through
 // topology.SumPairs. Every topology of a call has the assignment's P,
-// so all its tori share a side. The groups' rows are built per call
-// from the tori's own codes and dropped with it.
+// so all its tori share a side. The groups' packed words are built per
+// call from the tori's own codes and dropped with it.
 type kernels struct {
 	k      int // topologies in the call's list
 	groups []torusGroup

@@ -610,8 +610,13 @@ func (s *State) Matrix() *commmat.Matrix {
 }
 
 // ACD returns the near-field accumulator of one distance table's
-// network; see ACDMulti.
+// network; see ACDMulti. A tracked table's accumulator is returned as
+// it stands, which allocates nothing; an untracked one is priced
+// through ACDMulti.
 func (s *State) ACD(dt *topology.DistanceTable) acd.Accumulator {
+	if i := s.find(dt); i >= 0 {
+		return s.tracked[i].acc
+	}
 	return s.ACDMulti([]*topology.DistanceTable{dt})[0]
 }
 

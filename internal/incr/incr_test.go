@@ -519,9 +519,10 @@ var raceEnabled bool
 
 // TestTickAllocs pins a steady-state tick's allocations: the flush
 // buffer has a fixed length and every per-tick list reuses its storage,
-// and a state built without a parent opens no span, so a tick
-// allocates nothing. A state built under a parent still records both of
-// a tick's phases, once per tick.
+// and a state built without a parent opens no span, so a tick, and a
+// tick followed by the ACD read of its tracked table, allocate nothing.
+// A state built under a parent still records both of a tick's phases,
+// once per tick.
 func TestTickAllocs(t *testing.T) {
 	const order, procOrder = 8, 4
 	pts := scatter(4000, order, 3)
@@ -529,26 +530,32 @@ func TestTickAllocs(t *testing.T) {
 	// Ticks alternate between two configurations, so every tick moves
 	// the same particles.
 	cfgs := [][]geom.Point{driftStep(pts, order, 0.03, rng.New(5)), pts}
+	dt := topology.NewDistanceTable(topology.NewTorus(procOrder, cfg.Curve))
 	newState := func(cfg Config) *State {
 		s, err := NewState(cfg, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ACD(topology.NewDistanceTable(topology.NewTorus(procOrder, cfg.Curve)))
+		s.ACD(dt)
 		return s
 	}
 
 	if !raceEnabled { // the race detector allocates on its own account
 		s := newState(cfg)
-		k := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := s.Tick(cfgs[k%2]); err != nil {
-				t.Fatal(err)
+		for _, read := range []bool{false, true} {
+			k := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := s.Tick(cfgs[k%2]); err != nil {
+					t.Fatal(err)
+				}
+				if read {
+					s.ACD(dt)
+				}
+				k++
+			})
+			if allocs != 0 {
+				t.Fatalf("a steady-state tick (ACD read %v) allocates %v objects, want 0", read, allocs)
 			}
-			k++
-		})
-		if allocs != 0 {
-			t.Fatalf("a steady-state tick allocates %v objects, want 0", allocs)
 		}
 	}
 

@@ -6,8 +6,9 @@
 // all six topologies, prices the flush batches of the replay pricer
 // (internal/fmmmodel) and of the incremental maintainer (internal/incr),
 // one event per pair, both through SumPairs; TorusGroup prices such a
-// batch on four tori in one pass. The query volume is the caller's to
-// account (CountDistanceQueries).
+// batch on four tori of p <= 16,384 in one pass, from one packed word
+// per rank, and on larger tori one torus at a time. The query volume
+// is the caller's to account (CountDistanceQueries).
 package topology
 
 import (
@@ -125,29 +126,67 @@ func (q *QuadtreeNet) DistanceSumPairs(src, dst []int32) uint64 {
 }
 
 // TorusGroup prices one pair batch on up to four tori of one side in a
-// single pass. Each torus is a lane: its packed codes (see Torus) fill
-// one column of a rank -> [4]uint32 row, so a pair costs two row loads
-// and one load per lane from the hop table, which every lane shares
-// because it depends only on the side. A lane without a torus holds
-// code 0 at every rank and prices 0.
+// single pass. Each torus is a lane of a rank's packed word: lane l,
+// bits [16l, 16l+16), holds the rank's code on lane l's torus (see
+// Torus) with a second guard bit above the y field: x in [0, s), a
+// guard bit at s, y in [s+1, 2s+1) and a guard bit at 2s+1, s being
+// procOrder. For words a and b, ((a|G) - b) & M, G being every lane's
+// guard bits and M every lane's fields, holds each lane's hop-table
+// index: the x guard absorbs the x field's borrow, as in Torus, and the
+// y guard the y field's, which would otherwise run into the next lane.
+// So a pair costs two word loads and one load per lane from the hop
+// table, which every lane shares because it depends only on the side.
+// A lane without a torus holds code 0 at every rank and prices 0. A
+// lane takes 2s+2 bits, so the group packs words while s <=
+// groupMaxOrder; above it, it keeps none and prices its tori one at a
+// time.
 type TorusGroup struct {
 	tori []*Torus
-	rows [][4]uint32
+	// words[r] is rank r's packed word; nil above groupMaxOrder.
+	words       []uint64
+	guard, mask uint64 // G and M above
+	// hops is the tori's shared hop table. Every lane index is below
+	// groupHops, so a constant mask keeps the loads free of bounds
+	// checks.
+	hops *[groupHops]uint16
 }
 
-// NewTorusGroup groups one to four tori of one side. The row costs 16
-// bytes per rank: 64 KiB at p = 4,096.
+const (
+	// groupMaxOrder is the largest processor order whose packed code,
+	// two guard bits included, fits a 16-bit lane.
+	groupMaxOrder = 7
+	// groupHops bounds a lane's hop-table index, 2s+1 bits at s =
+	// groupMaxOrder; every torus hop table holds at least this many
+	// entries.
+	groupHops = 1 << (2*groupMaxOrder + 1)
+)
+
+// everyLane repeats a 16-bit lane value in all four lanes of a word.
+const everyLane = 0x0001_0001_0001_0001
+
+// NewTorusGroup groups one to four tori of one side. The packed words
+// cost 8 bytes per rank: 32 KiB at p = 4,096.
 func NewTorusGroup(tori ...*Torus) *TorusGroup {
 	if len(tori) == 0 || len(tori) > 4 {
 		panic(fmt.Sprintf("topology: a torus group holds 1 to 4 tori, got %d", len(tori)))
 	}
-	g := &TorusGroup{tori: slices.Clone(tori), rows: make([][4]uint32, tori[0].P())}
-	for l, t := range tori {
+	g := &TorusGroup{tori: slices.Clone(tori)}
+	for _, t := range tori {
 		if t.side != tori[0].side {
 			panic(fmt.Sprintf("topology: torus group of side %d given a torus of side %d", tori[0].side, t.side))
 		}
+	}
+	t := tori[0]
+	if t.procOrder > groupMaxOrder {
+		return g
+	}
+	g.guard = uint64(t.guard|t.guard<<(t.procOrder+1)) * everyLane
+	g.mask = uint64(t.mask) * everyLane
+	g.hops = (*[groupHops]uint16)(t.hops)
+	g.words = make([]uint64, t.P())
+	for l, t := range tori {
 		for r, c := range t.codes {
-			g.rows[r][l] = c
+			g.words[r] |= uint64(c) << (16 * l)
 		}
 	}
 	return g
@@ -155,27 +194,27 @@ func NewTorusGroup(tori ...*Torus) *TorusGroup {
 
 // DistanceSumPairs returns, for each lane l, sum_i Distance(src[i],
 // dst[i]) on its torus exactly, under the contract of
-// Bus.DistanceSumPairs. Above torusLUTMaxSide each torus prices the
+// Bus.DistanceSumPairs. Above groupMaxOrder each torus prices the
 // batch on its own.
 func (g *TorusGroup) DistanceSumPairs(src, dst []int32) [4]uint64 {
-	var s [4]uint64
-	t := g.tori[0]
-	hops, gd, m := t.hops, t.guard, t.mask
-	if hops == nil {
+	words := g.words
+	if words == nil {
+		var s [4]uint64
 		for l, t := range g.tori {
 			s[l] = t.DistanceSumPairs(src, dst)
 		}
 		return s
 	}
 	dst = dst[:len(src)]
-	rows := g.rows
+	hops, gd, m := g.hops, g.guard, g.mask
+	const lane = groupHops - 1
 	var s0, s1, s2, s3 uint64
 	for i, x := range src {
-		a, b := &rows[x], &rows[dst[i]]
-		s0 += uint64(hops[((a[0]|gd)-b[0])&m])
-		s1 += uint64(hops[((a[1]|gd)-b[1])&m])
-		s2 += uint64(hops[((a[2]|gd)-b[2])&m])
-		s3 += uint64(hops[((a[3]|gd)-b[3])&m])
+		d := ((words[x] | gd) - words[dst[i]]) & m
+		s0 += uint64(hops[d&lane])
+		s1 += uint64(hops[d>>16&lane])
+		s2 += uint64(hops[d>>32&lane])
+		s3 += uint64(hops[d>>48&lane])
 	}
 	return [4]uint64{s0, s1, s2, s3}
 }

@@ -222,6 +222,9 @@ type Torus struct {
 	codes []uint32 // rank -> packed cell code
 	// hops[dy<<(s+1) | dx] is the hop count for the coordinate deltas
 	// (dx, dy) mod side. Built only up to torusLUTMaxSide; nil above it.
+	// It holds at least groupHops entries (64 KiB), so a TorusGroup can
+	// index it without bounds checks; the entries past the last delta
+	// are never read.
 	hops        []uint16
 	guard, mask uint32 // g and m above
 }
@@ -237,7 +240,7 @@ func NewTorus(procOrder uint, placement sfc.Curve) *Torus {
 		t.codes[r] = c.Y<<(procOrder+1) | c.X
 	}
 	if t.side <= torusLUTMaxSide {
-		t.hops = make([]uint16, t.mask+1)
+		t.hops = make([]uint16, max(t.mask+1, groupHops))
 		for dy := uint32(0); dy < t.side; dy++ {
 			for dx := uint32(0); dx < t.side; dx++ {
 				t.hops[dy<<(procOrder+1)|dx] = uint16(wrapDist(dx, 0, t.side) + wrapDist(dy, 0, t.side))
