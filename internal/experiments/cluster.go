@@ -56,7 +56,7 @@ func RunClustering(ctx context.Context, order uint, querySides []uint32, trials 
 	}
 	nq := len(querySides)
 	cells := len(curves) * nq
-	err := runCells(ctx, sweepPool(workers, cells), cells, func(_ *obs.Span, cell int) error {
+	err := runCells(ctx, workers, cells, func(_ *obs.Span, cell int) error {
 		c := cell / nq
 		q := cell % nq
 		r := rng.New(seed + uint64(q)*1000 + uint64(c))

@@ -102,14 +102,13 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 	}
 	driftRand := rng.New(p.Seed ^ 0xD1F7)
 	nc := len(curves)
-	pool := sweepPool(p.Workers, nc)
-	inner := innerWorkers(p.Workers, pool)
+	inner := innerWorkers(p.Workers, sweepPool(p.Workers, nc))
 	// Remember each particle's initial owner per curve, one sweep cell
 	// per curve. The particle identity is its index in pts; Assign
 	// reorders, so map initial ranks back to input order through the
 	// curve sort.
 	initialRanks := make([][]int32, nc)
-	if err := runCells(ctx, pool, nc, func(_ *obs.Span, c int) error {
+	if err := runCells(ctx, p.Workers, nc, func(_ *obs.Span, c int) error {
 		perm := sfc.SortPoints(curves[c], p.Order, pts)
 		ranks := make([]int32, len(pts))
 		for sorted, orig := range perm {
@@ -135,7 +134,7 @@ func RunDynamic(ctx context.Context, p Params, steps int) (DynamicResult, error)
 			return DynamicResult{}, err
 		}
 		set.Plan(root, opts.Spec(), workerBudget(p.Workers))
-		if err := runCells(ctx, pool, nc, func(sweep *obs.Span, c int) error {
+		if err := runCells(ctx, p.Workers, nc, func(sweep *obs.Span, c int) error {
 			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curves[c])}
 			opts := opts
 			opts.Parent = sweep

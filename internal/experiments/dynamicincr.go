@@ -143,7 +143,6 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 
 	curves := sfc.All()
 	nc := len(curves)
-	pool := sweepPool(p.Workers, nc)
 	res := DynamicIncrResult{
 		Curves:       curveNames(curves),
 		ACD:          zeroRect(nc, ticks),
@@ -160,7 +159,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 
 	states := make([]*incr.State, nc)
 	tables := make([]*topology.DistanceTable, nc)
-	if err := runCells(ctx, pool, nc, func(sweep *obs.Span, c int) error {
+	if err := runCells(ctx, p.Workers, nc, func(sweep *obs.Span, c int) error {
 		cfg := incr.Config{
 			Curve:        curves[c],
 			Order:        p.Order,
@@ -194,7 +193,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 			return DynamicIncrResult{}, err
 		}
 		cells = projectCells(sim.Sys.Pos, cells, side)
-		if err := runCells(ctx, pool, nc, func(_ *obs.Span, c int) error {
+		if err := runCells(ctx, p.Workers, nc, func(_ *obs.Span, c int) error {
 			st, err := states[c].Tick(cells)
 			if err != nil {
 				return err

@@ -60,50 +60,42 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 	type cellOut struct {
 		acd, makespan, maxSends float64
 	}
-	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
 	outs := make([]cellOut, p.Trials*n)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % n
-		trial := cell / n
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, p.P())
-		if err != nil {
-			return err
-		}
-		topo := topology.NewTorus(p.ProcOrder, curve)
-		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
-		tally := execmodel.CollectNFI(a, topo, opts)
-		ms, err := tally.Makespan(execmodel.DefaultCost)
-		if err != nil {
-			return err
-		}
-		// The tally holds the whole near-field stream: every event is
-		// one unit of work and carries its hops, so ΣHops/ΣWork is the
-		// ACD.
-		var maxSends, hops, work uint64
-		for r, s := range tally.Sends {
-			if s > maxSends {
-				maxSends = s
+	err := groupSweep(ctx, p.Workers, p.Trials, n,
+		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
+			return sampleSet(sweep, dist.Uniform, p, trial)
+		},
+		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+			curve := curves[cell%n]
+			a, err := acd.Assign(sweep, set, curve, p.P())
+			if err != nil {
+				return err
 			}
-			hops += tally.Hops[r]
-			work += tally.Work[r]
-		}
-		acdVal := 0.0
-		if work > 0 {
-			acdVal = float64(hops) / float64(work)
-		}
-		o := cellOut{acd: acdVal, makespan: ms, maxSends: float64(maxSends)}
-		outs[cell] = o
-		return nil
-	})
+			topo := topology.NewTorus(p.ProcOrder, curve)
+			opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
+			tally := execmodel.CollectNFI(a, topo, opts)
+			ms, err := tally.Makespan(execmodel.DefaultCost)
+			if err != nil {
+				return err
+			}
+			// The tally holds the whole near-field stream: every event is
+			// one unit of work and carries its hops, so ΣHops/ΣWork is the
+			// ACD.
+			var maxSends, hops, work uint64
+			for r, s := range tally.Sends {
+				if s > maxSends {
+					maxSends = s
+				}
+				hops += tally.Hops[r]
+				work += tally.Work[r]
+			}
+			acdVal := 0.0
+			if work > 0 {
+				acdVal = float64(hops) / float64(work)
+			}
+			outs[cell] = cellOut{acd: acdVal, makespan: ms, maxSends: float64(maxSends)}
+			return nil
+		})
 	if err != nil {
 		return ExecModelResult{}, err
 	}

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sfcacd/internal/acd"
@@ -229,32 +230,76 @@ func sampleSet(parent *obs.Span, s dist.Sampler, p Params, trial int) (*keynav.S
 	return keynav.NewSet(parent, p.Order, pts)
 }
 
-// pricedSet is the group build of the sweeps whose cells call
-// priceCell: it draws the trial's particle set, builds its skeleton and
-// records the one plan every cell of the group replays, the
-// radius-p.Radius Chebyshev near field plus the far field, all under
-// parent. It records on `workers` goroutines, the cells' inner share:
-// the group's cells run on the other workers meanwhile, or build the
-// next group ahead, so no cell waits on a plan.
-func pricedSet(parent *obs.Span, s dist.Sampler, p Params, trial, workers int) (*keynav.Set, error) {
-	set, err := sampleSet(parent, s, p, trial)
+// pricedGroup is one group of a priced sweep: a trial's particle set,
+// drawn by sampler at p.
+type pricedGroup struct {
+	sampler dist.Sampler
+	p       Params
+	trial   int
+}
+
+// trialGroups returns the p.Trials priced groups of one sampler at p.
+func trialGroups(s dist.Sampler, p Params) []pricedGroup {
+	gs := make([]pricedGroup, p.Trials)
+	for trial := range gs {
+		gs[trial] = pricedGroup{sampler: s, p: p, trial: trial}
+	}
+	return gs
+}
+
+// priced is one priced cell's output: each topology's NFI and FFI ACD,
+// in the order its cell listed the topologies.
+type priced struct {
+	nfi, ffi []float64
+}
+
+// priceSweep runs the sweeps that price a particle set's curve
+// assignments on a list of topologies, per cells for each group. A
+// group's build samples its set, builds its skeleton and records the
+// one plan all its cells replay (the radius-Radius Chebyshev near field
+// plus the far field), so no cell records or waits on a plan. Cell c of
+// group g assigns the set along the curve cell(g, c) returns, at its
+// topologies' shared processor count, and keeps each topology's NFI and
+// FFI ACD. The outputs are indexed g*per + c.
+func priceSweep(ctx context.Context, workers int, groups []pricedGroup, per int, cell func(g, c int) (sfc.Curve, []topology.Topology, error)) ([]priced, error) {
+	outs := make([]priced, len(groups)*per)
+	err := groupSweep(ctx, workers, len(groups), per,
+		func(sweep *obs.Span, g, workers int) (*keynav.Set, error) {
+			gr := groups[g]
+			set, err := sampleSet(sweep, gr.sampler, gr.p, gr.trial)
+			if err != nil {
+				return nil, err
+			}
+			spec := fmmmodel.NFIOptions{Radius: gr.p.Radius, Metric: geom.MetricChebyshev}.Spec()
+			spec.Far = true
+			set.Plan(sweep, spec, workers)
+			return set, nil
+		},
+		func(sweep *obs.Span, i int, set *keynav.Set, inner int) error {
+			g := i / per
+			curve, topos, err := cell(g, i%per)
+			if err != nil {
+				return err
+			}
+			a, err := acd.Assign(sweep, set, curve, topos[0].P())
+			if err != nil {
+				return err
+			}
+			nfiOpts := fmmmodel.NFIOptions{Radius: groups[g].p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
+			nfi := fmmmodel.NFIMulti(a, topos, nfiOpts)
+			ffi := fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Parent: sweep})
+			o := priced{nfi: make([]float64, len(topos)), ffi: make([]float64, len(topos))}
+			for t := range topos {
+				o.nfi[t] = nfi[t].ACD()
+				o.ffi[t] = ffi[t].Total().ACD()
+			}
+			outs[i] = o
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	spec := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev}.Spec()
-	spec.Far = true
-	set.Plan(parent, spec, workers)
-	return set, nil
-}
-
-// priceCell prices one sweep cell's assignment on every topology: the
-// radius-p.Radius Chebyshev near field and the far field, replayed on
-// `inner` workers from the near+far plan its group's build recorded
-// (pricedSet), so it records none. Its phases open under the cell's
-// sweep span.
-func priceCell(sweep *obs.Span, p Params, a *acd.Assignment, topos []topology.Topology, inner int) ([]acd.Accumulator, []fmmmodel.FFIResult) {
-	nfiOpts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
-	return fmmmodel.NFIMulti(a, topos, nfiOpts), fmmmodel.FFIMulti(a, topos, fmmmodel.FFIOptions{Workers: inner, Parent: sweep})
+	return outs, nil
 }
 
 // torusPerCurve builds one torus per processor-order curve at the

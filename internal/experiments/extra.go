@@ -62,7 +62,7 @@ func RunPrimitives(parent *obs.Span, procOrder uint, workers int) PrimitivesResu
 	}
 	// Cells write disjoint columns directly; no reduction is needed
 	// because each matrix slot is assigned exactly once.
-	runCells(obs.ContextWithSpan(context.Background(), parent), sweepPool(workers, len(curves)), len(curves), func(_ *obs.Span, c int) error {
+	runCells(obs.ContextWithSpan(context.Background(), parent), workers, len(curves), func(_ *obs.Span, c int) error {
 		curve := curves[c]
 		mesh := topology.NewMesh(procOrder, curve)
 		torus := topology.NewTorus(procOrder, curve)
@@ -134,68 +134,54 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 	type gridOut struct {
 		acd, maxLoad, meanLoad float64
 	}
-	type cellOut struct{ mesh, torus gridOut }
-	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Uniform, p, trial)
-	})
-	outs := make([]cellOut, p.Trials*n)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % n
-		trial := cell / n
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, p.P())
-		if err != nil {
-			return err
-		}
-		// Each canonical pair of the near-field matrix stands for its
-		// events in both directions.
-		m := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{
-			Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep,
-		})
-		grids := []contention.GridTopology{
-			topology.NewMesh(p.ProcOrder, curve),
-			topology.NewTorus(p.ProcOrder, curve),
-		}
-		var o cellOut
-		for g, grid := range grids {
-			tr := contention.NewTracker(grid)
-			m.Visit(func(src, dst int32, n uint32) {
-				tr.RouteN(src, dst, n)
-				tr.RouteN(dst, src, n)
+	outs := make([][2]gridOut, p.Trials*n) // per cell: mesh, torus
+	err := groupSweep(ctx, p.Workers, p.Trials, n,
+		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
+			return sampleSet(sweep, dist.Uniform, p, trial)
+		},
+		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+			curve := curves[cell%n]
+			a, err := acd.Assign(sweep, set, curve, p.P())
+			if err != nil {
+				return err
+			}
+			// Each canonical pair of the near-field matrix stands for its
+			// events in both directions.
+			m := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{
+				Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep,
 			})
-			s := tr.Stats()
-			acdVal := 0.0
-			if s.Messages > 0 {
-				acdVal = float64(s.Hops) / float64(s.Messages)
+			grids := []contention.GridTopology{
+				topology.NewMesh(p.ProcOrder, curve),
+				topology.NewTorus(p.ProcOrder, curve),
 			}
-			out := gridOut{acd: acdVal, maxLoad: float64(s.MaxLinkLoad), meanLoad: s.MeanLinkLoad}
-			if g == 0 {
-				o.mesh = out
-			} else {
-				o.torus = out
+			for g, grid := range grids {
+				tr := contention.NewTracker(grid)
+				m.Visit(func(src, dst int32, n uint32) {
+					tr.RouteN(src, dst, n)
+					tr.RouteN(dst, src, n)
+				})
+				s := tr.Stats()
+				acdVal := 0.0
+				if s.Messages > 0 {
+					acdVal = float64(s.Hops) / float64(s.Messages)
+				}
+				outs[cell][g] = gridOut{acd: acdVal, maxLoad: float64(s.MaxLinkLoad), meanLoad: s.MeanLinkLoad}
 			}
-		}
-		outs[cell] = o
-		return nil
-	})
+			return nil
+		})
 	if err != nil {
 		return ContentionResult{}, err
 	}
 	f := 1 / float64(p.Trials)
 	for cell, o := range outs {
 		c := cell % n
-		res.MeshACD[c] += o.mesh.acd * f
-		res.MeshMaxLoad[c] += o.mesh.maxLoad * f
-		res.MeshMeanLoad[c] += o.mesh.meanLoad * f
-		res.TorusACD[c] += o.torus.acd * f
-		res.TorusMaxLoad[c] += o.torus.maxLoad * f
-		res.TorusMeanLoad[c] += o.torus.meanLoad * f
+		mesh, torus := o[0], o[1]
+		res.MeshACD[c] += mesh.acd * f
+		res.MeshMaxLoad[c] += mesh.maxLoad * f
+		res.MeshMeanLoad[c] += mesh.meanLoad * f
+		res.TorusACD[c] += torus.acd * f
+		res.TorusMaxLoad[c] += torus.maxLoad * f
+		res.TorusMeanLoad[c] += torus.meanLoad * f
 	}
 	return res, nil
 }

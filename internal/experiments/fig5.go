@@ -65,7 +65,7 @@ func RunFig5(ctx context.Context, minOrder, maxOrder uint, radius, workers int) 
 	}
 	no := len(res.Orders)
 	cells := len(curves) * no
-	err := runCells(ctx, sweepPool(workers, cells), cells, func(_ *obs.Span, cell int) error {
+	err := runCells(ctx, workers, cells, func(_ *obs.Span, cell int) error {
 		c := cell / no
 		i := cell % no
 		res.ANNS[c][i] = anns.Stretch(curves[c], res.Orders[i], anns.Options{Radius: radius}).Mean

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"sfcacd/internal/acd"
+
 	"sfcacd/internal/dist"
-	"sfcacd/internal/keynav"
-	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -62,43 +60,17 @@ func RunFig6(ctx context.Context, p Params) (Fig6Result, error) {
 	}
 	nc := len(curves)
 	nt := len(Fig6Topologies)
-	type cellOut struct {
-		nfi, ffi []float64 // per topology
-	}
-	outs := make([]cellOut, p.Trials*nc)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return pricedSet(sweep, dist.Uniform, p, trial, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % nc
-		trial := cell / nc
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
+	outs, err := priceSweep(ctx, p.Workers, trialGroups(dist.Uniform, p), nc, func(_, c int) (sfc.Curve, []topology.Topology, error) {
 		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, p.P())
-		if err != nil {
-			return err
-		}
 		topos := make([]topology.Topology, nt)
 		for t, name := range Fig6Topologies {
 			topo, err := topology.New(name, p.P(), curve)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			topos[t] = topo
 		}
-		nfiAccs, ffiAccs := priceCell(sweep, p, a, topos, inner)
-		o := cellOut{nfi: make([]float64, nt), ffi: make([]float64, nt)}
-		for t := range topos {
-			o.nfi[t] = nfiAccs[t].ACD()
-			o.ffi[t] = ffiAccs[t].Total().ACD()
-		}
-		outs[cell] = o
-		return nil
+		return curve, topos, nil
 	})
 	if err != nil {
 		return Fig6Result{}, err

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/keynav"
-	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
 	"sfcacd/internal/topology"
@@ -65,36 +62,13 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	}
 	nc := len(curves)
 	no := len(procOrders)
-	type cellOut struct{ nfi, ffi float64 }
 	// A trial's cells share its particle set and its plan, across every
 	// curve and processor count.
-	outs := make([]cellOut, p.Trials*nc*no)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	groups := newGroupSlots(p.Trials, nc*no, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return pricedSet(sweep, dist.Uniform, p, trial, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		i := cell % no
-		c := (cell / no) % nc
-		trial := cell / (no * nc)
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		po := procOrders[i]
-		procs := 1 << (2 * po)
-		a, err := acd.Assign(sweep, set, curve, procs)
-		if err != nil {
-			return err
-		}
+	outs, err := priceSweep(ctx, p.Workers, trialGroups(dist.Uniform, p), nc*no, func(_, c int) (sfc.Curve, []topology.Topology, error) {
+		curve := curves[c/no]
 		// One torus per step: too few for a torus group, so the replay
 		// prices every event through the torus's own kernel.
-		topos := []topology.Topology{topology.NewTorus(po, curve)}
-		nfi, ffi := priceCell(sweep, p, a, topos, inner)
-		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
-		return nil
+		return curve, []topology.Topology{topology.NewTorus(procOrders[c%no], curve)}, nil
 	})
 	if err != nil {
 		return Fig7Result{}, err
@@ -102,8 +76,8 @@ func RunFig7(ctx context.Context, p Params, procOrders []uint) (Fig7Result, erro
 	for cell, o := range outs {
 		i := cell % no
 		c := (cell / no) % nc
-		res.NFI[c][i] += o.nfi
-		res.FFI[c][i] += o.ffi
+		res.NFI[c][i] += o.nfi[0]
+		res.FFI[c][i] += o.ffi[0]
 	}
 	scaleMatrix(res.NFI, 1/float64(p.Trials))
 	scaleMatrix(res.FFI, 1/float64(p.Trials))

@@ -64,57 +64,50 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 	type cellOut struct {
 		countACD, workACD, countImb, workImb float64
 	}
-	groups := newGroupSlots(p.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return sampleSet(sweep, dist.Exponential, p, trial)
-	})
 	outs := make([]cellOut, p.Trials*n)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % n
-		trial := cell / n
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		work := nearDegrees(sweep, set, p.Radius, workerBudget(p.Workers))
-		// Both policies label the trial's set; perm lists its particles
-		// along the curve, where the chunks are consecutive.
-		perm := sfc.SortPoints(curve, p.Order, set.Points())
-		curveWork := make([]float64, len(perm))
-		for i, j := range perm {
-			curveWork[i] = work[j]
-		}
-		byCurve, err := partition.WeightedChunks(curveWork, p.P())
-		if err != nil {
-			return err
-		}
-		countRanks, workRanks := make([]int32, len(perm)), make([]int32, len(perm))
-		for i, j := range perm {
-			countRanks[j] = int32(partition.ChunkOf(i, len(perm), p.P()))
-			workRanks[j] = byCurve[i]
-		}
-		count, err := acd.FromOwners(sweep, set, countRanks, p.P())
-		if err != nil {
-			return err
-		}
-		weighted, err := acd.FromOwners(sweep, set, workRanks, p.P())
-		if err != nil {
-			return err
-		}
-		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
-		// Per-rank loads are sums of integer degrees, exact in any
-		// order, so the set order serves as well as the curve order.
-		outs[cell] = cellOut{
-			countACD: fmmmodel.NFIMulti(count, topos, opts)[0].ACD(),
-			workACD:  fmmmodel.NFIMulti(weighted, topos, opts)[0].ACD(),
-			countImb: partition.Imbalance(partition.ChunkWeights(work, countRanks, p.P())),
-			workImb:  partition.Imbalance(partition.ChunkWeights(work, workRanks, p.P())),
-		}
-		return nil
-	})
+	err := groupSweep(ctx, p.Workers, p.Trials, n,
+		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
+			return sampleSet(sweep, dist.Exponential, p, trial)
+		},
+		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+			curve := curves[cell%n]
+			work := nearDegrees(sweep, set, p.Radius, workerBudget(p.Workers))
+			// Both policies label the trial's set; perm lists its particles
+			// along the curve, where the chunks are consecutive.
+			perm := sfc.SortPoints(curve, p.Order, set.Points())
+			curveWork := make([]float64, len(perm))
+			for i, j := range perm {
+				curveWork[i] = work[j]
+			}
+			byCurve, err := partition.WeightedChunks(curveWork, p.P())
+			if err != nil {
+				return err
+			}
+			countRanks, workRanks := make([]int32, len(perm)), make([]int32, len(perm))
+			for i, j := range perm {
+				countRanks[j] = int32(partition.ChunkOf(i, len(perm), p.P()))
+				workRanks[j] = byCurve[i]
+			}
+			count, err := acd.FromOwners(sweep, set, countRanks, p.P())
+			if err != nil {
+				return err
+			}
+			weighted, err := acd.FromOwners(sweep, set, workRanks, p.P())
+			if err != nil {
+				return err
+			}
+			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
+			opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
+			// Per-rank loads are sums of integer degrees, exact in any
+			// order, so the set order serves as well as the curve order.
+			outs[cell] = cellOut{
+				countACD: fmmmodel.NFIMulti(count, topos, opts)[0].ACD(),
+				workACD:  fmmmodel.NFIMulti(weighted, topos, opts)[0].ACD(),
+				countImb: partition.Imbalance(partition.ChunkWeights(work, countRanks, p.P())),
+				workImb:  partition.Imbalance(partition.ChunkWeights(work, workRanks, p.P())),
+			}
+			return nil
+		})
 	if err != nil {
 		return LoadBalanceResult{}, err
 	}

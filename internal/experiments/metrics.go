@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"context"
-	"sfcacd/internal/acd"
+
 	"sfcacd/internal/anns"
 	"sfcacd/internal/clustering"
 	"sfcacd/internal/dist"
-	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/rng"
 	"sfcacd/internal/sfc"
@@ -80,7 +79,7 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}
 	// Sweep 1: the application-independent metric columns, one cell per
 	// curve (each slot is written exactly once, so no reduction).
-	if err := runCells(ctx, sweepPool(cfg.Params.Workers, n), n, func(_ *obs.Span, c int) error {
+	if err := runCells(ctx, cfg.Params.Workers, n, func(_ *obs.Span, c int) error {
 		curve := curves[c]
 		res.ANNS[c] = anns.Stretch(curve, cfg.MetricOrder, anns.Options{Radius: 1}).Mean
 		res.MaxStretch[c] = anns.MaxStretch(curve, cfg.MetricOrder, anns.Options{Radius: 1})
@@ -92,32 +91,10 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	}); err != nil {
 		return MetricsResult{}, err
 	}
-	// Sweep 2: the ACD columns over trial x curve cells.
-	type cellOut struct{ nfi, ffi float64 }
-	outs := make([]cellOut, cfg.Params.Trials*n)
-	pool := sweepPool(cfg.Params.Workers, len(outs))
-	inner := innerWorkers(cfg.Params.Workers, pool)
-	groups := newGroupSlots(cfg.Params.Trials, n, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return pricedSet(sweep, dist.Uniform, cfg.Params, trial, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % n
-		trial := cell / n
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, cfg.Params.P())
-		if err != nil {
-			return err
-		}
-		// One topology, priced on replay like the other experiment
-		// runners.
-		topos := []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curve)}
-		nfi, ffi := priceCell(sweep, cfg.Params, a, topos, inner)
-		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
-		return nil
+	// Sweep 2: the ACD columns over trial x curve cells, each priced on
+	// one torus.
+	outs, err := priceSweep(ctx, cfg.Params.Workers, trialGroups(dist.Uniform, cfg.Params), n, func(_, c int) (sfc.Curve, []topology.Topology, error) {
+		return curves[c], []topology.Topology{topology.NewTorus(cfg.Params.ProcOrder, curves[c])}, nil
 	})
 	if err != nil {
 		return MetricsResult{}, err
@@ -125,8 +102,8 @@ func RunMetrics(ctx context.Context, cfg MetricsConfig) (MetricsResult, error) {
 	f := 1 / float64(cfg.Params.Trials)
 	for cell, o := range outs {
 		c := cell % n
-		res.NFI[c] += o.nfi * f
-		res.FFI[c] += o.ffi * f
+		res.NFI[c] += o.nfi[0] * f
+		res.FFI[c] += o.ffi[0] * f
 	}
 	return res, nil
 }

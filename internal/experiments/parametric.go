@@ -60,46 +60,39 @@ func RunRadiusSweep(ctx context.Context, p Params, radii []int) (RadiusSweepResu
 	}
 	nc := len(curves)
 	outs := make([][]float64, p.Trials*nc) // per cell: NFI ACD per radius
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
 	// Each radius induces its own near-field pairs, so a trial's build
-	// records one plan per radius, on the cells' inner share, and each
-	// cell replays them all against its one labelling.
+	// records one plan per radius, and each cell replays them all
+	// against its one labelling.
 	opts := make([]fmmmodel.NFIOptions, len(radii))
 	for i, radius := range radii {
-		opts[i] = fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev, Workers: inner}
+		opts[i] = fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev}
 	}
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		set, err := sampleSet(sweep, dist.Uniform, p, trial)
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range opts {
-			set.Plan(sweep, o.Spec(), inner)
-		}
-		return set, nil
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % nc
-		trial := cell / nc
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, p.P())
-		if err != nil {
-			return err
-		}
-		topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
-		acds := make([]float64, len(radii))
-		for i, o := range opts {
-			o.Parent = sweep
-			acds[i] = fmmmodel.NFIMulti(a, topos, o)[0].ACD()
-		}
-		outs[cell] = acds
-		return nil
-	})
+	err := groupSweep(ctx, p.Workers, p.Trials, nc,
+		func(sweep *obs.Span, trial, workers int) (*keynav.Set, error) {
+			set, err := sampleSet(sweep, dist.Uniform, p, trial)
+			if err != nil {
+				return nil, err
+			}
+			for _, o := range opts {
+				set.Plan(sweep, o.Spec(), workers)
+			}
+			return set, nil
+		},
+		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+			curve := curves[cell%nc]
+			a, err := acd.Assign(sweep, set, curve, p.P())
+			if err != nil {
+				return err
+			}
+			topos := []topology.Topology{topology.NewTorus(p.ProcOrder, curve)}
+			acds := make([]float64, len(radii))
+			for i, o := range opts {
+				o.Workers, o.Parent = inner, sweep
+				acds[i] = fmmmodel.NFIMulti(a, topos, o)[0].ACD()
+			}
+			outs[cell] = acds
+			return nil
+		})
 	if err != nil {
 		return RadiusSweepResult{}, err
 	}
@@ -152,39 +145,18 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	}
 	// Per-size params are validated up front so a bad size fails before
 	// any cell runs.
-	qs := make([]Params, len(sizes))
-	for i, n := range sizes {
+	var groups []pricedGroup
+	for _, n := range sizes {
 		q := p
 		q.Particles = n
 		if err := q.Validate(); err != nil {
 			return SizeSweepResult{}, err
 		}
-		qs[i] = q
+		groups = append(groups, trialGroups(dist.Uniform, q)...)
 	}
 	nc := len(curves)
-	type cellOut struct{ nfi, ffi float64 }
-	outs := make([]cellOut, len(sizes)*p.Trials*nc)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	groups := newGroupSlots(len(sizes)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
-		return pricedSet(sweep, dist.Uniform, qs[g/p.Trials], g%p.Trials, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % nc
-		q := qs[cell/nc/p.Trials]
-		set, err := groups.get(sweep, cell/nc)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, q.P())
-		if err != nil {
-			return err
-		}
-		topos := []topology.Topology{topology.NewTorus(q.ProcOrder, curve)}
-		nfi, ffi := priceCell(sweep, q, a, topos, inner)
-		outs[cell] = cellOut{nfi: nfi[0].ACD(), ffi: ffi[0].Total().ACD()}
-		return nil
+	outs, err := priceSweep(ctx, p.Workers, groups, nc, func(_, c int) (sfc.Curve, []topology.Topology, error) {
+		return curves[c], []topology.Topology{topology.NewTorus(p.ProcOrder, curves[c])}, nil
 	})
 	if err != nil {
 		return SizeSweepResult{}, err
@@ -192,8 +164,8 @@ func RunSizeSweep(ctx context.Context, p Params, sizes []int) (SizeSweepResult, 
 	for cell, o := range outs {
 		c := cell % nc
 		i := cell / nc / p.Trials
-		res.NFI[c][i] += o.nfi / float64(p.Trials)
-		res.FFI[c][i] += o.ffi / float64(p.Trials)
+		res.NFI[c][i] += o.nfi[0] / float64(p.Trials)
+		res.FFI[c][i] += o.ffi[0] / float64(p.Trials)
 	}
 	return res, nil
 }
@@ -236,47 +208,21 @@ func RunMeshTorus(ctx context.Context, p Params) (MeshTorusResult, error) {
 		TorusFFI: make([]float64, len(curves)),
 	}
 	nc := len(curves)
-	type cellOut struct{ meshNFI, torusNFI, meshFFI, torusFFI float64 }
-	outs := make([]cellOut, p.Trials*nc)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) (*keynav.Set, error) {
-		return pricedSet(sweep, dist.Uniform, p, trial, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % nc
-		trial := cell / nc
-		set, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := acd.Assign(sweep, set, curve, p.P())
-		if err != nil {
-			return err
-		}
-		topos := []topology.Topology{
-			topology.NewMesh(p.ProcOrder, curve),
-			topology.NewTorus(p.ProcOrder, curve),
-		}
-		nfi, ffi := priceCell(sweep, p, a, topos, inner)
-		outs[cell] = cellOut{
-			meshNFI:  nfi[0].ACD(),
-			torusNFI: nfi[1].ACD(),
-			meshFFI:  ffi[0].Total().ACD(),
-			torusFFI: ffi[1].Total().ACD(),
-		}
-		return nil
+	outs, err := priceSweep(ctx, p.Workers, trialGroups(dist.Uniform, p), nc, func(_, c int) (sfc.Curve, []topology.Topology, error) {
+		return curves[c], []topology.Topology{
+			topology.NewMesh(p.ProcOrder, curves[c]),
+			topology.NewTorus(p.ProcOrder, curves[c]),
+		}, nil
 	})
 	if err != nil {
 		return MeshTorusResult{}, err
 	}
 	for cell, o := range outs {
 		c := cell % nc
-		res.MeshNFI[c] += o.meshNFI / float64(p.Trials)
-		res.TorusNFI[c] += o.torusNFI / float64(p.Trials)
-		res.MeshFFI[c] += o.meshFFI / float64(p.Trials)
-		res.TorusFFI[c] += o.torusFFI / float64(p.Trials)
+		res.MeshNFI[c] += o.nfi[0] / float64(p.Trials)
+		res.TorusNFI[c] += o.nfi[1] / float64(p.Trials)
+		res.MeshFFI[c] += o.ffi[0] / float64(p.Trials)
+		res.TorusFFI[c] += o.ffi[1] / float64(p.Trials)
 	}
 	return res, nil
 }

@@ -59,10 +59,12 @@ type Spec struct {
 	// Decode reconstructs a Result of this experiment from its JSON
 	// encoding, for rendering cache hits.
 	Decode func([]byte) (Result, error)
-	// Check rejects parameters the experiment derives into a
-	// configuration Params.Validate does not bound (threed's 3D near
-	// field, radius's swept radii, nsweep's swept sizes); nil where
-	// Validate covers it.
+	// Check replaces Params.Validate for an experiment that derives
+	// its configuration from the shared knobs: threed checks its 3D
+	// configuration, which never builds the 2D grid, processors and
+	// trials Params.Validate bounds, and radius and nsweep check
+	// Params.Validate, then their swept radii and sizes. nil means
+	// Params.Validate.
 	Check func(Params) error
 	// Canonical clears the knobs the experiment does not read, so
 	// requests that differ only in them share one cache key: all but
@@ -70,12 +72,6 @@ type Spec struct {
 	// Radius too, and threed Order, ProcOrder and Trials. nil changes
 	// nothing. Resolve applies it.
 	Canonical func(Params) Params
-	// Derived marks an experiment that derives its whole configuration
-	// from a few knobs (threed): Validate then bounds only that
-	// configuration, through Check, and not the 2D grid, processors and
-	// trials Params.Validate bounds, which such an experiment never
-	// builds.
-	Derived bool
 }
 
 // Resolve returns p as this experiment keys it: p with the knobs the
@@ -90,20 +86,28 @@ func (s Spec) Resolve(p Params) Params {
 }
 
 // Validate checks p for this experiment before anything runs:
-// Params.Validate (only the shared knobs for a Derived experiment),
-// then the experiment's own Check.
+// Params.Validate when it has no Check, else the knobs every
+// experiment reads alike and then Check.
 func (s Spec) Validate(p Params) error {
-	validate := p.Validate
-	if s.Derived {
-		validate = p.validateKnobs
+	if s.Check == nil {
+		return p.Validate()
 	}
-	if err := validate(); err != nil {
+	if err := p.validateKnobs(); err != nil {
 		return err
 	}
-	if s.Check != nil {
-		return s.Check(p)
+	return s.Check(p)
+}
+
+// output adapts a runner whose effective configuration is p to
+// Spec.Run.
+func output[R Result](run func(context.Context, Params) (R, error)) func(context.Context, Params) (*Output, error) {
+	return func(ctx context.Context, p Params) (*Output, error) {
+		res, err := run(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		return &Output{Params: p, Result: res}, nil
 	}
-	return nil
 }
 
 // ignoreDistribution is the Canonical of the experiments that sample
@@ -140,27 +144,18 @@ var registry = []Spec{
 		Name:  "table12",
 		Desc:  "Tables I-II: NFI/FFI ACD per particle x processor curve pair, all distributions",
 		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
+		Run: output(func(ctx context.Context, p Params) (Table12Set, error) {
 			res, err := RunTable12(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: Table12Set(res)}, nil
-		},
+			return Table12Set(res), err
+		}),
 		Decode:    decodeResult[Table12Set],
 		Canonical: ignoreDistribution,
 	},
 	{
-		Name:  "fig6",
-		Desc:  "Figure 6: NFI/FFI ACD across the six network topologies",
-		Paper: Fig6Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunFig6(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Name:      "fig6",
+		Desc:      "Figure 6: NFI/FFI ACD across the six network topologies",
+		Paper:     Fig6Paper,
+		Run:       output(RunFig6),
 		Decode:    decodeResult[Fig6Result],
 		Canonical: ignoreDistribution,
 	},
@@ -168,13 +163,9 @@ var registry = []Spec{
 		Name:  "fig7",
 		Desc:  "Figure 7: ACD vs processor count on a torus",
 		Paper: Fig7Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunFig7(ctx, p, fig7Orders(p))
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Run: output(func(ctx context.Context, p Params) (Fig7Result, error) {
+			return RunFig7(ctx, p, fig7Orders(p))
+		}),
 		Decode:    decodeResult[Fig7Result],
 		Canonical: ignoreDistribution,
 	},
@@ -182,15 +173,14 @@ var registry = []Spec{
 		Name:  "radius",
 		Desc:  "§VI-C: NFI ACD as the near-field radius grows",
 		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunRadiusSweep(ctx, p, sweepRadii)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Run: output(func(ctx context.Context, p Params) (RadiusSweepResult, error) {
+			return RunRadiusSweep(ctx, p, sweepRadii)
+		}),
 		Decode: decodeResult[RadiusSweepResult],
 		Check: func(p Params) error {
+			if err := p.Validate(); err != nil {
+				return err
+			}
 			for _, r := range sweepRadii {
 				if err := checkNearEvents(p.Particles, r, 2); err != nil {
 					return err
@@ -207,15 +197,14 @@ var registry = []Spec{
 		Name:  "nsweep",
 		Desc:  "§VI-C: ACD as the particle count grows at fixed p",
 		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunSizeSweep(ctx, p, sweepSizes(p))
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Run: output(func(ctx context.Context, p Params) (SizeSweepResult, error) {
+			return RunSizeSweep(ctx, p, sweepSizes(p))
+		}),
 		Decode: decodeResult[SizeSweepResult],
 		Check: func(p Params) error {
+			if err := p.Validate(); err != nil {
+				return err
+			}
 			for _, n := range sweepSizes(p) {
 				q := p
 				q.Particles = n
@@ -228,16 +217,10 @@ var registry = []Spec{
 		Canonical: ignoreDistribution,
 	},
 	{
-		Name:  "meshtorus",
-		Desc:  "§VI-B: mesh vs torus wrap-link ablation",
-		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunMeshTorus(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Name:      "meshtorus",
+		Desc:      "§VI-B: mesh vs torus wrap-link ablation",
+		Paper:     Table12Paper,
+		Run:       output(RunMeshTorus),
 		Decode:    decodeResult[MeshTorusResult],
 		Canonical: ignoreDistribution,
 	},
@@ -256,16 +239,10 @@ var registry = []Spec{
 		Canonical: ignoreDistribution,
 	},
 	{
-		Name:  "contention",
-		Desc:  "NFI link congestion under XY routing (future-work item i)",
-		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunContention(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Name:      "contention",
+		Desc:      "NFI link congestion under XY routing (future-work item i)",
+		Paper:     Table12Paper,
+		Run:       output(RunContention),
 		Decode:    decodeResult[ContentionResult],
 		Canonical: ignoreDistribution,
 	},
@@ -273,26 +250,18 @@ var registry = []Spec{
 		Name:  "dynamic",
 		Desc:  "§VI-A: ACD over drift timesteps, static vs reordered assignment",
 		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunDynamic(ctx, p, 8)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Run: output(func(ctx context.Context, p Params) (DynamicResult, error) {
+			return RunDynamic(ctx, p, 8)
+		}),
 		Decode: decodeResult[DynamicResult],
 	},
 	{
 		Name:  "dynamicincr",
 		Desc:  "Incremental pipeline: maintained order, assignment, and comm matrix over n-body ticks",
 		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunDynamicIncr(ctx, p, 12)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Run: output(func(ctx context.Context, p Params) (DynamicIncrResult, error) {
+			return RunDynamicIncr(ctx, p, 12)
+		}),
 		Decode: decodeResult[DynamicIncrResult],
 	},
 	{
@@ -313,7 +282,6 @@ var registry = []Spec{
 			p.Order, p.ProcOrder, p.Trials = 0, 0, 0
 			return ignoreDistribution(p)
 		},
-		Derived: true,
 	},
 	{
 		Name:  "clustering",
@@ -331,30 +299,18 @@ var registry = []Spec{
 		Canonical: ignoreDistribution,
 	},
 	{
-		Name:  "loadbalance",
-		Desc:  "Equal-count vs equal-work SFC chunking on a skewed input",
-		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunLoadBalance(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Name:      "loadbalance",
+		Desc:      "Equal-count vs equal-work SFC chunking on a skewed input",
+		Paper:     Table12Paper,
+		Run:       output(RunLoadBalance),
 		Decode:    decodeResult[LoadBalanceResult],
 		Canonical: ignoreDistribution,
 	},
 	{
-		Name:  "execmodel",
-		Desc:  "ACD vs bulk-synchronous modeled makespan",
-		Paper: Table12Paper,
-		Run: func(ctx context.Context, p Params) (*Output, error) {
-			res, err := RunExecModel(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Output{Params: p, Result: res}, nil
-		},
+		Name:      "execmodel",
+		Desc:      "ACD vs bulk-synchronous modeled makespan",
+		Paper:     Table12Paper,
+		Run:       output(RunExecModel),
 		Decode:    decodeResult[ExecModelResult],
 		Canonical: ignoreDistribution,
 	},

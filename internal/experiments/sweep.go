@@ -15,7 +15,12 @@ import (
 // This file is the sweep scheduler: every runner decomposes its nested
 // parameter loops (distribution x trial x particle curve x ...) into a
 // flat space of independent cells and executes them here on a bounded
-// worker pool. Three properties are load-bearing:
+// worker pool, through runCells, or through groupSweep when its cells
+// share per-group artifacts (a trial's particle set). A group-sharing
+// runner states only its groups, its cell layout and its reduction:
+// groupSweep sizes the pool, splits the budget between the pool and
+// each cell's inner passes, and owns the group slots. Three properties
+// are load-bearing:
 //
 //   - Determinism. Cells write into index-addressed output slots and
 //     the runner reduces them in cell-index order — the same order the
@@ -27,9 +32,10 @@ import (
 //     first; see groupSlots), regardless of how many trials or curves a
 //     sweep spans.
 //   - Deterministic errors. Cells are handed out in increasing index
-//     order from an atomic cursor and only a cell's own error is ever
-//     recorded; of the recorded errors the lowest cell index wins,
-//     which reproduces the error the serial loop would have returned.
+//     order from an atomic cursor, a worker runs every cell it takes,
+//     and only a cell's own error is ever recorded; of the recorded
+//     errors the lowest cell index wins, which reproduces the error the
+//     serial loop would have returned.
 var (
 	// sweepCellsRun counts executed sweep cells across all runners.
 	sweepCellsRun = obs.GetCounter("sweep.cells")
@@ -70,15 +76,17 @@ func innerWorkers(requested, pool int) int {
 // RunCells exposes the sweep scheduler beyond the experiment runners:
 // the serving layer's batch endpoint fans request cells out across the
 // fleet with exactly the cell-handout, cancellation, and error
-// semantics the in-process sweeps use. See runCells for the contract.
+// semantics the in-process sweeps use. workers is the requested budget
+// (0 means GOMAXPROCS); see runCells for the contract.
 func RunCells(ctx context.Context, workers, cells int, run func(cell int) error) error {
 	return runCells(ctx, workers, cells, func(_ *obs.Span, cell int) error { return run(cell) })
 }
 
-// runCells executes cells 0..cells-1 on a pool of `workers` goroutines
-// (use sweepPool to size it). run must be safe for concurrent calls on
-// distinct cell indices and must write its output only to slots owned
-// by its cell. The context is checked before every cell, bounding
+// runCells executes cells 0..cells-1 on a pool of sweepPool(workers,
+// cells) goroutines: the requested budget (0 means GOMAXPROCS) clamped
+// to the cell count. run must be safe for concurrent calls on distinct
+// cell indices and must write its output only to slots owned by its
+// cell. The context is checked before every cell, bounding
 // cancellation latency to one cell; a cancelled context yields
 // ctx.Err() unless a cell failed first. On failure the sweep stops
 // early and the error of the lowest failing cell index is returned. A
@@ -92,6 +100,7 @@ func runCells(ctx context.Context, workers, cells int, run func(sweep *obs.Span,
 	if cells <= 0 {
 		return ctx.Err()
 	}
+	workers = sweepPool(workers, cells)
 	sweepCellsRun.Add(uint64(cells))
 	sweepWorkersGauge.Set(float64(workers))
 	span := obs.SpanFrom(ctx).Child("sweep")
@@ -126,11 +135,15 @@ func runCells(ctx context.Context, workers, cells int, run func(sweep *obs.Span,
 			defer wg.Done()
 			defer guard.Recover()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= cells {
+				// Check before taking a cell, never after: a worker that
+				// took cell i runs it, so a failure at a higher index,
+				// which cancels sctx, cannot skip a lower cell whose
+				// error the serial loop would have returned.
+				if sctx.Err() != nil || guard.Stopped() {
 					return
 				}
-				if sctx.Err() != nil || guard.Stopped() {
+				i := int(next.Add(1)) - 1
+				if i >= cells {
 					return
 				}
 				if err := run(span, i); err != nil {
@@ -158,22 +171,50 @@ func runCells(ctx context.Context, workers, cells int, run func(sweep *obs.Span,
 	return ctx.Err()
 }
 
-// groupSlots holds a sweep's per-group artifacts, each shared
+// groupSweep runs groups x per cells, cell i belonging to group i/per,
+// on runCells's pool for the requested budget workers (0 means
+// GOMAXPROCS). Each group's artifact is built once, by build(sweep, g,
+// w), and handed read-only to each of its cells, cell(sweep, i, v,
+// inner), inner being a cell's share of the budget for its own
+// accumulation passes. A build gets the budget's share among the
+// workers that can be building at once, one per group up to the pool:
+// the cells' inner share when there are at least as many groups as
+// pool workers, and the whole budget in a one-group sweep, whose other
+// workers wait on its build. Build and cell open their phases under
+// the sweep span they are handed.
+func groupSweep[T any](ctx context.Context, workers, groups, per int,
+	build func(sweep *obs.Span, g, workers int) (T, error),
+	cell func(sweep *obs.Span, i int, v T, inner int) error) error {
+	inner := innerWorkers(workers, sweepPool(workers, groups*per))
+	builders := innerWorkers(workers, sweepPool(workers, groups))
+	gs := newGroupSlots(groups, per, func(sweep *obs.Span, g int) (T, error) {
+		return build(sweep, g, builders)
+	})
+	return runCells(ctx, workers, groups*per, func(sweep *obs.Span, i int) error {
+		v, err := gs.get(sweep, i/per)
+		if err != nil {
+			return err
+		}
+		return cell(sweep, i, v, inner)
+	})
+}
+
+// groupSlots holds groupSweep's per-group artifacts, each shared
 // read-only by the group's cells and built exactly once, by build(sweep,
 // g), on whichever worker first needs it, under the sweep span its
 // cells share. In the priced sweeps an artifact is one trial's sampled
 // particle set, as its keynav.Set skeleton, together with every plan
-// its cells replay: the build records them (pricedSet, and the radius
-// sweep's one plan per radius), so a cell that gets its group never
-// waits on a plan. A worker that needs a group another worker is
-// still building does not just block: it first builds the nearest
-// later group nobody has started, then waits. It builds at most one
-// group per wait, so a waiting worker holds at most one group ahead,
-// and a group built ahead keeps its error until its own cells take it.
-// A slot drops its artifact once the group's last cell has taken it,
-// so a sweep holds only the artifacts of the groups it has in flight
-// or built ahead, plans included: the cells' assignments keep them
-// alive until they finish.
+// its cells replay: the build records them (priceSweep's group build,
+// and the radius sweep's one plan per radius), so a cell that gets its
+// group never waits on a plan. A worker that needs a group another
+// worker is still building does not just block: it first builds the
+// nearest later group nobody has started, then waits. It builds at
+// most one group per wait, so a waiting worker holds at most one group
+// ahead, and a group built ahead keeps its error until its own cells
+// take it. A slot drops its artifact once the group's last cell has
+// taken it, so a sweep holds only the artifacts of the groups it has
+// in flight or built ahead, plans included: the cells' assignments
+// keep them alive until they finish.
 type groupSlots[T any] struct {
 	build func(sweep *obs.Span, g int) (T, error)
 	slots []groupSlot[T]

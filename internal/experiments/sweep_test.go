@@ -6,15 +6,16 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/panics"
 	"sfcacd/internal/sfc"
+	"sfcacd/internal/topology"
 )
 
 // TestSweepEquality pins the scheduler's determinism guarantee: every
@@ -250,8 +251,8 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 // one would open keynav.plan beneath its accumulation phase (NFIMulti
 // and FFIMulti record lazily), so each of the seven runners whose cells
 // replay a plan must show keynav.plan only directly under the sweep, at
-// one and at two workers. And priceCell on an assignment of a set that
-// pricedSet built records nothing.
+// one and at two workers. And a one-group priceSweep of four cells at
+// two workers records exactly one plan, its build's.
 func TestCellsRecordNoPlan(t *testing.T) {
 	for _, name := range []string{"table12", "fig6", "fig7", "radius", "nsweep", "meshtorus", "metrics"} {
 		spec, ok := Lookup(name)
@@ -284,18 +285,78 @@ func TestCellsRecordNoPlan(t *testing.T) {
 
 	plans := obs.GetCounter("keynav.plans")
 	p := Params{Particles: 500, Order: 6, ProcOrder: 2, Radius: 2, Trials: 1, Seed: 5}
-	set, err := pricedSet(nil, dist.Uniform, p, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := acd.Assign(nil, set, sfc.Hilbert, p.P())
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := sfc.All()
+	topos := torusPerCurve(p, curves)
 	before := plans.Value()
-	priceCell(nil, p, a, torusPerCurve(p, sfc.All()), 1)
-	if n := plans.Value() - before; n != 0 {
-		t.Errorf("priceCell recorded %d plans on a set pricedSet built", n)
+	outs, err := priceSweep(context.Background(), 2, trialGroups(dist.Uniform, p), len(curves), func(_, c int) (sfc.Curve, []topology.Topology, error) {
+		return curves[c], topos, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(curves) {
+		t.Fatalf("%d outputs for %d cells", len(outs), len(curves))
+	}
+	if n := plans.Value() - before; n != 1 {
+		t.Errorf("a one-group priceSweep of %d cells recorded %d plans, want its build's one", len(curves), n)
+	}
+}
+
+// TestGroupSweepBuildBudget pins the workers groupSweep hands a group's
+// build: the whole budget in a one-group sweep, where every other pool
+// worker waits on that build, and the cells' inner share once there are
+// at least as many groups as pool workers.
+func TestGroupSweepBuildBudget(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		for _, tc := range []struct{ groups, per int }{{1, 4}, {workers, 4}, {2, 1}} {
+			var mu sync.Mutex
+			builds, inners := map[int]bool{}, map[int]bool{}
+			err := groupSweep(context.Background(), workers, tc.groups, tc.per,
+				func(_ *obs.Span, g, w int) (int, error) {
+					mu.Lock()
+					builds[w] = true
+					mu.Unlock()
+					return g, nil
+				},
+				func(_ *obs.Span, i, g, inner int) error {
+					if g != i/tc.per {
+						t.Errorf("cell %d got group %d's artifact", i, g)
+					}
+					mu.Lock()
+					inners[inner] = true
+					mu.Unlock()
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := min(workers, tc.groups*tc.per)
+			want := map[int]bool{workers / pool: true}
+			if !reflect.DeepEqual(inners, want) {
+				t.Errorf("workers=%d groups=%d per=%d: cells got inner shares %v, want %v", workers, tc.groups, tc.per, inners, want)
+			}
+			if tc.groups == 1 {
+				want = map[int]bool{workers: true}
+			}
+			if !reflect.DeepEqual(builds, want) {
+				t.Errorf("workers=%d groups=%d per=%d: builds got %v workers, want %v", workers, tc.groups, tc.per, builds, want)
+			}
+		}
+	}
+}
+
+// TestRunCellsSizesItsPool pins runCells's own pool sizing: the
+// requested budget clamped to the cell count, as the sweep.workers
+// gauge records it.
+func TestRunCellsSizesItsPool(t *testing.T) {
+	gauge := obs.GetGauge("sweep.workers")
+	for _, budget := range []int{1, 2, 8} {
+		if err := runCells(context.Background(), budget, 4, func(*obs.Span, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := gauge.Value(), float64(min(budget, 4)); got != want {
+			t.Errorf("budget %d over 4 cells: sweep.workers = %v, want %v", budget, got, want)
+		}
 	}
 }
 

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
-	"sfcacd/internal/acd"
+
 	"sfcacd/internal/dist"
-	"sfcacd/internal/keynav"
-	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 	"sfcacd/internal/tablefmt"
+	"sfcacd/internal/topology"
 )
 
 // Table12Result holds, for one input distribution, the 4x4 particle x
@@ -59,33 +58,12 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 
 	// Cell (d, trial, pc) -> index (d*Trials+trial)*nc + pc; the trial
 	// group (d, trial) shares one sampled particle set and its plan.
-	type cellOut struct {
-		nfi, ffi []float64 // per processor-order curve
+	var groups []pricedGroup
+	for _, s := range samplers {
+		groups = append(groups, trialGroups(s, p)...)
 	}
-	outs := make([]cellOut, len(samplers)*p.Trials*nc)
-	pool := sweepPool(p.Workers, len(outs))
-	inner := innerWorkers(p.Workers, pool)
-	groups := newGroupSlots(len(samplers)*p.Trials, nc, func(sweep *obs.Span, g int) (*keynav.Set, error) {
-		return pricedSet(sweep, samplers[g/p.Trials], p, g%p.Trials, inner)
-	})
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		pc := cell % nc
-		set, err := groups.get(sweep, cell/nc)
-		if err != nil {
-			return err
-		}
-		a, err := acd.Assign(sweep, set, curves[pc], p.P())
-		if err != nil {
-			return err
-		}
-		nfiAccs, ffiAccs := priceCell(sweep, p, a, topos, inner)
-		o := cellOut{nfi: make([]float64, nc), ffi: make([]float64, nc)}
-		for proc := range curves {
-			o.nfi[proc] = nfiAccs[proc].ACD()
-			o.ffi[proc] = ffiAccs[proc].Total().ACD()
-		}
-		outs[cell] = o
-		return nil
+	outs, err := priceSweep(ctx, p.Workers, groups, nc, func(_, pc int) (sfc.Curve, []topology.Topology, error) {
+		return curves[pc], topos, nil
 	})
 	if err != nil {
 		return nil, err
@@ -98,8 +76,8 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 		res := Table12Result{
 			Distribution: samplers[d].Name(),
 			Curves:       curveNames(curves),
-			NFI:          zeroMatrix(nc),
-			FFI:          zeroMatrix(nc),
+			NFI:          zeroRect(nc, nc),
+			FFI:          zeroRect(nc, nc),
 		}
 		for trial := 0; trial < p.Trials; trial++ {
 			for pc := 0; pc < nc; pc++ {
@@ -115,14 +93,6 @@ func RunTable12(ctx context.Context, p Params) ([]Table12Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-func zeroMatrix(n int) [][]float64 {
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-	}
-	return m
 }
 
 func scaleMatrix(m [][]float64, f float64) {

@@ -106,31 +106,24 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 	}
 	procs := 1 << (3 * p.ProcOrder)
 	type cellOut struct{ nfi, ffi float64 }
-	groups := newGroupSlots(p.Trials, nc, func(sweep *obs.Span, trial int) ([]geom3.Point3, error) {
-		defer sweep.Child("sampling").End()
-		return dist.SampleUnique3(dist.Uniform3, rng.New(trialSeed(p.Seed, trial)), p.Order, p.Particles)
-	})
 	outs := make([]cellOut, p.Trials*nc)
-	pool := sweepPool(workers, len(outs))
-	inner := innerWorkers(workers, pool)
-	err := runCells(ctx, pool, len(outs), func(sweep *obs.Span, cell int) error {
-		c := cell % nc
-		trial := cell / nc
-		pts, err := groups.get(sweep, trial)
-		if err != nil {
-			return err
-		}
-		curve := curves[c]
-		a, err := model3d.Assign(pts, curve, p.Order, procs)
-		if err != nil {
-			return err
-		}
-		torus := topology.NewTorus3D(p.ProcOrder, curve)
-		nfi := model3d.NFI(sweep, a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner})
-		ffi := model3d.FFI(sweep, a, torus, inner)
-		outs[cell] = cellOut{nfi: nfi.ACD(), ffi: ffi.Total().ACD()}
-		return nil
-	})
+	err := groupSweep(ctx, workers, p.Trials, nc,
+		func(sweep *obs.Span, trial, _ int) ([]geom3.Point3, error) {
+			defer sweep.Child("sampling").End()
+			return dist.SampleUnique3(dist.Uniform3, rng.New(trialSeed(p.Seed, trial)), p.Order, p.Particles)
+		},
+		func(sweep *obs.Span, cell int, pts []geom3.Point3, inner int) error {
+			curve := curves[cell%nc]
+			a, err := model3d.Assign(pts, curve, p.Order, procs)
+			if err != nil {
+				return err
+			}
+			torus := topology.NewTorus3D(p.ProcOrder, curve)
+			nfi := model3d.NFI(sweep, a, torus, model3d.NFIOptions{Radius: p.Radius, Workers: inner})
+			ffi := model3d.FFI(sweep, a, torus, inner)
+			outs[cell] = cellOut{nfi: nfi.ACD(), ffi: ffi.Total().ACD()}
+			return nil
+		})
 	if err != nil {
 		return ThreeDResult{}, err
 	}
@@ -140,7 +133,7 @@ func RunThreeD(ctx context.Context, p ThreeDParams, workers int) (ThreeDResult, 
 		res.FFI[c] += o.ffi / float64(p.Trials)
 	}
 	// The full-grid ANNS column, one cell per curve.
-	if err := runCells(ctx, sweepPool(workers, nc), nc, func(_ *obs.Span, c int) error {
+	if err := runCells(ctx, workers, nc, func(_ *obs.Span, c int) error {
 		mean, _ := model3d.ANNS3D(curves[c], p.ANNSOrder, 1)
 		res.ANNS[c] = mean
 		return nil

@@ -196,9 +196,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if workers > maxBatchWorkers {
 		workers = maxBatchWorkers
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
 
 	// Cells run on the sweep scheduler and report completions over a
 	// channel; this goroutine owns the ResponseWriter and streams them
