@@ -112,7 +112,6 @@ func run() int {
 		seed      = flag.Uint64("seed", 0, "override random seed")
 		workers   = flag.Int("workers", 0, "cap sweep-cell and inner accumulation worker goroutines (0 = GOMAXPROCS)")
 		distrib   = flag.String("dist", "", "override the particle distribution (uniform, normal, exponential)")
-		incrMode  = flag.String("incr-mode", "", "maintenance mechanism for incremental experiments: incr (default; delta repair) or rebuild (ACD re-priced from scratch each tick); results are bit-identical")
 		cacheDir  = flag.String("cache", "", "read/write results in this content-addressed cache directory (shared with acdserverd -cachedir)")
 		cacheVer  = flag.Bool("cache-verify", false, "verify every entry in the -cache store (quarantining bad ones) and exit")
 		csvDirF   = flag.String("csvdir", "", "also write machine-readable CSVs into this directory")
@@ -232,9 +231,6 @@ func run() int {
 		if set["dist"] {
 			p.Distribution = *distrib
 		}
-		if set["incr-mode"] {
-			p.IncrMode = *incrMode
-		}
 		return p
 	}
 
@@ -273,13 +269,6 @@ func run() int {
 	if events := obs.GetCounter("acd.events").Value(); events > 0 {
 		zeros := obs.GetCounter("acd.zero_hops").Value()
 		obs.GetGauge("acd.zero_hop_fraction").Set(float64(zeros) / float64(events))
-	}
-	// Derived gauge: events per distinct rank pair in the communication
-	// matrices — the factor the contraction path saved over per-event
-	// distance evaluation.
-	if pairs := obs.GetCounter("commmat.pairs").Value(); pairs > 0 {
-		events := obs.GetCounter("commmat.events").Value()
-		obs.GetGauge("commmat.dedup_ratio").Set(float64(events) / float64(pairs))
 	}
 	manifest.Metrics = obs.Default().Snapshot()
 

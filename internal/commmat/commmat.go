@@ -3,17 +3,20 @@
 // (src, dst) rank pair, in CSR form.
 //
 // The paper's model (§IV) makes the event stream of an assignment
-// independent of the network. A matrix keeps the stream's rank pairs
-// for the consumers that need them (per-rank tallies, link routing),
-// and contracting it against a topology — the sum of count x hop
-// distance over its pairs — reproduces the per-event accumulator
-// exactly. This is the communication-matrix formulation of the
-// topology-mapping literature (Hoefler & Snir; hop-byte metrics),
-// specialized to exact event counts.
+// independent of the network. A matrix folds the stream's events into
+// distinct rank pairs, and contracting it against a topology — the sum
+// of count x hop distance over its pairs — reproduces the per-event
+// accumulator exactly. This is the communication-matrix formulation of
+// the topology-mapping literature (Hoefler & Snir; hop-byte metrics),
+// specialized to exact event counts. No experiment reads one: every
+// consumer of the rank pairs replays the stream itself
+// (fmmmodel.VisitNFI, VisitFFI). Matrices serve the benchmark's
+// matrix-path breakdown, incr.State.Matrix and the differential
+// oracles.
 //
-// Build with a Builder: one Shard per concurrent worker logs its
-// events, and Finalize counts them into the immutable Matrix. Contract
-// with ContractTableMulti against the distance tables
+// Build with a Builder, which logs the events one goroutine adds, and
+// Finalize counts them into the immutable Matrix. Contract with
+// ContractTableMulti against the distance tables
 // (topology.DistanceTable) of one or more topologies: a plain row loop
 // over each pair's Distance (see contract.go). Event streams whose
 // pair relation is symmetric (near field, interaction lists) are
@@ -29,9 +32,8 @@ import (
 )
 
 // Build-volume counters: "commmat.events" counts aggregated
-// communication events, "commmat.pairs" distinct (src, dst) rank pairs.
-// Their ratio is the dedup factor the contraction exploits; cmd/acdbench
-// derives the "commmat.dedup_ratio" gauge from them for run manifests.
+// communication events, "commmat.pairs" distinct (src, dst) rank pairs;
+// their ratio is the dedup factor the contraction exploits.
 var (
 	eventsCounter = obs.GetCounter("commmat.events")
 	pairsCounter  = obs.GetCounter("commmat.pairs")
@@ -68,16 +70,6 @@ func (m *Matrix) Events() uint64 { return m.events }
 // one event.
 func (m *Matrix) Pairs() int { return m.pairs }
 
-// Visit calls fn for every pair with a nonzero count, in ascending
-// (src, dst) order.
-func (m *Matrix) Visit(fn func(src, dst int32, n uint32)) {
-	for r, src := range m.rowSrc {
-		for i := m.rowStart[r]; i < m.rowStart[r+1]; i++ {
-			fn(src, m.dsts[i], m.counts[i])
-		}
-	}
-}
-
 // Equal reports whether two matrices hold identical aggregations: the
 // same rank count, total events, and per-pair counts, which lets
 // differential oracles compare matrices built along different paths
@@ -88,76 +80,57 @@ func Equal(a, b *Matrix) bool {
 		slices.Equal(a.dsts, b.dsts) && slices.Equal(a.counts, b.counts)
 }
 
-// Builder aggregates a communication event stream into a Matrix.
-// Create one Shard per concurrent producer; each Shard must be fed from
-// a single goroutine at a time. Finalize (single goroutine, after all
-// producers stop) merges the shards into the immutable Matrix.
+// Builder aggregates a communication event stream into a Matrix: a
+// log of its events, which Finalize counts. Feed it from one goroutine
+// at a time.
 type Builder struct {
 	p      int
-	shards []*Shard
-}
-
-// NewBuilder returns a builder over p ranks with the given number of
-// shards (clamped to at least one).
-func NewBuilder(p, workers int) *Builder {
-	if p < 1 {
-		panic("commmat: builder needs at least 1 rank")
-	}
-	b := &Builder{p: p, shards: make([]*Shard, max(workers, 1))}
-	for i := range b.shards {
-		b.shards[i] = &Shard{}
-	}
-	return b
-}
-
-// Shard returns shard i (0 <= i < workers).
-func (b *Builder) Shard(i int) *Shard { return b.shards[i] }
-
-// Shard is one producer-side view of the aggregation: a log of its
-// events, which Finalize counts.
-type Shard struct {
 	events []event
 }
 
 type event struct{ src, dst int32 }
 
-// Add records one communication event from src to dst. Both must be in
-// [0, p).
-func (s *Shard) Add(src, dst int32) {
-	s.events = append(s.events, event{src, dst})
+// NewBuilder returns a builder over p ranks.
+func NewBuilder(p int) *Builder {
+	if p < 1 {
+		panic("commmat: builder needs at least 1 rank")
+	}
+	return &Builder{p: p}
 }
 
-// Finalize merges all shards into the immutable Matrix and records the
-// build in the commmat metrics, and its time as a commmat.finalize
-// phase under parent (nil records none). The builder must not be
-// reused after.
+// Add records one communication event from src to dst. Both must be in
+// [0, p).
+func (b *Builder) Add(src, dst int32) {
+	b.events = append(b.events, event{src, dst})
+}
+
+// Finalize counts the logged events into the immutable Matrix and
+// records the build in the commmat metrics, and its time as a
+// commmat.finalize phase under parent (nil records none). The builder
+// must not be reused after.
 //
 // It counts the events of each source row, scatters every event's
 // destination into its row, and sorts each row and collapses its runs
 // of equal destinations into (dst, count) pairs, tallying the diagonal
 // on the way. The rows come out in rank order and sorted, so the
-// matrix does not depend on how the stream was sharded.
+// matrix does not depend on the order the events were added in.
 func (b *Builder) Finalize(parent *obs.Span) *Matrix {
 	defer parent.Child("commmat.finalize").End()
 	p := b.p
 	start := make([]int, p+1)
-	for _, s := range b.shards {
-		for _, e := range s.events {
-			start[e.src+1]++
-		}
+	for _, e := range b.events {
+		start[e.src+1]++
 	}
 	for r := range p {
 		start[r+1] += start[r]
 	}
 	dsts := make([]int32, start[p])
 	next := slices.Clone(start[:p])
-	for _, s := range b.shards {
-		for _, e := range s.events {
-			dsts[next[e.src]] = e.dst
-			next[e.src]++
-		}
+	for _, e := range b.events {
+		dsts[next[e.src]] = e.dst
+		next[e.src]++
 	}
-	b.shards = nil
+	b.events = nil
 
 	m := &Matrix{p: p, events: uint64(len(dsts)), rowStart: []int32{0}}
 	var counts []uint32

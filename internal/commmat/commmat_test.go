@@ -3,7 +3,6 @@ package commmat
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"sfcacd/internal/acd"
@@ -47,21 +46,30 @@ func randomEvents(seed int64, p, n int) [][2]int32 {
 	return events
 }
 
+// visit calls fn for every pair of m, in CSR order.
+func visit(m *Matrix, fn func(src, dst int32, n uint32)) {
+	for r, src := range m.rowSrc {
+		for i := m.rowStart[r]; i < m.rowStart[r+1]; i++ {
+			fn(src, m.dsts[i], m.counts[i])
+		}
+	}
+}
+
 // checkAgainstRef verifies the matrix against the brute-force map,
-// its event and diagonal totals, and that Visit yields strictly
+// its event and diagonal totals, and that its pairs are in strictly
 // ascending (src, dst) order.
 func checkAgainstRef(t *testing.T, m *Matrix, ref refMatrix) {
 	t.Helper()
 	var events, diag uint64
 	seen := 0
 	prev := int64(-1)
-	m.Visit(func(src, dst int32, n uint32) {
+	visit(m, func(src, dst int32, n uint32) {
 		if src == dst {
 			diag += uint64(n)
 		}
 		key := int64(src)<<32 | int64(dst)
 		if key <= prev {
-			t.Fatalf("Visit order not ascending: (%d,%d) after %d", src, dst, prev)
+			t.Fatalf("pairs not ascending: (%d,%d) after %d", src, dst, prev)
 		}
 		prev = key
 		want := ref[uint64(uint32(src))<<32|uint64(uint32(dst))]
@@ -79,18 +87,17 @@ func checkAgainstRef(t *testing.T, m *Matrix, ref refMatrix) {
 	}
 }
 
-func buildWith(p, workers int, events [][2]int32) *Matrix {
-	b := NewBuilder(p, workers)
-	for i, e := range events {
-		b.Shard(i%workers).Add(e[0], e[1])
+func build(p int, events [][2]int32) *Matrix {
+	b := NewBuilder(p)
+	for _, e := range events {
+		b.Add(e[0], e[1])
 	}
 	return b.Finalize(nil)
 }
 
 // TestBuilderMatchesBruteForce holds the builder to a map of pair
 // counts, at a p where most pairs are occupied (64), sparse ones (600
-// and 4,096) and one far beyond the stream (200,000), with one shard
-// and with several.
+// and 4,096) and one far beyond the stream (200,000).
 func TestBuilderMatchesBruteForce(t *testing.T) {
 	cases := []struct{ p, n int }{{64, 5000}, {600, 20000}, {4096, 40000}, {200000, 3000}}
 	for _, tc := range cases {
@@ -100,35 +107,22 @@ func TestBuilderMatchesBruteForce(t *testing.T) {
 			for _, e := range events {
 				ref.add(e[0], e[1])
 			}
-			for _, workers := range []int{1, 3, 8} {
-				checkAgainstRef(t, buildWith(tc.p, workers, events), ref)
-			}
+			checkAgainstRef(t, build(tc.p, events), ref)
 		})
 	}
 }
 
-// TestDeterministicAcrossWorkers: the finalized matrix is identical no
-// matter how the stream is sharded.
-func TestDeterministicAcrossWorkers(t *testing.T) {
+// TestShuffledStreamEqual: the finalized matrix does not depend on
+// the order the events were added in.
+func TestShuffledStreamEqual(t *testing.T) {
 	const p, n = 4096, 30000
 	events := randomEvents(11, p, n)
-	base := buildWith(p, 1, events)
-	for _, workers := range []int{2, 5, 16} {
-		m := buildWith(p, workers, events)
-		if m.Pairs() != base.Pairs() || m.Events() != base.Events() {
-			t.Fatalf("workers=%d: pairs/events diverged", workers)
-		}
-		type pair struct {
-			src, dst int32
-			n        uint32
-		}
-		var a, b []pair
-		base.Visit(func(s, d int32, n uint32) { a = append(a, pair{s, d, n}) })
-		m.Visit(func(s, d int32, n uint32) { b = append(b, pair{s, d, n}) })
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: entry %d diverged: %+v vs %+v", workers, i, a[i], b[i])
-			}
+	base := build(p, events)
+	rng := rand.New(rand.NewSource(12))
+	for range 3 {
+		rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+		if !Equal(build(p, events), base) {
+			t.Fatal("a shuffled stream built a different matrix")
 		}
 	}
 }
@@ -139,7 +133,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 func TestContractEquivalence(t *testing.T) {
 	for _, p := range []int{64, 600, 4096} {
 		events := randomEvents(int64(p)+1, p, 20000)
-		m := buildWith(p, 2, events)
+		m := build(p, events)
 		topo := topology.NewBus(p)
 
 		var direct acd.Accumulator
@@ -164,37 +158,9 @@ func TestContractEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentShards drives all shards from separate goroutines —
-// the case the race detector must bless.
-func TestConcurrentShards(t *testing.T) {
-	const p, workers, perWorker = 4096, 8, 5000
-	b := NewBuilder(p, workers)
-	ref := refMatrix{}
-	streams := make([][][2]int32, workers)
-	for w := range streams {
-		streams[w] = randomEvents(int64(100+w), p, perWorker)
-		for _, e := range streams[w] {
-			ref.add(e[0], e[1])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := b.Shard(w)
-			for _, e := range streams[w] {
-				s.Add(e[0], e[1])
-			}
-		}(w)
-	}
-	wg.Wait()
-	checkAgainstRef(t, b.Finalize(nil), ref)
-}
-
 // TestEqualDetectsDifferences spot-checks Equal's negative cases.
 func TestEqualDetectsDifferences(t *testing.T) {
-	mk := func(pairs ...[2]int32) *Matrix { return buildWith(16, 1, pairs) }
+	mk := func(pairs ...[2]int32) *Matrix { return build(16, pairs) }
 	a := mk([2]int32{1, 2}, [2]int32{1, 2}, [2]int32{3, 7})
 	if !Equal(a, mk([2]int32{1, 2}, [2]int32{3, 7}, [2]int32{1, 2})) {
 		t.Fatalf("order-insensitive streams compared unequal")

@@ -79,7 +79,7 @@ func TestFusedContractMultiEquivalence(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			curve := curves[int(seed)%len(curves)]
 			t.Run(fmt.Sprintf("p=%d/seed%d/%s", tc.p, seed, curve.Name()), func(t *testing.T) {
-				m := buildWith(tc.p, 2, randomEvents(seed, tc.p, tc.n))
+				m := build(tc.p, randomEvents(seed, tc.p, tc.n))
 				topos := sixTopologies(t, tc.p, curve)
 				seq := make([]acd.Accumulator, len(topos))
 				seqSym := make([]acd.Accumulator, len(topos))
@@ -133,7 +133,7 @@ func TestFusedDistanceQueryAccounting(t *testing.T) {
 	curves := sfc.All()
 	for _, tc := range []struct{ p, n int }{{64, 5000}, {4096, 40000}} {
 		t.Run(fmt.Sprintf("p=%d", tc.p), func(t *testing.T) {
-			m := buildWith(tc.p, 2, randomEvents(int64(tc.p)+3, tc.p, tc.n))
+			m := build(tc.p, randomEvents(int64(tc.p)+3, tc.p, tc.n))
 			six := sixTopologies(t, tc.p, curves[0])
 			var calls atomic.Uint64
 			topos := append([]topology.Topology(nil), six...)
@@ -179,7 +179,7 @@ func (pt panicTopology) Distance(a, b int) int {
 // *panics.Worker rather than end the process, whichever worker
 // contracts that range.
 func TestContractWorkerPanic(t *testing.T) {
-	m := buildWith(64, 1, randomEvents(5, 64, 2000))
+	m := build(64, randomEvents(5, 64, 2000))
 	last := int(m.rowSrc[len(m.rowSrc)-1])
 	topo := panicTopology{topology.NewBus(64), last}
 	var v any
@@ -203,7 +203,7 @@ func BenchmarkContractMulti(b *testing.B) {
 		{"p256", 256, 60000},
 		{"p4096", 4096, 120000},
 	} {
-		m := buildWith(form.p, 2, randomEvents(int64(form.p), form.p, form.n))
+		m := build(form.p, randomEvents(int64(form.p), form.p, form.n))
 		six := sixTopologies(b, form.p, sfc.All()[0])
 		for _, k := range []int{1, 6} {
 			topos := six[:k]

@@ -4,7 +4,9 @@
 // dimension-ordered (XY) routing on a mesh or torus and reports
 // per-link load statistics — the maximum link load bounds the
 // serialized communication time under uniform message sizes, while the
-// ACD only captures the total distance traveled.
+// ACD only captures the total distance traveled. The contention
+// experiment routes the near-field rank-pair replay
+// (fmmmodel.VisitNFI): each pair is one message each way.
 package contention
 
 import (
@@ -52,73 +54,46 @@ func NewTracker(topo GridTopology) *Tracker {
 	}
 }
 
-// linkIndex identifies the outgoing link of the node at (x, y) in
-// direction dir.
-func (t *Tracker) linkIndex(x, y, dir int) int {
-	return (y*t.side+x)*numDirs + dir
-}
-
-// stepAxis moves one hop from (x, y) toward target coordinate tc along
-// the given axis, adding n messages to the link's load, and returns
-// the new coordinate.
-func (t *Tracker) stepAxis(x, y, cur, tc int, xAxis bool, n uint32) int {
-	delta := tc - cur
-	forward := delta > 0
-	if t.wrap {
-		// Choose the shorter way around.
-		d := delta
-		if d < 0 {
-			d = -d
-		}
-		if wrapD := t.side - d; wrapD < d {
-			forward = !forward
-		}
-	}
-	var dir int
-	var next int
-	if forward {
-		next = cur + 1
-		if xAxis {
-			dir = dirXPlus
-		} else {
-			dir = dirYPlus
-		}
-	} else {
-		next = cur - 1
-		if xAxis {
-			dir = dirXMinus
-		} else {
-			dir = dirYMinus
-		}
-	}
-	if t.wrap {
-		next = (next + t.side) % t.side
-	}
-	t.loads[t.linkIndex(x, y, dir)] += n
-	t.Hops += uint64(n)
-	return next
-}
-
-// Route sends one message from src to dst: RouteN(src, dst, 1).
-func (t *Tracker) Route(src, dst int32) { t.RouteN(src, dst, 1) }
-
-// RouteN sends n messages from src to dst using XY dimension-ordered
-// routing (X first, then Y), adding n to the load of every link on the
-// path — the same loads and totals as n calls of Route(src, dst). It
-// routes a communication matrix one distinct pair at a time.
-func (t *Tracker) RouteN(src, dst int32, n uint32) {
-	t.Messages += uint64(n)
-	if src == dst || n == 0 {
+// Route sends one message from src to dst by XY dimension-ordered
+// routing: a run of links along the source's row to the destination's
+// column, then a run along that column, adding 1 to the load of every
+// link on the path.
+func (t *Tracker) Route(src, dst int32) {
+	t.Messages++
+	if src == dst {
 		return
 	}
-	a := t.topo.Coord(int(src))
-	b := t.topo.Coord(int(dst))
-	x, y := int(a.X), int(a.Y)
-	for x != int(b.X) {
-		x = t.stepAxis(x, y, x, int(b.X), true, n)
+	a, b := t.topo.Coord(int(src)), t.topo.Coord(int(dst))
+	t.leg(int(a.X), int(b.X), int(a.Y)*t.side, 1, dirXPlus)
+	t.leg(int(a.Y), int(b.Y), int(b.X), t.side, dirYPlus)
+}
+
+// leg loads the run of links one axis's leg crosses, from coordinate
+// from to coordinate to, on the nodes base + c*stride: the outgoing
+// link in direction plus (dirXPlus or dirYPlus) of every node it leaves
+// when it steps up the axis, in the opposite direction when it steps
+// down. A torus leg goes the shorter way round, wrapping at the seam,
+// and the direct way when both are equally long.
+func (t *Tracker) leg(from, to, base, stride, plus int) {
+	n, step := to-from, 1
+	if n < 0 {
+		n, step = -n, -1
 	}
-	for y != int(b.Y) {
-		y = t.stepAxis(x, y, y, int(b.Y), false, n)
+	if t.wrap && t.side-n < n {
+		n, step = t.side-n, -step
+	}
+	dir := plus
+	if step < 0 {
+		dir++ // the minus direction follows its plus direction
+	}
+	t.Hops += uint64(n)
+	for c := from; n > 0; n-- {
+		t.loads[(base+c*stride)*numDirs+dir]++
+		if c += step; c < 0 {
+			c += t.side
+		} else if c == t.side {
+			c = 0
+		}
 	}
 }
 

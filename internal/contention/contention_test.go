@@ -2,10 +2,10 @@ package contention
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sfcacd/internal/acd"
-	"sfcacd/internal/commmat"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
@@ -115,13 +115,12 @@ func TestConvergingRoutesContend(t *testing.T) {
 	}
 }
 
-// routeMatrix routes a canonical communication matrix: each pair
-// (s, d, n) stands for n events in each direction.
-func routeMatrix(tr *Tracker, m *commmat.Matrix) {
-	m.Visit(func(src, dst int32, n uint32) {
-		tr.RouteN(src, dst, n)
-		tr.RouteN(dst, src, n)
-	})
+// routeBothWays routes each replayed pair as one message each way.
+func routeBothWays(tr *Tracker) func(r, q int32) {
+	return func(r, q int32) {
+		tr.Route(r, q)
+		tr.Route(q, r)
+	}
 }
 
 func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
@@ -141,7 +140,7 @@ func TestHilbertPlacementReducesNFICongestion(t *testing.T) {
 		}
 		m := topology.NewMesh(3, c)
 		tr := NewTracker(m)
-		routeMatrix(tr, fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{Radius: 1}))
+		fmmmodel.VisitNFI(a, fmmmodel.NFIOptions{Radius: 1}, routeBothWays(tr))
 		return tr.Stats()
 	}
 	h := run(sfc.Hilbert)
@@ -172,36 +171,65 @@ func checkSameLoads(t *testing.T, name string, got, want *Tracker) {
 	}
 }
 
-// TestRouteNMatchesRepeatedRoute: routing n messages at once leaves
-// the same link loads and totals as n single routes, including n = 0
-// and self-messages.
-func TestRouteNMatchesRepeatedRoute(t *testing.T) {
-	for _, grid := range grids() {
-		batched, single := NewTracker(grid), NewTracker(grid)
-		r := rng.New(4)
-		for i := 0; i < 500; i++ {
-			src := int32(r.Uint32n(uint32(grid.P())))
-			dst := int32(r.Uint32n(uint32(grid.P())))
-			if i%50 == 0 {
-				dst = src
-			}
-			n := r.Uint32n(5)
-			batched.RouteN(src, dst, n)
-			for k := uint32(0); k < n; k++ {
-				single.Route(src, dst)
-			}
+// hopByHop is the per-hop oracle Route must reproduce: it routes one
+// message from src to dst X first, then Y, one hop at a time, each hop
+// choosing its direction afresh — on a torus the shorter way round,
+// and the direct way when both are equally long.
+func hopByHop(t *Tracker, src, dst int32) {
+	t.Messages++
+	a, b := t.topo.Coord(int(src)), t.topo.Coord(int(dst))
+	x, y := int(a.X), int(a.Y)
+	step := func(cur, target, plus int) int {
+		delta := target - cur
+		forward := delta > 0
+		if d := max(delta, -delta); t.wrap && t.side-d < d {
+			forward = !forward
 		}
-		checkSameLoads(t, grid.Name(), batched, single)
+		dir, next := plus, cur+1
+		if !forward {
+			dir, next = plus+1, cur-1
+		}
+		t.loads[(y*t.side+x)*numDirs+dir]++
+		t.Hops++
+		return (next + t.side) % t.side
+	}
+	for x != int(b.X) {
+		x = step(x, int(b.X), dirXPlus)
+	}
+	for y != int(b.Y) {
+		y = step(y, int(b.Y), dirYPlus)
 	}
 }
 
-// TestRouteMatrixMatchesEventStream: routing the near- and far-field
-// matrices in both directions loads every link exactly as routing each
-// ordered event of the per-event streams does. The streams are
-// enumerated here without the production pipeline: neighbor ranks
-// from a cell->rank map built from the assignment's owners,
-// representatives from quadtree.RankTree.
-func TestRouteMatrixMatchesEventStream(t *testing.T) {
+// TestRouteMatchesHopByHop routes every (src, dst) pair of the mesh
+// and the torus at processor orders 0-4 through Route and through the
+// per-hop oracle, one pair at a time, and requires identical per-link
+// loads and Stats after each. The torus sides are even from order 1
+// on, so the pairs half-way round cover every tie in both directions.
+func TestRouteMatchesHopByHop(t *testing.T) {
+	for po := uint(0); po <= 4; po++ {
+		for _, grid := range []GridTopology{topology.NewMesh(po, sfc.Hilbert), topology.NewTorus(po, sfc.Gray)} {
+			route, oracle := NewTracker(grid), NewTracker(grid)
+			for src := range int32(grid.P()) {
+				for dst := range int32(grid.P()) {
+					route.Route(src, dst)
+					hopByHop(oracle, src, dst)
+					if route.Stats() != oracle.Stats() || !slices.Equal(route.loads, oracle.loads) {
+						checkSameLoads(t, fmt.Sprintf("%s po=%d %d->%d", grid.Name(), po, src, dst), route, oracle)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRouteReplayMatchesEventStream: routing the near- and far-field
+// replays' pairs in both directions loads every link exactly as
+// routing each ordered event of the per-event streams does. The
+// streams are enumerated here without the production pipeline:
+// neighbor ranks from a cell->rank map built from the assignment's
+// owners, representatives from quadtree.RankTree.
+func TestRouteReplayMatchesEventStream(t *testing.T) {
 	const order, n, p = 6, 400, 64
 	pts, err := dist.SampleUnique(dist.Normal, rng.New(2), order, n)
 	if err != nil {
@@ -220,8 +248,8 @@ func TestRouteMatrixMatchesEventStream(t *testing.T) {
 	for _, grid := range grids() {
 		for _, radius := range []int{1, 2} {
 			opts := fmmmodel.NFIOptions{Radius: radius, Metric: geom.MetricChebyshev}
-			viaMatrix, viaEvents := NewTracker(grid), NewTracker(grid)
-			routeMatrix(viaMatrix, fmmmodel.NFIMatrix(a, opts))
+			viaReplay, viaEvents := NewTracker(grid), NewTracker(grid)
+			fmmmodel.VisitNFI(a, opts, routeBothWays(viaReplay))
 			for i, pt := range pts {
 				geom.VisitNeighborhood(pt, radius, opts.Metric, a.Side(), func(q geom.Point) {
 					if r, ok := ranks[q]; ok {
@@ -229,13 +257,12 @@ func TestRouteMatrixMatchesEventStream(t *testing.T) {
 					}
 				})
 			}
-			checkSameLoads(t, fmt.Sprintf("%s NFI r=%d", grid.Name(), radius), viaMatrix, viaEvents)
+			checkSameLoads(t, fmt.Sprintf("%s NFI r=%d", grid.Name(), radius), viaReplay, viaEvents)
 		}
 
-		viaMatrix, viaEvents := NewTracker(grid), NewTracker(grid)
-		ms := fmmmodel.FFIMatricesFromIndex(a.KeyIndex(), p, 0)
-		routeMatrix(viaMatrix, ms.Interpolation)
-		routeMatrix(viaMatrix, ms.InteractionList)
+		viaReplay, viaEvents := NewTracker(grid), NewTracker(grid)
+		both := routeBothWays(viaReplay)
+		fmmmodel.VisitFFI(a.KeyIndex(), 0, both, both)
 		for l := tree.Order; l >= 1; l-- {
 			tree.VisitCells(l, func(x, y uint32, rep int32) {
 				parent := tree.Rep(l-1, x/2, y/2)
@@ -250,6 +277,6 @@ func TestRouteMatrixMatchesEventStream(t *testing.T) {
 				})
 			})
 		}
-		checkSameLoads(t, grid.Name()+" FFI", viaMatrix, viaEvents)
+		checkSameLoads(t, grid.Name()+" FFI", viaReplay, viaEvents)
 	}
 }

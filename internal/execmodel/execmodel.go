@@ -4,14 +4,14 @@
 // counts, hop-weighted transfer terms, and local work. It addresses
 // the validation half of the paper's future-work item (ii): do the
 // communication trends the ACD projects actually order modeled
-// execution times the same way?
+// execution times the same way? The collectors read the streams pair
+// by pair from the rank-pair replay (fmmmodel.VisitNFI, VisitFFI).
 package execmodel
 
 import (
 	"fmt"
 
 	"sfcacd/internal/acd"
-	"sfcacd/internal/commmat"
 	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/topology"
 )
@@ -86,55 +86,46 @@ func (t *Tally) Makespan(c CostParams) (float64, error) {
 // CollectNFI tallies one FMM near-field step: every cross-processor
 // pair exchange is a message charged to the sender, and every pair
 // evaluation (including same-processor ones) is a unit of local work
-// at the owner. The events come from the near-field communication
-// matrix (fmmmodel.NFIMatrix). It is timed as an accumulation.nfi phase
-// under opts.Parent, with the matrix build beneath.
+// at the owner. The events come from the near-field replay
+// (fmmmodel.VisitNFI). It is timed as an accumulation.nfi phase under
+// opts.Parent, with keynav.plan beneath when it records the set's
+// plan.
 func CollectNFI(a *acd.Assignment, topo topology.Topology, opts fmmmodel.NFIOptions) *Tally {
 	acc := opts.Parent.Child("accumulation.nfi")
 	defer acc.End()
 	opts.Parent = acc
 	t := NewTally(topo.P())
-	t.addCanonical(fmmmodel.NFIMatrix(a, opts), topo)
+	var pairs uint64
+	fmmmodel.VisitNFI(a, opts, func(r, q int32) { t.pair(topo, r, q); pairs++ })
+	topology.CountDistanceQueries(pairs)
 	return t
 }
 
 // CollectFFI tallies one FMM far-field step: interpolation,
 // anterpolation, and interaction-list exchanges as messages from their
 // source representative, with one unit of work per event at the
-// source. The events come from the far-field communication matrices
-// (fmmmodel.FFIMatricesFromIndex).
+// source. The events come from the far-field replay
+// (fmmmodel.VisitFFI).
 func CollectFFI(a *acd.Assignment, topo topology.Topology) *Tally {
 	t := NewTally(topo.P())
-	ms := fmmmodel.FFIMatricesFromIndex(a.KeyIndex(), topo.P(), 0)
-	t.addCanonical(ms.Interpolation, topo)
-	t.addCanonical(ms.InteractionList, topo)
+	var pairs uint64
+	pair := func(r, q int32) { t.pair(topo, r, q); pairs++ }
+	fmmmodel.VisitFFI(a.KeyIndex(), 0, pair, pair)
+	topology.CountDistanceQueries(pairs)
 	return t
 }
 
-// addCanonical tallies a matrix whose pairs stand for their events in
-// both directions — the symmetric-canonical near-field and
-// interaction-list matrices, and the interpolation matrix, whose
-// (parent, child) links carry the anterpolation events back. A pair
-// (s, d, n) is n events s -> d plus n events d -> s, so a diagonal
-// pair adds 2n units of work at s.
-func (t *Tally) addCanonical(m *commmat.Matrix, topo topology.Topology) {
-	m.Visit(func(s, d int32, n uint32) {
-		hops := topo.Distance(int(s), int(d))
-		t.addEvents(s, hops, n)
-		t.addEvents(d, hops, n)
-	})
-	topology.CountDistanceQueries(uint64(m.Pairs()))
-}
-
-// addEvents records n events sent by src over the given hop distance:
-// n units of work and, unless the events stay on src, n messages.
-func (t *Tally) addEvents(src int32, hops int, n uint32) {
-	t.Work[src] += uint64(n)
-	if hops == 0 {
-		return
-	}
-	t.Sends[src] += uint64(n)
-	t.Hops[src] += uint64(hops) * uint64(n)
+// pair tallies one replayed pair (r, q) as one event each way: a unit
+// of work and a message over the pair's hop distance at each end. The
+// symmetric near-field and interaction-list pairs stand for both
+// directions, and so does a (parent, child) link, whose anterpolation
+// event carries the interpolation event back.
+func (t *Tally) pair(topo topology.Topology, r, q int32) {
+	hops := topo.Distance(int(r), int(q))
+	t.AddWork(r, 1)
+	t.Message(r, hops)
+	t.AddWork(q, 1)
+	t.Message(q, hops)
 }
 
 // DefaultCost is a representative parameterization: message overhead

@@ -124,7 +124,7 @@ func TestCollectFFIConsistentWithACD(t *testing.T) {
 	}
 }
 
-// The per-rank checks below hold the matrix-backed tallies to the
+// The per-rank checks below hold the replayed tallies to the
 // per-event stream, enumerated here one ordered event at a time and
 // sharing no code with the production pipeline: near-field neighbor
 // ranks come from a cell->rank map built from the assignment's owners,

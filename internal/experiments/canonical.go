@@ -20,11 +20,10 @@ const ResultSchemaVersion = "sfcacd/results/v1"
 // TestCanonicalKeyCoversParams fails when Params gains a field this
 // encoding does not account for.
 //
-// Workers and IncrMode are deliberately excluded: results are
-// identical for any worker count and either incremental-maintenance
-// mechanism (documented invariants, enforced by the differential
-// tests), so runs that differ only in those knobs share one cache
-// entry. Distribution is included — it changes the sampled particles —
+// Workers is deliberately excluded: results are identical for any
+// worker count (a documented invariant, enforced by the differential
+// tests), so runs that differ only in it share one cache entry.
+// Distribution is included — it changes the sampled particles —
 // but only when non-uniform, so every key minted before the knob
 // existed stays valid; aliases normalize through dist.ByName first, so
 // "exp" and "exponential" share a key.

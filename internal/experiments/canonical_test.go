@@ -47,30 +47,16 @@ func TestCanonicalKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
-// TestCanonicalKeyIgnoresIncrMode asserts the same invariant for the
-// incremental-maintenance mechanism: delta and rebuild maintenance are
-// bit-identical (the cross-mechanism differential oracle), so runs
-// differing only in IncrMode must share a cache entry.
-func TestCanonicalKeyIgnoresIncrMode(t *testing.T) {
-	a := Table12Paper
-	b := Table12Paper
-	b.IncrMode = "rebuild"
-	if a.CanonicalKey() != b.CanonicalKey() {
-		t.Errorf("IncrMode changed the canonical key: %q vs %q", a.CanonicalKey(), b.CanonicalKey())
-	}
-}
-
 // TestCanonicalKeyCoversParams fails when a field is added to Params
 // without a decision about the canonical encoding. A new field must
 // either join CanonicalKey (and the pinned strings above must change,
 // invalidating old cache entries) or be excluded deliberately like
 // Workers — then bump the expected count here with a comment.
 func TestCanonicalKeyCoversParams(t *testing.T) {
-	// 9 = Particles, Order, ProcOrder, Radius, Trials, Seed,
-	// Distribution (non-uniform only) in the key, plus Workers and
-	// IncrMode (excluded: results are invariant to worker count and
-	// maintenance mechanism).
-	const known = 9
+	// 8 = Particles, Order, ProcOrder, Radius, Trials, Seed,
+	// Distribution (non-uniform only) in the key, plus Workers
+	// (excluded: results are invariant to worker count).
+	const known = 8
 	if got := reflect.TypeOf(Params{}).NumField(); got != known {
 		t.Fatalf("Params has %d fields, CanonicalKey audited %d; "+
 			"decide whether the new field is result-affecting and update CanonicalKey", got, known)

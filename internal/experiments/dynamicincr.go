@@ -20,11 +20,9 @@ import (
 // tick, and per curve an incr.State carries the SFC order, chunk
 // assignment, and near-field ACD on the curve's torus across ticks
 // instead of rebuilding them. Every reported value is a deterministic
-// function of the particle trajectory alone — Params.IncrMode moves
-// only the maintenance cost between mechanisms, never the numbers — so
-// the rendered output doubles as a cross-mechanism differential
-// oracle: runs with -incr-mode=incr and -incr-mode=rebuild must be
-// byte-identical (CI compares them).
+// function of the particle trajectory alone, and every maintained ACD
+// equals fresh pricing of its tick's cells
+// (TestDynamicIncrMatchesFreshPricing).
 type DynamicIncrResult struct {
 	// Curves are the curve names.
 	Curves []string
@@ -95,23 +93,20 @@ func projectCells(pos []complex128, cells []geom.Point, side uint32) []geom.Poin
 	return out
 }
 
-// RunDynamicIncr runs `ticks` n-body timesteps over one maintained
-// pipeline per curve and reports the ACD, drift gauge, delta work, and
-// repartition counts. Particle speeds and the timestep are sized so a
-// few percent of particles cross a cell boundary per tick — the regime
-// the incremental machinery is built for. Only trial 0 of Params is
-// used: trials average independent samples, but a drift study is one
-// trajectory.
-func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult, error) {
-	if err := p.Validate(); err != nil {
-		return DynamicIncrResult{}, err
-	}
-	if ticks < 1 {
-		return DynamicIncrResult{}, fmt.Errorf("experiments: need at least 1 tick")
-	}
-	cells, err := samplePoints(obs.SpanFrom(ctx), p.sampler(), p, 0)
+// dynamicIncrTicks is the number of ticks the registry's dynamicincr
+// runs.
+const dynamicIncrTicks = 12
+
+// newDrift samples trial 0 of p, under parent, and returns its cells
+// and a step function that advances the n-body simulation by one tick
+// and returns the cells projectCells quantizes it onto. Particle speeds
+// and the timestep are sized so a few percent of particles cross a cell
+// boundary per tick — the regime the incremental machinery is built
+// for.
+func newDrift(parent *obs.Span, p Params) ([]geom.Point, func() ([]geom.Point, error), error) {
+	cells, err := samplePoints(parent, p.sampler(), p, 0)
 	if err != nil {
-		return DynamicIncrResult{}, err
+		return nil, nil, err
 	}
 	n := len(cells)
 	side := geom.Side(p.Order)
@@ -132,7 +127,7 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 	}
 	sim, err := nbody.NewSimulator(sys, 0.02/float64(side))
 	if err != nil {
-		return DynamicIncrResult{}, err
+		return nil, nil, err
 	}
 	for i := range sim.Vel {
 		speed := 0.5 + unit()
@@ -140,6 +135,32 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 		sim.Vel[i] = complex(speed*math.Cos(theta), speed*math.Sin(theta))
 	}
 	sim.FMM = nbody.FMMOptions{Terms: 6, Workers: p.Workers}
+	at := cells
+	step := func() ([]geom.Point, error) {
+		if err := sim.Step(); err != nil {
+			return nil, err
+		}
+		at = projectCells(sim.Sys.Pos, at, side)
+		return at, nil
+	}
+	return cells, step, nil
+}
+
+// RunDynamicIncr runs `ticks` n-body timesteps (newDrift) over one
+// maintained pipeline per curve and reports the ACD, drift gauge, delta
+// work, and repartition counts. Only trial 0 of Params is used: trials
+// average independent samples, but a drift study is one trajectory.
+func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult, error) {
+	if err := p.Validate(); err != nil {
+		return DynamicIncrResult{}, err
+	}
+	if ticks < 1 {
+		return DynamicIncrResult{}, fmt.Errorf("experiments: need at least 1 tick")
+	}
+	cells, step, err := newDrift(obs.SpanFrom(ctx), p)
+	if err != nil {
+		return DynamicIncrResult{}, err
+	}
 
 	curves := sfc.All()
 	nc := len(curves)
@@ -161,13 +182,12 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 	tables := make([]*topology.DistanceTable, nc)
 	if err := runCells(ctx, p.Workers, nc, func(sweep *obs.Span, c int) error {
 		cfg := incr.Config{
-			Curve:        curves[c],
-			Order:        p.Order,
-			P:            p.P(),
-			Radius:       p.Radius,
-			Metric:       geom.MetricChebyshev,
-			ForceRebuild: p.IncrMode == "rebuild",
-			Parent:       sweep,
+			Curve:  curves[c],
+			Order:  p.Order,
+			P:      p.P(),
+			Radius: p.Radius,
+			Metric: geom.MetricChebyshev,
+			Parent: sweep,
 		}
 		s, err := incr.NewState(cfg, cells)
 		if err != nil {
@@ -179,20 +199,14 @@ func RunDynamicIncr(ctx context.Context, p Params, ticks int) (DynamicIncrResult
 	}); err != nil {
 		return DynamicIncrResult{}, err
 	}
-	defer func() {
-		for _, s := range states {
-			s.Release()
-		}
-	}()
 
 	// Ticks are inherently sequential; within a tick the curves are
 	// independent cells reading the same frozen cell configuration.
 	moved := make([]int, nc)
 	for tick := 0; tick < ticks; tick++ {
-		if err := sim.Step(); err != nil {
+		if cells, err = step(); err != nil {
 			return DynamicIncrResult{}, err
 		}
-		cells = projectCells(sim.Sys.Pos, cells, side)
 		if err := runCells(ctx, p.Workers, nc, func(_ *obs.Span, c int) error {
 			st, err := states[c].Tick(cells)
 			if err != nil {

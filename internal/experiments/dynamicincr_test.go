@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"sfcacd/internal/acd"
+	"sfcacd/internal/fmmmodel"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/keynav"
 	"sfcacd/internal/rng"
+	"sfcacd/internal/sfc"
+	"sfcacd/internal/topology"
 )
 
 // TestDriftProperties pins the drift step's contract: it never creates
@@ -105,60 +110,78 @@ func TestRunDynamicIncr(t *testing.T) {
 	if _, err := RunDynamicIncr(context.Background(), p, 0); err == nil {
 		t.Error("ticks=0 accepted")
 	}
-	bad := p
-	bad.IncrMode = "bogus"
-	if _, err := RunDynamicIncr(context.Background(), bad, 2); err == nil {
-		t.Error("bogus incr mode accepted")
-	}
 }
 
-// TestRunDynamicIncrModesIdentical is the cross-mechanism differential
-// oracle at experiment level: the rendered result must be byte-for-byte
-// identical whether the pipeline state was maintained by deltas or
-// rebuilt every tick (CI repeats this check through cmd/acdbench).
-func TestRunDynamicIncrModesIdentical(t *testing.T) {
-	p := testParams
-	p.Particles = 800
-	p.IncrMode = "incr"
-	a, err := RunDynamicIncr(context.Background(), p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.IncrMode = "rebuild"
-	b, err := RunDynamicIncr(context.Background(), p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatalf("modes diverged:\nincr:    %s\nrebuild: %s", aj, bj)
-	}
-}
-
-// BenchmarkDynamicIncr runs the two maintenance mechanisms on the same
-// trajectory; the delta path's per-tick advantage over full rebuild is
-// the experiment's reason to exist.
-func BenchmarkDynamicIncr(b *testing.B) {
-	for _, mode := range []string{"incr", "rebuild"} {
-		b.Run(mode, func(b *testing.B) {
-			p := testParams
-			p.Particles = 2000
-			p.Order = 7
-			p.IncrMode = mode
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunDynamicIncr(context.Background(), p, 8); err != nil {
-					b.Fatal(err)
+// TestDynamicIncrMatchesFreshPricing holds every ACD dynamicincr
+// maintains to fresh pricing: along the trajectory RunDynamicIncr
+// drifts its particles through (newDrift), each curve's ACD after
+// tick t must equal fmmmodel.NFIMulti over a fresh acd.Assign of tick
+// t's cells on the curve's torus. It runs the registry's tick count at
+// three configurations: the scaled table12 preset at -scale 4; at
+// -scale 2, where the repartition policy fires for hilbert and gray;
+// and at -scale 3 on an exponential input at radius 2, where more
+// pairs join two particles that only changed owner.
+func TestDynamicIncrMatchesFreshPricing(t *testing.T) {
+	exp := Table12Paper.Scale(3)
+	exp.Distribution, exp.Radius = "exponential", 2
+	for _, tc := range []struct {
+		name         string
+		p            Params
+		repartitions []string
+	}{
+		{"scale4", Table12Paper.Scale(4), nil},
+		{"scale2", Table12Paper.Scale(2), []string{"hilbert", "gray"}},
+		{"scale3-exponential-r2", exp, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunDynamicIncr(context.Background(), tc.p, dynamicIncrTicks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, step, err := newDrift(nil, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tick := 1; tick <= dynamicIncrTicks; tick++ {
+				cells, err := step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				set, err := keynav.NewSet(nil, tc.p.Order, cells)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, curve := range sfc.All() {
+					a, err := acd.Assign(nil, set, curve, tc.p.P())
+					if err != nil {
+						t.Fatal(err)
+					}
+					torus := []topology.Topology{topology.NewTorus(tc.p.ProcOrder, curve)}
+					if want, got := fmmmodel.NFIMulti(a, torus, nearOptions(tc.p))[0].ACD(), res.ACD[c][tick-1]; got != want {
+						t.Errorf("%s tick %d: maintained ACD %v, fresh pricing %v", curve.Name(), tick, got, want)
+					}
+				}
+			}
+			for _, name := range tc.repartitions {
+				c := slices.Index(res.Curves, name)
+				if c < 0 || res.Repartitions[c] == 0 {
+					t.Errorf("%s: the repartition policy never fired (repartitions %v)", name, res.Repartitions)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDynamicIncr runs the delta maintenance over one trajectory.
+func BenchmarkDynamicIncr(b *testing.B) {
+	p := testParams
+	p.Particles = 2000
+	p.Order = 7
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunDynamicIncr(context.Background(), p, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/execmodel"
-	"sfcacd/internal/fmmmodel"
-	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
@@ -62,8 +60,8 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 	}
 	outs := make([]cellOut, p.Trials*n)
 	err := groupSweep(ctx, p.Workers, p.Trials, n,
-		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
-			return sampleSet(sweep, dist.Uniform, p, trial)
+		func(sweep *obs.Span, trial, workers int) (*keynav.Set, error) {
+			return nearSet(sweep, dist.Uniform, p, trial, workers)
 		},
 		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
 			curve := curves[cell%n]
@@ -72,7 +70,8 @@ func RunExecModel(ctx context.Context, p Params) (ExecModelResult, error) {
 				return err
 			}
 			topo := topology.NewTorus(p.ProcOrder, curve)
-			opts := fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep}
+			opts := nearOptions(p)
+			opts.Workers, opts.Parent = inner, sweep
 			tally := execmodel.CollectNFI(a, topo, opts)
 			ms, err := tally.Makespan(execmodel.DefaultCost)
 			if err != nil {

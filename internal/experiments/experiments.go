@@ -44,22 +44,12 @@ type Params struct {
 	// recorded in run manifests.
 	Workers int
 	// Distribution selects the particle sampling distribution by name
-	// (dist.ByName); empty means uniform. Unlike the cost-only knobs it
-	// changes results, so non-uniform values join CanonicalKey (the
-	// uniform default is omitted there, keeping every previously cached
-	// key stable).
+	// (dist.ByName); empty means uniform. Unlike Workers it changes
+	// results, so non-uniform values join CanonicalKey (the uniform
+	// default is omitted there, keeping every previously cached key
+	// stable).
 	Distribution string
-	// IncrMode pins the maintenance mechanism of the incremental
-	// time-stepped experiments: "" or "incr" (delta maintenance on
-	// every tick) or "rebuild" (the ACD re-priced from scratch every
-	// tick). The two mechanisms are bit-identical by construction (the
-	// cross-mechanism differential oracle CI enforces), so like Workers
-	// the knob only moves cost and is excluded from CanonicalKey.
-	IncrMode string
 }
-
-// incrModes lists the accepted IncrMode values.
-var incrModes = map[string]bool{"": true, "incr": true, "rebuild": true}
 
 // sampler resolves the Distribution name, panicking on values Validate
 // would have rejected. Aliases normalize to the canonical singletons,
@@ -103,7 +93,7 @@ func (p Params) Validate() error {
 
 // validateKnobs checks the knobs every experiment reads alike, whatever
 // configuration it derives from them: the particle count and radius
-// signs, the worker count, the distribution and the incr mode.
+// signs, the worker count and the distribution.
 func (p Params) validateKnobs() error {
 	if p.Particles < 1 {
 		return fmt.Errorf("experiments: need at least 1 particle")
@@ -118,9 +108,6 @@ func (p Params) validateKnobs() error {
 		if _, err := dist.ByName(p.Distribution); err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
-	}
-	if !incrModes[p.IncrMode] {
-		return fmt.Errorf("experiments: unknown incr mode %q", p.IncrMode)
 	}
 	return nil
 }
@@ -228,6 +215,24 @@ func sampleSet(parent *obs.Span, s dist.Sampler, p Params, trial int) (*keynav.S
 		return nil, err
 	}
 	return keynav.NewSet(parent, p.Order, pts)
+}
+
+// nearOptions returns the near field the sweeps model at p: radius
+// p.Radius under the Chebyshev metric.
+func nearOptions(p Params) fmmmodel.NFIOptions {
+	return fmmmodel.NFIOptions{Radius: p.Radius, Metric: geom.MetricChebyshev}
+}
+
+// nearSet is the group build of the sweeps whose cells replay only the
+// near field: trial's particle set, drawn by s at p, with its near
+// plan recorded on workers goroutines under parent.
+func nearSet(parent *obs.Span, s dist.Sampler, p Params, trial, workers int) (*keynav.Set, error) {
+	set, err := sampleSet(parent, s, p, trial)
+	if err != nil {
+		return nil, err
+	}
+	set.Plan(parent, nearOptions(p).Spec(), workers)
+	return set, nil
 }
 
 // pricedGroup is one group of a priced sweep: a trial's particle set,

@@ -6,7 +6,6 @@ import (
 	"sfcacd/internal/contention"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/fmmmodel"
-	"sfcacd/internal/geom"
 	"sfcacd/internal/keynav"
 	"sfcacd/internal/obs"
 	"sfcacd/internal/primitives"
@@ -135,31 +134,27 @@ func RunContention(ctx context.Context, p Params) (ContentionResult, error) {
 		acd, maxLoad, meanLoad float64
 	}
 	outs := make([][2]gridOut, p.Trials*n) // per cell: mesh, torus
+	opts := nearOptions(p)
 	err := groupSweep(ctx, p.Workers, p.Trials, n,
-		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
-			return sampleSet(sweep, dist.Uniform, p, trial)
+		func(sweep *obs.Span, trial, workers int) (*keynav.Set, error) {
+			return nearSet(sweep, dist.Uniform, p, trial, workers)
 		},
-		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+		func(sweep *obs.Span, cell int, set *keynav.Set, _ int) error {
 			curve := curves[cell%n]
 			a, err := acd.Assign(sweep, set, curve, p.P())
 			if err != nil {
 				return err
 			}
-			// Each canonical pair of the near-field matrix stands for its
-			// events in both directions.
-			m := fmmmodel.NFIMatrix(a, fmmmodel.NFIOptions{
-				Radius: p.Radius, Metric: geom.MetricChebyshev, Workers: inner, Parent: sweep,
+			mesh := contention.NewTracker(topology.NewMesh(p.ProcOrder, curve))
+			torus := contention.NewTracker(topology.NewTorus(p.ProcOrder, curve))
+			// Each replayed near-field pair is one message each way.
+			fmmmodel.VisitNFI(a, opts, func(r, q int32) {
+				mesh.Route(r, q)
+				mesh.Route(q, r)
+				torus.Route(r, q)
+				torus.Route(q, r)
 			})
-			grids := []contention.GridTopology{
-				topology.NewMesh(p.ProcOrder, curve),
-				topology.NewTorus(p.ProcOrder, curve),
-			}
-			for g, grid := range grids {
-				tr := contention.NewTracker(grid)
-				m.Visit(func(src, dst int32, n uint32) {
-					tr.RouteN(src, dst, n)
-					tr.RouteN(dst, src, n)
-				})
+			for g, tr := range []*contention.Tracker{mesh, torus} {
 				s := tr.Stats()
 				acdVal := 0.0
 				if s.Messages > 0 {

@@ -65,13 +65,23 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 		countACD, workACD, countImb, workImb float64
 	}
 	outs := make([]cellOut, p.Trials*n)
+	// A group is a trial's set and its particles' near-field work, which
+	// does not depend on the curve.
+	type group struct {
+		set  *keynav.Set
+		work []float64
+	}
 	err := groupSweep(ctx, p.Workers, p.Trials, n,
-		func(sweep *obs.Span, trial, _ int) (*keynav.Set, error) {
-			return sampleSet(sweep, dist.Exponential, p, trial)
+		func(sweep *obs.Span, trial, workers int) (group, error) {
+			set, err := sampleSet(sweep, dist.Exponential, p, trial)
+			if err != nil {
+				return group{}, err
+			}
+			return group{set, nearDegrees(sweep, set, p.Radius, workers)}, nil
 		},
-		func(sweep *obs.Span, cell int, set *keynav.Set, inner int) error {
+		func(sweep *obs.Span, cell int, g group, inner int) error {
 			curve := curves[cell%n]
-			work := nearDegrees(sweep, set, p.Radius, workerBudget(p.Workers))
+			set, work := g.set, g.work
 			// Both policies label the trial's set; perm lists its particles
 			// along the curve, where the chunks are consecutive.
 			perm := sfc.SortPoints(curve, p.Order, set.Points())

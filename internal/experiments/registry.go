@@ -257,10 +257,10 @@ var registry = []Spec{
 	},
 	{
 		Name:  "dynamicincr",
-		Desc:  "Incremental pipeline: maintained order, assignment, and comm matrix over n-body ticks",
+		Desc:  "Incremental pipeline: maintained order, assignment, and near-field ACD over n-body ticks",
 		Paper: Table12Paper,
 		Run: output(func(ctx context.Context, p Params) (DynamicIncrResult, error) {
-			return RunDynamicIncr(ctx, p, 12)
+			return RunDynamicIncr(ctx, p, dynamicIncrTicks)
 		}),
 		Decode: decodeResult[DynamicIncrResult],
 	},

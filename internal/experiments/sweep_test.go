@@ -246,15 +246,16 @@ func TestPlanSharedAcrossCells(t *testing.T) {
 	}
 }
 
-// TestCellsRecordNoPlan pins where the priced sweeps record their
+// TestCellsRecordNoPlan pins where the group sweeps record their
 // plans: in each group's build, never in a cell. A cell that recorded
-// one would open keynav.plan beneath its accumulation phase (NFIMulti
-// and FFIMulti record lazily), so each of the seven runners whose cells
-// replay a plan must show keynav.plan only directly under the sweep, at
-// one and at two workers. And a one-group priceSweep of four cells at
-// two workers records exactly one plan, its build's.
+// one would open keynav.plan beneath its accumulation phase (NFIMulti,
+// FFIMulti and execmodel.CollectNFI record lazily) or, in contention,
+// nowhere, so each of the ten runners whose cells replay a plan must
+// show keynav.plan only directly under the sweep, at one and at two
+// workers. And a one-group priceSweep of four cells at two workers
+// records exactly one plan, its build's.
 func TestCellsRecordNoPlan(t *testing.T) {
-	for _, name := range []string{"table12", "fig6", "fig7", "radius", "nsweep", "meshtorus", "metrics"} {
+	for _, name := range []string{"table12", "fig6", "fig7", "radius", "nsweep", "meshtorus", "metrics", "contention", "execmodel", "loadbalance"} {
 		spec, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%s: not registered", name)

@@ -33,9 +33,9 @@ const (
 // milliseconds, so anything slower than this is worth abandoning.
 const DefaultTimeout = 2 * time.Second
 
-// DefaultFetchCandidates is how many replicas (owner first, then ring
+// fetchCandidates is how many replicas (owner first, then ring
 // siblings) a miss consults before recomputing locally.
-const DefaultFetchCandidates = 2
+const fetchCandidates = 2
 
 // maxPeerBody bounds a relayed peer response; result envelopes are
 // MBs at paper scale, never GBs.
@@ -58,11 +58,6 @@ type Config struct {
 	Advertise string
 	// Peers lists the other members as "url" or "id=url".
 	Peers []string
-	// VirtualNodes per member; 0 means DefaultVirtualNodes.
-	VirtualNodes int
-	// FetchCandidates is the number of replicas a miss consults; 0
-	// means DefaultFetchCandidates.
-	FetchCandidates int
 	// Timeout bounds one peer cache-protocol exchange; 0 means
 	// DefaultTimeout. Forwards are not subject to it (they carry a
 	// whole computation) — they run under the client request context.
@@ -88,7 +83,6 @@ type Node struct {
 	store   Store
 	client  *http.Client
 	timeout time.Duration
-	fetchN  int
 	faults  *faultinject.Injector
 
 	peerHits, peerMisses, peerErrors *obs.Counter
@@ -129,7 +123,7 @@ func New(cfg Config) (*Node, error) {
 		byID[m.ID] = m
 		ids = append(ids, m.ID)
 	}
-	ring := NewRing(ids, cfg.VirtualNodes)
+	ring := NewRing(ids)
 	members := make([]serve.MemberInfo, len(ring.Members()))
 	for i, id := range ring.Members() {
 		members[i] = byID[id]
@@ -137,10 +131,6 @@ func New(cfg Config) (*Node, error) {
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
-	}
-	fetchN := cfg.FetchCandidates
-	if fetchN <= 0 {
-		fetchN = DefaultFetchCandidates
 	}
 	client := cfg.Client
 	if client == nil {
@@ -154,7 +144,6 @@ func New(cfg Config) (*Node, error) {
 		store:         cfg.Store,
 		client:        client,
 		timeout:       timeout,
-		fetchN:        fetchN,
 		faults:        cfg.Faults,
 		peerHits:      obs.GetCounter("fleet.peer_hits"),
 		peerMisses:    obs.GetCounter("fleet.peer_misses"),
@@ -203,9 +192,9 @@ func (n *Node) Fetch(ctx context.Context, key resultcache.Key) (resultcache.Entr
 	if len(n.members) < 2 {
 		return resultcache.Entry{}, false
 	}
-	// +1 candidate in case this node is among the first fetchN
-	// replicas (it is skipped below).
-	for _, id := range n.ring.Replicas(key[:], n.fetchN+1) {
+	// +1 candidate in case this node is among the first
+	// fetchCandidates replicas (it is skipped below).
+	for _, id := range n.ring.Replicas(key[:], fetchCandidates+1) {
 		if id == n.self.ID {
 			continue
 		}

@@ -20,11 +20,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the ring points each member contributes.
-// 128 points keep the per-member load share within a few percent of
-// 1/N while the ring stays small enough to rebuild on any membership
-// change.
-const DefaultVirtualNodes = 128
+// virtualNodes is the ring points each member contributes. 128 points
+// keep the per-member load share within a few percent of 1/N while the
+// ring stays small enough to rebuild on any membership change.
+const virtualNodes = 128
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle
 // owned by a member.
@@ -42,22 +41,19 @@ type Ring struct {
 	points  []ringPoint
 }
 
-// NewRing builds a ring from the member IDs with vnodes virtual nodes
-// per member (0 means DefaultVirtualNodes). Duplicate IDs are
-// collapsed; an empty member list yields a ring that routes nothing.
-func NewRing(memberIDs []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring from the member IDs with virtualNodes points
+// per member. Duplicate IDs are collapsed; an empty member list yields
+// a ring that routes nothing.
+func NewRing(memberIDs []string) *Ring {
 	members := append([]string(nil), memberIDs...)
 	sort.Strings(members)
 	members = compact(members)
 	r := &Ring{
 		members: members,
-		points:  make([]ringPoint, 0, len(members)*vnodes),
+		points:  make([]ringPoint, 0, len(members)*virtualNodes),
 	}
 	for mi, id := range members {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: pointHash(id, v), member: int32(mi)})
 		}
 	}

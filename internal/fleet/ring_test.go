@@ -24,9 +24,9 @@ func testKeys(k int) [][]byte {
 // were configured in.
 func TestRingDeterministicAcrossBuildOrder(t *testing.T) {
 	members := []string{"a", "b", "c", "d", "e"}
-	r1 := NewRing(members, 0)
+	r1 := NewRing(members)
 	shuffled := []string{"d", "a", "e", "c", "b"}
-	r2 := NewRing(shuffled, 0)
+	r2 := NewRing(shuffled)
 	for _, key := range testKeys(2000) {
 		if o1, o2 := r1.Owner(key), r2.Owner(key); o1 != o2 {
 			t.Fatalf("owner differs across build order: %q vs %q", o1, o2)
@@ -45,8 +45,8 @@ func TestRingDeterministicAcrossBuildOrder(t *testing.T) {
 func TestRingRemapBound(t *testing.T) {
 	const K = 10000
 	members := []string{"n0", "n1", "n2", "n3", "n4"}
-	full := NewRing(members, 0)
-	reduced := NewRing(members[:4], 0) // n4 removed
+	full := NewRing(members)
+	reduced := NewRing(members[:4]) // n4 removed
 	keys := testKeys(K)
 
 	moved, ownedByRemoved := 0, 0
@@ -77,7 +77,7 @@ func TestRingRemapBound(t *testing.T) {
 	}
 
 	// Adding the member back restores the full ring's routing.
-	restored := NewRing([]string{"n4", "n2", "n0", "n3", "n1"}, 0)
+	restored := NewRing([]string{"n4", "n2", "n0", "n3", "n1"})
 	for _, key := range keys {
 		if full.Owner(key) != restored.Owner(key) {
 			t.Fatal("re-adding a member did not restore routing")
@@ -88,7 +88,7 @@ func TestRingRemapBound(t *testing.T) {
 // TestRingReplicas checks the replica walk: owner first, all members
 // distinct, degenerate sizes handled.
 func TestRingReplicas(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	r := NewRing([]string{"a", "b", "c"})
 	for _, key := range testKeys(200) {
 		reps := r.Replicas(key, 2)
 		if len(reps) != 2 {
@@ -104,10 +104,10 @@ func TestRingReplicas(t *testing.T) {
 			t.Fatalf("Replicas(99) = %v, want all 3 members", all)
 		}
 	}
-	if got := NewRing(nil, 0).Owner(testKeys(1)[0]); got != "" {
+	if got := NewRing(nil).Owner(testKeys(1)[0]); got != "" {
 		t.Errorf("empty ring owner = %q", got)
 	}
-	if got := NewRing([]string{"a", "a", "a"}, 0); len(got.Members()) != 1 {
+	if got := NewRing([]string{"a", "a", "a"}); len(got.Members()) != 1 {
 		t.Errorf("duplicate members not collapsed: %v", got.Members())
 	}
 }
@@ -115,7 +115,7 @@ func TestRingReplicas(t *testing.T) {
 // TestRingSingleMember: a one-node fleet always routes to itself —
 // the invariant the byte-identical single-node guarantee rests on.
 func TestRingSingleMember(t *testing.T) {
-	r := NewRing([]string{"solo"}, 0)
+	r := NewRing([]string{"solo"})
 	for _, key := range testKeys(100) {
 		if r.Owner(key) != "solo" {
 			t.Fatal("single-member ring routed elsewhere")

@@ -24,10 +24,13 @@
 //
 // Consumers that need the rank pairs themselves rather than their
 // distance sums — per-rank tallies (internal/execmodel), link routing
-// (internal/contention) — aggregate the same replay into a
-// communication matrix (internal/commmat) instead: NFIMatrix and
-// FFIMatricesFromIndex (matrix.go). The direct per-event traversal
-// survives only as the oracle in this package's tests.
+// (internal/contention) — read the same replay through VisitNFI and
+// VisitFFI (replay.go), which call back once per event pair with its
+// two ranks. NFIMatrix and FFIMatricesFromIndex (matrix.go) fold that
+// replay into communication matrices (internal/commmat) for the
+// benchmark's matrix-path breakdown and the tests. The direct
+// per-event traversal survives only as the oracle in this package's
+// tests.
 //
 // The model is contention-unaware: distances are shortest-path hop
 // counts regardless of concurrent traffic (§IV step 6).

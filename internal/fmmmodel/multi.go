@@ -27,7 +27,9 @@ import (
 // Every tally is an exact integer sum, so the results are byte-
 // identical to accumulating the ordered per-event stream at any worker
 // count; the tests pin this against a direct per-event oracle and
-// against the matrix path (matrix.go).
+// against the matrix path (matrix.go). The rank-pair consumers replay
+// the same plan through the visitors of replay.go, which never reach
+// these pricers.
 
 // flushLen is the flush buffer length; a full buffer costs one kernel
 // call per torus group and per other topology.
@@ -65,7 +67,7 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 
 	span := acc.Child("price.nfi")
 	ps := newPricers(newKernels(topos), min(opts.Workers, max(len(chunks), 1)))
-	panics.Parallel(len(ps), len(chunks), func(w, c int) { ps[w].replaySym(reps, chunks[c]) })
+	panics.Parallel(len(ps), len(chunks), func(w, c int) { ps[w].replayPairs(reps, chunks[c]) })
 	mergePricers(ps, total, 2)
 	span.End()
 	for t := range total {
@@ -105,7 +107,7 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 		t := tasks[i]
 		reps := ix.Reps(t.level)
 		if t.il != nil {
-			il[w].replaySym(reps, t.il)
+			il[w].replayPairs(reps, t.il)
 			return
 		}
 		interp[w].replayLinks(ix.Reps(t.level-1), ix.ChildStart(t.level-1), reps, t.lo, t.hi)
@@ -122,6 +124,37 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 		res[t].record()
 	}
 	return res
+}
+
+// ffiTask is one unit of a far-field replay: the links from parent
+// positions [lo, hi) of level-1 to their child groups, or one plan
+// chunk of level's interaction lists.
+type ffiTask struct {
+	level  uint
+	lo, hi int
+	il     []keynav.Pair
+}
+
+// ffiTasks cuts the far-field streams of the labelling into tasks,
+// with work chunked over slab positions and plan pairs so task cost
+// tracks occupancy. The set's far-field plan is recorded here on first
+// use, on up to workers goroutines, under parent.
+func ffiTasks(parent *obs.Span, ix *keynav.Index, workers int) []ffiTask {
+	pl := ix.Set().Plan(parent, keynav.Spec{Far: true}, workers)
+	var tasks []ffiTask
+	for l := ix.Order; l >= 1; l-- {
+		m := ix.LevelLen(l - 1)
+		chunk := max(m/(4*workers), 1)
+		for lo := 0; lo < m; lo += chunk {
+			tasks = append(tasks, ffiTask{level: l, lo: lo, hi: min(lo+chunk, m)})
+		}
+	}
+	for l := uint(2); l <= ix.Order; l++ {
+		for _, c := range pl.IL(l) {
+			tasks = append(tasks, ffiTask{level: l, il: c})
+		}
+	}
+	return tasks
 }
 
 // checkP panics unless every topology has p processors: pricing an
@@ -223,10 +256,10 @@ func newPricers(k *kernels, workers int) []*pricer {
 	return ps
 }
 
-// replaySym adds one event per plan pair between the two cells'
+// replayPairs adds one event per plan pair between the two cells'
 // representatives. Hop distance is symmetric, so the pair needs no
 // canonical order.
-func (p *pricer) replaySym(reps []int32, pairs []keynav.Pair) {
+func (p *pricer) replayPairs(reps []int32, pairs []keynav.Pair) {
 	// n < flushLen throughout; masking it lets the compiler drop the
 	// buffer's bounds checks.
 	n := p.n

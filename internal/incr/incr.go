@@ -33,13 +33,12 @@
 //
 // The delta path runs on every tick. The repartition policy still
 // reads the drift gauge each tick and its decision is reported, but it
-// does not change how the accumulators are maintained; only
-// Config.ForceRebuild re-prices every pair from scratch each tick, as
-// the cross-mechanism oracle. Either way each maintained accumulator is
-// defined to equal exactly what fmmmodel.NFIMulti returns for a fresh
-// assignment of the current configuration, and Matrix, built on demand
-// from the same occupancy, is bit-identical to fmmmodel.NFIMatrix — the
-// differential oracles the tests and CI enforce every tick.
+// does not change how the accumulators are maintained. Each maintained
+// accumulator is defined to equal exactly what fmmmodel.NFIMulti
+// returns for a fresh assignment of the current configuration, and
+// Matrix, built on demand from the same occupancy, is bit-identical to
+// fmmmodel.NFIMatrix — the differential oracles the tests check every
+// tick against fresh pricing and a fresh NewState.
 package incr
 
 import (
@@ -88,23 +87,14 @@ type Config struct {
 	P      int
 	Radius int
 	Metric geom.Metric
-	// ForceRebuild re-prices every tracked network from scratch on
-	// every tick instead of by delta. It changes no reported value: a
-	// forced-rebuild state reports tick-for-tick identical stats and
-	// accumulators to a delta state fed the same drift, which is what
-	// lets an experiment output serve as a cross-mechanism differential
-	// oracle.
-	ForceRebuild bool
 	// Parent is the span every Tick opens its phases under
-	// (incr.resort, then incr.maintain.delta, or incr.stats and
-	// incr.maintain.rebuild under ForceRebuild), and Matrix its
+	// (incr.resort, then incr.maintain.delta), and Matrix its
 	// commmat.finalize; nil records nothing.
 	Parent *obs.Span
 }
 
 // TickStats reports what one tick did. Every field is a deterministic
-// function of the particle trajectory alone — none depends on which
-// mechanism (delta or rebuild) maintained the state.
+// function of the particle trajectory alone.
 type TickStats struct {
 	// Moved counts particles whose cell changed this tick.
 	Moved int
@@ -299,7 +289,7 @@ func rows(visit func(geom.Point, int, geom.Metric, uint32, func(geom.Point)), r 
 
 // batch is the flush buffer of one pair enumeration and where its pairs
 // go: priced on the networks ts at weight w (addPair or retractPair),
-// or logged into a matrix shard sh.
+// or logged into a matrix builder mb.
 type batch struct {
 	src, dst [flushLen]int32
 	n        int // buffered pairs
@@ -308,31 +298,27 @@ type batch struct {
 	pairs, zeros int
 	ts           []tracked
 	w            uint64
-	sh           *commmat.Shard
+	mb           *commmat.Builder
 }
 
-// start begins an enumeration into ts at weight w, or into sh.
-func (b *batch) start(ts []tracked, w uint64, sh *commmat.Shard) {
-	b.ts, b.w, b.sh = ts, w, sh
+// start begins an enumeration into ts at weight w, or into mb.
+func (b *batch) start(ts []tracked, w uint64, mb *commmat.Builder) {
+	b.ts, b.w, b.mb = ts, w, mb
 	b.pairs, b.zeros = 0, 0
 }
 
 // flush prices the buffered pairs on every network of the enumeration,
-// or logs them into its shard in canonical (smaller rank first) form,
-// and empties the buffer.
+// or logs them into its builder in canonical (smaller rank first)
+// form, and empties the buffer.
 func (b *batch) flush() {
 	src, dst := b.src[:b.n], b.dst[:b.n]
 	for i := range b.ts {
 		t := &b.ts[i]
 		t.acc.Sum += b.w * topology.SumPairs(t.topo, src, dst)
 	}
-	if b.sh != nil {
+	if b.mb != nil {
 		for i, r := range src {
-			q := dst[i]
-			if q < r {
-				r, q = q, r
-			}
-			b.sh.Add(r, q)
+			b.mb.Add(min(r, dst[i]), max(r, dst[i]))
 		}
 	}
 	b.pairs += b.n
@@ -350,9 +336,9 @@ func (b *batch) finish() int {
 		t.acc.Zeros += b.w * uint64(b.zeros)
 	}
 	topology.CountDistanceQueries(uint64(b.pairs * len(b.ts)))
-	// Drop the targets: a matrix shard would otherwise keep its event
+	// Drop the targets: a matrix builder would otherwise keep its event
 	// log alive until the next enumeration.
-	b.ts, b.sh = nil, nil
+	b.ts, b.mb = nil, nil
 	return b.pairs
 }
 
@@ -516,8 +502,7 @@ func (s *State) delta(newPts []geom.Point, moved, ownerOnly []int, deltas []acd.
 // identities, same length; cells must stay distinct). It re-sorts the
 // moved particles' keys, finds the owner deltas and repairs every
 // tracked accumulator by delta (see delta). It returns the tick's
-// stats, which are identical whichever mechanism maintained the
-// accumulators. A duplicate-cell error leaves the state unusable.
+// stats. A duplicate-cell error leaves the state unusable.
 func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	var st TickStats
 	if len(newPts) != s.n {
@@ -567,24 +552,12 @@ func (s *State) Tick(newPts []geom.Point) (TickStats, error) {
 	}
 	s.ownerOnlyBuf = ownerOnly
 
-	// A ForceRebuild state still runs the enumerations for the tick's
-	// reported stats, counting only, under a span excluded from the
-	// maintenance timings the mechanisms are compared on.
-	ts, name := s.tracked, "incr.maintain.delta"
-	if s.cfg.ForceRebuild {
-		ts, name = nil, "incr.stats"
-	}
-	span := s.cfg.Parent.Child(name)
+	span := s.cfg.Parent.Child("incr.maintain.delta")
 	var err error
-	st.Retracted, st.Readded, err = s.delta(newPts, moved, ownerOnly, deltas, ts)
+	st.Retracted, st.Readded, err = s.delta(newPts, moved, ownerOnly, deltas, s.tracked)
 	span.End()
 	if err != nil {
 		return st, err
-	}
-	if s.cfg.ForceRebuild {
-		span := s.cfg.Parent.Child("incr.maintain.rebuild")
-		s.reprice(s.tracked)
-		span.End()
 	}
 	retractCounter.Add(uint64(st.Retracted))
 	readdCounter.Add(uint64(st.Readded))
@@ -597,13 +570,12 @@ func (s *State) Repartitions() int { return s.repartitions }
 
 // Matrix builds the near-field matrix of the current configuration
 // from the maintained occupancy and owners — bit-identical to
-// fmmmodel.NFIMatrix over a fresh assignment, which is the
-// differential oracle CI compares against. Nothing maintains it: each
-// call walks every pair once into a commmat Builder and counts as one
-// commmat build.
+// fmmmodel.NFIMatrix over a fresh assignment, which the tests compare
+// it against. Nothing maintains it: each call walks every pair once
+// into a commmat Builder and counts as one commmat build.
 func (s *State) Matrix() *commmat.Matrix {
-	b := commmat.NewBuilder(s.cfg.P, 1)
-	s.batch.start(nil, 0, b.Shard(0))
+	b := commmat.NewBuilder(s.cfg.P)
+	s.batch.start(nil, 0, b)
 	s.allPairs()
 	s.batch.finish()
 	return b.Finalize(s.cfg.Parent)

@@ -236,10 +236,13 @@ func TestStateRepartitionTick(t *testing.T) {
 	s.Release()
 }
 
-// TestForceRebuildParity pins the cross-mechanism contract: a
-// ForceRebuild state and a delta state fed the same trajectory report
-// identical TickStats at every tick and hold identical matrices.
-func TestForceRebuildParity(t *testing.T) {
+// TestStateMatchesFreshStateEveryTick: after every tick, a state
+// maintained by deltas must hold the matrix and the accumulators of a
+// fresh NewState of the same configuration built on the tick's
+// particles, on tables priced since tick 0 for the maintained state
+// and priced once for each fresh one. p = 7 admits the bus and the
+// ring.
+func TestStateMatchesFreshStateEveryTick(t *testing.T) {
 	curve, err := sfc.ByName("gray")
 	if err != nil {
 		t.Fatal(err)
@@ -247,35 +250,30 @@ func TestForceRebuildParity(t *testing.T) {
 	const order, p, radius = 6, 7, 2
 	pts := scatter(700, order, 13)
 	cfg := Config{Curve: curve, Order: order, P: p, Radius: radius, Metric: geom.MetricChebyshev}
-	delta, err := NewState(cfg, pts)
+	s, err := NewState(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ForceRebuild = true
-	rebuild, err := NewState(cfg, pts)
-	if err != nil {
-		t.Fatal(err)
+	tables := func() []*topology.DistanceTable {
+		return []*topology.DistanceTable{topology.NewDistanceTable(topology.NewBus(p)), topology.NewDistanceTable(topology.NewRing(p))}
 	}
+	dts := tables()
+	s.ACDMulti(dts)
 	r := rng.New(21)
 	for tick := 0; tick < 8; tick++ {
 		pts = driftStep(pts, order, 0.08, r)
-		a, err := delta.Tick(pts)
+		if _, err := s.Tick(pts); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewState(cfg, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := rebuild.Tick(pts)
-		if err != nil {
-			t.Fatal(err)
+		if !commmat.Equal(s.Matrix(), fresh.Matrix()) {
+			t.Fatalf("tick %d: the maintained matrix differs from a fresh state's", tick)
 		}
-		if a != b {
-			t.Fatalf("tick %d: delta stats %+v, rebuild stats %+v", tick, a, b)
-		}
-		if !commmat.Equal(delta.Matrix(), rebuild.Matrix()) {
-			t.Fatalf("tick %d: mechanisms disagree on the matrix", tick)
-		}
+		checkAccs(t, fmt.Sprintf("tick %d", tick), s.ACDMulti(dts), fresh.ACDMulti(tables()))
 	}
-	delta.Release()
-	rebuild.Release()
 }
 
 // nearPairsWith counts, over every pair of particles, the near-field
@@ -302,13 +300,13 @@ func freshOwners(t *testing.T, cfg Config, pts []geom.Point) []int32 {
 	return s.owners
 }
 
-// checkTickStats ticks a delta state and a ForceRebuild twin from pre
-// to post and checks both mechanisms' stats against counts made
-// without either: the moved particles, the owner changes between fresh
-// states of the two configurations, and, over every pair of particles,
-// the near-field pairs with at least one affected (moved or
-// owner-changed) member before and after the tick.
-func checkTickStats(t *testing.T, what string, cfg Config, states [2]*State, pre, post []geom.Point) {
+// checkTickStats ticks s from pre to post and checks its stats
+// against counts made without the delta enumerations: the moved
+// particles, the owner changes between fresh states of the two
+// configurations, and, over every pair of particles, the near-field
+// pairs with at least one affected (moved or owner-changed) member
+// before and after the tick.
+func checkTickStats(t *testing.T, what string, cfg Config, s *State, pre, post []geom.Point) {
 	t.Helper()
 	was, is := freshOwners(t, cfg, pre), freshOwners(t, cfg, post)
 	affected := make([]bool, len(pre))
@@ -329,31 +327,14 @@ func checkTickStats(t *testing.T, what string, cfg Config, states [2]*State, pre
 		Retracted:  nearPairsWith(pre, affected, cfg.Radius, cfg.Metric),
 		Readded:    nearPairsWith(post, affected, cfg.Radius, cfg.Metric),
 	}
-	for _, s := range states {
-		st, err := s.Tick(post)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		got := TickStats{Moved: st.Moved, OwnerMoves: st.OwnerMoves, Retracted: st.Retracted, Readded: st.Readded}
-		if got != want {
-			t.Fatalf("%s (ForceRebuild %v): stats %+v, brute force %+v", what, s.cfg.ForceRebuild, got, want)
-		}
+	st, err := s.Tick(post)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
-}
-
-// newTwins builds a delta state and a ForceRebuild state of pts.
-func newTwins(t *testing.T, cfg Config, pts []geom.Point) [2]*State {
-	t.Helper()
-	var states [2]*State
-	for i := range states {
-		cfg.ForceRebuild = i == 1
-		s, err := NewState(cfg, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states[i] = s
+	got := TickStats{Moved: st.Moved, OwnerMoves: st.OwnerMoves, Retracted: st.Retracted, Readded: st.Readded}
+	if got != want {
+		t.Fatalf("%s: stats %+v, brute force %+v", what, got, want)
 	}
-	return states
 }
 
 // TestTickStatsMatchBruteForce pins every tick's Retracted and Readded
@@ -371,14 +352,17 @@ func TestTickStatsMatchBruteForce(t *testing.T) {
 			for _, radius := range []int{1, 2} {
 				cfg := Config{Curve: curve, Order: order, P: p, Radius: radius, Metric: metric}
 				pts := scatter(700, order, 51)
-				states := newTwins(t, cfg, pts)
+				s, err := NewState(cfg, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				r := rng.New(53)
 				for tick := 1; tick <= 6; tick++ {
 					next := driftStep(pts, order, 0.04, r)
 					if tick == teleportTick {
 						next = teleport(pts)
 					}
-					checkTickStats(t, fmt.Sprintf("%s/%v/r=%d tick %d", curve.Name(), metric, radius, tick), cfg, states, pts, next)
+					checkTickStats(t, fmt.Sprintf("%s/%v/r=%d tick %d", curve.Name(), metric, radius, tick), cfg, s, pts, next)
 					pts = next
 				}
 			}
@@ -391,14 +375,17 @@ func TestTickStatsMatchBruteForce(t *testing.T) {
 	cfg := Config{Curve: sfc.Hilbert, Order: sparseOrder, P: 9, Radius: 2, Metric: geom.MetricChebyshev}
 	side := geom.Side(sparseOrder)
 	pts := scatterIn(500, sparseOrder, side-48, side-48, 48, 57)
-	states := newTwins(t, cfg, pts)
-	if states[0].sparseOcc == nil {
+	s, err := NewState(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sparseOcc == nil {
 		t.Fatal("an order-13 state keeps a dense occupancy array")
 	}
 	r := rng.New(59)
 	for tick := 1; tick <= 4; tick++ {
 		next := driftStep(pts, sparseOrder, 0.05, r)
-		checkTickStats(t, fmt.Sprintf("order %d tick %d", sparseOrder, tick), cfg, states, pts, next)
+		checkTickStats(t, fmt.Sprintf("order %d tick %d", sparseOrder, tick), cfg, s, pts, next)
 		pts = next
 	}
 }
@@ -487,31 +474,29 @@ func TestStateRejectsBadInput(t *testing.T) {
 }
 
 // TestTickSwapsCells: two particles that trade cells in one tick leave
-// every cell distinct, so the tick must succeed and each mechanism's
-// accumulators must equal fmmmodel.NFIMulti.
+// every cell distinct, so the tick must succeed and the accumulators
+// must equal fmmmodel.NFIMulti.
 func TestTickSwapsCells(t *testing.T) {
 	const order, procOrder = 5, 2
 	pts := scatter(300, order, 11)
-	for _, force := range []bool{false, true} {
-		cfg := Config{Curve: sfc.Hilbert, Order: order, P: 1 << (2 * procOrder), Radius: 1, Metric: geom.MetricChebyshev, ForceRebuild: force}
-		s, err := NewState(cfg, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topos, dts := sixTables(t, cfg.P, cfg.Curve)
-		s.ACDMulti(dts)
-		next := slices.Clone(pts)
-		last := len(next) - 1
-		next[0], next[last] = next[last], next[0]
-		st, err := s.Tick(next)
-		if err != nil {
-			t.Fatalf("ForceRebuild %v: swap rejected: %v", force, err)
-		}
-		if st.Moved != 2 {
-			t.Fatalf("ForceRebuild %v: swap moved %d particles, want 2", force, st.Moved)
-		}
-		checkAccs(t, fmt.Sprintf("ForceRebuild %v after the swap", force), s.ACDMulti(dts), oracleACD(t, next, cfg, topos))
+	cfg := Config{Curve: sfc.Hilbert, Order: order, P: 1 << (2 * procOrder), Radius: 1, Metric: geom.MetricChebyshev}
+	s, err := NewState(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	topos, dts := sixTables(t, cfg.P, cfg.Curve)
+	s.ACDMulti(dts)
+	next := slices.Clone(pts)
+	last := len(next) - 1
+	next[0], next[last] = next[last], next[0]
+	st, err := s.Tick(next)
+	if err != nil {
+		t.Fatalf("swap rejected: %v", err)
+	}
+	if st.Moved != 2 {
+		t.Fatalf("swap moved %d particles, want 2", st.Moved)
+	}
+	checkAccs(t, "after the swap", s.ACDMulti(dts), oracleACD(t, next, cfg, topos))
 }
 
 // raceEnabled is set under the race detector (race_test.go).
@@ -623,9 +608,7 @@ func TestStateACDMultiMatchesPerTable(t *testing.T) {
 // fmmmodel.NFIMulti over a fresh assignment after every tick, for
 // every paper curve under both metrics, through drift ticks, a
 // teleport that trips the
-// repartition policy and the delta ticks after it. A ForceRebuild twin
-// fed the same trajectory, re-pricing every tick, must agree at every
-// tick.
+// repartition policy and the delta ticks after it.
 func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
 	const order, procOrder, radius, teleportTick = 6, 3, 2, 5
 	for _, curve := range sfc.All() {
@@ -637,27 +620,18 @@ func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.ForceRebuild = true
-			rebuild, err := NewState(cfg, pts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			topos, dts := sixTables(t, cfg.P, curve)
-			_, twinDts := sixTables(t, cfg.P, curve)
 			// p = 64 = 4^3 ranks.
 			torus3D := topology.NewTorus3D(2, sfc.HilbertND{N: 3})
 			topos = append(topos, torus3D)
 			dts = append(dts, topology.NewDistanceTable(torus3D))
-			twinDts = append(twinDts, topology.NewDistanceTable(torus3D))
-			want := oracleACD(t, pts, cfg, topos)
-			checkAccs(t, "tick 0", delta.ACDMulti(dts), want)
-			checkAccs(t, "tick 0 rebuild", rebuild.ACDMulti(twinDts), want)
+			checkAccs(t, "tick 0", delta.ACDMulti(dts), oracleACD(t, pts, cfg, topos))
 			r := rng.New(43)
 			held := false // the policy's flag on the previous tick
 			for tick := 1; tick <= 9; tick++ {
 				if tick == teleportTick {
 					// Reversal alone keeps every cell's owner, and so the
-					// ACD; the drift on top makes the rebuild count.
+					// ACD; the drift on top changes it.
 					pts = teleport(pts)
 				}
 				pts = driftStep(pts, order, 0.04, r)
@@ -672,13 +646,7 @@ func TestStateAccumulatorsMatchOracleEveryTick(t *testing.T) {
 					t.Fatalf("%s/%v tick %d: repartitioned %v at gauge %.3f", curveName, metric, tick, st.Repartitioned, st.Gauge)
 				}
 				held = st.Repartitioned
-				if _, err := rebuild.Tick(pts); err != nil {
-					t.Fatal(err)
-				}
-				want := oracleACD(t, pts, cfg, topos)
-				what := fmt.Sprintf("%s/%v tick %d", curveName, metric, tick)
-				checkAccs(t, what, delta.ACDMulti(dts), want)
-				checkAccs(t, what+" rebuild", rebuild.ACDMulti(twinDts), want)
+				checkAccs(t, fmt.Sprintf("%s/%v tick %d", curveName, metric, tick), delta.ACDMulti(dts), oracleACD(t, pts, cfg, topos))
 			}
 		}
 	}

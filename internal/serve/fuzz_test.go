@@ -14,7 +14,7 @@ import (
 var fuzzBodies = append([]string{
 	`{"Particles":1000,"Order":6,"ProcOrder":3,"Trials":1}`,
 	`{"Particles":500,"Order":6,"ProcOrder":3,"Trials":1}`,
-	`{"Particles":500,"Order":6,"ProcOrder":3,"Trials":1,"IncrMode":"rebuild"}`,
+	`{"Particles":500,"Order":6,"ProcOrder":3,"Trials":1,"Bogus":"rebuild"}`,
 	`{"Particles":1048576,"Order":10,"ProcOrder":3,"Trials":1}`,
 	`{"Particles":4,"Order":5,"ProcOrder":1,"Trials":1}`,
 	`{"Particles":400,"Order":5,"ProcOrder":2,"Trials":1}`,
