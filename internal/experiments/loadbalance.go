@@ -77,7 +77,7 @@ func RunLoadBalance(ctx context.Context, p Params) (LoadBalanceResult, error) {
 			if err != nil {
 				return group{}, err
 			}
-			return group{set, nearDegrees(sweep, set, p.Radius, workers)}, nil
+			return group{set, nearDegrees(sweep, set, nearOptions(p).Spec().Radius, workers)}, nil
 		},
 		func(sweep *obs.Span, cell int, g group, inner int) error {
 			curve := curves[cell%n]

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sfcacd/internal/acd"
 	"sfcacd/internal/dist"
 	"sfcacd/internal/geom"
+	"sfcacd/internal/obs"
 	"sfcacd/internal/sfc"
 )
 
@@ -97,5 +99,32 @@ func TestNearDegreesMatchProbes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLoadBalanceRadiusZeroIsOne: radius 0 means radius 1 in every near
+// field, so a radius-0 run prints the radius-1 table (imbalances
+// included, which come from the near plan's degrees) and records one
+// plan per trial, its group build's, as the radius-1 run does.
+func TestLoadBalanceRadiusZeroIsOne(t *testing.T) {
+	plans := obs.GetCounter("keynav.plans")
+	var res [2]LoadBalanceResult
+	for i, radius := range []int{0, 1} {
+		p := testParams
+		p.Radius = radius
+		before := plans.Value()
+		var err error
+		if res[i], err = RunLoadBalance(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		if n := plans.Value() - before; n != uint64(p.Trials) {
+			t.Errorf("radius %d: %d plans recorded for %d trials", radius, n, p.Trials)
+		}
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Errorf("radius 0 gave %+v, radius 1 %+v", res[0], res[1])
+	}
+	if res[0].CountImbalance[0] < 1 {
+		t.Errorf("radius 0: count imbalance %v, want the radius-1 degrees' (at least 1)", res[0].CountImbalance[0])
 	}
 }

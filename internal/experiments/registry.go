@@ -74,11 +74,15 @@ type Spec struct {
 	Canonical func(Params) Params
 }
 
-// Resolve returns p as this experiment keys it: p with the knobs the
+// Resolve returns p as this experiment keys it: a Radius of 0 made 1,
+// the radius every near field reads it as, then the knobs the
 // experiment ignores cleared by Canonical. serve's single and batch
 // requests and acdbench resolve their parameters through it before
 // Validate and keying.
 func (s Spec) Resolve(p Params) Params {
+	if p.Radius == 0 {
+		p.Radius = 1
+	}
 	if s.Canonical != nil {
 		return s.Canonical(p)
 	}

@@ -202,3 +202,24 @@ func TestThreeDIgnoresUnreadKnobs(t *testing.T) {
 		t.Error("threed accepted a 3D near field over the bound")
 	}
 }
+
+// TestResolveRadiusZeroIsOne: every near field reads radius 0 as 1, so
+// Resolve makes it 1 before keying, and a radius-0 request shares the
+// radius-1 request's parameters and cache key in every experiment. The
+// unresolved keys still differ: CanonicalKey itself is pinned.
+func TestResolveRadiusZeroIsOne(t *testing.T) {
+	zero, one := registryTestParams, registryTestParams
+	zero.Radius, one.Radius = 0, 1
+	if zero.CanonicalKey() == one.CanonicalKey() {
+		t.Fatal("unresolved radius-0 and radius-1 params share a key")
+	}
+	for _, spec := range Registry() {
+		z, o := spec.Resolve(zero), spec.Resolve(one)
+		if z != o || z.CanonicalKey() != o.CanonicalKey() {
+			t.Errorf("%s: radius 0 resolves to %+v (%s), radius 1 to %+v (%s)", spec.Name, z, z.CanonicalKey(), o, o.CanonicalKey())
+		}
+		if spec.Resolve(z) != z {
+			t.Errorf("%s: resolving %+v again gives %+v", spec.Name, z, spec.Resolve(z))
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -342,6 +344,137 @@ func TestGroupSweepBuildBudget(t *testing.T) {
 			if !reflect.DeepEqual(builds, want) {
 				t.Errorf("workers=%d groups=%d per=%d: builds got %v workers, want %v", workers, tc.groups, tc.per, builds, want)
 			}
+		}
+	}
+}
+
+// TestGroupSweepBuildsOneGroupAhead pins the schedule on a pool of
+// two: each group's build is handed out before the previous group's
+// cells, so one worker builds the next group while the other prices
+// the current one. Every build returns at once, and each group's cells
+// but the last's block until the next group's build has started. Were
+// builds started only by the cells that need them, no worker would
+// start group g+1 before taking one of its cells, and group g's cells
+// would time out: for group 0 unless a worker waiting on group 0's
+// build built group 1 ahead meanwhile, which leaves group 1's cells no
+// build to wait on, so that they time out instead.
+func TestGroupSweepBuildsOneGroupAhead(t *testing.T) {
+	const groups, per = 3, 4
+	var started [groups]chan struct{}
+	for g := range started {
+		started[g] = make(chan struct{})
+	}
+	err := groupSweep(context.Background(), 2, groups, per,
+		func(_ *obs.Span, g, _ int) (int, error) {
+			close(started[g])
+			return g, nil
+		},
+		func(_ *obs.Span, i, g, _ int) error {
+			if g == groups-1 {
+				return nil
+			}
+			select {
+			case <-started[g+1]:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("cell %d: group %d's build had not started after 5 s", i, g+1)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupSweepSerialBuildsBeforeOwnCells pins the one-worker
+// schedule: each group's build comes right before its own cells, so no
+// build starts before the previous group's last cell has returned, and
+// a one-worker sweep holds one group at a time.
+func TestGroupSweepSerialBuildsBeforeOwnCells(t *testing.T) {
+	const groups, per = 3, 4
+	var got, want []string
+	for g := 0; g < groups; g++ {
+		want = append(want, fmt.Sprintf("build %d", g))
+		for c := 0; c < per; c++ {
+			want = append(want, fmt.Sprintf("cell %d", g*per+c))
+		}
+	}
+	err := groupSweep(context.Background(), 1, groups, per,
+		func(_ *obs.Span, g, _ int) (int, error) {
+			got = append(got, fmt.Sprintf("build %d", g))
+			return g, nil
+		},
+		func(_ *obs.Span, i, _, _ int) error {
+			got = append(got, fmt.Sprintf("cell %d", i))
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("one worker ran %v, want %v", got, want)
+	}
+}
+
+// TestGroupSweepCountsCells: a group sweep's builds are tasks on its
+// cursor, but the sweep.cells counter, the sweep.workers gauge and the
+// sweep span's cells and workers attributes count cells, as they do
+// for runCells.
+func TestGroupSweepCountsCells(t *testing.T) {
+	const groups, per = 3, 4
+	cells, gauge := obs.GetCounter("sweep.cells"), obs.GetGauge("sweep.workers")
+	for _, workers := range []int{1, 2, 16} {
+		tracer := obs.NewTracer()
+		before := cells.Value()
+		err := groupSweep(obs.ContextWithSpan(context.Background(), tracer.Root()), workers, groups, per,
+			func(_ *obs.Span, g, _ int) (int, error) { return g, nil },
+			func(*obs.Span, int, int, int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := min(workers, groups*per)
+		if n := cells.Value() - before; n != groups*per {
+			t.Errorf("workers=%d: sweep.cells rose by %d, want %d", workers, n, groups*per)
+		}
+		if got := gauge.Value(); got != float64(pool) {
+			t.Errorf("workers=%d: sweep.workers = %v, want %d", workers, got, pool)
+		}
+		phases := tracer.Take()
+		want := map[string]string{"cells": strconv.Itoa(groups * per), "workers": strconv.Itoa(pool)}
+		if len(phases) != 1 || phases[0].Name != "sweep" || !reflect.DeepEqual(phases[0].Attrs, want) {
+			t.Errorf("workers=%d: phases %+v, want one sweep with attributes %v", workers, phases, want)
+		}
+	}
+}
+
+// TestGroupSweepBuildTaskPanicReachesCaller panics group 1's build,
+// which a build task runs on a pool worker ahead of group 0's cells:
+// group 1's cells must get an error, never the zero artifact, and the
+// sweep must re-raise the builder's panic.
+func TestGroupSweepBuildTaskPanicReachesCaller(t *testing.T) {
+	const groups, per = 3, 4
+	for _, workers := range []int{1, 2, 8} {
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			_ = groupSweep(context.Background(), workers, groups, per,
+				func(_ *obs.Span, g, _ int) ([]int, error) {
+					if g == 1 {
+						panic("group 1 boom")
+					}
+					return []int{g}, nil
+				},
+				func(_ *obs.Span, i int, v []int, _ int) error {
+					if v == nil || v[0] != i/per {
+						t.Errorf("workers=%d: cell %d got artifact %v", workers, i, v)
+					}
+					return nil
+				})
+		}()
+		if w, ok := recovered.(*panics.Worker); ok {
+			recovered = w.Value
+		}
+		if recovered != "group 1 boom" {
+			t.Errorf("workers=%d: recovered %#v, want the builder's panic", workers, recovered)
 		}
 	}
 }

@@ -112,16 +112,30 @@ func bruteFFI(a *acd.Assignment, topo topology.Topology) FFIResult {
 	return res
 }
 
+// TestFFIMatchesBruteForce holds FFIMulti's far field to the brute
+// force on the three distributions at order 4 and on a chain-heavy set
+// at order 6 (chainPoints), whose links below level 3 are almost all
+// from a parent with a single child, which the replay counts without
+// replaying.
 func TestFFIMatchesBruteForce(t *testing.T) {
-	const order = 4
+	type input struct {
+		name  string
+		order uint
+		pts   []geom.Point
+	}
+	var inputs []input
 	r := rng.New(5)
 	for _, sampler := range dist.All() {
-		pts, err := dist.SampleUnique(sampler, r, order, 90)
+		pts, err := dist.SampleUnique(sampler, r, 4, 90)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inputs = append(inputs, input{sampler.Name(), 4, pts})
+	}
+	inputs = append(inputs, input{"chains", 6, chainPoints(t)})
+	for _, in := range inputs {
 		for _, pc := range []sfc.Curve{sfc.Hilbert, sfc.RowMajor} {
-			a, err := assignPoints(pts, pc, order, 16)
+			a, err := assignPoints(in.pts, pc, in.order, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,11 +148,30 @@ func TestFFIMatchesBruteForce(t *testing.T) {
 				want := bruteFFI(a, topo)
 				if got != want {
 					t.Fatalf("%s/%s/%s: FFI %+v, brute force %+v",
-						sampler.Name(), pc.Name(), topoName, got, want)
+						in.name, pc.Name(), topoName, got, want)
 				}
 			}
 		}
 	}
+}
+
+// chainPoints returns 20 cells of the 64x64 grid (order 6): 18 alone
+// in their level-3 cell, one more in the level-5 cell of the first
+// and one in the level-4 cell of the second. Below level 3 every
+// parent but those two has a single child, the deep chains of a sparse
+// set. bruteFFI scans side^4 cell pairs per level, which bounds the
+// order.
+func chainPoints(t *testing.T) []geom.Point {
+	coarse, err := dist.SampleUnique(dist.Uniform, rng.New(11), 3, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(12)
+	pts := make([]geom.Point, len(coarse), len(coarse)+2)
+	for i, c := range coarse {
+		pts[i] = geom.Pt(c.X<<3|r.Uint32n(8), c.Y<<3|r.Uint32n(8))
+	}
+	return append(pts, geom.Pt(pts[0].X^1, pts[0].Y), geom.Pt(pts[1].X^2, pts[1].Y))
 }
 
 // bruteNFI is an independent near-field reference: scan all particle

@@ -35,9 +35,10 @@ import (
 // call per torus group and per other topology.
 const flushLen = 512
 
-// Pricing-volume counters: "price.events" counts replayed events and
-// "price.zero_hop" those between equal ranks, which no kernel prices.
-// Every other event is priced once per topology, which
+// Pricing-volume counters: "price.events" counts the modelled events,
+// replayed or not (an only child's link is counted without a replay),
+// and "price.zero_hop" those between equal ranks, which no kernel
+// prices. Every other event is priced once per topology, which
 // "topology.distance.analytic" counts.
 var (
 	eventsCounter  = obs.GetCounter("price.events")
@@ -80,8 +81,11 @@ func NFIMulti(a *acd.Assignment, topos []topology.Topology, opts NFIOptions) []a
 // each of the given topologies from one replay of its far-field
 // streams: the parent-child links from the skeleton's child groups,
 // the interaction lists from its particle set's pair plan (recorded on
-// first use, with opts.Workers). The three communication types are
-// priced separately, so FFIResult keeps its per-type breakdown. Every
+// first use, with opts.Workers). Only the links of parents with two or
+// more children are replayed; an only child's link is zero-hop, so it
+// is counted (Count and Zeros) without a replay. The three
+// communication types are priced separately, so FFIResult keeps its
+// per-type breakdown. Every
 // topology must have the assignment's processor count. It is timed as
 // an accumulation.ffi phase under opts.Parent, with price.ffi (and
 // keynav.plan, when it records the plan) beneath.
@@ -97,7 +101,7 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	}
 	checkP(topos, a.P)
 	ix := a.KeyIndex()
-	tasks := ffiTasks(acc, ix, opts.Workers)
+	tasks, only := ffiTasks(acc, ix, opts.Workers)
 
 	span := acc.Child("price.ffi")
 	workers := min(opts.Workers, max(len(tasks), 1))
@@ -110,8 +114,9 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 			il[w].replayPairs(reps, t.il)
 			return
 		}
-		interp[w].replayLinks(ix.Reps(t.level-1), ix.ChildStart(t.level-1), reps, t.lo, t.hi)
+		interp[w].replayLinks(ix.Reps(t.level-1), ix.ChildStart(t.level-1), reps, t.forks)
 	})
+	interp[0].events += only
 	in, ls := make([]acd.Accumulator, len(topos)), make([]acd.Accumulator, len(topos))
 	// A link (parent, child) is one interpolation event; the
 	// anterpolation stream reverses it, and hop distance is symmetric,
@@ -126,27 +131,32 @@ func FFIMulti(a *acd.Assignment, topos []topology.Topology, opts FFIOptions) []F
 	return res
 }
 
-// ffiTask is one unit of a far-field replay: the links from parent
-// positions [lo, hi) of level-1 to their child groups, or one plan
+// ffiTask is one unit of a far-field replay: the links from some of
+// level-1's forks (Index.Forks) to their child groups, or one plan
 // chunk of level's interaction lists.
 type ffiTask struct {
-	level  uint
-	lo, hi int
-	il     []keynav.Pair
+	level uint
+	forks []int32
+	il    []keynav.Pair
 }
 
 // ffiTasks cuts the far-field streams of the labelling into tasks,
-// with work chunked over slab positions and plan pairs so task cost
-// tracks occupancy. The set's far-field plan is recorded here on first
-// use, on up to workers goroutines, under parent.
-func ffiTasks(parent *obs.Span, ix *keynav.Index, workers int) []ffiTask {
+// with work chunked over forks and plan pairs so task cost tracks
+// occupancy, and returns them with the number of links it leaves out:
+// those of parents with a single child, whose representative is the
+// parent's, so the link is zero-hop. The set's far-field plan is
+// recorded here on first use, on up to workers goroutines, under
+// parent.
+func ffiTasks(parent *obs.Span, ix *keynav.Index, workers int) ([]ffiTask, uint64) {
 	pl := ix.Set().Plan(parent, keynav.Spec{Far: true}, workers)
 	var tasks []ffiTask
+	var only uint64
 	for l := ix.Order; l >= 1; l-- {
-		m := ix.LevelLen(l - 1)
-		chunk := max(m/(4*workers), 1)
-		for lo := 0; lo < m; lo += chunk {
-			tasks = append(tasks, ffiTask{level: l, lo: lo, hi: min(lo+chunk, m)})
+		forks := ix.Forks(l - 1)
+		only += uint64(ix.LevelLen(l-1) - len(forks))
+		chunk := max(len(forks)/(4*workers), 1)
+		for lo := 0; lo < len(forks); lo += chunk {
+			tasks = append(tasks, ffiTask{level: l, forks: forks[lo:min(lo+chunk, len(forks))]})
 		}
 	}
 	for l := uint(2); l <= ix.Order; l++ {
@@ -154,7 +164,7 @@ func ffiTasks(parent *obs.Span, ix *keynav.Index, workers int) []ffiTask {
 			tasks = append(tasks, ffiTask{level: l, il: c})
 		}
 	}
-	return tasks
+	return tasks, only
 }
 
 // checkP panics unless every topology has p processors: pricing an
@@ -241,8 +251,8 @@ type pricer struct {
 	src     [flushLen]int32
 	dst     [flushLen]int32
 	n       int // buffered events
-	// events counts the replayed events and priced those with distinct
-	// ranks; sums[t] is topology t's distance sum.
+	// events counts the events and priced those with distinct ranks;
+	// sums[t] is topology t's distance sum.
 	events, priced uint64
 	sums           []uint64
 }
@@ -277,12 +287,12 @@ func (p *pricer) replayPairs(reps []int32, pairs []keynav.Pair) {
 }
 
 // replayLinks adds one event per link from the parents at positions
-// [lo, hi) to their child groups.
-func (p *pricer) replayLinks(parents, start, reps []int32, lo, hi int) {
-	n := p.n
-	for j := lo; j < hi; j++ {
-		pr := parents[j]
-		for _, r := range reps[start[j]:start[j+1]] {
+// forks to their child groups.
+func (p *pricer) replayLinks(parents, start, reps, forks []int32) {
+	n, events := p.n, 0
+	for _, j := range forks {
+		pr, children := parents[j], reps[start[j]:start[j+1]]
+		for _, r := range children {
 			p.src[n&(flushLen-1)], p.dst[n&(flushLen-1)] = pr, r
 			if n += distinct(pr, r); n == flushLen {
 				p.n = n
@@ -290,9 +300,10 @@ func (p *pricer) replayLinks(parents, start, reps []int32, lo, hi int) {
 				n = 0
 			}
 		}
+		events += len(children)
 	}
 	p.n = n
-	p.events += uint64(start[hi] - start[lo])
+	p.events += uint64(events)
 }
 
 // distinct is 1 if r != q and 0 otherwise, without a branch, which a

@@ -47,13 +47,15 @@ var buildCounter = obs.GetCounter("keynav.builds")
 
 // level is one resolution level of a set: occupied cells as sorted
 // level keys, the start of each cell's child group in the next-finer
-// level, which children each cell has, and the finest slab position of
-// each cell's first particle. The finest level has none of the last
-// three; only it has a radix directory over the keys, for RankAt.
+// level, which children each cell has, the cells with more than one,
+// and the finest slab position of each cell's first particle. The
+// finest level has none of the last four; only it has a radix
+// directory over the keys, for RankAt.
 type level struct {
 	keys       []uint64
 	childStart []int32 // len(keys)+1; indices into the next-finer level
 	occ        []uint8 // bit s: the child at sub-position s (key & 3) is occupied
+	forks      []int32 // ascending positions of the cells with two or more children
 	// first[j] is the finest slab position of cell j's first particle
 	// in Morton order (len(keys)+1 entries, the last one the particle
 	// count), so cell j holds first[j+1]-first[j] particles. At level
@@ -186,9 +188,9 @@ func NewSet(parent *obs.Span, order uint, pts []geom.Point) (*Set, error) {
 
 // buildLevels derives every coarser level from the sorted finest keys
 // by one linear scan per level over right-shifted keys, which also
-// marks each cell's occupied children, and each level's first-particle
-// offsets by one gather through its child starts: a cell's first
-// particle is its first child's.
+// marks each cell's occupied children. Each level's forks and
+// first-particle offsets then come from its child starts, the offsets
+// by one gather: a cell's first particle is its first child's.
 func (s *Set) buildLevels(keys []uint64) {
 	s.lv = make([]level, s.Order+1)
 	fin := &s.lv[s.Order]
@@ -214,6 +216,11 @@ func (s *Set) buildLevels(keys []uint64) {
 			dst.occ[len(dst.occ)-1] |= 1 << (k & 3)
 		}
 		dst.childStart = append(dst.childStart, int32(len(src)))
+		for j := range dst.keys {
+			if dst.childStart[j+1]-dst.childStart[j] > 1 {
+				dst.forks = append(dst.forks, int32(j))
+			}
+		}
 		if l == int(s.Order)-1 {
 			dst.first = dst.childStart
 		} else {
@@ -379,6 +386,14 @@ func (ix *Index) Reps(l uint) []int32 { return ix.reps[l] }
 // stream, which no Plan needs to store. The slice belongs to the set
 // and must not be modified.
 func (ix *Index) ChildStart(l uint) []int32 { return ix.set.lv[l].childStart }
+
+// Forks returns, for level l < Order, the slab positions of the
+// occupied cells with two or more children, in ascending order. A
+// cell's representative is its children's minimum, so an only child
+// shares its parent's and its link to the parent never crosses ranks:
+// only a fork's links can. The slice belongs to the set and must not
+// be modified.
+func (ix *Index) Forks(l uint) []int32 { return ix.set.lv[l].forks }
 
 // RankAt returns the rank owning the particle in the given finest cell,
 // or -1 if the cell is empty or outside the grid (whose Morton key

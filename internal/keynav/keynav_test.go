@@ -254,7 +254,11 @@ func TestVisitUpperNeighborPairsMatchesOracle(t *testing.T) {
 
 // TestVisitParentLinksMatchesTree compares the interpolation link
 // multiset per level, replayed from the index's child groups
-// (ChildStart), against the quadtree cell walk.
+// (ChildStart), against the quadtree cell walk. It also checks the
+// forks (Forks) against the tree's cells with two or more occupied
+// children, and that every other parent's only child has the parent's
+// representative under both labellings (Label and, for the quadrant
+// curves, LabelAlong), which is why a replay may skip their links.
 func TestVisitParentLinksMatchesTree(t *testing.T) {
 	const order, n, p = 5, 300, 16
 	for _, curve := range testCurves {
@@ -279,6 +283,34 @@ func TestVisitParentLinksMatchesTree(t *testing.T) {
 			}
 			if !mapsEqual(got, want) {
 				t.Fatalf("%s l=%d: parent-link multiset mismatch", curve.Name(), l)
+			}
+
+			children := map[[2]uint32]int{}
+			tree.VisitCells(l, func(x, y uint32, _ int32) { children[[2]uint32{x / 2, y / 2}]++ })
+			wantForks := 0
+			for _, c := range children {
+				if c > 1 {
+					wantForks++
+				}
+			}
+			forks := ix.Forks(l - 1)
+			if len(forks) != wantForks || !slices.IsSorted(forks) {
+				t.Fatalf("%s l=%d: forks %v, want %d in ascending order", curve.Name(), l, forks, wantForks)
+			}
+			for _, lab := range []*keynav.Index{ix, a.KeyIndex()} {
+				parents, start, forks, reps, next := lab.Reps(l-1), lab.ChildStart(l-1), lab.Forks(l-1), lab.Reps(l), 0
+				for j := range parents {
+					fork := next < len(forks) && int(forks[next]) == j
+					if fork {
+						next++
+					}
+					if n := start[j+1] - start[j]; fork != (n > 1) {
+						t.Fatalf("%s l=%d: parent %d has %d children, listed as a fork: %v", curve.Name(), l, j, n, fork)
+					}
+					if !fork && reps[start[j]] != parents[j] {
+						t.Fatalf("%s l=%d: parent %d (rep %d) has an only child of rep %d", curve.Name(), l, j, parents[j], reps[start[j]])
+					}
+				}
 			}
 		}
 	}
